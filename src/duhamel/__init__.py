@@ -11,7 +11,7 @@ from .expressions import Expression, ExpressionError, compile_expression
 from .fields import ScalarField, Trajectory, VectorField, curl_residual, gradient, laplacian
 from .forcing import Forcing
 from .grid import FreeSpaceTruncated, Grid, Periodic
-from .heat_kernel import KernelApplication, Method, convolve, convolve_grad, kernel_eval
+from .heat_kernel import KernelApplication, convolve, kernel_eval
 from .series import (
     BoundReport,
     SeriesOptions,
@@ -40,10 +40,8 @@ __all__ = [
     "Periodic",
     "FreeSpaceTruncated",
     "KernelApplication",
-    "Method",
     "kernel_eval",
     "convolve",
-    "convolve_grad",
     "SeriesOptions",
     "SeriesSolution",
     "BoundReport",

@@ -3,8 +3,9 @@
 Exit codes: 0 ok, 2 config error, 3 numerical failure (bound violation or
 non-convergence), 4 oracle mismatch.  Solve runs write CSF1 trajectories,
 bound reports as JSON lines, and a manifest recording the config hash,
-package and library versions, seed, thread knob and timings; with a fixed
-config and seed the field artifacts are byte identical across runs.
+package and library versions, seed, thread knob, kernel engine and padded
+transform shape, and timings; with a fixed config and seed the field
+artifacts are byte identical across runs.
 """
 
 from __future__ import annotations
@@ -118,6 +119,7 @@ def _solve_controlled_heat(cfg: RunConfig, out_dir: Path, manifest: dict) -> int
     sol = solve_controlled_heat(g0, forcing, cfg.payload["horizon"], cfg.series)
     write_trajectory(sol.trajectory, out_dir, "G")
     manifest["artifacts"].append("G")
+    manifest["engine"] = sol.metadata["engine"]
     manifest["truncation_depth"] = sol.truncation_depth
     manifest["estimated_truncation_error"] = sol.estimated_truncation_error
     manifest["not_converged"] = sol.not_converged
@@ -152,6 +154,7 @@ def _solve_nse(cfg: RunConfig, out_dir: Path, manifest: dict) -> int:
         write_trajectory(sol.residual, out_dir, "residual")
         manifest["artifacts"].append("residual")
         manifest["max_residual"] = max(s.max_abs for _, s in sol.residual)
+    manifest["engine"] = sol.series.metadata["engine"]
     manifest["truncation_depth"] = sol.series.truncation_depth
     manifest["not_converged"] = sol.series.not_converged
     ok = sol.floor_report.passed and sol.ceiling_report.passed and not sol.series.not_converged
@@ -177,6 +180,7 @@ def _solve_parabolic(cfg: RunConfig, out_dir: Path, manifest: dict) -> int:
     write_trajectory(sol.v, out_dir, "v")
     write_trajectory(sol.u, out_dir, "u")
     manifest["artifacts"] += ["v", "u"]
+    manifest["engine"] = sol.series.metadata["engine"]
     manifest["truncation_depth"] = sol.series.truncation_depth
     manifest["not_converged"] = sol.series.not_converged
     manifest["edge_clamped"] = bool(sol.u.metadata.get("edge_clamped", False))

@@ -167,7 +167,15 @@ def _parse_grid(obj, chk: _Checker) -> Grid | None:
         inner = boundary_spec["free_space"]
         if not chk.section(inner, "grid.boundary.free_space", {"padding_factor"}, set()):
             return None
-        boundary = FreeSpaceTruncated(float(inner.get("padding_factor", 2.0)))
+        path = "grid.boundary.free_space.padding_factor"
+        padding = chk.number(inner.get("padding_factor", 2.0), path)
+        if padding is None:
+            return None
+        try:
+            boundary = FreeSpaceTruncated(padding)
+        except ValueError as exc:
+            chk.fail(path, str(exc))
+            return None
     else:
         chk.fail("grid.boundary", "must be 'periodic' or {'free_space': {...}}")
         return None

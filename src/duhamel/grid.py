@@ -3,9 +3,8 @@
 Grids are cell centered: node ``i`` along an axis sits at
 ``origin + (i + 1/2) * spacing``, so a periodic axis of ``n`` points with
 spacing ``h`` tiles a period of length ``n * h`` exactly.  Truncated
-free-space grids carry a padding factor describing how far beyond the base
-extent field values may be extrapolated (by edge replication) during
-convolution.
+free-space grids carry a padding factor: convolutions extend their fields by
+edge replication to that many times the base extent per axis.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ __all__ = ["Periodic", "FreeSpaceTruncated", "Grid"]
 
 _MIN_POINTS = 8
 _MAX_NDIM = 3
+_MAX_PADDING = 8.0  # bounds the padded transform at 8x the points per axis
 
 
 @dataclass(frozen=True)
@@ -29,16 +29,21 @@ class Periodic:
 class FreeSpaceTruncated:
     """Truncated free-space boundary.
 
-    Fields are treated as constant beyond the padded extent
-    (``padding_factor`` times the base extent), the constant being the edge
-    value.  Edge replication realizes that rule for every padding factor.
+    The heat kernel acts on a torus of ``padding_factor`` times the base
+    extent per axis (rounded up to a fast FFT length), with the grid in its
+    middle and the field continued by its edge values.  Within the padded
+    extent a field is therefore the constant edge value beyond the grid;
+    where the torus wraps, the two edges meet.  The factor must lie in
+    [1, 8]; 1 means no padding, so the grid is treated as periodic.
     """
 
     padding_factor: float = 2.0
 
     def __post_init__(self):
-        if not self.padding_factor >= 1.0:
-            raise ValueError(f"padding_factor must be >= 1, got {self.padding_factor}")
+        if not 1.0 <= self.padding_factor <= _MAX_PADDING:
+            raise ValueError(
+                f"padding_factor must be in [1, {_MAX_PADDING:g}], got {self.padding_factor}"
+            )
 
 
 @dataclass(frozen=True)
@@ -125,15 +130,6 @@ class Grid:
         """
         n, h = self.points[axis], self.spacing[axis]
         return 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-
-    def squared_wavenumbers(self) -> np.ndarray:
-        """|k|^2 on the full mode lattice (shape == grid shape)."""
-        k2 = np.zeros(self.shape)
-        for d in range(self.ndim):
-            shape = [1] * self.ndim
-            shape[d] = self.points[d]
-            k2 = k2 + (self.wavenumbers(d) ** 2).reshape(shape)
-        return k2
 
     def nearest_node(self, point) -> tuple[int, ...]:
         """Multi-index of the grid node closest to ``point``."""

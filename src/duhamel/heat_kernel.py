@@ -1,13 +1,12 @@
 """Gaussian heat kernel evaluation and K(., t) * field convolution.
 
-Two application methods:
-
-* ``SPECTRAL_PERIODIC`` multiplies Fourier coefficients by exp(-nu |k|^2 t),
-  the exact semigroup on the discrete mode set of a periodic grid.
-* ``DIRECT_QUADRATURE`` convolves with the sampled Gaussian truncated at
-  radius 8 sqrt(2 nu t) using trapezoid weights, applied separably per axis.
-  On free-space grids values beyond the padded extent are the edge values;
-  on periodic grids the convolution wraps.
+Every grid convolves on a torus through its real Fourier transform: the
+half-spectrum coefficients are multiplied by exp(-nu |k|^2 t), the exact
+semigroup on the torus's discrete modes.  A periodic grid is its own torus.
+A truncated free-space grid is extended by edge replication to
+``padding_factor`` times its extent per axis, rounded up to a fast transform
+length; the convolution runs on that padded torus and is cropped back to the
+grid.  The series solver's order sweeps use the same transform pair.
 
 The viscosity ``nu`` rescales the kernel to (4 pi nu t)^(-n/2)
 exp(-|x|^2 / (4 nu t)); it defaults to 1 everywhere.
@@ -15,24 +14,17 @@ exp(-|x|^2 / (4 nu t)); it defaults to 1 everywhere.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 
 import numpy as np
-from scipy.ndimage import convolve1d
+import scipy.fft
 
-from .fields import ScalarField, VectorField
+from .fields import ScalarField
 from .grid import Grid
 
-__all__ = ["Method", "KernelApplication", "kernel_eval", "convolve", "convolve_grad"]
-
-_TRUNCATION_SIGMAS = 8.0  # tail mass of exp(-r^2/4t) beyond 8*sqrt(2t) is < 1e-14
-
-
-class Method(enum.Enum):
-    SPECTRAL_PERIODIC = "spectral_periodic"
-    DIRECT_QUADRATURE = "direct_quadrature"
+__all__ = ["PaddedTorus", "padded_torus", "KernelApplication", "kernel_eval", "convolve",
+           "convolve_times"]
 
 
 def kernel_eval(x, t: float, n: int | None = None, nu: float = 1.0) -> float:
@@ -51,136 +43,118 @@ def kernel_eval(x, t: float, n: int | None = None, nu: float = 1.0) -> float:
     return (4.0 * math.pi * nu * t) ** (-0.5 * n) * math.exp(-r2 / (4.0 * nu * t))
 
 
+class PaddedTorus:
+    """Real-FFT transform pair for the fields of one grid.
+
+    ``shape`` is the torus shape: the grid shape on periodic grids, the
+    edge-padded shape on free-space grids, with the grid centred in it.
+    ``k2`` holds |k|^2 on the half spectrum that ``forward`` returns.
+
+    On a padded torus the inverse goes one axis at a time and crops each
+    axis right after its pass, so later passes run on fewer points; no pass
+    mixes the points of another axis, so the crop equals that of the full
+    inverse transform.
+    """
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.padded = not grid.is_periodic
+        if self.padded:
+            factor = grid.boundary.padding_factor
+            self.shape = tuple(
+                scipy.fft.next_fast_len(math.ceil(factor * n), real=True) for n in grid.points
+            )
+        else:
+            self.shape = grid.shape
+        ndim = grid.ndim
+        lows = [(m - n) // 2 for m, n in zip(self.shape, grid.points)]
+        self._pad = tuple((lo, m - n - lo) for lo, m, n in zip(lows, self.shape, grid.points))
+        self._crops = []
+        for d, (lo, n) in enumerate(zip(lows, grid.points)):
+            crop = [slice(None)] * ndim
+            crop[d] = slice(lo, lo + n)
+            self._crops.append(tuple(crop))
+        last = ndim - 1
+        k2 = np.zeros(())
+        for d, (m, h) in enumerate(zip(self.shape, grid.spacing)):
+            freq = np.fft.rfftfreq(m, d=h) if d == last else np.fft.fftfreq(m, d=h)
+            axis_shape = [1] * ndim
+            axis_shape[d] = len(freq)
+            k2 = k2 + ((2.0 * np.pi * freq) ** 2).reshape(axis_shape)
+        k2.setflags(write=False)
+        self.k2 = k2
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """Half spectrum of the (edge-padded) field."""
+        if self.padded:
+            values = np.pad(values, self._pad, mode="edge")
+        return scipy.fft.rfftn(values)
+
+    def inverse(self, spectrum: np.ndarray) -> np.ndarray:
+        """Grid values of a half spectrum, as a new contiguous array.
+
+        The crop is copied so that no result keeps the padded array alive.
+        """
+        if not self.padded:
+            return scipy.fft.irfftn(spectrum, s=self.shape)
+        last = self.grid.ndim - 1
+        for d in range(last):
+            spectrum = scipy.fft.ifft(spectrum, axis=d)[self._crops[d]]
+        return scipy.fft.irfft(spectrum, n=self.shape[last], axis=last)[self._crops[last]].copy()
+
+    def damping(self, nu_t: float) -> np.ndarray:
+        """exp(-nu t |k|^2): the kernel K(., t) on the half spectrum."""
+        return np.exp(-nu_t * self.k2)
+
+    def summary(self) -> dict:
+        """Engine and padding, as recorded in a run's manifest."""
+        return {
+            "name": "spectral-rfft",
+            "padding": "edge" if self.padded else "none",
+            "padded_shape": list(self.shape),
+        }
+
+
 @functools.lru_cache(maxsize=64)
-def _squared_wavenumbers(grid: Grid) -> np.ndarray:
-    k2 = grid.squared_wavenumbers()
-    k2.setflags(write=False)
-    return k2
-
-
-@functools.lru_cache(maxsize=256)
-def _gauss_weights(h: float, t: float, nu: float) -> np.ndarray:
-    """Trapezoid samples of the 1D kernel, truncated at 8 sqrt(2 nu t)."""
-    radius = _TRUNCATION_SIGMAS * math.sqrt(2.0 * nu * t)
-    m = int(math.ceil(radius / h))
-    offsets = np.arange(-m, m + 1) * h
-    w = h * (4.0 * math.pi * nu * t) ** -0.5 * np.exp(-(offsets**2) / (4.0 * nu * t))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    w.setflags(write=False)
-    return w
+def padded_torus(grid: Grid) -> PaddedTorus:
+    """The shared, read-only transform pair of ``grid``."""
+    return PaddedTorus(grid)
 
 
 class KernelApplication:
     """Heat-kernel convolution operator on one grid at one time.
 
-    ``t = 0`` is the identity.  ``under_resolved`` is set when the direct
-    quadrature path meets a kernel narrower than one cell and falls back to
-    the identity.
+    ``t = 0`` is the identity.
     """
 
-    def __init__(self, grid: Grid, t: float, method: Method | None = None, nu: float = 1.0):
+    def __init__(self, grid: Grid, t: float, nu: float = 1.0):
         if t < 0:
             raise ValueError(f"kernel time must be >= 0, got {t}")
         if nu <= 0:
             raise ValueError(f"viscosity must be positive, got {nu}")
-        if method is None:
-            method = Method.SPECTRAL_PERIODIC if grid.is_periodic else Method.DIRECT_QUADRATURE
-        if method is Method.SPECTRAL_PERIODIC and not grid.is_periodic:
-            raise ValueError("spectral application requires a periodic grid")
         self.grid = grid
         self.t = float(t)
         self.nu = float(nu)
-        self.method = method
-        self.under_resolved = False
-        if method is Method.DIRECT_QUADRATURE and t > 0:
-            radius = _TRUNCATION_SIGMAS * math.sqrt(2.0 * nu * t)
-            self.under_resolved = radius < grid.min_spacing
-
-    # -- scalar application ------------------------------------------------
 
     def apply(self, field: ScalarField) -> ScalarField:
         if field.grid != self.grid:
             raise ValueError("field grid does not match the kernel grid")
-        if self.t == 0.0 or self.under_resolved:
+        if self.t == 0.0:
             return field
-        if self.method is Method.SPECTRAL_PERIODIC:
-            return self._apply_spectral(field)
-        return self._apply_direct(field)
+        return self._apply_spectrum(padded_torus(self.grid).forward(field.values))
 
-    def _apply_spectral(self, field: ScalarField) -> ScalarField:
-        damp = np.exp(-self.nu * _squared_wavenumbers(self.grid) * self.t)
-        out = np.fft.ifftn(np.fft.fftn(field.values) * damp).real
-        return ScalarField(self.grid, out)
-
-    def _apply_direct(self, field: ScalarField) -> ScalarField:
-        mode = "wrap" if self.grid.is_periodic else "nearest"
-        out = field.values
-        for axis in range(self.grid.ndim):
-            w = _gauss_weights(self.grid.spacing[axis], self.t, self.nu)
-            out = convolve1d(out, w, axis=axis, mode=mode)
-        return ScalarField(self.grid, out)
-
-    # -- gradient of the convolution ----------------------------------------
-
-    def apply_gradient(self, field: ScalarField) -> VectorField:
-        if not self.t > 0:
-            raise ValueError("gradient application needs t > 0")
-        if field.grid != self.grid:
-            raise ValueError("field grid does not match the kernel grid")
-        if self.method is Method.SPECTRAL_PERIODIC:
-            return self._apply_gradient_spectral(field)
-        return self._apply_gradient_direct(field)
-
-    def _apply_gradient_spectral(self, field: ScalarField) -> VectorField:
-        grid = self.grid
-        damp = np.exp(-self.nu * _squared_wavenumbers(grid) * self.t)
-        spec = np.fft.fftn(field.values) * damp
-        comps = []
-        for axis in range(grid.ndim):
-            k = grid.wavenumbers(axis).copy()
-            if len(k) % 2 == 0:
-                k[len(k) // 2] = 0.0
-            shape = [1] * grid.ndim
-            shape[axis] = len(k)
-            comps.append(np.fft.ifftn(spec * (1j * k).reshape(shape)).real)
-        return VectorField(grid, tuple(comps))
-
-    def _apply_gradient_direct(self, field: ScalarField) -> VectorField:
-        grid = self.grid
-        mode = "wrap" if grid.is_periodic else "nearest"
-        comps = []
-        for axis in range(grid.ndim):
-            out = field.values
-            for d in range(grid.ndim):
-                h = grid.spacing[d]
-                if d == axis:
-                    w = self._gauss_grad_weights(h)
-                else:
-                    w = _gauss_weights(h, self.t, self.nu)
-                out = convolve1d(out, w, axis=d, mode=mode)
-            comps.append(out)
-        return VectorField(grid, tuple(comps))
-
-    def _gauss_grad_weights(self, h: float) -> np.ndarray:
-        radius = _TRUNCATION_SIGMAS * math.sqrt(2.0 * self.nu * self.t)
-        m = int(math.ceil(radius / h))
-        offsets = np.arange(-m, m + 1) * h
-        base = h * (4.0 * math.pi * self.nu * self.t) ** -0.5 * np.exp(
-            -(offsets**2) / (4.0 * self.nu * self.t)
-        )
-        # convolve1d applies true convolution: weights[p+m] acts at offset p
-        w = -offsets / (2.0 * self.nu * self.t) * base
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+    def _apply_spectrum(self, spectrum: np.ndarray) -> ScalarField:
+        torus = padded_torus(self.grid)
+        return ScalarField(self.grid, torus.inverse(spectrum * torus.damping(self.nu * self.t)))
 
 
-def convolve(field: ScalarField, t: float, method: Method | None = None, nu: float = 1.0) -> ScalarField:
+def convolve(field: ScalarField, t: float, nu: float = 1.0) -> ScalarField:
     """K(., t) * field; the t = 0 limit returns the field unchanged."""
-    return KernelApplication(field.grid, t, method, nu).apply(field)
+    return KernelApplication(field.grid, t, nu).apply(field)
 
 
-def convolve_grad(field: ScalarField, t: float, method: Method | None = None, nu: float = 1.0) -> VectorField:
-    """Gradient of K(., t) * field, computed as (grad K) * field."""
-    return KernelApplication(field.grid, t, method, nu).apply_gradient(field)
+def convolve_times(field: ScalarField, times, nu: float = 1.0) -> list[ScalarField]:
+    """K(., t) * field at each of ``times``, from one forward transform."""
+    apps = [KernelApplication(field.grid, t, nu) for t in times]
+    spectrum = padded_torus(field.grid).forward(field.values)
+    return [field if app.t == 0.0 else app._apply_spectrum(spectrum) for app in apps]

@@ -28,7 +28,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .fields import ScalarField, Trajectory, derivative
 from .forcing import Forcing
-from .grid import FreeSpaceTruncated, Grid
+from .grid import Grid
 from .quadrature import corrected_cumulative_trapezoid
 from .series import SeriesOptions, SeriesSolution, solve_controlled_heat
 
@@ -230,8 +230,7 @@ def normalize(prob: ParabolicProblem, time_nodes: int = 64) -> NormalizedProblem
 
     # fixed y-grid spanning the t=0 image, same point count as the x-grid
     h_y = (psi0[-1] - psi0[0]) / (n_x - 1)
-    padding = prob.grid.boundary.padding_factor if isinstance(prob.grid.boundary, FreeSpaceTruncated) else 2.0
-    y_grid = Grid((n_x,), (h_y,), (psi0[0] - 0.5 * h_y,), FreeSpaceTruncated(max(padding, 2.0)))
+    y_grid = Grid((n_x,), (h_y,), (psi0[0] - 0.5 * h_y,), x_grid.boundary)
     y = y_grid.coords(0)
 
     psi_t_stack = _time_stack_derivative(psi_stack, dt)

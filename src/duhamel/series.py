@@ -9,15 +9,17 @@ and optional source S.  Its solution is the iterated Duhamel series
 computed order by order on a uniform time grid, which turns the d-fold
 nested integrals into O(d * n_t) kernel sweeps.
 
-Two quadratures drive the recursion:
+Every order runs in Fourier space on the grid's torus (see ``heat_kernel``:
+periodic grids as they are, free-space grids edge-padded to
+``padding_factor`` times their extent).  The solver integrates each mode
+against the exact kernel weight exp(-nu |k|^2 (t-s)) with the integrand
+interpolated linearly between nodes, an exponential (ETD) product rule that
+removes the kernel stiffness from the quadrature error entirely.  Each sweep
+transforms the integrand node by node and keeps only the previous spectrum.
 
-* ``duhamel_step`` (the public single-order operator) uses the composite
-  trapezoid over prior nodes with the identity convolution at the s = t
-  endpoint.  The same rule drives the solver on free-space grids.
-* On periodic grids the solver integrates each Fourier mode against the
-  exact kernel weight exp(-nu |k|^2 (t-s)) with the integrand interpolated
-  linearly between nodes (an exponential product rule).  This removes the
-  kernel stiffness from the quadrature error entirely.
+``duhamel_step`` (the public single-order operator) is an independent
+second quadrature for cross-checks: the composite trapezoid over prior
+nodes with the identity convolution at the s = t endpoint.
 
 Independently of the quadrature, the forcing is gauge centered: with
 ``cbar = (sup F + inf F) / 2`` the solver runs on ``F - cbar`` and restores
@@ -41,7 +43,7 @@ import numpy as np
 from .fields import ScalarField, Trajectory
 from .forcing import Forcing
 from .grid import Grid
-from .heat_kernel import KernelApplication, Method
+from .heat_kernel import convolve_times, padded_torus
 
 __all__ = [
     "SeriesOptions",
@@ -104,7 +106,7 @@ class SeriesOptions:
 
 
 # ---------------------------------------------------------------------------
-# quadrature engines
+# quadrature engine
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -115,96 +117,69 @@ def _phi1(z: np.ndarray) -> np.ndarray:
     return out
 
 
+# Below the cutoff _f2 sums a positive series; 25 terms reach full double
+# precision at z = 2, and above it the closed form cancels by at most 1.7x.
+_F2_SERIES_CUTOFF = 2.0
+_F2_SERIES = tuple(1.0 / math.factorial(m + 2) for m in range(25))
+
+
 def _f2(z: np.ndarray) -> np.ndarray:
-    """(1 - exp(-z)(1 + z)) / z^2, series-evaluated for small z."""
+    """(1 - exp(-z)(1 + z)) / z^2 without cancellation.
+
+    Small z use the equal form exp(-z) sum_m z^m / (m + 2)!, whose terms
+    are all positive.
+    """
     out = np.empty_like(z)
-    small = z < 0.05
+    small = z < _F2_SERIES_CUTOFF
     big = ~small
     zb = z[big]
-    out[big] = (1.0 - np.exp(-zb) * (1.0 + zb)) / (zb * zb)
+    out[big] = (-np.expm1(-zb) - zb * np.exp(-zb)) / (zb * zb)
     zs = z[small]
-    acc = np.zeros_like(zs)
-    term = np.ones_like(zs)
-    for m in range(9):
-        acc += term * ((m + 1) / math.factorial(m + 2))
-        term *= -zs
-    out[small] = acc
+    acc = np.full_like(zs, _F2_SERIES[-1])
+    for c in reversed(_F2_SERIES[:-1]):
+        acc = acc * zs + c
+    out[small] = np.exp(-zs) * acc
     return out
 
 
 class _SpectralEngine:
-    """Order sweeps in Fourier space with exact kernel weighting."""
+    """Order sweeps in Fourier space on the grid's torus, exact kernel weighting."""
 
     def __init__(self, grid: Grid, dt: float, n_steps: int, nu: float):
         self.grid = grid
-        self.dt = dt
         self.n = n_steps
-        k2 = grid.squared_wavenumbers()
-        z = nu * k2 * dt
+        self.torus = padded_torus(grid)
+        z = nu * dt * self.torus.k2
+        f2 = _f2(z)
         self.decay = np.exp(-z)
-        self.w_old = dt * _f2(z)
-        self.w_new = dt * (_phi1(z) - _f2(z))
+        self.w_old = dt * f2
+        self.w_new = dt * (_phi1(z) - f2)
 
     def propagate_initial(self, g0_values: np.ndarray) -> list[np.ndarray]:
         """K(s_j) * G0 at every node, by repeated one-step decay."""
-        spec = np.fft.fftn(g0_values)
+        spec = self.torus.forward(g0_values)
         out = [g0_values.astype(float)]
         for _ in range(self.n):
             spec = spec * self.decay
-            out.append(np.fft.ifftn(spec).real)
+            out.append(self.torus.inverse(spec))
         return out
 
-    def sweep(self, integrand: list[np.ndarray]) -> list[np.ndarray]:
-        """int_0^{s_j} K(s_j - s) * g(s) ds for all j, g piecewise linear."""
-        ghat = [np.fft.fftn(g) for g in integrand]
-        acc = np.zeros_like(ghat[0])
+    def sweep(self, integrand) -> list[np.ndarray]:
+        """int_0^{s_j} K(s_j - s) * g(s) ds for all j, g piecewise linear.
+
+        ``integrand`` yields g at the n + 1 nodes in order; each node is
+        transformed when it arrives and only the previous spectrum is kept.
+        """
+        nodes = iter(integrand)
+        prev = self.torus.forward(next(nodes))
+        acc = np.zeros_like(prev)
         out = [np.zeros(self.grid.shape)]
-        for j in range(1, self.n + 1):
-            acc = acc * self.decay + self.w_old * ghat[j - 1] + self.w_new * ghat[j]
-            out.append(np.fft.ifftn(acc).real)
+        for g in nodes:
+            cur = self.torus.forward(g)
+            acc = acc * self.decay + self.w_old * prev + self.w_new * cur
+            out.append(self.torus.inverse(acc))
+            prev = cur
         return out
-
-
-class _DirectEngine:
-    """Order sweeps by composite trapezoid and direct kernel quadrature."""
-
-    def __init__(self, grid: Grid, dt: float, n_steps: int, nu: float):
-        self.grid = grid
-        self.dt = dt
-        self.n = n_steps
-        self.nu = nu
-        self._apps: dict[int, KernelApplication] = {}
-        self.under_resolved_times: list[float] = []
-
-    def _kernel(self, m: int) -> KernelApplication:
-        app = self._apps.get(m)
-        if app is None:
-            app = KernelApplication(self.grid, m * self.dt, Method.DIRECT_QUADRATURE, self.nu)
-            if app.under_resolved:
-                self.under_resolved_times.append(m * self.dt)
-            self._apps[m] = app
-        return app
-
-    def propagate_initial(self, g0_values: np.ndarray) -> list[np.ndarray]:
-        g0 = ScalarField(self.grid, g0_values)
-        return [self._kernel(j).apply(g0).values if j else g0_values.astype(float) for j in range(self.n + 1)]
-
-    def sweep(self, integrand: list[np.ndarray]) -> list[np.ndarray]:
-        fields = [ScalarField(self.grid, g) for g in integrand]
-        out = [np.zeros(self.grid.shape)]
-        for j in range(1, self.n + 1):
-            acc = 0.5 * self._kernel(j).apply(fields[0]).values
-            for i in range(1, j):
-                acc = acc + self._kernel(j - i).apply(fields[i]).values
-            acc = acc + 0.5 * integrand[j]
-            out.append(self.dt * acc)
-        return out
-
-
-def _make_engine(grid: Grid, dt: float, n_steps: int, nu: float):
-    if grid.is_periodic:
-        return _SpectralEngine(grid, dt, n_steps, nu)
-    return _DirectEngine(grid, dt, n_steps, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +190,9 @@ def duhamel_step(term_trajectory: Trajectory, F: Forcing, nu: float = 1.0) -> Tr
     """Next series order from the full trajectory of the previous one.
 
     ``T_next(t_j) = int_0^{t_j} K(t_j - s) * (F(s) T(s)) ds`` evaluated by
-    the composite trapezoid over the trajectory nodes; the s = t endpoint
-    enters through the identity convolution.  The trajectory must start at
-    t = 0 on a uniform node grid.
+    the composite trapezoid over the trajectory nodes, each K(m dt) applied
+    on the grid's torus; the s = t endpoint enters through the identity
+    convolution.  The trajectory must start at t = 0 on a uniform node grid.
     """
     times = np.asarray(term_trajectory.times)
     if times[0] != 0.0:
@@ -229,30 +204,18 @@ def duhamel_step(term_trajectory: Trajectory, F: Forcing, nu: float = 1.0) -> Tr
     if n < 1:
         raise ValueError("need at least two nodes for a Duhamel step")
     dt = float(times[1] - times[0])
-    integrand = [
-        F.sample(grid, t) * snap.values for t, snap in term_trajectory
-    ]
-    engine = _DirectEngine(grid, dt, n, nu)
-    if grid.is_periodic:
-        # trapezoid weights, but each K(m dt) applied spectrally
-        out = [np.zeros(grid.shape)]
-        k2 = grid.squared_wavenumbers()
-        decay = np.exp(-nu * k2 * dt)
-        ghat = [np.fft.fftn(g) for g in integrand]
-        run = ghat[0].copy()  # sum_i decay^(j-i) ghat_i, full weights
-        symbol_j = np.ones_like(decay)
-        for j in range(1, n + 1):
-            run = run * decay + ghat[j]
-            symbol_j = symbol_j * decay
-            total = dt * (run - 0.5 * symbol_j * ghat[0] - 0.5 * ghat[j])
-            out.append(np.fft.ifftn(total).real)
-        values = out
-        meta = {}
-    else:
-        values = engine.sweep(integrand)
-        meta = {"under_resolved_times": tuple(engine.under_resolved_times)}
-    snaps = tuple(ScalarField(grid, v) for v in values)
-    return Trajectory(tuple(times), snaps, metadata=meta)
+    torus = padded_torus(grid)
+    decay = torus.damping(nu * dt)
+    nodes = (torus.forward(F.sample(grid, t) * snap.values) for t, snap in term_trajectory)
+    first = next(nodes)
+    run = first.copy()  # sum_i decay^(j-i) ghat_i, full weights
+    symbol_j = np.ones_like(decay)
+    out = [np.zeros(grid.shape)]
+    for ghat in nodes:
+        run = run * decay + ghat
+        symbol_j = symbol_j * decay
+        out.append(torus.inverse(dt * (run - 0.5 * symbol_j * first - 0.5 * ghat)))
+    return Trajectory(tuple(times), tuple(ScalarField(grid, v) for v in out))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +280,7 @@ def solve_controlled_heat(
     n = opts.time_steps
     dt = float(nodes[1] - nodes[0])
     out_idx = opts.output_indices(horizon)
-    engine = _make_engine(grid, dt, n, opts.nu)
+    engine = _SpectralEngine(grid, dt, n, opts.nu)
 
     f_samples = [F.sample(grid, t) for t in nodes]
     cbar = F.midpoint
@@ -331,7 +294,7 @@ def solve_controlled_heat(
         prev = hom_stack[-1]
         if max(np.max(np.abs(v)) for v in prev) <= negligible:
             break
-        nxt = engine.sweep([fc * v for fc, v in zip(f_centered, prev)])
+        nxt = engine.sweep(fc * v for fc, v in zip(f_centered, prev))
         hom_stack.append(nxt)
 
     # source part, direct recursion in the uncentered forcing
@@ -344,7 +307,7 @@ def solve_controlled_heat(
             prev = src_stack[-1]
             if max(np.max(np.abs(v)) for v in prev) <= opts.rel_tolerance * 1e-3 * src_scale:
                 break
-            src_stack.append(engine.sweep([fv * v for fv, v in zip(f_samples, prev)]))
+            src_stack.append(engine.sweep(fv * v for fv, v in zip(f_samples, prev)))
 
     # reconstruct the series of the original forcing at the output nodes
     out_times = [float(nodes[j]) for j in out_idx]
@@ -389,12 +352,12 @@ def solve_controlled_heat(
 
     # factorial tail estimate at the emitted depth
     m_abs = max(abs(F.sup_bound), abs(F.inf_bound))
-    kg0 = engine.propagate_initial(np.abs(G0.values))
+    kg0 = convolve_times(ScalarField(grid, np.abs(G0.values)), out_times, opts.nu)
     est = 0.0
     for m, j in enumerate(out_idx):
         t = out_times[m]
         tail = math.exp(m_abs * t) * _power_series_row(m_abs * t, depth + 1)[depth + 1]
-        scale = float(np.max(kg0[j]))
+        scale = float(np.max(kg0[m].values))
         if src_stack:
             scale += float(np.max(np.abs(src_stack[0][j])))
         est = max(est, tail * scale)
@@ -402,9 +365,7 @@ def solve_controlled_heat(
     g_scale = max(max(float(np.max(np.abs(s.values))) for s in snapshots), 1e-300)
     not_converged = bool((not tolerance_met) and est > opts.rel_tolerance * g_scale)
 
-    metadata = {"gauge_center": cbar, "method": type(engine).__name__}
-    if isinstance(engine, _DirectEngine) and engine.under_resolved_times:
-        metadata["under_resolved_times"] = tuple(sorted(set(engine.under_resolved_times)))
+    metadata = {"gauge_center": cbar, "engine": engine.torus.summary()}
 
     traj = Trajectory(tuple(out_times), tuple(snapshots), metadata=dict(metadata))
     return SeriesSolution(
@@ -484,11 +445,8 @@ def _compare(lhs: np.ndarray, rhs: np.ndarray, time: float, slack: float, label:
 
 def _kernel_abs_g0(sol: SeriesSolution, g0_values: np.ndarray) -> list[np.ndarray]:
     """K(t) * |G0| at every output time of the solution."""
-    out = []
-    for t in sol.trajectory.times:
-        app = KernelApplication(sol.grid, t, nu=sol.options.nu)
-        out.append(app.apply(ScalarField(sol.grid, g0_values)).values)
-    return out
+    fields = convolve_times(ScalarField(sol.grid, g0_values), sol.trajectory.times, sol.options.nu)
+    return [f.values for f in fields]
 
 
 def ceiling_check(sol: SeriesSolution, G0: ScalarField, M: float) -> BoundReport:

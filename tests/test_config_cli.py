@@ -67,6 +67,15 @@ class TestConfigValidation:
             load_config(write_config(tmp_path, body))
         assert any("spacing or extent" in e["message"] for e in err.value.errors)
 
+    @pytest.mark.parametrize("padding", ["big", [2], 0.5, True, 9.0, float("inf")])
+    def test_bad_padding_factor_exits_2(self, tmp_path, capsys, padding):
+        body = controlled_heat_config()
+        body["grid"]["boundary"] = {"free_space": {"padding_factor": padding}}
+        rc = main(["solve", write_config(tmp_path, body), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert [e["path"] for e in payload["errors"]] == ["grid.boundary.free_space.padding_factor"]
+
     def test_missing_kind_section(self, tmp_path):
         body = controlled_heat_config()
         del body["controlled_heat"]
@@ -85,6 +94,24 @@ class TestSolveCommand:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["exit_status"] == 0
         assert not manifest["not_converged"]
+
+    def test_manifest_records_engine_and_padding(self, tmp_path):
+        periodic = controlled_heat_config()
+        free = controlled_heat_config()
+        free["grid"] = {"points": [64], "extent": [16.0], "origin": [-8.0],
+                        "boundary": {"free_space": {"padding_factor": 1.5}}}
+        free["controlled_heat"]["initial"] = "1 + exp(-x*x)"
+        expected = (
+            (periodic, {"name": "spectral-rfft", "padding": "none", "padded_shape": [64]}),
+            (free, {"name": "spectral-rfft", "padding": "edge", "padded_shape": [96]}),
+        )
+        for i, (body, engine) in enumerate(expected):
+            out = tmp_path / f"out{i}"
+            assert main(["solve", write_config(tmp_path, body), "-o", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["engine"] == engine
+            # the engine stays out of the byte-compared artifacts
+            assert "padd" not in (out / "G.json").read_text()
 
     def test_zero_velocity_nse(self, tmp_path):
         body = {

@@ -1,4 +1,4 @@
-"""Heat-kernel evaluation and convolution, both application paths."""
+"""Heat-kernel evaluation and convolution on periodic and padded free-space tori."""
 
 import math
 
@@ -10,12 +10,12 @@ from duhamel import (
     FreeSpaceTruncated,
     Grid,
     KernelApplication,
-    Method,
     ScalarField,
     convolve,
-    convolve_grad,
+    gradient,
     kernel_eval,
 )
+from duhamel.heat_kernel import convolve_times, padded_torus
 
 
 def periodic_1d(n=256):
@@ -87,6 +87,21 @@ class TestConvolve:
             )
             assert abs(out.values[idx] - oracle) < 1e-8 + 10 * err
 
+    def test_rejects_negative_time(self):
+        g = periodic_1d(64)
+        with pytest.raises(ValueError):
+            convolve(ScalarField.constant(g, 1.0), -0.1)
+        with pytest.raises(ValueError):
+            KernelApplication(g, 0.1, nu=0.0)
+
+    def test_times_share_one_transform(self):
+        g = Grid((64,), (0.25,), (-8.0,), FreeSpaceTruncated(2.0))
+        f = ScalarField(g, np.exp(-g.coords(0) ** 2))
+        outs = convolve_times(f, (0.0, 0.1, 0.5))
+        assert outs[0] is f
+        for t, out in zip((0.1, 0.5), outs[1:]):
+            assert np.array_equal(out.values, convolve(f, t).values)
+
     def test_spectral_mass_preserving(self):
         g = periodic_1d(128)
         rng = np.random.default_rng(0)
@@ -96,19 +111,22 @@ class TestConvolve:
 
 
 class TestConvolveGrad:
+    # the gradient of K * field, taken as the velocity pullback takes it:
+    # gradient(convolve(field, t))
+
     def test_constant_gives_zero(self):
         g = periodic_1d(64)
-        out = convolve_grad(ScalarField.constant(g, 5.0), 0.1)
+        out = gradient(convolve(ScalarField.constant(g, 5.0), 0.1))
         assert np.max(np.abs(out.components[0])) < 1e-13
 
     def test_heat_mode(self):
         g = periodic_1d(256)
         x = g.coords(0)
-        out = convolve_grad(ScalarField(g, np.sin(x)), 0.35)
+        out = gradient(convolve(ScalarField(g, np.sin(x)), 0.35))
         assert np.max(np.abs(out.components[0] - math.exp(-0.35) * np.cos(x))) < 1e-12
 
     def test_dual_path_agreement(self):
-        # spectral differentiation after convolution vs (grad K) * field
+        # differentiate after convolving vs convolve the derivative
         g = periodic_1d(256)
         x = g.coords(0)
         rng = np.random.default_rng(42)
@@ -116,15 +134,10 @@ class TestConvolveGrad:
             rng.normal(0, 0.3) * np.cos(k * x + rng.uniform(0, 2 * np.pi)) for k in range(1, 5)
         )
         f = ScalarField(g, vals)
-        spectral = convolve_grad(f, 0.05, method=Method.SPECTRAL_PERIODIC)
-        direct = convolve_grad(f, 0.05, method=Method.DIRECT_QUADRATURE)
-        gap = np.max(np.abs(spectral.components[0] - direct.components[0]))
+        after = gradient(convolve(f, 0.05)).components[0]
+        before = convolve(gradient(f).component(0), 0.05).values
+        gap = np.max(np.abs(after - before))
         assert gap < 1e-8
-
-    def test_rejects_zero_time(self):
-        g = periodic_1d(64)
-        with pytest.raises(ValueError):
-            convolve_grad(ScalarField.constant(g, 1.0), 0.0)
 
 
 class TestInvariants:
@@ -135,10 +148,15 @@ class TestInvariants:
             assert np.max(np.abs(convolve(one, t).values - 1.0)) < 1e-12
 
     def test_normalization_free_space(self):
-        g = Grid((128,), (0.125,), (-8.0,), FreeSpaceTruncated(2.0))
-        one = ScalarField.constant(g, 1.0)
-        # edge replication keeps constants exact up to quadrature tolerance
-        assert np.max(np.abs(convolve(one, 0.5).values - 1.0)) < 1e-9
+        # edge replication keeps constants constant on the padded torus
+        for factor in (1.0, 1.5, 2.0, 3.0):
+            for g in (
+                Grid((128,), (0.125,), (-8.0,), FreeSpaceTruncated(factor)),
+                Grid((24, 40), (0.5, 0.25), (-6.0, -5.0), FreeSpaceTruncated(factor)),
+            ):
+                one = ScalarField.constant(g, 1.0)
+                for t in (1e-6, 0.5, 5.0):
+                    assert np.max(np.abs(convolve(one, t).values - 1.0)) < 1e-12
 
     def test_semigroup(self):
         g = periodic_1d(128)
@@ -163,25 +181,44 @@ class TestInvariants:
             assert convolve(f, t).max_abs <= f.max_abs + 1e-12 * f.max_abs
 
 
-class TestUnderResolved:
-    def test_sub_cell_kernel_is_identity(self):
-        g = Grid((64,), (0.5,), (-16.0,), FreeSpaceTruncated(2.0))
-        # 8 sqrt(2t) < 0.5  <=>  t < 0.5^2 / 128
-        t = 0.5**2 / 128 * 0.5
-        app = KernelApplication(g, t, Method.DIRECT_QUADRATURE)
-        assert app.under_resolved
-        f = ScalarField(g, np.sin(g.coords(0)))
-        assert app.apply(f) is f
+class TestPaddedTorus:
+    def test_padded_shape(self):
+        assert padded_torus(periodic_1d(64)).shape == (64,)
+        g = Grid((64, 45), (0.5, 0.5), (-16.0, -11.0), FreeSpaceTruncated(2.0))
+        assert padded_torus(g).shape == (128, 90)
+        g3 = Grid((64,), (0.5,), (-16.0,), FreeSpaceTruncated(1.6))
+        assert padded_torus(g3).shape == (108,)  # next fast length >= 102.4
 
-    def test_resolved_kernel_not_flagged(self):
-        g = Grid((64,), (0.5,), (-16.0,), FreeSpaceTruncated(2.0))
-        app = KernelApplication(g, 0.05, Method.DIRECT_QUADRATURE)
-        assert not app.under_resolved
+    def test_padding_factor_moves_the_seam(self):
+        # a step keeps its edge values only while the torus seam, where the
+        # two edges meet, is far enough away from the grid
+        g_exact = Grid((128,), (0.125,), (-8.0,), FreeSpaceTruncated(8.0))
+        x = g_exact.coords(0)
+        t = 0.5
+        ref = convolve(ScalarField(g_exact, np.tanh(x)), t).values
+        # oracle: the edge-replicated step convolved by adaptive quadrature
+        for xi in (-7.9, 0.3, 7.9):
+            i = int(np.argmin(np.abs(x - xi)))
+            oracle, _ = quad(
+                lambda y: kernel_eval(x[i] - y, t, 1) * math.tanh(min(max(y, x[0]), x[-1])),
+                x[i] - 12, x[i] + 12, points=[x[0], x[-1]], limit=200,
+            )
+            assert abs(ref[i] - oracle) < 1e-8  # the edge kink costs O(h^2) * 1e-6
+        gaps = {}
+        for factor in (1.0, 2.0):
+            g = Grid((128,), (0.125,), (-8.0,), FreeSpaceTruncated(factor))
+            gaps[factor] = np.max(np.abs(convolve(ScalarField(g, np.tanh(x)), t).values - ref))
+        assert gaps[1.0] > 0.5
+        assert gaps[2.0] < 1e-10
 
-    def test_spectral_requires_periodic(self):
-        g = Grid((64,), (0.5,), (-16.0,), FreeSpaceTruncated(2.0))
-        with pytest.raises(ValueError):
-            KernelApplication(g, 0.1, Method.SPECTRAL_PERIODIC)
+    def test_results_own_their_memory(self):
+        # no result may be a view into a larger (padded or complex) array
+        for g in (periodic_1d(64), Grid((64, 32), (0.25, 0.5), (-8.0, -8.0), FreeSpaceTruncated(2.0))):
+            f = ScalarField(g, np.cos(g.meshgrid()[0]))
+            owner = convolve(f, 0.3).values
+            while owner.base is not None:
+                owner = owner.base
+            assert owner.nbytes == f.values.nbytes
 
 
 class TestViscosityKnob:

@@ -16,6 +16,7 @@ from duhamel import (
     duhamel_step,
     solve_controlled_heat,
 )
+from duhamel.series import _f2, _phi1, _SpectralEngine
 from duhamel.verify import fd_controlled_heat, make_manufactured
 
 
@@ -198,7 +199,7 @@ class TestSeriesInvariants:
             sol, _, F = self._solve(time_steps=nt, out=None)
             times = np.asarray(sol.trajectory.times)
             vals = np.stack([s.values for s in sol.trajectory.snapshots])
-            k2 = sol.grid.squared_wavenumbers()
+            k2 = sol.grid.wavenumbers(0) ** 2
             worst = 0.0
             for j in range(1, len(times) - 1):
                 dt = times[j + 1] - times[j]
@@ -257,3 +258,106 @@ class TestSourceTerm:
         exact = math.exp(c) + s / c * math.expm1(c)
         # the source stack is integrated at quadrature order, not gauge-exactly
         assert np.max(np.abs(sol.trajectory.snapshots[0].values - exact)) < 1e-4
+
+
+class TestFreeSpaceConvergence:
+    """Manufactured free-space solutions on the edge-padded torus."""
+
+    # L_inf errors of the direct-quadrature engine this engine replaced,
+    # at 16, 32 and 64 steps
+    CASES = (
+        (Grid((128,), (0.125,), (-8.0,), FreeSpaceTruncated(2.0)), (7.9e-5, 2.0e-5, 5.0e-6)),
+        (Grid((48, 48), (0.25, 0.25), (-6.0, -6.0), FreeSpaceTruncated(2.0)),
+         (2.2e-4, 5.9e-5, 1.4e-4)),
+    )
+
+    @pytest.mark.parametrize("grid,earlier", CASES, ids=("1d", "2d"))
+    def test_gaussian_manufactured_second_order(self, grid, earlier):
+        # G = exp(a), a = e^{-t} exp(-|x|^2/2) / 2 solves the controlled heat
+        # equation with F = a_t - Lap a - |grad a|^2 = (n - 1 - r^2) a - r^2 a^2
+        r2 = sum(m * m for m in grid.meshgrid())
+
+        def a(t):
+            return 0.5 * np.exp(-t) * np.exp(-r2 / 2)
+
+        times = np.linspace(0.0, 0.5, 65)
+        F = Forcing.from_samples(
+            times, [ScalarField(grid, (grid.ndim - 1 - r2) * a(t) - r2 * a(t) ** 2) for t in times]
+        )
+        G0 = ScalarField(grid, np.exp(a(0.0)))
+        errs = []
+        for nt in (16, 32, 64):
+            opts = SeriesOptions(depth_max=24, rel_tolerance=1e-12, time_steps=nt,
+                                 output_times=(0.25, 0.5))
+            sol = solve_controlled_heat(G0, F, 0.5, opts)
+            errs.append(max(float(np.max(np.abs(snap.values - np.exp(a(t)))))
+                            for t, snap in sol.trajectory))
+        assert all(e <= b for e, b in zip(errs, earlier))
+        orders = [math.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
+        assert all(1.8 <= o <= 2.2 for o in orders)
+
+    @pytest.mark.parametrize("ndim", (1, 2))
+    def test_time_constant_gaussian_source(self, ndim):
+        # G0 = 0, F = 0, S = exp(-|x|^2 / 4a): G(t) = int_0^t K(tau) * S dtau,
+        # and K(tau) * S = (a / (a + tau))^(n/2) exp(-|x|^2 / 4(a + tau))
+        from scipy.special import erfc, exp1
+
+        a, horizon = 0.5, 0.5
+        if ndim == 1:
+            grid = Grid((128,), (0.125,), (-8.0,), FreeSpaceTruncated(2.0))
+            r = np.abs(grid.coords(0))
+
+            def antiderivative(s):
+                c = r * r / 4
+                return 2 * np.sqrt(s) * np.exp(-c / s) - np.sqrt(np.pi) * r * erfc(np.sqrt(c / s))
+
+            def exact(t):
+                return np.sqrt(a) * (antiderivative(a + t) - antiderivative(a))
+        else:
+            grid = Grid((48, 48), (0.25, 0.25), (-6.0, -6.0), FreeSpaceTruncated(2.0))
+            x, y = grid.meshgrid()
+            r2 = x * x + y * y
+
+            def exact(t):
+                return a * (exp1(r2 / (4 * (a + t))) - exp1(r2 / (4 * a)))
+
+        r2_all = sum(m * m for m in grid.meshgrid())
+        source = Forcing.from_samples((0.0, horizon), [ScalarField(grid, np.exp(-r2_all / (4 * a)))] * 2)
+        for nt in (16, 32, 64):
+            opts = SeriesOptions(time_steps=nt, output_times=(0.25, 0.5))
+            sol = solve_controlled_heat(ScalarField.constant(grid, 0.0), Forcing.zero(), horizon, opts,
+                                        source=source)
+            err = max(float(np.max(np.abs(snap.values - exact(t)))) for t, snap in sol.trajectory)
+            assert err < 1e-6
+
+
+class TestQuadratureWeights:
+    def test_weights_against_mpmath(self):
+        # phi1(z) = 1F1(1; 2; -z) and f2(z) = 1F1(2; 3; -z) / 2 to 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        z = np.concatenate([[0.0, 1e-300, 1e-12], np.logspace(-8, math.log10(50.0), 400),
+                            [0.05, 0.051, np.nextafter(2.0, 0.0), 2.0, 50.0]])
+        got_f2, got_phi1 = _f2(z), _phi1(z)
+        with mpmath.workdps(40):
+            for zi, f2, p1 in zip(z, got_f2, got_phi1):
+                want_f2 = mpmath.hyp1f1(2, 3, -zi) / 2
+                want_p1 = mpmath.hyp1f1(1, 2, -zi)
+                assert abs(float(mpmath.mpf(float(f2)) / want_f2 - 1)) <= 1e-15, zi
+                assert abs(float(mpmath.mpf(float(p1)) / want_p1 - 1)) <= 1e-15, zi
+
+
+class TestEngineMemory:
+    @pytest.mark.parametrize("boundary", (None, FreeSpaceTruncated(2.0)))
+    def test_stored_nodes_own_their_memory(self, boundary):
+        # the solver keeps every node of every order; each must be a
+        # grid-sized real array, not a view of a complex or padded buffer
+        grid = periodic_1d(64) if boundary is None else Grid((64,), (0.25,), (-8.0,), boundary)
+        engine = _SpectralEngine(grid, 0.05, 8, 1.0)
+        g = np.cos(grid.coords(0))
+        nodes = engine.propagate_initial(g) + engine.sweep(g for _ in range(9))
+        assert len(nodes) == 18
+        for values in nodes:
+            owner = values
+            while owner.base is not None:
+                owner = owner.base
+            assert owner.nbytes == g.nbytes
