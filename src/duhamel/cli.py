@@ -3,18 +3,18 @@
 Exit codes: 0 ok, 2 config error, 3 numerical failure (bound violation or
 non-convergence), 4 oracle mismatch.  Solve runs write CSF1 trajectories,
 bound reports as JSON lines, and a manifest recording the config hash,
-package and library versions, seed, thread knob, kernel engine and padded
-transform shape, and timings; with a fixed config and seed the field
-artifacts are byte identical across runs.
+package and library versions, seed, kernel engine and padded transform
+shape, the forcing envelope over the solver's node samples, and timings;
+with a fixed config and seed the field artifacts are byte identical across
+runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
-import os
-import struct
 import sys
 import time
 from pathlib import Path
@@ -28,10 +28,8 @@ from .fields import ScalarField
 from .forcing import Forcing
 from .io import read_field, write_trajectory
 from .parabolic import ParabolicProblem, solve_parabolic
-from .series import SeriesOptions, ceiling_check, solve_controlled_heat, termwise_factorial_check
+from .series import SeriesSolution, ceiling_check, solve_controlled_heat, termwise_factorial_check
 from .suites import DEFAULT_SEED, run_suite
-
-THREADS_ENV = "DUHAMEL_THREADS"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,13 +40,6 @@ EXIT_ORACLE = 4
 def _config_hash(raw: dict) -> str:
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def _thread_count(cfg: RunConfig) -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        return max(1, int(env))
-    return cfg.threads or 1
 
 
 def _write_report(report, path: Path):
@@ -70,7 +61,6 @@ def cmd_solve(args) -> int:
         "config": cfg.raw,
         "kind": cfg.kind,
         "seed": cfg.seed,
-        "threads": _thread_count(cfg),
         "versions": {
             "duhamel": __version__,
             "numpy": np.__version__,
@@ -113,18 +103,25 @@ def cmd_solve(args) -> int:
     return status
 
 
+def _record_series(sol: SeriesSolution, manifest: dict):
+    manifest["engine"] = sol.metadata["engine"]
+    # the envelope of F over the node samples the solver and its checks used
+    manifest["forcing"] = {"sup": sol.forcing_sup, "inf": sol.forcing_inf,
+                           "nodes": sol.options.time_steps + 1}
+    manifest["truncation_depth"] = sol.truncation_depth
+    manifest["not_converged"] = sol.not_converged
+
+
 def _solve_controlled_heat(cfg: RunConfig, out_dir: Path, manifest: dict) -> int:
     g0 = cfg.initial_field()
     forcing = cfg.forcing("forcing") or Forcing.zero()
     sol = solve_controlled_heat(g0, forcing, cfg.payload["horizon"], cfg.series)
     write_trajectory(sol.trajectory, out_dir, "G")
     manifest["artifacts"].append("G")
-    manifest["engine"] = sol.metadata["engine"]
-    manifest["truncation_depth"] = sol.truncation_depth
+    _record_series(sol, manifest)
     manifest["estimated_truncation_error"] = sol.estimated_truncation_error
-    manifest["not_converged"] = sol.not_converged
-    ceiling = ceiling_check(sol, g0, forcing.abs_bound)
-    termwise = termwise_factorial_check(sol, g0, forcing.abs_bound)
+    ceiling = ceiling_check(sol, sol.forcing_abs_bound)
+    termwise = termwise_factorial_check(sol, sol.forcing_abs_bound)
     _write_report(ceiling, out_dir / "ceiling.jsonl")
     _write_report(termwise, out_dir / "termwise.jsonl")
     manifest["artifacts"] += ["ceiling.jsonl", "termwise.jsonl"]
@@ -154,9 +151,7 @@ def _solve_nse(cfg: RunConfig, out_dir: Path, manifest: dict) -> int:
         write_trajectory(sol.residual, out_dir, "residual")
         manifest["artifacts"].append("residual")
         manifest["max_residual"] = max(s.max_abs for _, s in sol.residual)
-    manifest["engine"] = sol.series.metadata["engine"]
-    manifest["truncation_depth"] = sol.series.truncation_depth
-    manifest["not_converged"] = sol.series.not_converged
+    _record_series(sol.series, manifest)
     ok = sol.floor_report.passed and sol.ceiling_report.passed and not sol.series.not_converged
     return EXIT_OK if ok else EXIT_NUMERICAL
 
@@ -180,9 +175,7 @@ def _solve_parabolic(cfg: RunConfig, out_dir: Path, manifest: dict) -> int:
     write_trajectory(sol.v, out_dir, "v")
     write_trajectory(sol.u, out_dir, "u")
     manifest["artifacts"] += ["v", "u"]
-    manifest["engine"] = sol.series.metadata["engine"]
-    manifest["truncation_depth"] = sol.series.truncation_depth
-    manifest["not_converged"] = sol.series.not_converged
+    _record_series(sol.series, manifest)
     manifest["edge_clamped"] = bool(sol.u.metadata.get("edge_clamped", False))
     return EXIT_OK if not sol.series.not_converged else EXIT_NUMERICAL
 
@@ -219,33 +212,27 @@ def cmd_bench(args) -> int:
 
     rows = [("sweep_axis", "value", "wall_time_s", "term_count", "error_vs_oracle")]
     horizon = cfg.payload["horizon"]
+    forcing = cfg.forcing("forcing") or Forcing.zero()
     for value in bench["values"]:
         grid = cfg.grid
         opts = cfg.series
         if bench["axis"] == "depth":
-            opts = SeriesOptions(depth_max=int(value), rel_tolerance=opts.rel_tolerance,
-                                 time_steps=opts.time_steps, output_times=opts.output_times,
-                                 nu=opts.nu)
+            opts = dataclasses.replace(opts, depth_max=value)
         elif bench["axis"] == "time_steps":
-            opts = SeriesOptions(depth_max=opts.depth_max, rel_tolerance=opts.rel_tolerance,
-                                 time_steps=int(value), output_times=opts.output_times,
-                                 nu=opts.nu)
+            opts = dataclasses.replace(opts, time_steps=value)
         else:  # grid sweep: scale the point count, keep the extent
-            factor = int(value) / grid.points[0]
+            factor = value / grid.points[0]
             grid = type(grid)(
-                tuple(int(value) for _ in grid.points),
+                tuple(value for _ in grid.points),
                 tuple(h / factor for h in grid.spacing),
                 grid.origin,
                 grid.boundary,
             )
-        cfg_run = RunConfig(cfg.kind, grid, opts, cfg.seed, cfg.threads, cfg.output_dir,
-                            cfg.payload, cfg.raw)
-        g0 = cfg_run.initial_field()
-        forcing = cfg_run.forcing("forcing") or Forcing.zero()
+        g0 = dataclasses.replace(cfg, grid=grid).initial_field()
         t0 = time.time()
         sol = solve_controlled_heat(g0, forcing, horizon, opts)
         wall = time.time() - t0
-        error = _bench_error(sol, g0, forcing, horizon)
+        error = _bench_error(sol, g0, forcing)
         rows.append((bench["axis"], value, wall, sol.truncation_depth + 1, error))
 
     text = "\n".join(",".join(_csv_cell(v) for v in row) for row in rows) + "\n"
@@ -262,14 +249,14 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _bench_error(sol, g0, forcing: Forcing, horizon: float) -> float:
+def _bench_error(sol, g0, forcing: Forcing) -> float:
     """Error vs the analytic exponential for constant forcing, else vs CN."""
     t_final = sol.trajectory.times[-1]
     final = sol.trajectory.snapshots[-1].values
-    if forcing.sup_bound == forcing.inf_bound:
+    if sol.forcing_sup == sol.forcing_inf:
         import math
 
-        c = forcing.sup_bound
+        c = sol.forcing_sup
         from .heat_kernel import convolve
 
         exact = math.exp(c * t_final) * convolve(g0, t_final, nu=sol.options.nu).values
@@ -284,26 +271,17 @@ def _bench_error(sol, g0, forcing: Forcing, horizon: float) -> float:
 def cmd_inspect(args) -> int:
     path = Path(args.file)
     try:
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != b"CSF1":
-                print(f"{path}: not a CSF1 file", file=sys.stderr)
-                return EXIT_CONFIG
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            spacing = struct.unpack(f"<{ndim}d", fh.read(8 * ndim))
-            origin = struct.unpack(f"<{ndim}d", fh.read(8 * ndim))
-            (flag,) = struct.unpack("<B", fh.read(1))
-    except (OSError, struct.error) as exc:
+        field = read_field(path)
+    except (OSError, ValueError) as exc:
         print(f"{path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    field = read_field(path)
+    grid = field.grid
     print(f"file:     {path}")
-    print(f"ndim:     {ndim}")
-    print(f"points:   {list(dims)}")
-    print(f"spacing:  {list(spacing)}")
-    print(f"origin:   {list(origin)}")
-    print(f"boundary: {'periodic' if flag == 0 else 'free-space (truncated)'}")
+    print(f"ndim:     {grid.ndim}")
+    print(f"points:   {list(grid.points)}")
+    print(f"spacing:  {list(grid.spacing)}")
+    print(f"origin:   {list(grid.origin)}")
+    print(f"boundary: {'periodic' if grid.is_periodic else 'free-space (truncated)'}")
     vals = field.values
     print(f"values:   min {vals.min():.17g}  max {vals.max():.17g}  mean {vals.mean():.17g}")
     return EXIT_OK

@@ -152,7 +152,7 @@ def initial_field_from_potential(phi: ScalarField) -> ScalarField:
 
 
 def forcing_from_pressure(p_minus_f: Forcing | None) -> Forcing:
-    """F = (p - f) / 2 with halved certified bounds."""
+    """F = (p - f) / 2."""
     if p_minus_f is None:
         return Forcing.zero()
     return p_minus_f.halved()
@@ -240,8 +240,8 @@ def solve_nse(prob: NSEProblem, opts: SeriesOptions | None = None) -> NSESolutio
     g0 = initial_field_from_potential(phi)
     F = forcing_from_pressure(prob.pressure_minus_force)
     sol = solve_controlled_heat(g0, F, prob.horizon, opts)
-    floor = floor_check(sol, phi, F)
-    ceiling = ceiling_check(sol, g0, F.abs_bound)
+    floor = floor_check(sol)
+    ceiling = ceiling_check(sol, sol.forcing_abs_bound)
     u = velocity_from_field(sol.trajectory, floor)
     residual = None
     if len(u.times) >= 3:

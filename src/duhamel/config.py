@@ -8,7 +8,8 @@ never silently change a run.  ``load_config`` raises ``ConfigError`` whose
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,9 @@ class _Checker:
             self.fail(path, "must be a number")
             return None
         v = float(obj)
+        if not math.isfinite(v):
+            self.fail(path, "must be finite")
+            return None
         if positive and not v > 0:
             self.fail(path, "must be positive")
             return None
@@ -68,6 +72,24 @@ class _Checker:
             self.fail(path, "must be nonnegative")
             return None
         return v
+
+    def integer(self, obj, path: str, minimum: int = 0):
+        if not isinstance(obj, int) or isinstance(obj, bool):
+            self.fail(path, "must be an integer")
+            return None
+        if obj < minimum:
+            self.fail(path, f"must be at least {minimum}")
+            return None
+        return obj
+
+    def numbers(self, obj, path: str, length: int | None = None, **kw):
+        """A list of numbers (non-empty, or exactly ``length`` long), checked entrywise."""
+        if not isinstance(obj, list) or not obj or (length is not None and len(obj) != length):
+            size = "non-empty" if length is None else f"{length}-entry"
+            self.fail(path, f"must be a {size} list of numbers")
+            return None
+        values = [self.number(v, f"{path}[{i}]", **kw) for i, v in enumerate(obj)]
+        return None if None in values else values
 
     def expression(self, obj, path: str):
         if not isinstance(obj, str):
@@ -79,6 +101,15 @@ class _Checker:
             self.fail(path, str(exc))
             return None
 
+    def number_or_expression(self, obj, path: str):
+        """A float, or the source of a valid expression string."""
+        if isinstance(obj, str):
+            return obj if self.expression(obj, path) is not None else None
+        if not isinstance(obj, (int, float)) or isinstance(obj, bool):
+            self.fail(path, "must be a number or expression string")
+            return None
+        return self.number(obj, path)
+
 
 @dataclass
 class RunConfig:
@@ -88,7 +119,6 @@ class RunConfig:
     grid: Grid
     series: SeriesOptions
     seed: int
-    threads: int | None
     output_dir: str
     payload: dict = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
@@ -118,10 +148,10 @@ class RunConfig:
             return None
         if isinstance(spec, (int, float)):
             return Forcing.constant(spec)
-        return Forcing.from_expression(spec, self.grid, self.payload["horizon"])
+        return Forcing.from_expression(spec)
 
 
-_TOP_KEYS = {"schema", "kind", "grid", "series", "seed", "threads", "output_dir",
+_TOP_KEYS = {"schema", "kind", "grid", "series", "seed", "output_dir",
              "controlled_heat", "nse", "parabolic", "bench"}
 _GRID_KEYS = {"points", "spacing", "extent", "origin", "boundary"}
 _SERIES_KEYS = {"depth_max", "rel_tolerance", "time_steps", "output_times", "nu"}
@@ -146,19 +176,12 @@ def _parse_grid(obj, chk: _Checker) -> Grid | None:
         chk.fail("grid", "give exactly one of spacing or extent")
         return None
     if "spacing" in obj:
-        spacing = obj["spacing"]
+        spacing = chk.numbers(obj["spacing"], "grid.spacing", ndim, positive=True)
     else:
-        extent = obj["extent"]
-        if not isinstance(extent, list) or len(extent) != ndim:
-            chk.fail("grid.extent", f"must be a list of {ndim} numbers")
-            return None
-        spacing = [e / p for e, p in zip(extent, points)]
-    if not isinstance(spacing, list) or len(spacing) != ndim:
-        chk.fail("grid.spacing", f"must be a list of {ndim} numbers")
-        return None
-    origin = obj.get("origin")
-    if not isinstance(origin, list) or len(origin) != ndim:
-        chk.fail("grid.origin", f"must be a list of {ndim} numbers")
+        extent = chk.numbers(obj["extent"], "grid.extent", ndim, positive=True)
+        spacing = extent and [e / p for e, p in zip(extent, points)]
+    origin = chk.numbers(obj["origin"], "grid.origin", ndim)
+    if spacing is None or origin is None:
         return None
     boundary_spec = obj.get("boundary", "periodic")
     if boundary_spec == "periodic":
@@ -180,8 +203,7 @@ def _parse_grid(obj, chk: _Checker) -> Grid | None:
         chk.fail("grid.boundary", "must be 'periodic' or {'free_space': {...}}")
         return None
     try:
-        return Grid(tuple(points), tuple(float(s) for s in spacing),
-                    tuple(float(o) for o in origin), boundary)
+        return Grid(tuple(points), tuple(spacing), tuple(origin), boundary)
     except (TypeError, ValueError) as exc:
         chk.fail("grid", str(exc))
         return None
@@ -192,32 +214,16 @@ def _parse_series(obj, chk: _Checker) -> SeriesOptions | None:
         return SeriesOptions()
     if not chk.section(obj, "series", _SERIES_KEYS, set()):
         return None
-    kwargs = {}
-    if "depth_max" in obj:
-        if not isinstance(obj["depth_max"], int) or isinstance(obj["depth_max"], bool):
-            chk.fail("series.depth_max", "must be an integer")
-            return None
-        kwargs["depth_max"] = obj["depth_max"]
-    if "rel_tolerance" in obj:
-        v = chk.number(obj["rel_tolerance"], "series.rel_tolerance", positive=True)
-        if v is None:
-            return None
-        kwargs["rel_tolerance"] = v
-    if "time_steps" in obj:
-        if not isinstance(obj["time_steps"], int) or isinstance(obj["time_steps"], bool):
-            chk.fail("series.time_steps", "must be an integer")
-            return None
-        kwargs["time_steps"] = obj["time_steps"]
-    if "output_times" in obj:
-        if not isinstance(obj["output_times"], list) or not obj["output_times"]:
-            chk.fail("series.output_times", "must be a non-empty list of times")
-            return None
-        kwargs["output_times"] = tuple(float(t) for t in obj["output_times"])
-    if "nu" in obj:
-        v = chk.number(obj["nu"], "series.nu", positive=True)
-        if v is None:
-            return None
-        kwargs["nu"] = v
+    parsers = {
+        "depth_max": chk.integer,
+        "rel_tolerance": lambda v, path: chk.number(v, path, positive=True),
+        "time_steps": lambda v, path: chk.integer(v, path, minimum=1),
+        "output_times": lambda v, path: chk.numbers(v, path, nonneg=True),
+        "nu": lambda v, path: chk.number(v, path, positive=True),
+    }
+    kwargs = {key: parse(obj[key], f"series.{key}") for key, parse in parsers.items() if key in obj}
+    if None in kwargs.values():
+        return None
     try:
         return SeriesOptions(**kwargs)
     except ValueError as exc:
@@ -235,7 +241,7 @@ def load_config(path) -> RunConfig:
 
     if not chk.section(raw, "", _TOP_KEYS, {"schema", "kind", "grid"}):
         raise ConfigError(chk.errors)
-    if raw.get("schema") != SCHEMA_VERSION:
+    if type(raw.get("schema")) is not int or raw["schema"] != SCHEMA_VERSION:
         chk.fail("schema", f"unsupported schema version {raw.get('schema')!r} (expected {SCHEMA_VERSION})")
     kind = raw.get("kind")
     if kind not in ("nse", "parabolic", "controlled-heat"):
@@ -248,9 +254,6 @@ def load_config(path) -> RunConfig:
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         chk.fail("seed", "must be an integer")
-    threads = raw.get("threads")
-    if threads is not None and (not isinstance(threads, int) or isinstance(threads, bool) or threads < 1):
-        chk.fail("threads", "must be a positive integer")
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str):
         chk.fail("output_dir", "must be a string")
@@ -267,54 +270,34 @@ def load_config(path) -> RunConfig:
             payload["horizon"] = chk.number(body["horizon"], f"{section_key}.horizon", positive=True)
             payload["initial"] = chk.expression(body["initial"], f"{section_key}.initial")
             if "forcing" in body:
-                f = body["forcing"]
-                if isinstance(f, (int, float)) and not isinstance(f, bool):
-                    payload["forcing"] = float(f)
-                elif isinstance(f, str):
-                    if chk.expression(f, f"{section_key}.forcing") is not None:
-                        payload["forcing"] = f
-                else:
-                    chk.fail(f"{section_key}.forcing", "must be a number or expression string")
+                payload["forcing"] = chk.number_or_expression(body["forcing"], f"{section_key}.forcing")
     elif kind == "nse":
         if chk.section(body, section_key, _NSE_KEYS,
                        {"velocity", "anchor", "anchor_value", "speed_bound", "horizon"}):
             payload["horizon"] = chk.number(body["horizon"], f"{section_key}.horizon", positive=True)
             payload["speed_bound"] = chk.number(body["speed_bound"], f"{section_key}.speed_bound", positive=True)
             payload["anchor_value"] = chk.number(body["anchor_value"], f"{section_key}.anchor_value")
-            anchor = body["anchor"]
-            if grid is not None and (not isinstance(anchor, list) or len(anchor) != grid.ndim):
-                chk.fail(f"{section_key}.anchor", f"must be a list of {grid.ndim} coordinates")
-            else:
-                payload["anchor"] = tuple(float(v) for v in anchor)
+            ndim = grid.ndim if grid is not None else None
+            anchor = chk.numbers(body["anchor"], f"{section_key}.anchor", ndim)
+            if anchor is not None:
+                payload["anchor"] = tuple(anchor)
             vel = body["velocity"]
-            if grid is not None and (not isinstance(vel, list) or len(vel) != grid.ndim):
-                chk.fail(f"{section_key}.velocity", f"must be a list of {grid.ndim} expressions")
+            if not isinstance(vel, list) or (ndim is not None and len(vel) != ndim):
+                chk.fail(f"{section_key}.velocity", "must be a list of one expression per axis")
             else:
                 payload["velocity"] = [
                     chk.expression(v, f"{section_key}.velocity[{i}]") for i, v in enumerate(vel)
                 ]
             if "pressure_minus_force" in body:
-                f = body["pressure_minus_force"]
-                if isinstance(f, (int, float)) and not isinstance(f, bool):
-                    payload["pressure_minus_force"] = float(f)
-                elif isinstance(f, str):
-                    if chk.expression(f, f"{section_key}.pressure_minus_force") is not None:
-                        payload["pressure_minus_force"] = f
-                else:
-                    chk.fail(f"{section_key}.pressure_minus_force", "must be a number or expression")
+                payload["pressure_minus_force"] = chk.number_or_expression(
+                    body["pressure_minus_force"], f"{section_key}.pressure_minus_force"
+                )
     else:  # parabolic
         if chk.section(body, section_key, _PARA_KEYS, {"A", "a", "c", "f", "initial", "horizon"}):
             payload["horizon"] = chk.number(body["horizon"], f"{section_key}.horizon", positive=True)
             payload["initial"] = chk.expression(body["initial"], f"{section_key}.initial")
             for name in ("A", "a", "c", "f"):
-                v = body[name]
-                if isinstance(v, (int, float)) and not isinstance(v, bool):
-                    payload[name] = float(v)
-                elif isinstance(v, str):
-                    if chk.expression(v, f"{section_key}.{name}") is not None:
-                        payload[name] = v
-                else:
-                    chk.fail(f"{section_key}.{name}", "must be a number or expression string")
+                payload[name] = chk.number_or_expression(body[name], f"{section_key}.{name}")
             if "ellipticity_min" in body:
                 payload["ellipticity_min"] = chk.number(
                     body["ellipticity_min"], f"{section_key}.ellipticity_min", positive=True
@@ -325,12 +308,24 @@ def load_config(path) -> RunConfig:
     if "bench" in raw:
         bench = raw["bench"]
         if chk.section(bench, "bench", _BENCH_KEYS, {"axis", "values"}):
-            if bench["axis"] not in ("depth", "grid", "time_steps"):
+            axis = bench["axis"]
+            if axis not in ("depth", "grid", "time_steps"):
                 chk.fail("bench.axis", "must be 'depth', 'grid' or 'time_steps'")
-            if not isinstance(bench["values"], list) or not bench["values"]:
-                chk.fail("bench.values", "must be a non-empty list")
+                axis = None
+            values = bench["values"]
+            if not isinstance(values, list) or not values:
+                chk.fail("bench.values", "must be a non-empty list of integers")
             else:
-                payload["bench"] = {"axis": bench["axis"], "values": list(bench["values"])}
+                option = {"depth": "depth_max", "time_steps": "time_steps"}.get(axis)
+                for i, v in enumerate(values):
+                    path = f"bench.values[{i}]"
+                    v = chk.integer(v, path, minimum=0 if option == "depth_max" else 1)
+                    if v is not None and option and series is not None:
+                        try:  # each swept value must make valid series options
+                            replace(series, **{option: v})
+                        except ValueError as exc:
+                            chk.fail(path, str(exc))
+                payload["bench"] = {"axis": axis, "values": values}
 
     if chk.errors:
         raise ConfigError(chk.errors)
@@ -339,7 +334,6 @@ def load_config(path) -> RunConfig:
         grid=grid,
         series=series,
         seed=seed,
-        threads=threads,
         output_dir=output_dir,
         payload=payload,
         raw=raw,

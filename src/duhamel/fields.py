@@ -54,9 +54,6 @@ class ScalarField:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def with_values(self, values: np.ndarray) -> "ScalarField":
-        return ScalarField(self.grid, values)
-
     def __add__(self, other):
         other = other.values if isinstance(other, ScalarField) else other
         return ScalarField(self.grid, self.values + other)

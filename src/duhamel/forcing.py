@@ -1,10 +1,11 @@
-"""Time-dependent scalar forcings F(x, t) with certified sup/inf bounds.
+"""Time-dependent scalar forcings F(x, t): plain functions of (grid, t).
 
 A forcing is either a closed expression over (x, y, z, t), an arbitrary
 callable (used by the verification oracles), or a stack of sampled fields
-with linear interpolation in time.  Every forcing carries ``sup_bound`` and
-``inf_bound``; sampling is checked against them with a 1e-9 slack so that
-bound verification downstream can trust the certificates.
+with linear interpolation in time.  Expressions and callables are evaluated
+on the grid passed to ``sample``.  A forcing carries no bounds: the series
+solver takes sup F and inf F from the node samples it actually uses, and
+``sample`` only rejects non-finite values.
 """
 
 from __future__ import annotations
@@ -12,25 +13,30 @@ from __future__ import annotations
 import numpy as np
 
 from .expressions import Expression, compile_expression
-from .fields import ScalarField
 from .grid import Grid
 
-__all__ = ["Forcing"]
+__all__ = ["Forcing", "interpolate_in_time"]
 
-_BOUND_SLACK = 1e-9
+
+def interpolate_in_time(times: np.ndarray, stack: np.ndarray, t: float) -> np.ndarray:
+    """Linear interpolation of ``stack[j]`` (given at ``times[j]``) at ``t``.
+
+    Constant beyond the first and last time.
+    """
+    if t <= times[0]:
+        return stack[0]
+    if t >= times[-1]:
+        return stack[-1]
+    j = int(np.searchsorted(times, t) - 1)
+    w = (t - times[j]) / (times[j + 1] - times[j])
+    return (1.0 - w) * stack[j] + w * stack[j + 1]
 
 
 class Forcing:
-    """Scalar source with recorded L-infinity envelope [inf_bound, sup_bound]."""
+    """Scalar source F(grid, t)."""
 
-    def __init__(self, evaluate, sup_bound: float, inf_bound: float, kind: str, source=None):
-        if not np.isfinite(sup_bound) or not np.isfinite(inf_bound):
-            raise ValueError("forcing bounds must be finite")
-        if inf_bound > sup_bound:
-            raise ValueError(f"inf_bound {inf_bound} exceeds sup_bound {sup_bound}")
+    def __init__(self, evaluate, kind: str, source=None):
         self._evaluate = evaluate
-        self.sup_bound = float(sup_bound)
-        self.inf_bound = float(inf_bound)
         self.kind = kind
         self.source = source
 
@@ -39,43 +45,31 @@ class Forcing:
     @classmethod
     def constant(cls, value: float) -> "Forcing":
         value = float(value)
-        return cls(lambda grid, t: np.full(grid.shape, value), value, value, "constant", value)
+        return cls(lambda grid, t: np.full(grid.shape, value), "constant", value)
 
     @classmethod
     def zero(cls) -> "Forcing":
         return cls.constant(0.0)
 
     @classmethod
-    def from_expression(cls, source: str | Expression, grid: Grid, horizon: float,
-                        bounds: tuple[float, float] | None = None,
-                        time_samples: int = 65) -> "Forcing":
-        """Compile an expression; bounds default to a dense sample over
-        the grid times [0, horizon] with a small safety margin."""
+    def from_expression(cls, source: str | Expression) -> "Forcing":
+        """Compile an expression over (x, y, z, t)."""
         expr = source if isinstance(source, Expression) else compile_expression(source)
-        mesh = grid.meshgrid()
-        names = ("x", "y", "z")[: grid.ndim]
 
-        def evaluate(g: Grid, t: float) -> np.ndarray:
-            env = {name: m for name, m in zip(names, mesh)}
-            env["t"] = t
-            return np.asarray(expr(**env), dtype=float) * np.ones(g.shape)
+        def evaluate(grid: Grid, t: float) -> np.ndarray:
+            env = dict(zip(("x", "y", "z"), grid.meshgrid()))
+            env["t"] = np.float64(t)  # numpy scalar: 1/0 gives inf, not ZeroDivisionError
+            return expr(**env)
 
-        if bounds is None:
-            lo, hi = np.inf, -np.inf
-            for t in np.linspace(0.0, horizon, time_samples):
-                vals = evaluate(grid, float(t))
-                lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
-            pad = 1e-12 * max(1.0, abs(lo), abs(hi))
-            bounds = (lo - pad, hi + pad)
-        return cls(evaluate, bounds[1], bounds[0], "expression", expr.source)
+        return cls(evaluate, "expression", expr.source)
 
     @classmethod
-    def from_callable(cls, fn, sup_bound: float, inf_bound: float) -> "Forcing":
-        """Wrap ``fn(grid, t) -> ndarray`` with caller-certified bounds."""
-        return cls(fn, sup_bound, inf_bound, "callable")
+    def from_callable(cls, fn) -> "Forcing":
+        """Wrap ``fn(grid, t) -> ndarray``."""
+        return cls(fn, "callable")
 
     @classmethod
-    def from_samples(cls, times, fields, bounds: tuple[float, float] | None = None) -> "Forcing":
+    def from_samples(cls, times, fields) -> "Forcing":
         """Sampled stack with linear interpolation in t; constant beyond the ends."""
         times = np.asarray([float(t) for t in times])
         fields = list(fields)
@@ -91,70 +85,29 @@ class Forcing:
         def evaluate(g: Grid, t: float) -> np.ndarray:
             if g != grid:
                 raise ValueError("sampled forcing queried on a different grid")
-            if t <= times[0]:
-                return stack[0]
-            if t >= times[-1]:
-                return stack[-1]
-            j = int(np.searchsorted(times, t) - 1)
-            w = (t - times[j]) / (times[j + 1] - times[j])
-            return (1.0 - w) * stack[j] + w * stack[j + 1]
+            return interpolate_in_time(times, stack, t)
 
-        if bounds is None:
-            # linear interpolation never leaves the envelope of the stack
-            bounds = (float(stack.min()), float(stack.max()))
-        return cls(evaluate, bounds[1], bounds[0], "sampled", (times, stack))
+        return cls(evaluate, "sampled", (times, stack))
 
     # -- evaluation -----------------------------------------------------------
 
-    @property
-    def abs_bound(self) -> float:
-        """Certified bound on sup |F|."""
-        return max(abs(self.sup_bound), abs(self.inf_bound))
-
-    @property
-    def midpoint(self) -> float:
-        """Center of the envelope, used for gauge centering."""
-        return 0.5 * (self.sup_bound + self.inf_bound)
-
     def sample(self, grid: Grid, t: float) -> np.ndarray:
+        """F on ``grid`` at time ``t``; raises on non-finite values."""
         vals = np.asarray(self._evaluate(grid, float(t)), dtype=float)
         if vals.shape != grid.shape:
             vals = vals * np.ones(grid.shape)
         if not np.isfinite(vals).all():
             raise ValueError(f"forcing produced non-finite values at t={t}")
-        lo, hi = float(vals.min()), float(vals.max())
-        if lo < self.inf_bound - _BOUND_SLACK or hi > self.sup_bound + _BOUND_SLACK:
-            raise ValueError(
-                f"forcing sample range [{lo}, {hi}] escapes certified bounds "
-                f"[{self.inf_bound}, {self.sup_bound}] at t={t}"
-            )
         return vals
 
-    def sample_field(self, grid: Grid, t: float) -> ScalarField:
-        return ScalarField(grid, self.sample(grid, t))
-
     def halved(self) -> "Forcing":
-        """Pointwise half of this forcing, with halved bounds."""
+        """Pointwise half of this forcing."""
         inner = self._evaluate
         return Forcing(
             lambda grid, t: 0.5 * np.asarray(inner(grid, t), dtype=float),
-            0.5 * self.sup_bound,
-            0.5 * self.inf_bound,
-            self.kind,
-            self.source,
-        )
-
-    def shifted(self, offset: float) -> "Forcing":
-        """This forcing minus a constant (used internally for centering)."""
-        inner = self._evaluate
-        off = float(offset)
-        return Forcing(
-            lambda grid, t: np.asarray(inner(grid, t), dtype=float) - off,
-            self.sup_bound - off,
-            self.inf_bound - off,
             self.kind,
             self.source,
         )
 
     def __repr__(self):
-        return f"Forcing(kind={self.kind!r}, inf={self.inf_bound:g}, sup={self.sup_bound:g})"
+        return f"Forcing(kind={self.kind!r})"

@@ -42,17 +42,21 @@ def write_field(field: ScalarField, path) -> None:
 
 
 def read_field(path) -> ScalarField:
+    """Read a CSF1 file; a malformed or truncated file raises ``ValueError``."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a CSF1 file (magic {magic!r})")
-        (ndim,) = struct.unpack("<I", fh.read(4))
-        if not 1 <= ndim <= 3:
-            raise ValueError(f"{path}: bad ndim {ndim}")
-        dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-        spacing = struct.unpack(f"<{ndim}d", fh.read(8 * ndim))
-        origin = struct.unpack(f"<{ndim}d", fh.read(8 * ndim))
-        (flag,) = struct.unpack("<B", fh.read(1))
+        try:
+            (ndim,) = struct.unpack("<I", fh.read(4))
+            if not 1 <= ndim <= 3:
+                raise ValueError(f"{path}: bad ndim {ndim}")
+            dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+            spacing = struct.unpack(f"<{ndim}d", fh.read(8 * ndim))
+            origin = struct.unpack(f"<{ndim}d", fh.read(8 * ndim))
+            (flag,) = struct.unpack("<B", fh.read(1))
+        except struct.error as exc:
+            raise ValueError(f"{path}: truncated header ({exc})") from None
         boundary = Periodic() if flag == 0 else FreeSpaceTruncated()
         grid = Grid(dims, spacing, origin, boundary)
         data = np.frombuffer(fh.read(8 * grid.size), dtype="<f8")

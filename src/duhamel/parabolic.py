@@ -16,7 +16,8 @@ That equation is solved by the operator iteration v = G + L G + L L G + ...
 with G = K * v0 - int K * g and L v = -int K * (Q v), which is exactly the
 series solver with forcing -Q and source -g.  The reduced problem lives on a
 uniform y-grid with the same point count as the x-grid; coefficients are
-resampled onto it per time node by monotone-cubic interpolation.
+resampled onto it per time node by cubic-spline interpolation (a monotone
+interpolant would flatten the solution at its extrema).
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .fields import ScalarField, Trajectory, derivative
-from .forcing import Forcing
+from .forcing import Forcing, interpolate_in_time
 from .grid import Grid
 from .quadrature import corrected_cumulative_trapezoid
 from .series import SeriesOptions, SeriesSolution, solve_controlled_heat
@@ -192,7 +193,7 @@ class NormalizedProblem:
 
 
 def _interp(xs: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
-    return PchipInterpolator(xs, values)(at)
+    return CubicSpline(xs, values)(at)
 
 
 def _time_stack_derivative(stack: np.ndarray, dt: float) -> np.ndarray:
@@ -284,20 +285,8 @@ def normalize(prob: ParabolicProblem, time_nodes: int = 64) -> NormalizedProblem
     )
 
 
-def solve_normalized(np_: NormalizedProblem, opts: SeriesOptions | None = None) -> Trajectory:
+def solve_normalized(np_: NormalizedProblem, opts: SeriesOptions | None = None) -> SeriesSolution:
     """Operator-iteration solve of v_t - v_yy + Q v + g = 0 on the y-grid."""
-    sol = _solve_normalized_series(np_, opts)
-    traj = sol.trajectory
-    meta = dict(traj.metadata)
-    meta.update(
-        truncation_depth=sol.truncation_depth,
-        not_converged=sol.not_converged,
-        estimated_truncation_error=sol.estimated_truncation_error,
-    )
-    return Trajectory(traj.times, traj.snapshots, metadata=meta)
-
-
-def _solve_normalized_series(np_: NormalizedProblem, opts: SeriesOptions | None) -> SeriesSolution:
     y_grid = np_.y_grid
     times = np.asarray(np_.t_nodes)
     q_fields = [ScalarField(y_grid, -np_.Q_stack[i]) for i in range(len(times))]
@@ -308,20 +297,10 @@ def _solve_normalized_series(np_: NormalizedProblem, opts: SeriesOptions | None)
     return solve_controlled_heat(np_.v0, F, np_.horizon, opts, source=source)
 
 
-def _interp_stack_in_time(stack: np.ndarray, t_nodes: np.ndarray, t: float) -> np.ndarray:
-    if t <= t_nodes[0]:
-        return stack[0]
-    if t >= t_nodes[-1]:
-        return stack[-1]
-    j = int(np.searchsorted(t_nodes, t) - 1)
-    w = (t - t_nodes[j]) / (t_nodes[j + 1] - t_nodes[j])
-    return (1.0 - w) * stack[j] + w * stack[j + 1]
-
-
 def back_transform(v: Trajectory, np_: NormalizedProblem) -> Trajectory:
     """u(t, x) = exp(-rho) v pulled back to the x-grid.
 
-    v and rho are interpolated (monotone cubic in y) at y = psi(t, x_node);
+    v and rho are interpolated (cubic spline in y) at y = psi(t, x_node);
     nodes mapping outside the computed y-range take the edge values and are
     flagged in the metadata.
     """
@@ -331,8 +310,8 @@ def back_transform(v: Trajectory, np_: NormalizedProblem) -> Trajectory:
     out = []
     clamped = False
     for t, snap in v:
-        psi_t = _interp_stack_in_time(np_.psi_stack, t_nodes, t)
-        rho_t = _interp_stack_in_time(np_.rho_stack, t_nodes, t)
+        psi_t = interpolate_in_time(t_nodes, np_.psi_stack, t)
+        rho_t = interpolate_in_time(t_nodes, np_.rho_stack, t)
         y_of_x = np.clip(psi_t, y[0], y[-1])
         if psi_t[0] < y[0] - 1e-12 or psi_t[-1] > y[-1] + 1e-12:
             clamped = True
@@ -356,7 +335,7 @@ def solve_parabolic(prob: ParabolicProblem, opts: SeriesOptions | None = None) -
     """normalize -> series solve -> back transform, keeping all stages."""
     opts = opts or SeriesOptions()
     np_ = normalize(prob, time_nodes=opts.time_steps)
-    sol = _solve_normalized_series(np_, opts)
+    sol = solve_normalized(np_, opts)
     v = sol.trajectory
     u = back_transform(v, np_)
     return ParabolicSolution(u=u, v=v, normalized=np_, series=sol)

@@ -11,16 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["cumulative_trapezoid", "corrected_cumulative_trapezoid", "trapezoid_weights"]
-
-
-def trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
-    """Composite trapezoid weights for ``n_nodes`` uniform nodes."""
-    if n_nodes < 2:
-        return np.zeros(max(n_nodes, 0))
-    w = np.full(n_nodes, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
+__all__ = ["cumulative_trapezoid", "corrected_cumulative_trapezoid"]
 
 
 def cumulative_trapezoid(samples: np.ndarray, h: float, axis: int = -1) -> np.ndarray:

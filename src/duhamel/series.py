@@ -21,15 +21,20 @@ transforms the integrand node by node and keeps only the previous spectrum.
 second quadrature for cross-checks: the composite trapezoid over prior
 nodes with the identity convolution at the s = t endpoint.
 
-Independently of the quadrature, the forcing is gauge centered: with
+The solver samples F once at every time node.  Sup F and inf F are the
+envelope of those samples, the values the quadrature actually used; they are
+stored on the solution as ``forcing_sup`` and ``forcing_inf``.  Independently
+of the quadrature, the forcing is gauge centered: with
 ``cbar = (sup F + inf F) / 2`` the solver runs on ``F - cbar`` and restores
 the series of the original equation through the exact identity
 ``T_k = sum_{a+b=k} (cbar t)^a / a! * T~_b``.  For spatially constant
 forcing the computed terms are therefore exact to rounding.
 
-Pointwise ceiling, floor and termwise factorial envelopes of the series are
-verified by the ``*_check`` functions, which tolerate a 1e-9 relative slack
-for spectral ringing and quadrature noise.
+The solution also keeps K(t) * |G0| at the output times, which the tail
+estimate needs.  The ``*_check`` functions read it, with the forcing
+envelope, to verify the pointwise ceiling, floor and termwise factorial
+envelopes of the series; they tolerate a 1e-9 relative slack for spectral
+ringing and quadrature noise.
 """
 
 from __future__ import annotations
@@ -224,7 +229,12 @@ def duhamel_step(term_trajectory: Trajectory, F: Forcing, nu: float = 1.0) -> Tr
 
 @dataclass(frozen=True, eq=False)
 class SeriesSolution:
-    """Series solution with its term stack and truncation metadata."""
+    """Series solution with its term stack and truncation metadata.
+
+    ``forcing_sup``/``forcing_inf`` are the envelope of F over the node
+    samples the solver used, ``propagated_abs_g0`` holds K(t) * |G0| at the
+    output times, and ``g0_positive`` records whether G0 > 0 everywhere.
+    """
 
     trajectory: Trajectory
     terms: tuple[tuple[ScalarField, ...], ...]
@@ -234,6 +244,8 @@ class SeriesSolution:
     options: SeriesOptions
     forcing_sup: float
     forcing_inf: float
+    propagated_abs_g0: tuple[np.ndarray, ...]
+    g0_positive: bool
     horizon: float
     metadata: dict = field(default_factory=dict)
 
@@ -283,7 +295,9 @@ def solve_controlled_heat(
     engine = _SpectralEngine(grid, dt, n, opts.nu)
 
     f_samples = [F.sample(grid, t) for t in nodes]
-    cbar = F.midpoint
+    f_sup = max(float(np.max(fv)) for fv in f_samples)
+    f_inf = min(float(np.min(fv)) for fv in f_samples)
+    cbar = 0.5 * (f_sup + f_inf)
     f_centered = [fv - cbar for fv in f_samples]
 
     # homogeneous part, gauge centered
@@ -351,13 +365,14 @@ def solve_controlled_heat(
         term_fields.append(tuple(ScalarField(grid, tk) for tk in terms[m]))
 
     # factorial tail estimate at the emitted depth
-    m_abs = max(abs(F.sup_bound), abs(F.inf_bound))
-    kg0 = convolve_times(ScalarField(grid, np.abs(G0.values)), out_times, opts.nu)
+    m_abs = max(abs(f_sup), abs(f_inf))
+    kg0 = tuple(f.values for f in
+                convolve_times(ScalarField(grid, np.abs(G0.values)), out_times, opts.nu))
     est = 0.0
     for m, j in enumerate(out_idx):
         t = out_times[m]
         tail = math.exp(m_abs * t) * _power_series_row(m_abs * t, depth + 1)[depth + 1]
-        scale = float(np.max(kg0[m].values))
+        scale = float(np.max(kg0[m]))
         if src_stack:
             scale += float(np.max(np.abs(src_stack[0][j])))
         est = max(est, tail * scale)
@@ -375,8 +390,10 @@ def solve_controlled_heat(
         estimated_truncation_error=float(est),
         not_converged=not_converged,
         options=opts,
-        forcing_sup=F.sup_bound,
-        forcing_inf=F.inf_bound,
+        forcing_sup=f_sup,
+        forcing_inf=f_inf,
+        propagated_abs_g0=kg0,
+        g0_positive=bool(np.all(G0.values > 0)),
         horizon=float(horizon),
         metadata=metadata,
     )
@@ -443,49 +460,41 @@ def _compare(lhs: np.ndarray, rhs: np.ndarray, time: float, slack: float, label:
     )
 
 
-def _kernel_abs_g0(sol: SeriesSolution, g0_values: np.ndarray) -> list[np.ndarray]:
-    """K(t) * |G0| at every output time of the solution."""
-    fields = convolve_times(ScalarField(sol.grid, g0_values), sol.trajectory.times, sol.options.nu)
-    return [f.values for f in fields]
-
-
-def ceiling_check(sol: SeriesSolution, G0: ScalarField, M: float) -> BoundReport:
+def ceiling_check(sol: SeriesSolution, M: float) -> BoundReport:
     """Verify |G(x,t)| <= exp(M t) K(t) * |G0| pointwise at output times."""
-    base = _kernel_abs_g0(sol, np.abs(G0.values))
     records = []
-    for (t, snap), kg in zip(sol.trajectory, base):
+    for (t, snap), kg in zip(sol.trajectory, sol.propagated_abs_g0):
         rhs = math.exp(M * t) * kg
         records.append(_compare(np.abs(snap.values).ravel(), rhs.ravel(), t, BOUND_SLACK))
     return BoundReport("ceiling", tuple(records))
 
 
-def termwise_factorial_check(sol: SeriesSolution, G0: ScalarField, M: float) -> BoundReport:
+def termwise_factorial_check(sol: SeriesSolution, M: float) -> BoundReport:
     """Verify |T_k(x,t)| <= (M t)^k / k! K(t) * |G0| for every emitted term."""
-    base = _kernel_abs_g0(sol, np.abs(G0.values))
     records = []
     for m, (t, _) in enumerate(sol.trajectory):
         env = _power_series_row(M * t, sol.truncation_depth)
         for k, term in enumerate(sol.terms[m]):
-            rhs = env[k] * base[m]
+            rhs = env[k] * sol.propagated_abs_g0[m]
             records.append(
                 _compare(np.abs(term.values).ravel(), rhs.ravel(), t, BOUND_SLACK, label=f"k={k}")
             )
     return BoundReport("termwise_factorial", tuple(records))
 
 
-def floor_check(sol: SeriesSolution, phi: ScalarField, F: Forcing) -> BoundReport:
+def floor_check(sol: SeriesSolution) -> BoundReport:
     """Verify the positivity floor and matching upper estimate.
 
-    With G0 = exp(-phi/2):
+    For a strictly positive G0 (the Cole-Hopf G0 = exp(-phi/2)):
       G(x,t) >= exp(inf F * t) [K(t) * G0]   and
       G(x,t) <= exp(2 sup F * t) [K(t) * G0].
     """
-    g0 = np.exp(-0.5 * phi.values)
-    base = _kernel_abs_g0(sol, g0)
+    if not sol.g0_positive:
+        raise ValueError("the floor check needs a strictly positive G0")
     records = []
-    for (t, snap), kg in zip(sol.trajectory, base):
-        floor = math.exp(F.inf_bound * t) * kg
-        upper = math.exp(2.0 * F.sup_bound * t) * kg
+    for (t, snap), kg in zip(sol.trajectory, sol.propagated_abs_g0):
+        floor = math.exp(sol.forcing_inf * t) * kg
+        upper = math.exp(2.0 * sol.forcing_sup * t) * kg
         g = snap.values.ravel()
         records.append(_compare(floor.ravel(), g, t, BOUND_SLACK, label="floor"))
         records.append(_compare(g, upper.ravel(), t, BOUND_SLACK, label="upper"))

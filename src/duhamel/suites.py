@@ -210,11 +210,11 @@ def suite_bounds(seed: int = DEFAULT_SEED, trials: int = 100, potentials: int = 
         opts = SeriesOptions(depth_max=30, rel_tolerance=1e-12, time_steps=48,
                              output_times=(horizon / 4, horizon / 2, horizon))
         sol = solve_controlled_heat(G0, F, horizon, opts)
-        m_used = F.abs_bound * (0.25 if inject_m_underestimate else 1.0)
+        m_used = sol.forcing_abs_bound * (0.25 if inject_m_underestimate else 1.0)
         reports = {
-            "ceiling": ceiling_check(sol, G0, m_used),
-            "termwise": termwise_factorial_check(sol, G0, m_used),
-            "floor/upper": floor_check(sol, phi, F),
+            "ceiling": ceiling_check(sol, m_used),
+            "termwise": termwise_factorial_check(sol, m_used),
+            "floor/upper": floor_check(sol),
         }
         for name, rep in reports.items():
             if not rep.passed:

@@ -188,15 +188,7 @@ def make_manufactured(expr: str, grid: Grid, horizon: float, time_samples: int =
     f_expr = sp.simplify((sp.diff(g_expr, t_sym) - sum(sp.diff(g_expr, s, 2) for s in space)) / g_expr)
     f_fn = sp.lambdify(syms, f_expr, "numpy")
 
-    def f_eval(g: Grid, t: float) -> np.ndarray:
-        return f_fn(*mesh, t) * np.ones(g.shape)
-
-    lo, hi = np.inf, -np.inf
-    for t in np.linspace(0.0, horizon, time_samples):
-        vals = f_eval(grid, float(t))
-        lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
-    pad = 1e-9 * max(1.0, abs(lo), abs(hi))
-    forcing = Forcing.from_callable(f_eval, hi + pad, lo - pad)
+    forcing = Forcing.from_callable(lambda g, t: f_fn(*g.meshgrid(), t))
 
     g0_vals = g_fn(*mesh, 0.0) * ones
     u_exprs = [sp.simplify(-2 * sp.diff(g_expr, s) / g_expr) for s in space]
@@ -315,7 +307,7 @@ def band_limited_field(grid: Grid, rng: np.random.Generator, max_mode: int = 3,
 
 def random_bounded_forcing(grid: Grid, rng: np.random.Generator, horizon: float,
                            bound: float, max_mode: int = 3, key_times: int = 4) -> Forcing:
-    """Sampled-stack forcing with |F| <= bound (exact stack bounds recorded)."""
+    """Sampled-stack forcing with |F| <= bound."""
     times = np.linspace(0.0, horizon, key_times)
     fields = [band_limited_field(grid, rng, max_mode, amplitude=bound) for _ in times]
     return Forcing.from_samples(times, fields)

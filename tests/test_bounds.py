@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from duhamel import (
     Forcing,
@@ -14,6 +15,7 @@ from duhamel import (
     solve_controlled_heat,
     termwise_factorial_check,
 )
+from duhamel.heat_kernel import convolve_times
 from duhamel.verify import band_limited_field, random_bounded_forcing
 
 
@@ -33,7 +35,7 @@ class TestCeiling:
         x = g.coords(0)
         G0 = ScalarField(g, 1.0 + 0.5 * np.cos(x))  # nonnegative
         sol = solve(G0, Forcing.zero())
-        report = ceiling_check(sol, G0, 0.0)
+        report = ceiling_check(sol, 0.0)
         assert report.passed
         # |G| = K*|G0| exactly when F = 0 and G0 >= 0: slack is rounding-level
         assert abs(report.worst) < 1e-12
@@ -42,7 +44,7 @@ class TestCeiling:
         g = periodic_1d(64)
         M = 0.9
         sol = solve(ScalarField.constant(g, 1.0), Forcing.constant(M))
-        report = ceiling_check(sol, ScalarField.constant(g, 1.0), M)
+        report = ceiling_check(sol, M)
         assert report.passed
         # e^{Mt} vs the truncated series: saturation up to the truncation tail
         assert abs(report.worst) <= sol.estimated_truncation_error + 1e-12
@@ -54,12 +56,12 @@ class TestCeiling:
             F = random_bounded_forcing(g, rng, 0.5, bound=rng.uniform(0.3, 2.0))
             G0 = band_limited_field(g, rng, amplitude=0.6, offset=1.0)
             sol = solve(G0, F)
-            assert ceiling_check(sol, G0, F.abs_bound).passed
+            assert ceiling_check(sol, sol.forcing_abs_bound).passed
 
     def test_underestimated_bound_is_detected(self):
         g = periodic_1d(64)
         sol = solve(ScalarField.constant(g, 1.0), Forcing.constant(1.0), horizon=1.0)
-        report = ceiling_check(sol, ScalarField.constant(g, 1.0), 0.25)
+        report = ceiling_check(sol, 0.25)
         assert not report.passed
         assert report.worst > 0
 
@@ -70,13 +72,13 @@ class TestTermwise:
         x = g.coords(0)
         G0 = ScalarField(g, np.sin(x))  # signed initial data
         sol = solve(G0, Forcing.zero())
-        assert termwise_factorial_check(sol, G0, 0.0).passed
+        assert termwise_factorial_check(sol, 0.0).passed
 
     def test_constant_case_zero_slack(self):
         g = periodic_1d(64)
         M = 1.2
         sol = solve(ScalarField.constant(g, 1.0), Forcing.constant(M))
-        report = termwise_factorial_check(sol, ScalarField.constant(g, 1.0), M)
+        report = termwise_factorial_check(sol, M)
         assert report.passed
         assert abs(report.worst) < 1e-13  # terms saturate the envelope exactly
 
@@ -87,7 +89,7 @@ class TestTermwise:
             F = random_bounded_forcing(g, rng, 0.5, bound=rng.uniform(0.3, 2.0))
             G0 = band_limited_field(g, rng, amplitude=0.6, offset=1.0)
             sol = solve(G0, F)
-            assert termwise_factorial_check(sol, G0, F.abs_bound).passed
+            assert termwise_factorial_check(sol, sol.forcing_abs_bound).passed
 
 
 class TestFloorAndUpper:
@@ -96,7 +98,7 @@ class TestFloorAndUpper:
         phi = band_limited_field(g, np.random.default_rng(3), amplitude=0.8)
         G0 = ScalarField(g, np.exp(-0.5 * phi.values))
         sol = solve(G0, Forcing.zero())
-        report = floor_check(sol, phi, Forcing.zero())
+        report = floor_check(sol)
         assert report.passed
         assert abs(report.worst) < 1e-12  # floor = ceiling = K * e^{-phi/2}
 
@@ -108,7 +110,7 @@ class TestFloorAndUpper:
         phi = ScalarField.constant(g, 0.4)
         G0 = ScalarField(g, np.exp(-0.5 * phi.values))
         sol = solve(G0, Forcing.constant(c))
-        report = floor_check(sol, phi, Forcing.constant(c))
+        report = floor_check(sol)
         assert report.passed
         # floor e^{ct} K*G0 equals G exactly in the flat constant case
         floor_records = [r for r in report.records if r.label == "floor"]
@@ -122,7 +124,36 @@ class TestFloorAndUpper:
             phi = band_limited_field(g, rng, amplitude=rng.uniform(0.3, 1.2))
             G0 = ScalarField(g, np.exp(-0.5 * phi.values))
             sol = solve(G0, F)
-            assert floor_check(sol, phi, F).passed
+            assert floor_check(sol).passed
+
+
+    def test_signed_initial_field_rejected(self):
+        g = periodic_1d(64)
+        G0 = ScalarField(g, np.sin(g.coords(0)))
+        sol = solve(G0, Forcing.constant(0.3))
+        assert not sol.g0_positive
+        with pytest.raises(ValueError, match="strictly positive"):
+            floor_check(sol)
+
+
+class TestSolutionEnvelope:
+    def test_forcing_envelope_is_node_sample_envelope(self):
+        g = periodic_1d(64)
+        F = Forcing.from_expression("0.7*sin(x)*cos(3*t) + 0.2*cos(5*t)")
+        sol = solve(ScalarField.constant(g, 1.0), F, horizon=0.5)
+        nodes = sol.options.nodes(0.5)
+        samples = [F.sample(g, t) for t in nodes]
+        assert sol.forcing_sup == max(float(np.max(v)) for v in samples)
+        assert sol.forcing_inf == min(float(np.min(v)) for v in samples)
+
+    def test_propagated_abs_g0_at_output_times(self):
+        g = periodic_1d(64)
+        G0 = ScalarField(g, np.sin(g.coords(0)))
+        sol = solve(G0, Forcing.zero())
+        want = convolve_times(ScalarField(g, np.abs(G0.values)), sol.trajectory.times)
+        assert len(sol.propagated_abs_g0) == len(want)
+        for got, ref in zip(sol.propagated_abs_g0, want):
+            assert np.array_equal(got, ref.values)
 
 
 class TestReportFormat:
@@ -130,7 +161,7 @@ class TestReportFormat:
         g = periodic_1d(64)
         G0 = ScalarField.constant(g, 1.0)
         sol = solve(G0, Forcing.constant(0.5))
-        report = ceiling_check(sol, G0, 0.5)
+        report = ceiling_check(sol, 0.5)
         lines = report.to_jsonl().strip().split("\n")
         assert len(lines) == len(sol.trajectory.times)
         for line, t in zip(lines, sol.trajectory.times):
@@ -143,6 +174,6 @@ class TestReportFormat:
         g = periodic_1d(64)
         G0 = ScalarField.constant(g, 1.0)
         sol = solve(G0, Forcing.constant(0.5))
-        report = termwise_factorial_check(sol, G0, 0.5)
+        report = termwise_factorial_check(sol, 0.5)
         labels = {r.label for r in report.records}
         assert f"k={sol.truncation_depth}" in labels

@@ -14,6 +14,7 @@ from duhamel import (
     Trajectory,
     VectorField,
     gradient,
+    solve_controlled_heat,
 )
 from duhamel.cole_hopf import (
     CurlError,
@@ -102,19 +103,24 @@ class TestInitialField:
 class TestForcingFromPressure:
     def test_zero(self):
         F = forcing_from_pressure(None)
-        assert F.sup_bound == F.inf_bound == 0.0
+        assert np.all(F.sample(periodic_1d(64), 0.3) == 0.0)
 
     def test_constant_halved(self):
         F = forcing_from_pressure(Forcing.constant(2.0))
-        assert F.sup_bound == 1.0
         g = periodic_1d(64)
         assert np.all(F.sample(g, 0.0) == 1.0)
 
     def test_bounds_halved(self):
-        raw = Forcing.from_callable(lambda g, t: np.zeros(g.shape), 3.0, -1.0)
-        F = forcing_from_pressure(raw)
-        assert F.sup_bound == 1.5
-        assert F.inf_bound == -0.5
+        # the envelope the solver takes from its node samples halves with F
+        g = periodic_1d(64)
+        raw = Forcing.from_callable(lambda grid, t: 1.0 + 2.0 * np.sin(grid.coords(0)))
+        opts = SeriesOptions(depth_max=8, time_steps=4, output_times=(0.5,))
+        G0 = ScalarField.constant(g, 1.0)
+        full = solve_controlled_heat(G0, raw, 0.5, opts)
+        half = solve_controlled_heat(G0, forcing_from_pressure(raw), 0.5, opts)
+        assert half.forcing_sup == 0.5 * full.forcing_sup
+        assert half.forcing_inf == 0.5 * full.forcing_inf
+        assert half.forcing_inf < 0.0 < half.forcing_sup
 
 
 class TestVelocityFromField:
@@ -207,7 +213,7 @@ class TestSolveNSE:
         x = g.coords(0)
         rng = np.random.default_rng(17)
         u0 = VectorField(g, (0.8 * np.sin(x + rng.uniform(0, 2 * np.pi)),))
-        raw = Forcing.from_expression("0.6*cos(x)", g, 0.5)
+        raw = Forcing.from_expression("0.6*cos(x)")
         prob = NSEProblem(u0, (0.0,), 0.0, raw, speed_bound=1.0, horizon=0.5)
         opts = SeriesOptions(depth_max=24, time_steps=32, output_times=(0.25, 0.5))
         sol = solve_nse(prob, opts)
@@ -250,7 +256,7 @@ class TestNSEResidual:
         x = g.coords(0)
         times = (0.0, 0.25, 0.5)
         u = Trajectory(times, tuple(VectorField(g, (np.zeros(64),)) for _ in times))
-        raw = Forcing.from_expression("2*sin(x)", g, 0.5)
+        raw = Forcing.from_expression("2*sin(x)")
         res = nse_residual(u, raw)
         want = np.abs(2.0 * np.cos(x))
         for _, snap in res:

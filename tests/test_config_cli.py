@@ -29,7 +29,87 @@ def controlled_heat_config(**overrides):
     return cfg
 
 
+def nse_config():
+    return {
+        "schema": 1,
+        "kind": "nse",
+        "grid": {"points": [64], "extent": [6.283185307179586], "origin": [0.0]},
+        "series": {"time_steps": 8, "output_times": [0.25, 0.5]},
+        "nse": {"velocity": ["0.3*sin(x)"], "anchor": [0.0], "anchor_value": 0.0,
+                "pressure_minus_force": "0.2*cos(x)", "speed_bound": 1.0, "horizon": 0.5},
+    }
+
+
+def parabolic_config():
+    return {
+        "schema": 1,
+        "kind": "parabolic",
+        "grid": {"points": [64], "extent": [16.0], "origin": [-8.0],
+                 "boundary": {"free_space": {}}},
+        "series": {"time_steps": 16, "output_times": [0.25, 0.5]},
+        "parabolic": {"A": -1.0, "a": 0.0, "c": 0.4, "f": "0.25*exp(-x*x)",
+                      "initial": "exp(-0.5*x*x)", "horizon": 0.5},
+    }
+
+
+CONFIGS = {"heat": controlled_heat_config, "nse": nse_config, "parabolic": parabolic_config}
+
+# (config, keys to the replaced value, wrongly typed value, error path)
+WRONG_LEAVES = [
+    ("heat", ("schema",), True, "schema"),
+    ("heat", ("kind",), 3, "kind"),
+    ("heat", ("seed",), "a", "seed"),
+    ("heat", ("output_dir",), 3, "output_dir"),
+    ("heat", ("grid", "points"), ["a"], "grid.points"),
+    ("heat", ("grid", "extent", 0), "a", "grid.extent[0]"),
+    ("heat", ("grid",), {"points": [64], "spacing": ["a"], "origin": [0.0]}, "grid.spacing[0]"),
+    ("heat", ("grid", "origin", 0), "a", "grid.origin[0]"),
+    ("heat", ("grid", "origin"), 0.0, "grid.origin"),
+    ("heat", ("grid", "boundary"), 5, "grid.boundary"),
+    ("heat", ("series", "depth_max"), "a", "series.depth_max"),
+    ("heat", ("series", "rel_tolerance"), "a", "series.rel_tolerance"),
+    ("heat", ("series", "time_steps"), 1.5, "series.time_steps"),
+    ("heat", ("series", "output_times", 0), "x", "series.output_times[0]"),
+    ("heat", ("series", "nu"), [1], "series.nu"),
+    ("heat", ("controlled_heat", "initial"), 1, "controlled_heat.initial"),
+    ("heat", ("controlled_heat", "forcing"), [1], "controlled_heat.forcing"),
+    ("heat", ("controlled_heat", "horizon"), "a", "controlled_heat.horizon"),
+    ("heat", ("bench",), {"axis": 3, "values": [1]}, "bench.axis"),
+    ("heat", ("bench",), {"axis": "depth", "values": ["a"]}, "bench.values[0]"),
+    ("heat", ("bench",), {"axis": "depth", "values": [4, 99]}, "bench.values[1]"),
+    ("nse", ("nse", "velocity", 0), 1, "nse.velocity[0]"),
+    ("nse", ("nse", "anchor", 0), "a", "nse.anchor[0]"),
+    ("nse", ("nse", "anchor_value"), "a", "nse.anchor_value"),
+    ("nse", ("nse", "pressure_minus_force"), [1], "nse.pressure_minus_force"),
+    ("nse", ("nse", "speed_bound"), "a", "nse.speed_bound"),
+    ("nse", ("nse", "horizon"), None, "nse.horizon"),
+    *(("parabolic", ("parabolic", name), [1], f"parabolic.{name}") for name in "Aacf"),
+    ("parabolic", ("parabolic", "initial"), 1, "parabolic.initial"),
+    ("parabolic", ("parabolic", "horizon"), "a", "parabolic.horizon"),
+    ("parabolic", ("parabolic", "ellipticity_min"), "a", "parabolic.ellipticity_min"),
+]
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("kind, keys, value, path", WRONG_LEAVES,
+                             ids=[f"{k}:{p}" for k, _, _, p in WRONG_LEAVES])
+    def test_wrongly_typed_leaf_exits_2(self, tmp_path, capsys, kind, keys, value, path):
+        body = CONFIGS[kind]()
+        node = body
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        rc = main(["solve", write_config(tmp_path, body), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert path in [e["path"] for e in payload["errors"]]
+
+    def test_threads_is_an_unknown_key(self, tmp_path, capsys):
+        rc = main(["solve", write_config(tmp_path, controlled_heat_config(threads=2))])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["errors"] == [{"path": "threads", "message": "unknown key"}]
+
     def test_valid_config_loads(self, tmp_path):
         cfg = load_config(write_config(tmp_path, controlled_heat_config()))
         assert cfg.kind == "controlled-heat"
@@ -112,6 +192,39 @@ class TestSolveCommand:
             assert manifest["engine"] == engine
             # the engine stays out of the byte-compared artifacts
             assert "padd" not in (out / "G.json").read_text()
+
+    def test_fast_oscillating_forcing_solves(self, tmp_path):
+        body = controlled_heat_config()
+        body["series"] = {"time_steps": 100, "output_times": [0.5, 1.0]}
+        body["controlled_heat"]["forcing"] = "sin(40*t)"
+        out = tmp_path / "out"
+        assert main(["solve", write_config(tmp_path, body), "-o", str(out)]) == 0
+        forcing = json.loads((out / "manifest.json").read_text())["forcing"]
+        nodes = np.linspace(0.0, 1.0, 101)
+        assert forcing == {"sup": float(np.max(np.sin(40 * nodes))),
+                           "inf": float(np.min(np.sin(40 * nodes))), "nodes": 101}
+
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    def test_manifest_records_forcing_envelope(self, tmp_path, kind):
+        out = tmp_path / "out"
+        assert main(["solve", write_config(tmp_path, CONFIGS[kind]()), "-o", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "threads" not in manifest
+        forcing = manifest["forcing"]
+        assert set(forcing) == {"sup", "inf", "nodes"}
+        assert forcing["inf"] <= forcing["sup"]
+        assert forcing["nodes"] == CONFIGS[kind]()["series"]["time_steps"] + 1
+
+    @pytest.mark.parametrize("kind", ["heat", "nse"])
+    def test_checks_reuse_the_solver_propagation(self, tmp_path, monkeypatch, kind):
+        import duhamel.series
+
+        calls = []
+        original = duhamel.series.convolve_times
+        monkeypatch.setattr(duhamel.series, "convolve_times",
+                            lambda *args, **kw: calls.append(args) or original(*args, **kw))
+        assert main(["solve", write_config(tmp_path, CONFIGS[kind]()), "-o", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
 
     def test_zero_velocity_nse(self, tmp_path):
         body = {
@@ -251,6 +364,21 @@ class TestInspectCommand:
         path = tmp_path / "x.bin"
         path.write_bytes(b"garbage")
         assert main(["inspect", str(path)]) == 2
+
+    def test_rejects_truncated_header_and_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "x.csf"
+        path.write_bytes(b"CSF1\x02\x00")
+        assert main(["inspect", str(path)]) == 2
+        assert main(["inspect", str(tmp_path / "missing.csf")]) == 2
+
+    def test_free_space_header(self, tmp_path, capsys):
+        main(["solve", write_config(tmp_path, parabolic_config()), "-o", str(tmp_path / "out")])
+        capsys.readouterr()
+        assert main(["inspect", str(tmp_path / "out" / "u_0000.csf")]) == 0
+        out = capsys.readouterr().out
+        assert "points:   [64]" in out
+        assert "spacing:  [0.25]" in out
+        assert "free-space (truncated)" in out
 
 
 class TestBurgersFixtureEndToEnd:

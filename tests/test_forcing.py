@@ -1,13 +1,18 @@
-"""Forcing construction, sampling, and bound certificates."""
+"""Forcing construction and sampling, and the envelope the solver takes from it."""
 
 import numpy as np
 import pytest
 
-from duhamel import Forcing, Grid, ScalarField
+from duhamel import FreeSpaceTruncated, Forcing, Grid, ScalarField, SeriesOptions, solve_controlled_heat
 
 
 def grid():
     return Grid((64,), (2 * np.pi / 64,), (0.0,))
+
+
+def solve(F, g, horizon=1.0, time_steps=16):
+    opts = SeriesOptions(depth_max=30, time_steps=time_steps, output_times=(horizon,))
+    return solve_controlled_heat(ScalarField.constant(g, 1.0), F, horizon, opts)
 
 
 class TestConstant:
@@ -15,31 +20,50 @@ class TestConstant:
         F = Forcing.constant(1.5)
         g = grid()
         assert np.all(F.sample(g, 0.7) == 1.5)
-        assert F.sup_bound == F.inf_bound == 1.5
-        assert F.abs_bound == 1.5
-        assert F.midpoint == 1.5
+        sol = solve(F, g)
+        assert sol.forcing_sup == sol.forcing_inf == 1.5
+        assert sol.forcing_abs_bound == 1.5
+        assert sol.metadata["gauge_center"] == 1.5
 
     def test_abs_bound_uses_both_sides(self):
-        F = Forcing.from_callable(lambda g, t: np.zeros(g.shape), sup_bound=1.0, inf_bound=-3.0)
-        assert F.abs_bound == 3.0
-        assert F.midpoint == -1.0
+        F = Forcing.from_callable(lambda g, t: np.where(g.coords(0) < np.pi, 1.0, -3.0))
+        sol = solve(F, grid(), horizon=0.1)
+        assert (sol.forcing_inf, sol.forcing_sup) == (-3.0, 1.0)
+        assert sol.forcing_abs_bound == 3.0
+        assert sol.metadata["gauge_center"] == -1.0
 
 
 class TestExpression:
-    def test_bounds_estimated_from_dense_sampling(self):
-        g = grid()
-        F = Forcing.from_expression("sin(x)*exp(-t)", g, horizon=1.0)
-        assert F.sup_bound == pytest.approx(1.0, abs=1e-2)
-        assert F.inf_bound == pytest.approx(-1.0, abs=1e-2)
-        vals = F.sample(g, 0.25)
-        x = g.coords(0)
-        assert np.allclose(vals, np.sin(x) * np.exp(-0.25), atol=1e-15)
+    def test_evaluated_on_the_given_grid(self):
+        F = Forcing.from_expression("sin(x)*exp(-t)")
+        grids = (
+            grid(),
+            Grid((64,), (2 * np.pi / 64,), (5.0,), FreeSpaceTruncated()),
+            Grid((32,), (0.3,), (-1.0,)),
+        )
+        for g in grids:
+            assert np.array_equal(F.sample(g, 0.25), np.sin(g.coords(0)) * np.exp(-0.25))
 
-    def test_explicit_bounds_violation_raises(self):
+    def test_evaluated_on_a_2d_grid(self):
+        g = Grid((16, 24), (0.4, 0.25), (-3.0, 1.0))
+        x, y = g.meshgrid()
+        F = Forcing.from_expression("sin(x)*cos(y) + t")
+        assert np.array_equal(F.sample(g, 0.5), np.sin(x) * np.cos(y) + 0.5)
+
+    def test_space_constant_expression_fills_the_grid(self):
         g = grid()
-        F = Forcing.from_expression("sin(x)", g, horizon=1.0, bounds=(-0.5, 0.5))
-        with pytest.raises(ValueError, match="escapes certified bounds"):
-            F.sample(g, 0.0)
+        vals = Forcing.from_expression("sin(40*t)").sample(g, 0.04)
+        assert vals.shape == g.shape
+        assert np.all(vals == np.sin(40 * 0.04))
+
+    def test_fast_time_oscillation_solves(self):
+        g = grid()
+        F = Forcing.from_expression("sin(40*t)")
+        sol = solve(F, g, horizon=1.0, time_steps=100)
+        nodes = sol.options.nodes(1.0)
+        assert sol.forcing_sup == float(np.max(np.sin(40 * nodes)))
+        assert sol.forcing_inf == float(np.min(np.sin(40 * nodes)))
+        assert not sol.not_converged
 
 
 class TestSampledStack:
@@ -54,13 +78,15 @@ class TestSampledStack:
         assert np.allclose(F.sample(g, 5.0), 2.0)
 
     def test_bounds_are_stack_envelope(self):
+        # with the stack times among the solver's nodes, the node envelope is
+        # the stack's: linear interpolation never leaves it
         g = grid()
         x = g.coords(0)
         fields = [ScalarField(g, a * np.sin(x)) for a in (0.5, -1.5)]
-        F = Forcing.from_samples((0.0, 1.0), fields)
-        stack_max = max(np.max(np.abs(f.values)) for f in fields)
-        assert F.sup_bound == pytest.approx(stack_max, abs=1e-12)
-        assert F.inf_bound == pytest.approx(-stack_max, abs=1e-12)
+        sol = solve(Forcing.from_samples((0.0, 1.0), fields), g)
+        stack = np.stack([f.values for f in fields])
+        assert sol.forcing_sup == float(stack.max())
+        assert sol.forcing_inf == float(stack.min())
 
     def test_wrong_grid_rejected(self):
         g = grid()
@@ -79,26 +105,22 @@ class TestSampledStack:
 class TestTransforms:
     def test_halved(self):
         g = grid()
-        F = Forcing.from_expression("2*cos(x)", g, horizon=1.0).halved()
-        # bounds come from sampling on the grid, so only near the analytic sup
-        assert F.sup_bound == pytest.approx(1.0, abs=5e-3)
-        assert F.inf_bound == pytest.approx(-1.0, abs=5e-3)
+        F = Forcing.from_expression("2*cos(x)").halved()
         assert np.allclose(F.sample(g, 0.0), np.cos(g.coords(0)), atol=1e-12)
 
     def test_halved_bounds_linear(self):
-        F = Forcing.from_callable(lambda g, t: np.zeros(g.shape), sup_bound=3.0, inf_bound=-1.0)
-        H = F.halved()
-        assert H.sup_bound == 1.5
-        assert H.inf_bound == -0.5
-
-    def test_shifted(self):
-        F = Forcing.constant(2.0).shifted(0.5)
         g = grid()
-        assert np.all(F.sample(g, 0.0) == 1.5)
-        assert F.sup_bound == 1.5
+        fields = [ScalarField(g, np.full(g.shape, v)) for v in (3.0, -1.0)]
+        F = Forcing.from_samples((0.0, 1.0), fields)
+        full, half = solve(F, g), solve(F.halved(), g)
+        assert (half.forcing_sup, half.forcing_inf) == (1.5, -0.5)
+        assert (full.forcing_sup, full.forcing_inf) == (3.0, -1.0)
 
-    def test_nonfinite_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            Forcing.from_callable(lambda g, t: np.zeros(g.shape), np.inf, 0.0)
-        with pytest.raises(ValueError):
-            Forcing.from_callable(lambda g, t: np.zeros(g.shape), 0.0, 1.0)
+    def test_nonfinite_samples_rejected(self):
+        g = grid()
+        F = Forcing.from_callable(lambda grid, t: np.full(grid.shape, np.inf if t > 0.5 else 0.0))
+        assert np.all(F.sample(g, 0.25) == 0.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            F.sample(g, 0.75)
+        with np.errstate(divide="ignore"), pytest.raises(ValueError, match="non-finite"):
+            Forcing.from_expression("1/(t - 0.5)").sample(g, 0.5)

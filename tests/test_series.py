@@ -153,7 +153,7 @@ class TestSeriesInvariants:
         g = periodic_1d()
         x = g.coords(0)
         G0 = ScalarField(g, 1.0 + 0.4 * np.cos(x))
-        F = Forcing.from_expression("0.6*sin(x) + 0.3*cos(2*x)*exp(-t)", g, 0.5)
+        F = Forcing.from_expression("0.6*sin(x) + 0.3*cos(2*x)*exp(-t)")
         opts = SeriesOptions(depth_max=depth, rel_tolerance=rel_tol, time_steps=time_steps,
                              output_times=out)
         return solve_controlled_heat(G0, F, 0.5, opts), G0, F
@@ -180,7 +180,7 @@ class TestSeriesInvariants:
         g = periodic_1d()
         x = g.coords(0)
         G0 = ScalarField(g, 1.0 + 0.4 * np.cos(x))
-        F = Forcing.from_expression("0.6*sin(x)", g, 0.5)
+        F = Forcing.from_expression("0.6*sin(x)")
         nt = 64
         opts = SeriesOptions(depth_max=24, rel_tolerance=1e-12, time_steps=nt)
         sol = solve_controlled_heat(G0, F, 0.5, opts)
@@ -215,7 +215,7 @@ class TestSeriesInvariants:
         g = periodic_1d()
         x = g.coords(0)
         G0 = ScalarField(g, 1.0 + 0.4 * np.cos(x))
-        F = Forcing.from_expression("0.8*sin(x)", g, 0.5)
+        F = Forcing.from_expression("0.8*sin(x)")
         ref = solve_controlled_heat(
             G0, F, 0.5,
             SeriesOptions(depth_max=40, rel_tolerance=1e-14, time_steps=256, output_times=(0.5,)),
