@@ -4,7 +4,8 @@ Exit codes: 0 ok, 2 config error, 3 numerical failure (bound violation or
 non-convergence), 4 oracle mismatch.  Solve runs write CSF1 trajectories,
 bound reports as JSON lines, and a manifest recording the config hash,
 package and library versions, seed, kernel engine and padded transform
-shape, the forcing envelope over the solver's node samples, and timings;
+shape, the forcing envelope over the solver's node samples, the sup norm of
+each emitted series order and why the series stopped, and timings;
 with a fixed config and seed the field artifacts are byte identical across
 runs.
 """
@@ -24,7 +25,6 @@ import numpy as np
 from . import __version__
 from .cole_hopf import CurlError, NSEProblem, PositivityError, solve_nse
 from .config import ConfigError, RunConfig, load_config
-from .fields import ScalarField
 from .forcing import Forcing
 from .io import read_field, write_trajectory
 from .parabolic import ParabolicProblem, solve_parabolic
@@ -76,7 +76,7 @@ def cmd_solve(args) -> int:
         pass
 
     status = EXIT_OK
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         if cfg.kind == "controlled-heat":
             status = _solve_controlled_heat(cfg, out_dir, manifest)
@@ -97,7 +97,7 @@ def cmd_solve(args) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
 
-    manifest["timings"]["total_s"] = time.time() - t0
+    manifest["timings"]["total_s"] = time.perf_counter() - t0
     manifest["exit_status"] = status
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return status
@@ -109,6 +109,8 @@ def _record_series(sol: SeriesSolution, manifest: dict):
     manifest["forcing"] = {"sup": sol.forcing_sup, "inf": sol.forcing_inf,
                            "nodes": sol.options.time_steps + 1}
     manifest["truncation_depth"] = sol.truncation_depth
+    manifest["order_norms"] = sol.metadata["order_norms"]
+    manifest["stop_reason"] = sol.metadata["stop_reason"]
     manifest["not_converged"] = sol.not_converged
 
 
@@ -157,10 +159,7 @@ def _solve_nse(cfg: RunConfig, out_dir: Path, manifest: dict) -> int:
 
 
 def _solve_parabolic(cfg: RunConfig, out_dir: Path, manifest: dict) -> int:
-    grid = cfg.grid
-    mesh = grid.meshgrid()
-    init = cfg.payload["initial"]
-    u0 = ScalarField(grid, np.asarray(init(x=mesh[0], t=0.0), dtype=float) * np.ones(grid.shape))
+    u0 = cfg.initial_field()
     # payload holds floats or raw expression strings; Coefficient.make takes both
     prob = ParabolicProblem(
         A=cfg.payload["A"],
@@ -229,9 +228,9 @@ def cmd_bench(args) -> int:
                 grid.boundary,
             )
         g0 = dataclasses.replace(cfg, grid=grid).initial_field()
-        t0 = time.time()
+        t0 = time.perf_counter()
         sol = solve_controlled_heat(g0, forcing, horizon, opts)
-        wall = time.time() - t0
+        wall = time.perf_counter() - t0
         error = _bench_error(sol, g0, forcing)
         rows.append((bench["axis"], value, wall, sol.truncation_depth + 1, error))
 

@@ -273,14 +273,15 @@ def nse_residual(u: Trajectory, p_minus_f: Forcing | None) -> Trajectory:
     times = u.times
     snaps = list(u.snapshots)
     out_times, out_fields = [], []
+    if p_minus_f is not None:
+        p_stack = p_minus_f.sample(grid, times[1:-1])
     for j in range(1, len(times) - 1):
         t = times[j]
         uj = snaps[j]
         force = None
         if p_minus_f is not None:
             # grad(f - p) = -grad(p - f)
-            raw = ScalarField(grid, p_minus_f.sample(grid, t))
-            force = gradient(raw)
+            force = gradient(ScalarField(grid, p_stack[j - 1]))
         worst = np.zeros(grid.shape)
         for i in range(grid.ndim):
             res = _time_derivative(snaps, times, j, i)

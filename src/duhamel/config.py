@@ -14,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .expressions import ExpressionError, compile_expression
+from .expressions import Expression, ExpressionError, compile_expression
 from .fields import ScalarField, VectorField
-from .forcing import Forcing
+from .forcing import Forcing, evaluate_expression
 from .grid import FreeSpaceTruncated, Grid, Periodic
 from .series import SeriesOptions
 
@@ -123,24 +123,21 @@ class RunConfig:
     payload: dict = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
 
+    def _at_time_zero(self, expr: Expression, path: str) -> np.ndarray:
+        """``expr`` on the grid at t = 0; non-finite values raise ``ValueError``."""
+        axes = [self.grid.coords(d) for d in range(self.grid.ndim)]
+        values = evaluate_expression(expr, axes, [0.0])[0]
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path} has non-finite values at t=0")
+        return values
+
     def initial_field(self) -> ScalarField:
-        expr = self.payload["initial"]
-        mesh = self.grid.meshgrid()
-        names = ("x", "y", "z")[: self.grid.ndim]
-        env = dict(zip(names, mesh))
-        env["t"] = 0.0
-        vals = np.asarray(expr(**env), dtype=float) * np.ones(self.grid.shape)
-        return ScalarField(self.grid, vals)
+        return ScalarField(self.grid, self._at_time_zero(self.payload["initial"], "initial"))
 
     def velocity_field(self) -> VectorField:
-        mesh = self.grid.meshgrid()
-        names = ("x", "y", "z")[: self.grid.ndim]
-        comps = []
-        for expr in self.payload["velocity"]:
-            env = dict(zip(names, mesh))
-            env["t"] = 0.0
-            comps.append(np.asarray(expr(**env), dtype=float) * np.ones(self.grid.shape))
-        return VectorField(self.grid, tuple(comps))
+        return VectorField(self.grid, tuple(
+            self._at_time_zero(expr, f"velocity[{i}]")
+            for i, expr in enumerate(self.payload["velocity"])))
 
     def forcing(self, key: str) -> Forcing | None:
         spec = self.payload.get(key)

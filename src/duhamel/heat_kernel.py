@@ -50,6 +50,9 @@ class PaddedTorus:
     edge-padded shape on free-space grids, with the grid centred in it.
     ``k2`` holds |k|^2 on the half spectrum that ``forward`` returns.
 
+    Both transforms act on the trailing ``grid.ndim`` axes; leading axes,
+    such as the time nodes of a stack, are transformed independently.
+
     On a padded torus the inverse goes one axis at a time and crops each
     axis right after its pass, so later passes run on fewer points; no pass
     mixes the points of another axis, so the crop equals that of the full
@@ -73,7 +76,8 @@ class PaddedTorus:
         for d, (lo, n) in enumerate(zip(lows, grid.points)):
             crop = [slice(None)] * ndim
             crop[d] = slice(lo, lo + n)
-            self._crops.append(tuple(crop))
+            self._crops.append((Ellipsis, *crop))
+        self._axes = tuple(range(-ndim, 0))
         last = ndim - 1
         k2 = np.zeros(())
         for d, (m, h) in enumerate(zip(self.shape, grid.spacing)):
@@ -87,8 +91,9 @@ class PaddedTorus:
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Half spectrum of the (edge-padded) field."""
         if self.padded:
-            values = np.pad(values, self._pad, mode="edge")
-        return scipy.fft.rfftn(values)
+            batch = ((0, 0),) * (values.ndim - self.grid.ndim)
+            values = np.pad(values, batch + self._pad, mode="edge")
+        return scipy.fft.rfftn(values, axes=self._axes)
 
     def inverse(self, spectrum: np.ndarray) -> np.ndarray:
         """Grid values of a half spectrum, as a new contiguous array.
@@ -96,11 +101,12 @@ class PaddedTorus:
         The crop is copied so that no result keeps the padded array alive.
         """
         if not self.padded:
-            return scipy.fft.irfftn(spectrum, s=self.shape)
+            return scipy.fft.irfftn(spectrum, s=self.shape, axes=self._axes)
         last = self.grid.ndim - 1
         for d in range(last):
-            spectrum = scipy.fft.ifft(spectrum, axis=d)[self._crops[d]]
-        return scipy.fft.irfft(spectrum, n=self.shape[last], axis=last)[self._crops[last]].copy()
+            spectrum = scipy.fft.ifft(spectrum, axis=self._axes[d])[self._crops[d]]
+        spectrum = scipy.fft.irfft(spectrum, n=self.shape[last], axis=-1)
+        return spectrum[self._crops[last]].copy()
 
     def damping(self, nu_t: float) -> np.ndarray:
         """exp(-nu t |k|^2): the kernel K(., t) on the half spectrum."""

@@ -28,7 +28,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .fields import ScalarField, Trajectory, derivative
-from .forcing import Forcing, interpolate_in_time
+from .expressions import compile_expression
+from .forcing import Forcing, evaluate_expression, interpolate_in_time
 from .grid import Grid
 from .quadrature import corrected_cumulative_trapezoid
 from .series import SeriesOptions, SeriesSolution, solve_controlled_heat
@@ -61,13 +62,11 @@ class Coefficient:
 
     @classmethod
     def from_expression(cls, source: str) -> "Coefficient":
-        from .expressions import compile_expression
-
         expr = compile_expression(source)
         extra = set(expr.variables) - {"x", "t"}
         if extra:
             raise ValueError(f"parabolic coefficients may only use x and t, got {sorted(extra)}")
-        return cls(lambda t, x: np.asarray(expr(x=x, t=t), dtype=float) * np.ones_like(x), source)
+        return cls(lambda t, x: evaluate_expression(expr, (x,), (t,))[0], source)
 
     @classmethod
     def from_callable(cls, fn) -> "Coefficient":

@@ -11,15 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["cumulative_trapezoid", "corrected_cumulative_trapezoid"]
-
-
-def cumulative_trapezoid(samples: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
-    """Plain cumulative trapezoid; result[0] = 0."""
-    v = np.moveaxis(np.asarray(samples, dtype=float), axis, -1)
-    out = np.zeros_like(v)
-    np.cumsum(0.5 * h * (v[..., 1:] + v[..., :-1]), axis=-1, out=out[..., 1:])
-    return np.moveaxis(out, -1, axis)
+__all__ = ["corrected_cumulative_trapezoid"]
 
 
 def _edge_slope(v: np.ndarray, h: float) -> np.ndarray:

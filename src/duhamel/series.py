@@ -14,19 +14,30 @@ periodic grids as they are, free-space grids edge-padded to
 ``padding_factor`` times their extent).  The solver integrates each mode
 against the exact kernel weight exp(-nu |k|^2 (t-s)) with the integrand
 interpolated linearly between nodes, an exponential (ETD) product rule that
-removes the kernel stiffness from the quadrature error entirely.  Each sweep
-transforms the integrand node by node and keeps only the previous spectrum.
+removes the kernel stiffness from the quadrature error entirely.
+
+The solver works on node stacks: F, each order and each order's integrand
+are ``(n_t + 1, *grid.shape)`` arrays, and F is sampled once per solve.  A
+sweep runs the recurrence node by node on one accumulated spectrum; its
+transforms go node by node too, except on 1-D grids, where one transform
+over the whole stack is faster.  The series is streamed: order k is swept
+only when the reconstruction of the terms reaches k, so nothing past the
+emitted depth is computed, and the sweeps stop with the series.  Each
+recursion holds its latest order at all nodes; earlier orders are kept at
+the output nodes only, which is all the reconstruction reads.  Memory is
+O(n_t N + depth n_out N) for N grid points and n_out output times, instead
+of O(depth n_t N).
 
 ``duhamel_step`` (the public single-order operator) is an independent
 second quadrature for cross-checks: the composite trapezoid over prior
 nodes with the identity convolution at the s = t endpoint.
 
-The solver samples F once at every time node.  Sup F and inf F are the
-envelope of those samples, the values the quadrature actually used; they are
-stored on the solution as ``forcing_sup`` and ``forcing_inf``.  Independently
-of the quadrature, the forcing is gauge centered: with
-``cbar = (sup F + inf F) / 2`` the solver runs on ``F - cbar`` and restores
-the series of the original equation through the exact identity
+Sup F and inf F are the envelope of the node samples of F, the values the
+quadrature actually used; they are stored on the solution as
+``forcing_sup`` and ``forcing_inf``.  Independently of the quadrature, the
+forcing is gauge centered: with ``cbar = (sup F + inf F) / 2`` the solver
+runs on ``F - cbar`` and restores the series of the original equation
+through the exact identity
 ``T_k = sum_{a+b=k} (cbar t)^a / a! * T~_b``.  For spatially constant
 forcing the computed terms are therefore exact to rounding.
 
@@ -148,43 +159,79 @@ def _f2(z: np.ndarray) -> np.ndarray:
 
 
 class _SpectralEngine:
-    """Order sweeps in Fourier space on the grid's torus, exact kernel weighting."""
+    """Order sweeps in Fourier space on the grid's torus, exact kernel weighting.
+
+    On 1-D grids each transform runs once over the whole node stack: there a
+    single transform is small, call overhead dominates, and the stacked
+    transforms measured about 5x faster (512-point torus, 65 nodes).  On 2-D
+    and 3-D grids the per-node transforms measured faster, and they hold one
+    spectrum at a time instead of n + 1.
+    """
 
     def __init__(self, grid: Grid, dt: float, n_steps: int, nu: float):
         self.grid = grid
         self.n = n_steps
         self.torus = padded_torus(grid)
+        self.stacked = grid.ndim == 1
         z = nu * dt * self.torus.k2
         f2 = _f2(z)
-        self.decay = np.exp(-z)
-        self.w_old = dt * f2
-        self.w_new = dt * (_phi1(z) - f2)
+        # complex copies of real weights: the products with spectra take the
+        # same values without casting the weights on every call
+        self.decay = np.exp(-z).astype(complex)
+        self.w_old = (dt * f2).astype(complex)
+        self.w_new = (dt * (_phi1(z) - f2)).astype(complex)
 
-    def propagate_initial(self, g0_values: np.ndarray) -> list[np.ndarray]:
-        """K(s_j) * G0 at every node, by repeated one-step decay."""
-        spec = self.torus.forward(g0_values)
-        out = [g0_values.astype(float)]
-        for _ in range(self.n):
-            spec = spec * self.decay
-            out.append(self.torus.inverse(spec))
+    def _nodes(self, first: np.ndarray | float, spectra) -> np.ndarray:
+        """Node stack with ``first`` at node 0 and node j = inverse of spectrum j.
+
+        ``spectra`` yields the spectra of nodes 1..n; each one is consumed
+        before the next is produced.
+        """
+        out = np.empty((self.n + 1,) + self.grid.shape)
+        out[0] = first
+        if self.stacked:
+            stack = np.empty((self.n,) + self.decay.shape, dtype=complex)
+            for j, spec in enumerate(spectra):
+                stack[j] = spec
+            out[1:] = self.torus.inverse(stack)
+        else:
+            for j, spec in enumerate(spectra, 1):
+                out[j] = self.torus.inverse(spec)
         return out
 
-    def sweep(self, integrand) -> list[np.ndarray]:
+    def propagate_initial(self, g0_values: np.ndarray) -> np.ndarray:
+        """K(s_j) * G0 at every node, by repeated one-step decay.
+
+        Returns the ``(n + 1, *grid.shape)`` node stack.
+        """
+        def spectra():
+            spec = self.torus.forward(g0_values)
+            for _ in range(self.n):
+                spec *= self.decay
+                yield spec
+
+        return self._nodes(g0_values, spectra())
+
+    def sweep(self, integrand: np.ndarray) -> np.ndarray:
         """int_0^{s_j} K(s_j - s) * g(s) ds for all j, g piecewise linear.
 
-        ``integrand`` yields g at the n + 1 nodes in order; each node is
-        transformed when it arrives and only the previous spectrum is kept.
+        ``integrand`` is the ``(n + 1, *grid.shape)`` stack of g at the
+        nodes, and so is the result.
         """
-        nodes = iter(integrand)
-        prev = self.torus.forward(next(nodes))
-        acc = np.zeros_like(prev)
-        out = [np.zeros(self.grid.shape)]
-        for g in nodes:
-            cur = self.torus.forward(g)
-            acc = acc * self.decay + self.w_old * prev + self.w_new * cur
-            out.append(self.torus.inverse(acc))
-            prev = cur
-        return out
+        nodes = iter(self.torus.forward(integrand) if self.stacked
+                     else map(self.torus.forward, integrand))
+
+        def spectra():
+            prev = next(nodes)
+            acc = np.zeros_like(prev)
+            for cur in nodes:
+                acc *= self.decay
+                acc += self.w_old * prev
+                acc += self.w_new * cur
+                yield acc
+                prev = cur
+
+        return self._nodes(0.0, spectra())
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +258,8 @@ def duhamel_step(term_trajectory: Trajectory, F: Forcing, nu: float = 1.0) -> Tr
     dt = float(times[1] - times[0])
     torus = padded_torus(grid)
     decay = torus.damping(nu * dt)
-    nodes = (torus.forward(F.sample(grid, t) * snap.values) for t, snap in term_trajectory)
+    f_stack = F.sample(grid, times)
+    nodes = (torus.forward(fv * snap.values) for fv, snap in zip(f_stack, term_trajectory.snapshots))
     first = next(nodes)
     run = first.copy()  # sum_i decay^(j-i) ghat_i, full weights
     symbol_j = np.ones_like(decay)
@@ -234,6 +282,11 @@ class SeriesSolution:
     ``forcing_sup``/``forcing_inf`` are the envelope of F over the node
     samples the solver used, ``propagated_abs_g0`` holds K(t) * |G0| at the
     output times, and ``g0_positive`` records whether G0 > 0 everywhere.
+    ``metadata`` holds the gauge centre, the engine summary, the sup norm of
+    each emitted term over the output nodes (``order_norms``) and why the
+    series stopped (``stop_reason``): ``tolerance`` (the newest term fell
+    below ``rel_tolerance`` times the sum), ``zero_tail`` (the next term was
+    exactly zero) or ``depth_max``.
     """
 
     trajectory: Trajectory
@@ -257,9 +310,6 @@ class SeriesSolution:
     def forcing_abs_bound(self) -> float:
         return max(abs(self.forcing_sup), abs(self.forcing_inf))
 
-    def term_stack(self, time_index: int) -> tuple[ScalarField, ...]:
-        return self.terms[time_index]
-
 
 def _power_series_row(x: float, kmax: int) -> np.ndarray:
     """x^a / a! for a = 0..kmax, by stable iterative products."""
@@ -268,6 +318,28 @@ def _power_series_row(x: float, kmax: int) -> np.ndarray:
     for a in range(1, kmax + 1):
         row[a] = row[a - 1] * x / a
     return row
+
+
+def _sup_abs(values: np.ndarray) -> float:
+    """max |values|, without an |values| temporary."""
+    return max(float(values.max()), -float(values.min()))
+
+
+def _orders(engine: _SpectralEngine, order: np.ndarray, forcing: np.ndarray,
+            rel_tolerance: float, out_idx: list[int]):
+    """Output-node slices of the orders of one series recursion, on demand.
+
+    Order 0 is the node stack ``order``; order k + 1 is the sweep of
+    ``forcing`` times order k.  Only the latest order is held at all nodes,
+    and the next one is swept only when it is asked for.  The recursion ends
+    after an order whose sup over all nodes is negligible next to order 0's.
+    """
+    negligible = rel_tolerance * 1e-3 * max(_sup_abs(order), 1e-300)
+    while True:
+        yield order[out_idx]
+        if _sup_abs(order) <= negligible:
+            return
+        order = engine.sweep(forcing * order)
 
 
 def solve_controlled_heat(
@@ -282,7 +354,9 @@ def solve_controlled_heat(
     ``source``, when given, is a Forcing-like object sampled at the time
     nodes and absorbed into the zeroth term.  Terms are appended until the
     relative sup norm of the newest term drops below ``rel_tolerance`` or
-    ``depth_max`` is reached; the latter sets ``not_converged``.
+    ``depth_max`` is reached; the latter sets ``not_converged``.  Each order
+    is swept only when its term is reconstructed, so no order past the
+    emitted depth is computed.
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
@@ -294,98 +368,84 @@ def solve_controlled_heat(
     out_idx = opts.output_indices(horizon)
     engine = _SpectralEngine(grid, dt, n, opts.nu)
 
-    f_samples = [F.sample(grid, t) for t in nodes]
-    f_sup = max(float(np.max(fv)) for fv in f_samples)
-    f_inf = min(float(np.min(fv)) for fv in f_samples)
+    f_stack = F.sample(grid, nodes)
+    f_sup = float(np.max(f_stack))
+    f_inf = float(np.min(f_stack))
     cbar = 0.5 * (f_sup + f_inf)
-    f_centered = [fv - cbar for fv in f_samples]
 
-    # homogeneous part, gauge centered
-    hom_stack = [engine.propagate_initial(G0.values)]
-    ref_scale = max(max(np.max(np.abs(v)) for v in hom_stack[0]), 1e-300)
-    negligible = opts.rel_tolerance * 1e-3 * ref_scale
-    for _ in range(opts.depth_max):
-        prev = hom_stack[-1]
-        if max(np.max(np.abs(v)) for v in prev) <= negligible:
-            break
-        nxt = engine.sweep(fc * v for fc, v in zip(f_centered, prev))
-        hom_stack.append(nxt)
-
-    # source part, direct recursion in the uncentered forcing
-    src_stack = []
+    # homogeneous part, gauge centered; source part, direct recursion in the
+    # uncentered forcing
+    hom = _orders(engine, engine.propagate_initial(G0.values), f_stack - cbar,
+                  opts.rel_tolerance, out_idx)
+    src = iter(())
     if source is not None:
-        s_samples = [np.asarray(source.sample(grid, t), dtype=float) for t in nodes]
-        src_stack.append(engine.sweep(s_samples))
-        src_scale = max(max(np.max(np.abs(v)) for v in src_stack[0]), 1e-300)
-        for _ in range(opts.depth_max):
-            prev = src_stack[-1]
-            if max(np.max(np.abs(v)) for v in prev) <= opts.rel_tolerance * 1e-3 * src_scale:
-                break
-            src_stack.append(engine.sweep(fv * v for fv, v in zip(f_samples, prev)))
+        src = _orders(engine, engine.sweep(source.sample(grid, nodes)), f_stack,
+                      opts.rel_tolerance, out_idx)
+    del f_stack  # the recursions hold the stacks they use
 
-    # reconstruct the series of the original forcing at the output nodes
+    # reconstruct the series of the original forcing at the output nodes:
+    # T_k = sum_{a+b=k} (cbar t)^a / a! * T~_b
     out_times = [float(nodes[j]) for j in out_idx]
     n_out = len(out_idx)
-    terms: list[list[np.ndarray]] = [[] for _ in range(n_out)]
-    partial = [np.zeros(grid.shape) for _ in range(n_out)]
-    pow_rows = [_power_series_row(cbar * t, opts.depth_max) for t in out_times]
-
-    depth = 0
-    tolerance_met = False
+    pow_rows = np.array([_power_series_row(cbar * t, opts.depth_max) for t in out_times])
+    pow_rows = pow_rows.reshape(pow_rows.shape + (1,) * grid.ndim)
+    hom_out: list[np.ndarray] = []
+    src_first = None
+    terms: list[np.ndarray] = []  # term k at the output nodes
+    order_norms: list[float] = []
+    total = None  # literal left-fold sum of the emitted terms
+    stop_reason = "depth_max"
     for k in range(opts.depth_max + 1):
-        candidates = []
-        for m, j in enumerate(out_idx):
-            tk = np.zeros(grid.shape)
-            for b in range(min(k, len(hom_stack) - 1) + 1):
-                tk = tk + pow_rows[m][k - b] * hom_stack[b][j]
-            if k < len(src_stack):
-                tk = tk + src_stack[k][j]
-            candidates.append(tk)
-        term_norm = max(float(np.max(np.abs(tk))) for tk in candidates)
+        hom_k = next(hom, None)
+        if hom_k is not None:
+            hom_out.append(hom_k)
+        tk = np.zeros((n_out,) + grid.shape)
+        for b, hom_b in enumerate(hom_out):
+            tk = tk + pow_rows[:, k - b] * hom_b
+        src_k = next(src, None)
+        if src_k is not None:
+            tk = tk + src_k
+            if k == 0:
+                src_first = src_k
+        term_norm = float(np.max(np.abs(tk)))
         if k >= 1 and term_norm == 0.0:
-            tolerance_met = True  # exact-zero tail: the series has collapsed
+            stop_reason = "zero_tail"  # the series has collapsed
             break
-        for m, tk in enumerate(candidates):
-            terms[m].append(tk)
-            partial[m] = partial[m] + tk
-        depth = k
-        g_scale = max(max(float(np.max(np.abs(p))) for p in partial), 1e-300)
+        terms.append(tk)
+        order_norms.append(term_norm)
+        total = tk if total is None else total + tk
+        g_scale = max(float(np.max(np.abs(total))), 1e-300)
         if k >= 1 and term_norm < opts.rel_tolerance * g_scale:
-            tolerance_met = True
+            stop_reason = "tolerance"
             break
-
-    # G snapshots are the literal left-fold sums of the emitted terms
-    snapshots = []
-    term_fields = []
-    for m in range(n_out):
-        acc = terms[m][0]
-        for tk in terms[m][1:]:
-            acc = acc + tk
-        snapshots.append(ScalarField(grid, acc))
-        term_fields.append(tuple(ScalarField(grid, tk) for tk in terms[m]))
+    depth = len(terms) - 1
+    snapshots = [ScalarField(grid, g) for g in total]
+    term_fields = tuple(tuple(ScalarField(grid, tk[m]) for tk in terms) for m in range(n_out))
 
     # factorial tail estimate at the emitted depth
     m_abs = max(abs(f_sup), abs(f_inf))
     kg0 = tuple(f.values for f in
                 convolve_times(ScalarField(grid, np.abs(G0.values)), out_times, opts.nu))
     est = 0.0
-    for m, j in enumerate(out_idx):
+    for m in range(n_out):
         t = out_times[m]
         tail = math.exp(m_abs * t) * _power_series_row(m_abs * t, depth + 1)[depth + 1]
         scale = float(np.max(kg0[m]))
-        if src_stack:
-            scale += float(np.max(np.abs(src_stack[0][j])))
+        if src_first is not None:
+            scale += float(np.max(np.abs(src_first[m])))
         est = max(est, tail * scale)
 
-    g_scale = max(max(float(np.max(np.abs(s.values))) for s in snapshots), 1e-300)
-    not_converged = bool((not tolerance_met) and est > opts.rel_tolerance * g_scale)
+    # g_scale is still that of the full sum: every exit from the loop follows
+    # its last update
+    not_converged = bool(stop_reason == "depth_max" and est > opts.rel_tolerance * g_scale)
 
-    metadata = {"gauge_center": cbar, "engine": engine.torus.summary()}
+    metadata = {"gauge_center": cbar, "engine": engine.torus.summary(),
+                "order_norms": order_norms, "stop_reason": stop_reason}
 
     traj = Trajectory(tuple(out_times), tuple(snapshots), metadata=dict(metadata))
     return SeriesSolution(
         trajectory=traj,
-        terms=tuple(term_fields),
+        terms=term_fields,
         truncation_depth=depth,
         estimated_truncation_error=float(est),
         not_converged=not_converged,
@@ -485,16 +545,17 @@ def termwise_factorial_check(sol: SeriesSolution, M: float) -> BoundReport:
 def floor_check(sol: SeriesSolution) -> BoundReport:
     """Verify the positivity floor and matching upper estimate.
 
-    For a strictly positive G0 (the Cole-Hopf G0 = exp(-phi/2)):
+    For a strictly positive G0 (the Cole-Hopf G0 = exp(-phi/2)) the
+    comparison principle gives, for either sign of inf F and sup F,
       G(x,t) >= exp(inf F * t) [K(t) * G0]   and
-      G(x,t) <= exp(2 sup F * t) [K(t) * G0].
+      G(x,t) <= exp(sup F * t) [K(t) * G0].
     """
     if not sol.g0_positive:
         raise ValueError("the floor check needs a strictly positive G0")
     records = []
     for (t, snap), kg in zip(sol.trajectory, sol.propagated_abs_g0):
         floor = math.exp(sol.forcing_inf * t) * kg
-        upper = math.exp(2.0 * sol.forcing_sup * t) * kg
+        upper = math.exp(sol.forcing_sup * t) * kg
         g = snap.values.ravel()
         records.append(_compare(floor.ravel(), g, t, BOUND_SLACK, label="floor"))
         records.append(_compare(g, upper.ravel(), t, BOUND_SLACK, label="upper"))

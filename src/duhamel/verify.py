@@ -77,14 +77,13 @@ def fd_controlled_heat(
     times = [0.0]
     snaps = [G0]
     u = G0.values.copy()
-    f_old = F.sample(grid, 0.0)
+    f_stack = F.sample(grid, [step * dt for step in range(n_steps + 1)])
     for step in range(n_steps):
         t_new = (step + 1) * dt
-        f_new = F.sample(grid, t_new)
+        f_old, f_new = f_stack[step], f_stack[step + 1]
         rhs = u + 0.5 * dt * (lap @ u + f_old * u)
         lhs = eye - 0.5 * dt * (lap + diags(f_new, 0, format="csc"))
         u = splu(lhs.tocsc()).solve(rhs)
-        f_old = f_new
         times.append(t_new)
         snaps.append(ScalarField(grid, u))
     traj = Trajectory(tuple(times), tuple(snaps))

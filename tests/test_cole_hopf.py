@@ -103,12 +103,12 @@ class TestInitialField:
 class TestForcingFromPressure:
     def test_zero(self):
         F = forcing_from_pressure(None)
-        assert np.all(F.sample(periodic_1d(64), 0.3) == 0.0)
+        assert np.all(F.sample(periodic_1d(64), [0.3]) == 0.0)
 
     def test_constant_halved(self):
         F = forcing_from_pressure(Forcing.constant(2.0))
         g = periodic_1d(64)
-        assert np.all(F.sample(g, 0.0) == 1.0)
+        assert np.all(F.sample(g, [0.0]) == 1.0)
 
     def test_bounds_halved(self):
         # the envelope the solver takes from its node samples halves with F

@@ -265,6 +265,51 @@ class TestSolveCommand:
         payload = json.loads(captured.err)
         assert payload["errors"][0]["curl_residual"] > 1.0
 
+    @pytest.mark.parametrize("reason", ["tolerance", "zero_tail", "depth_max"])
+    def test_manifest_records_order_norms_and_stop_reason(self, tmp_path, reason):
+        body = controlled_heat_config()
+        if reason == "zero_tail":
+            del body["controlled_heat"]["forcing"]
+        elif reason == "depth_max":
+            body["series"]["depth_max"] = 2
+        out = tmp_path / "out"
+        main(["solve", write_config(tmp_path, body), "-o", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stop_reason"] == reason
+        norms = manifest["order_norms"]
+        assert len(norms) == manifest["truncation_depth"] + 1
+        assert all(isinstance(v, float) and v > 0 for v in norms)
+
+    @pytest.mark.parametrize("kind, keys, value", [
+        ("heat", ("controlled_heat", "initial"), "1 + 1/(t - 0)"),
+        ("nse", ("nse", "velocity", 0), "0.3*sin(x) + 1/t"),
+        ("parabolic", ("parabolic", "initial"), "exp(-0.5*x*x)/t"),
+        ("parabolic", ("parabolic", "c"), "0.4 + 1/(t - 0.25)"),
+    ])
+    def test_nonfinite_expression_exits_2(self, tmp_path, capsys, kind, keys, value):
+        # time is an array, so these divide to inf instead of raising
+        body = CONFIGS[kind]()
+        target = body
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        with np.errstate(divide="ignore"):
+            rc = main(["solve", write_config(tmp_path, body), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert "non-finite" in payload["errors"][0]["message"]
+
+    def test_negative_forcing_upper_bound_holds(self, tmp_path):
+        # sup F = -1: the former exp(2 sup F t) K*G0 upper estimate fell below
+        # G by 0.167 at t = 0.25 and the run exited 3
+        body = nse_config()
+        body["nse"]["pressure_minus_force"] = "-2.0"
+        out = tmp_path / "out"
+        assert main(["solve", write_config(tmp_path, body), "-o", str(out)]) == 0
+        rows = [json.loads(line) for line in (out / "floor.jsonl").read_text().splitlines()]
+        assert {row["label"] for row in rows} == {"floor", "upper"}
+        assert all(row["max_violation"] <= 1e-9 for row in rows)
+
     def test_not_converged_exits_3(self, tmp_path):
         body = controlled_heat_config()
         body["series"]["depth_max"] = 1

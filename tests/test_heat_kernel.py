@@ -220,6 +220,24 @@ class TestPaddedTorus:
                 owner = owner.base
             assert owner.nbytes == f.values.nbytes
 
+    @pytest.mark.parametrize("grid", [
+        periodic_1d(64),
+        Grid((64,), (0.25,), (-8.0,), FreeSpaceTruncated(2.0)),
+        Grid((16, 12), (0.4, 0.5), (0.0, 0.0)),
+        Grid((16, 12), (0.4, 0.5), (-3.0, -3.0), FreeSpaceTruncated(1.5)),
+    ], ids=["periodic-1d", "free-1d", "periodic-2d", "free-2d"])
+    def test_leading_axes_are_a_batch(self, grid):
+        # a stack transforms exactly as its fields one by one
+        torus = padded_torus(grid)
+        rng = np.random.default_rng(5)
+        stack = rng.normal(size=(2, 3) + grid.shape)
+        spectra = torus.forward(stack)
+        for i in range(2):
+            for j in range(3):
+                one = torus.forward(stack[i, j])
+                assert np.array_equal(spectra[i, j], one)
+                assert np.array_equal(torus.inverse(spectra)[i, j], torus.inverse(one))
+
 
 class TestViscosityKnob:
     def test_rescaled_kernel(self):

@@ -5,15 +5,10 @@ import pytest
 
 from duhamel import FreeSpaceTruncated, Grid, ScalarField, Trajectory, VectorField
 from duhamel.io import export_csv, read_field, read_trajectory, write_field, write_trajectory
-from duhamel.quadrature import corrected_cumulative_trapezoid, cumulative_trapezoid
+from duhamel.quadrature import corrected_cumulative_trapezoid
 
 
 class TestCumulativeTrapezoid:
-    def test_plain_linear_exact(self):
-        x = np.linspace(0, 1, 33)
-        out = cumulative_trapezoid(2 * x + 1, x[1] - x[0])
-        assert np.allclose(out, x**2 + x, atol=1e-14)
-
     def test_corrected_cubic_exact(self):
         x = np.linspace(0, 2, 41)
         f = x**3 - 2 * x**2 + x

@@ -1,6 +1,7 @@
 """Duhamel series solver: step operator, truncation, and invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,9 @@ class TestSolveControlledHeat:
         sol = solve_controlled_heat(G0, Forcing.zero(), 0.5, opts)
         assert sol.truncation_depth == 0
         assert not sol.not_converged
+        # the first order is exactly zero, so the series stops without it
+        assert sol.metadata["stop_reason"] == "zero_tail"
+        assert sol.metadata["order_norms"] == [float(np.max(np.abs(sol.terms[0][0].values)))]
         exact = convolve(G0, 0.5)
         assert np.max(np.abs(sol.trajectory.snapshots[0].values - exact.values)) < 1e-14
 
@@ -122,6 +126,8 @@ class TestSolveControlledHeat:
         c = 0.8
         opts = SeriesOptions(depth_max=20, rel_tolerance=1e-14, time_steps=16, output_times=(0.25, 1.0))
         sol = solve_controlled_heat(ScalarField.constant(g, 1.0), Forcing.constant(c), 1.0, opts)
+        assert sol.metadata["stop_reason"] == "tolerance"
+        assert sol.truncation_depth < 20
         for m, t in enumerate(sol.trajectory.times):
             assert np.max(np.abs(sol.trajectory.snapshots[m].values - math.exp(c * t))) < 1e-12
             for k, term in enumerate(sol.terms[m]):
@@ -141,6 +147,9 @@ class TestSolveControlledHeat:
         sol = solve_controlled_heat(ScalarField.constant(g, 1.0), Forcing.constant(3.0), 1.0, opts)
         assert sol.not_converged
         assert sol.truncation_depth == 2
+        assert sol.metadata["stop_reason"] == "depth_max"
+        # one norm per emitted order, the sup over the output nodes
+        assert sol.metadata["order_norms"] == [3.0**k / math.factorial(k) for k in range(3)]
 
     def test_rejects_bad_horizon(self):
         g = periodic_1d(64)
@@ -205,7 +214,7 @@ class TestSeriesInvariants:
                 dt = times[j + 1] - times[j]
                 dgdt = (vals[j + 1] - vals[j - 1]) / (2 * dt)
                 lap = np.fft.ifftn(-k2 * np.fft.fftn(vals[j])).real
-                res = dgdt - lap - F.sample(sol.grid, times[j]) * vals[j]
+                res = dgdt - lap - F.sample(sol.grid, [times[j]])[0] * vals[j]
                 worst = max(worst, float(np.max(np.abs(res))))
             errs.append(worst)
         orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
@@ -349,15 +358,111 @@ class TestQuadratureWeights:
 class TestEngineMemory:
     @pytest.mark.parametrize("boundary", (None, FreeSpaceTruncated(2.0)))
     def test_stored_nodes_own_their_memory(self, boundary):
-        # the solver keeps every node of every order; each must be a
-        # grid-sized real array, not a view of a complex or padded buffer
+        # each node stack must be a grid-sized real array, not a view of a
+        # complex or padded buffer
         grid = periodic_1d(64) if boundary is None else Grid((64,), (0.25,), (-8.0,), boundary)
         engine = _SpectralEngine(grid, 0.05, 8, 1.0)
         g = np.cos(grid.coords(0))
-        nodes = engine.propagate_initial(g) + engine.sweep(g for _ in range(9))
-        assert len(nodes) == 18
-        for values in nodes:
-            owner = values
+        stacks = (engine.propagate_initial(g), engine.sweep(np.stack([g] * 9)))
+        for stack in stacks:
+            assert stack.shape == (9, 64) and stack.dtype == np.float64
+            owner = stack
             while owner.base is not None:
                 owner = owner.base
-            assert owner.nbytes == g.nbytes
+            assert owner.nbytes == 9 * g.nbytes
+
+    def test_memory_does_not_grow_with_depth_at_all_nodes(self):
+        # going deeper may keep each new order at the output nodes (its term
+        # and its gauge-centered order), never at all nodes
+        n, steps = 64, 32
+        g = Grid((n, n), (2 * np.pi / n,) * 2, (0.0, 0.0))
+        x, y = g.meshgrid()
+        G0 = ScalarField(g, 1.0 + 0.3 * np.cos(x) * np.sin(y))
+        F = Forcing.from_expression("4*sin(x)*cos(y) + 2*cos(x + t)")
+        out = (0.25, 0.5, 0.75, 1.0)
+
+        def peak(depth):
+            opts = SeriesOptions(depth_max=depth, rel_tolerance=1e-14, time_steps=steps,
+                                 output_times=out)
+            tracemalloc.start()
+            try:
+                sol = solve_controlled_heat(G0, F, 1.0, opts)
+                return tracemalloc.get_traced_memory()[1], sol
+            finally:
+                tracemalloc.stop()
+
+        shallow, sol3 = peak(3)
+        deep, sol12 = peak(12)
+        assert (sol3.truncation_depth, sol12.truncation_depth) == (3, 12)
+        field_bytes = 8 * n * n
+        allowed = 2 * (12 - 3) * len(out) * field_bytes + (steps + 1) * field_bytes
+        assert deep - shallow <= allowed
+
+
+class TestEngineStacking:
+    @pytest.mark.parametrize("grid", [
+        periodic_1d(64),
+        Grid((64,), (0.25,), (-8.0,), FreeSpaceTruncated(2.0)),
+        Grid((16, 12), (0.4, 0.5), (-3.0, -3.0), FreeSpaceTruncated(1.5)),
+    ], ids=["periodic-1d", "free-1d", "free-2d"])
+    def test_stacked_and_per_node_transforms_agree_bitwise(self, grid):
+        engine = _SpectralEngine(grid, 0.05, 8, 1.0)
+        rng = np.random.default_rng(9)
+        g0 = rng.normal(size=grid.shape)
+        integrand = rng.normal(size=(9,) + grid.shape)
+        results = {}
+        for stacked in (True, False):
+            engine.stacked = stacked
+            results[stacked] = (engine.propagate_initial(g0), engine.sweep(integrand))
+        for a, b in zip(results[True], results[False]):
+            assert a.tobytes() == b.tobytes()
+
+
+class TestStreaming:
+    def _count_calls(self, monkeypatch):
+        calls = {"sample": 0, "sweep": 0}
+        sample, sweep = Forcing.sample, _SpectralEngine.sweep
+
+        def counted_sample(self, grid, times):
+            calls["sample"] += 1
+            return sample(self, grid, times)
+
+        def counted_sweep(self, integrand):
+            calls["sweep"] += 1
+            return sweep(self, integrand)
+
+        monkeypatch.setattr(Forcing, "sample", counted_sample)
+        monkeypatch.setattr(_SpectralEngine, "sweep", counted_sweep)
+        return calls
+
+    @pytest.mark.parametrize("depth_max", (4, 24))
+    def test_one_sample_and_one_sweep_per_emitted_order(self, monkeypatch, depth_max):
+        calls = self._count_calls(monkeypatch)
+        g = periodic_1d()
+        G0 = ScalarField(g, 1.0 + 0.4 * np.cos(g.coords(0)))
+        F = Forcing.from_expression("0.6*sin(x) + 0.3*cos(2*x)*exp(-t)")
+        opts = SeriesOptions(depth_max=depth_max, time_steps=32, output_times=(0.25, 0.5))
+        sol = solve_controlled_heat(G0, F, 0.5, opts)
+        assert sol.metadata["stop_reason"] == ("depth_max" if depth_max == 4 else "tolerance")
+        assert calls == {"sample": 1, "sweep": sol.truncation_depth}
+
+    def test_source_forcing_sampled_once(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        g = periodic_1d(64)
+        source = Forcing.from_expression("cos(x)*exp(-t)")
+        opts = SeriesOptions(time_steps=16, output_times=(0.5,))
+        sol = solve_controlled_heat(ScalarField.constant(g, 1.0), Forcing.from_expression("0.5*sin(x)"),
+                                    0.5, opts, source=source)
+        assert calls["sample"] == 2
+        # the source's zeroth order, then at most one sweep per recursion and order
+        assert calls["sweep"] <= 1 + 2 * sol.truncation_depth
+
+    def test_order_norms_are_term_sups(self):
+        g = periodic_1d()
+        G0 = ScalarField(g, 1.0 + 0.4 * np.cos(g.coords(0)))
+        F = Forcing.from_expression("0.6*sin(x) + 0.3*cos(2*x)*exp(-t)")
+        opts = SeriesOptions(time_steps=32, output_times=(0.25, 0.5))
+        sol = solve_controlled_heat(G0, F, 0.5, opts)
+        want = [max(float(np.max(np.abs(terms[k].values))) for terms in sol.terms)
+                for k in range(sol.truncation_depth + 1)]
+        assert sol.metadata["order_norms"] == want
