@@ -14,22 +14,30 @@ drift, leaving
 
 That equation is solved by the operator iteration v = G + L G + L L G + ...
 with G = K * v0 - int K * g and L v = -int K * (Q v), which is exactly the
-series solver with forcing -Q and source -g.  The reduced problem lives on a
-uniform y-grid with the same point count as the x-grid; coefficients are
-resampled onto it per time node by cubic-spline interpolation (a monotone
-interpolant would flatten the solution at its extrema).
+series solver with forcing -Q and source -g.
+
+The reduction works on whole ``(n_t+1, n)`` lattice stacks: each coefficient
+is sampled once over all time nodes, and psi, P, rho, Q and g are computed as
+stacks (x-derivatives by the free-space stencil, integrals by the corrected
+trapezoid, both along the last axis).  The reduced problem lives on a uniform
+y-grid with the same point count as the x-grid.  Only the resampling between
+the x- and y-grids goes node by node, with one cubic spline per knot set that
+carries every column on those knots: (x, P) over psi in ``normalize``,
+(v, rho) over y in ``back_transform``.  A monotone interpolant would flatten
+the solution at its extrema.
 """
+
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicSpline
 
-from .fields import ScalarField, Trajectory, derivative
+from .fields import ScalarField, Trajectory, _fd_first
 from .expressions import compile_expression
-from .forcing import Forcing, evaluate_expression, interpolate_in_time
+from .forcing import Forcing, interpolate_in_time
 from .grid import Grid
 from .quadrature import corrected_cumulative_trapezoid
 from .series import SeriesOptions, SeriesSolution, solve_controlled_heat
@@ -37,10 +45,8 @@ from .series import SeriesOptions, SeriesSolution, solve_controlled_heat
 __all__ = [
     "Coefficient",
     "ParabolicProblem",
-    "CoordinateMap",
     "NormalizedProblem",
     "ParabolicSolution",
-    "coordinate_map",
     "normalize",
     "solve_normalized",
     "back_transform",
@@ -49,16 +55,20 @@ __all__ = [
 
 
 class Coefficient:
-    """Scalar coefficient of (t, x): constant, expression, or callable."""
+    """Scalar coefficient of (t, x): constant, expression, or callable.
 
-    def __init__(self, fn, source=None):
-        self._fn = fn
+    ``evaluate(times, x)`` returns an array that broadcasts to the
+    ``(len(times), n)`` stack; ``x`` is ``(1, n)`` or ``(len(times), n)``.
+    """
+
+    def __init__(self, evaluate, source=None):
+        self._evaluate = evaluate
         self.source = source
 
     @classmethod
     def constant(cls, value: float) -> "Coefficient":
         value = float(value)
-        return cls(lambda t, x: np.full_like(x, value), value)
+        return cls(lambda times, x: value, value)
 
     @classmethod
     def from_expression(cls, source: str) -> "Coefficient":
@@ -66,11 +76,19 @@ class Coefficient:
         extra = set(expr.variables) - {"x", "t"}
         if extra:
             raise ValueError(f"parabolic coefficients may only use x and t, got {sorted(extra)}")
-        return cls(lambda t, x: evaluate_expression(expr, (x,), (t,))[0], source)
+        # t is an open (n_t, 1) column, so a division by zero gives inf, not an exception
+        return cls(lambda times, x: expr(x=x, t=times[:, None]), source)
 
     @classmethod
     def from_callable(cls, fn) -> "Coefficient":
-        return cls(lambda t, x: np.asarray(fn(t, x), dtype=float) * np.ones_like(x))
+        """Wrap ``fn(t, x) -> ndarray``, called once per sample time."""
+
+        def evaluate(times: np.ndarray, x: np.ndarray) -> np.ndarray:
+            rows = np.broadcast_to(x, (len(times), x.shape[-1]))
+            return np.stack([np.asarray(fn(float(t), row), dtype=float) * np.ones_like(row)
+                             for t, row in zip(times, rows)])
+
+        return cls(evaluate)
 
     @classmethod
     def make(cls, value) -> "Coefficient":
@@ -82,10 +100,19 @@ class Coefficient:
             return cls.from_callable(value)
         return cls.constant(float(value))
 
-    def sample(self, t: float, x: np.ndarray) -> np.ndarray:
-        out = self._fn(float(t), np.asarray(x, dtype=float))
-        if not np.isfinite(out).all():
-            raise ValueError(f"coefficient produced non-finite values at t={t}")
+    def sample(self, times, x) -> np.ndarray:
+        """The ``(len(times), n)`` stack at ``times``.
+
+        ``x`` is one row shared by every time or one row per time.  Raises on
+        non-finite values, naming the first time that has one.
+        """
+        times = np.asarray(times, dtype=float)
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        shape = (len(times), x.shape[-1])
+        out = np.broadcast_to(np.asarray(self._evaluate(times, x), dtype=float), shape)
+        finite = np.isfinite(out).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"coefficient produced non-finite values at t={times[np.argmin(finite)]}")
         return out
 
 
@@ -125,54 +152,6 @@ class ParabolicProblem:
         return self.u0.grid
 
 
-def _check_ellipticity(prob: ParabolicProblem, t: float, x: np.ndarray, values: np.ndarray):
-    bad = values > -prob.ellipticity_min
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"A(t={t:.6g}, x={x[i]:.6g}) = {values[i]:.6g} violates strict "
-            f"ellipticity (need A <= -{prob.ellipticity_min:g})"
-        )
-
-
-class CoordinateMap:
-    """psi(t, .) and its inverse, built per time from the diffusion profile."""
-
-    def __init__(self, prob: ParabolicProblem):
-        self._prob = prob
-        self._x = prob.grid.coords(0)
-        self._h = prob.grid.spacing[0]
-
-    def slope(self, t: float) -> np.ndarray:
-        """psi_x = sqrt(-1/A) at the x-nodes (exact, no differencing)."""
-        avals = self._prob.A.sample(t, self._x)
-        _check_ellipticity(self._prob, t, self._x, avals)
-        return np.sqrt(-1.0 / avals)
-
-    def psi(self, t: float) -> np.ndarray:
-        """y-coordinates of the x-nodes: int_{x_first}^{x} sqrt(-1/A) dz."""
-        out = corrected_cumulative_trapezoid(self.slope(t), self._h)
-        if np.any(np.diff(out) <= 0):
-            raise ValueError(f"psi(t={t}) is not strictly increasing")
-        return out
-
-    def inverse(self, t: float, y: np.ndarray) -> np.ndarray:
-        """x(t, y) by monotone-cubic interpolation; clamps outside the range."""
-        psi = self.psi(t)
-        y = np.clip(y, psi[0], psi[-1])
-        return PchipInterpolator(psi, self._x)(y)
-
-    def roundtrip_error(self, t: float) -> float:
-        return float(np.max(np.abs(self.inverse(t, self.psi(t)) - self._x)))
-
-
-def coordinate_map(prob: ParabolicProblem) -> CoordinateMap:
-    """The (psi, inverse) pair; strict ellipticity is enforced on sampling."""
-    cmap = CoordinateMap(prob)
-    cmap.psi(0.0)  # validate at the initial time eagerly
-    return cmap
-
-
 @dataclass(frozen=True, eq=False)
 class NormalizedProblem:
     """Reduced coefficients Q, g on the fixed y-grid, plus the maps and gauge."""
@@ -186,25 +165,17 @@ class NormalizedProblem:
     x_of_y: np.ndarray  # (n_t, n_y)
     v0: ScalarField
     x_grid: Grid
-    map: CoordinateMap
     horizon: float
     metadata: dict = field(default_factory=dict)
 
 
-def _interp(xs: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
-    return CubicSpline(xs, values)(at)
-
-
 def _time_stack_derivative(stack: np.ndarray, dt: float) -> np.ndarray:
-    """Centered differences along axis 0, one-sided at the ends."""
-    out = np.empty_like(stack)
-    if stack.shape[0] == 1:
-        out[:] = 0.0
-        return out
-    out[1:-1] = (stack[2:] - stack[:-2]) / (2.0 * dt)
-    out[0] = (stack[1] - stack[0]) / dt
-    out[-1] = (stack[-1] - stack[-2]) / dt
-    if stack.shape[0] >= 3:
+    """Centered differences along axis 0, second-order one-sided at the ends."""
+    out = np.zeros_like(stack)
+    if len(stack) == 2:
+        out[:] = (stack[1] - stack[0]) / dt
+    elif len(stack) >= 3:
+        out[1:-1] = (stack[2:] - stack[:-2]) / (2.0 * dt)
         out[0] = (-3.0 * stack[0] + 4.0 * stack[1] - stack[2]) / (2.0 * dt)
         out[-1] = (3.0 * stack[-1] - 4.0 * stack[-2] + stack[-3]) / (2.0 * dt)
     return out
@@ -217,7 +188,6 @@ def normalize(prob: ParabolicProblem, time_nodes: int = 64) -> NormalizedProblem
     stacks linearly between nodes, so it should match (or exceed) the series
     time resolution.
     """
-    cmap = coordinate_map(prob)
     x_grid = prob.grid
     x = x_grid.coords(0)
     n_x = x_grid.points[0]
@@ -225,7 +195,20 @@ def normalize(prob: ParabolicProblem, time_nodes: int = 64) -> NormalizedProblem
     t_nodes = np.linspace(0.0, prob.horizon, time_nodes + 1)
     dt = float(t_nodes[1] - t_nodes[0]) if len(t_nodes) > 1 else 1.0
 
-    psi_stack = np.stack([cmap.psi(t) for t in t_nodes])
+    A = prob.A.sample(t_nodes, x)
+    bad = A > -prob.ellipticity_min
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(
+            f"A(t={t_nodes[i]:.6g}, x={x[j]:.6g}) = {A[i, j]:.6g} violates strict "
+            f"ellipticity (need A <= -{prob.ellipticity_min:g})"
+        )
+    # psi_x = sqrt(-1/A) exactly; psi = int_{x_first}^{x} psi_x dz
+    slope = np.sqrt(-1.0 / A)
+    psi_stack = corrected_cumulative_trapezoid(slope, h_x)
+    stalled = (np.diff(psi_stack, axis=-1) <= 0).any(axis=-1)
+    if stalled.any():
+        raise ValueError(f"psi(t={t_nodes[np.argmax(stalled)]}) is not strictly increasing")
     psi0 = psi_stack[0]
 
     # fixed y-grid spanning the t=0 image, same point count as the x-grid
@@ -233,39 +216,23 @@ def normalize(prob: ParabolicProblem, time_nodes: int = 64) -> NormalizedProblem
     y_grid = Grid((n_x,), (h_y,), (psi0[0] - 0.5 * h_y,), x_grid.boundary)
     y = y_grid.coords(0)
 
-    psi_t_stack = _time_stack_derivative(psi_stack, dt)
+    psi_xx = _fd_first(slope, h_x, -1)
+    P_x = _time_stack_derivative(psi_stack, dt) + A * psi_xx + prob.a.sample(t_nodes, x) * slope
 
-    edge_clamped = False
+    edge_clamped = bool(np.any(y[0] < psi_stack[:, 0] - 1e-12) or np.any(y[-1] > psi_stack[:, -1] + 1e-12))
     x_of_y = np.empty((len(t_nodes), n_x))
     P_on_y = np.empty((len(t_nodes), n_x))
-    c_on_y = np.empty((len(t_nodes), n_x))
-    f_on_y = np.empty((len(t_nodes), n_x))
-    for i, t in enumerate(t_nodes):
-        psi_t_x = psi_stack[i]
-        if y[0] < psi_t_x[0] - 1e-12 or y[-1] > psi_t_x[-1] + 1e-12:
-            edge_clamped = True
-        x_of_y[i] = _interp(psi_t_x, x, np.clip(y, psi_t_x[0], psi_t_x[-1]))
-        slope = cmap.slope(t)
-        slope_field = ScalarField(x_grid, slope)
-        psi_xx = derivative(slope_field, 0).values
-        P_x = psi_t_stack[i] + prob.A.sample(t, x) * psi_xx + prob.a.sample(t, x) * slope
-        P_on_y[i] = _interp(psi_t_x, P_x, np.clip(y, psi_t_x[0], psi_t_x[-1]))
-        c_on_y[i] = prob.c.sample(t, x_of_y[i])
-        f_on_y[i] = prob.f.sample(t, x_of_y[i])
+    for i, psi in enumerate(psi_stack):
+        spline = CubicSpline(psi, np.column_stack([x, P_x[i]]))
+        x_of_y[i], P_on_y[i] = spline(np.clip(y, psi[0], psi[-1])).T
 
-    P_t_on_y = _time_stack_derivative(P_on_y, dt)
-    rho_stack = np.empty_like(P_on_y)
-    Q_stack = np.empty_like(P_on_y)
-    g_stack = np.empty_like(P_on_y)
-    for i in range(len(t_nodes)):
-        P_field = ScalarField(y_grid, P_on_y[i])
-        P_y = derivative(P_field, 0).values
-        int_P_t = corrected_cumulative_trapezoid(P_t_on_y[i], h_y)
-        rho_stack[i] = -0.5 * corrected_cumulative_trapezoid(P_on_y[i], h_y)
-        Q_stack[i] = -0.5 * P_y + 0.25 * P_on_y[i] ** 2 + 0.5 * int_P_t + c_on_y[i]
-        g_stack[i] = f_on_y[i] * np.exp(rho_stack[i])
+    rho_stack = -0.5 * corrected_cumulative_trapezoid(P_on_y, h_y)
+    int_P_t = corrected_cumulative_trapezoid(_time_stack_derivative(P_on_y, dt), h_y)
+    Q_stack = (-0.5 * _fd_first(P_on_y, h_y, -1) + 0.25 * P_on_y**2 + 0.5 * int_P_t
+               + prob.c.sample(t_nodes, x_of_y))
+    g_stack = prob.f.sample(t_nodes, x_of_y) * np.exp(rho_stack)
 
-    u0_on_y = _interp(x, prob.u0.values, x_of_y[0])
+    u0_on_y = CubicSpline(x, prob.u0.values)(x_of_y[0])
     v0 = ScalarField(y_grid, np.exp(rho_stack[0]) * u0_on_y)
 
     return NormalizedProblem(
@@ -278,7 +245,6 @@ def normalize(prob: ParabolicProblem, time_nodes: int = 64) -> NormalizedProblem
         x_of_y=x_of_y,
         v0=v0,
         x_grid=x_grid,
-        map=cmap,
         horizon=prob.horizon,
         metadata={"edge_clamped": edge_clamped},
     )
@@ -299,11 +265,10 @@ def solve_normalized(np_: NormalizedProblem, opts: SeriesOptions | None = None) 
 def back_transform(v: Trajectory, np_: NormalizedProblem) -> Trajectory:
     """u(t, x) = exp(-rho) v pulled back to the x-grid.
 
-    v and rho are interpolated (cubic spline in y) at y = psi(t, x_node);
-    nodes mapping outside the computed y-range take the edge values and are
-    flagged in the metadata.
+    v and rho are interpolated at y = psi(t, x_node) by one cubic spline in y
+    per output time; nodes mapping outside the computed y-range take the edge
+    values and are flagged in the metadata.
     """
-    x = np_.x_grid.coords(0)
     y = np_.y_grid.coords(0)
     t_nodes = np.asarray(np_.t_nodes)
     out = []
@@ -311,11 +276,10 @@ def back_transform(v: Trajectory, np_: NormalizedProblem) -> Trajectory:
     for t, snap in v:
         psi_t = interpolate_in_time(t_nodes, np_.psi_stack, t)
         rho_t = interpolate_in_time(t_nodes, np_.rho_stack, t)
-        y_of_x = np.clip(psi_t, y[0], y[-1])
         if psi_t[0] < y[0] - 1e-12 or psi_t[-1] > y[-1] + 1e-12:
             clamped = True
-        v_at = _interp(y, snap.values, y_of_x)
-        rho_at = _interp(y, rho_t, y_of_x)
+        spline = CubicSpline(y, np.column_stack([snap.values, rho_t]))
+        v_at, rho_at = spline(np.clip(psi_t, y[0], y[-1])).T
         out.append(ScalarField(np_.x_grid, np.exp(-rho_at) * v_at))
     meta = dict(v.metadata)
     meta["edge_clamped"] = clamped or np_.metadata.get("edge_clamped", False)

@@ -202,8 +202,8 @@ def suite_bounds(seed: int = DEFAULT_SEED, trials: int = 100, potentials: int = 
     worst = {name: -np.inf for name in violations}
     for _ in range(trials):
         bound = rng.uniform(0.2, 2.0)
-        # zero-centered stacks keep sup F > 0, the regime where the doubled-sup
-        # upper estimate is a valid envelope
+        # zero-mean stacks with |F| <= bound, so sup F > 0 > inf F; the floor
+        # check's upper estimate exp(sup F t) K(t)*G0 holds for either sign
         F = random_bounded_forcing(grid, rng, horizon, bound=bound, max_mode=3)
         phi = band_limited_field(grid, rng, max_mode=3, amplitude=rng.uniform(0.2, 1.5))
         G0 = ScalarField(grid, np.exp(-0.5 * phi.values))

@@ -69,10 +69,16 @@ def fd_controlled_heat(
         raise ValueError("need 0 < dt <= horizon")
     n = grid.points[0]
     lap = _periodic_laplacian_4th(n, grid.spacing[0])
-    eye = sparse_identity(n, format="csc")
     n_steps = int(round(horizon / dt))
     if abs(n_steps * dt - horizon) > 1e-9 * horizon:
         raise ValueError("horizon must be an integer number of steps")
+
+    # lhs = I - dt/2 (lap + diag(f_new)): only its diagonal changes per step,
+    # so the CSC matrix is built once and its diagonal entries are rewritten
+    lhs = sparse_identity(n, format="csc") - 0.5 * dt * lap
+    columns = np.repeat(np.arange(n), np.diff(lhs.indptr))
+    diagonal = np.flatnonzero(lhs.indices == columns)
+    base = lhs.data[diagonal].copy()
 
     times = [0.0]
     snaps = [G0]
@@ -82,8 +88,8 @@ def fd_controlled_heat(
         t_new = (step + 1) * dt
         f_old, f_new = f_stack[step], f_stack[step + 1]
         rhs = u + 0.5 * dt * (lap @ u + f_old * u)
-        lhs = eye - 0.5 * dt * (lap + diags(f_new, 0, format="csc"))
-        u = splu(lhs.tocsc()).solve(rhs)
+        lhs.data[diagonal] = base - 0.5 * dt * f_new
+        u = splu(lhs).solve(rhs)
         times.append(t_new)
         snaps.append(ScalarField(grid, u))
     traj = Trajectory(tuple(times), tuple(snaps))

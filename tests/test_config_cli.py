@@ -1,14 +1,20 @@
 """Config schema validation and the CLI surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import duhamel
+from duhamel import suites
 from duhamel.cli import main
 from duhamel.config import ConfigError, load_config
 from duhamel.io import read_trajectory
-from duhamel.suites import suite_bounds
+from duhamel.suites import DEFAULT_SEED, suite_bounds
 
 
 def write_config(tmp_path, body, name="run.json"):
@@ -351,11 +357,34 @@ class TestVerifyCommand:
         assert rc == 0
         assert "suite 'parabolic': PASS" in out
 
+    @pytest.mark.parametrize("argv, seed", [([], DEFAULT_SEED), (["--seed", "5"], 5)])
+    def test_seed_reaches_the_suite(self, monkeypatch, argv, seed):
+        seen = []
+
+        def fake_run_suite(name, seed, inject_m_underestimate):
+            seen.append(seed)
+            return suites.SuiteResult(name, (), 0.0)
+
+        monkeypatch.setattr(suites, "run_suite", fake_run_suite)
+        assert main(["verify", "bounds", *argv]) == 0
+        assert seen == [seed]
+
     def test_injected_m_underestimate_fails(self):
         result = suite_bounds(trials=4, potentials=0, inject_m_underestimate=True)
         assert not result.passed
         ceiling = [c for c in result.checks if c.label.startswith("ceiling")]
         assert ceiling and not ceiling[0].passed
+
+
+class TestImportCost:
+    def test_cli_import_leaves_sympy_out(self):
+        # only the verify suites need sympy; a solve must not pay for importing it
+        src = str(Path(duhamel.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, duhamel.cli; print('sympy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "False"
 
 
 class TestBenchCommand:

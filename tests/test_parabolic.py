@@ -1,17 +1,18 @@
 """Parabolic normalization: maps, reduced coefficients, solve, back transform."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from duhamel import Forcing, FreeSpaceTruncated, Grid, ScalarField, SeriesOptions, convolve
+from duhamel import parabolic
 from duhamel.parabolic import (
     Coefficient,
     NormalizedProblem,
     ParabolicProblem,
     back_transform,
-    coordinate_map,
     normalize,
     solve_normalized,
     solve_parabolic,
@@ -37,28 +38,69 @@ def options(**kw):
 class TestCoefficient:
     def test_make_variants(self):
         x = np.linspace(0, 1, 5)
-        assert np.all(Coefficient.make(2.0).sample(0.0, x) == 2.0)
-        assert np.allclose(Coefficient.make("x*t").sample(2.0, x), 2 * x)
-        assert np.allclose(Coefficient.make(lambda t, x: x + t).sample(1.0, x), x + 1)
+        times = np.array([0.0, 2.0])
+        const = Coefficient.make(2.0).sample(times, x)
+        assert const.shape == (2, 5) and np.all(const == 2.0)
+        assert np.allclose(Coefficient.make("x*t").sample(times, x), np.outer(times, x))
+        assert np.allclose(Coefficient.make(lambda t, x: x + t).sample(times, x), x + times[:, None])
+
+    @pytest.mark.parametrize("value, exact", [
+        (0.7, lambda t, x: 0.7 + 0 * x),
+        ("x*t + exp(-t)*sin(x)", lambda t, x: x * t + np.exp(-t) * np.sin(x)),
+        ("cos(x)", lambda t, x: np.cos(x) + 0 * t),
+        ("1 + t", lambda t, x: 1 + t + 0 * x),
+    ])
+    def test_one_row_per_time(self, value, exact):
+        # row i of the stack is the coefficient at times[i] on x[i], bit for bit
+        times = np.linspace(0.0, 1.0, 4)
+        x = np.linspace(-1.0, 1.0, 20).reshape(4, 5)
+        coeff = Coefficient.make(value)
+        stack = coeff.sample(times, x)
+        assert stack.shape == (4, 5)
+        assert np.allclose(stack, exact(times[:, None], x), rtol=0, atol=1e-15)
+        for i, t in enumerate(times):
+            assert np.array_equal(stack[i], coeff.sample([t], x[i])[0])
+
+    def test_callable_called_once_per_time_with_float(self):
+        seen = []
+
+        def fn(t, xx):
+            seen.append(t)
+            return xx + t
+
+        times = np.linspace(0.0, 0.5, 3)
+        x = np.linspace(0, 1, 5)
+        out = Coefficient.make(fn).sample(times, x)
+        assert seen == [0.0, 0.25, 0.5] and all(type(t) is float for t in seen)
+        assert np.array_equal(out, x + times[:, None])
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    def test_nonfinite_names_first_bad_time(self):
+        times = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match=r"non-finite values at t=0\.5$"):
+            Coefficient.make("1/(t - 0.5) + 1/(t - 0.75)").sample(times, np.linspace(0, 1, 3))
 
     def test_rejects_spatial_y(self):
         with pytest.raises(ValueError, match="only use x and t"):
             Coefficient.from_expression("y + 1")
 
 
+def psi0(prob):
+    """psi(0, x) at the x-nodes, as the reduction computes it."""
+    return normalize(prob, time_nodes=4).psi_stack[0]
+
+
 class TestCoordinateMap:
     def test_unit_diffusion_identity(self):
         prob = ParabolicProblem(A=-1.0, a=0.0, c=0.0, f=0.0, u0=gaussian_u0(x_grid()), horizon=0.5)
-        cmap = coordinate_map(prob)
         x = prob.grid.coords(0)
-        assert np.max(np.abs(cmap.psi(0.0) - (x - x[0]))) < 1e-13
+        assert np.max(np.abs(psi0(prob) - (x - x[0]))) < 1e-13
 
     def test_constant_diffusion_scaling(self):
         # A = -4: psi_x = 1/2, psi = (x - x_left)/2
         prob = ParabolicProblem(A=-4.0, a=0.0, c=0.0, f=0.0, u0=gaussian_u0(x_grid()), horizon=0.5)
         x = prob.grid.coords(0)
-        psi = coordinate_map(prob).psi(0.0)
-        assert np.max(np.abs(psi - (x - x[0]) / 2)) < 1e-13
+        assert np.max(np.abs(psi0(prob) - (x - x[0]) / 2)) < 1e-13
 
     def test_asinh_profile(self):
         # A = -(1+x^2): psi_x = 1/sqrt(1+x^2), psi = asinh(x) - asinh(x_left)
@@ -66,23 +108,38 @@ class TestCoordinateMap:
         prob = ParabolicProblem(A="-(1 + x*x)", a=0.0, c=0.0, f=0.0,
                                 u0=gaussian_u0(grid), horizon=0.5)
         x = grid.coords(0)
-        psi = coordinate_map(prob).psi(0.0)
         exact = np.arcsinh(x) - np.arcsinh(x[0])
-        assert np.max(np.abs(psi - exact)) < 1e-8
+        assert np.max(np.abs(psi0(prob) - exact)) < 1e-8
 
-    def test_roundtrip(self):
-        grid = x_grid()
-        prob = ParabolicProblem(A="-(1 + 0.5*cos(x))", a=0.0, c=0.0, f=0.0,
-                                u0=gaussian_u0(grid), horizon=0.5)
-        assert coordinate_map(prob).roundtrip_error(0.0) < 1e-10
+    def test_pipeline_inverse_matches_exact(self):
+        # x(0, y) on the y-grid is the inverse of psi = asinh(x) - asinh(x_left),
+        # i.e. sinh(y + asinh(x_left)); the y-grid spans exactly the psi(0) image
+        errors = []
+        for n in (128, 512):
+            grid = x_grid(n=n)
+            prob = ParabolicProblem(A="-(1 + x*x)", a=0.0, c=0.0, f=0.0,
+                                    u0=gaussian_u0(grid), horizon=0.5)
+            norm = normalize(prob, time_nodes=4)
+            y = norm.y_grid.coords(0)
+            exact = np.sinh(y + np.arcsinh(grid.coords(0)[0]))
+            errors.append(float(np.max(np.abs(norm.x_of_y[0] - exact))))
+        assert errors[0] < 2e-6 and errors[1] < 1e-8
+        assert errors[0] / errors[1] > 100  # better than 3rd order in h
 
     def test_ellipticity_rejection_names_location(self):
         grid = x_grid()
         # positive diffusion in a neighborhood of x = 0
         prob = ParabolicProblem(A="-1 + 2*exp(-x*x)", a=0.0, c=0.0, f=0.0,
                                 u0=gaussian_u0(grid), horizon=0.5)
-        with pytest.raises(ValueError, match=r"A\(t=.*x=.*violates strict ellipticity"):
-            coordinate_map(prob)
+        with pytest.raises(ValueError, match=r"A\(t=0, x=.*violates strict ellipticity"):
+            normalize(prob, time_nodes=8)
+
+    def test_ellipticity_breach_after_start_names_its_time(self):
+        # A = -1 + 3t crosses zero at t = 1/3; the first node past it is 0.375
+        prob = ParabolicProblem(A="-1 + 3*t", a=0.0, c=0.0, f=0.0,
+                                u0=gaussian_u0(x_grid()), horizon=0.5)
+        with pytest.raises(ValueError, match=r"A\(t=0\.375, x=.*\) = 0\.125 violates strict ellipticity"):
+            normalize(prob, time_nodes=8)
 
 
 class TestNormalize:
@@ -135,7 +192,6 @@ class TestSolveNormalized:
             x_of_y=np.tile(x, (n_t, 1)),
             v0=v0,
             x_grid=grid,
-            map=None,
             horizon=1.0,
         )
 
@@ -291,25 +347,63 @@ class TestEdgeClamping:
         assert not normalize(prob, time_nodes=8).metadata["edge_clamped"]
 
 
+def manufactured_problem():
+    """The parabolic-1d benchmark problem: u = exp(-(x - v t)^2/2 - kappa t)
+    with variable diffusion, drift and potential; f makes u exact."""
+    alpha, beta, gamma, v, kappa = 0.3, 0.3, 0.2, 0.5, 0.2
+    A = f"-(1 + {alpha}*cos(x/2))"
+    drift = f"{beta}*sin(x)*exp(-t)"
+    c = f"{gamma}*cos(x)"
+    s = f"(x - {v}*t)"
+    u_text = f"exp(-{s}*{s}/2 - {kappa}*t)"
+    f = f"-{u_text}*({v}*{s} - {kappa} + {A}*({s}*{s} - 1) - {drift}*{s} + {c})"
+    grid = Grid((256,), (16.0 / 256,), (-8.0,), FreeSpaceTruncated(2.0))
+    x = grid.coords(0)
+    prob = ParabolicProblem(A=A, a=drift, c=c, f=f, u0=ScalarField(grid, np.exp(-x * x / 2)),
+                            horizon=0.5)
+    return prob, lambda t: np.exp(-((x - v * t) ** 2) / 2 - kappa * t)
+
+
 class TestManufacturedAccuracy:
     def test_variable_coefficients_at_64_steps(self):
-        # u = exp(-(x - v t)^2/2 - kappa t) with variable diffusion, drift and
-        # potential; f makes u exact.  The resampling interpolant must not
-        # flatten the peak: a monotone cubic leaves a 6.6e-4 error floor here.
-        alpha, beta, gamma, v, kappa = 0.3, 0.3, 0.2, 0.5, 0.2
-        A = f"-(1 + {alpha}*cos(x/2))"
-        drift = f"{beta}*sin(x)*exp(-t)"
-        c = f"{gamma}*cos(x)"
-        s = f"(x - {v}*t)"
-        u_text = f"exp(-{s}*{s}/2 - {kappa}*t)"
-        f = f"-{u_text}*({v}*{s} - {kappa} + {A}*({s}*{s} - 1) - {drift}*{s} + {c})"
-        grid = Grid((256,), (16.0 / 256,), (-8.0,), FreeSpaceTruncated(2.0))
-        x = grid.coords(0)
-        prob = ParabolicProblem(A=A, a=drift, c=c, f=f, u0=ScalarField(grid, np.exp(-x * x / 2)),
-                                horizon=0.5)
+        # The resampling interpolant must not flatten the peak: a monotone
+        # cubic leaves a 6.6e-4 error floor here.
+        prob, exact = manufactured_problem()
         sol = solve_parabolic(prob, SeriesOptions(depth_max=24, rel_tolerance=1e-10, time_steps=64))
-        error = max(
-            float(np.max(np.abs(snap.values - np.exp(-((x - v * t) ** 2) / 2 - kappa * t))))
-            for t, snap in sol.u
-        )
+        error = max(float(np.max(np.abs(snap.values - exact(t)))) for t, snap in sol.u)
         assert error < 1e-5
+
+
+class TestLatticeWork:
+    """The reduction samples each coefficient once and fits one spline per knot set."""
+
+    def _count(self, monkeypatch):
+        calls = Counter()
+        sample, spline = Coefficient.sample, parabolic.CubicSpline
+
+        def counted_sample(self, times, x):
+            calls["sample"] += 1
+            return sample(self, times, x)
+
+        def counted_spline(*args, **kwargs):
+            calls["spline"] += 1
+            return spline(*args, **kwargs)
+
+        monkeypatch.setattr(Coefficient, "sample", counted_sample)
+        monkeypatch.setattr(parabolic, "CubicSpline", counted_spline)
+        return calls
+
+    def test_each_coefficient_sampled_once(self, monkeypatch):
+        prob, _ = manufactured_problem()
+        calls = self._count(monkeypatch)
+        normalize(prob, time_nodes=64)
+        assert calls["sample"] == 4
+
+    def test_one_spline_per_knot_set(self, monkeypatch):
+        # one per time node (x and P over psi), one for u0, one per output (v and rho over y)
+        prob, _ = manufactured_problem()
+        calls = self._count(monkeypatch)
+        sol = solve_parabolic(prob, SeriesOptions(depth_max=24, rel_tolerance=1e-10, time_steps=64))
+        assert len(sol.u) == 65
+        assert calls["spline"] == 65 + 1 + 65 == 131
+        assert calls["sample"] == 4
