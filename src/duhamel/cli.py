@@ -1,13 +1,13 @@
 """Command-line front end: solve, verify, bench, inspect.
 
-Exit codes: 0 ok, 2 config error, 3 numerical failure (bound violation or
-non-convergence), 4 oracle mismatch.  Solve runs write CSF1 trajectories,
-bound reports as JSON lines, and a manifest recording the config hash,
-package and library versions, seed, kernel engine and padded transform
-shape, the forcing envelope over the solver's node samples, the sup norm of
-each emitted series order and why the series stopped, and timings;
-with a fixed config and seed the field artifacts are byte identical across
-runs.
+Exit codes: 0 ok, 2 config error, 3 numerical failure (bound violation,
+non-convergence, loss of positivity or overflow), 4 oracle mismatch.  Solve
+runs write CSF1 trajectories, bound reports as JSON lines, and a manifest
+recording the config hash, package and library versions, seed, kernel engine
+and padded transform shape, the forcing envelope over the solver's node
+samples, the sup norm of each emitted series order and why the series
+stopped, and timings; with a fixed config and seed the field artifacts are
+byte identical across runs.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .cole_hopf import CurlError, NSEProblem, PositivityError, solve_nse
@@ -63,16 +64,11 @@ def cmd_solve(args) -> int:
         "versions": {
             "duhamel": __version__,
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
         },
         "artifacts": [],
         "timings": {},
     }
-    try:
-        import scipy
-
-        manifest["versions"]["scipy"] = scipy.__version__
-    except ImportError:
-        pass
 
     status = EXIT_OK
     t0 = time.perf_counter()
@@ -83,7 +79,8 @@ def cmd_solve(args) -> int:
             status = _solve_nse(cfg, out_dir, manifest)
         else:
             status = _solve_parabolic(cfg, out_dir, manifest)
-    except (CurlError, PositivityError) as exc:
+    except (CurlError, PositivityError, ArithmeticError) as exc:
+        # ArithmeticError: the series or an exponential bound overflowed
         payload = {"errors": [{"path": cfg.kind, "message": str(exc)}]}
         if isinstance(exc, CurlError):
             payload["errors"][0]["curl_residual"] = exc.residual

@@ -96,28 +96,24 @@ def _staircase(u0: VectorField, anchor: tuple[int, ...], axis_order) -> np.ndarr
     return phi
 
 
-def potential_from_velocity(
-    u0: VectorField,
-    x0,
-    a: float,
-    curl_tolerance: float | None = None,
-) -> ScalarField:
+def potential_from_velocity(u0: VectorField, x0, a: float) -> ScalarField:
     """Velocity potential phi with grad(phi) = u0 and phi(x0) = a.
 
-    Integrates along the axis-aligned staircase path from the grid node
-    nearest ``x0`` (legs ordered x, then y, then z) with an
-    endpoint-corrected trapezoid per leg.  Path independence is asserted by
-    recomputing with the reversed axis order; the two results are averaged.
+    Rejects measurably rotational data first: a curl residual above
+    ``default_curl_tolerance(u0)`` raises ``CurlError``.  Then integrates
+    along the axis-aligned staircase path from the grid node nearest ``x0``
+    (legs ordered x, then y, then z) with an endpoint-corrected trapezoid
+    per leg.  Path independence is asserted by recomputing with the reversed
+    axis order; the two results are averaged.
     """
     if not np.isfinite(a):
         raise ValueError("anchor value a must be finite")
     grid = u0.grid
-    if curl_tolerance is None:
-        curl_tolerance = default_curl_tolerance(u0)
+    tolerance = default_curl_tolerance(u0)
     residual = curl_residual(u0)
-    if residual > curl_tolerance:
+    if residual > tolerance:
         raise CurlError(
-            f"curl residual {residual:.3e} exceeds tolerance {curl_tolerance:.3e}; "
+            f"curl residual {residual:.3e} exceeds tolerance {tolerance:.3e}; "
             "velocity is not a sampled gradient",
             residual,
         )
@@ -129,7 +125,7 @@ def potential_from_velocity(
         backward = _staircase(u0, anchor, range(grid.ndim - 1, -1, -1))
         gap = float(np.max(np.abs(forward - backward)))
         path_tol = max(
-            10.0 * curl_tolerance * grid.max_extent,
+            10.0 * tolerance * grid.max_extent,
             1e-8 * max(u0.max_norm, 1e-12) * grid.max_extent,
         )
         if gap > path_tol:
@@ -180,16 +176,17 @@ def velocity_from_field(
         grad = gradient(g)
         comps = tuple(-2.0 * c / g.values for c in grad.components)
         snaps.append(VectorField(g.grid, comps))
-    return Trajectory(G_traj.times, tuple(snaps), metadata=dict(G_traj.metadata))
+    return Trajectory(G_traj.times, tuple(snaps))
 
 
 @dataclass(frozen=True)
 class NSEProblem:
     """Potential-flow NSE data: initial velocity, anchor, forcing, bounds.
 
-    Invariants checked at construction: the velocity is curl free within
-    tolerance, its speed never exceeds ``speed_bound``, and the anchor value
-    is finite.
+    Invariants checked at construction: the speed of the velocity never
+    exceeds ``speed_bound``, and the anchor value is finite.  That the
+    velocity is curl free is checked once per solve, by
+    ``potential_from_velocity``, which raises ``CurlError``.
     """
 
     u0: VectorField
@@ -198,7 +195,6 @@ class NSEProblem:
     pressure_minus_force: Forcing | None
     speed_bound: float
     horizon: float
-    curl_tolerance: float | None = None
 
     def __post_init__(self):
         if not self.speed_bound > 0:
@@ -212,14 +208,6 @@ class NSEProblem:
             raise ValueError(
                 f"initial speed {speed:.6g} exceeds the declared bound {self.speed_bound:.6g}"
             )
-        tol = self.curl_tolerance
-        if tol is None:
-            tol = default_curl_tolerance(self.u0)
-        residual = curl_residual(self.u0)
-        if residual > tol:
-            raise CurlError(
-                f"curl residual {residual:.3e} exceeds tolerance {tol:.3e}", residual
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,7 +216,6 @@ class NSESolution:
 
     series: SeriesSolution
     velocity: Trajectory
-    potential: ScalarField
     floor_report: BoundReport
     ceiling_report: BoundReport
     residual: Trajectory | None
@@ -236,7 +223,7 @@ class NSESolution:
 
 def solve_nse(prob: NSEProblem, opts: SeriesOptions | None = None) -> NSESolution:
     """Full pipeline: phi -> G0 -> F -> series -> u, with bound reports."""
-    phi = potential_from_velocity(prob.u0, prob.x0, prob.a, prob.curl_tolerance)
+    phi = potential_from_velocity(prob.u0, prob.x0, prob.a)
     g0 = initial_field_from_potential(phi)
     F = forcing_from_pressure(prob.pressure_minus_force)
     sol = solve_controlled_heat(g0, F, prob.horizon, opts)
@@ -246,7 +233,7 @@ def solve_nse(prob: NSEProblem, opts: SeriesOptions | None = None) -> NSESolutio
     residual = None
     if len(u.times) >= 3:
         residual = nse_residual(u, prob.pressure_minus_force)
-    return NSESolution(sol, u, phi, floor, ceiling, residual)
+    return NSESolution(sol, u, floor, ceiling, residual)
 
 
 def _time_derivative(snaps: list[VectorField], times, j: int, axis: int) -> np.ndarray:
@@ -298,8 +285,7 @@ def nse_residual(u: Trajectory, p_minus_f: Forcing | None) -> Trajectory:
             worst = np.where(mask, worst, 0.0)
         out_times.append(t)
         out_fields.append(ScalarField(grid, worst))
-    meta = {"interior_only": not grid.is_periodic}
-    return Trajectory(tuple(out_times), tuple(out_fields), metadata=meta)
+    return Trajectory(tuple(out_times), tuple(out_fields))
 
 
 def worst_case_upper_bound(r: float, t: float, c: float, a: float) -> float:

@@ -43,37 +43,12 @@ class ScalarField:
         object.__setattr__(self, "values", _freeze(self.values, self.grid.shape))
 
     @classmethod
-    def from_function(cls, grid: Grid, fn) -> "ScalarField":
-        return cls(grid, fn(*grid.meshgrid()) * np.ones(grid.shape))
-
-    @classmethod
     def constant(cls, grid: Grid, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(value)))
 
     @property
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def __add__(self, other):
-        other = other.values if isinstance(other, ScalarField) else other
-        return ScalarField(self.grid, self.values + other)
-
-    def __sub__(self, other):
-        other = other.values if isinstance(other, ScalarField) else other
-        return ScalarField(self.grid, self.values - other)
-
-    def __mul__(self, other):
-        other = other.values if isinstance(other, ScalarField) else other
-        return ScalarField(self.grid, self.values * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = other.values if isinstance(other, ScalarField) else other
-        return ScalarField(self.grid, self.values / other)
-
-    def __neg__(self):
-        return ScalarField(self.grid, -self.values)
 
 
 @dataclass(frozen=True)
@@ -88,12 +63,6 @@ class VectorField:
         if len(comps) != self.grid.ndim:
             raise ValueError(f"expected {self.grid.ndim} components, got {len(comps)}")
         object.__setattr__(self, "components", comps)
-
-    @classmethod
-    def from_functions(cls, grid: Grid, fns) -> "VectorField":
-        mesh = grid.meshgrid()
-        ones = np.ones(grid.shape)
-        return cls(grid, tuple(fn(*mesh) * ones for fn in fns))
 
     @property
     def max_norm(self) -> float:

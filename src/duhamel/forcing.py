@@ -58,17 +58,16 @@ class Forcing:
     ``(len(times), *grid.shape)`` stack; ``sample`` fills and checks it.
     """
 
-    def __init__(self, evaluate, kind: str, source=None):
+    def __init__(self, evaluate, kind: str):
         self._evaluate = evaluate
         self.kind = kind
-        self.source = source
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def constant(cls, value: float) -> "Forcing":
         value = float(value)
-        return cls(lambda grid, times: value, "constant", value)
+        return cls(lambda grid, times: value, "constant")
 
     @classmethod
     def zero(cls) -> "Forcing":
@@ -82,7 +81,7 @@ class Forcing:
         def evaluate(grid: Grid, times: np.ndarray) -> np.ndarray:
             return evaluate_expression(expr, [grid.coords(d) for d in range(grid.ndim)], times)
 
-        return cls(evaluate, "expression", expr.source)
+        return cls(evaluate, "expression")
 
     @classmethod
     def from_callable(cls, fn) -> "Forcing":
@@ -113,7 +112,7 @@ class Forcing:
                 raise ValueError("sampled forcing queried on a different grid")
             return np.stack([interpolate_in_time(times, stack, float(t)) for t in at])
 
-        return cls(evaluate, "sampled", (times, stack))
+        return cls(evaluate, "sampled")
 
     # -- evaluation -----------------------------------------------------------
 
@@ -139,11 +138,8 @@ class Forcing:
     def halved(self) -> "Forcing":
         """Pointwise half of this forcing."""
         inner = self._evaluate
-        return Forcing(
-            lambda grid, times: 0.5 * np.asarray(inner(grid, times), dtype=float),
-            self.kind,
-            self.source,
-        )
+        return Forcing(lambda grid, times: 0.5 * np.asarray(inner(grid, times), dtype=float),
+                       self.kind)
 
     def __repr__(self):
         return f"Forcing(kind={self.kind!r})"

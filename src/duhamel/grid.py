@@ -101,10 +101,6 @@ class Grid:
     def is_periodic(self) -> bool:
         return isinstance(self.boundary, Periodic)
 
-    @property
-    def min_spacing(self) -> float:
-        return min(self.spacing)
-
     def extent(self, axis: int) -> float:
         """Base domain length along ``axis`` (n cells of width h)."""
         return self.points[axis] * self.spacing[axis]

@@ -1,4 +1,4 @@
-"""Binary CSF1 field files, CSV export, and trajectory directories.
+"""Binary CSF1 field files and trajectory directories.
 
 CSF1 layout (little endian): magic ``CSF1``, u32 ndim, u32 dims[ndim],
 f64 spacing[ndim], f64 origin[ndim], u8 boundary flag, f64 values row-major.
@@ -9,6 +9,8 @@ part of the format; free-space grids load with the default factor.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -20,7 +22,6 @@ from .grid import FreeSpaceTruncated, Grid, Periodic
 __all__ = [
     "write_field",
     "read_field",
-    "export_csv",
     "write_trajectory",
     "read_trajectory",
 ]
@@ -42,7 +43,7 @@ def write_field(field: ScalarField, path) -> None:
 
 
 def read_field(path) -> ScalarField:
-    """Read a CSF1 file; a malformed or truncated file raises ``ValueError``."""
+    """Read a CSF1 file; a malformed, truncated or overlong file raises ``ValueError``."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -57,25 +58,18 @@ def read_field(path) -> ScalarField:
             (flag,) = struct.unpack("<B", fh.read(1))
         except struct.error as exc:
             raise ValueError(f"{path}: truncated header ({exc})") from None
-        boundary = Periodic() if flag == 0 else FreeSpaceTruncated()
-        grid = Grid(dims, spacing, origin, boundary)
-        data = np.frombuffer(fh.read(8 * grid.size), dtype="<f8")
-        if data.size != grid.size:
+        if flag not in (0, 1):
+            raise ValueError(f"{path}: bad boundary flag {flag}")
+        grid = Grid(dims, spacing, origin, Periodic() if flag == 0 else FreeSpaceTruncated())
+        # check the size the header declares before asking for that many bytes
+        expected = 8 * math.prod(grid.points)
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if remaining < expected:
             raise ValueError(f"{path}: truncated value block")
+        if remaining > expected:
+            raise ValueError(f"{path}: {remaining - expected} trailing bytes after the value block")
+        data = np.frombuffer(fh.read(expected), dtype="<f8")
     return ScalarField(grid, data.reshape(grid.shape))
-
-
-def export_csv(field: ScalarField | VectorField, path) -> None:
-    """One row per node: coordinates then value(s), 17 significant digits."""
-    grid = field.grid
-    mesh = [m.ravel() for m in grid.meshgrid()]
-    if isinstance(field, ScalarField):
-        cols = mesh + [field.values.ravel()]
-    else:
-        cols = mesh + [c.ravel() for c in field.components]
-    with open(path, "w") as fh:
-        for row in zip(*cols):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def write_trajectory(traj: Trajectory, directory, stem: str) -> None:

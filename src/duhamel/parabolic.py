@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .fields import ScalarField, Trajectory, _fd_first
 from .expressions import compile_expression
@@ -61,14 +60,13 @@ class Coefficient:
     ``(len(times), n)`` stack; ``x`` is ``(1, n)`` or ``(len(times), n)``.
     """
 
-    def __init__(self, evaluate, source=None):
+    def __init__(self, evaluate):
         self._evaluate = evaluate
-        self.source = source
 
     @classmethod
     def constant(cls, value: float) -> "Coefficient":
         value = float(value)
-        return cls(lambda times, x: value, value)
+        return cls(lambda times, x: value)
 
     @classmethod
     def from_expression(cls, source: str) -> "Coefficient":
@@ -77,7 +75,7 @@ class Coefficient:
         if extra:
             raise ValueError(f"parabolic coefficients may only use x and t, got {sorted(extra)}")
         # t is an open (n_t, 1) column, so a division by zero gives inf, not an exception
-        return cls(lambda times, x: expr(x=x, t=times[:, None]), source)
+        return cls(lambda times, x: expr(x=x, t=times[:, None]))
 
     @classmethod
     def from_callable(cls, fn) -> "Coefficient":
@@ -188,6 +186,8 @@ def normalize(prob: ParabolicProblem, time_nodes: int = 64) -> NormalizedProblem
     stacks linearly between nodes, so it should match (or exceed) the series
     time resolution.
     """
+    from scipy.interpolate import CubicSpline  # imported here: heat and NSE runs never interpolate
+
     x_grid = prob.grid
     x = x_grid.coords(0)
     n_x = x_grid.points[0]
@@ -269,6 +269,8 @@ def back_transform(v: Trajectory, np_: NormalizedProblem) -> Trajectory:
     per output time; nodes mapping outside the computed y-range take the edge
     values and are flagged in the metadata.
     """
+    from scipy.interpolate import CubicSpline
+
     y = np_.y_grid.coords(0)
     t_nodes = np.asarray(np_.t_nodes)
     out = []
@@ -281,16 +283,14 @@ def back_transform(v: Trajectory, np_: NormalizedProblem) -> Trajectory:
         spline = CubicSpline(y, np.column_stack([snap.values, rho_t]))
         v_at, rho_at = spline(np.clip(psi_t, y[0], y[-1])).T
         out.append(ScalarField(np_.x_grid, np.exp(-rho_at) * v_at))
-    meta = dict(v.metadata)
-    meta["edge_clamped"] = clamped or np_.metadata.get("edge_clamped", False)
-    return Trajectory(v.times, tuple(out), metadata=meta)
+    edge_clamped = clamped or np_.metadata.get("edge_clamped", False)
+    return Trajectory(v.times, tuple(out), metadata={"edge_clamped": edge_clamped})
 
 
 @dataclass(frozen=True, eq=False)
 class ParabolicSolution:
     u: Trajectory
     v: Trajectory
-    normalized: NormalizedProblem
     series: SeriesSolution
 
 
@@ -301,4 +301,4 @@ def solve_parabolic(prob: ParabolicProblem, opts: SeriesOptions | None = None) -
     sol = solve_normalized(np_, opts)
     v = sol.trajectory
     u = back_transform(v, np_)
-    return ParabolicSolution(u=u, v=v, normalized=np_, series=sol)
+    return ParabolicSolution(u=u, v=v, series=sol)

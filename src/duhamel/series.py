@@ -299,7 +299,6 @@ class SeriesSolution:
     forcing_inf: float
     propagated_abs_g0: tuple[np.ndarray, ...]
     g0_positive: bool
-    horizon: float
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -356,7 +355,10 @@ def solve_controlled_heat(
     relative sup norm of the newest term drops below ``rel_tolerance`` or
     ``depth_max`` is reached; the latter sets ``not_converged``.  Each order
     is swept only when its term is reconstructed, so no order past the
-    emitted depth is computed.
+    emitted depth is computed.  A sum that overflows double precision
+    raises ``FloatingPointError``; an exponential envelope that does (in the
+    tail estimate here or in the ``*_check`` functions) raises
+    ``OverflowError``.
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
@@ -415,6 +417,10 @@ def solve_controlled_heat(
         order_norms.append(term_norm)
         total = tk if total is None else total + tk
         g_scale = max(float(np.max(np.abs(total))), 1e-300)
+        if not math.isfinite(g_scale):
+            raise FloatingPointError(
+                f"the series sum overflows at order {k} (sup |F| = {max(f_sup, -f_inf):.3g})"
+            )
         if k >= 1 and term_norm < opts.rel_tolerance * g_scale:
             stop_reason = "tolerance"
             break
@@ -442,9 +448,8 @@ def solve_controlled_heat(
     metadata = {"gauge_center": cbar, "engine": engine.torus.summary(),
                 "order_norms": order_norms, "stop_reason": stop_reason}
 
-    traj = Trajectory(tuple(out_times), tuple(snapshots), metadata=dict(metadata))
     return SeriesSolution(
-        trajectory=traj,
+        trajectory=Trajectory(tuple(out_times), tuple(snapshots)),
         terms=term_fields,
         truncation_depth=depth,
         estimated_truncation_error=float(est),
@@ -454,7 +459,6 @@ def solve_controlled_heat(
         forcing_inf=f_inf,
         propagated_abs_g0=kg0,
         g0_positive=bool(np.all(G0.values > 0)),
-        horizon=float(horizon),
         metadata=metadata,
     )
 
@@ -482,7 +486,6 @@ class BoundReport:
 
     check: str
     records: tuple[BoundRecord, ...]
-    slack: float = BOUND_SLACK
 
     @property
     def passed(self) -> bool:

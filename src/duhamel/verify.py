@@ -1,5 +1,5 @@
-"""Independent oracles: finite-difference steppers, manufactured solutions,
-convergence studies, and random smooth test data.
+"""Independent oracles: finite-difference steppers, manufactured solutions
+and random smooth test data.
 
 Nothing here shares code with the solver paths it checks: space derivatives
 are banded finite-difference matrices (not spectral symbols), and time
@@ -25,8 +25,6 @@ __all__ = [
     "fd_burgers",
     "ManufacturedCase",
     "make_manufactured",
-    "convergence_study",
-    "ConvergenceReport",
     "band_limited_field",
     "random_bounded_forcing",
     "random_lipschitz_potential",
@@ -209,83 +207,6 @@ def make_manufactured(expr: str, grid: Grid, horizon: float, time_samples: int =
         source=expr,
         _g_fn=g_fn,
         _u_fns=u_fns,
-    )
-
-
-# ---------------------------------------------------------------------------
-# convergence studies
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    resolutions: tuple[int, ...]
-    errors_linf: tuple[float, ...]
-    errors_l2: tuple[float, ...]
-    orders_linf: tuple[float, ...]
-    orders_l2: tuple[float, ...]
-    saturated: bool
-    monotone: bool
-
-    def summary(self) -> str:
-        rows = ["resolution  L_inf        order   L2           order"]
-        for i, n in enumerate(self.resolutions):
-            o_inf = f"{self.orders_linf[i - 1]:.2f}" if i else "  - "
-            o_l2 = f"{self.orders_l2[i - 1]:.2f}" if i else "  - "
-            rows.append(
-                f"{n:10d}  {self.errors_linf[i]:.5e}  {o_inf}  {self.errors_l2[i]:.5e}  {o_l2}"
-            )
-        if self.saturated:
-            rows.append("saturated: errors at the quadrature/rounding floor")
-        if not self.monotone:
-            rows.append("warning: error sequence is not monotone")
-        return "\n".join(rows)
-
-    def to_jsonl(self) -> str:
-        import json
-
-        lines = []
-        for i, n in enumerate(self.resolutions):
-            row = {"resolution": n, "error_linf": self.errors_linf[i],
-                   "error_l2": self.errors_l2[i]}
-            if i:
-                row["order_linf"] = self.orders_linf[i - 1]
-                row["order_l2"] = self.orders_l2[i - 1]
-            lines.append(json.dumps(row))
-        return "\n".join(lines) + "\n"
-
-
-def convergence_study(case_runner, resolutions, saturation_floor: float = 1e-12) -> ConvergenceReport:
-    """Observed orders from a runner mapping resolution -> (linf, l2) errors.
-
-    Needs at least 3 resolutions, each double the last.  Non-monotone error
-    sequences are reported, never hidden; sequences that bottom out below
-    ``saturation_floor`` are flagged as saturated.
-    """
-    resolutions = tuple(int(r) for r in resolutions)
-    if len(resolutions) < 3:
-        raise ValueError("need at least 3 resolutions")
-    if any(b != 2 * a for a, b in zip(resolutions, resolutions[1:])):
-        raise ValueError("resolutions must double at each step")
-    linf, l2 = [], []
-    for r in resolutions:
-        e_inf, e_2 = case_runner(r)
-        linf.append(float(e_inf))
-        l2.append(float(e_2))
-    floor = saturation_floor
-    orders_inf = tuple(
-        float(np.log2(max(a, floor) / max(b, floor))) for a, b in zip(linf, linf[1:])
-    )
-    orders_l2 = tuple(
-        float(np.log2(max(a, floor) / max(b, floor))) for a, b in zip(l2, l2[1:])
-    )
-    return ConvergenceReport(
-        resolutions=resolutions,
-        errors_linf=tuple(linf),
-        errors_l2=tuple(l2),
-        orders_linf=orders_inf,
-        orders_l2=orders_l2,
-        saturated=min(linf) <= floor,
-        monotone=all(b <= a * 1.05 for a, b in zip(linf, linf[1:])),
     )
 
 

@@ -16,6 +16,7 @@ from duhamel import (
     gradient,
     solve_controlled_heat,
 )
+from duhamel import cole_hopf
 from duhamel.cole_hopf import (
     CurlError,
     NSEProblem,
@@ -58,7 +59,8 @@ class TestPotential:
 
     def test_2d_product_potential(self):
         g = periodic_2d()
-        phi_exact = ScalarField.from_function(g, lambda x, y: np.sin(x) * np.sin(y))
+        x, y = g.meshgrid()
+        phi_exact = ScalarField(g, np.sin(x) * np.sin(y))
         u0 = gradient(phi_exact)
         phi = potential_from_velocity(u0, (0.0, 0.0), 0.0)
         # the anchor value is imposed at the node nearest the origin
@@ -68,7 +70,8 @@ class TestPotential:
 
     def test_rotational_data_rejected(self):
         g = periodic_2d(48)
-        u0 = VectorField.from_functions(g, (lambda x, y: -np.sin(y), lambda x, y: np.sin(x)))
+        x, y = g.meshgrid()
+        u0 = VectorField(g, (-np.sin(y), np.sin(x)))
         with pytest.raises(CurlError) as err:
             potential_from_velocity(u0, (0.0, 0.0), 0.0)
         assert err.value.residual > 1.0
@@ -218,6 +221,36 @@ class TestSolveNSE:
         opts = SeriesOptions(depth_max=24, time_steps=32, output_times=(0.25, 0.5))
         sol = solve_nse(prob, opts)
         assert min(float(np.min(s.values)) for _, s in sol.series.trajectory) > 0.0
+
+
+    def _curl_free_2d(self):
+        g = periodic_2d(16)
+        x, y = g.meshgrid()
+        return VectorField(g, (0.3 * np.cos(x) * np.sin(y), 0.3 * np.sin(x) * np.cos(y)))
+
+    def test_curl_checked_once_per_solve(self, monkeypatch):
+        calls = []
+        residual = cole_hopf.curl_residual
+
+        def counted(u):
+            calls.append(u)
+            return residual(u)
+
+        monkeypatch.setattr(cole_hopf, "curl_residual", counted)
+        prob = NSEProblem(self._curl_free_2d(), (0.0, 0.0), 0.0, None, speed_bound=1.0,
+                          horizon=0.25)
+        sol = solve_nse(prob, SeriesOptions(time_steps=4, output_times=(0.125, 0.25)))
+        assert sol.floor_report.passed
+        assert len(calls) == 1
+
+    def test_rotational_data_rejected_by_solve(self):
+        g = periodic_2d(32)
+        x, y = g.meshgrid()
+        u0 = VectorField(g, (-0.5 * np.sin(y), 0.5 * np.sin(x)))
+        prob = NSEProblem(u0, (0.0, 0.0), 0.0, None, speed_bound=1.0, horizon=0.25)
+        with pytest.raises(CurlError) as err:
+            solve_nse(prob, SeriesOptions(time_steps=4))
+        assert err.value.residual > 0.5
 
 
 class TestNSEResidual:

@@ -1,7 +1,9 @@
 """Config schema validation and the CLI surface."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +12,10 @@ import numpy as np
 import pytest
 
 import duhamel
-from duhamel import suites
+from duhamel import Grid, ScalarField, suites
 from duhamel.cli import main
 from duhamel.config import ConfigError, load_config
-from duhamel.io import read_trajectory
+from duhamel.io import read_trajectory, write_field
 from duhamel.suites import DEFAULT_SEED, suite_bounds
 
 
@@ -326,6 +328,26 @@ class TestSolveCommand:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["not_converged"]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind, points, keys, value", [
+        ("heat", 16, ("controlled_heat", "forcing"), "750"),
+        ("heat", 16, ("controlled_heat", "forcing"), "800*cos(x)"),
+        ("heat", 16, ("controlled_heat", "forcing"), "1e300*cos(x)"),
+        ("nse", 32, ("nse", "pressure_minus_force"), "1500"),
+    ], ids=["heat-750", "heat-800cos", "heat-1e300cos", "nse-1500"])
+    def test_series_overflow_exits_3(self, tmp_path, capsys, kind, points, keys, value):
+        body = CONFIGS[kind]()
+        body["grid"]["points"] = [points]
+        body["series"] = {"time_steps": 8, "depth_max": 64}
+        body[keys[0]][keys[1]] = value
+        body[keys[0]]["horizon"] = 1.0
+        out = tmp_path / "out"
+        assert main(["solve", write_config(tmp_path, body), "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["errors"][0]["path"] == body["kind"]
+        assert json.loads((out / "manifest.json").read_text())["exit_status"] == 3
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
@@ -377,14 +399,31 @@ class TestVerifyCommand:
 
 
 class TestImportCost:
-    def test_cli_import_leaves_sympy_out(self):
-        # only the verify suites need sympy; a solve must not pay for importing it
+    def _imported_by_cli(self, module):
         src = str(Path(duhamel.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, duhamel.cli; print('sympy' in sys.modules)"
+        code = f"import sys, duhamel.cli; print({module!r} in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
-        assert out.strip() == "False"
+        return out.strip() == "True"
+
+    def test_cli_import_leaves_sympy_out(self):
+        # only the verify suites need sympy; a solve must not pay for importing it
+        assert not self._imported_by_cli("sympy")
+
+    def test_cli_import_leaves_scipy_interpolate_out(self):
+        # only parabolic runs interpolate; heat and NSE solves must not import it
+        assert not self._imported_by_cli("scipy.interpolate")
+
+
+class TestPublicNames:
+    def test_every_export_resolves(self):
+        names = [m.name for m in pkgutil.iter_modules(duhamel.__path__)]
+        assert "cli" in names
+        for name in ["duhamel"] + [f"duhamel.{m}" for m in names]:
+            module = importlib.import_module(name)
+            for export in getattr(module, "__all__", ()):
+                assert hasattr(module, export), f"{name}.__all__ names missing {export!r}"
 
 
 class TestBenchCommand:
@@ -444,6 +483,33 @@ class TestInspectCommand:
         path.write_bytes(b"CSF1\x02\x00")
         assert main(["inspect", str(path)]) == 2
         assert main(["inspect", str(tmp_path / "missing.csf")]) == 2
+
+    def _valid_file(self, tmp_path):
+        path = tmp_path / "f.csf"
+        write_field(ScalarField(Grid((8,), (0.5,), (0.0,)), np.arange(8.0)), path)
+        assert main(["inspect", str(path)]) == 0
+        return path, bytearray(path.read_bytes())
+
+    def test_rejects_unknown_boundary_flag(self, tmp_path, capsys):
+        path, raw = self._valid_file(tmp_path)
+        raw[28] = 7  # flag byte of a 1-D header
+        path.write_bytes(bytes(raw))
+        assert main(["inspect", str(path)]) == 2
+        assert "boundary flag 7" in capsys.readouterr().err
+
+    def test_rejects_trailing_bytes(self, tmp_path, capsys):
+        path, raw = self._valid_file(tmp_path)
+        path.write_bytes(bytes(raw) + bytes(8))
+        assert main(["inspect", str(path)]) == 2
+        assert "trailing bytes" in capsys.readouterr().err
+
+    def test_rejects_declared_size_beyond_the_file(self, tmp_path, capsys):
+        # 4e9 points would ask for 32 GB before noticing the file is short
+        path, raw = self._valid_file(tmp_path)
+        raw[8:12] = (4_000_000_000).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        assert main(["inspect", str(path)]) == 2
+        assert "truncated value block" in capsys.readouterr().err
 
     def test_free_space_header(self, tmp_path, capsys):
         main(["solve", write_config(tmp_path, parabolic_config()), "-o", str(tmp_path / "out")])

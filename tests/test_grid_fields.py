@@ -167,7 +167,8 @@ class TestCurl:
 
     def test_gradient_field_is_curl_free(self):
         g = self.grid2d()
-        phi = ScalarField.from_function(g, lambda x, y: np.sin(x) * np.sin(y))
+        x, y = g.meshgrid()
+        phi = ScalarField(g, np.sin(x) * np.sin(y))
         u = gradient(phi)
         assert curl_residual(u) < 1e-6
 
@@ -176,10 +177,12 @@ class TestCurl:
         n, extent = 32, 2.0
         h = extent / n
         g = Grid((n, n), (h, h), (-1.0, -1.0), FreeSpaceTruncated(2.0))
-        u = VectorField.from_functions(g, (lambda x, y: -y, lambda x, y: x))
+        x, y = g.meshgrid()
+        u = VectorField(g, (-y, x))
         assert abs(curl_residual(u) - 2.0) < 1e-10
 
     def test_curl_of_sampled_gradient_any_smooth_potential(self):
         g = self.grid2d(96)
-        phi = ScalarField.from_function(g, lambda x, y: np.exp(0.3 * np.sin(x) + 0.2 * np.cos(2 * y)))
+        x, y = g.meshgrid()
+        phi = ScalarField(g, np.exp(0.3 * np.sin(x) + 0.2 * np.cos(2 * y)))
         assert curl_residual(gradient(phi)) < 1e-8

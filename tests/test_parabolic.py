@@ -5,9 +5,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.interpolate
 
 from duhamel import Forcing, FreeSpaceTruncated, Grid, ScalarField, SeriesOptions, convolve
-from duhamel import parabolic
 from duhamel.parabolic import (
     Coefficient,
     NormalizedProblem,
@@ -379,7 +379,7 @@ class TestLatticeWork:
 
     def _count(self, monkeypatch):
         calls = Counter()
-        sample, spline = Coefficient.sample, parabolic.CubicSpline
+        sample, spline = Coefficient.sample, scipy.interpolate.CubicSpline
 
         def counted_sample(self, times, x):
             calls["sample"] += 1
@@ -390,7 +390,8 @@ class TestLatticeWork:
             return spline(*args, **kwargs)
 
         monkeypatch.setattr(Coefficient, "sample", counted_sample)
-        monkeypatch.setattr(parabolic, "CubicSpline", counted_spline)
+        # normalize and back_transform import CubicSpline when they run
+        monkeypatch.setattr(scipy.interpolate, "CubicSpline", counted_spline)
         return calls
 
     def test_each_coefficient_sampled_once(self, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from duhamel import FreeSpaceTruncated, Grid, ScalarField, Trajectory, VectorField
-from duhamel.io import export_csv, read_field, read_trajectory, write_field, write_trajectory
+from duhamel.io import read_field, read_trajectory, write_field, write_trajectory
 from duhamel.quadrature import corrected_cumulative_trapezoid
 
 
@@ -70,35 +70,6 @@ class TestCSF1:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             read_field(path)
-
-
-class TestCSV:
-    def test_scalar_rows(self, tmp_path):
-        g = Grid((8,), (0.5,), (0.0,))
-        f = ScalarField(g, np.arange(8.0))
-        path = tmp_path / "f.csv"
-        export_csv(f, path)
-        rows = path.read_text().strip().split("\n")
-        assert len(rows) == 8
-        x0, v0 = rows[0].split(",")
-        assert float(x0) == 0.25  # cell-centered
-        assert float(v0) == 0.0
-
-    def test_vector_rows(self, tmp_path):
-        g = Grid((8, 8), (0.5, 0.5), (0.0, 0.0))
-        u = VectorField(g, (np.ones((8, 8)), 2 * np.ones((8, 8))))
-        path = tmp_path / "u.csv"
-        export_csv(u, path)
-        first = path.read_text().strip().split("\n")[0].split(",")
-        assert len(first) == 4  # x, y, ux, uy
-
-    def test_17_digit_roundtrip(self, tmp_path):
-        g = Grid((8,), (0.5,), (0.0,))
-        vals = np.array([np.pi, np.e, 1 / 3, 2 / 7, 1e-17, 1.0, -np.pi * 1e8, 0.1])
-        export_csv(ScalarField(g, vals), tmp_path / "f.csv")
-        rows = (tmp_path / "f.csv").read_text().strip().split("\n")
-        back = np.array([float(r.split(",")[1]) for r in rows])
-        assert np.array_equal(back, vals)
 
 
 class TestTrajectoryIO:

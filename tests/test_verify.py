@@ -1,4 +1,4 @@
-"""The oracle layer itself: FD steppers, manufactured cases, order studies."""
+"""The oracle layer itself: FD steppers, manufactured cases, random test data."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from duhamel import Forcing, FreeSpaceTruncated, Grid, ScalarField
 from duhamel.verify import (
     band_limited_field,
-    convergence_study,
     fd_burgers,
     fd_controlled_heat,
     make_manufactured,
@@ -128,39 +127,6 @@ class TestManufactured:
         g = periodic_1d(64)
         with pytest.raises(ValueError, match="strictly positive"):
             make_manufactured("cos(x)", g, 1.0)
-
-
-class TestConvergenceStudy:
-    def test_second_order_case(self):
-        g = periodic_1d()
-        x = g.coords(0)
-        G0 = ScalarField(g, np.sin(x))
-        exact = math.exp(-0.5) * np.sin(x)
-
-        def runner(n):
-            out = fd_controlled_heat(G0, Forcing.zero(), 0.5, 0.5 / n, output_times=(0.5,))
-            diff = out.snapshots[0].values - exact
-            return np.max(np.abs(diff)), np.sqrt(np.mean(diff**2))
-
-        report = convergence_study(runner, (32, 64, 128, 256))
-        assert report.monotone and not report.saturated
-        assert all(abs(o - 2.0) <= 0.3 for o in report.orders_linf)
-
-    def test_saturation_flagged(self):
-        report = convergence_study(lambda n: (1e-15, 1e-15), (16, 32, 64))
-        assert report.saturated
-
-    def test_non_monotone_reported_not_hidden(self):
-        errs = {16: 1e-3, 32: 2e-3, 64: 1e-4}
-        report = convergence_study(lambda n: (errs[n], errs[n]), (16, 32, 64))
-        assert not report.monotone
-        assert "not monotone" in report.summary()
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError, match="3 resolutions"):
-            convergence_study(lambda n: (1.0, 1.0), (16, 32))
-        with pytest.raises(ValueError, match="double"):
-            convergence_study(lambda n: (1.0, 1.0), (16, 32, 48))
 
 
 class TestRandomData:
