@@ -1,13 +1,16 @@
 """Command-line front end: solve, verify, bench, inspect.
 
-Exit codes: 0 ok, 2 config error, 3 numerical failure (bound violation,
-non-convergence, loss of positivity or overflow), 4 oracle mismatch.  Solve
-runs write CSF1 trajectories, bound reports as JSON lines, and a manifest
-recording the config hash, package and library versions, seed, kernel engine
-and padded transform shape, the forcing envelope over the solver's node
-samples, the sup norm of each emitted series order and why the series
-stopped, and timings; with a fixed config and seed the field artifacts are
-byte identical across runs.
+Exit codes: 0 ok, 2 config or usage error (including an output directory
+that cannot be written), 3 numerical failure (bound violation,
+non-convergence, loss of positivity or overflow), 4 oracle mismatch.  Every
+code-2 error, and an overflow or loss of positivity that stops a solve, is
+printed as one JSON error list on stderr.  Solve runs write CSF1
+trajectories, bound reports as JSON lines, and a manifest recording the
+config hash, package and library versions, seed, kernel engine and padded
+transform shape, the forcing envelope over the solver's node samples, the sup
+norm of each emitted series order and why the series stopped, and timings;
+with a fixed config and seed the field artifacts are byte identical across
+runs.
 """
 
 from __future__ import annotations
@@ -46,15 +49,19 @@ def _write_report(report, path: Path):
     path.write_text(report.to_jsonl())
 
 
+def _errors(code: int, *errors: dict) -> int:
+    """Print ``{"errors": [...]}`` on stderr and return the exit ``code``."""
+    print(json.dumps({"errors": list(errors)}, indent=2), file=sys.stderr)
+    return code
+
+
 def cmd_solve(args) -> int:
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
-        print(exc.payload(), file=sys.stderr)
-        return EXIT_CONFIG
+        return _errors(EXIT_CONFIG, *exc.errors)
 
     out_dir = Path(args.output or cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "config_hash": _config_hash(cfg.raw),
         "config_path": str(args.config),
@@ -70,32 +77,28 @@ def cmd_solve(args) -> int:
         "timings": {},
     }
 
-    status = EXIT_OK
     t0 = time.perf_counter()
     try:
-        if cfg.kind == "controlled-heat":
-            status = _solve_controlled_heat(cfg, out_dir, manifest)
-        elif cfg.kind == "nse":
-            status = _solve_nse(cfg, out_dir, manifest)
-        else:
-            status = _solve_parabolic(cfg, out_dir, manifest)
-    except (CurlError, PositivityError, ArithmeticError) as exc:
-        # ArithmeticError: the series or an exponential bound overflowed
-        payload = {"errors": [{"path": cfg.kind, "message": str(exc)}]}
-        if isinstance(exc, CurlError):
-            payload["errors"][0]["curl_residual"] = exc.residual
-            print(json.dumps(payload, indent=2), file=sys.stderr)
-            return EXIT_CONFIG
-        print(json.dumps(payload, indent=2), file=sys.stderr)
-        status = EXIT_NUMERICAL
+        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            if cfg.kind == "controlled-heat":
+                status = _solve_controlled_heat(cfg, out_dir, manifest)
+            elif cfg.kind == "nse":
+                status = _solve_nse(cfg, out_dir, manifest)
+            else:
+                status = _solve_parabolic(cfg, out_dir, manifest)
+        except (PositivityError, ArithmeticError) as exc:
+            # ArithmeticError: the series or an exponential envelope overflowed
+            status = _errors(EXIT_NUMERICAL, {"path": cfg.kind, "message": str(exc)})
+        manifest["timings"]["total_s"] = time.perf_counter() - t0
+        manifest["exit_status"] = status
+        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    except CurlError as exc:
+        return _errors(EXIT_CONFIG, {"path": cfg.kind, "message": str(exc), "curl_residual": exc.residual})
     except ValueError as exc:
-        print(json.dumps({"errors": [{"path": cfg.kind, "message": str(exc)}]}, indent=2),
-              file=sys.stderr)
-        return EXIT_CONFIG
-
-    manifest["timings"]["total_s"] = time.perf_counter() - t0
-    manifest["exit_status"] = status
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        return _errors(EXIT_CONFIG, {"path": cfg.kind, "message": str(exc)})
+    except OSError as exc:
+        return _errors(EXIT_CONFIG, {"path": "output_dir", "message": f"cannot write the artifacts: {exc}"})
     return status
 
 
@@ -156,7 +159,7 @@ def _solve_nse(cfg: RunConfig, out_dir: Path, manifest: dict) -> int:
 
 def _solve_parabolic(cfg: RunConfig, out_dir: Path, manifest: dict) -> int:
     u0 = cfg.initial_field()
-    # payload holds floats or raw expression strings; Coefficient.make takes both
+    # payload holds floats or compiled expressions; ParabolicProblem makes Forcings of both
     prob = ParabolicProblem(
         A=cfg.payload["A"],
         a=cfg.payload["a"],
@@ -171,7 +174,7 @@ def _solve_parabolic(cfg: RunConfig, out_dir: Path, manifest: dict) -> int:
     write_trajectory(sol.u, out_dir, "u")
     manifest["artifacts"] += ["v", "u"]
     _record_series(sol.series, manifest)
-    manifest["edge_clamped"] = bool(sol.u.metadata.get("edge_clamped", False))
+    manifest["edge_clamped"] = sol.edge_clamped
     return EXIT_OK if not sol.series.not_converged else EXIT_NUMERICAL
 
 
@@ -184,8 +187,7 @@ def cmd_verify(args) -> int:
         result = run_suite(args.suite, seed=seed,
                            inject_m_underestimate=args.inject_m_underestimate)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG
+        return _errors(EXIT_CONFIG, {"path": "suite", "message": str(exc)})
     for line in result.lines():
         print(line)
     if result.passed:
@@ -197,17 +199,12 @@ def cmd_bench(args) -> int:
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
-        print(exc.payload(), file=sys.stderr)
-        return EXIT_CONFIG
+        return _errors(EXIT_CONFIG, *exc.errors)
     bench = cfg.payload.get("bench")
     if not bench:
-        print(json.dumps({"errors": [{"path": "bench", "message": "config has no bench sweep"}]}),
-              file=sys.stderr)
-        return EXIT_CONFIG
+        return _errors(EXIT_CONFIG, {"path": "bench", "message": "config has no bench sweep"})
     if cfg.kind != "controlled-heat":
-        print(json.dumps({"errors": [{"path": "bench", "message": "bench sweeps run controlled-heat configs"}]}),
-              file=sys.stderr)
-        return EXIT_CONFIG
+        return _errors(EXIT_CONFIG, {"path": "bench", "message": "bench sweeps run controlled-heat configs"})
 
     rows = [("sweep_axis", "value", "wall_time_s", "term_count", "error_vs_oracle")]
     horizon = cfg.payload["horizon"]
@@ -272,8 +269,7 @@ def cmd_inspect(args) -> int:
     try:
         field = read_field(path)
     except (OSError, ValueError) as exc:
-        print(f"{path}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _errors(EXIT_CONFIG, {"path": str(path), "message": str(exc)})
     grid = field.grid
     print(f"file:     {path}")
     print(f"ndim:     {grid.ndim}")

@@ -59,10 +59,6 @@ class CurlError(ValueError):
 class PositivityError(RuntimeError):
     """The Cole-Hopf field lost positivity, so u = -2 grad(G)/G is undefined."""
 
-    def __init__(self, message: str, floor_report: BoundReport | None = None):
-        super().__init__(message)
-        self.floor_report = floor_report
-
 
 def default_curl_tolerance(u0: VectorField) -> float:
     """1e-6 times the velocity scale times the grid scale."""
@@ -169,9 +165,7 @@ def velocity_from_field(
             if floor_report is not None:
                 detail = f" (floor check worst violation {floor_report.worst:.3e})"
             raise PositivityError(
-                f"min G = {gmin:.4g} at t={t} is below the positivity floor {floor:.3g}"
-                + detail,
-                floor_report,
+                f"min G = {gmin:.4g} at t={t} is below the positivity floor {floor:.3g}" + detail
             )
         grad = gradient(g)
         comps = tuple(-2.0 * c / g.values for c in grad.components)

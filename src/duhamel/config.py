@@ -16,7 +16,7 @@ import numpy as np
 
 from .expressions import Expression, ExpressionError, compile_expression
 from .fields import ScalarField, VectorField
-from .forcing import Forcing, evaluate_expression
+from .forcing import Forcing
 from .grid import FreeSpaceTruncated, Grid, Periodic
 from .series import SeriesOptions
 
@@ -31,9 +31,6 @@ class ConfigError(ValueError):
             e if isinstance(e, dict) else {"path": "", "message": str(e)} for e in errors
         ]
         super().__init__("; ".join(f"{e['path']}: {e['message']}" for e in self.errors))
-
-    def payload(self) -> str:
-        return json.dumps({"errors": self.errors}, indent=2)
 
 
 class _Checker:
@@ -102,9 +99,9 @@ class _Checker:
             return None
 
     def number_or_expression(self, obj, path: str):
-        """A float, or the source of a valid expression string."""
+        """A float, or a valid expression string compiled."""
         if isinstance(obj, str):
-            return obj if self.expression(obj, path) is not None else None
+            return self.expression(obj, path)
         if not isinstance(obj, (int, float)) or isinstance(obj, bool):
             self.fail(path, "must be a number or expression string")
             return None
@@ -124,12 +121,12 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
     def _at_time_zero(self, expr: Expression, path: str) -> np.ndarray:
-        """``expr`` on the grid at t = 0; non-finite values raise ``ValueError``."""
-        axes = [self.grid.coords(d) for d in range(self.grid.ndim)]
-        values = evaluate_expression(expr, axes, [0.0])[0]
-        if not np.isfinite(values).all():
-            raise ValueError(f"{path} has non-finite values at t=0")
-        return values
+        """``expr`` on the grid at t = 0; a ``ValueError`` (say, non-finite
+        values) is raised again with ``path`` in front."""
+        try:
+            return Forcing.from_expression(expr).at(self.grid, 0.0)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def initial_field(self) -> ScalarField:
         return ScalarField(self.grid, self._at_time_zero(self.payload["initial"], "initial"))
@@ -141,11 +138,7 @@ class RunConfig:
 
     def forcing(self, key: str) -> Forcing | None:
         spec = self.payload.get(key)
-        if spec is None:
-            return None
-        if isinstance(spec, (int, float)):
-            return Forcing.constant(spec)
-        return Forcing.from_expression(spec)
+        return None if spec is None else Forcing.make(spec)
 
 
 _TOP_KEYS = {"schema", "kind", "grid", "series", "seed", "output_dir",

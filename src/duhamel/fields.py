@@ -8,7 +8,7 @@ operation returns a new field, so shared inputs are safe under concurrency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,7 +80,6 @@ class Trajectory:
 
     times: tuple[float, ...]
     snapshots: tuple
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)

@@ -1,14 +1,16 @@
-"""Time-dependent scalar forcings F(x, t): plain functions of (grid, times).
+"""Scalar space-time functions F(t, x[, y, z]): forcings, coefficients, fields.
 
-A forcing is either a closed expression over (x, y, z, t), an arbitrary
-callable (used by the verification oracles), or a stack of sampled fields
-with linear interpolation in time.  ``sample(grid, times)`` returns the whole
-``(len(times), *grid.shape)`` stack on the grid it is given.  Expressions are
-evaluated once over the open (t, x, y, z) lattice, so numpy broadcasting
-computes each subexpression only over the axes it depends on; callables and
-sampled stacks are evaluated time by time.  A forcing carries no bounds: the
-series solver takes sup F and inf F from the node samples it actually uses,
-and ``sample`` only rejects non-finite values.
+A ``Forcing`` is a constant, a closed expression over (t, x, y, z), a
+callable ``fn(t, x[, y, z])``, or a stack of sampled fields with linear
+interpolation in time.  ``sample(grid, times)`` returns the
+``(len(times), *grid.shape)`` stack on the grid it is given,
+``sample_rows(times, x)`` the ``(len(times), n)`` stack on 1-D nodes that may
+move with time, and ``at(grid, t)`` one field.  Expressions are evaluated
+once with t an open column and sparse coordinates, so each subexpression
+costs only the size of the axes it uses; callables and sampled stacks are
+evaluated time by time.  Every path rejects non-finite values.  A forcing
+carries no bounds: the series solver takes sup F and inf F from the node
+samples it actually uses.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .expressions import Expression, compile_expression
 from .grid import Grid
 
-__all__ = ["Forcing", "evaluate_expression", "interpolate_in_time"]
+__all__ = ["Forcing", "interpolate_in_time"]
 
 
 def interpolate_in_time(times: np.ndarray, stack: np.ndarray, t: float) -> np.ndarray:
@@ -35,27 +37,19 @@ def interpolate_in_time(times: np.ndarray, stack: np.ndarray, t: float) -> np.nd
     return (1.0 - w) * stack[j] + w * stack[j + 1]
 
 
-def evaluate_expression(expr: Expression, axes, times) -> np.ndarray:
-    """``expr`` on the lattice ``times`` x ``axes[0]`` x ....
-
-    The result has shape ``(len(times), *map(len, axes))``; ``axes`` are the
-    1-D coordinates bound to x, y, z in order.  Each variable is an open
-    coordinate (t shaped ``(n_t, 1, ...)``, x ``(1, n_x, 1, ...)``), so a
-    subexpression costs only the size of the axes it uses.  Time is an array,
-    so a division by zero gives inf (which callers reject), never an exception.
-    """
-    t, *coords = np.meshgrid(np.asarray(times, dtype=float), *axes, indexing="ij", sparse=True)
-    env = dict(zip(("x", "y", "z"), coords), t=t)
-    values = np.asarray(expr(**env), dtype=float)
-    shape = t.shape[:1] + tuple(len(a) for a in axes)
-    return values if values.shape == shape else np.broadcast_to(values, shape)
+def _lattice(grid: Grid) -> list[np.ndarray]:
+    """The grid's open coordinates, each with a leading axis of length 1."""
+    axes = (grid.coords(d) for d in range(grid.ndim))
+    return [c[None] for c in np.meshgrid(*axes, indexing="ij", sparse=True)]
 
 
 class Forcing:
-    """Scalar source F(grid, t).
+    """Scalar space-time function F(t, x[, y, z]).
 
-    ``evaluate(grid, times)`` returns an array that broadcasts to the
-    ``(len(times), *grid.shape)`` stack; ``sample`` fills and checks it.
+    ``evaluate(times, coords, grid)`` returns an array that broadcasts to
+    the sampled stack.  ``coords`` are bound to x, y, z in order, each with a
+    leading axis of length 1 or ``len(times)``; ``grid`` is the grid of a
+    lattice and ``None`` for rows.
     """
 
     def __init__(self, evaluate, kind: str):
@@ -67,7 +61,7 @@ class Forcing:
     @classmethod
     def constant(cls, value: float) -> "Forcing":
         value = float(value)
-        return cls(lambda grid, times: value, "constant")
+        return cls(lambda times, coords, grid: value, "constant")
 
     @classmethod
     def zero(cls) -> "Forcing":
@@ -75,21 +69,25 @@ class Forcing:
 
     @classmethod
     def from_expression(cls, source: str | Expression) -> "Forcing":
-        """Compile an expression over (x, y, z, t)."""
+        """An expression over (t, x, y, z), compiled here unless it already is."""
         expr = source if isinstance(source, Expression) else compile_expression(source)
 
-        def evaluate(grid: Grid, times: np.ndarray) -> np.ndarray:
-            return evaluate_expression(expr, [grid.coords(d) for d in range(grid.ndim)], times)
+        def evaluate(times: np.ndarray, coords, grid) -> np.ndarray:
+            # t is an open column, so a division by zero gives inf, not an exception
+            t = times.reshape((-1,) + (1,) * (coords[0].ndim - 1))
+            return expr(t=t, **dict(zip(("x", "y", "z"), coords)))
 
         return cls(evaluate, "expression")
 
     @classmethod
     def from_callable(cls, fn) -> "Forcing":
-        """Wrap ``fn(grid, t) -> ndarray``, called once per sample time."""
+        """Wrap ``fn(t, x[, y, z]) -> ndarray``, called once per time with a float ``t``."""
 
-        def evaluate(grid: Grid, times: np.ndarray) -> np.ndarray:
-            return np.stack([np.broadcast_to(np.asarray(fn(grid, float(t)), dtype=float), grid.shape)
-                             for t in times])
+        def evaluate(times: np.ndarray, coords, grid) -> np.ndarray:
+            shape = np.broadcast_shapes(*(c.shape[1:] for c in coords))
+            rows = ([c[i if len(c) > 1 else 0] for c in coords] for i in range(len(times)))
+            return np.stack([np.broadcast_to(np.asarray(fn(float(t), *row), dtype=float), shape)
+                             for t, row in zip(times, rows)])
 
         return cls(evaluate, "callable")
 
@@ -107,39 +105,60 @@ class Forcing:
             raise ValueError("all sampled fields must share one grid")
         stack = np.stack([f.values for f in fields])
 
-        def evaluate(g: Grid, at: np.ndarray) -> np.ndarray:
-            if g != grid:
+        def evaluate(query: np.ndarray, coords, on: Grid | None) -> np.ndarray:
+            if on != grid:
                 raise ValueError("sampled forcing queried on a different grid")
-            return np.stack([interpolate_in_time(times, stack, float(t)) for t in at])
+            return np.stack([interpolate_in_time(times, stack, float(t)) for t in query])
 
         return cls(evaluate, "sampled")
+
+    @classmethod
+    def make(cls, value) -> "Forcing":
+        """From a number, an expression (source or compiled), a callable or a ``Forcing``."""
+        if isinstance(value, Forcing):
+            return value
+        if isinstance(value, (str, Expression)):
+            return cls.from_expression(value)
+        if callable(value):
+            return cls.from_callable(value)
+        return cls.constant(value)
 
     # -- evaluation -----------------------------------------------------------
 
     def sample(self, grid: Grid, times) -> np.ndarray:
-        """F on ``grid`` at each of ``times``, as a ``(len(times), *grid.shape)`` stack.
+        """F on ``grid`` at each of the 1-D sequence ``times``: the
+        ``(len(times), *grid.shape)`` stack."""
+        return self._sampled(times, _lattice(grid), grid)
 
-        ``times`` is a 1-D sequence.  Raises on non-finite values, naming the
-        first time that has one.
-        """
+    def sample_rows(self, times, x) -> np.ndarray:
+        """F(times[i], x[i]) as a ``(len(times), n)`` stack; ``x`` is one row
+        of n nodes shared by every time or one row per time."""
+        return self._sampled(times, [np.atleast_2d(np.asarray(x, dtype=float))], None)
+
+    def at(self, grid: Grid, t: float) -> np.ndarray:
+        """F on ``grid`` at the single time ``t``, as a ``grid.shape`` array."""
+        return self._sampled([t], _lattice(grid), grid)[0]
+
+    def _sampled(self, times, coords, grid: Grid | None) -> np.ndarray:
+        """The filled, writeable stack; raises on non-finite values, naming
+        the first time that has one."""
         times = np.asarray(times, dtype=float)
         if times.ndim != 1:
             raise ValueError("forcing sample times must be a 1-D sequence")
-        shape = times.shape + grid.shape
-        vals = np.asarray(self._evaluate(grid, times), dtype=float)
+        shape = times.shape + np.broadcast_shapes(*(c.shape[1:] for c in coords))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # rejected below
+            vals = np.asarray(self._evaluate(times, coords, grid), dtype=float)
         if vals.shape != shape or not vals.flags.writeable:
             vals = np.array(np.broadcast_to(vals, shape))
         finite = np.isfinite(vals).reshape(len(times), -1).all(axis=1)
         if not finite.all():
-            bad = times[int(np.argmin(finite))]
-            raise ValueError(f"forcing produced non-finite values at t={bad}")
+            raise ValueError(f"{self.kind} has non-finite values at t={times[np.argmin(finite)]}")
         return vals
 
     def halved(self) -> "Forcing":
         """Pointwise half of this forcing."""
         inner = self._evaluate
-        return Forcing(lambda grid, times: 0.5 * np.asarray(inner(grid, times), dtype=float),
-                       self.kind)
+        return Forcing(lambda *args: 0.5 * np.asarray(inner(*args), dtype=float), self.kind)
 
     def __repr__(self):
         return f"Forcing(kind={self.kind!r})"

@@ -16,33 +16,35 @@ That equation is solved by the operator iteration v = G + L G + L L G + ...
 with G = K * v0 - int K * g and L v = -int K * (Q v), which is exactly the
 series solver with forcing -Q and source -g.
 
-The reduction works on whole ``(n_t+1, n)`` lattice stacks: each coefficient
-is sampled once over all time nodes, and psi, P, rho, Q and g are computed as
-stacks (x-derivatives by the free-space stencil, integrals by the corrected
-trapezoid, both along the last axis).  The reduced problem lives on a uniform
-y-grid with the same point count as the x-grid.  Only the resampling between
-the x- and y-grids goes node by node, with one cubic spline per knot set that
-carries every column on those knots: (x, P) over psi in ``normalize``,
-(v, rho) over y in ``back_transform``.  A monotone interpolant would flatten
-the solution at its extrema.
+The coefficients A, a, c and f are ``Forcing``s of (t, x), given as numbers,
+expressions over x and t, or callables ``fn(t, x)``.  The reduction works on
+whole ``(n_t+1, n)`` lattice stacks: each coefficient is sampled once over all
+time nodes with ``Forcing.sample_rows`` (c and f on the moving nodes
+x(t, y)), and psi, P, rho, Q and g are computed as stacks (x-derivatives by
+the free-space stencil, integrals by the corrected trapezoid, both along the
+last axis).  The reduced problem lives on a uniform y-grid with the same
+point count as the x-grid.  Only the resampling between the x- and y-grids
+goes node by node, with one cubic spline per knot set that carries every
+column on those knots: (x, P) over psi in ``normalize``, (v, rho) over y in
+``back_transform``.  A monotone interpolant would flatten the solution at its
+extrema.
 """
 
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .expressions import Expression, compile_expression
 from .fields import ScalarField, Trajectory, _fd_first
-from .expressions import compile_expression
 from .forcing import Forcing, interpolate_in_time
 from .grid import Grid
 from .quadrature import corrected_cumulative_trapezoid
 from .series import SeriesOptions, SeriesSolution, solve_controlled_heat
 
 __all__ = [
-    "Coefficient",
     "ParabolicProblem",
     "NormalizedProblem",
     "ParabolicSolution",
@@ -53,89 +55,33 @@ __all__ = [
 ]
 
 
-class Coefficient:
-    """Scalar coefficient of (t, x): constant, expression, or callable.
-
-    ``evaluate(times, x)`` returns an array that broadcasts to the
-    ``(len(times), n)`` stack; ``x`` is ``(1, n)`` or ``(len(times), n)``.
-    """
-
-    def __init__(self, evaluate):
-        self._evaluate = evaluate
-
-    @classmethod
-    def constant(cls, value: float) -> "Coefficient":
-        value = float(value)
-        return cls(lambda times, x: value)
-
-    @classmethod
-    def from_expression(cls, source: str) -> "Coefficient":
-        expr = compile_expression(source)
-        extra = set(expr.variables) - {"x", "t"}
-        if extra:
-            raise ValueError(f"parabolic coefficients may only use x and t, got {sorted(extra)}")
-        # t is an open (n_t, 1) column, so a division by zero gives inf, not an exception
-        return cls(lambda times, x: expr(x=x, t=times[:, None]))
-
-    @classmethod
-    def from_callable(cls, fn) -> "Coefficient":
-        """Wrap ``fn(t, x) -> ndarray``, called once per sample time."""
-
-        def evaluate(times: np.ndarray, x: np.ndarray) -> np.ndarray:
-            rows = np.broadcast_to(x, (len(times), x.shape[-1]))
-            return np.stack([np.asarray(fn(float(t), row), dtype=float) * np.ones_like(row)
-                             for t, row in zip(times, rows)])
-
-        return cls(evaluate)
-
-    @classmethod
-    def make(cls, value) -> "Coefficient":
-        if isinstance(value, Coefficient):
-            return value
-        if isinstance(value, str):
-            return cls.from_expression(value)
-        if callable(value):
-            return cls.from_callable(value)
-        return cls.constant(float(value))
-
-    def sample(self, times, x) -> np.ndarray:
-        """The ``(len(times), n)`` stack at ``times``.
-
-        ``x`` is one row shared by every time or one row per time.  Raises on
-        non-finite values, naming the first time that has one.
-        """
-        times = np.asarray(times, dtype=float)
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        shape = (len(times), x.shape[-1])
-        out = np.broadcast_to(np.asarray(self._evaluate(times, x), dtype=float), shape)
-        finite = np.isfinite(out).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"coefficient produced non-finite values at t={times[np.argmin(finite)]}")
-        return out
-
-
 @dataclass(frozen=True)
 class ParabolicProblem:
-    """Coefficients, initial state, horizon, and the ellipticity floor.
+    """The coefficients, initial state, horizon, and the ellipticity floor.
 
-    ``u0`` fixes the x-grid (1D, truncated free space).  ``A`` must stay
-    below ``-ellipticity_min`` on the whole sampled (t, x) box; degenerate
-    diffusion is rejected.
+    Each coefficient is anything ``Forcing.make`` takes; an expression may
+    use only x and t.  ``u0`` fixes the x-grid (1D, truncated free space).
+    ``A`` must stay below ``-ellipticity_min`` on the whole sampled (t, x)
+    box; degenerate diffusion is rejected.
     """
 
-    A: Coefficient
-    a: Coefficient
-    c: Coefficient
-    f: Coefficient
+    A: Forcing
+    a: Forcing
+    c: Forcing
+    f: Forcing
     u0: ScalarField
     horizon: float
     ellipticity_min: float = 1e-8
 
     def __post_init__(self):
-        object.__setattr__(self, "A", Coefficient.make(self.A))
-        object.__setattr__(self, "a", Coefficient.make(self.a))
-        object.__setattr__(self, "c", Coefficient.make(self.c))
-        object.__setattr__(self, "f", Coefficient.make(self.f))
+        for name in ("A", "a", "c", "f"):
+            value = getattr(self, name)
+            if isinstance(value, str):
+                value = compile_expression(value)
+            extra = set(value.variables) - {"x", "t"} if isinstance(value, Expression) else set()
+            if extra:
+                raise ValueError(f"parabolic coefficients may only use x and t, got {sorted(extra)}")
+            object.__setattr__(self, name, Forcing.make(value))
         if self.u0.grid.ndim != 1:
             raise ValueError("parabolic problems are one dimensional")
         if self.u0.grid.is_periodic:
@@ -152,7 +98,11 @@ class ParabolicProblem:
 
 @dataclass(frozen=True, eq=False)
 class NormalizedProblem:
-    """Reduced coefficients Q, g on the fixed y-grid, plus the maps and gauge."""
+    """Reduced coefficients Q, g on the fixed y-grid, plus the maps and gauge.
+
+    ``edge_clamped`` is set when y-nodes left the image of the map and the
+    coefficient resampling took edge values.
+    """
 
     y_grid: Grid
     t_nodes: tuple[float, ...]
@@ -164,7 +114,7 @@ class NormalizedProblem:
     v0: ScalarField
     x_grid: Grid
     horizon: float
-    metadata: dict = field(default_factory=dict)
+    edge_clamped: bool = False
 
 
 def _time_stack_derivative(stack: np.ndarray, dt: float) -> np.ndarray:
@@ -195,7 +145,7 @@ def normalize(prob: ParabolicProblem, time_nodes: int = 64) -> NormalizedProblem
     t_nodes = np.linspace(0.0, prob.horizon, time_nodes + 1)
     dt = float(t_nodes[1] - t_nodes[0]) if len(t_nodes) > 1 else 1.0
 
-    A = prob.A.sample(t_nodes, x)
+    A = prob.A.sample_rows(t_nodes, x)
     bad = A > -prob.ellipticity_min
     if bad.any():
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
@@ -217,7 +167,7 @@ def normalize(prob: ParabolicProblem, time_nodes: int = 64) -> NormalizedProblem
     y = y_grid.coords(0)
 
     psi_xx = _fd_first(slope, h_x, -1)
-    P_x = _time_stack_derivative(psi_stack, dt) + A * psi_xx + prob.a.sample(t_nodes, x) * slope
+    P_x = _time_stack_derivative(psi_stack, dt) + A * psi_xx + prob.a.sample_rows(t_nodes, x) * slope
 
     edge_clamped = bool(np.any(y[0] < psi_stack[:, 0] - 1e-12) or np.any(y[-1] > psi_stack[:, -1] + 1e-12))
     x_of_y = np.empty((len(t_nodes), n_x))
@@ -229,8 +179,8 @@ def normalize(prob: ParabolicProblem, time_nodes: int = 64) -> NormalizedProblem
     rho_stack = -0.5 * corrected_cumulative_trapezoid(P_on_y, h_y)
     int_P_t = corrected_cumulative_trapezoid(_time_stack_derivative(P_on_y, dt), h_y)
     Q_stack = (-0.5 * _fd_first(P_on_y, h_y, -1) + 0.25 * P_on_y**2 + 0.5 * int_P_t
-               + prob.c.sample(t_nodes, x_of_y))
-    g_stack = prob.f.sample(t_nodes, x_of_y) * np.exp(rho_stack)
+               + prob.c.sample_rows(t_nodes, x_of_y))
+    g_stack = prob.f.sample_rows(t_nodes, x_of_y) * np.exp(rho_stack)
 
     u0_on_y = CubicSpline(x, prob.u0.values)(x_of_y[0])
     v0 = ScalarField(y_grid, np.exp(rho_stack[0]) * u0_on_y)
@@ -246,7 +196,7 @@ def normalize(prob: ParabolicProblem, time_nodes: int = 64) -> NormalizedProblem
         v0=v0,
         x_grid=x_grid,
         horizon=prob.horizon,
-        metadata={"edge_clamped": edge_clamped},
+        edge_clamped=edge_clamped,
     )
 
 
@@ -262,12 +212,12 @@ def solve_normalized(np_: NormalizedProblem, opts: SeriesOptions | None = None) 
     return solve_controlled_heat(np_.v0, F, np_.horizon, opts, source=source)
 
 
-def back_transform(v: Trajectory, np_: NormalizedProblem) -> Trajectory:
-    """u(t, x) = exp(-rho) v pulled back to the x-grid.
+def back_transform(v: Trajectory, np_: NormalizedProblem) -> tuple[Trajectory, bool]:
+    """u(t, x) = exp(-rho) v pulled back to the x-grid, and the edge flag.
 
     v and rho are interpolated at y = psi(t, x_node) by one cubic spline in y
     per output time; nodes mapping outside the computed y-range take the edge
-    values and are flagged in the metadata.
+    values.  The flag is set when that happened here or in ``normalize``.
     """
     from scipy.interpolate import CubicSpline
 
@@ -283,8 +233,7 @@ def back_transform(v: Trajectory, np_: NormalizedProblem) -> Trajectory:
         spline = CubicSpline(y, np.column_stack([snap.values, rho_t]))
         v_at, rho_at = spline(np.clip(psi_t, y[0], y[-1])).T
         out.append(ScalarField(np_.x_grid, np.exp(-rho_at) * v_at))
-    edge_clamped = clamped or np_.metadata.get("edge_clamped", False)
-    return Trajectory(v.times, tuple(out), metadata={"edge_clamped": edge_clamped})
+    return Trajectory(v.times, tuple(out)), clamped or np_.edge_clamped
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,6 +241,7 @@ class ParabolicSolution:
     u: Trajectory
     v: Trajectory
     series: SeriesSolution
+    edge_clamped: bool
 
 
 def solve_parabolic(prob: ParabolicProblem, opts: SeriesOptions | None = None) -> ParabolicSolution:
@@ -300,5 +250,5 @@ def solve_parabolic(prob: ParabolicProblem, opts: SeriesOptions | None = None) -
     np_ = normalize(prob, time_nodes=opts.time_steps)
     sol = solve_normalized(np_, opts)
     v = sol.trajectory
-    u = back_transform(v, np_)
-    return ParabolicSolution(u=u, v=v, series=sol)
+    u, edge_clamped = back_transform(v, np_)
+    return ParabolicSolution(u=u, v=v, series=sol, edge_clamped=edge_clamped)

@@ -311,12 +311,28 @@ class SeriesSolution:
 
 
 def _power_series_row(x: float, kmax: int) -> np.ndarray:
-    """x^a / a! for a = 0..kmax, by stable iterative products."""
-    row = np.empty(kmax + 1)
-    row[0] = 1.0
+    """x^a / a! for a = 0..kmax, by stable iterative products (in Python
+    floats, so an entry past double range is inf without a warning)."""
+    x = float(x)
+    row = [1.0]
     for a in range(1, kmax + 1):
-        row[a] = row[a - 1] * x / a
-    return row
+        row.append(row[-1] * x / a)
+    return np.array(row)
+
+
+def _exp(x: float) -> float:
+    """math.exp, but inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _representable(value, stage: str, form: str, t: float, bound: str, rate: float):
+    """``value`` (the envelope ``form`` at ``t``) if finite, else ``FloatingPointError``."""
+    if not np.all(np.isfinite(value)):
+        raise FloatingPointError(f"{stage}: {form} overflows at t={t:g} ({bound} = {rate:g})")
+    return value
 
 
 def _sup_abs(values: np.ndarray) -> float:
@@ -356,9 +372,9 @@ def solve_controlled_heat(
     ``depth_max`` is reached; the latter sets ``not_converged``.  Each order
     is swept only when its term is reconstructed, so no order past the
     emitted depth is computed.  A sum that overflows double precision
-    raises ``FloatingPointError``; an exponential envelope that does (in the
-    tail estimate here or in the ``*_check`` functions) raises
-    ``OverflowError``.
+    raises ``FloatingPointError``, and so does an exponential envelope that
+    does (in the tail estimate here or in the ``*_check`` functions), with
+    a message naming the stage, the time and the bound.
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
@@ -397,33 +413,36 @@ def solve_controlled_heat(
     order_norms: list[float] = []
     total = None  # literal left-fold sum of the emitted terms
     stop_reason = "depth_max"
-    for k in range(opts.depth_max + 1):
-        hom_k = next(hom, None)
-        if hom_k is not None:
-            hom_out.append(hom_k)
-        tk = np.zeros((n_out,) + grid.shape)
-        for b, hom_b in enumerate(hom_out):
-            tk = tk + pow_rows[:, k - b] * hom_b
-        src_k = next(src, None)
-        if src_k is not None:
-            tk = tk + src_k
-            if k == 0:
-                src_first = src_k
-        term_norm = float(np.max(np.abs(tk)))
-        if k >= 1 and term_norm == 0.0:
-            stop_reason = "zero_tail"  # the series has collapsed
-            break
-        terms.append(tk)
-        order_norms.append(term_norm)
-        total = tk if total is None else total + tk
-        g_scale = max(float(np.max(np.abs(total))), 1e-300)
-        if not math.isfinite(g_scale):
-            raise FloatingPointError(
-                f"the series sum overflows at order {k} (sup |F| = {max(f_sup, -f_inf):.3g})"
-            )
-        if k >= 1 and term_norm < opts.rel_tolerance * g_scale:
-            stop_reason = "tolerance"
-            break
+    # an order past double range turns into inf and nan without warnings;
+    # the finite check on the sum reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(opts.depth_max + 1):
+            hom_k = next(hom, None)
+            if hom_k is not None:
+                hom_out.append(hom_k)
+            tk = np.zeros((n_out,) + grid.shape)
+            for b, hom_b in enumerate(hom_out):
+                tk = tk + pow_rows[:, k - b] * hom_b
+            src_k = next(src, None)
+            if src_k is not None:
+                tk = tk + src_k
+                if k == 0:
+                    src_first = src_k
+            term_norm = float(np.max(np.abs(tk)))
+            if k >= 1 and term_norm == 0.0:
+                stop_reason = "zero_tail"  # the series has collapsed
+                break
+            terms.append(tk)
+            order_norms.append(term_norm)
+            total = tk if total is None else total + tk
+            g_scale = max(float(np.max(np.abs(total))), 1e-300)
+            if not math.isfinite(g_scale):
+                raise FloatingPointError(
+                    f"the series sum overflows at order {k} (sup |F| = {max(f_sup, -f_inf):.3g})"
+                )
+            if k >= 1 and term_norm < opts.rel_tolerance * g_scale:
+                stop_reason = "tolerance"
+                break
     depth = len(terms) - 1
     snapshots = [ScalarField(grid, g) for g in total]
     term_fields = tuple(tuple(ScalarField(grid, tk[m]) for tk in terms) for m in range(n_out))
@@ -435,7 +454,8 @@ def solve_controlled_heat(
     est = 0.0
     for m in range(n_out):
         t = out_times[m]
-        tail = math.exp(m_abs * t) * _power_series_row(m_abs * t, depth + 1)[depth + 1]
+        tail = _exp(m_abs * t) * float(_power_series_row(m_abs * t, depth + 1)[depth + 1])
+        _representable(tail, "tail estimate", f"exp(M t) (M t)^{depth + 1}/{depth + 1}!", t, "M", m_abs)
         scale = float(np.max(kg0[m]))
         if src_first is not None:
             scale += float(np.max(np.abs(src_first[m])))
@@ -527,7 +547,7 @@ def ceiling_check(sol: SeriesSolution, M: float) -> BoundReport:
     """Verify |G(x,t)| <= exp(M t) K(t) * |G0| pointwise at output times."""
     records = []
     for (t, snap), kg in zip(sol.trajectory, sol.propagated_abs_g0):
-        rhs = math.exp(M * t) * kg
+        rhs = _representable(_exp(M * t), "ceiling check", "exp(M t)", t, "M", M) * kg
         records.append(_compare(np.abs(snap.values).ravel(), rhs.ravel(), t, BOUND_SLACK))
     return BoundReport("ceiling", tuple(records))
 
@@ -536,7 +556,8 @@ def termwise_factorial_check(sol: SeriesSolution, M: float) -> BoundReport:
     """Verify |T_k(x,t)| <= (M t)^k / k! K(t) * |G0| for every emitted term."""
     records = []
     for m, (t, _) in enumerate(sol.trajectory):
-        env = _power_series_row(M * t, sol.truncation_depth)
+        env = _representable(_power_series_row(M * t, sol.truncation_depth),
+                             "termwise factorial check", "(M t)^k/k!", t, "M", M)
         for k, term in enumerate(sol.terms[m]):
             rhs = env[k] * sol.propagated_abs_g0[m]
             records.append(
@@ -557,8 +578,10 @@ def floor_check(sol: SeriesSolution) -> BoundReport:
         raise ValueError("the floor check needs a strictly positive G0")
     records = []
     for (t, snap), kg in zip(sol.trajectory, sol.propagated_abs_g0):
-        floor = math.exp(sol.forcing_inf * t) * kg
-        upper = math.exp(sol.forcing_sup * t) * kg
+        floor = _representable(_exp(sol.forcing_inf * t), "floor check", "exp(inf F t)", t,
+                               "inf F", sol.forcing_inf) * kg
+        upper = _representable(_exp(sol.forcing_sup * t), "floor check", "exp(sup F t)", t,
+                               "sup F", sol.forcing_sup) * kg
         g = snap.values.ravel()
         records.append(_compare(floor.ravel(), g, t, BOUND_SLACK, label="floor"))
         records.append(_compare(g, upper.ravel(), t, BOUND_SLACK, label="upper"))

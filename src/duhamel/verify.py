@@ -191,7 +191,7 @@ def make_manufactured(expr: str, grid: Grid, horizon: float, time_samples: int =
     f_expr = sp.simplify((sp.diff(g_expr, t_sym) - sum(sp.diff(g_expr, s, 2) for s in space)) / g_expr)
     f_fn = sp.lambdify(syms, f_expr, "numpy")
 
-    forcing = Forcing.from_callable(lambda g, t: f_fn(*g.meshgrid(), t))
+    forcing = Forcing.from_callable(lambda t, *xyz: f_fn(*xyz, t))
 
     g0_vals = g_fn(*mesh, 0.0) * ones
     u_exprs = [sp.simplify(-2 * sp.diff(g_expr, s) / g_expr) for s in space]

@@ -1,5 +1,6 @@
 """Pointwise envelope checks: ceiling, termwise factorial, floor/upper."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -176,3 +177,19 @@ class TestReportFormat:
         report = termwise_factorial_check(sol, 0.5)
         labels = {r.label for r in report.records}
         assert f"k={sol.truncation_depth}" in labels
+
+
+class TestEnvelopeOverflow:
+    """An envelope past double range raises, naming the stage, time and bound."""
+
+    @pytest.mark.parametrize("check, message", [
+        (lambda sol: ceiling_check(sol, 2000.0), r"ceiling check: exp\(M t\) overflows at t=0\.5 \(M = 2000\)"),
+        (lambda sol: termwise_factorial_check(sol, 1e300),
+         r"termwise factorial check: \(M t\)\^k/k! overflows at t=0\.25 \(M = 1e\+300\)"),
+        (lambda sol: floor_check(dataclasses.replace(sol, forcing_sup=2000.0)),
+         r"floor check: exp\(sup F t\) overflows at t=0\.5 \(sup F = 2000\)"),
+    ], ids=["ceiling", "termwise", "floor"])
+    def test_check_raises(self, check, message):
+        sol = solve(ScalarField.constant(periodic_1d(16), 1.0), Forcing.constant(0.5))
+        with pytest.raises(FloatingPointError, match=message):
+            check(sol)

@@ -116,7 +116,7 @@ class TestForcingFromPressure:
     def test_bounds_halved(self):
         # the envelope the solver takes from its node samples halves with F
         g = periodic_1d(64)
-        raw = Forcing.from_callable(lambda grid, t: 1.0 + 2.0 * np.sin(grid.coords(0)))
+        raw = Forcing.from_callable(lambda t, x: 1.0 + 2.0 * np.sin(x))
         opts = SeriesOptions(depth_max=8, time_steps=4, output_times=(0.5,))
         G0 = ScalarField.constant(g, 1.0)
         full = solve_controlled_heat(G0, raw, 0.5, opts)

@@ -61,6 +61,15 @@ def parabolic_config():
 
 
 CONFIGS = {"heat": controlled_heat_config, "nse": nse_config, "parabolic": parabolic_config}
+SECTIONS = {"heat": "controlled_heat", "nse": "nse", "parabolic": "parabolic"}
+
+
+def run_cli(*argv):
+    """``python -m duhamel.cli`` in a fresh interpreter, output captured as text."""
+    src = str(Path(duhamel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "duhamel.cli", *argv], env=env,
+                          capture_output=True, text=True)
 
 # (config, keys to the replaced value, wrongly typed value, error path)
 WRONG_LEAVES = [
@@ -295,14 +304,14 @@ class TestSolveCommand:
         ("parabolic", ("parabolic", "c"), "0.4 + 1/(t - 0.25)"),
     ])
     def test_nonfinite_expression_exits_2(self, tmp_path, capsys, kind, keys, value):
-        # time is an array, so these divide to inf instead of raising
+        # time is an array, so these divide to inf instead of raising, and
+        # the non-finite check reports them without a numpy warning
         body = CONFIGS[kind]()
         target = body
         for key in keys[:-1]:
             target = target[key]
         target[keys[-1]] = value
-        with np.errstate(divide="ignore"):
-            rc = main(["solve", write_config(tmp_path, body), "-o", str(tmp_path / "out")])
+        rc = main(["solve", write_config(tmp_path, body), "-o", str(tmp_path / "out")])
         assert rc == 2
         payload = json.loads(capsys.readouterr().err)
         assert "non-finite" in payload["errors"][0]["message"]
@@ -328,25 +337,54 @@ class TestSolveCommand:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["not_converged"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("kind, points, keys, value", [
-        ("heat", 16, ("controlled_heat", "forcing"), "750"),
-        ("heat", 16, ("controlled_heat", "forcing"), "800*cos(x)"),
-        ("heat", 16, ("controlled_heat", "forcing"), "1e300*cos(x)"),
-        ("nse", 32, ("nse", "pressure_minus_force"), "1500"),
+    @pytest.mark.parametrize("kind, points, keys, value, stage", [
+        ("heat", 16, ("controlled_heat", "forcing"), "750", "tail estimate: exp(M t)"),
+        ("heat", 16, ("controlled_heat", "forcing"), "800*cos(x)", "tail estimate: exp(M t)"),
+        ("heat", 16, ("controlled_heat", "forcing"), "1e300*cos(x)", "the series sum overflows"),
+        ("nse", 32, ("nse", "pressure_minus_force"), "1500", "tail estimate: exp(M t)"),
     ], ids=["heat-750", "heat-800cos", "heat-1e300cos", "nse-1500"])
-    def test_series_overflow_exits_3(self, tmp_path, capsys, kind, points, keys, value):
+    def test_series_overflow_exits_3(self, tmp_path, kind, points, keys, value, stage):
         body = CONFIGS[kind]()
         body["grid"]["points"] = [points]
         body["series"] = {"time_steps": 8, "depth_max": 64}
         body[keys[0]][keys[1]] = value
         body[keys[0]]["horizon"] = 1.0
         out = tmp_path / "out"
-        assert main(["solve", write_config(tmp_path, body), "-o", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert json.loads(err)["errors"][0]["path"] == body["kind"]
+        proc = run_cli("solve", write_config(tmp_path, body), "-o", str(out))
+        assert proc.returncode == 3
+        # the JSON error is all of stderr: no numpy warning, no traceback
+        errors = json.loads(proc.stderr)["errors"]
+        assert [e["path"] for e in errors] == [body["kind"]]
+        assert errors[0]["message"].startswith(stage)
         assert json.loads((out / "manifest.json").read_text())["exit_status"] == 3
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "some_file"
+        blocker.write_text("")
+        rc = main(["solve", write_config(tmp_path, controlled_heat_config()), "-o", str(blocker / "out")])
+        assert rc == 2
+        errors = json.loads(capsys.readouterr().err)["errors"]
+        assert [e["path"] for e in errors] == ["output_dir"]
+        assert "Not a directory" in errors[0]["message"]
+
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    def test_each_expression_compiled_once(self, tmp_path, monkeypatch, kind):
+        # every compile, by the config check or by a Forcing, constructs an Expression
+        import duhamel.expressions
+
+        compiled = []
+        init = duhamel.expressions.Expression.__init__
+
+        def counted_init(self, source):
+            compiled.append(source)
+            init(self, source)
+
+        monkeypatch.setattr(duhamel.expressions.Expression, "__init__", counted_init)
+        body = CONFIGS[kind]()
+        assert main(["solve", write_config(tmp_path, body), "-o", str(tmp_path / "out")]) == 0
+        leaves = [v for value in body[SECTIONS[kind]].values()
+                  for v in (value if isinstance(value, list) else [value]) if isinstance(v, str)]
+        assert leaves and sorted(compiled) == sorted(leaves)
 
 
 class TestDeterminism:
@@ -372,6 +410,9 @@ class TestDeterminism:
 class TestVerifyCommand:
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["verify", "nonsense"]) == 2
+        errors = json.loads(capsys.readouterr().err)["errors"]
+        assert [e["path"] for e in errors] == ["suite"]
+        assert "unknown suite 'nonsense'" in errors[0]["message"]
 
     def test_parabolic_suite_passes(self, capsys):
         rc = main(["verify", "parabolic"])
@@ -477,6 +518,8 @@ class TestInspectCommand:
         path = tmp_path / "x.bin"
         path.write_bytes(b"garbage")
         assert main(["inspect", str(path)]) == 2
+        errors = json.loads(capsys.readouterr().err)["errors"]
+        assert [e["path"] for e in errors] == [str(path)]
 
     def test_rejects_truncated_header_and_missing_file(self, tmp_path, capsys):
         path = tmp_path / "x.csf"

@@ -28,7 +28,7 @@ class TestConstant:
         assert sol.metadata["gauge_center"] == 1.5
 
     def test_abs_bound_uses_both_sides(self):
-        F = Forcing.from_callable(lambda g, t: np.where(g.coords(0) < np.pi, 1.0, -3.0))
+        F = Forcing.from_callable(lambda t, x: np.where(x < np.pi, 1.0, -3.0))
         sol = solve(F, grid(), horizon=0.1)
         assert (sol.forcing_inf, sol.forcing_sup) == (-3.0, 1.0)
         assert sol.forcing_abs_bound == 3.0
@@ -121,7 +121,7 @@ class TestTransforms:
 
     def test_nonfinite_samples_rejected(self):
         g = grid()
-        F = Forcing.from_callable(lambda grid, t: np.full(grid.shape, np.inf if t > 0.5 else 0.0))
+        F = Forcing.from_callable(lambda t, x: np.full(x.shape, np.inf if t > 0.5 else 0.0))
         assert np.all(F.sample(g, [0.25]) == 0.0)
         with pytest.raises(ValueError, match="non-finite values at t=0.75"):
             F.sample(g, [0.25, 0.75, 1.0])
@@ -150,8 +150,8 @@ def sampled_forcing():
 
 
 def callable_forcing():
-    fn = lambda g, t: np.sin(g.meshgrid()[1] - t) * np.exp(t)  # noqa: E731
-    return Forcing.from_callable(fn), lambda t: fn(GRID_2D, t)
+    fn = lambda t, x, y: np.sin(y - t) * np.exp(t)  # noqa: E731
+    return Forcing.from_callable(fn), lambda t: fn(t, *GRID_2D.meshgrid())
 
 
 def stack_cases():
@@ -183,3 +183,35 @@ class TestStackSampling:
     def test_times_must_be_a_sequence(self):
         with pytest.raises(ValueError, match="1-D sequence"):
             Forcing.constant(1.0).sample(grid(), 0.5)
+
+
+class TestRows:
+    """``sample_rows`` shares the evaluator and the non-finite check of ``sample``."""
+
+    @pytest.mark.parametrize("F", [
+        Forcing.constant(-0.75),
+        Forcing.from_expression("0.7*sin(x)*cos(3*t) + exp(-t)*x"),
+        Forcing.from_callable(lambda t, x: np.sin(x - t) * np.exp(t)),
+    ], ids=["constant", "expression", "callable"])
+    def test_rows_on_the_grid_nodes_equal_the_grid_stack(self, F):
+        g = grid()
+        times = np.linspace(0.0, 1.0, 5)
+        assert F.sample_rows(times, g.coords(0)).tobytes() == F.sample(g, times).tobytes()
+
+    def test_sampled_stack_has_no_rows(self):
+        g = grid()
+        F = Forcing.from_samples((0.0, 1.0), (ScalarField.constant(g, 0), ScalarField.constant(g, 1)))
+        with pytest.raises(ValueError, match="different grid"):
+            F.sample_rows([0.5], g.coords(0))
+
+    @pytest.mark.parametrize("value, kind", [
+        (2, "constant"), (0.5, "constant"), ("x*t", "expression"),
+        (compile_expression("x*t"), "expression"), (lambda t, x: x * t, "callable"),
+    ], ids=["int", "float", "source", "compiled", "callable"])
+    def test_make_accepts_each_kind(self, value, kind):
+        F = Forcing.make(value)
+        assert F.kind == kind
+        x = np.linspace(0.0, 1.0, 4)
+        want = np.full((2, 4), float(value)) if kind == "constant" else np.outer([0.5, 1.0], x)
+        assert np.array_equal(F.sample_rows([0.5, 1.0], x), want)
+        assert Forcing.make(F) is F

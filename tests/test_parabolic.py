@@ -9,7 +9,6 @@ import scipy.interpolate
 
 from duhamel import Forcing, FreeSpaceTruncated, Grid, ScalarField, SeriesOptions, convolve
 from duhamel.parabolic import (
-    Coefficient,
     NormalizedProblem,
     ParabolicProblem,
     back_transform,
@@ -36,13 +35,15 @@ def options(**kw):
 
 
 class TestCoefficient:
+    """Parabolic coefficients are Forcings of (t, x), sampled as rows."""
+
     def test_make_variants(self):
         x = np.linspace(0, 1, 5)
         times = np.array([0.0, 2.0])
-        const = Coefficient.make(2.0).sample(times, x)
+        const = Forcing.make(2.0).sample_rows(times, x)
         assert const.shape == (2, 5) and np.all(const == 2.0)
-        assert np.allclose(Coefficient.make("x*t").sample(times, x), np.outer(times, x))
-        assert np.allclose(Coefficient.make(lambda t, x: x + t).sample(times, x), x + times[:, None])
+        assert np.allclose(Forcing.make("x*t").sample_rows(times, x), np.outer(times, x))
+        assert np.allclose(Forcing.make(lambda t, x: x + t).sample_rows(times, x), x + times[:, None])
 
     @pytest.mark.parametrize("value, exact", [
         (0.7, lambda t, x: 0.7 + 0 * x),
@@ -54,12 +55,12 @@ class TestCoefficient:
         # row i of the stack is the coefficient at times[i] on x[i], bit for bit
         times = np.linspace(0.0, 1.0, 4)
         x = np.linspace(-1.0, 1.0, 20).reshape(4, 5)
-        coeff = Coefficient.make(value)
-        stack = coeff.sample(times, x)
+        coeff = Forcing.make(value)
+        stack = coeff.sample_rows(times, x)
         assert stack.shape == (4, 5)
         assert np.allclose(stack, exact(times[:, None], x), rtol=0, atol=1e-15)
         for i, t in enumerate(times):
-            assert np.array_equal(stack[i], coeff.sample([t], x[i])[0])
+            assert np.array_equal(stack[i], coeff.sample_rows([t], x[i])[0])
 
     def test_callable_called_once_per_time_with_float(self):
         seen = []
@@ -70,7 +71,7 @@ class TestCoefficient:
 
         times = np.linspace(0.0, 0.5, 3)
         x = np.linspace(0, 1, 5)
-        out = Coefficient.make(fn).sample(times, x)
+        out = Forcing.make(fn).sample_rows(times, x)
         assert seen == [0.0, 0.25, 0.5] and all(type(t) is float for t in seen)
         assert np.array_equal(out, x + times[:, None])
 
@@ -78,11 +79,11 @@ class TestCoefficient:
     def test_nonfinite_names_first_bad_time(self):
         times = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ValueError, match=r"non-finite values at t=0\.5$"):
-            Coefficient.make("1/(t - 0.5) + 1/(t - 0.75)").sample(times, np.linspace(0, 1, 3))
+            Forcing.make("1/(t - 0.5) + 1/(t - 0.75)").sample_rows(times, np.linspace(0, 1, 3))
 
     def test_rejects_spatial_y(self):
         with pytest.raises(ValueError, match="only use x and t"):
-            Coefficient.from_expression("y + 1")
+            ParabolicProblem(A=-1.0, a="y + 1", c=0.0, f=0.0, u0=gaussian_u0(x_grid()), horizon=0.5)
 
 
 def psi0(prob):
@@ -228,7 +229,7 @@ class TestBackTransform:
         from duhamel.fields import Trajectory
 
         traj = Trajectory((0.5,), (v0,))
-        out = back_transform(traj, norm)
+        out, _ = back_transform(traj, norm)
         assert np.max(np.abs(out.snapshots[0].values - v0.values)) < 1e-12
 
     def test_constant_coefficient_inverse_gauge(self):
@@ -241,7 +242,7 @@ class TestBackTransform:
         from duhamel.fields import Trajectory
 
         v = ScalarField(norm.y_grid, np.exp(-0.2 * y))
-        out = back_transform(Trajectory((0.25,), (v,)), norm)
+        out, _ = back_transform(Trajectory((0.25,), (v,)), norm)
         x = prob.grid.coords(0)
         want = np.exp(k * (x - x[0]) / 2) * np.exp(-0.2 * (x - x[0]))
         assert np.max(np.abs(out.snapshots[0].values - want)) < 1e-7
@@ -331,7 +332,7 @@ class TestEdgeClamping:
         prob = ParabolicProblem(A="-1/(1 + t)", a=0.0, c=0.0, f=0.0,
                                 u0=gaussian_u0(x_grid()), horizon=0.5)
         sol = solve_parabolic(prob, options(time_steps=8, output_times=(0.5,)))
-        assert sol.u.metadata["edge_clamped"]
+        assert sol.edge_clamped
 
     def test_shrinking_map_flags_normalize(self):
         # A = -(1+t): psi_x < 1 for t > 0, so outer y-nodes leave the image
@@ -339,12 +340,12 @@ class TestEdgeClamping:
         prob = ParabolicProblem(A="-(1 + t)", a=0.0, c=0.0, f=0.0,
                                 u0=gaussian_u0(x_grid()), horizon=0.5)
         norm = normalize(prob, time_nodes=8)
-        assert norm.metadata["edge_clamped"]
+        assert norm.edge_clamped
 
     def test_static_map_not_flagged(self):
         prob = ParabolicProblem(A=-1.0, a=0.0, c=0.0, f=0.0,
                                 u0=gaussian_u0(x_grid()), horizon=0.5)
-        assert not normalize(prob, time_nodes=8).metadata["edge_clamped"]
+        assert not normalize(prob, time_nodes=8).edge_clamped
 
 
 def manufactured_problem():
@@ -379,7 +380,7 @@ class TestLatticeWork:
 
     def _count(self, monkeypatch):
         calls = Counter()
-        sample, spline = Coefficient.sample, scipy.interpolate.CubicSpline
+        sample, spline = Forcing.sample_rows, scipy.interpolate.CubicSpline
 
         def counted_sample(self, times, x):
             calls["sample"] += 1
@@ -389,7 +390,7 @@ class TestLatticeWork:
             calls["spline"] += 1
             return spline(*args, **kwargs)
 
-        monkeypatch.setattr(Coefficient, "sample", counted_sample)
+        monkeypatch.setattr(Forcing, "sample_rows", counted_sample)
         # normalize and back_transform import CubicSpline when they run
         monkeypatch.setattr(scipy.interpolate, "CubicSpline", counted_spline)
         return calls
