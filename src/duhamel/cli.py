@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -30,6 +31,7 @@ from . import __version__
 from .cole_hopf import CurlError, NSEProblem, PositivityError, solve_nse
 from .config import ConfigError, RunConfig, load_config
 from .forcing import Forcing
+from .heat_kernel import convolve
 from .io import read_field, write_trajectory
 from .parabolic import ParabolicProblem, solve_parabolic
 from .series import SeriesSolution, ceiling_check, solve_controlled_heat, termwise_factorial_check
@@ -209,27 +211,27 @@ def cmd_bench(args) -> int:
     rows = [("sweep_axis", "value", "wall_time_s", "term_count", "error_vs_oracle")]
     horizon = cfg.payload["horizon"]
     forcing = cfg.forcing("forcing") or Forcing.zero()
-    for value in bench["values"]:
-        grid = cfg.grid
-        opts = cfg.series
-        if bench["axis"] == "depth":
-            opts = dataclasses.replace(opts, depth_max=value)
-        elif bench["axis"] == "time_steps":
-            opts = dataclasses.replace(opts, time_steps=value)
-        else:  # grid sweep: scale the point count, keep the extent
-            factor = value / grid.points[0]
-            grid = type(grid)(
-                tuple(value for _ in grid.points),
-                tuple(h / factor for h in grid.spacing),
-                grid.origin,
-                grid.boundary,
-            )
-        g0 = dataclasses.replace(cfg, grid=grid).initial_field()
-        t0 = time.perf_counter()
-        sol = solve_controlled_heat(g0, forcing, horizon, opts)
-        wall = time.perf_counter() - t0
-        error = _bench_error(sol, g0, forcing)
-        rows.append((bench["axis"], value, wall, sol.truncation_depth + 1, error))
+    try:
+        for value in bench["values"]:
+            grid = cfg.grid
+            opts = cfg.series
+            if bench["axis"] == "depth":
+                opts = dataclasses.replace(opts, depth_max=value)
+            elif bench["axis"] == "time_steps":
+                opts = dataclasses.replace(opts, time_steps=value)
+            else:  # grid sweep: value points on every axis, each keeping its extent
+                grid = dataclasses.replace(grid, points=(value,) * grid.ndim, spacing=tuple(
+                    grid.extent(d) / value for d in range(grid.ndim)))
+            g0 = dataclasses.replace(cfg, grid=grid).initial_field()
+            t0 = time.perf_counter()
+            sol = solve_controlled_heat(g0, forcing, horizon, opts)
+            wall = time.perf_counter() - t0
+            error = _bench_error(sol, g0, forcing)
+            rows.append((bench["axis"], value, wall, sol.truncation_depth + 1, error))
+    except ArithmeticError as exc:  # the series or an exponential envelope overflowed
+        return _errors(EXIT_NUMERICAL, {"path": "bench", "message": str(exc)})
+    except ValueError as exc:
+        return _errors(EXIT_CONFIG, {"path": "bench", "message": str(exc)})
 
     text = "\n".join(",".join(_csv_cell(v) for v in row) for row in rows) + "\n"
     if args.output:
@@ -250,12 +252,7 @@ def _bench_error(sol, g0, forcing: Forcing) -> float:
     t_final = sol.trajectory.times[-1]
     final = sol.trajectory.snapshots[-1].values
     if sol.forcing_sup == sol.forcing_inf:
-        import math
-
-        c = sol.forcing_sup
-        from .heat_kernel import convolve
-
-        exact = math.exp(c * t_final) * convolve(g0, t_final, nu=sol.options.nu).values
+        exact = math.exp(sol.forcing_sup * t_final) * convolve(g0, t_final).values
         return float(np.max(np.abs(final - exact)))
     from .verify import fd_controlled_heat
 

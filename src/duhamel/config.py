@@ -144,7 +144,7 @@ class RunConfig:
 _TOP_KEYS = {"schema", "kind", "grid", "series", "seed", "output_dir",
              "controlled_heat", "nse", "parabolic", "bench"}
 _GRID_KEYS = {"points", "spacing", "extent", "origin", "boundary"}
-_SERIES_KEYS = {"depth_max", "rel_tolerance", "time_steps", "output_times", "nu"}
+_SERIES_KEYS = {"depth_max", "rel_tolerance", "time_steps", "output_times"}
 _CH_KEYS = {"initial", "forcing", "horizon"}
 _NSE_KEYS = {"velocity", "anchor", "anchor_value", "pressure_minus_force",
              "speed_bound", "horizon"}
@@ -209,7 +209,6 @@ def _parse_series(obj, chk: _Checker) -> SeriesOptions | None:
         "rel_tolerance": lambda v, path: chk.number(v, path, positive=True),
         "time_steps": lambda v, path: chk.integer(v, path, minimum=1),
         "output_times": lambda v, path: chk.numbers(v, path, nonneg=True),
-        "nu": lambda v, path: chk.number(v, path, positive=True),
     }
     kwargs = {key: parse(obj[key], f"series.{key}") for key, parse in parsers.items() if key in obj}
     if None in kwargs.values():

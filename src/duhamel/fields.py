@@ -23,6 +23,8 @@ __all__ = [
     "curl_residual",
 ]
 
+_TIME_RTOL = 1e-9  # relative tolerance of time matching and uniform spacing
+
 
 def _freeze(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     arr = np.ascontiguousarray(values, dtype=np.float64).reshape(shape)
@@ -108,19 +110,19 @@ class Trajectory:
     def __iter__(self):
         return iter(zip(self.times, self.snapshots))
 
-    def at_time(self, t: float, rtol: float = 1e-9):
+    def at_time(self, t: float):
         """Snapshot whose time matches ``t`` (within a relative tolerance)."""
         scale = max(abs(t), self.times[-1], 1e-300)
         for ti, snap in zip(self.times, self.snapshots):
-            if abs(ti - t) <= rtol * scale:
+            if abs(ti - t) <= _TIME_RTOL * scale:
                 return snap
         raise KeyError(f"no snapshot at t={t}")
 
-    def is_uniform(self, rtol: float = 1e-9) -> bool:
+    def is_uniform(self) -> bool:
         if len(self.times) < 3:
             return True
         dt = np.diff(self.times)
-        return bool(np.max(np.abs(dt - dt[0])) <= rtol * dt[0])
+        return bool(np.max(np.abs(dt - dt[0])) <= _TIME_RTOL * dt[0])
 
 
 # ---------------------------------------------------------------------------

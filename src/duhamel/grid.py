@@ -94,10 +94,6 @@ class Grid:
         return self.points
 
     @property
-    def size(self) -> int:
-        return int(np.prod(self.points))
-
-    @property
     def is_periodic(self) -> bool:
         return isinstance(self.boundary, Periodic)
 

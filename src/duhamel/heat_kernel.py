@@ -1,15 +1,14 @@
 """Gaussian heat kernel evaluation and K(., t) * field convolution.
 
 Every grid convolves on a torus through its real Fourier transform: the
-half-spectrum coefficients are multiplied by exp(-nu |k|^2 t), the exact
+half-spectrum coefficients are multiplied by exp(-|k|^2 t), the exact
 semigroup on the torus's discrete modes.  A periodic grid is its own torus.
 A truncated free-space grid is extended by edge replication to
 ``padding_factor`` times its extent per axis, rounded up to a fast transform
 length; the convolution runs on that padded torus and is cropped back to the
 grid.  The series solver's order sweeps use the same transform pair.
 
-The viscosity ``nu`` rescales the kernel to (4 pi nu t)^(-n/2)
-exp(-|x|^2 / (4 nu t)); it defaults to 1 everywhere.
+The kernel has unit diffusivity; a diffusivity D is the time unit tau = D t.
 """
 
 from __future__ import annotations
@@ -27,20 +26,16 @@ __all__ = ["PaddedTorus", "padded_torus", "KernelApplication", "kernel_eval", "c
            "convolve_times"]
 
 
-def kernel_eval(x, t: float, n: int | None = None, nu: float = 1.0) -> float:
-    """Heat kernel density (4 pi nu t)^(-n/2) exp(-|x|^2 / (4 nu t)).
+def kernel_eval(x, t: float) -> float:
+    """Heat kernel density (4 pi t)^(-n/2) exp(-|x|^2 / (4 t)).
 
-    ``x`` may be a scalar (n defaults to 1) or a length-n point.
+    ``x`` may be a scalar (n = 1) or a length-n point.
     """
     if not t > 0:
         raise ValueError(f"kernel time must be positive, got {t}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if n is None:
-        n = x.size
-    if x.size != n:
-        raise ValueError(f"point has {x.size} coordinates, expected {n}")
     r2 = float(np.dot(x, x))
-    return (4.0 * math.pi * nu * t) ** (-0.5 * n) * math.exp(-r2 / (4.0 * nu * t))
+    return (4.0 * math.pi * t) ** (-0.5 * x.size) * math.exp(-r2 / (4.0 * t))
 
 
 class PaddedTorus:
@@ -108,9 +103,9 @@ class PaddedTorus:
         spectrum = scipy.fft.irfft(spectrum, n=self.shape[last], axis=-1)
         return spectrum[self._crops[last]].copy()
 
-    def damping(self, nu_t: float) -> np.ndarray:
-        """exp(-nu t |k|^2): the kernel K(., t) on the half spectrum."""
-        return np.exp(-nu_t * self.k2)
+    def damping(self, t: float) -> np.ndarray:
+        """exp(-t |k|^2): the kernel K(., t) on the half spectrum."""
+        return np.exp(-t * self.k2)
 
     def summary(self) -> dict:
         """Engine and padding, as recorded in a run's manifest."""
@@ -133,14 +128,11 @@ class KernelApplication:
     ``t = 0`` is the identity.
     """
 
-    def __init__(self, grid: Grid, t: float, nu: float = 1.0):
+    def __init__(self, grid: Grid, t: float):
         if t < 0:
             raise ValueError(f"kernel time must be >= 0, got {t}")
-        if nu <= 0:
-            raise ValueError(f"viscosity must be positive, got {nu}")
         self.grid = grid
         self.t = float(t)
-        self.nu = float(nu)
 
     def apply(self, field: ScalarField) -> ScalarField:
         if field.grid != self.grid:
@@ -151,16 +143,16 @@ class KernelApplication:
 
     def _apply_spectrum(self, spectrum: np.ndarray) -> ScalarField:
         torus = padded_torus(self.grid)
-        return ScalarField(self.grid, torus.inverse(spectrum * torus.damping(self.nu * self.t)))
+        return ScalarField(self.grid, torus.inverse(spectrum * torus.damping(self.t)))
 
 
-def convolve(field: ScalarField, t: float, nu: float = 1.0) -> ScalarField:
+def convolve(field: ScalarField, t: float) -> ScalarField:
     """K(., t) * field; the t = 0 limit returns the field unchanged."""
-    return KernelApplication(field.grid, t, nu).apply(field)
+    return KernelApplication(field.grid, t).apply(field)
 
 
-def convolve_times(field: ScalarField, times, nu: float = 1.0) -> list[ScalarField]:
+def convolve_times(field: ScalarField, times) -> list[ScalarField]:
     """K(., t) * field at each of ``times``, from one forward transform."""
-    apps = [KernelApplication(field.grid, t, nu) for t in times]
+    apps = [KernelApplication(field.grid, t) for t in times]
     spectrum = padded_torus(field.grid).forward(field.values)
     return [field if app.t == 0.0 else app._apply_spectrum(spectrum) for app in apps]

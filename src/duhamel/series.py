@@ -1,6 +1,6 @@
 """Truncated convolution-series solver for the controlled heat equation.
 
-The equation is ``dG/dt = nu * Lap(G) + F * G + S`` with bounded forcing F
+The equation is ``dG/dt = Lap(G) + F * G + S`` with bounded forcing F
 and optional source S.  Its solution is the iterated Duhamel series
 
     T_0(t) = K(t) * G0 + int_0^t K(t-s) * S(s) ds
@@ -12,7 +12,7 @@ nested integrals into O(d * n_t) kernel sweeps.
 Every order runs in Fourier space on the grid's torus (see ``heat_kernel``:
 periodic grids as they are, free-space grids edge-padded to
 ``padding_factor`` times their extent).  The solver integrates each mode
-against the exact kernel weight exp(-nu |k|^2 (t-s)) with the integrand
+against the exact kernel weight exp(-|k|^2 (t-s)) with the integrand
 interpolated linearly between nodes, an exponential (ETD) product rule that
 removes the kernel stiffness from the quadrature error entirely.
 
@@ -86,7 +86,6 @@ class SeriesOptions:
     rel_tolerance: float = 1e-12
     time_steps: int = 64
     output_times: tuple[float, ...] | None = None
-    nu: float = 1.0
 
     def __post_init__(self):
         if not 0 <= self.depth_max <= _DEPTH_LIMIT:
@@ -95,8 +94,6 @@ class SeriesOptions:
             raise ValueError(f"rel_tolerance must be >= {_RTOL_FLOOR}")
         if self.time_steps < 1:
             raise ValueError("time_steps must be >= 1")
-        if self.nu <= 0:
-            raise ValueError("viscosity must be positive")
         if self.output_times is not None:
             object.__setattr__(self, "output_times", tuple(float(t) for t in self.output_times))
 
@@ -168,12 +165,12 @@ class _SpectralEngine:
     spectrum at a time instead of n + 1.
     """
 
-    def __init__(self, grid: Grid, dt: float, n_steps: int, nu: float):
+    def __init__(self, grid: Grid, dt: float, n_steps: int):
         self.grid = grid
         self.n = n_steps
         self.torus = padded_torus(grid)
         self.stacked = grid.ndim == 1
-        z = nu * dt * self.torus.k2
+        z = dt * self.torus.k2
         f2 = _f2(z)
         # complex copies of real weights: the products with spectra take the
         # same values without casting the weights on every call
@@ -238,7 +235,7 @@ class _SpectralEngine:
 # public single-order operator
 
 
-def duhamel_step(term_trajectory: Trajectory, F: Forcing, nu: float = 1.0) -> Trajectory:
+def duhamel_step(term_trajectory: Trajectory, F: Forcing) -> Trajectory:
     """Next series order from the full trajectory of the previous one.
 
     ``T_next(t_j) = int_0^{t_j} K(t_j - s) * (F(s) T(s)) ds`` evaluated by
@@ -257,7 +254,7 @@ def duhamel_step(term_trajectory: Trajectory, F: Forcing, nu: float = 1.0) -> Tr
         raise ValueError("need at least two nodes for a Duhamel step")
     dt = float(times[1] - times[0])
     torus = padded_torus(grid)
-    decay = torus.damping(nu * dt)
+    decay = torus.damping(dt)
     f_stack = F.sample(grid, times)
     nodes = (torus.forward(fv * snap.values) for fv, snap in zip(f_stack, term_trajectory.snapshots))
     first = next(nodes)
@@ -364,7 +361,7 @@ def solve_controlled_heat(
     opts: SeriesOptions | None = None,
     source=None,
 ) -> SeriesSolution:
-    """Solve dG/dt = nu Lap(G) + F G (+ source) by the truncated series.
+    """Solve dG/dt = Lap(G) + F G (+ source) by the truncated series.
 
     ``source``, when given, is a Forcing-like object sampled at the time
     nodes and absorbed into the zeroth term.  Terms are appended until the
@@ -384,7 +381,7 @@ def solve_controlled_heat(
     n = opts.time_steps
     dt = float(nodes[1] - nodes[0])
     out_idx = opts.output_indices(horizon)
-    engine = _SpectralEngine(grid, dt, n, opts.nu)
+    engine = _SpectralEngine(grid, dt, n)
 
     f_stack = F.sample(grid, nodes)
     f_sup = float(np.max(f_stack))
@@ -450,7 +447,7 @@ def solve_controlled_heat(
     # factorial tail estimate at the emitted depth
     m_abs = max(abs(f_sup), abs(f_inf))
     kg0 = tuple(f.values for f in
-                convolve_times(ScalarField(grid, np.abs(G0.values)), out_times, opts.nu))
+                convolve_times(ScalarField(grid, np.abs(G0.values)), out_times))
     est = 0.0
     for m in range(n_out):
         t = out_times[m]

@@ -16,6 +16,7 @@ from duhamel import Grid, ScalarField, suites
 from duhamel.cli import main
 from duhamel.config import ConfigError, load_config
 from duhamel.io import read_trajectory, write_field
+from duhamel.series import solve_controlled_heat
 from duhamel.suites import DEFAULT_SEED, suite_bounds
 
 
@@ -87,7 +88,6 @@ WRONG_LEAVES = [
     ("heat", ("series", "rel_tolerance"), "a", "series.rel_tolerance"),
     ("heat", ("series", "time_steps"), 1.5, "series.time_steps"),
     ("heat", ("series", "output_times", 0), "x", "series.output_times[0]"),
-    ("heat", ("series", "nu"), [1], "series.nu"),
     ("heat", ("controlled_heat", "initial"), 1, "controlled_heat.initial"),
     ("heat", ("controlled_heat", "forcing"), [1], "controlled_heat.forcing"),
     ("heat", ("controlled_heat", "horizon"), "a", "controlled_heat.horizon"),
@@ -126,6 +126,15 @@ class TestConfigValidation:
         assert rc == 2
         payload = json.loads(capsys.readouterr().err)
         assert payload["errors"] == [{"path": "threads", "message": "unknown key"}]
+
+    def test_nu_is_an_unknown_key(self, tmp_path, capsys):
+        # every run kind has unit diffusivity; diffusivity nu is the time unit tau = nu t
+        body = controlled_heat_config()
+        body["series"]["nu"] = 0.5
+        rc = main(["solve", write_config(tmp_path, body)])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["errors"] == [{"path": "series.nu", "message": "unknown key"}]
 
     def test_valid_config_loads(self, tmp_path):
         cfg = load_config(write_config(tmp_path, controlled_heat_config()))
@@ -501,6 +510,45 @@ class TestBenchCommand:
         rows = out_csv.read_text().strip().split("\n")[1:]
         times = [float(r.split(",")[2]) for r in rows]
         assert len(times) == 2 and all(t >= 0 for t in times)
+
+    def test_grid_sweep_keeps_each_extent(self, tmp_path, monkeypatch):
+        grids = []
+
+        def record(g0, *args):
+            grids.append(g0.grid)
+            return solve_controlled_heat(g0, *args)
+
+        monkeypatch.setattr("duhamel.cli.solve_controlled_heat", record)
+        body = controlled_heat_config()
+        body["grid"] = {"points": [16, 8], "extent": [2 * np.pi, np.pi], "origin": [0.0, 0.0]}
+        body["controlled_heat"]["initial"] = "1 + 0.5*cos(x)*cos(2*y)"
+        body["bench"] = {"axis": "grid", "values": [16, 32]}
+        assert main(["bench", write_config(tmp_path, body), "-o", str(tmp_path / "b.csv")]) == 0
+        assert [g.points for g in grids] == [(16, 16), (32, 32)]
+        for g in grids:
+            assert np.allclose([g.extent(0), g.extent(1)], [2 * np.pi, np.pi], rtol=1e-15)
+
+    @pytest.mark.parametrize("grid, series, forcing, code, message", [
+        ({}, {}, "1/(t - 0.5)", 2, "non-finite values at t=0.5"),
+        ({}, {"time_steps": 8, "depth_max": 64}, "1e300*cos(x)", 3, "the series sum overflows"),
+        ({"points": [16, 16], "extent": [2 * np.pi] * 2, "origin": [0.0, 0.0]}, {}, "0.3*sin(y)",
+         2, "the Crank-Nicolson oracle runs on periodic 1D grids"),
+    ], ids=["nonfinite-forcing", "overflow", "oracle-2d"])
+    def test_failed_sweep_is_one_json_error(self, tmp_path, capsys, grid, series, forcing, code,
+                                            message):
+        body = controlled_heat_config()
+        body["grid"] = {"points": [32], "extent": [2 * np.pi], "origin": [0.0], **grid}
+        body["series"].update(series)
+        body["controlled_heat"]["forcing"] = forcing
+        body["bench"] = {"axis": "depth", "values": [series.get("depth_max", 2)]}
+        # a numpy RuntimeWarning is an error in this suite, so a clean return
+        # means the JSON error is all of stderr
+        assert main(["bench", write_config(tmp_path, body)]) == code
+        captured = capsys.readouterr()
+        errors = json.loads(captured.err)["errors"]
+        assert [e["path"] for e in errors] == ["bench"]
+        assert message in errors[0]["message"]
+        assert captured.out == ""
 
 
 class TestInspectCommand:

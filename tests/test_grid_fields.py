@@ -27,7 +27,6 @@ class TestGrid:
     def test_basic_properties(self):
         g = periodic_1d(64)
         assert g.ndim == 1
-        assert g.size == 64
         assert g.is_periodic
         assert np.isclose(g.extent(0), 2 * np.pi)
         # cell-centered: first node half a cell in

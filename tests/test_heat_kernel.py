@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from duhamel import (
     FreeSpaceTruncated,
     Grid,
-    KernelApplication,
     ScalarField,
     convolve,
     gradient,
@@ -26,11 +25,11 @@ class TestKernelEval:
     def test_origin_value_any_dim(self):
         for n in (1, 2, 3):
             t = 0.37
-            assert np.isclose(kernel_eval(np.zeros(n), t, n), (4 * math.pi * t) ** (-n / 2), rtol=1e-15)
+            assert np.isclose(kernel_eval(np.zeros(n), t), (4 * math.pi * t) ** (-n / 2), rtol=1e-15)
 
     def test_normalizing_time(self):
         # (4 pi t)^{-1/2} = 1 exactly when t = 1/(4 pi)
-        assert np.isclose(kernel_eval(0.0, 1 / (4 * math.pi), 1), 1.0, rtol=1e-15)
+        assert np.isclose(kernel_eval(0.0, 1 / (4 * math.pi)), 1.0, rtol=1e-15)
 
     def test_closed_form_point(self):
         # oracle: high-precision evaluation of (4 pi)^{-1/2} e^{-1}
@@ -38,18 +37,14 @@ class TestKernelEval:
 
         mpmath.mp.dps = 30
         want = float(1 / mpmath.sqrt(4 * mpmath.pi) * mpmath.e**-1)
-        assert np.isclose(kernel_eval(2.0, 1.0, 1), want, rtol=1e-14)
+        assert np.isclose(kernel_eval(2.0, 1.0), want, rtol=1e-14)
         assert np.isclose(want, 0.1037769, atol=5e-8)
 
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
-            kernel_eval(1.0, 0.0, 1)
+            kernel_eval(1.0, 0.0)
         with pytest.raises(ValueError):
-            kernel_eval(1.0, -0.5, 1)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            kernel_eval(np.zeros(2), 1.0, 3)
+            kernel_eval(1.0, -0.5)
 
 
 class TestConvolve:
@@ -81,7 +76,7 @@ class TestConvolve:
             idx = int(np.argmin(np.abs(x - xi)))
             xn = x[idx]
             oracle, err = quad(
-                lambda y: kernel_eval(xn - y, t, 1) * math.exp(-(y**2) / (4 * a)),
+                lambda y: kernel_eval(xn - y, t) * math.exp(-(y**2) / (4 * a)),
                 -extent / 2,
                 extent / 2,
             )
@@ -91,8 +86,6 @@ class TestConvolve:
         g = periodic_1d(64)
         with pytest.raises(ValueError):
             convolve(ScalarField.constant(g, 1.0), -0.1)
-        with pytest.raises(ValueError):
-            KernelApplication(g, 0.1, nu=0.0)
 
     def test_times_share_one_transform(self):
         g = Grid((64,), (0.25,), (-8.0,), FreeSpaceTruncated(2.0))
@@ -200,7 +193,7 @@ class TestPaddedTorus:
         for xi in (-7.9, 0.3, 7.9):
             i = int(np.argmin(np.abs(x - xi)))
             oracle, _ = quad(
-                lambda y: kernel_eval(x[i] - y, t, 1) * math.tanh(min(max(y, x[0]), x[-1])),
+                lambda y: kernel_eval(x[i] - y, t) * math.tanh(min(max(y, x[0]), x[-1])),
                 x[i] - 12, x[i] + 12, points=[x[0], x[-1]], limit=200,
             )
             assert abs(ref[i] - oracle) < 1e-8  # the edge kink costs O(h^2) * 1e-6
@@ -237,22 +230,3 @@ class TestPaddedTorus:
                 one = torus.forward(stack[i, j])
                 assert np.array_equal(spectra[i, j], one)
                 assert np.array_equal(torus.inverse(spectra)[i, j], torus.inverse(one))
-
-
-class TestViscosityKnob:
-    def test_rescaled_kernel(self):
-        nu = 0.25
-        t = 0.8
-        # K_nu(x, t) = (4 pi nu t)^{-1/2} e^{-x^2/(4 nu t)}
-        assert np.isclose(
-            kernel_eval(1.0, t, 1, nu=nu),
-            (4 * math.pi * nu * t) ** -0.5 * math.exp(-1 / (4 * nu * t)),
-            rtol=1e-15,
-        )
-
-    def test_semigroup_speed(self):
-        g = periodic_1d(128)
-        x = g.coords(0)
-        f = ScalarField(g, np.sin(x))
-        out = convolve(f, 1.0, nu=0.3)
-        assert np.max(np.abs(out.values - math.exp(-0.3) * np.sin(x))) < 1e-12

@@ -39,8 +39,6 @@ class TestSeriesOptions:
             SeriesOptions(rel_tolerance=1e-15)
         with pytest.raises(ValueError):
             SeriesOptions(time_steps=0)
-        with pytest.raises(ValueError):
-            SeriesOptions(nu=0.0)
 
     def test_output_times_must_be_nodes(self):
         opts = SeriesOptions(time_steps=10, output_times=(0.35,))
@@ -361,7 +359,7 @@ class TestEngineMemory:
         # each node stack must be a grid-sized real array, not a view of a
         # complex or padded buffer
         grid = periodic_1d(64) if boundary is None else Grid((64,), (0.25,), (-8.0,), boundary)
-        engine = _SpectralEngine(grid, 0.05, 8, 1.0)
+        engine = _SpectralEngine(grid, 0.05, 8)
         g = np.cos(grid.coords(0))
         stacks = (engine.propagate_initial(g), engine.sweep(np.stack([g] * 9)))
         for stack in stacks:
@@ -406,7 +404,7 @@ class TestEngineStacking:
         Grid((16, 12), (0.4, 0.5), (-3.0, -3.0), FreeSpaceTruncated(1.5)),
     ], ids=["periodic-1d", "free-1d", "free-2d"])
     def test_stacked_and_per_node_transforms_agree_bitwise(self, grid):
-        engine = _SpectralEngine(grid, 0.05, 8, 1.0)
+        engine = _SpectralEngine(grid, 0.05, 8)
         rng = np.random.default_rng(9)
         g0 = rng.normal(size=grid.shape)
         integrand = rng.normal(size=(9,) + grid.shape)
