@@ -169,7 +169,7 @@ def _solve_parabolic(cfg: RunConfig, out_dir: Path, manifest: dict) -> int:
         f=cfg.payload["f"],
         u0=u0,
         horizon=cfg.payload["horizon"],
-        ellipticity_min=cfg.payload.get("ellipticity_min", 1e-8),
+        ellipticity_min=cfg.payload.get("ellipticity_min", ParabolicProblem.ellipticity_min),
     )
     sol = solve_parabolic(prob, cfg.series)
     write_trajectory(sol.v, out_dir, "v")

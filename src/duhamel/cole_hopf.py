@@ -65,30 +65,18 @@ def default_curl_tolerance(u0: VectorField) -> float:
     return 1e-6 * max(u0.max_norm, 1e-12) * u0.grid.max_extent
 
 
-def _cumulative_from_anchor(values: np.ndarray, h: float, i0: int, axis: int) -> np.ndarray:
-    """Integral from node i0 to every node along ``axis`` (4th-order rule)."""
-    v = np.moveaxis(values, axis, -1)
-    out = np.empty_like(v)
-    out[..., i0:] = corrected_cumulative_trapezoid(v[..., i0:], h)
-    if i0 > 0:
-        back = corrected_cumulative_trapezoid(v[..., i0::-1], h)
-        out[..., :i0] = -back[..., :0:-1]
-    return np.moveaxis(out, -1, axis)
-
-
 def _staircase(u0: VectorField, anchor: tuple[int, ...], axis_order) -> np.ndarray:
     """Line integral of u0 along the axis-aligned staircase path."""
     grid = u0.grid
     phi = np.zeros(grid.shape)
     for pos, d in enumerate(axis_order):
-        comp = u0.components[d]
         # axes not yet walked stay pinned at the anchor for this leg
         sel: list = [slice(None)] * grid.ndim
         for e in axis_order[pos + 1 :]:
             sel[e] = slice(anchor[e], anchor[e] + 1)
-        leg = comp[tuple(sel)]
-        integral = _cumulative_from_anchor(leg, grid.spacing[d], anchor[d], d)
-        phi = phi + integral  # broadcasts over the pinned axes
+        # one 4th-order integral over the whole line, measured from the anchor
+        total = corrected_cumulative_trapezoid(u0.components[d][tuple(sel)], grid.spacing[d], d)
+        phi = phi + (total - np.take(total, [anchor[d]], d))  # broadcasts over the pinned axes
     return phi
 
 
@@ -98,9 +86,10 @@ def potential_from_velocity(u0: VectorField, x0, a: float) -> ScalarField:
     Rejects measurably rotational data first: a curl residual above
     ``default_curl_tolerance(u0)`` raises ``CurlError``.  Then integrates
     along the axis-aligned staircase path from the grid node nearest ``x0``
-    (legs ordered x, then y, then z) with an endpoint-corrected trapezoid
-    per leg.  Path independence is asserted by recomputing with the reversed
-    axis order; the two results are averaged.
+    (legs ordered x, then y, then z).  Each leg is one endpoint-corrected
+    trapezoid over its whole grid line, less its value at the anchor node,
+    so phi there is exactly ``a``.  Path independence is asserted by
+    recomputing with the reversed axis order; the two results are averaged.
     """
     if not np.isfinite(a):
         raise ValueError("anchor value a must be finite")
@@ -230,29 +219,21 @@ def solve_nse(prob: NSEProblem, opts: SeriesOptions | None = None) -> NSESolutio
     return NSESolution(sol, u, floor, ceiling, residual)
 
 
-def _time_derivative(snaps: list[VectorField], times, j: int, axis: int) -> np.ndarray:
-    a = times[j] - times[j - 1]
-    b = times[j + 1] - times[j]
-    um, u0, up = (snaps[j - 1], snaps[j], snaps[j + 1])
-    return (
-        a * a * up.components[axis]
-        + (b * b - a * a) * u0.components[axis]
-        - b * b * um.components[axis]
-    ) / (a * b * (a + b))
-
-
 def nse_residual(u: Trajectory, p_minus_f: Forcing | None) -> Trajectory:
     """Momentum-equation residual du/dt + (u.grad)u - Lap(u) - grad(f - p).
 
-    Time derivatives are centered on the output times (so at least three are
-    required); the per-node value is the max residual magnitude over
-    components.  For free-space grids only interior nodes are reported.
+    du/dt is the three-point difference of ``np.gradient`` centred on each
+    interior output time, uniform or not (so at least three are required);
+    the per-node value is the max residual magnitude over components.  For
+    free-space grids only interior nodes are reported.
     """
     if len(u.times) < 3:
         raise ValueError("nse_residual needs at least 3 output times for centered differencing")
     grid = u.grid
     times = u.times
-    snaps = list(u.snapshots)
+    snaps = u.snapshots
+    dudt = [np.gradient(np.stack([s.components[i] for s in snaps]), np.asarray(times), axis=0)
+            for i in range(grid.ndim)]
     out_times, out_fields = [], []
     if p_minus_f is not None:
         p_stack = p_minus_f.sample(grid, times[1:-1])
@@ -265,7 +246,7 @@ def nse_residual(u: Trajectory, p_minus_f: Forcing | None) -> Trajectory:
             force = gradient(ScalarField(grid, p_stack[j - 1]))
         worst = np.zeros(grid.shape)
         for i in range(grid.ndim):
-            res = _time_derivative(snaps, times, j, i)
+            res = dudt[i][j]
             for l in range(grid.ndim):
                 res = res + uj.components[l] * derivative(uj.component(i), l).values
             res = res - laplacian(uj.component(i)).values

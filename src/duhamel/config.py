@@ -137,8 +137,9 @@ class RunConfig:
             for i, expr in enumerate(self.payload["velocity"])))
 
     def forcing(self, key: str) -> Forcing | None:
+        """The forcing of leaf ``key``, labelled with it, or ``None`` if unset."""
         spec = self.payload.get(key)
-        return None if spec is None else Forcing.make(spec)
+        return None if spec is None else Forcing.make(spec).labelled(key)
 
 
 _TOP_KEYS = {"schema", "kind", "grid", "series", "seed", "output_dir",
@@ -181,7 +182,7 @@ def _parse_grid(obj, chk: _Checker) -> Grid | None:
         if not chk.section(inner, "grid.boundary.free_space", {"padding_factor"}, set()):
             return None
         path = "grid.boundary.free_space.padding_factor"
-        padding = chk.number(inner.get("padding_factor", 2.0), path)
+        padding = chk.number(inner.get("padding_factor", FreeSpaceTruncated.padding_factor), path)
         if padding is None:
             return None
         try:

@@ -49,12 +49,14 @@ class Forcing:
     ``evaluate(times, coords, grid)`` returns an array that broadcasts to
     the sampled stack.  ``coords`` are bound to x, y, z in order, each with a
     leading axis of length 1 or ``len(times)``; ``grid`` is the grid of a
-    lattice and ``None`` for rows.
+    lattice and ``None`` for rows.  A ``label`` (the name of the config
+    leaf or coefficient the function came from) prefixes its errors.
     """
 
-    def __init__(self, evaluate, kind: str):
+    def __init__(self, evaluate, kind: str, label: str | None = None):
         self._evaluate = evaluate
         self.kind = kind
+        self.label = label
 
     # -- constructors --------------------------------------------------------
 
@@ -152,13 +154,18 @@ class Forcing:
             vals = np.array(np.broadcast_to(vals, shape))
         finite = np.isfinite(vals).reshape(len(times), -1).all(axis=1)
         if not finite.all():
-            raise ValueError(f"{self.kind} has non-finite values at t={times[np.argmin(finite)]}")
+            prefix = f"{self.label}: " if self.label else ""
+            raise ValueError(f"{prefix}{self.kind} has non-finite values at t={times[np.argmin(finite)]}")
         return vals
 
+    def labelled(self, label: str) -> "Forcing":
+        """This function, with its errors prefixed by ``label``."""
+        return Forcing(self._evaluate, self.kind, label)
+
     def halved(self) -> "Forcing":
-        """Pointwise half of this forcing."""
+        """Pointwise half of this forcing, with the same label."""
         inner = self._evaluate
-        return Forcing(lambda *args: 0.5 * np.asarray(inner(*args), dtype=float), self.kind)
+        return Forcing(lambda *args: 0.5 * np.asarray(inner(*args), dtype=float), self.kind, self.label)
 
     def __repr__(self):
         return f"Forcing(kind={self.kind!r})"

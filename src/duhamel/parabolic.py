@@ -21,9 +21,10 @@ expressions over x and t, or callables ``fn(t, x)``.  The reduction works on
 whole ``(n_t+1, n)`` lattice stacks: each coefficient is sampled once over all
 time nodes with ``Forcing.sample_rows`` (c and f on the moving nodes
 x(t, y)), and psi, P, rho, Q and g are computed as stacks (x-derivatives by
-the free-space stencil, integrals by the corrected trapezoid, both along the
-last axis).  The reduced problem lives on a uniform y-grid with the same
-point count as the x-grid.  Only the resampling between the x- and y-grids
+the free-space stencil and integrals by the corrected trapezoid, both along
+the last axis; t-derivatives by ``np.gradient`` along the first).  The
+reduced problem lives on a uniform y-grid with the same point count as the
+x-grid.  Only the resampling between the x- and y-grids
 goes node by node, with one cubic spline per knot set that carries every
 column on those knots: (x, P) over psi in ``normalize``, (v, rho) over y in
 ``back_transform``.  A monotone interpolant would flatten the solution at its
@@ -81,7 +82,7 @@ class ParabolicProblem:
             extra = set(value.variables) - {"x", "t"} if isinstance(value, Expression) else set()
             if extra:
                 raise ValueError(f"parabolic coefficients may only use x and t, got {sorted(extra)}")
-            object.__setattr__(self, name, Forcing.make(value))
+            object.__setattr__(self, name, Forcing.make(value).labelled(name))
         if self.u0.grid.ndim != 1:
             raise ValueError("parabolic problems are one dimensional")
         if self.u0.grid.is_periodic:
@@ -118,24 +119,20 @@ class NormalizedProblem:
 
 
 def _time_stack_derivative(stack: np.ndarray, dt: float) -> np.ndarray:
-    """Centered differences along axis 0, second-order one-sided at the ends."""
-    out = np.zeros_like(stack)
-    if len(stack) == 2:
-        out[:] = (stack[1] - stack[0]) / dt
-    elif len(stack) >= 3:
-        out[1:-1] = (stack[2:] - stack[:-2]) / (2.0 * dt)
-        out[0] = (-3.0 * stack[0] + 4.0 * stack[1] - stack[2]) / (2.0 * dt)
-        out[-1] = (3.0 * stack[-1] - 4.0 * stack[-2] + stack[-3]) / (2.0 * dt)
-    return out
+    """d/dt along axis 0 by ``np.gradient``: centred differences, second-order
+    one-sided at the ends (first order when there are only two nodes)."""
+    return np.gradient(stack, dt, axis=0, edge_order=min(2, len(stack) - 1))
 
 
 def normalize(prob: ParabolicProblem, time_nodes: int = 64) -> NormalizedProblem:
     """Sample Q, g, rho and the maps on the (t, y) lattice.
 
-    ``time_nodes`` sets the uniform t-sampling; the solver interpolates the
-    stacks linearly between nodes, so it should match (or exceed) the series
-    time resolution.
+    ``time_nodes`` (at least 1) sets the uniform t-sampling; the solver
+    interpolates the stacks linearly between nodes, so it should match (or
+    exceed) the series time resolution.
     """
+    if time_nodes < 1:
+        raise ValueError(f"time_nodes must be at least 1, got {time_nodes}")
     from scipy.interpolate import CubicSpline  # imported here: heat and NSE runs never interpolate
 
     x_grid = prob.grid
@@ -143,7 +140,7 @@ def normalize(prob: ParabolicProblem, time_nodes: int = 64) -> NormalizedProblem
     n_x = x_grid.points[0]
     h_x = x_grid.spacing[0]
     t_nodes = np.linspace(0.0, prob.horizon, time_nodes + 1)
-    dt = float(t_nodes[1] - t_nodes[0]) if len(t_nodes) > 1 else 1.0
+    dt = float(t_nodes[1] - t_nodes[0])
 
     A = prob.A.sample_rows(t_nodes, x)
     bad = A > -prob.ellipticity_min

@@ -68,6 +68,35 @@ class TestPotential:
         anchored = phi_exact.values - phi_exact.values[i0]
         assert np.max(np.abs(phi.values - anchored)) < 1e-6
 
+    @pytest.mark.parametrize("where", ["first", "interior", "last"])
+    def test_1d_anchor_node(self, where):
+        # phi = sin(1.3x) + 0.2x^2 on [-4, 4]; each line is integrated once
+        # and measured from the anchor, which may sit anywhere on it
+        errors = []
+        for n in (32, 64):
+            g = Grid((n,), (8.0 / n,), (-4.0,), FreeSpaceTruncated(2.0))
+            x = g.coords(0)
+            i0 = {"first": 0, "interior": n // 3, "last": n - 1}[where]
+            u0 = VectorField(g, (1.3 * np.cos(1.3 * x) + 0.4 * x,))
+            phi = potential_from_velocity(u0, (x[i0],), 0.7).values
+            assert phi[i0] == 0.7
+            exact = np.sin(1.3 * x) + 0.2 * x * x
+            errors.append(np.max(np.abs(phi - (exact - exact[i0] + 0.7))))
+        assert errors[1] < 3e-6
+        assert errors[0] / errors[1] > 12.0  # 4th order
+
+    @pytest.mark.parametrize("node", [(0, 0), (8, 10), (23, 19)], ids=["first", "interior", "last"])
+    def test_2d_anchor_node(self, node):
+        # a cubic potential: the corrected trapezoid integrates every leg exactly
+        g = Grid((24, 20), (0.25, 0.25), (-3.0, -2.5), FreeSpaceTruncated(2.0))
+        x, y = g.meshgrid()
+        exact = 0.3 * x * x + 0.2 * x * y - 0.1 * y * y + 0.05 * x**3
+        u0 = VectorField(g, (0.6 * x + 0.2 * y + 0.15 * x * x, 0.2 * x - 0.2 * y))
+        x0 = tuple(g.coords(d)[i] for d, i in enumerate(node))
+        phi = potential_from_velocity(u0, x0, -1.5).values
+        assert phi[node] == -1.5
+        assert np.max(np.abs(phi - (exact - exact[node] - 1.5))) < 1e-13
+
     def test_rotational_data_rejected(self):
         g = periodic_2d(48)
         x, y = g.meshgrid()
@@ -274,13 +303,16 @@ class TestNSEResidual:
         def exact(t):
             return np.exp(-t) * np.sin(x) / (1 + 0.5 * np.exp(-t) * np.cos(x))
 
-        residuals = []
-        for m in (8, 16):
-            times = tuple(np.linspace(0.0, 0.5, m + 1))
-            traj = Trajectory(times, tuple(VectorField(g, (exact(t),)) for t in times))
-            residuals.append(max(s.max_abs for _, s in nse_residual(traj, None)))
-        # centered time differencing: one refinement shrinks it ~4x
-        assert 2.5 < residuals[0] / residuals[1] < 6.0
+        # uniform times, and times graded from 0.4x to 1.6x the mean step
+        for grading in (0.0, -0.6):
+            residuals = []
+            for m in (8, 16):
+                s = np.linspace(0.0, 1.0, m + 1)
+                times = tuple(0.5 * (s + grading * s * (1 - s)))
+                traj = Trajectory(times, tuple(VectorField(g, (exact(t),)) for t in times))
+                residuals.append(max(r.max_abs for _, r in nse_residual(traj, None)))
+            # centered time differencing: one refinement shrinks it ~4x
+            assert 2.5 < residuals[0] / residuals[1] < 6.0
 
     def test_forcing_sign_convention(self):
         # steady state u = 0 with p - f = 2 sin(x): residual must include

@@ -311,10 +311,13 @@ class TestSolveCommand:
         ("nse", ("nse", "velocity", 0), "0.3*sin(x) + 1/t"),
         ("parabolic", ("parabolic", "initial"), "exp(-0.5*x*x)/t"),
         ("parabolic", ("parabolic", "c"), "0.4 + 1/(t - 0.25)"),
+        ("heat", ("controlled_heat", "forcing"), "1/(t - 0.5)"),
+        ("nse", ("nse", "pressure_minus_force"), "1/(t - 0.25)"),
     ])
     def test_nonfinite_expression_exits_2(self, tmp_path, capsys, kind, keys, value):
         # time is an array, so these divide to inf instead of raising, and
-        # the non-finite check reports them without a numpy warning
+        # the non-finite check reports them without a numpy warning; the
+        # message starts with the leaf, e.g. "velocity[0]: "
         body = CONFIGS[kind]()
         target = body
         for key in keys[:-1]:
@@ -323,7 +326,11 @@ class TestSolveCommand:
         rc = main(["solve", write_config(tmp_path, body), "-o", str(tmp_path / "out")])
         assert rc == 2
         payload = json.loads(capsys.readouterr().err)
-        assert "non-finite" in payload["errors"][0]["message"]
+        (error,) = payload["errors"]
+        assert error["path"] == CONFIGS[kind]()["kind"]
+        leaf = keys[1] + "".join(f"[{k}]" for k in keys[2:])
+        assert error["message"].startswith(f"{leaf}: ")
+        assert "non-finite" in error["message"]
 
     def test_negative_forcing_upper_bound_holds(self, tmp_path):
         # sup F = -1: the former exp(2 sup F t) K*G0 upper estimate fell below
@@ -529,7 +536,7 @@ class TestBenchCommand:
             assert np.allclose([g.extent(0), g.extent(1)], [2 * np.pi, np.pi], rtol=1e-15)
 
     @pytest.mark.parametrize("grid, series, forcing, code, message", [
-        ({}, {}, "1/(t - 0.5)", 2, "non-finite values at t=0.5"),
+        ({}, {}, "1/(t - 0.5)", 2, "forcing: expression has non-finite values at t=0.5"),
         ({}, {"time_steps": 8, "depth_max": 64}, "1e300*cos(x)", 3, "the series sum overflows"),
         ({"points": [16, 16], "extent": [2 * np.pi] * 2, "origin": [0.0, 0.0]}, {}, "0.3*sin(y)",
          2, "the Crank-Nicolson oracle runs on periodic 1D grids"),

@@ -129,6 +129,12 @@ class TestTransforms:
             Forcing.from_expression("1/(t - 0.5)").sample(g, [0.0, 0.25, 0.5])
         with np.errstate(divide="ignore"), pytest.raises(ValueError, match="non-finite"):
             Forcing.from_expression("1/(t - 0.5)").halved().sample(g, [0.5])
+        # a label names the config leaf in front of the message, also once halved
+        F = Forcing.from_expression("1/(t - 0.5)").labelled("pressure_minus_force")
+        assert F.kind == "expression"
+        with np.errstate(divide="ignore"), pytest.raises(
+                ValueError, match=r"^pressure_minus_force: expression has non-finite values at t=0\.5$"):
+            F.halved().sample(g, [0.5])
 
 
 GRID_2D = Grid((12, 10), (0.5, 0.3), (-3.0, 1.0))

@@ -81,6 +81,15 @@ class TestCoefficient:
         with pytest.raises(ValueError, match=r"non-finite values at t=0\.5$"):
             Forcing.make("1/(t - 0.5) + 1/(t - 0.75)").sample_rows(times, np.linspace(0, 1, 3))
 
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    @pytest.mark.parametrize("name", ["A", "a", "c", "f"])
+    def test_nonfinite_coefficient_names_itself(self, name):
+        coeffs = dict(A=-1.0, a=0.0, c=0.0, f=0.0)
+        coeffs[name] = f"{coeffs[name]} + 1/(t - 0.25)"
+        prob = ParabolicProblem(**coeffs, u0=gaussian_u0(x_grid()), horizon=0.5)
+        with pytest.raises(ValueError, match=rf"^{name}: expression has non-finite values at t=0\.25$"):
+            normalize(prob, time_nodes=4)
+
     def test_rejects_spatial_y(self):
         with pytest.raises(ValueError, match="only use x and t"):
             ParabolicProblem(A=-1.0, a="y + 1", c=0.0, f=0.0, u0=gaussian_u0(x_grid()), horizon=0.5)
@@ -144,6 +153,12 @@ class TestCoordinateMap:
 
 
 class TestNormalize:
+    @pytest.mark.parametrize("time_nodes", [0, -1])
+    def test_needs_a_time_step(self, time_nodes):
+        prob = ParabolicProblem(A=-1.0, a=0.0, c=0.0, f=0.0, u0=gaussian_u0(x_grid()), horizon=0.5)
+        with pytest.raises(ValueError, match="time_nodes must be at least 1"):
+            normalize(prob, time_nodes=time_nodes)
+
     def test_identity_reduction(self):
         c_val, f_val = 0.3, -0.2
         prob = ParabolicProblem(A=-1.0, a=0.0, c=c_val, f=f_val,

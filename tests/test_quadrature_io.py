@@ -31,6 +31,15 @@ class TestCumulativeTrapezoid:
         out = corrected_cumulative_trapezoid(f, x[1] - x[0], axis=1)
         assert np.max(np.abs(out - x**3 / 3)) < 1e-14
 
+    def test_needs_five_samples(self):
+        # the endpoint slopes are five-point stencils
+        assert np.max(np.abs(corrected_cumulative_trapezoid(np.arange(5.0), 1.0)
+                             - np.arange(5.0) ** 2 / 2)) < 1e-14
+        with pytest.raises(ValueError, match="at least 5 samples, got 4"):
+            corrected_cumulative_trapezoid(np.ones((3, 4)), 0.1)
+        with pytest.raises(ValueError, match="at least 5 samples, got 4"):
+            corrected_cumulative_trapezoid(np.ones((4, 9)), 0.1, axis=0)
+
 
 class TestCSF1:
     def _roundtrip(self, grid, tmp_path):

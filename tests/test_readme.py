@@ -6,8 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import duhamel
+from duhamel.cli import main
 from duhamel.config import load_config
+from duhamel.io import read_trajectory
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -32,3 +36,18 @@ def test_burgers_config_loads(tmp_path):
     cfg = load_config(path)
     assert cfg.kind == "nse"
     assert cfg.grid.points == (256,)
+
+
+def test_burgers_config_solves(tmp_path):
+    # u = exp(-t) sin(x) / (1 + exp(-t) cos(x) / 2) solves viscous Burgers
+    (body,) = fenced("json")
+    path = tmp_path / "burgers.json"
+    path.write_text(body)
+    out = tmp_path / "out"
+    assert main(["solve", str(path), "-o", str(out)]) == 0
+    u = read_trajectory(out, "u")
+    assert u.times[-1] == 0.5
+    x = u.grid.coords(0)
+    e = np.exp(-0.5)
+    exact = e * np.sin(x) / (1 + 0.5 * e * np.cos(x))
+    assert np.max(np.abs(u.snapshots[-1].components[0] - exact)) < 1e-4
