@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, Trajectory, VectorField, curl_residual, derivative, gradient, laplacian
+from .fields import ScalarField, Trajectory, VectorField, curl_residual, gradient, laplacian
 from .forcing import Forcing
 from .quadrature import corrected_cumulative_trapezoid
 from .series import (
@@ -167,9 +167,9 @@ class NSEProblem:
     """Potential-flow NSE data: initial velocity, anchor, forcing, bounds.
 
     Invariants checked at construction: the speed of the velocity never
-    exceeds ``speed_bound``, and the anchor value is finite.  That the
-    velocity is curl free is checked once per solve, by
-    ``potential_from_velocity``, which raises ``CurlError``.
+    exceeds ``speed_bound``, the anchor ``x0`` lies in the grid box, and the
+    anchor value is finite.  That the velocity is curl free is checked once
+    per solve, by ``potential_from_velocity``, which raises ``CurlError``.
     """
 
     u0: VectorField
@@ -186,6 +186,12 @@ class NSEProblem:
             raise ValueError("horizon must be positive")
         if not np.isfinite(self.a):
             raise ValueError("anchor value a must be finite")
+        grid = self.u0.grid
+        for d, x in enumerate(np.atleast_1d(self.x0)):
+            low, high = grid.origin[d], grid.origin[d] + grid.extent(d)
+            if not low <= x <= high:
+                raise ValueError(f"anchor coordinate {d} = {x:.6g} lies outside the grid box "
+                                 f"[{low:.6g}, {high:.6g}]")
         speed = self.u0.max_norm
         if speed > self.speed_bound * (1.0 + 1e-12):
             raise ValueError(
@@ -247,8 +253,9 @@ def nse_residual(u: Trajectory, p_minus_f: Forcing | None) -> Trajectory:
         worst = np.zeros(grid.shape)
         for i in range(grid.ndim):
             res = dudt[i][j]
+            grad_ui = gradient(uj.component(i)).components
             for l in range(grid.ndim):
-                res = res + uj.components[l] * derivative(uj.component(i), l).values
+                res = res + uj.components[l] * grad_ui[l]
             res = res - laplacian(uj.component(i)).values
             if force is not None:
                 res = res + force.components[i]

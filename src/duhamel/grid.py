@@ -1,19 +1,25 @@
-"""Rectangular sampling grids shared by all field types and solvers.
+"""Rectangular sampling grids and the torus each one is transformed on.
 
 Grids are cell centered: node ``i`` along an axis sits at
 ``origin + (i + 1/2) * spacing``, so a periodic axis of ``n`` points with
 spacing ``h`` tiles a period of length ``n * h`` exactly.  Truncated
 free-space grids carry a padding factor: convolutions extend their fields by
 edge replication to that many times the base extent per axis.
+
+``padded_torus(grid)`` is the grid's one real-FFT transform pair, shared by
+the heat kernel, the series sweeps and the periodic derivatives.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
-__all__ = ["Periodic", "FreeSpaceTruncated", "Grid"]
+__all__ = ["Periodic", "FreeSpaceTruncated", "Grid", "PaddedTorus", "padded_torus"]
 
 _MIN_POINTS = 8
 _MAX_NDIM = 3
@@ -114,15 +120,6 @@ class Grid:
         """Full coordinate arrays, one per dimension, ``ij`` indexed."""
         return list(np.meshgrid(*(self.coords(d) for d in range(self.ndim)), indexing="ij"))
 
-    def wavenumbers(self, axis: int) -> np.ndarray:
-        """Angular wavenumbers for the discrete Fourier modes of one axis.
-
-        Only meaningful on periodic grids, where mode ``k`` corresponds to
-        ``exp(i k x)`` with the axis period ``n * h``.
-        """
-        n, h = self.points[axis], self.spacing[axis]
-        return 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-
     def nearest_node(self, point) -> tuple[int, ...]:
         """Multi-index of the grid node closest to ``point``."""
         point = np.atleast_1d(np.asarray(point, dtype=float))
@@ -133,3 +130,94 @@ class Grid:
             i = int(round((point[d] - self.origin[d]) / self.spacing[d] - 0.5))
             idx.append(min(max(i, 0), self.points[d] - 1))
         return tuple(idx)
+
+
+class PaddedTorus:
+    """Real-FFT transform pair for the fields of one grid.
+
+    ``shape`` is the torus shape: the grid shape on periodic grids, the
+    edge-padded shape on free-space grids, with the grid centred in it.
+    On the half spectrum that ``forward`` returns, ``k2`` holds |k|^2 and
+    ``ik[d]`` holds i k_d, with the unpaired Nyquist mode of an even axis
+    zeroed so that the first derivative of a real field stays real.
+
+    Both transforms act on the trailing ``grid.ndim`` axes; leading axes,
+    such as the time nodes of a stack, are transformed independently.
+
+    On a padded torus the inverse goes one axis at a time and crops each
+    axis right after its pass, so later passes run on fewer points; no pass
+    mixes the points of another axis, so the crop equals that of the full
+    inverse transform.
+    """
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.padded = not grid.is_periodic
+        if self.padded:
+            factor = grid.boundary.padding_factor
+            self.shape = tuple(
+                scipy.fft.next_fast_len(math.ceil(factor * n), real=True) for n in grid.points
+            )
+        else:
+            self.shape = grid.shape
+        ndim = grid.ndim
+        lows = [(m - n) // 2 for m, n in zip(self.shape, grid.points)]
+        self._pad = tuple((lo, m - n - lo) for lo, m, n in zip(lows, self.shape, grid.points))
+        self._crops = []
+        for d, (lo, n) in enumerate(zip(lows, grid.points)):
+            crop = [slice(None)] * ndim
+            crop[d] = slice(lo, lo + n)
+            self._crops.append((Ellipsis, *crop))
+        self._axes = tuple(range(-ndim, 0))
+        last = ndim - 1
+        k2 = np.zeros(())
+        ik = []
+        for d, (m, h) in enumerate(zip(self.shape, grid.spacing)):
+            freq = np.fft.rfftfreq(m, d=h) if d == last else np.fft.fftfreq(m, d=h)
+            axis_shape = [1] * ndim
+            axis_shape[d] = len(freq)
+            k = 2.0 * np.pi * freq
+            k2 = k2 + (k**2).reshape(axis_shape)
+            # the unpaired Nyquist mode sits at index m/2 of an even axis
+            ik.append((1j * k * (np.arange(len(k)) != m / 2)).reshape(axis_shape))
+        for symbol in (k2, *ik):
+            symbol.setflags(write=False)
+        self.k2, self.ik = k2, tuple(ik)
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """Half spectrum of the (edge-padded) field."""
+        if self.padded:
+            batch = ((0, 0),) * (values.ndim - self.grid.ndim)
+            values = np.pad(values, batch + self._pad, mode="edge")
+        return scipy.fft.rfftn(values, axes=self._axes)
+
+    def inverse(self, spectrum: np.ndarray) -> np.ndarray:
+        """Grid values of a half spectrum, as a new contiguous array.
+
+        The crop is copied so that no result keeps the padded array alive.
+        """
+        if not self.padded:
+            return scipy.fft.irfftn(spectrum, s=self.shape, axes=self._axes)
+        last = self.grid.ndim - 1
+        for d in range(last):
+            spectrum = scipy.fft.ifft(spectrum, axis=self._axes[d])[self._crops[d]]
+        spectrum = scipy.fft.irfft(spectrum, n=self.shape[last], axis=-1)
+        return spectrum[self._crops[last]].copy()
+
+    def damping(self, t: float) -> np.ndarray:
+        """exp(-t |k|^2): the kernel K(., t) on the half spectrum."""
+        return np.exp(-t * self.k2)
+
+    def summary(self) -> dict:
+        """Engine and padding, as recorded in a run's manifest."""
+        return {
+            "name": "spectral-rfft",
+            "padding": "edge" if self.padded else "none",
+            "padded_shape": list(self.shape),
+        }
+
+
+@functools.lru_cache(maxsize=64)
+def padded_torus(grid: Grid) -> PaddedTorus:
+    """The shared, read-only transform pair of ``grid``."""
+    return PaddedTorus(grid)

@@ -58,8 +58,8 @@ import numpy as np
 
 from .fields import ScalarField, Trajectory
 from .forcing import Forcing
-from .grid import Grid
-from .heat_kernel import convolve_times, padded_torus
+from .grid import Grid, padded_torus
+from .heat_kernel import convolve_times
 
 __all__ = [
     "SeriesOptions",
@@ -96,6 +96,8 @@ class SeriesOptions:
             raise ValueError("time_steps must be >= 1")
         if self.output_times is not None:
             object.__setattr__(self, "output_times", tuple(float(t) for t in self.output_times))
+            if not self.output_times:
+                raise ValueError("output_times must not be empty")
 
     def nodes(self, horizon: float) -> np.ndarray:
         return np.linspace(0.0, float(horizon), self.time_steps + 1)

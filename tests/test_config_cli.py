@@ -72,7 +72,7 @@ def run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "duhamel.cli", *argv], env=env,
                           capture_output=True, text=True)
 
-# (config, keys to the replaced value, wrongly typed value, error path)
+# (config, keys to the replaced value, wrongly typed or out-of-range value, error path)
 WRONG_LEAVES = [
     ("heat", ("schema",), True, "schema"),
     ("heat", ("kind",), 3, "kind"),
@@ -96,6 +96,7 @@ WRONG_LEAVES = [
     ("heat", ("bench",), {"axis": "depth", "values": [4, 99]}, "bench.values[1]"),
     ("nse", ("nse", "velocity", 0), 1, "nse.velocity[0]"),
     ("nse", ("nse", "anchor", 0), "a", "nse.anchor[0]"),
+    ("nse", ("nse", "anchor", 0), 100.0, "nse"),  # outside the grid box
     ("nse", ("nse", "anchor_value"), "a", "nse.anchor_value"),
     ("nse", ("nse", "pressure_minus_force"), [1], "nse.pressure_minus_force"),
     ("nse", ("nse", "speed_bound"), "a", "nse.speed_bound"),

@@ -104,6 +104,44 @@ class TestGradient:
         # polynomial below every scheme order: exact everywhere incl. edges
         assert np.max(np.abs(grad.components[0] - 2.5)) < 1e-11
 
+    def test_free_space_cubic_exact_at_every_node(self):
+        # the first derivative is 4th order at every node, the edges included
+        n, extent = 32, 8.0
+        g = Grid((n, n), (extent / n,) * 2, (-extent / 2,) * 2, FreeSpaceTruncated(2.0))
+        x, y = g.meshgrid()
+        grad = gradient(ScalarField(g, x**3 - 2 * x**2 + x + y**3))
+        assert np.max(np.abs(grad.components[0] - (3 * x**2 - 4 * x + 1))) < 1e-10
+        assert np.max(np.abs(grad.components[1] - 3 * y**2)) < 1e-10
+
+
+def complex_fft_reference(values, grid):
+    """Gradient and Laplacian by full complex FFTs, one axis at a time."""
+    ks = [2 * np.pi * np.fft.fftfreq(n, h) for n, h in zip(grid.points, grid.spacing)]
+    grad = []
+    for d, k in enumerate(ks):
+        symbol = 1j * k
+        if len(k) % 2 == 0:
+            symbol[len(k) // 2] = 0.0  # the unpaired Nyquist mode
+        shape = [1] * grid.ndim
+        shape[d] = len(k)
+        spectrum = np.fft.fft(values, axis=d) * symbol.reshape(shape)
+        grad.append(np.fft.ifft(spectrum, axis=d).real)
+    k2 = sum(np.meshgrid(*(k**2 for k in ks), indexing="ij"))
+    return grad, np.fft.ifftn(-k2 * np.fft.fftn(values)).real
+
+
+class TestPeriodicSpectral:
+    @pytest.mark.parametrize("points", [(16, 12), (15, 13)], ids=["even", "odd"])
+    def test_matches_complex_fft(self, points):
+        g = Grid(points, (0.3, 0.5), (0.0, 0.0))
+        vals = np.random.default_rng(8).normal(size=points)
+        grad_ref, lap_ref = complex_fft_reference(vals, g)
+        grad = gradient(ScalarField(g, vals))
+        for got, want in zip(grad.components, grad_ref):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(got))
+        lap = laplacian(ScalarField(g, vals)).values
+        assert np.max(np.abs(lap - lap_ref)) <= 1e-12 * np.max(np.abs(lap))
+
 
 class TestLaplacian:
     def test_constant_is_zero(self):

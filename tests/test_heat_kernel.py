@@ -14,7 +14,8 @@ from duhamel import (
     gradient,
     kernel_eval,
 )
-from duhamel.heat_kernel import convolve_times, padded_torus
+from duhamel.grid import padded_torus
+from duhamel.heat_kernel import convolve_times
 
 
 def periodic_1d(n=256):
