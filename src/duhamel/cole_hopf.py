@@ -19,6 +19,7 @@ import numpy as np
 
 from .fields import ScalarField, Trajectory, VectorField, curl_residual, gradient, laplacian
 from .forcing import Forcing
+from .grid import Grid
 from .quadrature import corrected_cumulative_trapezoid
 from .series import (
     BoundReport,
@@ -80,10 +81,22 @@ def _staircase(u0: VectorField, anchor: tuple[int, ...], axis_order) -> np.ndarr
     return phi
 
 
+def _anchor_node(grid: Grid, x0) -> tuple[int, ...]:
+    """The node nearest the anchor ``x0``, which must lie in the grid box."""
+    point = np.atleast_1d(np.asarray(x0, dtype=float))
+    for d, x in zip(range(grid.ndim), point):
+        low, high = grid.origin[d], grid.origin[d] + grid.extent(d)
+        if not low <= x <= high:
+            raise ValueError(f"anchor coordinate {d} = {x:.6g} lies outside the grid box "
+                             f"[{low:.6g}, {high:.6g}]")
+    return grid.nearest_node(point)
+
+
 def potential_from_velocity(u0: VectorField, x0, a: float) -> ScalarField:
     """Velocity potential phi with grad(phi) = u0 and phi(x0) = a.
 
-    Rejects measurably rotational data first: a curl residual above
+    An anchor outside the grid box raises ``ValueError``.  Rejects measurably
+    rotational data first: a curl residual above
     ``default_curl_tolerance(u0)`` raises ``CurlError``.  Then integrates
     along the axis-aligned staircase path from the grid node nearest ``x0``
     (legs ordered x, then y, then z).  Each leg is one endpoint-corrected
@@ -94,6 +107,7 @@ def potential_from_velocity(u0: VectorField, x0, a: float) -> ScalarField:
     if not np.isfinite(a):
         raise ValueError("anchor value a must be finite")
     grid = u0.grid
+    anchor = _anchor_node(grid, x0)
     tolerance = default_curl_tolerance(u0)
     residual = curl_residual(u0)
     if residual > tolerance:
@@ -102,7 +116,6 @@ def potential_from_velocity(u0: VectorField, x0, a: float) -> ScalarField:
             "velocity is not a sampled gradient",
             residual,
         )
-    anchor = grid.nearest_node(np.atleast_1d(x0))
     forward = _staircase(u0, anchor, range(grid.ndim))
     if grid.ndim == 1:
         phi = forward
@@ -186,12 +199,7 @@ class NSEProblem:
             raise ValueError("horizon must be positive")
         if not np.isfinite(self.a):
             raise ValueError("anchor value a must be finite")
-        grid = self.u0.grid
-        for d, x in enumerate(np.atleast_1d(self.x0)):
-            low, high = grid.origin[d], grid.origin[d] + grid.extent(d)
-            if not low <= x <= high:
-                raise ValueError(f"anchor coordinate {d} = {x:.6g} lies outside the grid box "
-                                 f"[{low:.6g}, {high:.6g}]")
+        _anchor_node(self.u0.grid, self.x0)
         speed = self.u0.max_norm
         if speed > self.speed_bound * (1.0 + 1e-12):
             raise ValueError(

@@ -7,7 +7,9 @@ free-space grids carry a padding factor: convolutions extend their fields by
 edge replication to that many times the base extent per axis.
 
 ``padded_torus(grid)`` is the grid's one real-FFT transform pair, shared by
-the heat kernel, the series sweeps and the periodic derivatives.
+the heat kernel, the series sweeps and the periodic derivatives.  On a padded
+torus both halves go one axis at a time: the forward transform pads each axis
+right before its pass, and the inverse crops each axis right after its pass.
 """
 
 from __future__ import annotations
@@ -144,10 +146,16 @@ class PaddedTorus:
     Both transforms act on the trailing ``grid.ndim`` axes; leading axes,
     such as the time nodes of a stack, are transformed independently.
 
-    On a padded torus the inverse goes one axis at a time and crops each
-    axis right after its pass, so later passes run on fewer points; no pass
-    mixes the points of another axis, so the crop equals that of the full
-    inverse transform.
+    On a padded torus both transforms go one axis at a time, so that no pass
+    runs over the rows that padding adds along another axis.  The forward
+    transform pads each axis right before its pass: the last axis, then its
+    real pass; then each other axis in turn, by replicating the two edge
+    planes of the partial spectrum, then its complex pass.  Edge replication
+    commutes with the passes over the other axes, and the passes run in the
+    order ``rfftn`` uses, so the result is that of ``rfftn`` on the fully
+    padded field, bit for bit.  The inverse crops each axis right after its
+    pass; no pass mixes the points of another axis, so the crop equals that
+    of the full inverse transform.
     """
 
     def __init__(self, grid: Grid):
@@ -161,13 +169,7 @@ class PaddedTorus:
         else:
             self.shape = grid.shape
         ndim = grid.ndim
-        lows = [(m - n) // 2 for m, n in zip(self.shape, grid.points)]
-        self._pad = tuple((lo, m - n - lo) for lo, m, n in zip(lows, self.shape, grid.points))
-        self._crops = []
-        for d, (lo, n) in enumerate(zip(lows, grid.points)):
-            crop = [slice(None)] * ndim
-            crop[d] = slice(lo, lo + n)
-            self._crops.append((Ellipsis, *crop))
+        self._lows = tuple((m - n) // 2 for m, n in zip(self.shape, grid.points))
         self._axes = tuple(range(-ndim, 0))
         last = ndim - 1
         k2 = np.zeros(())
@@ -186,10 +188,14 @@ class PaddedTorus:
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Half spectrum of the (edge-padded) field."""
-        if self.padded:
-            batch = ((0, 0),) * (values.ndim - self.grid.ndim)
-            values = np.pad(values, batch + self._pad, mode="edge")
-        return scipy.fft.rfftn(values, axes=self._axes)
+        if not self.padded:
+            return scipy.fft.rfftn(values, axes=self._axes)
+        last = self.grid.ndim - 1
+        spectrum = scipy.fft.rfft(self._extend(values, last), axis=-1)
+        for d in range(last):
+            # the padded copy is fresh, so the pass may overwrite it
+            spectrum = scipy.fft.fft(self._extend(spectrum, d), axis=self._axes[d], overwrite_x=True)
+        return spectrum
 
     def inverse(self, spectrum: np.ndarray) -> np.ndarray:
         """Grid values of a half spectrum, as a new contiguous array.
@@ -200,9 +206,25 @@ class PaddedTorus:
             return scipy.fft.irfftn(spectrum, s=self.shape, axes=self._axes)
         last = self.grid.ndim - 1
         for d in range(last):
-            spectrum = scipy.fft.ifft(spectrum, axis=self._axes[d])[self._crops[d]]
+            spectrum = self._crop(scipy.fft.ifft(spectrum, axis=self._axes[d]), d)
         spectrum = scipy.fft.irfft(spectrum, n=self.shape[last], axis=-1)
-        return spectrum[self._crops[last]].copy()
+        return self._crop(spectrum, last).copy()
+
+    def _extend(self, values: np.ndarray, d: int) -> np.ndarray:
+        """``values`` extended along grid axis ``d`` to the torus, by edge replication."""
+        axis, low, n = self._axes[d], self._lows[d], self.grid.points[d]
+        shape = list(values.shape)
+        shape[axis] = self.shape[d]
+        out = np.empty(shape, values.dtype)
+        out[_along(axis, slice(low, low + n))] = values
+        out[_along(axis, slice(None, low))] = values[_along(axis, slice(None, 1))]
+        out[_along(axis, slice(low + n, None))] = values[_along(axis, slice(n - 1, None))]
+        return out
+
+    def _crop(self, values: np.ndarray, d: int) -> np.ndarray:
+        """The grid's part of ``values`` along grid axis ``d`` (a view)."""
+        low = self._lows[d]
+        return values[_along(self._axes[d], slice(low, low + self.grid.points[d]))]
 
     def damping(self, t: float) -> np.ndarray:
         """exp(-t |k|^2): the kernel K(., t) on the half spectrum."""
@@ -215,6 +237,11 @@ class PaddedTorus:
             "padding": "edge" if self.padded else "none",
             "padded_shape": list(self.shape),
         }
+
+
+def _along(axis: int, index: slice) -> tuple:
+    """Index that applies ``index`` to the negative ``axis`` of an array."""
+    return (Ellipsis, index) + (slice(None),) * (-axis - 1)
 
 
 @functools.lru_cache(maxsize=64)

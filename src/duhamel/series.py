@@ -16,11 +16,12 @@ against the exact kernel weight exp(-|k|^2 (t-s)) with the integrand
 interpolated linearly between nodes, an exponential (ETD) product rule that
 removes the kernel stiffness from the quadrature error entirely.
 
-The solver works on node stacks: F, each order and each order's integrand
-are ``(n_t + 1, *grid.shape)`` arrays, and F is sampled once per solve.  A
+The solver works on node stacks: F and each order are
+``(n_t + 1, *grid.shape)`` arrays, and F is sampled once per solve.  A
 sweep runs the recurrence node by node on one accumulated spectrum; its
-transforms go node by node too, except on 1-D grids, where one transform
-over the whole stack is faster.  The series is streamed: order k is swept
+transforms go node by node too, each node's integrand F * T_k formed right
+before its transform, except on 1-D grids, where one transform over the
+whole integrand stack is faster.  The series is streamed: order k is swept
 only when the reconstruction of the terms reaches k, so nothing past the
 emitted depth is computed, and the sweeps stop with the series.  Each
 recursion holds its latest order at all nodes; earlier orders are kept at
@@ -162,9 +163,12 @@ class _SpectralEngine:
 
     On 1-D grids each transform runs once over the whole node stack: there a
     single transform is small, call overhead dominates, and the stacked
-    transforms measured about 5x faster (512-point torus, 65 nodes).  On 2-D
-    and 3-D grids the per-node transforms measured faster, and they hold one
-    spectrum at a time instead of n + 1.
+    transforms measured about 5x faster (512-point torus, 65 nodes).  So a
+    1-D sweep forms its whole integrand stack (``factor * integrand``) and
+    transforms it at once.  On 2-D and 3-D grids the per-node transforms
+    measured faster, and they hold one spectrum at a time instead of n + 1;
+    a sweep there forms each node's integrand right before that node's
+    transform, so no integrand stack is allocated.
     """
 
     def __init__(self, grid: Grid, dt: float, n_steps: int):
@@ -211,14 +215,19 @@ class _SpectralEngine:
 
         return self._nodes(g0_values, spectra())
 
-    def sweep(self, integrand: np.ndarray) -> np.ndarray:
+    def sweep(self, integrand: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
         """int_0^{s_j} K(s_j - s) * g(s) ds for all j, g piecewise linear.
 
         ``integrand`` is the ``(n + 1, *grid.shape)`` stack of g at the
-        nodes, and so is the result.
+        nodes, and so is the result.  With a ``factor`` stack of the same
+        shape, g is ``factor * integrand``.
         """
-        nodes = iter(self.torus.forward(integrand) if self.stacked
-                     else map(self.torus.forward, integrand))
+        if self.stacked:
+            nodes = iter(self.torus.forward(integrand if factor is None else factor * integrand))
+        else:
+            if factor is not None:
+                integrand = map(np.multiply, factor, integrand)
+            nodes = map(self.torus.forward, integrand)
 
         def spectra():
             prev = next(nodes)
@@ -353,7 +362,7 @@ def _orders(engine: _SpectralEngine, order: np.ndarray, forcing: np.ndarray,
         yield order[out_idx]
         if _sup_abs(order) <= negligible:
             return
-        order = engine.sweep(forcing * order)
+        order = engine.sweep(order, forcing)
 
 
 def solve_controlled_heat(

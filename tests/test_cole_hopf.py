@@ -97,6 +97,13 @@ class TestPotential:
         assert phi[node] == -1.5
         assert np.max(np.abs(phi - (exact - exact[node] - 1.5))) < 1e-13
 
+    def test_anchor_outside_grid_box_rejected(self):
+        # the same box check as NSEProblem's, not a snap to the edge node
+        g = periodic_1d(64)
+        u0 = VectorField(g, (np.cos(g.coords(0)),))
+        with pytest.raises(ValueError, match="outside the grid box"):
+            potential_from_velocity(u0, (100.0,), 0.0)
+
     def test_rotational_data_rejected(self):
         g = periodic_2d(48)
         x, y = g.meshgrid()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from duhamel import (
     FreeSpaceTruncated,
@@ -13,6 +14,7 @@ from duhamel import (
     gradient,
     laplacian,
 )
+from duhamel.grid import padded_torus
 
 
 def periodic_1d(n=256):
@@ -128,6 +130,24 @@ def complex_fft_reference(values, grid):
         grad.append(np.fft.ifft(spectrum, axis=d).real)
     k2 = sum(np.meshgrid(*(k**2 for k in ks), indexing="ij"))
     return grad, np.fft.ifftn(-k2 * np.fft.fftn(values)).real
+
+
+class TestPrunedForward:
+    # np.pad is the independent reference for the torus's edge padding
+    @pytest.mark.parametrize("points", [(9,), (12,), (12, 9), (9, 12), (8, 11, 10), (9, 9, 12)])
+    @pytest.mark.parametrize("factor", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["field", "batch"])
+    def test_equals_rfftn_of_edge_padded_field(self, points, factor, batch):
+        ndim = len(points)
+        grid = Grid(points, (0.3,) * ndim, (0.0,) * ndim, FreeSpaceTruncated(factor))
+        torus = padded_torus(grid)
+        values = np.random.default_rng(4).normal(size=batch + points)
+        lows = [(m - n) // 2 for m, n in zip(torus.shape, points)]
+        pad = [(0, 0)] * len(batch) + [(lo, m - n - lo) for lo, m, n in zip(lows, torus.shape, points)]
+        want = scipy.fft.rfftn(np.pad(values, pad, mode="edge"), axes=range(-ndim, 0))
+        got = torus.forward(values)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPeriodicSpectral:

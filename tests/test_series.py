@@ -404,18 +404,23 @@ class TestEngineStacking:
         periodic_1d(64),
         Grid((64,), (0.25,), (-8.0,), FreeSpaceTruncated(2.0)),
         Grid((16, 12), (0.4, 0.5), (-3.0, -3.0), FreeSpaceTruncated(1.5)),
-    ], ids=["periodic-1d", "free-1d", "free-2d"])
+        Grid((8, 10, 9), (0.5, 0.4, 0.5), (-2.0, -2.0, -2.0), FreeSpaceTruncated(2.0)),
+    ], ids=["periodic-1d", "free-1d", "free-2d", "free-3d"])
     def test_stacked_and_per_node_transforms_agree_bitwise(self, grid):
         engine = _SpectralEngine(grid, 0.05, 8)
         rng = np.random.default_rng(9)
         g0 = rng.normal(size=grid.shape)
         integrand = rng.normal(size=(9,) + grid.shape)
+        factor = rng.normal(size=(9,) + grid.shape)
         results = {}
         for stacked in (True, False):
             engine.stacked = stacked
-            results[stacked] = (engine.propagate_initial(g0), engine.sweep(integrand))
+            results[stacked] = (engine.propagate_initial(g0), engine.sweep(integrand),
+                                engine.sweep(integrand, factor))
         for a, b in zip(results[True], results[False]):
             assert a.tobytes() == b.tobytes()
+        # the per-node path forms each node's product; it equals the whole product's sweep
+        assert results[False][2].tobytes() == engine.sweep(factor * integrand).tobytes()
 
 
 class TestStreaming:
@@ -427,9 +432,9 @@ class TestStreaming:
             calls["sample"] += 1
             return sample(self, grid, times)
 
-        def counted_sweep(self, integrand):
+        def counted_sweep(self, *args):
             calls["sweep"] += 1
-            return sweep(self, integrand)
+            return sweep(self, *args)
 
         monkeypatch.setattr(Forcing, "sample", counted_sample)
         monkeypatch.setattr(_SpectralEngine, "sweep", counted_sweep)
