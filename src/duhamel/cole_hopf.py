@@ -180,9 +180,12 @@ class NSEProblem:
     """Potential-flow NSE data: initial velocity, anchor, forcing, bounds.
 
     Invariants checked at construction: the speed of the velocity never
-    exceeds ``speed_bound``, the anchor ``x0`` lies in the grid box, and the
-    anchor value is finite.  That the velocity is curl free is checked once
-    per solve, by ``potential_from_velocity``, which raises ``CurlError``.
+    exceeds ``speed_bound``, the anchor ``x0`` lies in the grid box, the
+    anchor value is finite, and on a periodic grid no velocity component has
+    a mean beyond 1e-6 of the speed (the potential U.x of a mean flow U is not
+    periodic, so G0 = exp(-phi/2) would jump across the boundary).  That the
+    velocity is curl free is checked once per solve, by
+    ``potential_from_velocity``, which raises ``CurlError``.
     """
 
     u0: VectorField
@@ -205,6 +208,14 @@ class NSEProblem:
             raise ValueError(
                 f"initial speed {speed:.6g} exceeds the declared bound {self.speed_bound:.6g}"
             )
+        if self.u0.grid.is_periodic:
+            for d, component in enumerate(self.u0.components):
+                mean = float(np.mean(component))
+                if abs(mean) > 1e-6 * max(speed, 1e-12):
+                    raise ValueError(
+                        f"velocity component {d} has mean {mean:.6g} on a periodic grid; "
+                        "a mean flow has no periodic potential"
+                    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,9 +24,11 @@ x(t, y)), and psi, P, rho, Q and g are computed as stacks (x-derivatives by
 the free-space stencil and integrals by the corrected trapezoid, both along
 the last axis; t-derivatives by ``np.gradient`` along the first).  The
 reduced problem lives on a uniform y-grid with the same point count as the
-x-grid.  Only the resampling between the x- and y-grids
-goes node by node, with one cubic spline per knot set that carries every
-column on those knots: (x, P) over psi in ``normalize``, (v, rho) over y in
+x-grid.  The resampling between the x- and y-grids is cubic-spline
+interpolation with not-a-knot ends (de Boor, *A Practical Guide to Splines*),
+one spline per knot set and column, and every knot set of a stage is fitted in
+one banded solve (``_splines``): (x, P) over psi at all time nodes in
+``normalize``, u0 over x, and (v, rho) over y at all output times in
 ``back_transform``.  A monotone interpolant would flatten the solution at its
 extrema.
 """
@@ -124,6 +126,60 @@ def _time_stack_derivative(stack: np.ndarray, dt: float) -> np.ndarray:
     return np.gradient(stack, dt, axis=0, edge_order=min(2, len(stack) - 1))
 
 
+def _splines(knots: np.ndarray, values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Not-a-knot cubic splines through ``values`` at ``knots``, read at ``points``.
+
+    ``knots`` is (R, n), one strictly increasing knot set per row, or (n,)
+    when the rows share one (n >= 4); ``values`` is (R, n, C), C columns per
+    row, and ``points`` is (R, m).  Returns (R, m, C).  Points are clipped to
+    their row's knot range, so points outside it take the edge values.
+
+    The knot slopes solve one tridiagonal system per row, with the
+    not-a-knot conditions (third derivative continuous at the second and the
+    second-to-last knot) as its first and last equations.  The R systems
+    are stacked into one band with zero couplings between rows and solved by a
+    single ``solve_banded`` call.
+    """
+    from scipy.linalg import solve_banded  # imported here: heat and NSE runs never interpolate
+
+    rows, n, cols = values.shape
+    knots = np.broadcast_to(knots, (rows, n))
+    h = np.diff(knots, axis=1)[..., None]
+    slope = np.diff(values, axis=1) / h
+    lead = knots[:, 2, None] - knots[:, 0, None]
+    tail = knots[:, -1, None] - knots[:, -3, None]
+    # band[0] is the superdiagonal, band[1] the diagonal, band[2] the subdiagonal
+    band = np.zeros((3, rows, n))
+    band[0, :, 1] = lead[:, 0]
+    band[0, :, 2:] = h[:, :-1, 0]
+    band[1, :, 0] = h[:, 1, 0]
+    band[1, :, 1:-1] = 2.0 * (h[:, :-1, 0] + h[:, 1:, 0])
+    band[1, :, -1] = h[:, -2, 0]
+    band[2, :, :-2] = h[:, 1:, 0]
+    band[2, :, -2] = tail[:, 0]
+    rhs = np.empty((rows, n, cols))
+    rhs[:, 0] = ((h[:, 0] + 2.0 * lead) * h[:, 1] * slope[:, 0] + h[:, 0]**2 * slope[:, 1]) / lead
+    rhs[:, 1:-1] = 3.0 * (h[:, 1:] * slope[:, :-1] + h[:, :-1] * slope[:, 1:])
+    rhs[:, -1] = (h[:, -1]**2 * slope[:, -2] + (2.0 * tail + h[:, -1]) * h[:, -2] * slope[:, -1]) / tail
+    deriv = solve_banded((1, 1), band.reshape(3, -1), rhs.reshape(-1, cols)).reshape(rows, n, cols)
+
+    # piece j on [k_j, k_j+1] is values_j + s (deriv_j + s (quad + s cubic)), s = p - k_j
+    cubic = (deriv[:, :-1] + deriv[:, 1:] - 2.0 * slope) / h**2
+    quad = (slope - deriv[:, :-1]) / h - cubic * h
+    pieces = np.stack([values[:, :-1], deriv[:, :-1], quad, cubic]).reshape(4, -1, cols)
+
+    # one search over the rows laid end to end, row r shifted past row r-1.
+    # Rounding the shift is monotone, so it can only move a point lying within
+    # an ulp below a knot onto that knot's piece, where the two pieces agree.
+    row = np.arange(rows)[:, None]
+    points = np.clip(points, knots[:, :1], knots[:, -1:])
+    shift = 2.0 * np.max(knots[:, -1] - knots[:, 0]) * row - knots[:, :1]
+    piece = np.searchsorted((knots[:, 1:-1] + shift).ravel(), points + shift, side="right") + row
+    s = (points - np.take(knots, piece + row))[..., None]
+    v, d, b, a = np.take(pieces, piece, axis=1)
+    return v + s * (d + s * (b + s * a))
+
+
 def normalize(prob: ParabolicProblem, time_nodes: int = 64) -> NormalizedProblem:
     """Sample Q, g, rho and the maps on the (t, y) lattice.
 
@@ -133,7 +189,6 @@ def normalize(prob: ParabolicProblem, time_nodes: int = 64) -> NormalizedProblem
     """
     if time_nodes < 1:
         raise ValueError(f"time_nodes must be at least 1, got {time_nodes}")
-    from scipy.interpolate import CubicSpline  # imported here: heat and NSE runs never interpolate
 
     x_grid = prob.grid
     x = x_grid.coords(0)
@@ -167,11 +222,8 @@ def normalize(prob: ParabolicProblem, time_nodes: int = 64) -> NormalizedProblem
     P_x = _time_stack_derivative(psi_stack, dt) + A * psi_xx + prob.a.sample_rows(t_nodes, x) * slope
 
     edge_clamped = bool(np.any(y[0] < psi_stack[:, 0] - 1e-12) or np.any(y[-1] > psi_stack[:, -1] + 1e-12))
-    x_of_y = np.empty((len(t_nodes), n_x))
-    P_on_y = np.empty((len(t_nodes), n_x))
-    for i, psi in enumerate(psi_stack):
-        spline = CubicSpline(psi, np.column_stack([x, P_x[i]]))
-        x_of_y[i], P_on_y[i] = spline(np.clip(y, psi[0], psi[-1])).T
+    columns = np.stack([np.broadcast_to(x, P_x.shape), P_x], axis=-1)
+    x_of_y, P_on_y = np.moveaxis(_splines(psi_stack, columns, np.broadcast_to(y, P_x.shape)), -1, 0)
 
     rho_stack = -0.5 * corrected_cumulative_trapezoid(P_on_y, h_y)
     int_P_t = corrected_cumulative_trapezoid(_time_stack_derivative(P_on_y, dt), h_y)
@@ -179,7 +231,7 @@ def normalize(prob: ParabolicProblem, time_nodes: int = 64) -> NormalizedProblem
                + prob.c.sample_rows(t_nodes, x_of_y))
     g_stack = prob.f.sample_rows(t_nodes, x_of_y) * np.exp(rho_stack)
 
-    u0_on_y = CubicSpline(x, prob.u0.values)(x_of_y[0])
+    u0_on_y = _splines(x, prob.u0.values[None, :, None], x_of_y[:1])[0, :, 0]
     v0 = ScalarField(y_grid, np.exp(rho_stack[0]) * u0_on_y)
 
     return NormalizedProblem(
@@ -212,25 +264,21 @@ def solve_normalized(np_: NormalizedProblem, opts: SeriesOptions | None = None) 
 def back_transform(v: Trajectory, np_: NormalizedProblem) -> tuple[Trajectory, bool]:
     """u(t, x) = exp(-rho) v pulled back to the x-grid, and the edge flag.
 
-    v and rho are interpolated at y = psi(t, x_node) by one cubic spline in y
-    per output time; nodes mapping outside the computed y-range take the edge
+    v and rho are interpolated at y = psi(t, x_node) by not-a-knot cubic
+    splines in y, all output times fitted in one banded solve
+    (``_splines``); nodes mapping outside the computed y-range take the edge
     values.  The flag is set when that happened here or in ``normalize``.
     """
-    from scipy.interpolate import CubicSpline
-
     y = np_.y_grid.coords(0)
     t_nodes = np.asarray(np_.t_nodes)
-    out = []
-    clamped = False
-    for t, snap in v:
-        psi_t = interpolate_in_time(t_nodes, np_.psi_stack, t)
-        rho_t = interpolate_in_time(t_nodes, np_.rho_stack, t)
-        if psi_t[0] < y[0] - 1e-12 or psi_t[-1] > y[-1] + 1e-12:
-            clamped = True
-        spline = CubicSpline(y, np.column_stack([snap.values, rho_t]))
-        v_at, rho_at = spline(np.clip(psi_t, y[0], y[-1])).T
-        out.append(ScalarField(np_.x_grid, np.exp(-rho_at) * v_at))
-    return Trajectory(v.times, tuple(out)), clamped or np_.edge_clamped
+    psi = np.stack([interpolate_in_time(t_nodes, np_.psi_stack, t) for t in v.times])
+    rho = np.stack([interpolate_in_time(t_nodes, np_.rho_stack, t) for t in v.times])
+    columns = np.stack([np.stack([snap.values for _, snap in v]), rho], axis=-1)
+    v_at, rho_at = np.moveaxis(_splines(y, columns, psi), -1, 0)
+    clamped = bool(np.any(psi[:, 0] < y[0] - 1e-12) or np.any(psi[:, -1] > y[-1] + 1e-12))
+    u = np.exp(-rho_at) * v_at
+    out = tuple(ScalarField(np_.x_grid, row) for row in u)
+    return Trajectory(v.times, out), clamped or np_.edge_clamped
 
 
 @dataclass(frozen=True, eq=False)

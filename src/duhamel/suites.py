@@ -18,7 +18,7 @@ from .cole_hopf import NSEProblem, nse_residual, solve_nse, worst_case_upper_bou
 from .fields import ScalarField, Trajectory, VectorField
 from .forcing import Forcing
 from .grid import FreeSpaceTruncated, Grid
-from .heat_kernel import convolve, convolve_times
+from .heat_kernel import convolve_times
 from .parabolic import ParabolicProblem, normalize, solve_parabolic
 from .series import (
     SeriesOptions,
@@ -298,13 +298,14 @@ def suite_parabolic(seed: int = DEFAULT_SEED) -> SuiteResult:
     checks.append(SuiteCheck("time-dependent drift normalize", qt_err <= 1e-8,
                              f"Q error vs symbolic {qt_err:.2e} (<= 1e-8)"))
 
-    # end-to-end round trip on the pure heat equation vs the spectral oracle
+    # end-to-end round trip (normalize, series, back transform) on the pure heat
+    # equation vs its closed form exp(-x^2/(2(1+2t)))/sqrt(1+2t)
     pure = solve_parabolic(ParabolicProblem(A=-1.0, a=0.0, c=0.0, f=0.0, u0=u0, horizon=0.5), opts)
-    periodic = Grid((n,), (h,), (-extent / 2,))
-    ref = convolve(ScalarField(periodic, u0.values), 0.5)
-    rt_err = float(np.max(np.abs(pure.u.at_time(0.5).values - ref.values)))
-    checks.append(SuiteCheck("pure-heat round trip", rt_err <= 1e-6,
-                             f"vs spectral oracle {rt_err:.2e} (<= 1e-6)"))
+    spread = [1.0 + 2.0 * t for t in pure.u.times]
+    rt_err = max(float(np.max(np.abs(snap.values - np.exp(-x**2 / (2.0 * s)) / math.sqrt(s))))
+                 for s, (_, snap) in zip(spread, pure.u))
+    checks.append(SuiteCheck("pure-heat round trip", rt_err <= 1e-12,
+                             f"vs closed form {rt_err:.2e} (<= 1e-12)"))
     return _timed("parabolic", checks, start)
 
 

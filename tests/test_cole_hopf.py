@@ -247,6 +247,16 @@ class TestSolveNSE:
         with pytest.raises(ValueError, match="speed"):
             NSEProblem(u0, (0.0,), 0.0, None, speed_bound=1.0, horizon=0.5)
 
+    def test_periodic_mean_flow_rejected(self):
+        # phi = 0.5 x + (periodic part) is not periodic, so no torus G0 exists
+        g = periodic_1d(128)
+        u0 = VectorField(g, (0.5 + 0.3 * np.sin(g.coords(0)),))
+        with pytest.raises(ValueError, match="mean 0.5"):
+            NSEProblem(u0, (0.0,), 0.0, None, speed_bound=1.0, horizon=0.5)
+        # a free-space grid has no wrap-around, so the same data stands
+        free = Grid((128,), g.spacing, (0.0,), FreeSpaceTruncated(2.0))
+        NSEProblem(VectorField(free, u0.components), (0.0,), 0.0, None, speed_bound=1.0, horizon=0.5)
+
     def test_positivity_invariant_holds(self):
         g = periodic_1d()
         x = g.coords(0)

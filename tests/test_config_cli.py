@@ -292,6 +292,18 @@ class TestSolveCommand:
         payload = json.loads(captured.err)
         assert payload["errors"][0]["curl_residual"] > 1.0
 
+    def test_periodic_mean_flow_exits_2(self, tmp_path, capsys):
+        body = nse_config()
+        body["grid"]["points"] = [128]
+        body["nse"]["velocity"] = ["0.5+0.3*sin(x)"]
+        path = write_config(tmp_path, body)
+        rc = main(["solve", path, "-o", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        (error,) = json.loads(captured.err)["errors"]
+        assert error["path"] == "nse"
+        assert "mean" in error["message"]
+
     @pytest.mark.parametrize("reason", ["tolerance", "zero_tail", "depth_max"])
     def test_manifest_records_order_norms_and_stop_reason(self, tmp_path, reason):
         body = controlled_heat_config()
@@ -457,10 +469,14 @@ class TestVerifyCommand:
 
 
 class TestImportCost:
-    def _imported_by_cli(self, module):
+    def _imported_by_cli(self, module, *argv):
+        """Whether ``module`` is loaded after importing the CLI and running ``main(argv)``."""
         src = str(Path(duhamel.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        code = f"import sys, duhamel.cli; print({module!r} in sys.modules)"
+        code = "import sys, duhamel.cli\n"
+        if argv:
+            code += f"assert duhamel.cli.main({list(argv)!r}) == 0\n"
+        code += f"print({module!r} in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         return out.strip() == "True"
@@ -470,8 +486,17 @@ class TestImportCost:
         assert not self._imported_by_cli("sympy")
 
     def test_cli_import_leaves_scipy_interpolate_out(self):
-        # only parabolic runs interpolate; heat and NSE solves must not import it
+        # no run kind interpolates with scipy.interpolate; parabolic splines use scipy.linalg
         assert not self._imported_by_cli("scipy.interpolate")
+
+    def test_cli_import_leaves_scipy_linalg_out(self):
+        # only the parabolic resampling solves a band; heat and NSE setup must not pay for it
+        assert not self._imported_by_cli("scipy.linalg")
+
+    def test_parabolic_solve_leaves_scipy_interpolate_out(self, tmp_path):
+        path, out = write_config(tmp_path, parabolic_config()), str(tmp_path / "out")
+        assert not self._imported_by_cli("scipy.interpolate", "solve", path, "-o", out)
+        assert (tmp_path / "out" / "manifest.json").exists()
 
 
 class TestPublicNames:
