@@ -11,13 +11,12 @@ from .expressions import Expression, ExpressionError, compile_expression
 from .fields import ScalarField, Trajectory, VectorField, curl_residual, gradient, laplacian
 from .forcing import Forcing
 from .grid import FreeSpaceTruncated, Grid, Periodic
-from .heat_kernel import KernelApplication, convolve, kernel_eval
+from .heat_kernel import KernelApplication
 from .series import (
     BoundReport,
     SeriesOptions,
     SeriesSolution,
     ceiling_check,
-    duhamel_step,
     floor_check,
     solve_controlled_heat,
     termwise_factorial_check,
@@ -40,12 +39,9 @@ __all__ = [
     "Periodic",
     "FreeSpaceTruncated",
     "KernelApplication",
-    "kernel_eval",
-    "convolve",
     "SeriesOptions",
     "SeriesSolution",
     "BoundReport",
-    "duhamel_step",
     "solve_controlled_heat",
     "ceiling_check",
     "termwise_factorial_check",

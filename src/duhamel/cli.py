@@ -31,7 +31,7 @@ from . import __version__
 from .cole_hopf import CurlError, NSEProblem, PositivityError, solve_nse
 from .config import ConfigError, RunConfig, load_config
 from .forcing import Forcing
-from .heat_kernel import convolve
+from .heat_kernel import KernelApplication
 from .io import read_field, write_trajectory
 from .parabolic import ParabolicProblem, solve_parabolic
 from .series import SeriesSolution, ceiling_check, solve_controlled_heat, termwise_factorial_check
@@ -252,7 +252,8 @@ def _bench_error(sol, g0, forcing: Forcing) -> float:
     t_final = sol.trajectory.times[-1]
     final = sol.trajectory.snapshots[-1].values
     if sol.forcing_sup == sol.forcing_inf:
-        exact = math.exp(sol.forcing_sup * t_final) * convolve(g0, t_final).values
+        (kg0,) = KernelApplication(g0.grid, (t_final,)).apply(g0)
+        exact = math.exp(sol.forcing_sup * t_final) * kg0.values
         return float(np.max(np.abs(final - exact)))
     from .verify import fd_controlled_heat
 

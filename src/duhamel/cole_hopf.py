@@ -92,22 +92,40 @@ def _anchor_node(grid: Grid, x0) -> tuple[int, ...]:
     return grid.nearest_node(point)
 
 
+def _check_no_mean_flow(u0: VectorField) -> None:
+    """On a periodic grid, a velocity component whose mean exceeds 1e-6 of
+    the speed raises ``ValueError``: the potential U.x of a mean flow U is not
+    periodic, so G0 = exp(-phi/2) would jump across the boundary."""
+    if not u0.grid.is_periodic:
+        return
+    limit = 1e-6 * max(u0.max_norm, 1e-12)
+    for d, component in enumerate(u0.components):
+        mean = float(np.mean(component))
+        if abs(mean) > limit:
+            raise ValueError(
+                f"velocity component {d} has mean {mean:.6g} on a periodic grid; "
+                "a mean flow has no periodic potential"
+            )
+
+
 def potential_from_velocity(u0: VectorField, x0, a: float) -> ScalarField:
     """Velocity potential phi with grad(phi) = u0 and phi(x0) = a.
 
-    An anchor outside the grid box raises ``ValueError``.  Rejects measurably
-    rotational data first: a curl residual above
-    ``default_curl_tolerance(u0)`` raises ``CurlError``.  Then integrates
-    along the axis-aligned staircase path from the grid node nearest ``x0``
-    (legs ordered x, then y, then z).  Each leg is one endpoint-corrected
-    trapezoid over its whole grid line, less its value at the anchor node,
-    so phi there is exactly ``a``.  Path independence is asserted by
-    recomputing with the reversed axis order; the two results are averaged.
+    An anchor outside the grid box, or a mean flow on a periodic grid, raises
+    ``ValueError``.  Rejects measurably rotational data first: a curl
+    residual above ``default_curl_tolerance(u0)`` raises ``CurlError``.
+    Then integrates along the axis-aligned staircase path from the grid node
+    nearest ``x0`` (legs ordered x, then y, then z).  Each leg is one
+    endpoint-corrected trapezoid over its whole grid line, less its value at
+    the anchor node, so phi there is exactly ``a``.  Path independence is
+    asserted by recomputing with the reversed axis order; the two results are
+    averaged.
     """
     if not np.isfinite(a):
         raise ValueError("anchor value a must be finite")
     grid = u0.grid
     anchor = _anchor_node(grid, x0)
+    _check_no_mean_flow(u0)
     tolerance = default_curl_tolerance(u0)
     residual = curl_residual(u0)
     if residual > tolerance:
@@ -208,14 +226,7 @@ class NSEProblem:
             raise ValueError(
                 f"initial speed {speed:.6g} exceeds the declared bound {self.speed_bound:.6g}"
             )
-        if self.u0.grid.is_periodic:
-            for d, component in enumerate(self.u0.components):
-                mean = float(np.mean(component))
-                if abs(mean) > 1e-6 * max(speed, 1e-12):
-                    raise ValueError(
-                        f"velocity component {d} has mean {mean:.6g} on a periodic grid; "
-                        "a mean flow has no periodic potential"
-                    )
+        _check_no_mean_flow(self.u0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,12 @@
 Supported: ``+ - * /``, unary minus, ``sin`` ``cos`` ``exp``, numeric
 literals, the constant ``pi``, the spatial variables ``x`` ``y`` ``z`` and
 time ``t``.  Expressions compile once into a numpy-broadcasting callable, so
-config files stay declarative and evaluation stays safe.
+config files stay declarative and evaluation stays safe.  Evaluation has
+numpy float semantics even where no variable enters: literals and ``pi`` are
+numpy float scalars, so a zero divisor gives inf or nan, which callers
+reject as non-finite, instead of raising.  The operators stay Python
+operators, so numpy can reuse the temporaries of a chain of array operations
+(explicit ufunc calls raise the peak memory of a forcing stack by half).
 """
 
 from __future__ import annotations
@@ -15,15 +20,9 @@ import numpy as np
 __all__ = ["ExpressionError", "Expression", "compile_expression"]
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-_CONSTANTS = {"pi": np.pi}
+_CONSTANTS = {"pi": np.float64(np.pi)}
 _VARIABLES = ("x", "y", "z", "t")
-
-_BINOPS = {
-    ast.Add: np.add,
-    ast.Sub: np.subtract,
-    ast.Mult: np.multiply,
-    ast.Div: np.divide,
-}
+_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 
 
 class ExpressionError(ValueError):
@@ -39,31 +38,40 @@ class Expression:
             tree = ast.parse(source, mode="eval")
         except SyntaxError as exc:
             raise ExpressionError(f"invalid expression {source!r}: {exc.msg}") from None
-        self._names = sorted(self._collect_names(tree.body))
-        self._code = compile(ast.Expression(body=tree.body), "<expression>", "eval")
+        names, self._literals = set(), {}
+        body = self._checked(tree.body, names, self._literals)
+        self._names = sorted(names)
+        self._code = compile(ast.Expression(body=body), "<expression>", "eval")
 
     @staticmethod
-    def _collect_names(node, names=None):
-        if names is None:
-            names = set()
+    def _checked(node, names: set, literals: dict):
+        """``node`` checked against the grammar, with each literal replaced
+        by a name bound in ``literals`` to its numpy float.  Adds the
+        variables it uses to ``names``."""
         if isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)):
                 raise ExpressionError(f"non-numeric literal {node.value!r}")
-        elif isinstance(node, ast.BinOp):
-            if type(node.op) not in _BINOPS:
+            name = f"_{len(literals)}"
+            try:
+                literals[name] = np.float64(node.value)
+            except OverflowError:
+                raise ExpressionError("numeric literal out of the float range") from None
+            return ast.copy_location(ast.Name(name, ast.Load()), node)
+        if isinstance(node, ast.BinOp):
+            if not isinstance(node.op, _BINOPS):
                 raise ExpressionError(f"operator {type(node.op).__name__} not in grammar")
-            Expression._collect_names(node.left, names)
-            Expression._collect_names(node.right, names)
+            node.left = Expression._checked(node.left, names, literals)
+            node.right = Expression._checked(node.right, names, literals)
         elif isinstance(node, ast.UnaryOp):
             if not isinstance(node.op, (ast.USub, ast.UAdd)):
                 raise ExpressionError(f"operator {type(node.op).__name__} not in grammar")
-            Expression._collect_names(node.operand, names)
+            node.operand = Expression._checked(node.operand, names, literals)
         elif isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
                 raise ExpressionError("only sin, cos and exp calls are allowed")
             if len(node.args) != 1 or node.keywords:
                 raise ExpressionError(f"{node.func.id} takes exactly one argument")
-            Expression._collect_names(node.args[0], names)
+            node.args = [Expression._checked(node.args[0], names, literals)]
         elif isinstance(node, ast.Name):
             if node.id in _VARIABLES:
                 names.add(node.id)
@@ -71,7 +79,7 @@ class Expression:
                 raise ExpressionError(f"unknown name {node.id!r}")
         else:
             raise ExpressionError(f"syntax {type(node).__name__} not in grammar")
-        return names
+        return node
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -80,6 +88,7 @@ class Expression:
     def __call__(self, **values):
         env = dict(_CONSTANTS)
         env.update(_FUNCTIONS)
+        env.update(self._literals)
         for name in self._names:
             if name not in values:
                 raise ExpressionError(f"expression {self.source!r} needs variable {name!r}")

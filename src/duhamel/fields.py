@@ -25,7 +25,7 @@ __all__ = [
     "curl_residual",
 ]
 
-_TIME_RTOL = 1e-9  # relative tolerance of time matching and uniform spacing
+_TIME_RTOL = 1e-9  # relative tolerance of time matching
 
 
 def _freeze(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -119,12 +119,6 @@ class Trajectory:
             if abs(ti - t) <= _TIME_RTOL * scale:
                 return snap
         raise KeyError(f"no snapshot at t={t}")
-
-    def is_uniform(self) -> bool:
-        if len(self.times) < 3:
-            return True
-        dt = np.diff(self.times)
-        return bool(np.max(np.abs(dt - dt[0])) <= _TIME_RTOL * dt[0])
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ free-space grids carry a padding factor: convolutions extend their fields by
 edge replication to that many times the base extent per axis.
 
 ``padded_torus(grid)`` is the grid's one real-FFT transform pair, shared by
-the heat kernel, the series sweeps and the periodic derivatives.  On a padded
-torus both halves go one axis at a time: the forward transform pads each axis
-right before its pass, and the inverse crops each axis right after its pass.
+``heat_kernel.KernelApplication``, the series sweeps and the periodic
+derivatives.  On a padded torus both halves go one axis at a time: the
+forward transform pads each axis right before its pass, and the inverse
+crops each axis right after its pass.
 """
 
 from __future__ import annotations
@@ -63,9 +64,10 @@ class Grid:
     points : tuple of int
         Number of nodes per dimension, each at least 8.
     spacing : tuple of float
-        Node spacing per dimension, strictly positive.
+        Node spacing per dimension, strictly positive and finite.
     origin : tuple of float
-        Lower corner of the domain box (nodes are offset half a cell inward).
+        Lower corner of the domain box, finite (nodes are offset half a cell
+        inward).
     boundary : Periodic or FreeSpaceTruncated
     """
 
@@ -88,8 +90,10 @@ class Grid:
             raise ValueError("points, spacing and origin must have equal length")
         if any(n < _MIN_POINTS for n in points):
             raise ValueError(f"each dimension needs >= {_MIN_POINTS} points, got {points}")
-        if any(not h > 0 for h in spacing):
-            raise ValueError(f"spacings must be positive, got {spacing}")
+        if any(not 0 < h < math.inf for h in spacing):
+            raise ValueError(f"spacings must be positive and finite, got {spacing}")
+        if not all(math.isfinite(o) for o in origin):
+            raise ValueError(f"origins must be finite, got {origin}")
         if not isinstance(self.boundary, (Periodic, FreeSpaceTruncated)):
             raise TypeError("boundary must be Periodic or FreeSpaceTruncated")
 

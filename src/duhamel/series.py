@@ -29,10 +29,6 @@ the output nodes only, which is all the reconstruction reads.  Memory is
 O(n_t N + depth n_out N) for N grid points and n_out output times, instead
 of O(depth n_t N).
 
-``duhamel_step`` (the public single-order operator) is an independent
-second quadrature for cross-checks: the composite trapezoid over prior
-nodes with the identity convolution at the s = t endpoint.
-
 Sup F and inf F are the envelope of the node samples of F, the values the
 quadrature actually used; they are stored on the solution as
 ``forcing_sup`` and ``forcing_inf``.  Independently of the quadrature, the
@@ -43,10 +39,11 @@ through the exact identity
 forcing the computed terms are therefore exact to rounding.
 
 The solution also keeps K(t) * |G0| at the output times, which the tail
-estimate needs.  The ``*_check`` functions read it, with the forcing
-envelope, to verify the pointwise ceiling, floor and termwise factorial
-envelopes of the series; they tolerate a 1e-9 relative slack for spectral
-ringing and quadrature noise.
+estimate needs, from the solve's one ``heat_kernel.KernelApplication``.
+The ``*_check`` functions read it, with the forcing envelope, to verify the
+pointwise ceiling, floor and termwise factorial envelopes of the series;
+they tolerate a 1e-9 relative slack for spectral ringing and quadrature
+noise.
 """
 
 from __future__ import annotations
@@ -60,14 +57,13 @@ import numpy as np
 from .fields import ScalarField, Trajectory
 from .forcing import Forcing
 from .grid import Grid, padded_torus
-from .heat_kernel import convolve_times
+from .heat_kernel import KernelApplication
 
 __all__ = [
     "SeriesOptions",
     "SeriesSolution",
     "BoundRecord",
     "BoundReport",
-    "duhamel_step",
     "solve_controlled_heat",
     "ceiling_check",
     "termwise_factorial_check",
@@ -240,43 +236,6 @@ class _SpectralEngine:
                 prev = cur
 
         return self._nodes(0.0, spectra())
-
-
-# ---------------------------------------------------------------------------
-# public single-order operator
-
-
-def duhamel_step(term_trajectory: Trajectory, F: Forcing) -> Trajectory:
-    """Next series order from the full trajectory of the previous one.
-
-    ``T_next(t_j) = int_0^{t_j} K(t_j - s) * (F(s) T(s)) ds`` evaluated by
-    the composite trapezoid over the trajectory nodes, each K(m dt) applied
-    on the grid's torus; the s = t endpoint enters through the identity
-    convolution.  The trajectory must start at t = 0 on a uniform node grid.
-    """
-    times = np.asarray(term_trajectory.times)
-    if times[0] != 0.0:
-        raise ValueError("term trajectory must start at t = 0")
-    if not term_trajectory.is_uniform():
-        raise ValueError("term trajectory must live on a uniform s-grid")
-    grid = term_trajectory.grid
-    n = len(times) - 1
-    if n < 1:
-        raise ValueError("need at least two nodes for a Duhamel step")
-    dt = float(times[1] - times[0])
-    torus = padded_torus(grid)
-    decay = torus.damping(dt)
-    f_stack = F.sample(grid, times)
-    nodes = (torus.forward(fv * snap.values) for fv, snap in zip(f_stack, term_trajectory.snapshots))
-    first = next(nodes)
-    run = first.copy()  # sum_i decay^(j-i) ghat_i, full weights
-    symbol_j = np.ones_like(decay)
-    out = [np.zeros(grid.shape)]
-    for ghat in nodes:
-        run = run * decay + ghat
-        symbol_j = symbol_j * decay
-        out.append(torus.inverse(dt * (run - 0.5 * symbol_j * first - 0.5 * ghat)))
-    return Trajectory(tuple(times), tuple(ScalarField(grid, v) for v in out))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +417,7 @@ def solve_controlled_heat(
     # factorial tail estimate at the emitted depth
     m_abs = max(abs(f_sup), abs(f_inf))
     kg0 = tuple(f.values for f in
-                convolve_times(ScalarField(grid, np.abs(G0.values)), out_times))
+                KernelApplication(grid, out_times).apply(ScalarField(grid, np.abs(G0.values))))
     est = 0.0
     for m in range(n_out):
         t = out_times[m]

@@ -18,7 +18,7 @@ from .cole_hopf import NSEProblem, nse_residual, solve_nse, worst_case_upper_bou
 from .fields import ScalarField, Trajectory, VectorField
 from .forcing import Forcing
 from .grid import FreeSpaceTruncated, Grid
-from .heat_kernel import convolve_times
+from .heat_kernel import KernelApplication
 from .parabolic import ParabolicProblem, normalize, solve_parabolic
 from .series import (
     SeriesOptions,
@@ -238,7 +238,7 @@ def suite_bounds(seed: int = DEFAULT_SEED, trials: int = 100, potentials: int = 
         phi_fn = random_lipschitz_potential(grid3, rng, c, a)
         field = ScalarField(grid3, np.exp(-0.5 * phi_fn(*mesh)))
         times = (0.1, 0.25, 0.5)
-        for t, conv in zip(times, convolve_times(field, times)):
+        for t, conv in zip(times, KernelApplication(grid3, times).apply(field)):
             for idx in ((24, 24, 24), (31, 24, 24), (36, 30, 26), (40, 40, 40), (6, 24, 24)):
                 r = math.sqrt(sum(mesh[d][idx] ** 2 for d in range(3)))
                 bound = worst_case_upper_bound(r, t, c, a)

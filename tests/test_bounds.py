@@ -16,7 +16,7 @@ from duhamel import (
     solve_controlled_heat,
     termwise_factorial_check,
 )
-from duhamel.heat_kernel import convolve_times
+from duhamel.heat_kernel import KernelApplication
 from duhamel.verify import band_limited_field, random_bounded_forcing
 
 
@@ -150,7 +150,7 @@ class TestSolutionEnvelope:
         g = periodic_1d(64)
         G0 = ScalarField(g, np.sin(g.coords(0)))
         sol = solve(G0, Forcing.zero())
-        want = convolve_times(ScalarField(g, np.abs(G0.values)), sol.trajectory.times)
+        want = KernelApplication(g, sol.trajectory.times).apply(ScalarField(g, np.abs(G0.values)))
         assert len(sol.propagated_abs_g0) == len(want)
         for got, ref in zip(sol.propagated_abs_g0, want):
             assert np.array_equal(got, ref.values)

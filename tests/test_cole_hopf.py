@@ -104,6 +104,17 @@ class TestPotential:
         with pytest.raises(ValueError, match="outside the grid box"):
             potential_from_velocity(u0, (100.0,), 0.0)
 
+    def test_mean_flow_rejected_on_periodic_grid(self):
+        # the same mean check as NSEProblem's: U.x is not periodic, so phi
+        # would jump by U times the period across the wrap
+        g = periodic_1d(128)
+        u0 = VectorField(g, (0.5 + 0.3 * np.sin(g.coords(0)),))
+        with pytest.raises(ValueError, match="mean 0.5"):
+            potential_from_velocity(u0, (0.0,), 0.0)
+        free = Grid(g.points, g.spacing, g.origin, FreeSpaceTruncated(2.0))
+        phi = potential_from_velocity(VectorField(free, u0.components), (0.0,), 0.0)
+        assert np.isfinite(phi.values).all()
+
     def test_rotational_data_rejected(self):
         g = periodic_2d(48)
         x, y = g.meshgrid()
@@ -369,7 +380,7 @@ class TestWorstCaseBound:
             worst_case_upper_bound(1.0, 1.0, 0.0, 0.0)
 
     def test_lipschitz_potential_quadrature_below_bound(self):
-        from duhamel import convolve
+        from duhamel import KernelApplication
         from duhamel.verify import random_lipschitz_potential
 
         n, extent = 48, 12.0
@@ -382,8 +393,7 @@ class TestWorstCaseBound:
             a = rng.uniform(-0.5, 0.5)
             phi = random_lipschitz_potential(g, rng, c, a)
             field = ScalarField(g, np.exp(-0.5 * phi(*mesh)))
-            for t in (0.1, 0.4):
-                conv = convolve(field, t)
+            for t, conv in zip((0.1, 0.4), KernelApplication(g, (0.1, 0.4)).apply(field)):
                 for idx in ((24, 24, 24), (34, 28, 24), (40, 40, 40)):
                     r = math.sqrt(sum(mesh[d][idx] ** 2 for d in range(3)))
                     assert conv.values[idx] <= worst_case_upper_bound(r, t, c, a)

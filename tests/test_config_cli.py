@@ -242,14 +242,16 @@ class TestSolveCommand:
         assert forcing["inf"] <= forcing["sup"]
         assert forcing["nodes"] == CONFIGS[kind]()["series"]["time_steps"] + 1
 
-    @pytest.mark.parametrize("kind", ["heat", "nse"])
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
     def test_checks_reuse_the_solver_propagation(self, tmp_path, monkeypatch, kind):
-        import duhamel.series
+        # the kernel applies once per solve, for the tail estimate; the
+        # checks read that result
+        from duhamel.heat_kernel import KernelApplication
 
         calls = []
-        original = duhamel.series.convolve_times
-        monkeypatch.setattr(duhamel.series, "convolve_times",
-                            lambda *args, **kw: calls.append(args) or original(*args, **kw))
+        original = KernelApplication.apply
+        monkeypatch.setattr(KernelApplication, "apply",
+                            lambda self, field: calls.append(self.times) or original(self, field))
         assert main(["solve", write_config(tmp_path, CONFIGS[kind]()), "-o", str(tmp_path / "o")]) == 0
         assert len(calls) == 1
 
@@ -326,11 +328,14 @@ class TestSolveCommand:
         ("parabolic", ("parabolic", "c"), "0.4 + 1/(t - 0.25)"),
         ("heat", ("controlled_heat", "forcing"), "1/(t - 0.5)"),
         ("nse", ("nse", "pressure_minus_force"), "1/(t - 0.25)"),
+        ("heat", ("controlled_heat", "initial"), "1/(1-1)"),
+        ("heat", ("controlled_heat", "forcing"), "1/0"),
     ])
     def test_nonfinite_expression_exits_2(self, tmp_path, capsys, kind, keys, value):
-        # time is an array, so these divide to inf instead of raising, and
-        # the non-finite check reports them without a numpy warning; the
-        # message starts with the leaf, e.g. "velocity[0]: "
+        # time and the literals are numpy floats, so these divide to inf
+        # instead of raising, constant expressions too, and the non-finite
+        # check reports them without a numpy warning; the message starts with
+        # the leaf, e.g. "velocity[0]: "
         body = CONFIGS[kind]()
         target = body
         for key in keys[:-1]:
@@ -501,11 +506,14 @@ class TestImportCost:
 
 class TestPublicNames:
     def test_every_export_resolves(self):
+        # a deleted name must not stay behind in an __all__; every library
+        # module declares one (the command-line entry point has no exports)
         names = [m.name for m in pkgutil.iter_modules(duhamel.__path__)]
         assert "cli" in names
-        for name in ["duhamel"] + [f"duhamel.{m}" for m in names]:
+        for name in ["duhamel"] + [f"duhamel.{m}" for m in names if m != "cli"]:
             module = importlib.import_module(name)
-            for export in getattr(module, "__all__", ()):
+            assert hasattr(module, "__all__"), f"{name} declares no __all__"
+            for export in module.__all__:
                 assert hasattr(module, export), f"{name}.__all__ names missing {export!r}"
 
 
@@ -634,6 +642,20 @@ class TestInspectCommand:
         path.write_bytes(bytes(raw))
         assert main(["inspect", str(path)]) == 2
         assert "truncated value block" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("offset, value, message", [
+        (12, float("inf"), "spacings must be positive and finite"),
+        (20, float("nan"), "origins must be finite"),
+    ], ids=["inf-spacing", "nan-origin"])
+    def test_rejects_nonfinite_geometry(self, tmp_path, capsys, offset, value, message):
+        path, raw = self._valid_file(tmp_path)
+        raw[offset:offset + 8] = np.array(value, dtype="<f8").tobytes()  # 1-D header: spacing, origin
+        path.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["inspect", str(path)]) == 2
+        (error,) = json.loads(capsys.readouterr().err)["errors"]
+        assert error["path"] == str(path)
+        assert message in error["message"]
 
     def test_free_space_header(self, tmp_path, capsys):
         main(["solve", write_config(tmp_path, parabolic_config()), "-o", str(tmp_path / "out")])

@@ -18,6 +18,18 @@ class TestGrammar:
         e = compile_expression("-pi + +2.5")
         assert np.isclose(e(), 2.5 - np.pi)
 
+    def test_numpy_float_semantics(self):
+        # a zero divisor gives inf or nan, not ZeroDivisionError, even in a
+        # constant expression; integer literals are floats, so nothing wraps
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert compile_expression("1/(1-1)")() == np.inf
+            assert np.isnan(compile_expression("0/0")())
+        assert compile_expression("10000000000*10000000000")() == 1e20
+
+    def test_rejects_literal_beyond_float_range(self):
+        with pytest.raises(ExpressionError, match="float range"):
+            compile_expression("1" + "0" * 400)
+
     def test_variables_detected(self):
         assert compile_expression("sin(x)*t + y").variables == ("t", "x", "y")
         assert compile_expression("1 + 2").variables == ()

@@ -39,6 +39,10 @@ class TestGrid:
             Grid((4,), (0.1,), (0.0,))  # too few points
         with pytest.raises(ValueError):
             Grid((16,), (-0.1,), (0.0,))
+        with pytest.raises(ValueError, match="finite"):
+            Grid((16,), (np.inf,), (0.0,))
+        with pytest.raises(ValueError, match="finite"):
+            Grid((16,), (0.1,), (np.nan,))
         with pytest.raises(ValueError):
             Grid((16, 16, 16, 16), (0.1,) * 4, (0.0,) * 4)
         with pytest.raises(ValueError):
@@ -81,7 +85,6 @@ class TestFields:
         with pytest.raises(ValueError):
             Trajectory((0.0, 0.0), (f, f))
         traj = Trajectory((0.0, 0.5, 1.0), (f, f, f))
-        assert traj.is_uniform()
         assert traj.at_time(0.5) is traj.snapshots[1]
         with pytest.raises(KeyError):
             traj.at_time(0.7)

@@ -1,4 +1,4 @@
-"""Heat-kernel evaluation and convolution on periodic and padded free-space tori."""
+"""Heat-kernel convolution on periodic and padded free-space tori."""
 
 import math
 
@@ -9,13 +9,30 @@ from scipy.integrate import quad
 from duhamel import (
     FreeSpaceTruncated,
     Grid,
+    KernelApplication,
     ScalarField,
-    convolve,
     gradient,
-    kernel_eval,
 )
 from duhamel.grid import padded_torus
-from duhamel.heat_kernel import convolve_times
+
+
+def kernel_eval(x, t: float) -> float:
+    """Heat kernel density (4 pi t)^(-n/2) exp(-|x|^2 / (4 t)), the
+    quadrature oracles' integrand.
+
+    ``x`` may be a scalar (n = 1) or a length-n point.
+    """
+    if not t > 0:
+        raise ValueError(f"kernel time must be positive, got {t}")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    r2 = float(np.dot(x, x))
+    return (4.0 * math.pi * t) ** (-0.5 * x.size) * math.exp(-r2 / (4.0 * t))
+
+
+def convolve(field, t):
+    """K(., t) * field, one time through ``KernelApplication``."""
+    (out,) = KernelApplication(field.grid, (t,)).apply(field)
+    return out
 
 
 def periodic_1d(n=256):
@@ -58,7 +75,8 @@ class TestConvolve:
     def test_identity_at_zero_time(self):
         g = periodic_1d(64)
         f = ScalarField(g, np.sin(g.coords(0)))
-        assert convolve(f, 0.0) is f
+        (out,) = KernelApplication(g, (0.0,)).apply(f)
+        assert out is f
 
     def test_gaussian_gaussian_identity_against_quadrature(self):
         # K(.,t) * e^{-x^2/4a} = sqrt(a/(a+t)) e^{-x^2/(4(a+t))}
@@ -85,16 +103,24 @@ class TestConvolve:
 
     def test_rejects_negative_time(self):
         g = periodic_1d(64)
-        with pytest.raises(ValueError):
-            convolve(ScalarField.constant(g, 1.0), -0.1)
+        with pytest.raises(ValueError, match=">= 0"):
+            KernelApplication(g, (-0.1,))
+        with pytest.raises(ValueError, match=">= 0"):
+            KernelApplication(g, (0.2, -0.1))
+
+    def test_rejects_field_on_another_grid(self):
+        app = KernelApplication(periodic_1d(64), (0.1,))
+        with pytest.raises(ValueError, match="grid"):
+            app.apply(ScalarField.constant(periodic_1d(32), 1.0))
 
     def test_times_share_one_transform(self):
         g = Grid((64,), (0.25,), (-8.0,), FreeSpaceTruncated(2.0))
         f = ScalarField(g, np.exp(-g.coords(0) ** 2))
-        outs = convolve_times(f, (0.0, 0.1, 0.5))
+        outs = KernelApplication(g, (0.0, 0.1, 0.5)).apply(f)
         assert outs[0] is f
         for t, out in zip((0.1, 0.5), outs[1:]):
-            assert np.array_equal(out.values, convolve(f, t).values)
+            (alone,) = KernelApplication(g, (t,)).apply(f)
+            assert np.array_equal(out.values, alone.values)
 
     def test_spectral_mass_preserving(self):
         g = periodic_1d(128)
@@ -106,7 +132,7 @@ class TestConvolve:
 
 class TestConvolveGrad:
     # the gradient of K * field, taken as the velocity pullback takes it:
-    # gradient(convolve(field, t))
+    # gradient(K(., t) * field)
 
     def test_constant_gives_zero(self):
         g = periodic_1d(64)

@@ -8,7 +8,7 @@ import pytest
 import scipy.interpolate
 import scipy.linalg
 
-from duhamel import Forcing, FreeSpaceTruncated, Grid, ScalarField, SeriesOptions, convolve
+from duhamel import Forcing, FreeSpaceTruncated, Grid, KernelApplication, ScalarField, SeriesOptions
 from duhamel.parabolic import (
     NormalizedProblem,
     ParabolicProblem,
@@ -218,7 +218,7 @@ class TestSolveNormalized:
         v0 = gaussian_u0(grid)
         norm = self._normalized(v0=v0, grid=grid)
         out = solve_normalized(norm, options(time_steps=16, output_times=(0.5,))).trajectory
-        want = convolve(v0, 0.5)
+        (want,) = KernelApplication(grid, (0.5,)).apply(v0)
         assert np.max(np.abs(out.snapshots[0].values - want.values)) < 1e-6
 
     def test_constant_potential_decay(self):
@@ -286,7 +286,7 @@ class TestEndToEnd:
         prob = ParabolicProblem(A=-1.0, a=0.0, c=0.0, f=0.0, u0=u0, horizon=0.5)
         sol = solve_parabolic(prob, options())
         periodic = Grid((n,), (extent / n,), (-extent / 2,))
-        ref = convolve(ScalarField(periodic, u0.values), 0.5)
+        (ref,) = KernelApplication(periodic, (0.5,)).apply(ScalarField(periodic, u0.values))
         assert np.max(np.abs(sol.u.at_time(0.5).values - ref.values)) < 1e-6
 
     def test_manufactured_variable_coefficients(self):

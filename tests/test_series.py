@@ -10,15 +10,48 @@ from duhamel import (
     Forcing,
     FreeSpaceTruncated,
     Grid,
+    KernelApplication,
     ScalarField,
     SeriesOptions,
     Trajectory,
-    convolve,
-    duhamel_step,
     solve_controlled_heat,
 )
+from duhamel.grid import padded_torus
 from duhamel.series import _f2, _phi1, _SpectralEngine
 from duhamel.verify import fd_controlled_heat, make_manufactured
+
+
+def duhamel_step(term_trajectory: Trajectory, F: Forcing) -> Trajectory:
+    """Next series order from the full trajectory of the previous one: the
+    reference quadrature the solver's ETD sweeps are checked against.
+
+    ``T_next(t_j) = int_0^{t_j} K(t_j - s) * (F(s) T(s)) ds`` evaluated by
+    the composite trapezoid over the trajectory nodes, each K(m dt) applied
+    on the grid's torus; the s = t endpoint enters through the identity
+    convolution.  The trajectory must start at t = 0 on a uniform node grid.
+    """
+    times = np.asarray(term_trajectory.times)
+    if times[0] != 0.0:
+        raise ValueError("term trajectory must start at t = 0")
+    if len(times) < 2:
+        raise ValueError("need at least two nodes for a Duhamel step")
+    dt = float(times[1] - times[0])
+    if np.max(np.abs(np.diff(times) - dt)) > 1e-9 * dt:
+        raise ValueError("term trajectory must live on a uniform s-grid")
+    grid = term_trajectory.grid
+    torus = padded_torus(grid)
+    decay = torus.damping(dt)
+    f_stack = F.sample(grid, times)
+    nodes = (torus.forward(fv * snap.values) for fv, snap in zip(f_stack, term_trajectory.snapshots))
+    first = next(nodes)
+    run = first.copy()  # sum_i decay^(j-i) ghat_i, full weights
+    symbol_j = np.ones_like(decay)
+    out = [np.zeros(grid.shape)]
+    for ghat in nodes:
+        run = run * decay + ghat
+        symbol_j = symbol_j * decay
+        out.append(torus.inverse(dt * (run - 0.5 * symbol_j * first - 0.5 * ghat)))
+    return Trajectory(tuple(times), tuple(ScalarField(grid, v) for v in out))
 
 
 def periodic_1d(n=128):
@@ -104,6 +137,8 @@ class TestDuhamelStep:
         nonuniform = Trajectory((0.0, 0.1, 0.5), (f, f, f))
         with pytest.raises(ValueError, match="uniform"):
             duhamel_step(nonuniform, Forcing.zero())
+        uniform = Trajectory((0.0, 0.5, 1.0), (f, f, f))
+        assert len(duhamel_step(uniform, Forcing.zero())) == 3
 
 
 class TestSolveControlledHeat:
@@ -118,7 +153,7 @@ class TestSolveControlledHeat:
         # the first order is exactly zero, so the series stops without it
         assert sol.metadata["stop_reason"] == "zero_tail"
         assert sol.metadata["order_norms"] == [float(np.max(np.abs(sol.terms[0][0].values)))]
-        exact = convolve(G0, 0.5)
+        (exact,) = KernelApplication(g, (0.5,)).apply(G0)
         assert np.max(np.abs(sol.trajectory.snapshots[0].values - exact.values)) < 1e-14
 
     def test_constant_forcing_exponential_terms(self):
@@ -195,9 +230,10 @@ class TestSeriesInvariants:
         sol = solve_controlled_heat(G0, F, 0.5, opts)
         dt = 0.5 / nt
         integral = duhamel_step(sol.trajectory, F)
+        propagated = KernelApplication(g, sol.trajectory.times).apply(G0)
         worst = 0.0
-        for (t, gsnap), (_, integ) in zip(sol.trajectory, integral):
-            recon = convolve(G0, t).values + integ.values
+        for (t, gsnap), (_, integ), kg0 in zip(sol.trajectory, integral, propagated):
+            recon = kg0.values + integ.values
             worst = max(worst, float(np.max(np.abs(gsnap.values - recon))))
         quad_budget = 10.0 * dt**2
         assert worst <= sol.estimated_truncation_error + quad_budget
