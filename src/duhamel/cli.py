@@ -2,15 +2,16 @@
 
 Exit codes: 0 ok, 2 config or usage error (including an output directory
 that cannot be written), 3 numerical failure (bound violation,
-non-convergence, loss of positivity or overflow), 4 oracle mismatch.  Every
-code-2 error, and an overflow or loss of positivity that stops a solve, is
-printed as one JSON error list on stderr.  Solve runs write CSF1
-trajectories, bound reports as JSON lines, and a manifest recording the
-config hash, package and library versions, seed, kernel engine and padded
-transform shape, the forcing envelope over the solver's node samples, the sup
-norm of each emitted series order and why the series stopped, and timings;
-with a fixed config and seed the field artifacts are byte identical across
-runs.
+non-convergence, loss of positivity, overflow or running out of memory), 4
+oracle mismatch.  Every code-2 error, and an overflow, loss of positivity or
+failed allocation that stops a solve or a bench sweep, is printed as one JSON
+error list on stderr.  Solve runs write CSF1 trajectories, bound reports as
+JSON lines, and a manifest recording the config hash, package and library
+versions, seed, kernel engine and padded transform shape, the forcing
+envelope over the solver's node samples, the sup norm of each emitted series
+order and why the series stopped, timings, and the process's peak resident
+memory when the solve ends; with a fixed config and seed the field artifacts
+are byte identical across runs.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import resource
 import sys
 import time
 from pathlib import Path
@@ -57,6 +59,12 @@ def _errors(code: int, *errors: dict) -> int:
     return code
 
 
+def _out_of_memory(path: str, exc: MemoryError) -> int:
+    """Exit code 3 with the failed allocation as a JSON error on ``path``."""
+    detail = f": {exc}" if str(exc) else ""
+    return _errors(EXIT_NUMERICAL, {"path": path, "message": "out of memory" + detail})
+
+
 def cmd_solve(args) -> int:
     try:
         cfg = load_config(args.config)
@@ -92,7 +100,11 @@ def cmd_solve(args) -> int:
         except (PositivityError, ArithmeticError) as exc:
             # ArithmeticError: the series or an exponential envelope overflowed
             status = _errors(EXIT_NUMERICAL, {"path": cfg.kind, "message": str(exc)})
+        except MemoryError as exc:
+            status = _out_of_memory(cfg.kind, exc)
         manifest["timings"]["total_s"] = time.perf_counter() - t0
+        # the process's high-water mark (ru_maxrss is in KiB on Linux)
+        manifest["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         manifest["exit_status"] = status
         (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     except CurlError as exc:
@@ -230,6 +242,8 @@ def cmd_bench(args) -> int:
             rows.append((bench["axis"], value, wall, sol.truncation_depth + 1, error))
     except ArithmeticError as exc:  # the series or an exponential envelope overflowed
         return _errors(EXIT_NUMERICAL, {"path": "bench", "message": str(exc)})
+    except MemoryError as exc:
+        return _out_of_memory("bench", exc)
     except ValueError as exc:
         return _errors(EXIT_CONFIG, {"path": "bench", "message": str(exc)})
 

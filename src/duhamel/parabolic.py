@@ -176,8 +176,12 @@ def _splines(knots: np.ndarray, values: np.ndarray, points: np.ndarray) -> np.nd
     shift = 2.0 * np.max(knots[:, -1] - knots[:, 0]) * row - knots[:, :1]
     piece = np.searchsorted((knots[:, 1:-1] + shift).ravel(), points + shift, side="right") + row
     s = (points - np.take(knots, piece + row))[..., None]
-    v, d, b, a = np.take(pieces, piece, axis=1)
-    return v + s * (d + s * (b + s * a))
+    # Horner's rule in place, gathering one coefficient at a time
+    out = np.take(pieces[3], piece, axis=0)
+    for c in (2, 1, 0):
+        out *= s
+        out += np.take(pieces[c], piece, axis=0)
+    return out
 
 
 def normalize(prob: ParabolicProblem, time_nodes: int = 64) -> NormalizedProblem:

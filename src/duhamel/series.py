@@ -23,9 +23,13 @@ transforms go node by node too, each node's integrand F * T_k formed right
 before its transform, except on 1-D grids, where one transform over the
 whole integrand stack is faster.  The series is streamed: order k is swept
 only when the reconstruction of the terms reaches k, so nothing past the
-emitted depth is computed, and the sweeps stop with the series.  Each
-recursion holds its latest order at all nodes; earlier orders are kept at
-the output nodes only, which is all the reconstruction reads.  Memory is
+emitted depth is computed, and the sweeps stop with the series.  A solve
+holds two node stacks, F and the latest order, which each sweep overwrites
+node by node once that node's integrand is transformed, plus one copy of
+every order at the output nodes, which is all the reconstruction reads; a
+source adds two stacks, the uncentered F and its own latest order, and its
+own output-node copies.  The solution keeps those
+copies and builds ``terms`` from them on first access.  Memory is
 O(n_t N + depth n_out N) for N grid points and n_out output times, instead
 of O(depth n_t N).
 
@@ -48,6 +52,8 @@ noise.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -180,14 +186,16 @@ class _SpectralEngine:
         self.w_old = (dt * f2).astype(complex)
         self.w_new = (dt * (_phi1(z) - f2)).astype(complex)
 
-    def _nodes(self, first: np.ndarray | float, spectra) -> np.ndarray:
+    def _nodes(self, first: np.ndarray | float, spectra, out: np.ndarray | None = None) -> np.ndarray:
         """Node stack with ``first`` at node 0 and node j = inverse of spectrum j.
 
         ``spectra`` yields the spectra of nodes 1..n; each one is consumed
-        before the next is produced.
+        before the next is produced.  Node j of ``out`` (a new stack by
+        default) is written only after spectrum j is drawn, and node 0 last,
+        so ``out`` may be the stack the spectra are drawn from.
         """
-        out = np.empty((self.n + 1,) + self.grid.shape)
-        out[0] = first
+        if out is None:
+            out = np.empty((self.n + 1,) + self.grid.shape)
         if self.stacked:
             stack = np.empty((self.n,) + self.decay.shape, dtype=complex)
             for j, spec in enumerate(spectra):
@@ -196,6 +204,7 @@ class _SpectralEngine:
         else:
             for j, spec in enumerate(spectra, 1):
                 out[j] = self.torus.inverse(spec)
+        out[0] = first
         return out
 
     def propagate_initial(self, g0_values: np.ndarray) -> np.ndarray:
@@ -211,12 +220,15 @@ class _SpectralEngine:
 
         return self._nodes(g0_values, spectra())
 
-    def sweep(self, integrand: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
+    def sweep(self, integrand: np.ndarray, factor: np.ndarray | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
         """int_0^{s_j} K(s_j - s) * g(s) ds for all j, g piecewise linear.
 
         ``integrand`` is the ``(n + 1, *grid.shape)`` stack of g at the
-        nodes, and so is the result.  With a ``factor`` stack of the same
-        shape, g is ``factor * integrand``.
+        nodes, and so is the result, written into ``out`` when given.  With
+        a ``factor`` stack of the same shape, g is ``factor * integrand``.
+        ``out`` may be ``integrand`` itself: each node is overwritten only
+        after it has been transformed.
         """
         if self.stacked:
             nodes = iter(self.torus.forward(integrand if factor is None else factor * integrand))
@@ -235,7 +247,7 @@ class _SpectralEngine:
                 yield acc
                 prev = cur
 
-        return self._nodes(0.0, spectra())
+        return self._nodes(0.0, spectra(), out)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +256,12 @@ class _SpectralEngine:
 
 @dataclass(frozen=True, eq=False)
 class SeriesSolution:
-    """Series solution with its term stack and truncation metadata.
+    """Series solution with its orders and truncation metadata.
 
+    ``orders`` holds the gauge-centered orders T~_0..T~_depth and
+    ``source_orders`` the orders of the source recursion (empty without a
+    source), each as an ``(n_out, *grid.shape)`` stack at the output nodes;
+    ``terms`` builds the series terms from them on first access.
     ``forcing_sup``/``forcing_inf`` are the envelope of F over the node
     samples the solver used, ``propagated_abs_g0`` holds K(t) * |G0| at the
     output times, and ``g0_positive`` records whether G0 > 0 everywhere.
@@ -257,7 +273,8 @@ class SeriesSolution:
     """
 
     trajectory: Trajectory
-    terms: tuple[tuple[ScalarField, ...], ...]
+    orders: tuple[np.ndarray, ...]
+    source_orders: tuple[np.ndarray, ...]
     truncation_depth: int
     estimated_truncation_error: float
     not_converged: bool
@@ -276,6 +293,16 @@ class SeriesSolution:
     def forcing_abs_bound(self) -> float:
         return max(abs(self.forcing_sup), abs(self.forcing_inf))
 
+    @functools.cached_property
+    def terms(self) -> tuple[tuple[ScalarField, ...], ...]:
+        """``terms[m][k]``: term k of the series at output time m, the same
+        values the solver summed."""
+        times = self.trajectory.times
+        pow_rows = _pow_rows(self.metadata["gauge_center"], times, self.truncation_depth, self.grid.ndim)
+        terms = [_term(k, pow_rows, self.orders, self.source_orders)
+                 for k in range(self.truncation_depth + 1)]
+        return tuple(tuple(ScalarField(self.grid, tk[m]) for tk in terms) for m in range(len(times)))
+
 
 def _power_series_row(x: float, kmax: int) -> np.ndarray:
     """x^a / a! for a = 0..kmax, by stable iterative products (in Python
@@ -285,6 +312,29 @@ def _power_series_row(x: float, kmax: int) -> np.ndarray:
     for a in range(1, kmax + 1):
         row.append(row[-1] * x / a)
     return np.array(row)
+
+
+def _pow_rows(cbar: float, times, kmax: int, ndim: int) -> np.ndarray:
+    """(cbar t)^a / a! for a = 0..kmax at each time, shaped to broadcast
+    against ``(n_out, *grid.shape)`` stacks."""
+    rows = np.array([_power_series_row(cbar * t, kmax) for t in times])
+    return rows.reshape(rows.shape + (1,) * ndim)
+
+
+def _term(k: int, pow_rows: np.ndarray, hom_out, src_out) -> np.ndarray:
+    """Term k of the original forcing's series at the output nodes.
+
+    The left fold T_k = sum_{a+b=k} (cbar t)^a / a! * T~_b over the
+    gauge-centered orders ``hom_out``, plus source order k when
+    ``src_out`` has one.
+    """
+    tk = np.zeros_like(hom_out[0])
+    product = np.empty_like(tk)
+    for b, hom_b in enumerate(hom_out[:k + 1]):
+        tk += np.multiply(pow_rows[:, k - b], hom_b, out=product)
+    if k < len(src_out):
+        tk += src_out[k]
+    return tk
 
 
 def _exp(x: float) -> float:
@@ -303,8 +353,8 @@ def _representable(value, stage: str, form: str, t: float, bound: str, rate: flo
 
 
 def _sup_abs(values: np.ndarray) -> float:
-    """max |values|, without an |values| temporary."""
-    return max(float(values.max()), -float(values.min()))
+    """max |values|, without an |values| temporary (nan if any value is)."""
+    return abs(max(float(values.max()), -float(values.min())))
 
 
 def _orders(engine: _SpectralEngine, order: np.ndarray, forcing: np.ndarray,
@@ -313,7 +363,8 @@ def _orders(engine: _SpectralEngine, order: np.ndarray, forcing: np.ndarray,
 
     Order 0 is the node stack ``order``; order k + 1 is the sweep of
     ``forcing`` times order k.  Only the latest order is held at all nodes,
-    and the next one is swept only when it is asked for.  The recursion ends
+    and the next one is swept into its stack only when it is asked for, so
+    ``order`` is overwritten and must be the recursion's own.  The recursion ends
     after an order whose sup over all nodes is negligible next to order 0's.
     """
     negligible = rel_tolerance * 1e-3 * max(_sup_abs(order), 1e-300)
@@ -321,7 +372,7 @@ def _orders(engine: _SpectralEngine, order: np.ndarray, forcing: np.ndarray,
         yield order[out_idx]
         if _sup_abs(order) <= negligible:
             return
-        order = engine.sweep(order, forcing)
+        order = engine.sweep(order, forcing, order)
 
 
 def solve_controlled_heat(
@@ -359,24 +410,25 @@ def solve_controlled_heat(
     cbar = 0.5 * (f_sup + f_inf)
 
     # homogeneous part, gauge centered; source part, direct recursion in the
-    # uncentered forcing
-    hom = _orders(engine, engine.propagate_initial(G0.values), f_stack - cbar,
-                  opts.rel_tolerance, out_idx)
+    # uncentered forcing, which then keeps F as it is
     src = iter(())
     if source is not None:
-        src = _orders(engine, engine.sweep(source.sample(grid, nodes)), f_stack,
+        src_zero = source.sample(grid, nodes)
+        src = _orders(engine, engine.sweep(src_zero, out=src_zero), f_stack,
                       opts.rel_tolerance, out_idx)
-    del f_stack  # the recursions hold the stacks they use
+        del src_zero
+        centered = f_stack - cbar
+    else:
+        centered = np.subtract(f_stack, cbar, out=f_stack)
+    hom = _orders(engine, engine.propagate_initial(G0.values), centered,
+                  opts.rel_tolerance, out_idx)
+    del f_stack, centered  # the recursions hold the stacks they use
 
-    # reconstruct the series of the original forcing at the output nodes:
-    # T_k = sum_{a+b=k} (cbar t)^a / a! * T~_b
+    # reconstruct the series of the original forcing at the output nodes
     out_times = [float(nodes[j]) for j in out_idx]
-    n_out = len(out_idx)
-    pow_rows = np.array([_power_series_row(cbar * t, opts.depth_max) for t in out_times])
-    pow_rows = pow_rows.reshape(pow_rows.shape + (1,) * grid.ndim)
+    pow_rows = _pow_rows(cbar, out_times, opts.depth_max, grid.ndim)
     hom_out: list[np.ndarray] = []
-    src_first = None
-    terms: list[np.ndarray] = []  # term k at the output nodes
+    src_out: list[np.ndarray] = []
     order_norms: list[float] = []
     total = None  # literal left-fold sum of the emitted terms
     stop_reason = "depth_max"
@@ -384,25 +436,20 @@ def solve_controlled_heat(
     # the finite check on the sum reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(opts.depth_max + 1):
-            hom_k = next(hom, None)
-            if hom_k is not None:
-                hom_out.append(hom_k)
-            tk = np.zeros((n_out,) + grid.shape)
-            for b, hom_b in enumerate(hom_out):
-                tk = tk + pow_rows[:, k - b] * hom_b
-            src_k = next(src, None)
-            if src_k is not None:
-                tk = tk + src_k
-                if k == 0:
-                    src_first = src_k
-            term_norm = float(np.max(np.abs(tk)))
+            for orders, kept in ((hom, hom_out), (src, src_out)):
+                kept.extend(itertools.islice(orders, 1))
+            tk = _term(k, pow_rows, hom_out, src_out)
+            term_norm = _sup_abs(tk)
             if k >= 1 and term_norm == 0.0:
                 stop_reason = "zero_tail"  # the series has collapsed
                 break
-            terms.append(tk)
             order_norms.append(term_norm)
-            total = tk if total is None else total + tk
-            g_scale = max(float(np.max(np.abs(total))), 1e-300)
+            if total is None:
+                total = tk
+            else:
+                total += tk
+            del tk  # only its sum is kept
+            g_scale = max(_sup_abs(total), 1e-300)
             if not math.isfinite(g_scale):
                 raise FloatingPointError(
                     f"the series sum overflows at order {k} (sup |F| = {max(f_sup, -f_inf):.3g})"
@@ -410,22 +457,21 @@ def solve_controlled_heat(
             if k >= 1 and term_norm < opts.rel_tolerance * g_scale:
                 stop_reason = "tolerance"
                 break
-    depth = len(terms) - 1
+    del hom, src  # frees F and the latest orders before the tail estimate
+    depth = len(order_norms) - 1
     snapshots = [ScalarField(grid, g) for g in total]
-    term_fields = tuple(tuple(ScalarField(grid, tk[m]) for tk in terms) for m in range(n_out))
 
     # factorial tail estimate at the emitted depth
     m_abs = max(abs(f_sup), abs(f_inf))
     kg0 = tuple(f.values for f in
                 KernelApplication(grid, out_times).apply(ScalarField(grid, np.abs(G0.values))))
     est = 0.0
-    for m in range(n_out):
-        t = out_times[m]
+    for m, t in enumerate(out_times):
         tail = _exp(m_abs * t) * float(_power_series_row(m_abs * t, depth + 1)[depth + 1])
         _representable(tail, "tail estimate", f"exp(M t) (M t)^{depth + 1}/{depth + 1}!", t, "M", m_abs)
         scale = float(np.max(kg0[m]))
-        if src_first is not None:
-            scale += float(np.max(np.abs(src_first[m])))
+        if src_out:
+            scale += float(np.max(np.abs(src_out[0][m])))
         est = max(est, tail * scale)
 
     # g_scale is still that of the full sum: every exit from the loop follows
@@ -437,7 +483,8 @@ def solve_controlled_heat(
 
     return SeriesSolution(
         trajectory=Trajectory(tuple(out_times), tuple(snapshots)),
-        terms=term_fields,
+        orders=tuple(hom_out[:depth + 1]),
+        source_orders=tuple(src_out[:depth + 1]),
         truncation_depth=depth,
         estimated_truncation_error=float(est),
         not_converged=not_converged,

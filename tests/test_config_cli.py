@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import duhamel
-from duhamel import Grid, ScalarField, suites
+from duhamel import Forcing, Grid, ScalarField, suites
 from duhamel.cli import main
 from duhamel.config import ConfigError, load_config
 from duhamel.io import read_trajectory, write_field
@@ -392,6 +392,31 @@ class TestSolveCommand:
         assert errors[0]["message"].startswith(stage)
         assert json.loads((out / "manifest.json").read_text())["exit_status"] == 3
 
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch, kind):
+        def exhausted(self, grid, times):
+            raise MemoryError("Unable to allocate 64.0 GiB")
+
+        monkeypatch.setattr(Forcing, "sample", exhausted)
+        out = tmp_path / "out"
+        assert main(["solve", write_config(tmp_path, CONFIGS[kind]()), "-o", str(out)]) == 3
+        # the JSON error is all of stderr: no traceback
+        errors = json.loads(capsys.readouterr().err)["errors"]
+        assert errors == [{"path": CONFIGS[kind]()["kind"],
+                           "message": "out of memory: Unable to allocate 64.0 GiB"}]
+        assert json.loads((out / "manifest.json").read_text())["exit_status"] == 3
+
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    def test_manifest_records_peak_rss(self, tmp_path, kind):
+        out = tmp_path / "out"
+        assert main(["solve", write_config(tmp_path, CONFIGS[kind]()), "-o", str(out)]) == 0
+        peak = json.loads((out / "manifest.json").read_text())["peak_rss_mb"]
+        assert isinstance(peak, float) and peak > 0
+        # the measurement stays out of the byte-compared artifacts
+        artifacts = [p for p in out.iterdir() if p.name != "manifest.json"]
+        assert {p.suffix for p in artifacts} >= {".csf", ".json"}
+        assert not any(b"peak_rss" in p.read_bytes() for p in artifacts)
+
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "some_file"
         blocker.write_text("")
@@ -568,6 +593,19 @@ class TestBenchCommand:
         assert [g.points for g in grids] == [(16, 16), (32, 32)]
         for g in grids:
             assert np.allclose([g.extent(0), g.extent(1)], [2 * np.pi, np.pi], rtol=1e-15)
+
+    def test_out_of_memory_is_one_json_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(self, grid, times):
+            raise MemoryError("Unable to allocate 64.0 GiB")
+
+        monkeypatch.setattr(Forcing, "sample", exhausted)
+        body = controlled_heat_config()
+        body["bench"] = {"axis": "depth", "values": [2]}
+        assert main(["bench", write_config(tmp_path, body)]) == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["errors"] == [
+            {"path": "bench", "message": "out of memory: Unable to allocate 64.0 GiB"}]
+        assert captured.out == ""
 
     @pytest.mark.parametrize("grid, series, forcing, code, message", [
         ({}, {}, "1/(t - 0.5)", 2, "forcing: expression has non-finite values at t=0.5"),

@@ -193,22 +193,36 @@ class TestSolveControlledHeat:
 
 
 class TestSeriesInvariants:
-    def _solve(self, rel_tol=1e-12, time_steps=32, depth=24, out=(0.25, 0.5)):
+    def _solve(self, rel_tol=1e-12, time_steps=32, depth=24, out=(0.25, 0.5), source=None):
         g = periodic_1d()
         x = g.coords(0)
         G0 = ScalarField(g, 1.0 + 0.4 * np.cos(x))
         F = Forcing.from_expression("0.6*sin(x) + 0.3*cos(2*x)*exp(-t)")
         opts = SeriesOptions(depth_max=depth, rel_tolerance=rel_tol, time_steps=time_steps,
                              output_times=out)
-        return solve_controlled_heat(G0, F, 0.5, opts), G0, F
+        return solve_controlled_heat(G0, F, 0.5, opts, source=source), G0, F
 
-    def test_bitwise_reconstruction(self):
-        sol, _, _ = self._solve()
+    @staticmethod
+    def _assert_terms_fold_to_snapshots(sol):
+        # the terms, built from the stored orders on first access, left-fold
+        # to the snapshots byte for byte
+        assert sol.truncation_depth >= 3
+        assert sol.terms is sol.terms
         for m in range(len(sol.trajectory.times)):
             acc = sol.terms[m][0].values
             for term in sol.terms[m][1:]:
                 acc = acc + term.values
-            assert np.array_equal(acc, sol.trajectory.snapshots[m].values)
+            assert acc.tobytes() == sol.trajectory.snapshots[m].values.tobytes()
+
+    def test_bitwise_reconstruction(self):
+        sol, _, _ = self._solve()
+        assert sol.source_orders == ()
+        self._assert_terms_fold_to_snapshots(sol)
+
+    def test_bitwise_reconstruction_with_source(self):
+        sol, _, _ = self._solve(source=Forcing.from_expression("0.2*cos(x)*exp(-t)"))
+        assert len(sol.source_orders) == len(sol.orders)
+        self._assert_terms_fold_to_snapshots(sol)
 
     def test_tail_estimate_honest_constant_case(self):
         g = periodic_1d(64)
@@ -407,32 +421,51 @@ class TestEngineMemory:
                 owner = owner.base
             assert owner.nbytes == 9 * g.nbytes
 
+    @staticmethod
+    def _traced_solve(G0, F, depth, steps, out):
+        """(traced peak bytes, solution) of one solve."""
+        opts = SeriesOptions(depth_max=depth, rel_tolerance=1e-14, time_steps=steps,
+                             output_times=out)
+        tracemalloc.start()
+        try:
+            sol = solve_controlled_heat(G0, F, 1.0, opts)
+            return tracemalloc.get_traced_memory()[1], sol
+        finally:
+            tracemalloc.stop()
+
     def test_memory_does_not_grow_with_depth_at_all_nodes(self):
-        # going deeper may keep each new order at the output nodes (its term
-        # and its gauge-centered order), never at all nodes
+        # going deeper keeps each new order at the output nodes (its
+        # gauge-centered order, once), never at all nodes
         n, steps = 64, 32
         g = Grid((n, n), (2 * np.pi / n,) * 2, (0.0, 0.0))
         x, y = g.meshgrid()
         G0 = ScalarField(g, 1.0 + 0.3 * np.cos(x) * np.sin(y))
         F = Forcing.from_expression("4*sin(x)*cos(y) + 2*cos(x + t)")
         out = (0.25, 0.5, 0.75, 1.0)
-
-        def peak(depth):
-            opts = SeriesOptions(depth_max=depth, rel_tolerance=1e-14, time_steps=steps,
-                                 output_times=out)
-            tracemalloc.start()
-            try:
-                sol = solve_controlled_heat(G0, F, 1.0, opts)
-                return tracemalloc.get_traced_memory()[1], sol
-            finally:
-                tracemalloc.stop()
-
-        shallow, sol3 = peak(3)
-        deep, sol12 = peak(12)
+        shallow, sol3 = self._traced_solve(G0, F, 3, steps, out)
+        deep, sol12 = self._traced_solve(G0, F, 12, steps, out)
         assert (sol3.truncation_depth, sol12.truncation_depth) == (3, 12)
         field_bytes = 8 * n * n
-        allowed = 2 * (12 - 3) * len(out) * field_bytes + (steps + 1) * field_bytes
+        allowed = 1 * (12 - 3) * len(out) * field_bytes + (steps + 1) * field_bytes
         assert deep - shallow <= allowed
+
+    def test_peak_is_two_node_stacks_and_one_copy_per_order(self):
+        # F and the latest order at all nodes, one output-node copy of each
+        # order, and the reconstruction's running sum, term and product
+        # buffer (three output-node fields each); 10% covers the sweep's
+        # spectra and the engine's weights
+        n, steps, depth = 16, 16, 12
+        g = Grid((n,) * 3, (2 * np.pi / n,) * 3, (0.0,) * 3)
+        x, y, z = g.meshgrid()
+        G0 = ScalarField(g, 1.0 + 0.3 * np.cos(x) * np.sin(y) * np.cos(z))
+        F = Forcing.from_expression("4*sin(x)*cos(y) + 2*cos(z + t)")
+        out = (0.25, 0.5, 0.75, 1.0)
+        self._traced_solve(G0, F, 1, steps, out)  # caches the torus before the measured solve
+        peak, sol = self._traced_solve(G0, F, depth, steps, out)
+        assert sol.truncation_depth == depth
+        field_bytes = 8 * n**3
+        node_stack = (steps + 1) * field_bytes
+        assert peak <= 1.1 * (2 * node_stack + (depth + 1 + 3) * len(out) * field_bytes)
 
 
 class TestEngineStacking:
@@ -453,6 +486,11 @@ class TestEngineStacking:
             engine.stacked = stacked
             results[stacked] = (engine.propagate_initial(g0), engine.sweep(integrand),
                                 engine.sweep(integrand, factor))
+            # sweeping a stack into itself gives the allocating sweep's bytes
+            for f in (None, factor):
+                stack = integrand.copy()
+                assert engine.sweep(stack, f, out=stack) is stack
+                assert stack.tobytes() == engine.sweep(integrand, f).tobytes()
         for a, b in zip(results[True], results[False]):
             assert a.tobytes() == b.tobytes()
         # the per-node path forms each node's product; it equals the whole product's sweep
@@ -468,9 +506,9 @@ class TestStreaming:
             calls["sample"] += 1
             return sample(self, grid, times)
 
-        def counted_sweep(self, *args):
+        def counted_sweep(self, *args, **kwargs):
             calls["sweep"] += 1
-            return sweep(self, *args)
+            return sweep(self, *args, **kwargs)
 
         monkeypatch.setattr(Forcing, "sample", counted_sample)
         monkeypatch.setattr(_SpectralEngine, "sweep", counted_sweep)
