@@ -17,7 +17,7 @@ import numpy as np
 from .expressions import Expression, ExpressionError, compile_expression
 from .fields import ScalarField, VectorField
 from .forcing import Forcing
-from .grid import FreeSpaceTruncated, Grid, Periodic
+from .grid import MIN_POINTS, FreeSpaceTruncated, Grid, Periodic
 from .series import SeriesOptions
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
@@ -149,7 +149,7 @@ _SERIES_KEYS = {"depth_max", "rel_tolerance", "time_steps", "output_times"}
 _CH_KEYS = {"initial", "forcing", "horizon"}
 _NSE_KEYS = {"velocity", "anchor", "anchor_value", "pressure_minus_force",
              "speed_bound", "horizon"}
-_PARA_KEYS = {"A", "a", "c", "f", "initial", "horizon", "ellipticity_min"}
+_PARA_KEYS = {"A", "a", "c", "f", "initial", "horizon"}
 _BENCH_KEYS = {"axis", "values"}
 
 
@@ -178,20 +178,11 @@ def _parse_grid(obj, chk: _Checker) -> Grid | None:
     if boundary_spec == "periodic":
         boundary = Periodic()
     elif isinstance(boundary_spec, dict) and set(boundary_spec) == {"free_space"}:
-        inner = boundary_spec["free_space"]
-        if not chk.section(inner, "grid.boundary.free_space", {"padding_factor"}, set()):
+        if not chk.section(boundary_spec["free_space"], "grid.boundary.free_space", set(), set()):
             return None
-        path = "grid.boundary.free_space.padding_factor"
-        padding = chk.number(inner.get("padding_factor", FreeSpaceTruncated.padding_factor), path)
-        if padding is None:
-            return None
-        try:
-            boundary = FreeSpaceTruncated(padding)
-        except ValueError as exc:
-            chk.fail(path, str(exc))
-            return None
+        boundary = FreeSpaceTruncated()
     else:
-        chk.fail("grid.boundary", "must be 'periodic' or {'free_space': {...}}")
+        chk.fail("grid.boundary", "must be 'periodic' or {'free_space': {}}")
         return None
     try:
         return Grid(tuple(points), tuple(spacing), tuple(origin), boundary)
@@ -288,10 +279,6 @@ def load_config(path) -> RunConfig:
             payload["initial"] = chk.expression(body["initial"], f"{section_key}.initial")
             for name in ("A", "a", "c", "f"):
                 payload[name] = chk.number_or_expression(body[name], f"{section_key}.{name}")
-            if "ellipticity_min" in body:
-                payload["ellipticity_min"] = chk.number(
-                    body["ellipticity_min"], f"{section_key}.ellipticity_min", positive=True
-                )
             if grid is not None and (grid.ndim != 1 or grid.is_periodic):
                 chk.fail("grid", "parabolic runs need a 1D free-space grid")
 
@@ -307,9 +294,10 @@ def load_config(path) -> RunConfig:
                 chk.fail("bench.values", "must be a non-empty list of integers")
             else:
                 option = {"depth": "depth_max", "time_steps": "time_steps"}.get(axis)
+                minimum = {"depth": 0, "grid": MIN_POINTS}.get(axis, 1)
                 for i, v in enumerate(values):
                     path = f"bench.values[{i}]"
-                    v = chk.integer(v, path, minimum=0 if option == "depth_max" else 1)
+                    v = chk.integer(v, path, minimum=minimum)
                     if v is not None and option and series is not None:
                         try:  # each swept value must make valid series options
                             replace(series, **{option: v})

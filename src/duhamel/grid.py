@@ -2,9 +2,9 @@
 
 Grids are cell centered: node ``i`` along an axis sits at
 ``origin + (i + 1/2) * spacing``, so a periodic axis of ``n`` points with
-spacing ``h`` tiles a period of length ``n * h`` exactly.  Truncated
-free-space grids carry a padding factor: convolutions extend their fields by
-edge replication to that many times the base extent per axis.
+spacing ``h`` tiles a period of length ``n * h`` exactly.  Convolutions on
+truncated free-space grids extend their fields by edge replication to twice
+the base extent per axis, rounded up to a fast FFT length.
 
 ``padded_torus(grid)`` is the grid's one real-FFT transform pair, shared by
 ``heat_kernel.KernelApplication``, the series sweeps and the periodic
@@ -24,9 +24,8 @@ import scipy.fft
 
 __all__ = ["Periodic", "FreeSpaceTruncated", "Grid", "PaddedTorus", "padded_torus"]
 
-_MIN_POINTS = 8
+MIN_POINTS = 8
 _MAX_NDIM = 3
-_MAX_PADDING = 8.0  # bounds the padded transform at 8x the points per axis
 
 
 @dataclass(frozen=True)
@@ -38,21 +37,13 @@ class Periodic:
 class FreeSpaceTruncated:
     """Truncated free-space boundary.
 
-    The heat kernel acts on a torus of ``padding_factor`` times the base
-    extent per axis (rounded up to a fast FFT length), with the grid in its
-    middle and the field continued by its edge values.  Within the padded
-    extent a field is therefore the constant edge value beyond the grid;
-    where the torus wraps, the two edges meet.  The factor must lie in
-    [1, 8]; 1 means no padding, so the grid is treated as periodic.
+    The heat kernel acts on a torus of twice the base extent per axis
+    (rounded up to a fast FFT length), with the grid in its middle and the
+    field continued by its edge values.  Within the padded extent a field is
+    therefore the constant edge value beyond the grid; where the torus wraps,
+    the two edges meet, half a grid extent away from either edge.  To move
+    that seam farther out, widen the grid.
     """
-
-    padding_factor: float = 2.0
-
-    def __post_init__(self):
-        if not 1.0 <= self.padding_factor <= _MAX_PADDING:
-            raise ValueError(
-                f"padding_factor must be in [1, {_MAX_PADDING:g}], got {self.padding_factor}"
-            )
 
 
 @dataclass(frozen=True)
@@ -88,8 +79,8 @@ class Grid:
             raise ValueError(f"grid dimension must be 1..{_MAX_NDIM}, got {ndim}")
         if len(spacing) != ndim or len(origin) != ndim:
             raise ValueError("points, spacing and origin must have equal length")
-        if any(n < _MIN_POINTS for n in points):
-            raise ValueError(f"each dimension needs >= {_MIN_POINTS} points, got {points}")
+        if any(n < MIN_POINTS for n in points):
+            raise ValueError(f"each dimension needs >= {MIN_POINTS} points, got {points}")
         if any(not 0 < h < math.inf for h in spacing):
             raise ValueError(f"spacings must be positive and finite, got {spacing}")
         if not all(math.isfinite(o) for o in origin):
@@ -166,10 +157,7 @@ class PaddedTorus:
         self.grid = grid
         self.padded = not grid.is_periodic
         if self.padded:
-            factor = grid.boundary.padding_factor
-            self.shape = tuple(
-                scipy.fft.next_fast_len(math.ceil(factor * n), real=True) for n in grid.points
-            )
+            self.shape = tuple(scipy.fft.next_fast_len(2 * n, real=True) for n in grid.points)
         else:
             self.shape = grid.shape
         ndim = grid.ndim

@@ -3,11 +3,11 @@
 Every grid convolves on a torus through its real Fourier transform: the
 half-spectrum coefficients are multiplied by exp(-|k|^2 t), the exact
 semigroup on the torus's discrete modes.  A periodic grid is its own torus.
-A truncated free-space grid is extended by edge replication to
-``padding_factor`` times its extent per axis, rounded up to a fast transform
-length; the convolution runs on that padded torus and is cropped back to the
-grid.  That transform pair is ``grid.padded_torus``; the series solver's
-order sweeps and the periodic derivatives of ``fields`` use it too.
+A truncated free-space grid is extended by edge replication to twice its
+extent per axis, rounded up to a fast transform length; the convolution runs
+on that padded torus and is cropped back to the grid.  That transform pair is
+``grid.padded_torus``; the series solver's order sweeps and the periodic
+derivatives of ``fields`` use it too.
 ``KernelApplication`` is the one operator that applies the kernel to a
 field, for the series tail estimate, the 3-D worst-case suite and the bench.
 

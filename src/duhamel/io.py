@@ -2,8 +2,8 @@
 
 CSF1 layout (little endian): magic ``CSF1``, u32 ndim, u32 dims[ndim],
 f64 spacing[ndim], f64 origin[ndim], u8 boundary flag, f64 values row-major.
-Flag 0 is periodic, 1 is truncated free space.  The padding factor is not
-part of the format; free-space grids load with the default factor.
+Flag 0 is periodic, 1 is truncated free space, so a header fixes its grid
+exactly.
 """
 
 from __future__ import annotations

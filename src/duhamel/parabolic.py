@@ -2,7 +2,7 @@
 
 The input problem is
 
-    u_t + A(t,x) u_xx + a(t,x) u_x + c(t,x) u + f(t,x) = 0,   A <= -A_min < 0.
+    u_t + A(t,x) u_xx + a(t,x) u_x + c(t,x) u + f(t,x) = 0,   A <= -A_MIN < 0.
 
 The coordinate map tau = t, y = psi(t,x) with psi_x = sqrt(-1/A) removes the
 variable diffusion, and the gauge u = exp(-rho) v with
@@ -57,15 +57,18 @@ __all__ = [
     "solve_parabolic",
 ]
 
+# the strict-ellipticity floor: A must stay at or below -A_MIN
+A_MIN = 1e-8
+
 
 @dataclass(frozen=True)
 class ParabolicProblem:
-    """The coefficients, initial state, horizon, and the ellipticity floor.
+    """The coefficients, initial state and horizon.
 
     Each coefficient is anything ``Forcing.make`` takes; an expression may
     use only x and t.  ``u0`` fixes the x-grid (1D, truncated free space).
-    ``A`` must stay below ``-ellipticity_min`` on the whole sampled (t, x)
-    box; degenerate diffusion is rejected.
+    ``A`` must stay at or below ``-A_MIN`` on the whole sampled (t, x) box;
+    degenerate diffusion is rejected.
     """
 
     A: Forcing
@@ -74,7 +77,6 @@ class ParabolicProblem:
     f: Forcing
     u0: ScalarField
     horizon: float
-    ellipticity_min: float = 1e-8
 
     def __post_init__(self):
         for name in ("A", "a", "c", "f"):
@@ -91,8 +93,6 @@ class ParabolicProblem:
             raise ValueError("parabolic problems use truncated free-space grids")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
-        if not self.ellipticity_min > 0:
-            raise ValueError("ellipticity_min must be positive")
 
     @property
     def grid(self) -> Grid:
@@ -202,12 +202,12 @@ def normalize(prob: ParabolicProblem, time_nodes: int = 64) -> NormalizedProblem
     dt = float(t_nodes[1] - t_nodes[0])
 
     A = prob.A.sample_rows(t_nodes, x)
-    bad = A > -prob.ellipticity_min
+    bad = A > -A_MIN
     if bad.any():
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
         raise ValueError(
             f"A(t={t_nodes[i]:.6g}, x={x[j]:.6g}) = {A[i, j]:.6g} violates strict "
-            f"ellipticity (need A <= -{prob.ellipticity_min:g})"
+            f"ellipticity (need A <= -{A_MIN:g})"
         )
     # psi_x = sqrt(-1/A) exactly; psi = int_{x_first}^{x} psi_x dz
     slope = np.sqrt(-1.0 / A)

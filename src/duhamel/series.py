@@ -10,11 +10,11 @@ computed order by order on a uniform time grid, which turns the d-fold
 nested integrals into O(d * n_t) kernel sweeps.
 
 Every order runs in Fourier space on the grid's torus (see ``heat_kernel``:
-periodic grids as they are, free-space grids edge-padded to
-``padding_factor`` times their extent).  The solver integrates each mode
-against the exact kernel weight exp(-|k|^2 (t-s)) with the integrand
-interpolated linearly between nodes, an exponential (ETD) product rule that
-removes the kernel stiffness from the quadrature error entirely.
+periodic grids as they are, free-space grids edge-padded to twice their
+extent).  The solver integrates each mode against the exact kernel weight
+exp(-|k|^2 (t-s)) with the integrand interpolated linearly between nodes, an
+exponential (ETD) product rule that removes the kernel stiffness from the
+quadrature error entirely.
 
 The solver works on node stacks: F and each order are
 ``(n_t + 1, *grid.shape)`` arrays, and F is sampled once per solve.  A

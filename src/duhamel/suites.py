@@ -228,7 +228,7 @@ def suite_bounds(seed: int = DEFAULT_SEED, trials: int = 100, potentials: int = 
     t0 = time.perf_counter()
     n, extent = 48, 12.0
     h = extent / n
-    grid3 = Grid((n, n, n), (h, h, h), (-extent / 2,) * 3, FreeSpaceTruncated(2.0))
+    grid3 = Grid((n, n, n), (h, h, h), (-extent / 2,) * 3, FreeSpaceTruncated())
     mesh = grid3.meshgrid()
     bad = 0
     min_ratio = np.inf
@@ -259,7 +259,7 @@ def suite_parabolic(seed: int = DEFAULT_SEED) -> SuiteResult:
     checks = []
     n, extent = 128, 16.0
     h = extent / n
-    xgrid = Grid((n,), (h,), (-extent / 2,), FreeSpaceTruncated(2.0))
+    xgrid = Grid((n,), (h,), (-extent / 2,), FreeSpaceTruncated())
     x = xgrid.coords(0)
     u0 = ScalarField(xgrid, np.exp(-0.5 * x**2))
     opts = SeriesOptions(depth_max=24, rel_tolerance=1e-12, time_steps=32,

@@ -16,7 +16,7 @@ from scipy.sparse import identity as sparse_identity
 from scipy.sparse import csc_matrix, diags
 from scipy.sparse.linalg import splu
 
-from .fields import ScalarField, Trajectory, VectorField
+from .fields import ScalarField, Trajectory
 from .forcing import Forcing
 from .grid import Grid
 
@@ -144,19 +144,11 @@ class ManufacturedCase:
     horizon: float
     G0: ScalarField
     F: Forcing
-    phi: ScalarField
-    source: str
     _g_fn: object
-    _u_fns: tuple
 
     def exact_G(self, t: float) -> ScalarField:
         mesh = self.grid.meshgrid()
         return ScalarField(self.grid, self._g_fn(*mesh, t) * np.ones(self.grid.shape))
-
-    def exact_u(self, t: float) -> VectorField:
-        mesh = self.grid.meshgrid()
-        ones = np.ones(self.grid.shape)
-        return VectorField(self.grid, tuple(fn(*mesh, t) * ones for fn in self._u_fns))
 
 
 def make_manufactured(expr: str, grid: Grid, horizon: float, time_samples: int = 33) -> ManufacturedCase:
@@ -193,20 +185,12 @@ def make_manufactured(expr: str, grid: Grid, horizon: float, time_samples: int =
 
     forcing = Forcing.from_callable(lambda t, *xyz: f_fn(*xyz, t))
 
-    g0_vals = g_fn(*mesh, 0.0) * ones
-    u_exprs = [sp.simplify(-2 * sp.diff(g_expr, s) / g_expr) for s in space]
-    u_fns = tuple(sp.lambdify(syms, e, "numpy") for e in u_exprs)
-    phi_vals = -2.0 * np.log(g0_vals)
-
     return ManufacturedCase(
         grid=grid,
         horizon=horizon,
-        G0=ScalarField(grid, g0_vals),
+        G0=ScalarField(grid, g_fn(*mesh, 0.0) * ones),
         F=forcing,
-        phi=ScalarField(grid, phi_vals),
-        source=expr,
         _g_fn=g_fn,
-        _u_fns=u_fns,
     )
 
 

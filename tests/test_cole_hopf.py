@@ -49,7 +49,7 @@ class TestPotential:
 
     def test_constant_velocity_linear_potential(self):
         n, extent = 64, 8.0
-        g = Grid((n,), (extent / n,), (0.0,), FreeSpaceTruncated(2.0))
+        g = Grid((n,), (extent / n,), (0.0,), FreeSpaceTruncated())
         k = 1.3
         u0 = VectorField(g, (np.full(n, k),))
         phi = potential_from_velocity(u0, (0.0,), 0.5)
@@ -74,7 +74,7 @@ class TestPotential:
         # and measured from the anchor, which may sit anywhere on it
         errors = []
         for n in (32, 64):
-            g = Grid((n,), (8.0 / n,), (-4.0,), FreeSpaceTruncated(2.0))
+            g = Grid((n,), (8.0 / n,), (-4.0,), FreeSpaceTruncated())
             x = g.coords(0)
             i0 = {"first": 0, "interior": n // 3, "last": n - 1}[where]
             u0 = VectorField(g, (1.3 * np.cos(1.3 * x) + 0.4 * x,))
@@ -88,7 +88,7 @@ class TestPotential:
     @pytest.mark.parametrize("node", [(0, 0), (8, 10), (23, 19)], ids=["first", "interior", "last"])
     def test_2d_anchor_node(self, node):
         # a cubic potential: the corrected trapezoid integrates every leg exactly
-        g = Grid((24, 20), (0.25, 0.25), (-3.0, -2.5), FreeSpaceTruncated(2.0))
+        g = Grid((24, 20), (0.25, 0.25), (-3.0, -2.5), FreeSpaceTruncated())
         x, y = g.meshgrid()
         exact = 0.3 * x * x + 0.2 * x * y - 0.1 * y * y + 0.05 * x**3
         u0 = VectorField(g, (0.6 * x + 0.2 * y + 0.15 * x * x, 0.2 * x - 0.2 * y))
@@ -111,7 +111,7 @@ class TestPotential:
         u0 = VectorField(g, (0.5 + 0.3 * np.sin(g.coords(0)),))
         with pytest.raises(ValueError, match="mean 0.5"):
             potential_from_velocity(u0, (0.0,), 0.0)
-        free = Grid(g.points, g.spacing, g.origin, FreeSpaceTruncated(2.0))
+        free = Grid(g.points, g.spacing, g.origin, FreeSpaceTruncated())
         phi = potential_from_velocity(VectorField(free, u0.components), (0.0,), 0.0)
         assert np.isfinite(phi.values).all()
 
@@ -183,7 +183,7 @@ class TestVelocityFromField:
     def test_gaussian_log_derivative(self):
         # G = e^{-x^2/(4(a+t))}  =>  u = -2 grad(log G) = x/(a+t)
         n, extent = 256, 24.0
-        g = Grid((n,), (extent / n,), (-extent / 2,), FreeSpaceTruncated(2.0))
+        g = Grid((n,), (extent / n,), (-extent / 2,), FreeSpaceTruncated())
         x = g.coords(0)
         a = 2.0
         times = (0.0, 0.5)
@@ -265,7 +265,7 @@ class TestSolveNSE:
         with pytest.raises(ValueError, match="mean 0.5"):
             NSEProblem(u0, (0.0,), 0.0, None, speed_bound=1.0, horizon=0.5)
         # a free-space grid has no wrap-around, so the same data stands
-        free = Grid((128,), g.spacing, (0.0,), FreeSpaceTruncated(2.0))
+        free = Grid((128,), g.spacing, (0.0,), FreeSpaceTruncated())
         NSEProblem(VectorField(free, u0.components), (0.0,), 0.0, None, speed_bound=1.0, horizon=0.5)
 
     def test_positivity_invariant_holds(self):
@@ -385,7 +385,7 @@ class TestWorstCaseBound:
 
         n, extent = 48, 12.0
         h = extent / n
-        g = Grid((n, n, n), (h, h, h), (-extent / 2,) * 3, FreeSpaceTruncated(2.0))
+        g = Grid((n, n, n), (h, h, h), (-extent / 2,) * 3, FreeSpaceTruncated())
         mesh = g.meshgrid()
         rng = np.random.default_rng(55)
         for _ in range(3):

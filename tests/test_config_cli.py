@@ -94,6 +94,7 @@ WRONG_LEAVES = [
     ("heat", ("bench",), {"axis": 3, "values": [1]}, "bench.axis"),
     ("heat", ("bench",), {"axis": "depth", "values": ["a"]}, "bench.values[0]"),
     ("heat", ("bench",), {"axis": "depth", "values": [4, 99]}, "bench.values[1]"),
+    ("heat", ("bench",), {"axis": "grid", "values": [16, 32, 7]}, "bench.values[2]"),
     ("nse", ("nse", "velocity", 0), 1, "nse.velocity[0]"),
     ("nse", ("nse", "anchor", 0), "a", "nse.anchor[0]"),
     ("nse", ("nse", "anchor", 0), 100.0, "nse"),  # outside the grid box
@@ -104,7 +105,7 @@ WRONG_LEAVES = [
     *(("parabolic", ("parabolic", name), [1], f"parabolic.{name}") for name in "Aacf"),
     ("parabolic", ("parabolic", "initial"), 1, "parabolic.initial"),
     ("parabolic", ("parabolic", "horizon"), "a", "parabolic.horizon"),
-    ("parabolic", ("parabolic", "ellipticity_min"), "a", "parabolic.ellipticity_min"),
+    ("parabolic", ("parabolic", "ellipticity_min"), 1e-6, "parabolic.ellipticity_min"),  # unknown key
 ]
 
 
@@ -174,14 +175,16 @@ class TestConfigValidation:
             load_config(write_config(tmp_path, body))
         assert any("spacing or extent" in e["message"] for e in err.value.errors)
 
-    @pytest.mark.parametrize("padding", ["big", [2], 0.5, True, 9.0, float("inf")])
+    @pytest.mark.parametrize("padding", ["big", [2], 0.5, True, 2.0, 9.0, float("inf")])
     def test_bad_padding_factor_exits_2(self, tmp_path, capsys, padding):
+        # the free-space pad is fixed, so any padding_factor is an unknown key
         body = controlled_heat_config()
         body["grid"]["boundary"] = {"free_space": {"padding_factor": padding}}
         rc = main(["solve", write_config(tmp_path, body), "-o", str(tmp_path / "out")])
         assert rc == 2
         payload = json.loads(capsys.readouterr().err)
-        assert [e["path"] for e in payload["errors"]] == ["grid.boundary.free_space.padding_factor"]
+        assert payload["errors"] == [
+            {"path": "grid.boundary.free_space.padding_factor", "message": "unknown key"}]
 
     def test_missing_kind_section(self, tmp_path):
         body = controlled_heat_config()
@@ -206,11 +209,11 @@ class TestSolveCommand:
         periodic = controlled_heat_config()
         free = controlled_heat_config()
         free["grid"] = {"points": [64], "extent": [16.0], "origin": [-8.0],
-                        "boundary": {"free_space": {"padding_factor": 1.5}}}
+                        "boundary": {"free_space": {}}}
         free["controlled_heat"]["initial"] = "1 + exp(-x*x)"
         expected = (
             (periodic, {"name": "spectral-rfft", "padding": "none", "padded_shape": [64]}),
-            (free, {"name": "spectral-rfft", "padding": "edge", "padded_shape": [96]}),
+            (free, {"name": "spectral-rfft", "padding": "edge", "padded_shape": [128]}),
         )
         for i, (body, engine) in enumerate(expected):
             out = tmp_path / f"out{i}"
@@ -499,34 +502,46 @@ class TestVerifyCommand:
 
 
 class TestImportCost:
-    def _imported_by_cli(self, module, *argv):
-        """Whether ``module`` is loaded after importing the CLI and running ``main(argv)``."""
+    WATCHED = ("sympy", "scipy.interpolate", "scipy.linalg")
+
+    @pytest.fixture(scope="class")
+    def loaded(self, tmp_path_factory):
+        """The watched modules loaded after importing the CLI, and after a parabolic solve.
+
+        One fresh interpreter serves every check.  The import-time set is
+        recorded before the solve runs, because the parabolic resampling
+        imports ``scipy.linalg``.
+        """
+        tmp_path = tmp_path_factory.mktemp("imports")
+        path, out = write_config(tmp_path, parabolic_config()), tmp_path / "out"
+        code = (
+            "import json, sys, duhamel.cli\n"
+            f"watched = {self.WATCHED!r}\n"
+            "loaded = {'import': [m for m in watched if m in sys.modules]}\n"
+            f"assert duhamel.cli.main(['solve', {path!r}, '-o', {str(out)!r}]) == 0\n"
+            "loaded['solve'] = [m for m in watched if m in sys.modules]\n"
+            "print(json.dumps(loaded))\n"
+        )
         src = str(Path(duhamel.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, duhamel.cli\n"
-        if argv:
-            code += f"assert duhamel.cli.main({list(argv)!r}) == 0\n"
-        code += f"print({module!r} in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True).stdout
-        return out.strip() == "True"
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        assert (out / "manifest.json").exists()
+        return json.loads(proc.stdout.strip().splitlines()[-1])
 
-    def test_cli_import_leaves_sympy_out(self):
+    def test_cli_import_leaves_sympy_out(self, loaded):
         # only the verify suites need sympy; a solve must not pay for importing it
-        assert not self._imported_by_cli("sympy")
+        assert "sympy" not in loaded["import"]
 
-    def test_cli_import_leaves_scipy_interpolate_out(self):
+    def test_cli_import_leaves_scipy_interpolate_out(self, loaded):
         # no run kind interpolates with scipy.interpolate; parabolic splines use scipy.linalg
-        assert not self._imported_by_cli("scipy.interpolate")
+        assert "scipy.interpolate" not in loaded["import"]
 
-    def test_cli_import_leaves_scipy_linalg_out(self):
+    def test_cli_import_leaves_scipy_linalg_out(self, loaded):
         # only the parabolic resampling solves a band; heat and NSE setup must not pay for it
-        assert not self._imported_by_cli("scipy.linalg")
+        assert "scipy.linalg" not in loaded["import"]
 
-    def test_parabolic_solve_leaves_scipy_interpolate_out(self, tmp_path):
-        path, out = write_config(tmp_path, parabolic_config()), str(tmp_path / "out")
-        assert not self._imported_by_cli("scipy.interpolate", "solve", path, "-o", out)
-        assert (tmp_path / "out" / "manifest.json").exists()
+    def test_parabolic_solve_leaves_scipy_interpolate_out(self, loaded):
+        assert "scipy.interpolate" not in loaded["solve"]
 
 
 class TestPublicNames:
@@ -576,6 +591,16 @@ class TestBenchCommand:
         rows = out_csv.read_text().strip().split("\n")[1:]
         times = [float(r.split(",")[2]) for r in rows]
         assert len(times) == 2 and all(t >= 0 for t in times)
+
+    def test_grid_sweep_below_the_grid_minimum_solves_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("duhamel.cli.solve_controlled_heat", None)  # a solve would raise
+        body = controlled_heat_config()
+        body["bench"] = {"axis": "grid", "values": [16, 7]}
+        out_csv = tmp_path / "bench.csv"
+        assert main(["bench", write_config(tmp_path, body), "-o", str(out_csv)]) == 2
+        assert json.loads(capsys.readouterr().err)["errors"] == [
+            {"path": "bench.values[1]", "message": "must be at least 8"}]
+        assert not out_csv.exists()
 
     def test_grid_sweep_keeps_each_extent(self, tmp_path, monkeypatch):
         grids = []

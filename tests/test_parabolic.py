@@ -22,7 +22,7 @@ from duhamel.series import solve_controlled_heat
 
 
 def x_grid(n=128, extent=16.0):
-    return Grid((n,), (extent / n,), (-extent / 2,), FreeSpaceTruncated(2.0))
+    return Grid((n,), (extent / n,), (-extent / 2,), FreeSpaceTruncated())
 
 
 def gaussian_u0(grid, width=1.0):
@@ -326,8 +326,8 @@ class TestEndToEnd:
         n, extent = 128, 16.0
         h = extent / n
         u_fn = lambda x: np.exp(-0.5 * x**2)
-        g1 = Grid((n,), (h,), (-extent / 2,), FreeSpaceTruncated(2.0))
-        g2 = Grid((n,), (h,), (-extent / 2 - 8 * h,), FreeSpaceTruncated(2.0))
+        g1 = Grid((n,), (h,), (-extent / 2,), FreeSpaceTruncated())
+        g2 = Grid((n,), (h,), (-extent / 2 - 8 * h,), FreeSpaceTruncated())
         # constant A keeps the y-resolution identical, so only the psi/rho
         # anchor (and the truncation strip) differs between the two windows
         opts = options(time_steps=16, output_times=(0.5,))
@@ -375,7 +375,7 @@ def manufactured_problem():
     s = f"(x - {v}*t)"
     u_text = f"exp(-{s}*{s}/2 - {kappa}*t)"
     f = f"-{u_text}*({v}*{s} - {kappa} + {A}*({s}*{s} - 1) - {drift}*{s} + {c})"
-    grid = Grid((256,), (16.0 / 256,), (-8.0,), FreeSpaceTruncated(2.0))
+    grid = Grid((256,), (16.0 / 256,), (-8.0,), FreeSpaceTruncated())
     x = grid.coords(0)
     prob = ParabolicProblem(A=A, a=drift, c=c, f=f, u0=ScalarField(grid, np.exp(-x * x / 2)),
                             horizon=0.5)

@@ -48,18 +48,27 @@ class TestCSF1:
         path = tmp_path / "f.csf"
         write_field(field, path)
         back = read_field(path)
-        assert back.grid.points == grid.points
-        assert back.grid.spacing == grid.spacing
-        assert back.grid.origin == grid.origin
-        assert back.grid.is_periodic == grid.is_periodic
+        assert back.grid == grid
         assert np.array_equal(back.values, field.values)
         return path
 
     def test_roundtrip_periodic_1d(self, tmp_path):
         self._roundtrip(Grid((32,), (0.1,), (0.0,)), tmp_path)
 
+    def test_roundtrip_free_space_1d(self, tmp_path):
+        self._roundtrip(Grid((33,), (0.3,), (-5.0,), FreeSpaceTruncated()), tmp_path)
+
+    def test_roundtrip_periodic_2d(self, tmp_path):
+        self._roundtrip(Grid((16, 9), (0.1, 0.7), (0.0, -2.5)), tmp_path)
+
+    def test_roundtrip_free_space_2d(self, tmp_path):
+        self._roundtrip(Grid((9, 16), (0.25, 0.1), (-1.0, 3.0), FreeSpaceTruncated()), tmp_path)
+
+    def test_roundtrip_periodic_3d(self, tmp_path):
+        self._roundtrip(Grid((8, 9, 10), (0.3, 0.2, 0.1), (0.0, 1.0, -1.0)), tmp_path)
+
     def test_roundtrip_free_space_3d(self, tmp_path):
-        g = Grid((8, 10, 12), (0.1, 0.2, 0.3), (-1.0, 0.0, 1.0), FreeSpaceTruncated(2.0))
+        g = Grid((8, 10, 12), (0.1, 0.2, 0.3), (-1.0, 0.0, 1.0), FreeSpaceTruncated())
         self._roundtrip(g, tmp_path)
 
     def test_header_layout(self, tmp_path):

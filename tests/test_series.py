@@ -114,7 +114,7 @@ class TestDuhamelStep:
         n, extent = 64, 24.0
         h = extent / n
         gp = Grid((n,), (h,), (-extent / 2,))
-        gf = Grid((n,), (h,), (-extent / 2,), FreeSpaceTruncated(2.0))
+        gf = Grid((n,), (h,), (-extent / 2,), FreeSpaceTruncated())
         x = gp.coords(0)
 
         def bump(t):
@@ -325,8 +325,8 @@ class TestFreeSpaceConvergence:
     # L_inf errors of the direct-quadrature engine this engine replaced,
     # at 16, 32 and 64 steps
     CASES = (
-        (Grid((128,), (0.125,), (-8.0,), FreeSpaceTruncated(2.0)), (7.9e-5, 2.0e-5, 5.0e-6)),
-        (Grid((48, 48), (0.25, 0.25), (-6.0, -6.0), FreeSpaceTruncated(2.0)),
+        (Grid((128,), (0.125,), (-8.0,), FreeSpaceTruncated()), (7.9e-5, 2.0e-5, 5.0e-6)),
+        (Grid((48, 48), (0.25, 0.25), (-6.0, -6.0), FreeSpaceTruncated()),
          (2.2e-4, 5.9e-5, 1.4e-4)),
     )
 
@@ -363,7 +363,7 @@ class TestFreeSpaceConvergence:
 
         a, horizon = 0.5, 0.5
         if ndim == 1:
-            grid = Grid((128,), (0.125,), (-8.0,), FreeSpaceTruncated(2.0))
+            grid = Grid((128,), (0.125,), (-8.0,), FreeSpaceTruncated())
             r = np.abs(grid.coords(0))
 
             def antiderivative(s):
@@ -373,7 +373,7 @@ class TestFreeSpaceConvergence:
             def exact(t):
                 return np.sqrt(a) * (antiderivative(a + t) - antiderivative(a))
         else:
-            grid = Grid((48, 48), (0.25, 0.25), (-6.0, -6.0), FreeSpaceTruncated(2.0))
+            grid = Grid((48, 48), (0.25, 0.25), (-6.0, -6.0), FreeSpaceTruncated())
             x, y = grid.meshgrid()
             r2 = x * x + y * y
 
@@ -406,7 +406,7 @@ class TestQuadratureWeights:
 
 
 class TestEngineMemory:
-    @pytest.mark.parametrize("boundary", (None, FreeSpaceTruncated(2.0)))
+    @pytest.mark.parametrize("boundary", (None, FreeSpaceTruncated()))
     def test_stored_nodes_own_their_memory(self, boundary):
         # each node stack must be a grid-sized real array, not a view of a
         # complex or padded buffer
@@ -471,9 +471,9 @@ class TestEngineMemory:
 class TestEngineStacking:
     @pytest.mark.parametrize("grid", [
         periodic_1d(64),
-        Grid((64,), (0.25,), (-8.0,), FreeSpaceTruncated(2.0)),
-        Grid((16, 12), (0.4, 0.5), (-3.0, -3.0), FreeSpaceTruncated(1.5)),
-        Grid((8, 10, 9), (0.5, 0.4, 0.5), (-2.0, -2.0, -2.0), FreeSpaceTruncated(2.0)),
+        Grid((64,), (0.25,), (-8.0,), FreeSpaceTruncated()),
+        Grid((15, 11), (0.4, 0.5), (-3.0, -3.0), FreeSpaceTruncated()),
+        Grid((8, 10, 9), (0.5, 0.4, 0.5), (-2.0, -2.0, -2.0), FreeSpaceTruncated()),
     ], ids=["periodic-1d", "free-1d", "free-2d", "free-3d"])
     def test_stacked_and_per_node_transforms_agree_bitwise(self, grid):
         engine = _SpectralEngine(grid, 0.05, 8)
