@@ -1,26 +1,24 @@
-"""Command-line front end: solve, verify, bench, inspect.
+"""Command-line front end: solve, verify, inspect.
 
 Exit codes: 0 ok, 2 config or usage error (including an output directory
 that cannot be written), 3 numerical failure (bound violation,
 non-convergence, loss of positivity, overflow or running out of memory), 4
 oracle mismatch.  Every code-2 error, and an overflow, loss of positivity or
-failed allocation that stops a solve or a bench sweep, is printed as one JSON
-error list on stderr.  Solve runs write CSF1 trajectories, bound reports as
-JSON lines, and a manifest recording the config hash, package and library
-versions, seed, kernel engine and padded transform shape, the forcing
-envelope over the solver's node samples, the sup norm of each emitted series
-order and why the series stopped, timings, and the process's peak resident
-memory when the solve ends; with a fixed config and seed the field artifacts
-are byte identical across runs.
+failed allocation that stops a solve, is printed as one JSON error list on
+stderr.  Solve runs write CSF1 trajectories, bound reports as JSON lines, and
+a manifest recording the config hash, package and library versions, seed,
+kernel engine and padded transform shape, the forcing envelope over the
+solver's node samples, the sup norm of each emitted series order and why the
+series stopped, timings, and the process's peak resident memory when the
+solve ends; with a fixed config and seed the field artifacts are byte
+identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
-import math
 import resource
 import sys
 import time
@@ -33,7 +31,6 @@ from . import __version__
 from .cole_hopf import CurlError, NSEProblem, PositivityError, solve_nse
 from .config import ConfigError, RunConfig, load_config
 from .forcing import Forcing
-from .heat_kernel import KernelApplication
 from .io import read_field, write_trajectory
 from .parabolic import ParabolicProblem, solve_parabolic
 from .series import SeriesSolution, ceiling_check, solve_controlled_heat, termwise_factorial_check
@@ -57,12 +54,6 @@ def _errors(code: int, *errors: dict) -> int:
     """Print ``{"errors": [...]}`` on stderr and return the exit ``code``."""
     print(json.dumps({"errors": list(errors)}, indent=2), file=sys.stderr)
     return code
-
-
-def _out_of_memory(path: str, exc: MemoryError) -> int:
-    """Exit code 3 with the failed allocation as a JSON error on ``path``."""
-    detail = f": {exc}" if str(exc) else ""
-    return _errors(EXIT_NUMERICAL, {"path": path, "message": "out of memory" + detail})
 
 
 def cmd_solve(args) -> int:
@@ -101,7 +92,8 @@ def cmd_solve(args) -> int:
             # ArithmeticError: the series or an exponential envelope overflowed
             status = _errors(EXIT_NUMERICAL, {"path": cfg.kind, "message": str(exc)})
         except MemoryError as exc:
-            status = _out_of_memory(cfg.kind, exc)
+            detail = f": {exc}" if str(exc) else ""
+            status = _errors(EXIT_NUMERICAL, {"path": cfg.kind, "message": "out of memory" + detail})
         manifest["timings"]["total_s"] = time.perf_counter() - t0
         # the process's high-water mark (ru_maxrss is in KiB on Linux)
         manifest["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -208,73 +200,6 @@ def cmd_verify(args) -> int:
     return EXIT_NUMERICAL if args.suite == "bounds" else EXIT_ORACLE
 
 
-def cmd_bench(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        return _errors(EXIT_CONFIG, *exc.errors)
-    bench = cfg.payload.get("bench")
-    if not bench:
-        return _errors(EXIT_CONFIG, {"path": "bench", "message": "config has no bench sweep"})
-    if cfg.kind != "controlled-heat":
-        return _errors(EXIT_CONFIG, {"path": "bench", "message": "bench sweeps run controlled-heat configs"})
-
-    rows = [("sweep_axis", "value", "wall_time_s", "term_count", "error_vs_oracle")]
-    horizon = cfg.payload["horizon"]
-    forcing = cfg.forcing("forcing") or Forcing.zero()
-    try:
-        for value in bench["values"]:
-            grid = cfg.grid
-            opts = cfg.series
-            if bench["axis"] == "depth":
-                opts = dataclasses.replace(opts, depth_max=value)
-            elif bench["axis"] == "time_steps":
-                opts = dataclasses.replace(opts, time_steps=value)
-            else:  # grid sweep: value points on every axis, each keeping its extent
-                grid = dataclasses.replace(grid, points=(value,) * grid.ndim, spacing=tuple(
-                    grid.extent(d) / value for d in range(grid.ndim)))
-            g0 = dataclasses.replace(cfg, grid=grid).initial_field()
-            t0 = time.perf_counter()
-            sol = solve_controlled_heat(g0, forcing, horizon, opts)
-            wall = time.perf_counter() - t0
-            error = _bench_error(sol, g0, forcing)
-            rows.append((bench["axis"], value, wall, sol.truncation_depth + 1, error))
-    except ArithmeticError as exc:  # the series or an exponential envelope overflowed
-        return _errors(EXIT_NUMERICAL, {"path": "bench", "message": str(exc)})
-    except MemoryError as exc:
-        return _out_of_memory("bench", exc)
-    except ValueError as exc:
-        return _errors(EXIT_CONFIG, {"path": "bench", "message": str(exc)})
-
-    text = "\n".join(",".join(_csv_cell(v) for v in row) for row in rows) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
-def _bench_error(sol, g0, forcing: Forcing) -> float:
-    """Error vs the analytic exponential for constant forcing, else vs CN."""
-    t_final = sol.trajectory.times[-1]
-    final = sol.trajectory.snapshots[-1].values
-    if sol.forcing_sup == sol.forcing_inf:
-        (kg0,) = KernelApplication(g0.grid, (t_final,)).apply(g0)
-        exact = math.exp(sol.forcing_sup * t_final) * kg0.values
-        return float(np.max(np.abs(final - exact)))
-    from .verify import fd_controlled_heat
-
-    cn = fd_controlled_heat(g0, forcing, t_final, t_final / max(2 * sol.options.time_steps, 64),
-                            output_times=(t_final,))
-    return float(np.max(np.abs(final - cn.snapshots[0].values)))
-
-
 def cmd_inspect(args) -> int:
     path = Path(args.file)
     try:
@@ -311,11 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--inject-m-underestimate", action="store_true",
                           help="self-test: run the ceiling check with an undersized bound")
     p_verify.set_defaults(fn=cmd_verify)
-
-    p_bench = sub.add_parser("bench", help="sweep depth/grid/time_steps and emit a CSV timing table")
-    p_bench.add_argument("config", help="controlled-heat config with a 'bench' section")
-    p_bench.add_argument("-o", "--output", help="CSV output path (default stdout)")
-    p_bench.set_defaults(fn=cmd_bench)
 
     p_inspect = sub.add_parser("inspect", help="print a CSF1 file header")
     p_inspect.add_argument("file")

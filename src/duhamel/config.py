@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .expressions import Expression, ExpressionError, compile_expression
 from .fields import ScalarField, VectorField
 from .forcing import Forcing
-from .grid import MIN_POINTS, FreeSpaceTruncated, Grid, Periodic
+from .grid import FreeSpaceTruncated, Grid, Periodic
 from .series import SeriesOptions
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
@@ -36,6 +36,8 @@ class ConfigError(ValueError):
 class _Checker:
     def __init__(self):
         self.errors: list[dict] = []
+        # the variables an expression may use: all of them until the grid parses
+        self.variables = ("x", "y", "z", "t")
 
     def fail(self, path: str, message: str):
         self.errors.append({"path": path, "message": message})
@@ -93,10 +95,15 @@ class _Checker:
             self.fail(path, "must be an expression string")
             return None
         try:
-            return compile_expression(obj)
+            expr = compile_expression(obj)
         except ExpressionError as exc:
             self.fail(path, str(exc))
             return None
+        missing = [v for v in expr.variables if v not in self.variables]
+        if missing:
+            self.fail(path, f"uses {', '.join(missing)}, which the grid does not have")
+            return None
+        return expr
 
     def number_or_expression(self, obj, path: str):
         """A float, or a valid expression string compiled."""
@@ -124,7 +131,7 @@ class RunConfig:
         """``expr`` on the grid at t = 0; a ``ValueError`` (say, non-finite
         values) is raised again with ``path`` in front."""
         try:
-            return Forcing.from_expression(expr).at(self.grid, 0.0)
+            return Forcing.from_expression(expr).sample(self.grid, (0.0,))[0]
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
@@ -143,14 +150,13 @@ class RunConfig:
 
 
 _TOP_KEYS = {"schema", "kind", "grid", "series", "seed", "output_dir",
-             "controlled_heat", "nse", "parabolic", "bench"}
+             "controlled_heat", "nse", "parabolic"}
 _GRID_KEYS = {"points", "spacing", "extent", "origin", "boundary"}
 _SERIES_KEYS = {"depth_max", "rel_tolerance", "time_steps", "output_times"}
 _CH_KEYS = {"initial", "forcing", "horizon"}
 _NSE_KEYS = {"velocity", "anchor", "anchor_value", "pressure_minus_force",
              "speed_bound", "horizon"}
 _PARA_KEYS = {"A", "a", "c", "f", "initial", "horizon"}
-_BENCH_KEYS = {"axis", "values"}
 
 
 def _parse_grid(obj, chk: _Checker) -> Grid | None:
@@ -230,6 +236,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(chk.errors)
 
     grid = _parse_grid(raw.get("grid"), chk)
+    if grid is not None:
+        chk.variables = ("x", "y", "z")[:grid.ndim] + ("t",)
     series = _parse_series(raw.get("series"), chk)
 
     seed = raw.get("seed", 0)
@@ -281,29 +289,6 @@ def load_config(path) -> RunConfig:
                 payload[name] = chk.number_or_expression(body[name], f"{section_key}.{name}")
             if grid is not None and (grid.ndim != 1 or grid.is_periodic):
                 chk.fail("grid", "parabolic runs need a 1D free-space grid")
-
-    if "bench" in raw:
-        bench = raw["bench"]
-        if chk.section(bench, "bench", _BENCH_KEYS, {"axis", "values"}):
-            axis = bench["axis"]
-            if axis not in ("depth", "grid", "time_steps"):
-                chk.fail("bench.axis", "must be 'depth', 'grid' or 'time_steps'")
-                axis = None
-            values = bench["values"]
-            if not isinstance(values, list) or not values:
-                chk.fail("bench.values", "must be a non-empty list of integers")
-            else:
-                option = {"depth": "depth_max", "time_steps": "time_steps"}.get(axis)
-                minimum = {"depth": 0, "grid": MIN_POINTS}.get(axis, 1)
-                for i, v in enumerate(values):
-                    path = f"bench.values[{i}]"
-                    v = chk.integer(v, path, minimum=minimum)
-                    if v is not None and option and series is not None:
-                        try:  # each swept value must make valid series options
-                            replace(series, **{option: v})
-                        except ValueError as exc:
-                            chk.fail(path, str(exc))
-                payload["bench"] = {"axis": axis, "values": values}
 
     if chk.errors:
         raise ConfigError(chk.errors)

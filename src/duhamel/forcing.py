@@ -3,14 +3,13 @@
 A ``Forcing`` is a constant, a closed expression over (t, x, y, z), a
 callable ``fn(t, x[, y, z])``, or a stack of sampled fields with linear
 interpolation in time.  ``sample(grid, times)`` returns the
-``(len(times), *grid.shape)`` stack on the grid it is given,
+``(len(times), *grid.shape)`` stack on the grid it is given, and
 ``sample_rows(times, x)`` the ``(len(times), n)`` stack on 1-D nodes that may
-move with time, and ``at(grid, t)`` one field.  Expressions are evaluated
-once with t an open column and sparse coordinates, so each subexpression
-costs only the size of the axes it uses; callables and sampled stacks are
-evaluated time by time.  Every path rejects non-finite values.  A forcing
-carries no bounds: the series solver takes sup F and inf F from the node
-samples it actually uses.
+move with time.  Expressions are evaluated once with t an open column and
+sparse coordinates, so each subexpression costs only the size of the axes it
+uses; callables and sampled stacks are evaluated time by time.  Every path
+rejects non-finite values.  A forcing carries no bounds: the series solver
+takes sup F and inf F from the node samples it actually uses.
 """
 
 from __future__ import annotations
@@ -136,10 +135,6 @@ class Forcing:
         """F(times[i], x[i]) as a ``(len(times), n)`` stack; ``x`` is one row
         of n nodes shared by every time or one row per time."""
         return self._sampled(times, [np.atleast_2d(np.asarray(x, dtype=float))], None)
-
-    def at(self, grid: Grid, t: float) -> np.ndarray:
-        """F on ``grid`` at the single time ``t``, as a ``grid.shape`` array."""
-        return self._sampled([t], _lattice(grid), grid)[0]
 
     def _sampled(self, times, coords, grid: Grid | None) -> np.ndarray:
         """The filled, writeable stack; raises on non-finite values, naming

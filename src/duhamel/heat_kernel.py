@@ -9,7 +9,7 @@ on that padded torus and is cropped back to the grid.  That transform pair is
 ``grid.padded_torus``; the series solver's order sweeps and the periodic
 derivatives of ``fields`` use it too.
 ``KernelApplication`` is the one operator that applies the kernel to a
-field, for the series tail estimate, the 3-D worst-case suite and the bench.
+field, for the series tail estimate and the 3-D worst-case suite.
 
 The kernel has unit diffusivity; a diffusivity D is the time unit tau = D t.
 """

@@ -16,7 +16,6 @@ from duhamel import Forcing, Grid, ScalarField, suites
 from duhamel.cli import main
 from duhamel.config import ConfigError, load_config
 from duhamel.io import read_trajectory, write_field
-from duhamel.series import solve_controlled_heat
 from duhamel.suites import DEFAULT_SEED, suite_bounds
 
 
@@ -91,10 +90,9 @@ WRONG_LEAVES = [
     ("heat", ("controlled_heat", "initial"), 1, "controlled_heat.initial"),
     ("heat", ("controlled_heat", "forcing"), [1], "controlled_heat.forcing"),
     ("heat", ("controlled_heat", "horizon"), "a", "controlled_heat.horizon"),
-    ("heat", ("bench",), {"axis": 3, "values": [1]}, "bench.axis"),
-    ("heat", ("bench",), {"axis": "depth", "values": ["a"]}, "bench.values[0]"),
-    ("heat", ("bench",), {"axis": "depth", "values": [4, 99]}, "bench.values[1]"),
-    ("heat", ("bench",), {"axis": "grid", "values": [16, 32, 7]}, "bench.values[2]"),
+    # an expression may use only t and the grid's axes
+    ("heat", ("controlled_heat", "forcing"), "0.1*y", "controlled_heat.forcing"),
+    ("heat", ("controlled_heat", "initial"), "1 + 0*z", "controlled_heat.initial"),
     ("nse", ("nse", "velocity", 0), 1, "nse.velocity[0]"),
     ("nse", ("nse", "anchor", 0), "a", "nse.anchor[0]"),
     ("nse", ("nse", "anchor", 0), 100.0, "nse"),  # outside the grid box
@@ -102,16 +100,26 @@ WRONG_LEAVES = [
     ("nse", ("nse", "pressure_minus_force"), [1], "nse.pressure_minus_force"),
     ("nse", ("nse", "speed_bound"), "a", "nse.speed_bound"),
     ("nse", ("nse", "horizon"), None, "nse.horizon"),
+    ("nse", ("nse", "pressure_minus_force"), "cos(y)", "nse.pressure_minus_force"),
     *(("parabolic", ("parabolic", name), [1], f"parabolic.{name}") for name in "Aacf"),
     ("parabolic", ("parabolic", "initial"), 1, "parabolic.initial"),
     ("parabolic", ("parabolic", "horizon"), "a", "parabolic.horizon"),
+    ("parabolic", ("parabolic", "A"), "-1 - 0*y", "parabolic.A"),
     ("parabolic", ("parabolic", "ellipticity_min"), 1e-6, "parabolic.ellipticity_min"),  # unknown key
 ]
 
 
+def _leaf_ids(rows):
+    """``kind:path`` per row, with ``=value`` added where an earlier row has that leaf."""
+    ids = []
+    for kind, _, value, path in rows:
+        leaf = f"{kind}:{path}"
+        ids.append(f"{leaf}={value}" if leaf in ids else leaf)
+    return ids
+
+
 class TestConfigValidation:
-    @pytest.mark.parametrize("kind, keys, value, path", WRONG_LEAVES,
-                             ids=[f"{k}:{p}" for k, _, _, p in WRONG_LEAVES])
+    @pytest.mark.parametrize("kind, keys, value, path", WRONG_LEAVES, ids=_leaf_ids(WRONG_LEAVES))
     def test_wrongly_typed_leaf_exits_2(self, tmp_path, capsys, kind, keys, value, path):
         body = CONFIGS[kind]()
         node = body
@@ -123,11 +131,22 @@ class TestConfigValidation:
         payload = json.loads(capsys.readouterr().err)
         assert path in [e["path"] for e in payload["errors"]]
 
-    def test_threads_is_an_unknown_key(self, tmp_path, capsys):
-        rc = main(["solve", write_config(tmp_path, controlled_heat_config(threads=2))])
+    @pytest.mark.parametrize("key, value", [
+        ("threads", 2),
+        ("bench", {"axis": "depth", "values": [2]}),
+    ], ids=["threads", "bench"])
+    def test_threads_is_an_unknown_key(self, tmp_path, capsys, key, value):
+        rc = main(["solve", write_config(tmp_path, controlled_heat_config(**{key: value}))])
         assert rc == 2
         payload = json.loads(capsys.readouterr().err)
-        assert payload["errors"] == [{"path": "threads", "message": "unknown key"}]
+        assert payload["errors"] == [{"path": key, "message": "unknown key"}]
+
+    def test_bench_is_an_unknown_command(self, tmp_path, capsys):
+        body = controlled_heat_config(bench={"axis": "depth", "values": [2]})
+        with pytest.raises(SystemExit) as exc:  # argparse's usage error is the exit status
+            main(["bench", write_config(tmp_path, body)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_nu_is_an_unknown_key(self, tmp_path, capsys):
         # every run kind has unit diffusivity; diffusivity nu is the time unit tau = nu t
@@ -555,104 +574,6 @@ class TestPublicNames:
             assert hasattr(module, "__all__"), f"{name} declares no __all__"
             for export in module.__all__:
                 assert hasattr(module, export), f"{name}.__all__ names missing {export!r}"
-
-
-class TestBenchCommand:
-    def test_depth_sweep_matches_tail(self, tmp_path):
-        import math
-
-        body = controlled_heat_config()
-        body["controlled_heat"]["initial"] = "1"
-        body["series"] = {"time_steps": 16, "output_times": [1.0], "rel_tolerance": 1e-14,
-                          "depth_max": 20}
-        body["bench"] = {"axis": "depth", "values": [1, 2, 4, 8, 12]}
-        path = write_config(tmp_path, body)
-        out_csv = tmp_path / "bench.csv"
-        assert main(["bench", path, "-o", str(out_csv)]) == 0
-        rows = out_csv.read_text().strip().split("\n")
-        assert rows[0].split(",")[0] == "sweep_axis"
-        for row in rows[1:]:
-            _, value, _, terms, err = row.split(",")
-            d = int(value)
-            tail = math.exp(0.5) - sum(0.5**k / math.factorial(k) for k in range(d + 1))
-            assert abs(float(err) - tail) <= 0.1 * tail
-            assert int(terms) == d + 1
-
-    def test_missing_sweep_is_usage_error(self, tmp_path, capsys):
-        path = write_config(tmp_path, controlled_heat_config())
-        assert main(["bench", path]) == 2
-
-    def test_grid_sweep_monotone_timing_column_present(self, tmp_path):
-        body = controlled_heat_config()
-        body["bench"] = {"axis": "grid", "values": [64, 128]}
-        path = write_config(tmp_path, body)
-        out_csv = tmp_path / "bench.csv"
-        assert main(["bench", path, "-o", str(out_csv)]) == 0
-        rows = out_csv.read_text().strip().split("\n")[1:]
-        times = [float(r.split(",")[2]) for r in rows]
-        assert len(times) == 2 and all(t >= 0 for t in times)
-
-    def test_grid_sweep_below_the_grid_minimum_solves_nothing(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("duhamel.cli.solve_controlled_heat", None)  # a solve would raise
-        body = controlled_heat_config()
-        body["bench"] = {"axis": "grid", "values": [16, 7]}
-        out_csv = tmp_path / "bench.csv"
-        assert main(["bench", write_config(tmp_path, body), "-o", str(out_csv)]) == 2
-        assert json.loads(capsys.readouterr().err)["errors"] == [
-            {"path": "bench.values[1]", "message": "must be at least 8"}]
-        assert not out_csv.exists()
-
-    def test_grid_sweep_keeps_each_extent(self, tmp_path, monkeypatch):
-        grids = []
-
-        def record(g0, *args):
-            grids.append(g0.grid)
-            return solve_controlled_heat(g0, *args)
-
-        monkeypatch.setattr("duhamel.cli.solve_controlled_heat", record)
-        body = controlled_heat_config()
-        body["grid"] = {"points": [16, 8], "extent": [2 * np.pi, np.pi], "origin": [0.0, 0.0]}
-        body["controlled_heat"]["initial"] = "1 + 0.5*cos(x)*cos(2*y)"
-        body["bench"] = {"axis": "grid", "values": [16, 32]}
-        assert main(["bench", write_config(tmp_path, body), "-o", str(tmp_path / "b.csv")]) == 0
-        assert [g.points for g in grids] == [(16, 16), (32, 32)]
-        for g in grids:
-            assert np.allclose([g.extent(0), g.extent(1)], [2 * np.pi, np.pi], rtol=1e-15)
-
-    def test_out_of_memory_is_one_json_error(self, tmp_path, capsys, monkeypatch):
-        def exhausted(self, grid, times):
-            raise MemoryError("Unable to allocate 64.0 GiB")
-
-        monkeypatch.setattr(Forcing, "sample", exhausted)
-        body = controlled_heat_config()
-        body["bench"] = {"axis": "depth", "values": [2]}
-        assert main(["bench", write_config(tmp_path, body)]) == 3
-        captured = capsys.readouterr()
-        assert json.loads(captured.err)["errors"] == [
-            {"path": "bench", "message": "out of memory: Unable to allocate 64.0 GiB"}]
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("grid, series, forcing, code, message", [
-        ({}, {}, "1/(t - 0.5)", 2, "forcing: expression has non-finite values at t=0.5"),
-        ({}, {"time_steps": 8, "depth_max": 64}, "1e300*cos(x)", 3, "the series sum overflows"),
-        ({"points": [16, 16], "extent": [2 * np.pi] * 2, "origin": [0.0, 0.0]}, {}, "0.3*sin(y)",
-         2, "the Crank-Nicolson oracle runs on periodic 1D grids"),
-    ], ids=["nonfinite-forcing", "overflow", "oracle-2d"])
-    def test_failed_sweep_is_one_json_error(self, tmp_path, capsys, grid, series, forcing, code,
-                                            message):
-        body = controlled_heat_config()
-        body["grid"] = {"points": [32], "extent": [2 * np.pi], "origin": [0.0], **grid}
-        body["series"].update(series)
-        body["controlled_heat"]["forcing"] = forcing
-        body["bench"] = {"axis": "depth", "values": [series.get("depth_max", 2)]}
-        # a numpy RuntimeWarning is an error in this suite, so a clean return
-        # means the JSON error is all of stderr
-        assert main(["bench", write_config(tmp_path, body)]) == code
-        captured = capsys.readouterr()
-        errors = json.loads(captured.err)["errors"]
-        assert [e["path"] for e in errors] == ["bench"]
-        assert message in errors[0]["message"]
-        assert captured.out == ""
 
 
 class TestInspectCommand:
