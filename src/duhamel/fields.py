@@ -1,11 +1,12 @@
 """Scalar/vector fields on grids and the shared differential operators.
 
 Periodic derivatives multiply the half spectrum of the heat kernel's own
-transform pair (``grid.padded_torus``) by i k_d or -|k|^2.  Otherwise they are
-finite differences: the first derivative is 4th order at every node, the
-second is 4th order inside with 2nd-order boundary closures.  All field
-objects are immutable after construction; every operation returns a new
-field, so shared inputs are safe under concurrency.
+transform pair (``grid.padded_torus``, on ``numpy.fft``) by i k_d or -|k|^2,
+each symbol scaled by the torus's ``scale`` to normalise its inverse.
+Otherwise they are finite differences: the first derivative is 4th order at
+every node, the second is 4th order inside with 2nd-order boundary closures.
+All field objects are immutable after construction; every operation returns
+a new field, so shared inputs are safe under concurrency.
 """
 
 from __future__ import annotations
@@ -168,39 +169,76 @@ def _fd_second(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
-def gradient(field: ScalarField) -> VectorField:
-    """Componentwise spatial gradient."""
+def _derivatives(field: ScalarField, grad: bool = True,
+                 lap: bool = True) -> tuple[tuple[np.ndarray, ...], np.ndarray | None]:
+    """Gradient components (``()`` unless ``grad``) and Laplacian (``None``
+    unless ``lap``) of one field; a periodic field is transformed once for both."""
     grid = field.grid
+    comps, lap_values = (), None
     if grid.is_periodic:
         torus = padded_torus(grid)
         spectrum = torus.forward(field.values)
-        comps = tuple(torus.inverse(ik * spectrum) for ik in torus.ik)
+        if grad:
+            comps = tuple(torus.inverse((torus.scale * ik) * spectrum, overwrite=True)
+                          for ik in torus.ik)
+        if lap:
+            lap_values = torus.inverse((-torus.scale * torus.k2) * spectrum, overwrite=True)
     else:
-        comps = tuple(_fd_first(field.values, h, d) for d, h in enumerate(grid.spacing))
-    return VectorField(grid, comps)
+        if grad:
+            comps = tuple(_fd_first(field.values, h, d) for d, h in enumerate(grid.spacing))
+        if lap:
+            lap_values = sum(_fd_second(field.values, h, d) for d, h in enumerate(grid.spacing))
+    return comps, lap_values
+
+
+def gradient(field: ScalarField) -> VectorField:
+    """Componentwise spatial gradient."""
+    return VectorField(field.grid, _derivatives(field, lap=False)[0])
 
 
 def laplacian(field: ScalarField) -> ScalarField:
     """Sum of unmixed second derivatives."""
-    grid = field.grid
-    if grid.is_periodic:
-        torus = padded_torus(grid)
-        return ScalarField(grid, torus.inverse(-torus.k2 * torus.forward(field.values)))
-    return ScalarField(grid, sum(_fd_second(field.values, h, d) for d, h in enumerate(grid.spacing)))
+    return ScalarField(field.grid, _derivatives(field, grad=False)[1])
+
+
+def _stencil_curls(components, spacing) -> list[np.ndarray]:
+    """d_i u_j - d_j u_i for each index pair i < j, by the 4th-order stencil."""
+    ndim = len(components)
+    return [_fd_first(components[j], spacing[i], i) - _fd_first(components[i], spacing[j], j)
+            for i in range(ndim) for j in range(i + 1, ndim)]
 
 
 def curl_residual(u: VectorField) -> float:
     """Max over nodes and index pairs of |d_i u_j - d_j u_i|.
 
     Zero for 1D fields, and at discretization level for sampled gradients.
+    On a periodic grid each component is transformed once, and each index
+    pair takes one inverse transform of i k_i u_j - i k_j u_i.
     """
     grid = u.grid
     if grid.ndim == 1:
         return 0.0
-    # jac[j][i] = d_i u_j
-    jac = [gradient(u.component(j)).components for j in range(grid.ndim)]
-    worst = 0.0
-    for i in range(grid.ndim):
-        for j in range(i + 1, grid.ndim):
-            worst = max(worst, float(np.max(np.abs(jac[j][i] - jac[i][j]))))
-    return worst
+    if grid.is_periodic:
+        torus = padded_torus(grid)
+        spectra = [torus.forward(c) for c in u.components]
+        iks = [torus.scale * ik for ik in torus.ik]
+        curls = [torus.inverse(iks[i] * spectra[j] - iks[j] * spectra[i], overwrite=True)
+                 for i in range(grid.ndim) for j in range(i + 1, grid.ndim)]
+    else:
+        curls = _stencil_curls(u.components, grid.spacing)
+    return max(float(np.max(np.abs(c))) for c in curls)
+
+
+def _curl_error_estimate(u: VectorField) -> float | None:
+    """Richardson estimate of the stencil curl's truncation error on a
+    free-space grid: max |c_h - c_2h| / 15, where c_2h is the curl on the
+    every-other-node subgrid and c_h is read at the same nodes.  ``None``
+    on periodic grids, and where the subgrid has fewer than the stencil's
+    5 points along an axis."""
+    grid = u.grid
+    if grid.is_periodic or grid.ndim == 1 or min((n + 1) // 2 for n in grid.points) < 5:
+        return None
+    sub = (slice(None, None, 2),) * grid.ndim
+    fine = _stencil_curls(u.components, grid.spacing)
+    coarse = _stencil_curls([c[sub] for c in u.components], [2.0 * h for h in grid.spacing])
+    return max(float(np.max(np.abs(f[sub] - c))) for f, c in zip(fine, coarse)) / 15.0

@@ -4,13 +4,15 @@ Grids are cell centered: node ``i`` along an axis sits at
 ``origin + (i + 1/2) * spacing``, so a periodic axis of ``n`` points with
 spacing ``h`` tiles a period of length ``n * h`` exactly.  Convolutions on
 truncated free-space grids extend their fields by edge replication to twice
-the base extent per axis, rounded up to a fast FFT length.
+the base extent per axis, rounded up to a fast FFT length (the next
+5-smooth one).
 
-``padded_torus(grid)`` is the grid's one real-FFT transform pair, shared by
-``heat_kernel.KernelApplication``, the series sweeps and the periodic
-derivatives.  On a padded torus both halves go one axis at a time: the
+``padded_torus(grid)`` is the grid's one real-FFT transform pair, on
+``numpy.fft``, shared by ``heat_kernel.KernelApplication``, the series
+sweeps and the periodic derivatives.  Both halves go one axis at a time: the
 forward transform pads each axis right before its pass, and the inverse
-crops each axis right after its pass.
+crops each axis right after its pass.  A periodic grid is the case with no
+padding.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 __all__ = ["Periodic", "FreeSpaceTruncated", "Grid", "PaddedTorus", "padded_torus"]
 
 MIN_POINTS = 8
 _MAX_NDIM = 3
+_FAST_FACTORS = (2, 3, 5)  # the radices a fast transform length is built from
 
 
 @dataclass(frozen=True)
@@ -141,25 +143,32 @@ class PaddedTorus:
     Both transforms act on the trailing ``grid.ndim`` axes; leading axes,
     such as the time nodes of a stack, are transformed independently.
 
-    On a padded torus both transforms go one axis at a time, so that no pass
-    runs over the rows that padding adds along another axis.  The forward
-    transform pads each axis right before its pass: the last axis, then its
-    real pass; then each other axis in turn, by replicating the two edge
-    planes of the partial spectrum, then its complex pass.  Edge replication
-    commutes with the passes over the other axes, and the passes run in the
-    order ``rfftn`` uses, so the result is that of ``rfftn`` on the fully
-    padded field, bit for bit.  The inverse crops each axis right after its
-    pass; no pass mixes the points of another axis, so the crop equals that
-    of the full inverse transform.
+    ``inverse`` is unnormalised: the inverse of ``forward(v)`` is
+    ``prod(shape) * v``.  ``scale = 1 / prod(shape)`` undoes that factor, and
+    each caller folds it into a multiplication of the spectrum it already
+    makes (a kernel weight or a derivative symbol), so normalising costs no
+    pass over the data.  On power-of-two tori the factor is exact.
+
+    Both transforms go one axis at a time, with ``numpy.fft``, so that no
+    pass runs over the rows that padding adds along another axis.  The
+    forward transform pads each axis right before its pass: the last axis,
+    then its real pass; then each other axis in turn, by replicating the two
+    edge planes of the partial spectrum, then its complex pass.  Edge
+    replication commutes with the passes over the other axes, and the passes
+    run in the order ``rfftn`` uses, so the result is that of ``rfftn`` on
+    the fully padded field, bit for bit.  The inverse crops each axis right
+    after its pass; no pass mixes the points of another axis, so the crop
+    equals that of the full inverse transform.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.padded = not grid.is_periodic
         if self.padded:
-            self.shape = tuple(scipy.fft.next_fast_len(2 * n, real=True) for n in grid.points)
+            self.shape = tuple(_fast_length(2 * n) for n in grid.points)
         else:
             self.shape = grid.shape
+        self.scale = 1.0 / math.prod(self.shape)
         ndim = grid.ndim
         self._lows = tuple((m - n) // 2 for m, n in zip(self.shape, grid.points))
         self._axes = tuple(range(-ndim, 0))
@@ -178,33 +187,51 @@ class PaddedTorus:
             symbol.setflags(write=False)
         self.k2, self.ik = k2, tuple(ik)
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        """Half spectrum of the (edge-padded) field."""
-        if not self.padded:
-            return scipy.fft.rfftn(values, axes=self._axes)
+    def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Half spectrum of the (edge-padded) field, written into ``out``
+        (complex, of the spectrum's shape) when it is given."""
         last = self.grid.ndim - 1
-        spectrum = scipy.fft.rfft(self._extend(values, last), axis=-1)
+        # only a pass whose output needs no further padding can land in ``out``
+        spectrum = np.fft.rfft(self._extend(values, last), axis=-1,
+                               out=out if last == 0 or not self.padded else None)
         for d in range(last):
-            # the padded copy is fresh, so the pass may overwrite it
-            spectrum = scipy.fft.fft(self._extend(spectrum, d), axis=self._axes[d], overwrite_x=True)
+            # every complex pass reads an array of this transform's own, so it
+            # overwrites that array, or writes the last pass into ``out``
+            spectrum = self._extend(spectrum, d)
+            target = out if out is not None and d == last - 1 else spectrum
+            spectrum = np.fft.fft(spectrum, axis=self._axes[d], out=target)
         return spectrum
 
-    def inverse(self, spectrum: np.ndarray) -> np.ndarray:
-        """Grid values of a half spectrum, as a new contiguous array.
+    def inverse(self, spectrum: np.ndarray, out: np.ndarray | None = None,
+                overwrite: bool = False) -> np.ndarray:
+        """``prod(shape)`` times the grid values of a half spectrum.
 
-        The crop is copied so that no result keeps the padded array alive.
+        The values are written into ``out`` when it is given, else into a
+        new contiguous array; on a padded torus the crop is copied, so that
+        no result keeps the padded array alive.  With ``overwrite`` the
+        complex passes run in the spectrum's own memory, which the caller
+        must not read again; otherwise the spectrum is left as it is.
         """
-        if not self.padded:
-            return scipy.fft.irfftn(spectrum, s=self.shape, axes=self._axes)
         last = self.grid.ndim - 1
         for d in range(last):
-            spectrum = self._crop(scipy.fft.ifft(spectrum, axis=self._axes[d]), d)
-        spectrum = scipy.fft.irfft(spectrum, n=self.shape[last], axis=-1)
-        return self._crop(spectrum, last).copy()
+            # after the first pass, each pass overwrites the array it reads
+            passed = spectrum if overwrite or d > 0 else None
+            spectrum = np.fft.ifft(spectrum, axis=self._axes[d], norm="forward", out=passed)
+            spectrum = self._crop(spectrum, d)
+        m = self.shape[last]
+        if not self.padded:
+            return np.fft.irfft(spectrum, n=m, axis=-1, norm="forward", out=out)
+        values = self._crop(np.fft.irfft(spectrum, n=m, axis=-1, norm="forward"), last)
+        if out is None:
+            return values.copy()
+        out[...] = values
+        return out
 
     def _extend(self, values: np.ndarray, d: int) -> np.ndarray:
         """``values`` extended along grid axis ``d`` to the torus, by edge replication."""
         axis, low, n = self._axes[d], self._lows[d], self.grid.points[d]
+        if self.shape[d] == n:
+            return values
         shape = list(values.shape)
         shape[axis] = self.shape[d]
         out = np.empty(shape, values.dtype)
@@ -229,6 +256,19 @@ class PaddedTorus:
             "padding": "edge" if self.padded else "none",
             "padded_shape": list(self.shape),
         }
+
+
+def _fast_length(n: int) -> int:
+    """The least 5-smooth integer >= n >= 1, a length ``numpy.fft`` transforms fast."""
+    m = n
+    while True:
+        rest = m
+        for p in _FAST_FACTORS:
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
 
 
 def _along(axis: int, index: slice) -> tuple:

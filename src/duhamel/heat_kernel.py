@@ -1,9 +1,10 @@
 """The heat-kernel convolution K(., t) * field.
 
-Every grid convolves on a torus through its real Fourier transform: the
-half-spectrum coefficients are multiplied by exp(-|k|^2 t), the exact
-semigroup on the torus's discrete modes.  A periodic grid is its own torus.
-A truncated free-space grid is extended by edge replication to twice its
+Every grid convolves on a torus through its real Fourier transform
+(``numpy.fft``): the half-spectrum coefficients are multiplied by
+exp(-|k|^2 t), the exact semigroup on the torus's discrete modes, and by the
+torus's ``scale``, which normalises its inverse transform.  A periodic grid
+is its own torus.  A truncated free-space grid is extended by edge replication to twice its
 extent per axis, rounded up to a fast transform length; the convolution runs
 on that padded torus and is cropped back to the grid.  That transform pair is
 ``grid.padded_torus``; the series solver's order sweeps and the periodic
@@ -42,6 +43,8 @@ class KernelApplication:
         torus = padded_torus(self.grid)
         spectrum = torus.forward(field.values)
         return tuple(
-            field if t == 0.0 else ScalarField(self.grid, torus.inverse(spectrum * torus.damping(t)))
+            field if t == 0.0
+            else ScalarField(self.grid, torus.inverse(spectrum * (torus.scale * torus.damping(t)),
+                                                      overwrite=True))
             for t in self.times
         )

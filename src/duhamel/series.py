@@ -181,18 +181,21 @@ class _SpectralEngine:
         z = dt * self.torus.k2
         f2 = _f2(z)
         # complex copies of real weights: the products with spectra take the
-        # same values without casting the weights on every call
+        # same values without casting the weights on every call.  The
+        # quadrature weights carry the torus's scale, so the accumulated
+        # spectra come out of its unnormalised inverse normalised.
         self.decay = np.exp(-z).astype(complex)
-        self.w_old = (dt * f2).astype(complex)
-        self.w_new = (dt * (_phi1(z) - f2)).astype(complex)
+        self.w_old = (self.torus.scale * (dt * f2)).astype(complex)
+        self.w_new = (self.torus.scale * (dt * (_phi1(z) - f2))).astype(complex)
 
     def _nodes(self, first: np.ndarray | float, spectra, out: np.ndarray | None = None) -> np.ndarray:
         """Node stack with ``first`` at node 0 and node j = inverse of spectrum j.
 
-        ``spectra`` yields the spectra of nodes 1..n; each one is consumed
-        before the next is produced.  Node j of ``out`` (a new stack by
-        default) is written only after spectrum j is drawn, and node 0 last,
-        so ``out`` may be the stack the spectra are drawn from.
+        ``spectra`` yields the spectra of nodes 1..n; each one is consumed,
+        and may be overwritten, before the next is produced.  Node j of
+        ``out`` (a new stack by default) is written only after spectrum j is
+        drawn, and node 0 last, so ``out`` may be the stack the spectra are
+        drawn from.
         """
         if out is None:
             out = np.empty((self.n + 1,) + self.grid.shape)
@@ -200,10 +203,10 @@ class _SpectralEngine:
             stack = np.empty((self.n,) + self.decay.shape, dtype=complex)
             for j, spec in enumerate(spectra):
                 stack[j] = spec
-            out[1:] = self.torus.inverse(stack)
+            self.torus.inverse(stack, out=out[1:], overwrite=True)
         else:
             for j, spec in enumerate(spectra, 1):
-                out[j] = self.torus.inverse(spec)
+                self.torus.inverse(spec, out=out[j], overwrite=True)
         out[0] = first
         return out
 
@@ -214,9 +217,15 @@ class _SpectralEngine:
         """
         def spectra():
             spec = self.torus.forward(g0_values)
+            spec *= self.torus.scale
+            spec *= self.decay
+            ahead = np.empty_like(spec)
             for _ in range(self.n):
-                spec *= self.decay
+                # the next node's spectrum is formed before this one is
+                # yielded, since its consumer may overwrite it
+                np.multiply(spec, self.decay, out=ahead)
                 yield spec
+                spec, ahead = ahead, spec
 
         return self._nodes(g0_values, spectra())
 
@@ -228,24 +237,41 @@ class _SpectralEngine:
         nodes, and so is the result, written into ``out`` when given.  With
         a ``factor`` stack of the same shape, g is ``factor * integrand``.
         ``out`` may be ``integrand`` itself: each node is overwritten only
-        after it has been transformed.
+        after it has been transformed.  A node 0 of zeros, which every order
+        past the zeroth has, is not transformed: its spectrum is zero.
         """
+        start = 0 if integrand[0].any() else 1
+        integrand = integrand[start:]
+        if factor is not None:
+            factor = factor[start:]
         if self.stacked:
             nodes = iter(self.torus.forward(integrand if factor is None else factor * integrand))
         else:
+            # one product and one spectrum buffer: each node's product is
+            # transformed, and its spectrum used up, before the next is formed
             if factor is not None:
-                integrand = map(np.multiply, factor, integrand)
-            nodes = map(self.torus.forward, integrand)
+                product = np.empty(self.grid.shape)
+                integrand = (np.multiply(f, g, out=product) for f, g in zip(factor, integrand))
+            spectrum = np.empty(self.decay.shape, dtype=complex)
+            nodes = (self.torus.forward(g, out=spectrum) for g in integrand)
 
         def spectra():
-            prev = next(nodes)
-            acc = np.zeros_like(prev)
+            # held is w_old times the previous node's spectrum; each new
+            # spectrum is weighted in place once held has taken its part.
+            # ahead, the decayed sum, is formed before acc is yielded, since
+            # the consumer may overwrite acc.
+            held = np.multiply(self.w_old, next(nodes)) if start == 0 else None
+            ahead = np.zeros(self.decay.shape, dtype=complex)
+            acc = np.empty_like(ahead)
             for cur in nodes:
-                acc *= self.decay
-                acc += self.w_old * prev
-                acc += self.w_new * cur
+                acc, ahead = ahead, acc
+                if held is not None:
+                    acc += held
+                held = np.multiply(self.w_old, cur, out=held)
+                cur *= self.w_new
+                acc += cur
+                np.multiply(acc, self.decay, out=ahead)
                 yield acc
-                prev = cur
 
         return self._nodes(0.0, spectra(), out)
 

@@ -13,6 +13,7 @@ from duhamel import (
     SeriesOptions,
     Trajectory,
     VectorField,
+    curl_residual,
     gradient,
     solve_controlled_heat,
 )
@@ -29,6 +30,7 @@ from duhamel.cole_hopf import (
     velocity_from_field,
     worst_case_upper_bound,
 )
+from duhamel.grid import PaddedTorus
 
 
 def periodic_1d(n=256):
@@ -122,6 +124,76 @@ class TestPotential:
         with pytest.raises(CurlError) as err:
             potential_from_velocity(u0, (0.0, 0.0), 0.0)
         assert err.value.residual > 1.0
+
+
+# the heat benchmark's exponent a: Gaussian bumps (amplitude, width, centre)
+HEAT_BUMPS = ((0.8, 1.0, (-1.0, 0.5)), (-0.6, 1.5, (1.2, -0.4)), (0.5, 2.0, (0.2, 1.3)))
+
+
+def heat_exponent(x, y):
+    return sum(amp * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / w)
+               for amp, w, (cx, cy) in HEAT_BUMPS)
+
+
+def heat_velocity(grid, eps=0.0):
+    """u0 = -2 grad a on ``grid``, plus ``eps`` times the rotational field
+    (-d_y psi, d_x psi) of psi = exp(-|x - (1, 0)|^2)."""
+    x, y = grid.meshgrid()
+    ux = sum(4.0 * amp / w * (x - cx) * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / w)
+             for amp, w, (cx, cy) in HEAT_BUMPS)
+    uy = sum(4.0 * amp / w * (y - cy) * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / w)
+             for amp, w, (cx, cy) in HEAT_BUMPS)
+    psi = np.exp(-((x - 1.0) ** 2 + y**2))
+    return VectorField(grid, (ux + eps * 2.0 * y * psi, uy - eps * 2.0 * (x - 1.0) * psi))
+
+
+def free_2d(n, extent=12.0):
+    return Grid((n, n), (extent / n,) * 2, (-extent / 2,) * 2, FreeSpaceTruncated())
+
+
+class TestFreeSpaceCurlCheck:
+    # the 4th-order stencil curl of a sampled gradient is its truncation
+    # error, far above the fixed tolerance at these sizes; the check scales
+    # the tolerance by that error as estimated from the samples
+
+    @pytest.mark.parametrize("n", (64, 128))
+    def test_sampled_gradient_passes(self, n):
+        g = free_2d(n)
+        u0 = heat_velocity(g)
+        assert curl_residual(u0) > 4.0 * cole_hopf.default_curl_tolerance(u0)
+        phi = potential_from_velocity(u0, (0.0, 0.0), 0.0)
+        x, y = g.meshgrid()
+        a = heat_exponent(x, y)
+        exact = -2.0 * (a - a[g.nearest_node((0.0, 0.0))])
+        assert np.max(np.abs(phi.values - exact)) < 2e-4 * (64 / n) ** 4
+
+    @pytest.mark.parametrize("n", (64, 128))
+    def test_rotational_part_rejected(self, n):
+        with pytest.raises(CurlError) as err:
+            potential_from_velocity(heat_velocity(free_2d(n), eps=1e-2), (0.0, 0.0), 0.0)
+        assert err.value.residual > 3e-2
+
+    def test_3d_sampled_gradient_passes(self):
+        n = 32
+        g = Grid((n,) * 3, (12.0 / n,) * 3, (-6.0,) * 3, FreeSpaceTruncated())
+        x, y, z = g.meshgrid()
+        bump = 0.8 * np.exp(-(x**2 + y**2 + z**2))
+        u0 = VectorField(g, (4.0 * x * bump, 4.0 * y * bump, 4.0 * z * bump))
+        assert curl_residual(u0) > 4.0 * cole_hopf.default_curl_tolerance(u0)
+        phi = potential_from_velocity(u0, (0.0, 0.0, 0.0), 0.0)
+        exact = -2.0 * (bump - bump[g.nearest_node((0.0, 0.0, 0.0))])
+        assert np.max(np.abs(phi.values - exact)) < 1e-2
+
+    def test_small_grid_keeps_the_fixed_tolerance(self):
+        # 9 points per axis leave a 5-point subgrid; 8 leave 4, too few for
+        # the stencil, so the same kind of data is held to the fixed tolerance
+        for n, passes in ((9, True), (8, False)):
+            u0 = heat_velocity(free_2d(n, extent=4.0 * n / 9))
+            if passes:
+                potential_from_velocity(u0, (0.0, 0.0), 0.0)
+            else:
+                with pytest.raises(CurlError):
+                    potential_from_velocity(u0, (0.0, 0.0), 0.0)
 
 
 class TestInitialField:
@@ -354,6 +426,27 @@ class TestNSEResidual:
         want = np.abs(2.0 * np.cos(x))
         for _, snap in res:
             assert np.max(np.abs(snap.values - want)) < 1e-10
+
+    def test_one_forward_transform_per_component(self, monkeypatch):
+        # per interior time on a 3-D torus: the forcing gradient (1 forward,
+        # 3 inverse), and each velocity component's gradient and Laplacian
+        # from one forward transform (1 forward, 4 inverse)
+        n = 8
+        g = Grid((n,) * 3, (2 * np.pi / n,) * 3, (0.0,) * 3)
+        x, y, z = g.meshgrid()
+        times = (0.0, 0.25, 0.5, 0.75)
+        u = Trajectory(times, tuple(
+            VectorField(g, (np.sin(y + t), np.sin(z), np.cos(x - t))) for t in times))
+        calls = []
+        for name in ("forward", "inverse"):
+            def counted(self, *args, _method=getattr(PaddedTorus, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _method(self, *args, **kwargs)
+
+            monkeypatch.setattr(PaddedTorus, name, counted)
+        nse_residual(u, Forcing.from_expression("cos(x)*sin(t)"))
+        assert calls.count("forward") == 2 * (1 + 3)
+        assert calls.count("inverse") == 2 * (3 + 3 * 4)
 
 
 class TestWorstCaseBound:

@@ -316,6 +316,31 @@ class TestSolveCommand:
         payload = json.loads(captured.err)
         assert payload["errors"][0]["curl_residual"] > 1.0
 
+    @pytest.mark.parametrize("n", (64, 128))
+    @pytest.mark.parametrize("eps, code", [(0.0, 0), (1e-2, 2)], ids=["gradient", "rotational"])
+    def test_free_space_potential_flow_exit_code(self, tmp_path, capsys, eps, code, n):
+        # u0 = -2 grad a for a Gaussian bump a, whose stencil curl is far above
+        # the fixed curl tolerance on this grid; eps adds a rotational part
+        # eps (-d_y psi, d_x psi) with psi = exp(-(x - 1)^2 - y^2)
+        bump = "exp(-(x*x + y*y))"
+        psi = "exp(-((x - 1)*(x - 1) + y*y))"
+        body = {
+            "schema": 1,
+            "kind": "nse",
+            "grid": {"points": [n, n], "extent": [12.0, 12.0], "origin": [-6.0, -6.0],
+                     "boundary": {"free_space": {}}},
+            "series": {"time_steps": 4, "output_times": [0.125, 0.25]},
+            "nse": {"velocity": [f"3.2*x*{bump} + {2 * eps}*y*{psi}",
+                                 f"3.2*y*{bump} - {2 * eps}*(x - 1)*{psi}"],
+                    "anchor": [0.0, 0.0], "anchor_value": 0.0, "speed_bound": 2.0,
+                    "horizon": 0.25},
+        }
+        rc = main(["solve", write_config(tmp_path, body), "-o", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == code
+        if code:
+            assert json.loads(captured.err)["errors"][0]["curl_residual"] > 3e-2
+
     def test_periodic_mean_flow_exits_2(self, tmp_path, capsys):
         body = nse_config()
         body["grid"]["points"] = [128]
@@ -521,7 +546,7 @@ class TestVerifyCommand:
 
 
 class TestImportCost:
-    WATCHED = ("sympy", "scipy.interpolate", "scipy.linalg")
+    WATCHED = ("sympy", "scipy.interpolate", "scipy.linalg", "scipy.fft", "scipy.special")
 
     @pytest.fixture(scope="class")
     def loaded(self, tmp_path_factory):
@@ -561,6 +586,12 @@ class TestImportCost:
 
     def test_parabolic_solve_leaves_scipy_interpolate_out(self, loaded):
         assert "scipy.interpolate" not in loaded["solve"]
+
+    @pytest.mark.parametrize("stage", ("import", "solve"))
+    def test_no_scipy_fft_or_special(self, loaded, stage):
+        # every transform runs on numpy.fft, and scipy.linalg, which the
+        # parabolic resampling imports, pulls in neither module
+        assert not {"scipy.fft", "scipy.special"} & set(loaded[stage])
 
 
 class TestPublicNames:

@@ -16,7 +16,8 @@ from duhamel import (
     gradient,
     laplacian,
 )
-from duhamel.grid import padded_torus
+from duhamel.fields import _curl_error_estimate, _derivatives
+from duhamel.grid import PaddedTorus, _fast_length, padded_torus
 
 
 def periodic_1d(n=256):
@@ -25,6 +26,18 @@ def periodic_1d(n=256):
 
 def free_space_1d(n=128, extent=8.0):
     return Grid((n,), (extent / n,), (-extent / 2,), FreeSpaceTruncated())
+
+
+def counted_transforms(monkeypatch) -> list[str]:
+    """The names of the torus transforms called from here on, in call order."""
+    calls = []
+    for name in ("forward", "inverse"):
+        def counted(self, *args, _method=getattr(PaddedTorus, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(PaddedTorus, name, counted)
+    return calls
 
 
 class TestGrid:
@@ -156,6 +169,48 @@ class TestPrunedForward:
         assert got.tobytes() == want.tobytes()
 
 
+class TestTransformPair:
+    def test_fast_length_is_scipys_real_fast_length(self):
+        # the next 5-smooth length, as scipy.fft.next_fast_len(n, real=True)
+        got = [_fast_length(n) for n in range(1, 4097)]
+        assert got == [scipy.fft.next_fast_len(n, real=True) for n in range(1, 4097)]
+
+    @pytest.mark.parametrize("grid, shape", [
+        (Grid((33,), (0.3,), (0.0,), FreeSpaceTruncated()), (72,)),
+        (Grid((15, 13), (0.4, 0.5), (0.0, 0.0)), (15, 13)),
+        (Grid((9, 10, 11), (0.3, 0.3, 0.3), (0.0, 0.0, 0.0), FreeSpaceTruncated()), (18, 20, 24)),
+    ], ids=["free-33", "periodic-15x13", "free-3d"])
+    def test_round_trip_with_scale(self, grid, shape):
+        # inverse is unnormalised; scale on the spectrum undoes prod(shape)
+        torus = padded_torus(grid)
+        assert torus.shape == shape and torus.scale == 1.0 / math.prod(shape)
+        values = np.random.default_rng(6).normal(size=grid.shape)
+        back = torus.inverse(torus.scale * torus.forward(values))
+        assert np.max(np.abs(back - values)) <= 1e-15 * np.max(np.abs(values))
+
+    @pytest.mark.parametrize("grid", [
+        Grid((12,), (0.3,), (0.0,)),
+        Grid((12,), (0.3,), (0.0,), FreeSpaceTruncated()),
+        Grid((9, 12), (0.3, 0.4), (0.0, 0.0)),
+        Grid((9, 12), (0.3, 0.4), (0.0, 0.0), FreeSpaceTruncated()),
+        Grid((8, 11, 10), (0.3, 0.4, 0.5), (0.0, 0.0, 0.0)),
+        Grid((8, 11, 10), (0.3, 0.4, 0.5), (0.0, 0.0, 0.0), FreeSpaceTruncated()),
+    ], ids=["periodic-1d", "free-1d", "periodic-2d", "free-2d", "periodic-3d", "free-3d"])
+    def test_out_and_overwrite_give_the_same_bytes(self, grid):
+        torus = padded_torus(grid)
+        values = np.random.default_rng(7).normal(size=grid.shape)
+        spectrum = torus.forward(values)
+        out = np.empty_like(spectrum)
+        assert torus.forward(values, out=out) is out
+        assert out.tobytes() == spectrum.tobytes()
+        want = torus.inverse(spectrum)
+        # without overwrite the spectrum is left as it is
+        assert out.tobytes() == spectrum.tobytes()
+        into = np.empty(grid.shape)
+        assert torus.inverse(out, out=into, overwrite=True) is into
+        assert into.tobytes() == want.tobytes()
+
+
 class TestPeriodicSpectral:
     @pytest.mark.parametrize("points", [(16, 12), (15, 13)], ids=["even", "odd"])
     def test_matches_complex_fft(self, points):
@@ -167,6 +222,18 @@ class TestPeriodicSpectral:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(got))
         lap = laplacian(ScalarField(g, vals)).values
         assert np.max(np.abs(lap - lap_ref)) <= 1e-12 * np.max(np.abs(lap))
+
+
+class TestSharedTransform:
+    def test_gradient_and_laplacian_from_one_forward_transform(self, monkeypatch):
+        g = Grid((16, 12), (0.3, 0.5), (0.0, 0.0))
+        field = ScalarField(g, np.random.default_rng(8).normal(size=g.shape))
+        grad, lap = gradient(field), laplacian(field)
+        calls = counted_transforms(monkeypatch)
+        comps, lap_values = _derivatives(field)
+        assert calls == ["forward"] + ["inverse"] * 3
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(comps, grad.components))
+        assert lap_values.tobytes() == lap.values.tobytes()
 
 
 class TestLaplacian:
@@ -249,3 +316,39 @@ class TestCurl:
         x, y = g.meshgrid()
         phi = ScalarField(g, np.exp(0.3 * np.sin(x) + 0.2 * np.cos(2 * y)))
         assert curl_residual(gradient(phi)) < 1e-8
+
+    def test_periodic_3d_one_transform_per_component_and_pair(self, monkeypatch):
+        # u = (sin y, sin z, sin x): the pair curls are -cos y, -cos z and
+        # cos x, so the residual is max |cos| over the node coordinates;
+        # 3 forward and 3 inverse transforms
+        n = 16
+        g = Grid((n,) * 3, (2 * np.pi / n,) * 3, (0.0,) * 3)
+        x, y, z = g.meshgrid()
+        calls = counted_transforms(monkeypatch)
+        residual = curl_residual(VectorField(g, (np.sin(y), np.sin(z), np.sin(x))))
+        assert abs(residual - np.max(np.abs(np.cos(g.coords(0))))) < 1e-13
+        assert sorted(calls) == ["forward"] * 3 + ["inverse"] * 3
+
+
+class TestCurlErrorEstimate:
+    def free_2d(self, n):
+        return Grid((n, n), (12.0 / n,) * 2, (-6.0, -6.0), FreeSpaceTruncated())
+
+    def test_estimates_the_stencil_error_of_a_sampled_gradient(self):
+        # c_h is the stencil error alone; the estimate is within 2x of it
+        g = self.free_2d(64)
+        x, y = g.meshgrid()
+        bump = np.exp(-(x**2 + y**2))
+        u = VectorField(g, (-2.0 * x * bump, -2.0 * y * bump))
+        residual, estimate = curl_residual(u), _curl_error_estimate(u)
+        assert residual > 0.0
+        assert 0.5 * residual <= estimate <= 2.0 * residual
+
+    def test_needs_a_free_space_subgrid_of_five_points(self):
+        # a subgrid of 4 points per axis cannot carry the 5-point stencil
+        small = self.free_2d(8)
+        x, y = small.meshgrid()
+        assert _curl_error_estimate(VectorField(small, (-y, x))) is None
+        periodic = Grid((32, 32), (0.2, 0.2), (0.0, 0.0))
+        assert _curl_error_estimate(VectorField(periodic, (np.zeros((32, 32)),) * 2)) is None
+        assert _curl_error_estimate(VectorField(self.free_2d(9), (np.zeros((9, 9)),) * 2)) == 0.0

@@ -29,6 +29,8 @@ def duhamel_step(term_trajectory: Trajectory, F: Forcing) -> Trajectory:
     the composite trapezoid over the trajectory nodes, each K(m dt) applied
     on the grid's torus; the s = t endpoint enters through the identity
     convolution.  The trajectory must start at t = 0 on a uniform node grid.
+    The torus's ``scale`` rides on the step weight ``dt`` to normalise its
+    inverse transform.
     """
     times = np.asarray(term_trajectory.times)
     if times[0] != 0.0:
@@ -50,7 +52,8 @@ def duhamel_step(term_trajectory: Trajectory, F: Forcing) -> Trajectory:
     for ghat in nodes:
         run = run * decay + ghat
         symbol_j = symbol_j * decay
-        out.append(torus.inverse(dt * (run - 0.5 * symbol_j * first - 0.5 * ghat)))
+        weighted = run - 0.5 * symbol_j * first - 0.5 * ghat
+        out.append(torus.inverse((torus.scale * dt) * weighted))
     return Trajectory(tuple(times), tuple(ScalarField(grid, v) for v in out))
 
 
@@ -495,6 +498,28 @@ class TestEngineStacking:
             assert a.tobytes() == b.tobytes()
         # the per-node path forms each node's product; it equals the whole product's sweep
         assert results[False][2].tobytes() == engine.sweep(factor * integrand).tobytes()
+
+    @pytest.mark.parametrize("stacked", (True, False), ids=["stacked", "per-node"])
+    def test_zero_first_node_is_not_transformed(self, monkeypatch, stacked):
+        # every order past the zeroth starts from zero at node 0; its
+        # spectrum is zero, so the sweep transforms nodes 1..n only
+        grid = Grid((15, 11), (0.4, 0.5), (-3.0, -3.0), FreeSpaceTruncated())
+        engine = _SpectralEngine(grid, 0.05, 8)
+        integrand = np.random.default_rng(10).normal(size=(9,) + grid.shape)
+        integrand[0] = 0.0
+        want = engine.sweep(integrand)
+        shapes = []
+        forward = type(engine.torus).forward
+
+        def counted(self, values, out=None):
+            shapes.append(values.shape)
+            return forward(self, values, out)
+
+        monkeypatch.setattr(type(engine.torus), "forward", counted)
+        engine.stacked = stacked
+        got = engine.sweep(integrand)
+        assert shapes == ([(8,) + grid.shape] if stacked else [grid.shape] * 8)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestStreaming:
