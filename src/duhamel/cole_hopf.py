@@ -21,8 +21,8 @@ from .fields import (
     ScalarField,
     Trajectory,
     VectorField,
-    _curl_error_estimate,
-    _derivatives,
+    _gradient_and_laplacian,
+    _stencil_curl_error,
     curl_residual,
     gradient,
 )
@@ -86,9 +86,10 @@ def _checked_curl(u0: VectorField) -> tuple[float, float]:
     extrapolation between the grid and its every-other-node subgrid).
     """
     tolerance = default_curl_tolerance(u0)
-    residual = curl_residual(u0)
-    if residual > tolerance:
-        estimate = _curl_error_estimate(u0)
+    if u0.grid.is_periodic:
+        residual = curl_residual(u0)
+    else:
+        residual, estimate = _stencil_curl_error(u0)
         if estimate is not None:
             tolerance = max(tolerance, _CURL_ERROR_RATIO * estimate)
     if residual > tolerance:
@@ -154,8 +155,9 @@ def potential_from_velocity(u0: VectorField, x0, a: float) -> ScalarField:
     nearest ``x0`` (legs ordered x, then y, then z).  Each leg is one
     endpoint-corrected trapezoid over its whole grid line, less its value at
     the anchor node, so phi there is exactly ``a``.  Path independence is
-    asserted by recomputing with the reversed axis order; the two results are
-    averaged.
+    asserted by recomputing with the reversed axis order, to within 10 times
+    the curl tolerance (the raised one on a free-space grid) times the
+    largest grid extent; the two results are averaged.
     """
     if not np.isfinite(a):
         raise ValueError("anchor value a must be finite")
@@ -312,7 +314,7 @@ def nse_residual(u: Trajectory, p_minus_f: Forcing | None) -> Trajectory:
         worst = np.zeros(grid.shape)
         for i in range(grid.ndim):
             res = dudt[i][j]
-            grad_ui, lap_ui = _derivatives(uj.component(i))
+            grad_ui, lap_ui = _gradient_and_laplacian(uj.component(i))
             for l in range(grid.ndim):
                 res = res + uj.components[l] * grad_ui[l]
             res = res - lap_ui

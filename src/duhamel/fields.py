@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 _TIME_RTOL = 1e-9  # relative tolerance of time matching
+# the least subgrid points per axis on which the Richardson curl estimate is
+# trusted: on fewer, the one-sided end stencils take most of the subgrid
+_RICHARDSON_MIN_POINTS = 16
 
 
 def _freeze(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -169,36 +172,39 @@ def _fd_second(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
-def _derivatives(field: ScalarField, grad: bool = True,
-                 lap: bool = True) -> tuple[tuple[np.ndarray, ...], np.ndarray | None]:
-    """Gradient components (``()`` unless ``grad``) and Laplacian (``None``
-    unless ``lap``) of one field; a periodic field is transformed once for both."""
-    grid = field.grid
-    comps, lap_values = (), None
-    if grid.is_periodic:
-        torus = padded_torus(grid)
-        spectrum = torus.forward(field.values)
-        if grad:
-            comps = tuple(torus.inverse((torus.scale * ik) * spectrum, overwrite=True)
-                          for ik in torus.ik)
-        if lap:
-            lap_values = torus.inverse((-torus.scale * torus.k2) * spectrum, overwrite=True)
-    else:
-        if grad:
-            comps = tuple(_fd_first(field.values, h, d) for d, h in enumerate(grid.spacing))
-        if lap:
-            lap_values = sum(_fd_second(field.values, h, d) for d, h in enumerate(grid.spacing))
-    return comps, lap_values
+def _spectral(field: ScalarField, symbols) -> list[np.ndarray]:
+    """Grid values of the field's half spectrum times each symbol, from one
+    forward transform (periodic grids)."""
+    torus = padded_torus(field.grid)
+    spectrum = torus.forward(field.values)
+    return [torus.inverse((torus.scale * symbol) * spectrum) for symbol in symbols]
 
 
 def gradient(field: ScalarField) -> VectorField:
     """Componentwise spatial gradient."""
-    return VectorField(field.grid, _derivatives(field, lap=False)[0])
+    grid = field.grid
+    if grid.is_periodic:
+        return VectorField(grid, _spectral(field, padded_torus(grid).ik))
+    return VectorField(grid, [_fd_first(field.values, h, d) for d, h in enumerate(grid.spacing)])
 
 
 def laplacian(field: ScalarField) -> ScalarField:
     """Sum of unmixed second derivatives."""
-    return ScalarField(field.grid, _derivatives(field, grad=False)[1])
+    grid = field.grid
+    if grid.is_periodic:
+        return ScalarField(grid, _spectral(field, (-padded_torus(grid).k2,))[0])
+    return ScalarField(grid, sum(_fd_second(field.values, h, d) for d, h in enumerate(grid.spacing)))
+
+
+def _gradient_and_laplacian(field: ScalarField) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Gradient components and Laplacian values of one field; a periodic
+    field is transformed once for both."""
+    grid = field.grid
+    if grid.is_periodic:
+        torus = padded_torus(grid)
+        *comps, lap = _spectral(field, (*torus.ik, -torus.k2))
+        return tuple(comps), lap
+    return gradient(field).components, laplacian(field).values
 
 
 def _stencil_curls(components, spacing) -> list[np.ndarray]:
@@ -222,23 +228,26 @@ def curl_residual(u: VectorField) -> float:
         torus = padded_torus(grid)
         spectra = [torus.forward(c) for c in u.components]
         iks = [torus.scale * ik for ik in torus.ik]
-        curls = [torus.inverse(iks[i] * spectra[j] - iks[j] * spectra[i], overwrite=True)
+        curls = [torus.inverse(iks[i] * spectra[j] - iks[j] * spectra[i])
                  for i in range(grid.ndim) for j in range(i + 1, grid.ndim)]
     else:
         curls = _stencil_curls(u.components, grid.spacing)
     return max(float(np.max(np.abs(c))) for c in curls)
 
 
-def _curl_error_estimate(u: VectorField) -> float | None:
-    """Richardson estimate of the stencil curl's truncation error on a
-    free-space grid: max |c_h - c_2h| / 15, where c_2h is the curl on the
-    every-other-node subgrid and c_h is read at the same nodes.  ``None``
-    on periodic grids, and where the subgrid has fewer than the stencil's
-    5 points along an axis."""
+def _stencil_curl_error(u: VectorField) -> tuple[float, float | None]:
+    """The stencil curl residual of ``u`` on a free-space grid, and a
+    Richardson estimate of its truncation error: max |c_h - c_2h| / 15,
+    where c_2h is the curl on the every-other-node subgrid and c_h is read at
+    the same nodes.  The estimate is ``None`` where the subgrid has fewer
+    than ``_RICHARDSON_MIN_POINTS`` points along an axis."""
     grid = u.grid
-    if grid.is_periodic or grid.ndim == 1 or min((n + 1) // 2 for n in grid.points) < 5:
-        return None
-    sub = (slice(None, None, 2),) * grid.ndim
+    if grid.ndim == 1:
+        return 0.0, None
     fine = _stencil_curls(u.components, grid.spacing)
+    residual = max(float(np.max(np.abs(c))) for c in fine)
+    if min((n + 1) // 2 for n in grid.points) < _RICHARDSON_MIN_POINTS:
+        return residual, None
+    sub = (slice(None, None, 2),) * grid.ndim
     coarse = _stencil_curls([c[sub] for c in u.components], [2.0 * h for h in grid.spacing])
-    return max(float(np.max(np.abs(f[sub] - c))) for f, c in zip(fine, coarse)) / 15.0
+    return residual, max(float(np.max(np.abs(f[sub] - c))) for f, c in zip(fine, coarse)) / 15.0

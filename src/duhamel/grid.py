@@ -187,45 +187,31 @@ class PaddedTorus:
             symbol.setflags(write=False)
         self.k2, self.ik = k2, tuple(ik)
 
-    def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Half spectrum of the (edge-padded) field, written into ``out``
-        (complex, of the spectrum's shape) when it is given."""
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """Half spectrum of the (edge-padded) field."""
         last = self.grid.ndim - 1
-        # only a pass whose output needs no further padding can land in ``out``
-        spectrum = np.fft.rfft(self._extend(values, last), axis=-1,
-                               out=out if last == 0 or not self.padded else None)
+        spectrum = np.fft.rfft(self._extend(values, last), axis=-1)
         for d in range(last):
-            # every complex pass reads an array of this transform's own, so it
-            # overwrites that array, or writes the last pass into ``out``
+            # the spectrum is this transform's own array, so the pass may overwrite it
             spectrum = self._extend(spectrum, d)
-            target = out if out is not None and d == last - 1 else spectrum
-            spectrum = np.fft.fft(spectrum, axis=self._axes[d], out=target)
+            spectrum = np.fft.fft(spectrum, axis=self._axes[d], out=spectrum)
         return spectrum
 
-    def inverse(self, spectrum: np.ndarray, out: np.ndarray | None = None,
-                overwrite: bool = False) -> np.ndarray:
-        """``prod(shape)`` times the grid values of a half spectrum.
+    def inverse(self, spectrum: np.ndarray) -> np.ndarray:
+        """``prod(shape)`` times the grid values of a half spectrum, as a new
+        contiguous array; the spectrum is left as it is.
 
-        The values are written into ``out`` when it is given, else into a
-        new contiguous array; on a padded torus the crop is copied, so that
-        no result keeps the padded array alive.  With ``overwrite`` the
-        complex passes run in the spectrum's own memory, which the caller
-        must not read again; otherwise the spectrum is left as it is.
+        On a padded torus the crop is copied, so that no result keeps the
+        padded array alive.
         """
         last = self.grid.ndim - 1
         for d in range(last):
             # after the first pass, each pass overwrites the array it reads
-            passed = spectrum if overwrite or d > 0 else None
-            spectrum = np.fft.ifft(spectrum, axis=self._axes[d], norm="forward", out=passed)
+            spectrum = np.fft.ifft(spectrum, axis=self._axes[d], norm="forward",
+                                   out=spectrum if d > 0 else None)
             spectrum = self._crop(spectrum, d)
-        m = self.shape[last]
-        if not self.padded:
-            return np.fft.irfft(spectrum, n=m, axis=-1, norm="forward", out=out)
-        values = self._crop(np.fft.irfft(spectrum, n=m, axis=-1, norm="forward"), last)
-        if out is None:
-            return values.copy()
-        out[...] = values
-        return out
+        values = np.fft.irfft(spectrum, n=self.shape[last], axis=-1, norm="forward")
+        return self._crop(values, last).copy() if self.padded else values
 
     def _extend(self, values: np.ndarray, d: int) -> np.ndarray:
         """``values`` extended along grid axis ``d`` to the torus, by edge replication."""

@@ -44,7 +44,6 @@ class KernelApplication:
         spectrum = torus.forward(field.values)
         return tuple(
             field if t == 0.0
-            else ScalarField(self.grid, torus.inverse(spectrum * (torus.scale * torus.damping(t)),
-                                                      overwrite=True))
+            else ScalarField(self.grid, torus.inverse(spectrum * (torus.scale * torus.damping(t))))
             for t in self.times
         )

@@ -191,11 +191,10 @@ class _SpectralEngine:
     def _nodes(self, first: np.ndarray | float, spectra, out: np.ndarray | None = None) -> np.ndarray:
         """Node stack with ``first`` at node 0 and node j = inverse of spectrum j.
 
-        ``spectra`` yields the spectra of nodes 1..n; each one is consumed,
-        and may be overwritten, before the next is produced.  Node j of
-        ``out`` (a new stack by default) is written only after spectrum j is
-        drawn, and node 0 last, so ``out`` may be the stack the spectra are
-        drawn from.
+        ``spectra`` yields the spectra of nodes 1..n; each one is consumed
+        before the next is produced.  Node j of ``out`` (a new stack by
+        default) is written only after spectrum j is drawn, and node 0 last,
+        so ``out`` may be the stack the spectra are drawn from.
         """
         if out is None:
             out = np.empty((self.n + 1,) + self.grid.shape)
@@ -203,10 +202,10 @@ class _SpectralEngine:
             stack = np.empty((self.n,) + self.decay.shape, dtype=complex)
             for j, spec in enumerate(spectra):
                 stack[j] = spec
-            self.torus.inverse(stack, out=out[1:], overwrite=True)
+            out[1:] = self.torus.inverse(stack)
         else:
             for j, spec in enumerate(spectra, 1):
-                self.torus.inverse(spec, out=out[j], overwrite=True)
+                out[j] = self.torus.inverse(spec)
         out[0] = first
         return out
 
@@ -218,14 +217,9 @@ class _SpectralEngine:
         def spectra():
             spec = self.torus.forward(g0_values)
             spec *= self.torus.scale
-            spec *= self.decay
-            ahead = np.empty_like(spec)
             for _ in range(self.n):
-                # the next node's spectrum is formed before this one is
-                # yielded, since its consumer may overwrite it
-                np.multiply(spec, self.decay, out=ahead)
+                spec *= self.decay
                 yield spec
-                spec, ahead = ahead, spec
 
         return self._nodes(g0_values, spectra())
 
@@ -247,31 +241,20 @@ class _SpectralEngine:
         if self.stacked:
             nodes = iter(self.torus.forward(integrand if factor is None else factor * integrand))
         else:
-            # one product and one spectrum buffer: each node's product is
-            # transformed, and its spectrum used up, before the next is formed
             if factor is not None:
-                product = np.empty(self.grid.shape)
-                integrand = (np.multiply(f, g, out=product) for f, g in zip(factor, integrand))
-            spectrum = np.empty(self.decay.shape, dtype=complex)
-            nodes = (self.torus.forward(g, out=spectrum) for g in integrand)
+                integrand = map(np.multiply, factor, integrand)
+            nodes = map(self.torus.forward, integrand)
 
         def spectra():
-            # held is w_old times the previous node's spectrum; each new
-            # spectrum is weighted in place once held has taken its part.
-            # ahead, the decayed sum, is formed before acc is yielded, since
-            # the consumer may overwrite acc.
-            held = np.multiply(self.w_old, next(nodes)) if start == 0 else None
-            ahead = np.zeros(self.decay.shape, dtype=complex)
-            acc = np.empty_like(ahead)
+            prev = next(nodes) if start == 0 else None
+            acc = np.zeros(self.decay.shape, dtype=complex)
             for cur in nodes:
-                acc, ahead = ahead, acc
-                if held is not None:
-                    acc += held
-                held = np.multiply(self.w_old, cur, out=held)
-                cur *= self.w_new
-                acc += cur
-                np.multiply(acc, self.decay, out=ahead)
+                acc *= self.decay
+                if prev is not None:
+                    acc += self.w_old * prev
+                acc += self.w_new * cur
                 yield acc
+                prev = cur
 
         return self._nodes(0.0, spectra(), out)
 

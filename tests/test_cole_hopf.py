@@ -30,6 +30,7 @@ from duhamel.cole_hopf import (
     velocity_from_field,
     worst_case_upper_bound,
 )
+from duhamel.fields import _stencil_curl_error
 from duhamel.grid import PaddedTorus
 
 
@@ -184,16 +185,25 @@ class TestFreeSpaceCurlCheck:
         exact = -2.0 * (bump - bump[g.nearest_node((0.0, 0.0, 0.0))])
         assert np.max(np.abs(phi.values - exact)) < 1e-2
 
-    def test_small_grid_keeps_the_fixed_tolerance(self):
-        # 9 points per axis leave a 5-point subgrid; 8 leave 4, too few for
-        # the stencil, so the same kind of data is held to the fixed tolerance
-        for n, passes in ((9, True), (8, False)):
-            u0 = heat_velocity(free_2d(n, extent=4.0 * n / 9))
-            if passes:
-                potential_from_velocity(u0, (0.0, 0.0), 0.0)
-            else:
-                with pytest.raises(CurlError):
-                    potential_from_velocity(u0, (0.0, 0.0), 0.0)
+    def test_path_order_check_fires_at_the_raised_tolerance(self, monkeypatch):
+        # the path tolerance is 10 L times the curl tolerance, so on free-space
+        # grids it rises with the estimate; with the curl check made to pass,
+        # the two staircase orders still reject a rotational part of 0.1
+        u0 = heat_velocity(free_2d(128), eps=0.1)
+        estimate = _stencil_curl_error(u0)[1]
+        assert 2.0 * estimate > 4.0 * cole_hopf.default_curl_tolerance(u0)
+        monkeypatch.setattr(cole_hopf, "_stencil_curl_error", lambda u: (0.0, estimate))
+        with pytest.raises(CurlError, match="staircase path orders disagree"):
+            potential_from_velocity(u0, (0.0, 0.0), 0.0)
+
+    @pytest.mark.parametrize("n", (9, 16, 20))
+    def test_small_grid_keeps_the_fixed_tolerance(self, n):
+        # at h = 4/9 the stencil error swamps a rotational part of eps = 1e-2;
+        # a Richardson estimate on these subgrids let that data through the
+        # curl check for n = 9 to 20, so they are held to the fixed tolerance
+        u0 = heat_velocity(free_2d(n, extent=4.0 * n / 9), eps=1e-2)
+        with pytest.raises(CurlError, match="curl residual"):
+            potential_from_velocity(u0, (0.0, 0.0), 0.0)
 
 
 class TestInitialField:

@@ -16,7 +16,7 @@ from duhamel import (
     gradient,
     laplacian,
 )
-from duhamel.fields import _curl_error_estimate, _derivatives
+from duhamel.fields import _gradient_and_laplacian, _stencil_curl_error
 from duhamel.grid import PaddedTorus, _fast_length, padded_torus
 
 
@@ -196,19 +196,14 @@ class TestTransformPair:
         Grid((8, 11, 10), (0.3, 0.4, 0.5), (0.0, 0.0, 0.0)),
         Grid((8, 11, 10), (0.3, 0.4, 0.5), (0.0, 0.0, 0.0), FreeSpaceTruncated()),
     ], ids=["periodic-1d", "free-1d", "periodic-2d", "free-2d", "periodic-3d", "free-3d"])
-    def test_out_and_overwrite_give_the_same_bytes(self, grid):
+    def test_inverse_leaves_the_spectrum_as_it_is(self, grid):
+        # callers draw several inverses from one spectrum
         torus = padded_torus(grid)
-        values = np.random.default_rng(7).normal(size=grid.shape)
-        spectrum = torus.forward(values)
-        out = np.empty_like(spectrum)
-        assert torus.forward(values, out=out) is out
-        assert out.tobytes() == spectrum.tobytes()
-        want = torus.inverse(spectrum)
-        # without overwrite the spectrum is left as it is
-        assert out.tobytes() == spectrum.tobytes()
-        into = np.empty(grid.shape)
-        assert torus.inverse(out, out=into, overwrite=True) is into
-        assert into.tobytes() == want.tobytes()
+        spectrum = torus.forward(np.random.default_rng(7).normal(size=grid.shape))
+        before = spectrum.copy()
+        values = torus.inverse(spectrum)
+        assert spectrum.tobytes() == before.tobytes()
+        assert values.shape == grid.shape and values.flags.c_contiguous
 
 
 class TestPeriodicSpectral:
@@ -230,7 +225,7 @@ class TestSharedTransform:
         field = ScalarField(g, np.random.default_rng(8).normal(size=g.shape))
         grad, lap = gradient(field), laplacian(field)
         calls = counted_transforms(monkeypatch)
-        comps, lap_values = _derivatives(field)
+        comps, lap_values = _gradient_and_laplacian(field)
         assert calls == ["forward"] + ["inverse"] * 3
         assert all(a.tobytes() == b.tobytes() for a, b in zip(comps, grad.components))
         assert lap_values.tobytes() == lap.values.tobytes()
@@ -340,15 +335,16 @@ class TestCurlErrorEstimate:
         x, y = g.meshgrid()
         bump = np.exp(-(x**2 + y**2))
         u = VectorField(g, (-2.0 * x * bump, -2.0 * y * bump))
-        residual, estimate = curl_residual(u), _curl_error_estimate(u)
+        residual, estimate = _stencil_curl_error(u)
+        assert residual == curl_residual(u)
         assert residual > 0.0
         assert 0.5 * residual <= estimate <= 2.0 * residual
 
-    def test_needs_a_free_space_subgrid_of_five_points(self):
-        # a subgrid of 4 points per axis cannot carry the 5-point stencil
-        small = self.free_2d(8)
-        x, y = small.meshgrid()
-        assert _curl_error_estimate(VectorField(small, (-y, x))) is None
-        periodic = Grid((32, 32), (0.2, 0.2), (0.0, 0.0))
-        assert _curl_error_estimate(VectorField(periodic, (np.zeros((32, 32)),) * 2)) is None
-        assert _curl_error_estimate(VectorField(self.free_2d(9), (np.zeros((9, 9)),) * 2)) == 0.0
+    def test_needs_a_free_space_subgrid_of_sixteen_points(self):
+        # 30 points per axis leave a 15-point subgrid, 31 leave 16
+        for n, estimated in ((30, False), (31, True)):
+            g = self.free_2d(n)
+            x, y = g.meshgrid()
+            assert (_stencil_curl_error(VectorField(g, (-y, x)))[1] is not None) == estimated
+        zero = VectorField(self.free_2d(31), (np.zeros((31, 31)),) * 2)
+        assert _stencil_curl_error(zero) == (0.0, 0.0)
