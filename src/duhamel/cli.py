@@ -6,7 +6,7 @@ non-convergence, loss of positivity, overflow or running out of memory), 4
 oracle mismatch.  Every code-2 error, and an overflow, loss of positivity or
 failed allocation that stops a solve, is printed as one JSON error list on
 stderr.  Solve runs write CSF1 trajectories, bound reports as JSON lines, and
-a manifest recording the config hash, package and library versions, seed,
+a manifest recording the config hash, the duhamel and numpy versions, seed,
 kernel engine and padded transform shape, the forcing envelope over the
 solver's node samples, the sup norm of each emitted series order and why the
 series stopped, timings, and the process's peak resident memory when the
@@ -25,7 +25,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .cole_hopf import CurlError, NSEProblem, PositivityError, solve_nse
@@ -72,7 +71,6 @@ def cmd_solve(args) -> int:
         "versions": {
             "duhamel": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "artifacts": [],
         "timings": {},

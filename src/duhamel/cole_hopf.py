@@ -52,7 +52,8 @@ __all__ = [
     "worst_case_upper_bound",
 ]
 
-_PHI_OVERFLOW = -1400.0
+# exp(-phi/2) is a finite, normal float for |phi| <= _PHI_LIMIT
+_PHI_LIMIT = 1400.0
 # a free-space curl at most this many times its own stencil error is that error
 _CURL_ERROR_RATIO = 2.0
 _ABS_POSITIVITY_FLOOR = 1e-300
@@ -186,11 +187,11 @@ def potential_from_velocity(u0: VectorField, x0, a: float) -> ScalarField:
 
 def initial_field_from_potential(phi: ScalarField) -> ScalarField:
     """G0 = exp(-phi/2), the strictly positive initial Cole-Hopf field."""
-    low = float(np.min(phi.values))
-    if low < _PHI_OVERFLOW:
-        raise ValueError(
-            f"potential reaches {low:.4g} < {_PHI_OVERFLOW}; exp(-phi/2) would overflow"
-        )
+    low, high = float(np.min(phi.values)), float(np.max(phi.values))
+    if low < -_PHI_LIMIT:
+        raise ValueError(f"potential reaches {low:.4g} < {-_PHI_LIMIT}; exp(-phi/2) would overflow")
+    if high > _PHI_LIMIT:
+        raise ValueError(f"potential reaches {high:.4g} > {_PHI_LIMIT}; exp(-phi/2) would underflow to zero")
     return ScalarField(phi.grid, np.exp(-0.5 * phi.values))
 
 

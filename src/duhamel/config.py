@@ -176,7 +176,8 @@ def _parse_grid(obj, chk: _Checker) -> Grid | None:
         spacing = chk.numbers(obj["spacing"], "grid.spacing", ndim, positive=True)
     else:
         extent = chk.numbers(obj["extent"], "grid.extent", ndim, positive=True)
-        spacing = extent and [e / p for e, p in zip(extent, points)]
+        # a zero count gets an infinite spacing here; Grid rejects the count first
+        spacing = extent and [e / p if p else math.inf for e, p in zip(extent, points)]
     origin = chk.numbers(obj["origin"], "grid.origin", ndim)
     if spacing is None or origin is None:
         return None

@@ -34,14 +34,16 @@ class Expression:
 
     def __init__(self, source: str):
         self.source = source
+        names, self._literals = set(), {}
         try:
             tree = ast.parse(source, mode="eval")
+            body = self._checked(tree.body, names, self._literals)
+            self._code = compile(ast.Expression(body=body), "<expression>", "eval")
         except SyntaxError as exc:
             raise ExpressionError(f"invalid expression {source!r}: {exc.msg}") from None
-        names, self._literals = set(), {}
-        body = self._checked(tree.body, names, self._literals)
+        except RecursionError:
+            raise ExpressionError("expression nests too deeply to compile") from None
         self._names = sorted(names)
-        self._code = compile(ast.Expression(body=body), "<expression>", "eval")
 
     @staticmethod
     def _checked(node, names: set, literals: dict):

@@ -24,13 +24,16 @@ x(t, y)), and psi, P, rho, Q and g are computed as stacks (x-derivatives by
 the free-space stencil and integrals by the corrected trapezoid, both along
 the last axis; t-derivatives by ``np.gradient`` along the first).  The
 reduced problem lives on a uniform y-grid with the same point count as the
-x-grid.  The resampling between the x- and y-grids is cubic-spline
-interpolation with not-a-knot ends (de Boor, *A Practical Guide to Splines*),
-one spline per knot set and column, and every knot set of a stage is fitted in
-one banded solve (``_splines``): (x, P) over psi at all time nodes in
-``normalize``, u0 over x, and (v, rho) over y at all output times in
-``back_transform``.  A monotone interpolant would flatten the solution at its
-extrema.
+x-grid.  The resampling between the x- and y-grids is piecewise cubic Hermite
+interpolation (``_splines``), one interpolant per knot set and column, and
+every knot set of a stage is resampled in one call: (x, P) over psi at all
+time nodes in ``normalize``, u0 over x, and (v, rho) over y at all output
+times in ``back_transform``.  The knot slopes are finite differences along the
+knot index (sixth order inside and the fourth-order free-space stencil near
+the ends; central weights as in Fornberg, Math. Comp. 51, 1988), divided by
+the knots' exact rate: the spacing for the uniform x and y knots, psi_x h_x
+for the psi knots.  No system is solved.  A monotone interpolant would flatten
+the solution at its extrema.
 """
 
 
@@ -126,42 +129,31 @@ def _time_stack_derivative(stack: np.ndarray, dt: float) -> np.ndarray:
     return np.gradient(stack, dt, axis=0, edge_order=min(2, len(stack) - 1))
 
 
-def _splines(knots: np.ndarray, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Not-a-knot cubic splines through ``values`` at ``knots``, read at ``points``.
+def _splines(knots: np.ndarray, values: np.ndarray, points: np.ndarray, rate: float | np.ndarray) -> np.ndarray:
+    """Cubic Hermite pieces through ``values`` at ``knots``, read at ``points``.
 
     ``knots`` is (R, n), one strictly increasing knot set per row, or (n,)
-    when the rows share one (n >= 4); ``values`` is (R, n, C), C columns per
-    row, and ``points`` is (R, m).  Returns (R, m, C).  Points are clipped to
-    their row's knot range, so points outside it take the edge values.
+    when the rows share one (n >= 5); ``values`` is (R, n, C), C columns per
+    row, and ``points`` is (R, m).  ``rate`` is dk/di, the knots' derivative
+    along their index: the spacing of uniform knots, or an (R, n) array.
+    Returns (R, m, C).  Points are clipped to their row's knot range, so
+    points outside it take the edge values.
 
-    The knot slopes solve one tridiagonal system per row, with the
-    not-a-knot conditions (third derivative continuous at the second and the
-    second-to-last knot) as its first and last equations.  The R systems
-    are stacked into one band with zero couplings between rows and solved by a
-    single ``solve_banded`` call.
+    The knot slopes are dv/dk = (dv/di)/(dk/di), with dv/di by finite
+    differences along the knot index: the sixth-order central difference
+    inside, and ``_fd_first``'s fourth-order stencils at the three nodes
+    nearest each end.  Cubics on uniform knots are exact; no system is solved.
     """
-    from scipy.linalg import solve_banded  # imported here: heat and NSE runs never interpolate
-
     rows, n, cols = values.shape
     knots = np.broadcast_to(knots, (rows, n))
     h = np.diff(knots, axis=1)[..., None]
     slope = np.diff(values, axis=1) / h
-    lead = knots[:, 2, None] - knots[:, 0, None]
-    tail = knots[:, -1, None] - knots[:, -3, None]
-    # band[0] is the superdiagonal, band[1] the diagonal, band[2] the subdiagonal
-    band = np.zeros((3, rows, n))
-    band[0, :, 1] = lead[:, 0]
-    band[0, :, 2:] = h[:, :-1, 0]
-    band[1, :, 0] = h[:, 1, 0]
-    band[1, :, 1:-1] = 2.0 * (h[:, :-1, 0] + h[:, 1:, 0])
-    band[1, :, -1] = h[:, -2, 0]
-    band[2, :, :-2] = h[:, 1:, 0]
-    band[2, :, -2] = tail[:, 0]
-    rhs = np.empty((rows, n, cols))
-    rhs[:, 0] = ((h[:, 0] + 2.0 * lead) * h[:, 1] * slope[:, 0] + h[:, 0]**2 * slope[:, 1]) / lead
-    rhs[:, 1:-1] = 3.0 * (h[:, 1:] * slope[:, :-1] + h[:, :-1] * slope[:, 1:])
-    rhs[:, -1] = (h[:, -1]**2 * slope[:, -2] + (2.0 * tail + h[:, -1]) * h[:, -2] * slope[:, -1]) / tail
-    deriv = solve_banded((1, 1), band.reshape(3, -1), rhs.reshape(-1, cols)).reshape(rows, n, cols)
+    deriv = np.empty_like(values)
+    deriv[:, 3:-3] = (45.0 * (values[:, 4:-2] - values[:, 2:-4]) - 9.0 * (values[:, 5:-1] - values[:, 1:-5])
+                      + (values[:, 6:] - values[:, :-6])) / 60.0
+    deriv[:, :3] = _fd_first(values[:, :5], 1.0, 1)[:, :3]
+    deriv[:, -3:] = _fd_first(values[:, -5:], 1.0, 1)[:, -3:]
+    deriv /= np.asarray(rate)[..., None]
 
     # piece j on [k_j, k_j+1] is values_j + s (deriv_j + s (quad + s cubic)), s = p - k_j
     cubic = (deriv[:, :-1] + deriv[:, 1:] - 2.0 * slope) / h**2
@@ -227,7 +219,9 @@ def normalize(prob: ParabolicProblem, time_nodes: int = 64) -> NormalizedProblem
 
     edge_clamped = bool(np.any(y[0] < psi_stack[:, 0] - 1e-12) or np.any(y[-1] > psi_stack[:, -1] + 1e-12))
     columns = np.stack([np.broadcast_to(x, P_x.shape), P_x], axis=-1)
-    x_of_y, P_on_y = np.moveaxis(_splines(psi_stack, columns, np.broadcast_to(y, P_x.shape)), -1, 0)
+    # dpsi/di = psi_x h_x exactly
+    resampled = _splines(psi_stack, columns, np.broadcast_to(y, P_x.shape), slope * h_x)
+    x_of_y, P_on_y = np.moveaxis(resampled, -1, 0)
 
     rho_stack = -0.5 * corrected_cumulative_trapezoid(P_on_y, h_y)
     int_P_t = corrected_cumulative_trapezoid(_time_stack_derivative(P_on_y, dt), h_y)
@@ -235,7 +229,7 @@ def normalize(prob: ParabolicProblem, time_nodes: int = 64) -> NormalizedProblem
                + prob.c.sample_rows(t_nodes, x_of_y))
     g_stack = prob.f.sample_rows(t_nodes, x_of_y) * np.exp(rho_stack)
 
-    u0_on_y = _splines(x, prob.u0.values[None, :, None], x_of_y[:1])[0, :, 0]
+    u0_on_y = _splines(x, prob.u0.values[None, :, None], x_of_y[:1], h_x)[0, :, 0]
     v0 = ScalarField(y_grid, np.exp(rho_stack[0]) * u0_on_y)
 
     return NormalizedProblem(
@@ -268,17 +262,17 @@ def solve_normalized(np_: NormalizedProblem, opts: SeriesOptions | None = None) 
 def back_transform(v: Trajectory, np_: NormalizedProblem) -> tuple[Trajectory, bool]:
     """u(t, x) = exp(-rho) v pulled back to the x-grid, and the edge flag.
 
-    v and rho are interpolated at y = psi(t, x_node) by not-a-knot cubic
-    splines in y, all output times fitted in one banded solve
-    (``_splines``); nodes mapping outside the computed y-range take the edge
-    values.  The flag is set when that happened here or in ``normalize``.
+    v and rho are interpolated at y = psi(t, x_node) by cubic Hermite pieces
+    in y, all output times in one ``_splines`` call; nodes mapping outside
+    the computed y-range take the edge values.  The flag is set when that
+    happened here or in ``normalize``.
     """
     y = np_.y_grid.coords(0)
     t_nodes = np.asarray(np_.t_nodes)
     psi = np.stack([interpolate_in_time(t_nodes, np_.psi_stack, t) for t in v.times])
     rho = np.stack([interpolate_in_time(t_nodes, np_.rho_stack, t) for t in v.times])
     columns = np.stack([np.stack([snap.values for _, snap in v]), rho], axis=-1)
-    v_at, rho_at = np.moveaxis(_splines(y, columns, psi), -1, 0)
+    v_at, rho_at = np.moveaxis(_splines(y, columns, psi, np_.y_grid.spacing[0]), -1, 0)
     clamped = bool(np.any(psi[:, 0] < y[0] - 1e-12) or np.any(psi[:, -1] > y[-1] + 1e-12))
     u = np.exp(-rho_at) * v_at
     out = tuple(ScalarField(np_.x_grid, row) for row in u)

@@ -231,6 +231,12 @@ class TestInitialField:
         with pytest.raises(ValueError, match="overflow"):
             initial_field_from_potential(ScalarField.constant(g, -1500.0))
 
+    def test_underflow_rejected(self):
+        # exp(-750) is zero in doubles, so G0 would not be strictly positive
+        g = periodic_1d(64)
+        with pytest.raises(ValueError, match=r"reaches 1500 > 1400.0; exp\(-phi/2\) would underflow"):
+            initial_field_from_potential(ScalarField.constant(g, 1500.0))
+
 
 class TestForcingFromPressure:
     def test_zero(self):

@@ -79,6 +79,7 @@ WRONG_LEAVES = [
     ("heat", ("output_dir",), 3, "output_dir"),
     ("heat", ("grid", "points"), ["a"], "grid.points"),
     ("heat", ("grid", "extent", 0), "a", "grid.extent[0]"),
+    ("heat", ("grid", "points"), [0], "grid"),  # a zero count next to an extent
     ("heat", ("grid",), {"points": [64], "spacing": ["a"], "origin": [0.0]}, "grid.spacing[0]"),
     ("heat", ("grid", "origin", 0), "a", "grid.origin[0]"),
     ("heat", ("grid", "origin"), 0.0, "grid.origin"),
@@ -439,6 +440,32 @@ class TestSolveCommand:
         assert errors[0]["message"].startswith(stage)
         assert json.loads((out / "manifest.json").read_text())["exit_status"] == 3
 
+    @pytest.mark.parametrize("kind, keys, value, path, message", [
+        ("heat", ("grid",), {"points": [0], "extent": [1.0], "origin": [0.0]}, "grid",
+         "each dimension needs >= 8 points, got (0,)"),
+        ("heat", ("controlled_heat", "forcing"), "+".join(["0.001*x"] * 5000),
+         "controlled_heat.forcing", "expression nests too deeply to compile"),
+        # G0 = exp(-phi/2) underflows to zero, from the anchor or from the velocity
+        ("nse", ("nse", "anchor_value"), 3000.0, "nse",
+         "potential reaches 3001 > 1400.0; exp(-phi/2) would underflow to zero"),
+        ("nse", ("nse", "velocity"), ["1e3*sin(x)"], "nse",
+         "potential reaches 1998 > 1400.0; exp(-phi/2) would underflow to zero"),
+        ("nse", ("nse", "anchor_value"), -3000.0, "nse",
+         "potential reaches -3000 < -1400.0; exp(-phi/2) would overflow"),
+    ], ids=["zero-points", "5000-terms", "anchor-underflow", "velocity-underflow", "anchor-overflow"])
+    def test_reported_without_traceback(self, tmp_path, kind, keys, value, path, message):
+        body = CONFIGS[kind]()
+        if kind == "nse":
+            body["nse"]["speed_bound"] = 1e4  # room for the 1e3 velocity
+        node = body
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        proc = run_cli("solve", write_config(tmp_path, body), "-o", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        # the JSON error is all of stderr: no traceback
+        assert json.loads(proc.stderr)["errors"] == [{"path": path, "message": message}]
+
     @pytest.mark.parametrize("kind", sorted(CONFIGS))
     def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch, kind):
         def exhausted(self, grid, times):
@@ -546,15 +573,15 @@ class TestVerifyCommand:
 
 
 class TestImportCost:
-    WATCHED = ("sympy", "scipy.interpolate", "scipy.linalg", "scipy.fft", "scipy.special")
+    WATCHED = ("sympy", "scipy", "scipy.interpolate", "scipy.linalg", "scipy.fft", "scipy.special")
 
     @pytest.fixture(scope="class")
     def loaded(self, tmp_path_factory):
         """The watched modules loaded after importing the CLI, and after a parabolic solve.
 
         One fresh interpreter serves every check.  The import-time set is
-        recorded before the solve runs, because the parabolic resampling
-        imports ``scipy.linalg``.
+        recorded before the solve runs, so a module that the solve imports
+        shows up in the ``solve`` set only.
         """
         tmp_path = tmp_path_factory.mktemp("imports")
         path, out = write_config(tmp_path, parabolic_config()), tmp_path / "out"
@@ -577,11 +604,11 @@ class TestImportCost:
         assert "sympy" not in loaded["import"]
 
     def test_cli_import_leaves_scipy_interpolate_out(self, loaded):
-        # no run kind interpolates with scipy.interpolate; parabolic splines use scipy.linalg
+        # no run kind interpolates with scipy.interpolate
         assert "scipy.interpolate" not in loaded["import"]
 
     def test_cli_import_leaves_scipy_linalg_out(self, loaded):
-        # only the parabolic resampling solves a band; heat and NSE setup must not pay for it
+        # no solve path makes a linear solve
         assert "scipy.linalg" not in loaded["import"]
 
     def test_parabolic_solve_leaves_scipy_interpolate_out(self, loaded):
@@ -589,9 +616,14 @@ class TestImportCost:
 
     @pytest.mark.parametrize("stage", ("import", "solve"))
     def test_no_scipy_fft_or_special(self, loaded, stage):
-        # every transform runs on numpy.fft, and scipy.linalg, which the
-        # parabolic resampling imports, pulls in neither module
+        # every transform runs on numpy.fft
         assert not {"scipy.fft", "scipy.special"} & set(loaded[stage])
+
+    @pytest.mark.parametrize("stage", ("import", "solve"))
+    def test_no_scipy(self, loaded, stage):
+        # the parabolic resampling takes its knot slopes from finite
+        # differences, so no solve path needs scipy, nor the manifest its version
+        assert "scipy" not in loaded[stage]
 
 
 class TestPublicNames:

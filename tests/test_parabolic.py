@@ -5,10 +5,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.interpolate
-import scipy.linalg
 
 from duhamel import Forcing, FreeSpaceTruncated, Grid, KernelApplication, ScalarField, SeriesOptions
+from duhamel import parabolic
 from duhamel.parabolic import (
     NormalizedProblem,
     ParabolicProblem,
@@ -393,29 +392,24 @@ class TestManufacturedAccuracy:
 
 
 class TestLatticeWork:
-    """The reduction samples each coefficient once and fits each stage's splines in one solve."""
+    """The reduction samples each coefficient once and resamples each stage in one ``_splines``
+    call, whose cubic Hermite pieces take their knot slopes from finite differences along the
+    knot index and solve no system (``TestImportCost`` checks that a solve loads no scipy)."""
 
     def _count(self, monkeypatch):
         calls = Counter()
-        sample, banded = Forcing.sample_rows, scipy.linalg.solve_banded
-        spline = scipy.interpolate.CubicSpline
+        sample, splines = Forcing.sample_rows, parabolic._splines
 
         def counted_sample(self, times, x):
             calls["sample"] += 1
             return sample(self, times, x)
 
-        def counted_banded(*args, **kwargs):
-            calls["banded"] += 1
-            return banded(*args, **kwargs)
-
-        def counted_spline(*args, **kwargs):
-            calls["spline"] += 1
-            return spline(*args, **kwargs)
+        def counted_splines(*args):
+            calls["splines"] += 1
+            return splines(*args)
 
         monkeypatch.setattr(Forcing, "sample_rows", counted_sample)
-        # _splines imports solve_banded when it runs
-        monkeypatch.setattr(scipy.linalg, "solve_banded", counted_banded)
-        monkeypatch.setattr(scipy.interpolate, "CubicSpline", counted_spline)
+        monkeypatch.setattr(parabolic, "_splines", counted_splines)
         return calls
 
     def test_each_coefficient_sampled_once(self, monkeypatch):
@@ -424,74 +418,60 @@ class TestLatticeWork:
         normalize(prob, time_nodes=64)
         assert calls["sample"] == 4
 
-    def test_one_spline_per_knot_set(self, monkeypatch):
-        # one banded solve each for (x, P) over psi at all 65 time nodes, for
-        # u0 over x, and for (v, rho) over y at all 65 outputs
+    def test_one_resampling_call_per_stage(self, monkeypatch):
+        # one call each for (x, P) over psi at all 65 time nodes, for u0 over
+        # x, and for (v, rho) over y at all 65 outputs
         prob, _ = manufactured_problem()
         calls = self._count(monkeypatch)
         sol = solve_parabolic(prob, SeriesOptions(depth_max=24, rel_tolerance=1e-10, time_steps=64))
         assert len(sol.u) == 65
-        assert calls["banded"] == 3
-        assert calls["spline"] == 0
+        assert calls["splines"] == 3
         assert calls["sample"] == 4
 
 
-def reference_splines(knots, values, points):
-    """Row by row with scipy's CubicSpline (not-a-knot by default)."""
-    knots = np.broadcast_to(knots, values.shape[:2])
-    return np.stack([scipy.interpolate.CubicSpline(k, v)(np.clip(p, k[0], k[-1]))
-                     for k, v, p in zip(knots, values, points)])
+def cubic(z):
+    return 0.3 - 1.2 * z + 0.7 * z**2 - 0.25 * z**3
 
 
 class TestSplines:
-    """``_splines`` against scipy's CubicSpline and against exact cubics."""
+    """``_splines`` against exact cubics and smooth functions."""
 
     @staticmethod
     def _knots(rng, rows, n):
         return np.cumsum(rng.uniform(0.02, 0.1, (rows, n)), axis=1) - 3.0
 
-    @staticmethod
-    def _relative_gap(knots, values, points):
-        got = _splines(knots, values, points)
-        ref = reference_splines(knots, values, points)
-        assert got.shape == ref.shape == (values.shape[0], points.shape[1], values.shape[2])
-        return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
-
-    def test_per_row_knots_match_cubic_spline(self):
-        rng = np.random.default_rng(7)
-        knots = self._knots(rng, 65, 256)
-        values = rng.standard_normal((65, 256, 2))
-        points = rng.uniform(knots[:, :1], knots[:, -1:], (65, 256))
-        assert self._relative_gap(knots, values, points) <= 1e-13
-
-    def test_shared_knots_match_cubic_spline(self):
-        rng = np.random.default_rng(8)
-        knots = self._knots(rng, 1, 256)[0]
-        values = rng.standard_normal((65, 256, 2))
-        points = np.sort(rng.uniform(knots[0], knots[-1], (65, 200)), axis=1)
-        assert self._relative_gap(knots, values, points) <= 1e-13
-
-    def test_eight_knots_match_cubic_spline(self):
-        rng = np.random.default_rng(9)
-        knots = self._knots(rng, 3, 8)
-        values = rng.standard_normal((3, 8, 1))
-        points = rng.uniform(knots[:, :1], knots[:, -1:], (3, 40))
-        assert self._relative_gap(knots, values, points) <= 1e-13
-
-    def test_reproduces_a_cubic(self):
-        # not-a-knot splines are exact for cubics, whatever the knots
+    def test_reproduces_cubics_on_shared_uniform_knots(self):
+        # the knot slopes are exact for cubics, so the Hermite pieces are too
         rng = np.random.default_rng(10)
-        knots = self._knots(rng, 5, 40)
-
-        def cubic(z):
-            return 0.3 - 1.2 * z + 0.7 * z**2 - 0.25 * z**3
-
-        values = np.stack([cubic(knots), np.ones_like(knots)], axis=-1)
-        points = rng.uniform(knots[:, :1], knots[:, -1:], (5, 100))
-        got = _splines(knots, values, points)
+        knots, h = np.linspace(-2.0, 3.0, 40, retstep=True)
+        values = np.stack([np.broadcast_to(cubic(knots), (5, 40)), np.ones((5, 40))], axis=-1)
+        points = rng.uniform(knots[0], knots[-1], (5, 100))
+        got = _splines(knots, values, points, h)
         exact = cubic(points)
+        assert got.shape == (5, 100, 2)
         assert np.max(np.abs(got[..., 0] - exact)) <= 1e-12 * np.max(np.abs(exact))
         assert np.max(np.abs(got[..., 1] - 1.0)) <= 1e-12
+
+    def test_reproduces_cubics_on_per_row_uniform_knots(self):
+        rng = np.random.default_rng(11)
+        start, h = rng.uniform(-3.0, -2.0, (6, 1)), rng.uniform(0.05, 0.15, (6, 1))
+        knots = start + h * np.arange(48)
+        values = cubic(knots)[..., None]
+        points = rng.uniform(knots[:, :1], knots[:, -1:], (6, 120))
+        got = _splines(knots, values, points, h)[..., 0]
+        exact = cubic(points)
+        assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    def test_fourth_order_on_a_sinh_knot_map(self):
+        # knots k = sinh(xi) on uniform xi, with the exact rate dk/di = cosh(xi) dxi
+        def error(n):
+            xi, dxi = np.linspace(-2.0, 2.0, n, retstep=True)
+            knots = np.sinh(xi)
+            points = np.linspace(knots[0], knots[-1], 1001)[None]
+            got = _splines(knots, np.sin(2.0 * knots)[None, :, None], points, np.cosh(xi) * dxi)
+            return float(np.max(np.abs(got[0, :, 0] - np.sin(2.0 * points[0]))))
+
+        assert math.log(error(64) / error(256), 4) >= 3.8
 
     def test_outside_points_take_edge_values(self):
         rng = np.random.default_rng(11)
@@ -499,6 +479,6 @@ class TestSplines:
         values = rng.standard_normal((4, 16, 3))
         below, above = knots[:, :1] - [[0.5, 1e-9]], knots[:, -1:] + [[1e-9, 7.0]]
         points = np.concatenate([below, above], axis=1)
-        got = _splines(knots, values, points)
+        got = _splines(knots, values, points, np.gradient(knots, axis=1))
         assert np.array_equal(got[:, :2], np.repeat(values[:, :1], 2, axis=1))
         assert np.allclose(got[:, 2:], np.repeat(values[:, -1:], 2, axis=1), rtol=0, atol=1e-14)
