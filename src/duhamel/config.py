@@ -128,12 +128,8 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
     def _at_time_zero(self, expr: Expression, path: str) -> np.ndarray:
-        """``expr`` on the grid at t = 0; a ``ValueError`` (say, non-finite
-        values) is raised again with ``path`` in front."""
-        try:
-            return Forcing.from_expression(expr).sample(self.grid, (0.0,))[0]
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        """``expr`` on the grid at t = 0; its errors name ``path``."""
+        return Forcing.from_expression(expr).labelled(path).sample(self.grid, (0.0,))[0]
 
     def initial_field(self) -> ScalarField:
         return ScalarField(self.grid, self._at_time_zero(self.payload["initial"], "initial"))
@@ -223,8 +219,9 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     chk = _Checker()
     try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    # ValueError: bad JSON, bytes or integer length; RecursionError: deep nesting
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError([{"path": str(path), "message": f"cannot read config: {exc}"}])
 
     if not chk.section(raw, "", _TOP_KEYS, {"schema", "kind", "grid"}):

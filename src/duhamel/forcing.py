@@ -19,21 +19,7 @@ import numpy as np
 from .expressions import Expression, compile_expression
 from .grid import Grid
 
-__all__ = ["Forcing", "interpolate_in_time"]
-
-
-def interpolate_in_time(times: np.ndarray, stack: np.ndarray, t: float) -> np.ndarray:
-    """Linear interpolation of ``stack[j]`` (given at ``times[j]``) at ``t``.
-
-    Constant beyond the first and last time.
-    """
-    if t <= times[0]:
-        return stack[0]
-    if t >= times[-1]:
-        return stack[-1]
-    j = int(np.searchsorted(times, t) - 1)
-    w = (t - times[j]) / (times[j + 1] - times[j])
-    return (1.0 - w) * stack[j] + w * stack[j + 1]
+__all__ = ["Forcing"]
 
 
 def _lattice(grid: Grid) -> list[np.ndarray]:
@@ -106,10 +92,19 @@ class Forcing:
             raise ValueError("all sampled fields must share one grid")
         stack = np.stack([f.values for f in fields])
 
+        def at(t: float) -> np.ndarray:
+            if t <= times[0]:
+                return stack[0]
+            if t >= times[-1]:
+                return stack[-1]
+            j = int(np.searchsorted(times, t) - 1)
+            w = (t - times[j]) / (times[j + 1] - times[j])
+            return (1.0 - w) * stack[j] + w * stack[j + 1]
+
         def evaluate(query: np.ndarray, coords, on: Grid | None) -> np.ndarray:
             if on != grid:
                 raise ValueError("sampled forcing queried on a different grid")
-            return np.stack([interpolate_in_time(times, stack, float(t)) for t in query])
+            return np.stack([at(float(t)) for t in query])
 
         return cls(evaluate, "sampled")
 

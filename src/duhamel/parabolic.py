@@ -18,22 +18,23 @@ series solver with forcing -Q and source -g.
 
 The coefficients A, a, c and f are ``Forcing``s of (t, x), given as numbers,
 expressions over x and t, or callables ``fn(t, x)``.  The reduction works on
-whole ``(n_t+1, n)`` lattice stacks: each coefficient is sampled once over all
-time nodes with ``Forcing.sample_rows`` (c and f on the moving nodes
-x(t, y)), and psi, P, rho, Q and g are computed as stacks (x-derivatives by
-the free-space stencil and integrals by the corrected trapezoid, both along
-the last axis; t-derivatives by ``np.gradient`` along the first).  The
-reduced problem lives on a uniform y-grid with the same point count as the
-x-grid.  The resampling between the x- and y-grids is piecewise cubic Hermite
-interpolation (``_splines``), one interpolant per knot set and column, and
-every knot set of a stage is resampled in one call: (x, P) over psi at all
-time nodes in ``normalize``, u0 over x, and (v, rho) over y at all output
-times in ``back_transform``.  The knot slopes are finite differences along the
-knot index (sixth order inside and the fourth-order free-space stencil near
-the ends; central weights as in Fornberg, Math. Comp. 51, 1988), divided by
-the knots' exact rate: the spacing for the uniform x and y knots, psi_x h_x
-for the psi knots.  No system is solved.  A monotone interpolant would flatten
-the solution at its extrema.
+whole ``(n_t+1, n)`` lattice stacks over the series' own time nodes
+(``SeriesOptions.nodes``): each coefficient is sampled once over all of them
+with ``Forcing.sample_rows`` (c and f on the moving nodes x(t, y)), and psi,
+P, rho, Q and g are computed as stacks (x-derivatives by the free-space
+stencil and integrals by the corrected trapezoid, both along the last axis;
+t-derivatives by ``np.gradient`` along the first).  The reduced problem lives
+on a uniform y-grid with the same point count as the x-grid.  The resampling
+between the x- and y-grids is piecewise cubic Hermite interpolation
+(``_splines``), one interpolant per knot set and column, and every knot set of
+a stage is resampled in one call: (x, P) over psi at all time nodes in
+``normalize``, u0 over x, and (v, rho) over y at all output times in
+``back_transform``, which reads psi and rho from the node rows of those times.
+The knot slopes are finite differences along the knot index (sixth order
+inside and the fourth-order free-space stencil near the ends; central weights
+as in Fornberg, Math. Comp. 51, 1988), divided by the knots' exact rate: the
+spacing for the uniform x and y knots, psi_x h_x for the psi knots.  No system
+is solved.  A monotone interpolant would flatten the solution at its extrema.
 """
 
 
@@ -45,7 +46,7 @@ import numpy as np
 
 from .expressions import Expression, compile_expression
 from .fields import ScalarField, Trajectory, _fd_first
-from .forcing import Forcing, interpolate_in_time
+from .forcing import Forcing
 from .grid import Grid
 from .quadrature import corrected_cumulative_trapezoid
 from .series import SeriesOptions, SeriesSolution, solve_controlled_heat
@@ -119,7 +120,6 @@ class NormalizedProblem:
     x_of_y: np.ndarray  # (n_t, n_y)
     v0: ScalarField
     x_grid: Grid
-    horizon: float
     edge_clamped: bool = False
 
 
@@ -176,21 +176,17 @@ def _splines(knots: np.ndarray, values: np.ndarray, points: np.ndarray, rate: fl
     return out
 
 
-def normalize(prob: ParabolicProblem, time_nodes: int = 64) -> NormalizedProblem:
+def normalize(prob: ParabolicProblem, opts: SeriesOptions | None = None) -> NormalizedProblem:
     """Sample Q, g, rho and the maps on the (t, y) lattice.
 
-    ``time_nodes`` (at least 1) sets the uniform t-sampling; the solver
-    interpolates the stacks linearly between nodes, so it should match (or
-    exceed) the series time resolution.
+    The t-nodes are those of the series solve, ``opts.nodes(prob.horizon)``,
+    so every output time of that solve is a lattice row.
     """
-    if time_nodes < 1:
-        raise ValueError(f"time_nodes must be at least 1, got {time_nodes}")
-
     x_grid = prob.grid
     x = x_grid.coords(0)
     n_x = x_grid.points[0]
     h_x = x_grid.spacing[0]
-    t_nodes = np.linspace(0.0, prob.horizon, time_nodes + 1)
+    t_nodes = (opts or SeriesOptions()).nodes(prob.horizon)
     dt = float(t_nodes[1] - t_nodes[0])
 
     A = prob.A.sample_rows(t_nodes, x)
@@ -242,7 +238,6 @@ def normalize(prob: ParabolicProblem, time_nodes: int = 64) -> NormalizedProblem
         x_of_y=x_of_y,
         v0=v0,
         x_grid=x_grid,
-        horizon=prob.horizon,
         edge_clamped=edge_clamped,
     )
 
@@ -256,21 +251,24 @@ def solve_normalized(np_: NormalizedProblem, opts: SeriesOptions | None = None) 
     F = Forcing.from_samples(times, q_fields)
     zero_source = bool(np.all(np_.g_stack == 0.0))
     source = None if zero_source else Forcing.from_samples(times, s_fields)
-    return solve_controlled_heat(np_.v0, F, np_.horizon, opts, source=source)
+    return solve_controlled_heat(np_.v0, F, np_.t_nodes[-1], opts, source=source)
 
 
 def back_transform(v: Trajectory, np_: NormalizedProblem) -> tuple[Trajectory, bool]:
     """u(t, x) = exp(-rho) v pulled back to the x-grid, and the edge flag.
 
-    v and rho are interpolated at y = psi(t, x_node) by cubic Hermite pieces
-    in y, all output times in one ``_splines`` call; nodes mapping outside
-    the computed y-range take the edge values.  The flag is set when that
-    happened here or in ``normalize``.
+    Every time of ``v`` must be one of ``np_.t_nodes``; psi and rho are read
+    from that node's row.  v and rho are interpolated at y = psi(t, x_node)
+    by cubic Hermite pieces in y, all output times in one ``_splines`` call;
+    nodes mapping outside the computed y-range take the edge values.  The
+    flag is set when that happened here or in ``normalize``.
     """
     y = np_.y_grid.coords(0)
-    t_nodes = np.asarray(np_.t_nodes)
-    psi = np.stack([interpolate_in_time(t_nodes, np_.psi_stack, t) for t in v.times])
-    rho = np.stack([interpolate_in_time(t_nodes, np_.rho_stack, t) for t in v.times])
+    off = [t for t in v.times if t not in np_.t_nodes]
+    if off:
+        raise ValueError(f"output time {off[0]} is not a node of the normalized problem")
+    rows = [np_.t_nodes.index(t) for t in v.times]
+    psi, rho = np_.psi_stack[rows], np_.rho_stack[rows]
     columns = np.stack([np.stack([snap.values for _, snap in v]), rho], axis=-1)
     v_at, rho_at = np.moveaxis(_splines(y, columns, psi, np_.y_grid.spacing[0]), -1, 0)
     clamped = bool(np.any(psi[:, 0] < y[0] - 1e-12) or np.any(psi[:, -1] > y[-1] + 1e-12))
@@ -290,7 +288,7 @@ class ParabolicSolution:
 def solve_parabolic(prob: ParabolicProblem, opts: SeriesOptions | None = None) -> ParabolicSolution:
     """normalize -> series solve -> back transform, keeping all stages."""
     opts = opts or SeriesOptions()
-    np_ = normalize(prob, time_nodes=opts.time_steps)
+    np_ = normalize(prob, opts)
     sol = solve_normalized(np_, opts)
     v = sol.trajectory
     u, edge_clamped = back_transform(v, np_)

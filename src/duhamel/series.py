@@ -101,6 +101,9 @@ class SeriesOptions:
             object.__setattr__(self, "output_times", tuple(float(t) for t in self.output_times))
             if not self.output_times:
                 raise ValueError("output_times must not be empty")
+            bad = [t for t in self.output_times if not math.isfinite(t)]
+            if bad:
+                raise ValueError(f"output_times must be finite, got {bad}")
 
     def nodes(self, horizon: float) -> np.ndarray:
         return np.linspace(0.0, float(horizon), self.time_steps + 1)

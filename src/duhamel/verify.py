@@ -30,6 +30,11 @@ __all__ = [
     "random_lipschitz_potential",
 ]
 
+MAX_MODE = 3  # modes per axis of a band-limited field
+KEY_TIMES = 4  # key times of a random sampled forcing
+N_WAVES = 6  # plane waves of a random Lipschitz potential
+TIME_SAMPLES = 33  # time slices of a manufactured case's positivity scan
+
 
 def _periodic_laplacian_4th(n: int, h: float) -> csc_matrix:
     """4th-order central second-derivative matrix with wrap-around."""
@@ -151,7 +156,7 @@ class ManufacturedCase:
         return ScalarField(self.grid, self._g_fn(*mesh, t) * np.ones(self.grid.shape))
 
 
-def make_manufactured(expr: str, grid: Grid, horizon: float, time_samples: int = 33) -> ManufacturedCase:
+def make_manufactured(expr: str, grid: Grid, horizon: float) -> ManufacturedCase:
     """Derive F = (dG/dt - Lap G)/G symbolically from a positive G(x, t).
 
     The expression uses the coefficient grammar over x (, y, z) and t.  A
@@ -169,7 +174,7 @@ def make_manufactured(expr: str, grid: Grid, horizon: float, time_samples: int =
     mesh = grid.meshgrid()
     ones = np.ones(grid.shape)
     worst = (np.inf, None, None)
-    for t in np.linspace(0.0, horizon, time_samples):
+    for t in np.linspace(0.0, horizon, TIME_SAMPLES):
         vals = g_fn(*mesh, t) * ones
         i = int(np.argmin(vals))
         if vals.flat[i] < worst[0]:
@@ -198,7 +203,7 @@ def make_manufactured(expr: str, grid: Grid, horizon: float, time_samples: int =
 # random smooth test data (seeded)
 
 
-def band_limited_field(grid: Grid, rng: np.random.Generator, max_mode: int = 3,
+def band_limited_field(grid: Grid, rng: np.random.Generator,
                        amplitude: float = 1.0, offset: float = 0.0) -> ScalarField:
     """Random low-mode trigonometric field with |field - offset| <= amplitude."""
     vals = np.zeros(grid.shape)
@@ -207,7 +212,7 @@ def band_limited_field(grid: Grid, rng: np.random.Generator, max_mode: int = 3,
         base = 2.0 * np.pi / grid.extent(d)
         shape = [1] * grid.ndim
         shape[d] = len(x)
-        for k in range(1, max_mode + 1):
+        for k in range(1, MAX_MODE + 1):
             amp = rng.normal()
             phase = rng.uniform(0, 2 * np.pi)
             vals = vals + (amp * np.cos(k * base * x + phase)).reshape(shape)
@@ -216,31 +221,30 @@ def band_limited_field(grid: Grid, rng: np.random.Generator, max_mode: int = 3,
 
 
 def random_bounded_forcing(grid: Grid, rng: np.random.Generator, horizon: float,
-                           bound: float, max_mode: int = 3, key_times: int = 4) -> Forcing:
+                           bound: float) -> Forcing:
     """Sampled-stack forcing with |F| <= bound."""
-    times = np.linspace(0.0, horizon, key_times)
-    fields = [band_limited_field(grid, rng, max_mode, amplitude=bound) for _ in times]
+    times = np.linspace(0.0, horizon, KEY_TIMES)
+    fields = [band_limited_field(grid, rng, amplitude=bound) for _ in times]
     return Forcing.from_samples(times, fields)
 
 
-def random_lipschitz_potential(grid: Grid, rng: np.random.Generator, c: float,
-                               a: float, n_waves: int = 6):
+def random_lipschitz_potential(grid: Grid, rng: np.random.Generator, c: float, a: float):
     """Smooth phi with |grad phi| <= c and phi(0) = a, as a callable.
 
     Superposition of plane waves whose amplitude-weighted wavenumbers sum to
     at most c, shifted so the value at the origin is exactly a.
     """
-    dirs = rng.normal(size=(n_waves, grid.ndim))
+    dirs = rng.normal(size=(N_WAVES, grid.ndim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    freqs = rng.uniform(0.3, 1.5, size=n_waves)
-    phases = rng.uniform(0, 2 * np.pi, size=n_waves)
-    raw_amps = rng.uniform(0.2, 1.0, size=n_waves)
+    freqs = rng.uniform(0.3, 1.5, size=N_WAVES)
+    phases = rng.uniform(0, 2 * np.pi, size=N_WAVES)
+    raw_amps = rng.uniform(0.2, 1.0, size=N_WAVES)
     budget = float(np.sum(raw_amps * freqs))
     amps = raw_amps * (c / budget) * rng.uniform(0.6, 0.95)
 
     def phi(*coords):
         out = np.full(np.broadcast(*coords).shape if len(coords) > 1 else np.shape(coords[0]), float(a))
-        for m in range(n_waves):
+        for m in range(N_WAVES):
             arg = sum(freqs[m] * dirs[m, d] * coords[d] for d in range(grid.ndim))
             out = out + amps[m] * (np.sin(arg + phases[m]) - np.sin(phases[m]))
         return out

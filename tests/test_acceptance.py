@@ -39,7 +39,7 @@ def burgers_result():
 
 @pytest.fixture(scope="module")
 def oracles_result():
-    return suite_oracles(seed=DEFAULT_SEED, cases=20)
+    return suite_oracles(seed=DEFAULT_SEED)
 
 
 def test_acceptance_1_constant_forcing_exponential():

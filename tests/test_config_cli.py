@@ -466,6 +466,20 @@ class TestSolveCommand:
         # the JSON error is all of stderr: no traceback
         assert json.loads(proc.stderr)["errors"] == [{"path": path, "message": message}]
 
+    @pytest.mark.parametrize("text", [
+        b'{"seed": ' + b"7" * 5000 + b"}",
+        b"[" * 100000 + b"]" * 100000,
+        b'{"schema": 1, "kind": "caf\xe9"}',
+    ], ids=["5000-digit-integer", "deep-nesting", "invalid-utf8"])
+    def test_unparsable_file_reported_without_traceback(self, tmp_path, text):
+        path = tmp_path / "run.json"
+        path.write_bytes(text)
+        proc = run_cli("solve", str(path), "-o", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        (error,) = json.loads(proc.stderr)["errors"]
+        assert error["path"] == str(path)
+        assert error["message"].startswith("cannot read config: ")
+
     @pytest.mark.parametrize("kind", sorted(CONFIGS))
     def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch, kind):
         def exhausted(self, grid, times):

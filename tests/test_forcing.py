@@ -5,7 +5,6 @@ import pytest
 
 from duhamel import FreeSpaceTruncated, Forcing, Grid, ScalarField, SeriesOptions, solve_controlled_heat
 from duhamel.expressions import compile_expression
-from duhamel.forcing import interpolate_in_time
 
 
 def grid():
@@ -148,11 +147,19 @@ def per_time_expression(source):
     return lambda t: np.asarray(expr(x=x, y=y, t=np.float64(t)), dtype=float) * np.ones(GRID_2D.shape)
 
 
+KEY_TIMES = (0.0, 0.4, 1.0)
+KEY_FIELDS = np.stack([np.cos(a * GRID_2D.meshgrid()[0]) for a in (0.5, 1.0, 2.0)])
+
+
 def sampled_forcing():
-    times = (0.0, 0.4, 1.0)
-    fields = [ScalarField(GRID_2D, np.cos(a * GRID_2D.meshgrid()[0])) for a in (0.5, 1.0, 2.0)]
-    stack = np.stack([f.values for f in fields])
-    return Forcing.from_samples(times, fields), lambda t: interpolate_in_time(np.asarray(times), stack, t)
+    def ref(t):
+        # (1 - w) F_j + w F_{j+1} on the key interval holding t, constant beyond the ends
+        t = min(max(t, KEY_TIMES[0]), KEY_TIMES[-1])
+        j = 0 if t <= KEY_TIMES[1] else 1
+        w = (t - KEY_TIMES[j]) / (KEY_TIMES[j + 1] - KEY_TIMES[j])
+        return (1.0 - w) * KEY_FIELDS[j] + w * KEY_FIELDS[j + 1]
+
+    return Forcing.from_samples(KEY_TIMES, [ScalarField(GRID_2D, v) for v in KEY_FIELDS]), ref
 
 
 def callable_forcing():
@@ -185,6 +192,15 @@ class TestStackSampling:
         assert stack.flags.writeable and stack.dtype == np.float64
         want = np.stack([np.broadcast_to(ref(float(t)), GRID_2D.shape) for t in TIMES])
         assert stack.tobytes() == want.tobytes()
+
+    def test_sampled_interpolates_each_node_linearly(self):
+        # between, at and beyond the key times, against np.interp node by node
+        query = np.array([-0.3, 0.0, 0.1, 0.4, 0.55, 1.0, 1.7])
+        stack = sampled_forcing()[0].sample(GRID_2D, query)
+        want = np.apply_along_axis(lambda column: np.interp(query, KEY_TIMES, column), 0, KEY_FIELDS)
+        assert np.allclose(stack, want, rtol=0, atol=1e-15)
+        for i, key in ((1, 0), (3, 1), (5, 2)):
+            assert np.array_equal(stack[i], KEY_FIELDS[key])
 
     def test_times_must_be_a_sequence(self):
         with pytest.raises(ValueError, match="1-D sequence"):

@@ -89,7 +89,7 @@ class TestCoefficient:
         coeffs[name] = f"{coeffs[name]} + 1/(t - 0.25)"
         prob = ParabolicProblem(**coeffs, u0=gaussian_u0(x_grid()), horizon=0.5)
         with pytest.raises(ValueError, match=rf"^{name}: expression has non-finite values at t=0\.25$"):
-            normalize(prob, time_nodes=4)
+            normalize(prob, SeriesOptions(time_steps=4))
 
     def test_rejects_spatial_y(self):
         with pytest.raises(ValueError, match="only use x and t"):
@@ -98,7 +98,7 @@ class TestCoefficient:
 
 def psi0(prob):
     """psi(0, x) at the x-nodes, as the reduction computes it."""
-    return normalize(prob, time_nodes=4).psi_stack[0]
+    return normalize(prob, SeriesOptions(time_steps=4)).psi_stack[0]
 
 
 class TestCoordinateMap:
@@ -130,7 +130,7 @@ class TestCoordinateMap:
             grid = x_grid(n=n)
             prob = ParabolicProblem(A="-(1 + x*x)", a=0.0, c=0.0, f=0.0,
                                     u0=gaussian_u0(grid), horizon=0.5)
-            norm = normalize(prob, time_nodes=4)
+            norm = normalize(prob, SeriesOptions(time_steps=4))
             y = norm.y_grid.coords(0)
             exact = np.sinh(y + np.arcsinh(grid.coords(0)[0]))
             errors.append(float(np.max(np.abs(norm.x_of_y[0] - exact))))
@@ -143,28 +143,29 @@ class TestCoordinateMap:
         prob = ParabolicProblem(A="-1 + 2*exp(-x*x)", a=0.0, c=0.0, f=0.0,
                                 u0=gaussian_u0(grid), horizon=0.5)
         with pytest.raises(ValueError, match=r"A\(t=0, x=.*violates strict ellipticity"):
-            normalize(prob, time_nodes=8)
+            normalize(prob, SeriesOptions(time_steps=8))
 
     def test_ellipticity_breach_after_start_names_its_time(self):
         # A = -1 + 3t crosses zero at t = 1/3; the first node past it is 0.375
         prob = ParabolicProblem(A="-1 + 3*t", a=0.0, c=0.0, f=0.0,
                                 u0=gaussian_u0(x_grid()), horizon=0.5)
         with pytest.raises(ValueError, match=r"A\(t=0\.375, x=.*\) = 0\.125 violates strict ellipticity"):
-            normalize(prob, time_nodes=8)
+            normalize(prob, SeriesOptions(time_steps=8))
 
 
 class TestNormalize:
-    @pytest.mark.parametrize("time_nodes", [0, -1])
-    def test_needs_a_time_step(self, time_nodes):
+    def test_samples_on_the_series_nodes(self):
         prob = ParabolicProblem(A=-1.0, a=0.0, c=0.0, f=0.0, u0=gaussian_u0(x_grid()), horizon=0.5)
-        with pytest.raises(ValueError, match="time_nodes must be at least 1"):
-            normalize(prob, time_nodes=time_nodes)
+        opts = options(time_steps=12)
+        norm = normalize(prob, opts)
+        assert norm.t_nodes == tuple(opts.nodes(0.5))
+        assert len(normalize(prob).t_nodes) == SeriesOptions().time_steps + 1
 
     def test_identity_reduction(self):
         c_val, f_val = 0.3, -0.2
         prob = ParabolicProblem(A=-1.0, a=0.0, c=c_val, f=f_val,
                                 u0=gaussian_u0(x_grid()), horizon=0.5)
-        norm = normalize(prob, time_nodes=16)
+        norm = normalize(prob, SeriesOptions(time_steps=16))
         assert np.max(np.abs(norm.Q_stack - c_val)) < 1e-12
         assert np.max(np.abs(norm.g_stack - f_val)) < 1e-12
         assert np.max(np.abs(norm.rho_stack)) < 1e-12
@@ -174,7 +175,7 @@ class TestNormalize:
         k, c_val, f_val = 0.8, 0.4, 0.25
         prob = ParabolicProblem(A=-1.0, a=k, c=c_val, f=f_val,
                                 u0=gaussian_u0(x_grid()), horizon=0.5)
-        norm = normalize(prob, time_nodes=16)
+        norm = normalize(prob, SeriesOptions(time_steps=16))
         y = norm.y_grid.coords(0)
         assert np.max(np.abs(norm.Q_stack - (k * k / 4 + c_val))) < 1e-8
         assert np.max(np.abs(norm.g_stack - f_val * np.exp(-k * y / 2))) < 1e-8
@@ -184,7 +185,7 @@ class TestNormalize:
         k, c_val = 0.8, 0.4
         prob = ParabolicProblem(A=-1.0, a="0.8*t", c=c_val, f=0.0,
                                 u0=gaussian_u0(x_grid()), horizon=0.5)
-        norm = normalize(prob, time_nodes=32)
+        norm = normalize(prob, SeriesOptions(time_steps=32))
         y = norm.y_grid.coords(0)
         t = np.asarray(norm.t_nodes)
         exact = (k * t[:, None]) ** 2 / 4 + k * y[None, :] / 2 + c_val
@@ -209,7 +210,6 @@ class TestSolveNormalized:
             x_of_y=np.tile(x, (n_t, 1)),
             v0=v0,
             x_grid=grid,
-            horizon=1.0,
         )
 
     def test_free_heat(self):
@@ -248,12 +248,21 @@ class TestBackTransform:
         out, _ = back_transform(traj, norm)
         assert np.max(np.abs(out.snapshots[0].values - v0.values)) < 1e-12
 
+    @pytest.mark.parametrize("t", [0.3, 0.25 + 1e-12])
+    def test_time_off_the_nodes_is_rejected(self, t):
+        grid = x_grid()
+        norm = TestSolveNormalized()._normalized(grid=grid)
+        from duhamel.fields import Trajectory
+
+        with pytest.raises(ValueError, match=rf"^output time {t!r} is not a node of the normalized problem$"):
+            back_transform(Trajectory((0.25, t), (gaussian_u0(grid),) * 2), norm)
+
     def test_constant_coefficient_inverse_gauge(self):
         # from the constant-coefficient reduction, u = e^{k y / 2} v
         k = 0.8
         prob = ParabolicProblem(A=-1.0, a=k, c=0.0, f=0.0,
                                 u0=gaussian_u0(x_grid()), horizon=0.5)
-        norm = normalize(prob, time_nodes=16)
+        norm = normalize(prob, SeriesOptions(time_steps=16))
         y = norm.y_grid.coords(0)
         from duhamel.fields import Trajectory
 
@@ -355,13 +364,13 @@ class TestEdgeClamping:
         # of the map and the coefficient resampling clamps
         prob = ParabolicProblem(A="-(1 + t)", a=0.0, c=0.0, f=0.0,
                                 u0=gaussian_u0(x_grid()), horizon=0.5)
-        norm = normalize(prob, time_nodes=8)
+        norm = normalize(prob, SeriesOptions(time_steps=8))
         assert norm.edge_clamped
 
     def test_static_map_not_flagged(self):
         prob = ParabolicProblem(A=-1.0, a=0.0, c=0.0, f=0.0,
                                 u0=gaussian_u0(x_grid()), horizon=0.5)
-        assert not normalize(prob, time_nodes=8).edge_clamped
+        assert not normalize(prob, SeriesOptions(time_steps=8)).edge_clamped
 
 
 def manufactured_problem():
@@ -415,7 +424,7 @@ class TestLatticeWork:
     def test_each_coefficient_sampled_once(self, monkeypatch):
         prob, _ = manufactured_problem()
         calls = self._count(monkeypatch)
-        normalize(prob, time_nodes=64)
+        normalize(prob, SeriesOptions(time_steps=64))
         assert calls["sample"] == 4
 
     def test_one_resampling_call_per_stage(self, monkeypatch):

@@ -78,6 +78,11 @@ class TestSeriesOptions:
         with pytest.raises(ValueError, match="empty"):
             SeriesOptions(output_times=())
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_output_times_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match=rf"^output_times must be finite, got \[{bad}\]$"):
+            SeriesOptions(output_times=(0.5, bad))
+
     def test_output_times_must_be_nodes(self):
         opts = SeriesOptions(time_steps=10, output_times=(0.35,))
         with pytest.raises(ValueError, match="not a node"):

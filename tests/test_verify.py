@@ -125,7 +125,7 @@ class TestRandomData:
     def test_band_limited_bounds(self):
         g = periodic_1d()
         rng = np.random.default_rng(1)
-        f = band_limited_field(g, rng, max_mode=3, amplitude=0.7, offset=2.0)
+        f = band_limited_field(g, rng, amplitude=0.7, offset=2.0)
         assert np.max(np.abs(f.values - 2.0)) <= 0.7 + 1e-12
 
     def test_lipschitz_potential_certificates(self):
