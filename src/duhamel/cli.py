@@ -3,14 +3,16 @@
 Exit codes: 0 ok, 2 config or usage error (including an output directory
 that cannot be written), 3 numerical failure (bound violation,
 non-convergence, loss of positivity, overflow or running out of memory), 4
-oracle mismatch.  Every code-2 error, and an overflow, loss of positivity or
-failed allocation that stops a solve, is printed as one JSON error list on
-stderr.  Solve runs write CSF1 trajectories, bound reports as JSON lines, and
-a manifest recording the config hash, the duhamel and numpy versions, seed,
-kernel engine and padded transform shape, the forcing envelope over the
-solver's node samples, the sup norm of each emitted series order and why the
-series stopped, timings, and the process's peak resident memory when the
-solve ends; with a fixed config and seed the field artifacts are byte
+oracle mismatch.  Every code-2 and code-3 exit of a solve prints one JSON
+error list on stderr: a failed bound report names its check and its worst
+failing record (signed violation, time and label), and a series that did
+not converge gives ``depth_max`` and the estimated truncation error.  Solve
+runs write CSF1 trajectories, bound reports as JSON lines, and a manifest
+recording the config hash, the duhamel and numpy versions, seed, kernel
+engine and padded transform shape, the forcing envelope over the solver's
+node samples, the sup norm of each emitted series order and why the series
+stopped, timings, and the process's peak resident memory when the solve
+ends; with a fixed config and seed the field artifacts are byte
 identical across runs.
 """
 
@@ -45,10 +47,6 @@ def _config_hash(raw: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _write_report(report, path: Path):
-    path.write_text(report.to_jsonl())
-
-
 def _errors(code: int, *errors: dict) -> int:
     """Print ``{"errors": [...]}`` on stderr and return the exit ``code``."""
     print(json.dumps({"errors": list(errors)}, indent=2), file=sys.stderr)
@@ -80,12 +78,16 @@ def cmd_solve(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         try:
-            if cfg.kind == "controlled-heat":
-                status = _solve_controlled_heat(cfg, out_dir, manifest)
-            elif cfg.kind == "nse":
-                status = _solve_nse(cfg, out_dir, manifest)
-            else:
-                status = _solve_parabolic(cfg, out_dir, manifest)
+            # each kind writes its trajectories and returns its series and
+            # its bound reports by artifact name
+            solve = {"controlled-heat": _solve_controlled_heat, "nse": _solve_nse,
+                     "parabolic": _solve_parabolic}[cfg.kind]
+            series, reports = solve(cfg, out_dir, manifest)
+            for name, report in reports.items():
+                (out_dir / f"{name}.jsonl").write_text(report.to_jsonl())
+                manifest["artifacts"].append(f"{name}.jsonl")
+            failures = _failures(cfg.kind, series, reports.values())
+            status = _errors(EXIT_NUMERICAL, *failures) if failures else EXIT_OK
         except (PositivityError, ArithmeticError) as exc:
             # ArithmeticError: the series or an exponential envelope overflowed
             status = _errors(EXIT_NUMERICAL, {"path": cfg.kind, "message": str(exc)})
@@ -106,6 +108,23 @@ def cmd_solve(args) -> int:
     return status
 
 
+def _failures(kind: str, sol: SeriesSolution, reports) -> list[dict]:
+    """One error per failed bound report, and one if the series did not converge."""
+    errors = []
+    for report in reports:
+        failed = [r for r in report.records if not r.ok]
+        if failed:
+            worst = max(failed, key=lambda r: r.max_violation)
+            message = f"{report.check} check failed at {len(failed)} of {len(report.records)} records"
+            errors.append({"path": kind, "message": message, "check": report.check,
+                           "max_violation": worst.max_violation, "time": worst.time, "label": worst.label})
+    if sol.not_converged:
+        depth_max = sol.options.depth_max
+        errors.append({"path": kind, "message": f"the series did not converge within depth_max = {depth_max}",
+                       "depth_max": depth_max, "estimated_truncation_error": sol.estimated_truncation_error})
+    return errors
+
+
 def _record_series(sol: SeriesSolution, manifest: dict):
     manifest["engine"] = sol.metadata["engine"]
     # the envelope of F over the node samples the solver and its checks used
@@ -117,7 +136,7 @@ def _record_series(sol: SeriesSolution, manifest: dict):
     manifest["not_converged"] = sol.not_converged
 
 
-def _solve_controlled_heat(cfg: RunConfig, out_dir: Path, manifest: dict) -> int:
+def _solve_controlled_heat(cfg: RunConfig, out_dir: Path, manifest: dict) -> tuple[SeriesSolution, dict]:
     g0 = cfg.initial_field()
     forcing = cfg.forcing("forcing") or Forcing.zero()
     sol = solve_controlled_heat(g0, forcing, cfg.payload["horizon"], cfg.series)
@@ -125,17 +144,11 @@ def _solve_controlled_heat(cfg: RunConfig, out_dir: Path, manifest: dict) -> int
     manifest["artifacts"].append("G")
     _record_series(sol, manifest)
     manifest["estimated_truncation_error"] = sol.estimated_truncation_error
-    ceiling = ceiling_check(sol, sol.forcing_abs_bound)
-    termwise = termwise_factorial_check(sol, sol.forcing_abs_bound)
-    _write_report(ceiling, out_dir / "ceiling.jsonl")
-    _write_report(termwise, out_dir / "termwise.jsonl")
-    manifest["artifacts"] += ["ceiling.jsonl", "termwise.jsonl"]
-    if sol.not_converged or not (ceiling.passed and termwise.passed):
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return sol, {"ceiling": ceiling_check(sol, sol.forcing_abs_bound),
+                 "termwise": termwise_factorial_check(sol, sol.forcing_abs_bound)}
 
 
-def _solve_nse(cfg: RunConfig, out_dir: Path, manifest: dict) -> int:
+def _solve_nse(cfg: RunConfig, out_dir: Path, manifest: dict) -> tuple[SeriesSolution, dict]:
     u0 = cfg.velocity_field()
     prob = NSEProblem(
         u0=u0,
@@ -149,19 +162,15 @@ def _solve_nse(cfg: RunConfig, out_dir: Path, manifest: dict) -> int:
     write_trajectory(sol.series.trajectory, out_dir, "G")
     write_trajectory(sol.velocity, out_dir, "u")
     manifest["artifacts"] += ["G", "u"]
-    _write_report(sol.floor_report, out_dir / "floor.jsonl")
-    _write_report(sol.ceiling_report, out_dir / "ceiling.jsonl")
-    manifest["artifacts"] += ["floor.jsonl", "ceiling.jsonl"]
     if sol.residual is not None:
         write_trajectory(sol.residual, out_dir, "residual")
         manifest["artifacts"].append("residual")
         manifest["max_residual"] = max(s.max_abs for _, s in sol.residual)
     _record_series(sol.series, manifest)
-    ok = sol.floor_report.passed and sol.ceiling_report.passed and not sol.series.not_converged
-    return EXIT_OK if ok else EXIT_NUMERICAL
+    return sol.series, {"floor": sol.floor_report, "ceiling": sol.ceiling_report}
 
 
-def _solve_parabolic(cfg: RunConfig, out_dir: Path, manifest: dict) -> int:
+def _solve_parabolic(cfg: RunConfig, out_dir: Path, manifest: dict) -> tuple[SeriesSolution, dict]:
     u0 = cfg.initial_field()
     # payload holds floats or compiled expressions; ParabolicProblem makes Forcings of both
     prob = ParabolicProblem(
@@ -178,7 +187,7 @@ def _solve_parabolic(cfg: RunConfig, out_dir: Path, manifest: dict) -> int:
     manifest["artifacts"] += ["v", "u"]
     _record_series(sol.series, manifest)
     manifest["edge_clamped"] = sol.edge_clamped
-    return EXIT_OK if not sol.series.not_converged else EXIT_NUMERICAL
+    return sol.series, {}
 
 
 def cmd_verify(args) -> int:

@@ -288,6 +288,13 @@ def load_config(path) -> RunConfig:
             if grid is not None and (grid.ndim != 1 or grid.is_periodic):
                 chk.fail("grid", "parabolic runs need a 1D free-space grid")
 
+    horizon = payload.get("horizon")
+    if series is not None and horizon is not None:
+        try:
+            series.output_indices(horizon)
+        except ValueError as exc:
+            chk.fail("series.output_times", str(exc))
+
     if chk.errors:
         raise ConfigError(chk.errors)
     return RunConfig(

@@ -21,17 +21,18 @@ The solver works on node stacks: F and each order are
 sweep runs the recurrence node by node on one accumulated spectrum; its
 transforms go node by node too, each node's integrand F * T_k formed right
 before its transform, except on 1-D grids, where one transform over the
-whole integrand stack is faster.  The series is streamed: order k is swept
-only when the reconstruction of the terms reaches k, so nothing past the
-emitted depth is computed, and the sweeps stop with the series.  A solve
-holds two node stacks, F and the latest order, which each sweep overwrites
-node by node once that node's integrand is transformed, plus one copy of
-every order at the output nodes, which is all the reconstruction reads; a
-source adds two stacks, the uncentered F and its own latest order, and its
-own output-node copies.  The solution keeps those
-copies and builds ``terms`` from them on first access.  Memory is
-O(n_t N + depth n_out N) for N grid points and n_out output times, instead
-of O(depth n_t N).
+whole integrand stack is faster.  The series is streamed and has one
+stopping rule, the term test of ``solve_controlled_heat``.  Each recursion
+(the homogeneous one, and the source's if any) holds its latest order at all
+nodes, which the term loop sweeps in place right before the next term is
+due, so nothing past the emitted depth is computed; a sweep overwrites each
+node once that node's integrand is transformed.  A solve holds two node
+stacks, F and the latest order, plus one copy of every order at the output
+nodes, which is all the reconstruction reads; a source adds two stacks, the
+uncentered F and its own latest order, and its own output-node copies.  The
+solution keeps those copies and builds ``terms`` from them on first access.
+Memory is O(n_t N + depth n_out N) for N grid points and n_out output
+times, instead of O(depth n_t N).
 
 Sup F and inf F are the envelope of the node samples of F, the values the
 quadrature actually used; they are stored on the solution as
@@ -53,7 +54,6 @@ noise.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -154,7 +154,9 @@ def _f2(z: np.ndarray) -> np.ndarray:
     small = z < _F2_SERIES_CUTOFF
     big = ~small
     zb = z[big]
-    out[big] = (-np.expm1(-zb) - zb * np.exp(-zb)) / (zb * zb)
+    # zb * zb overflows past 1.3e154, where inf gives the limit value 0
+    with np.errstate(over="ignore"):
+        out[big] = (-np.expm1(-zb) - zb * np.exp(-zb)) / (zb * zb)
     zs = z[small]
     acc = np.full_like(zs, _F2_SERIES[-1])
     for c in reversed(_F2_SERIES[:-1]):
@@ -191,16 +193,14 @@ class _SpectralEngine:
         self.w_old = (self.torus.scale * (dt * f2)).astype(complex)
         self.w_new = (self.torus.scale * (dt * (_phi1(z) - f2))).astype(complex)
 
-    def _nodes(self, first: np.ndarray | float, spectra, out: np.ndarray | None = None) -> np.ndarray:
-        """Node stack with ``first`` at node 0 and node j = inverse of spectrum j.
+    def _nodes(self, first: np.ndarray | float, spectra, out: np.ndarray) -> np.ndarray:
+        """``out`` with ``first`` at node 0 and node j = inverse of spectrum j.
 
         ``spectra`` yields the spectra of nodes 1..n; each one is consumed
-        before the next is produced.  Node j of ``out`` (a new stack by
-        default) is written only after spectrum j is drawn, and node 0 last,
-        so ``out`` may be the stack the spectra are drawn from.
+        before the next is produced.  Node j of the ``(n + 1, *grid.shape)``
+        stack ``out`` is written only after spectrum j is drawn, and node 0
+        last, so ``out`` may be the stack the spectra are drawn from.
         """
-        if out is None:
-            out = np.empty((self.n + 1,) + self.grid.shape)
         if self.stacked:
             stack = np.empty((self.n,) + self.decay.shape, dtype=complex)
             for j, spec in enumerate(spectra):
@@ -224,21 +224,19 @@ class _SpectralEngine:
                 spec *= self.decay
                 yield spec
 
-        return self._nodes(g0_values, spectra())
+        return self._nodes(g0_values, spectra(), np.empty((self.n + 1,) + self.grid.shape))
 
-    def sweep(self, integrand: np.ndarray, factor: np.ndarray | None = None,
-              out: np.ndarray | None = None) -> np.ndarray:
-        """int_0^{s_j} K(s_j - s) * g(s) ds for all j, g piecewise linear.
+    def sweep(self, stack: np.ndarray, factor: np.ndarray | None = None) -> None:
+        """Overwrite ``stack`` with int_0^{s_j} K(s_j - s) * g(s) ds for all j.
 
-        ``integrand`` is the ``(n + 1, *grid.shape)`` stack of g at the
-        nodes, and so is the result, written into ``out`` when given.  With
-        a ``factor`` stack of the same shape, g is ``factor * integrand``.
-        ``out`` may be ``integrand`` itself: each node is overwritten only
-        after it has been transformed.  A node 0 of zeros, which every order
-        past the zeroth has, is not transformed: its spectrum is zero.
+        ``stack`` is the ``(n + 1, *grid.shape)`` stack of g at the nodes,
+        between which g is linear; with a ``factor`` stack of the same
+        shape, g is ``factor * stack``.  Each node is overwritten only after
+        it has been transformed.  A node 0 of zeros, which every order past
+        the zeroth has, is not transformed: its spectrum is zero.
         """
-        start = 0 if integrand[0].any() else 1
-        integrand = integrand[start:]
+        start = 0 if stack[0].any() else 1
+        integrand = stack[start:]
         if factor is not None:
             factor = factor[start:]
         if self.stacked:
@@ -259,7 +257,7 @@ class _SpectralEngine:
                 yield acc
                 prev = cur
 
-        return self._nodes(0.0, spectra(), out)
+        self._nodes(0.0, spectra(), stack)
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +335,14 @@ def _term(k: int, pow_rows: np.ndarray, hom_out, src_out) -> np.ndarray:
     """Term k of the original forcing's series at the output nodes.
 
     The left fold T_k = sum_{a+b=k} (cbar t)^a / a! * T~_b over the
-    gauge-centered orders ``hom_out``, plus source order k when
-    ``src_out`` has one.
+    gauge-centered orders ``hom_out``, plus source order k when there is a
+    source (``src_out`` is not empty).
     """
     tk = np.zeros_like(hom_out[0])
     product = np.empty_like(tk)
     for b, hom_b in enumerate(hom_out[:k + 1]):
         tk += np.multiply(pow_rows[:, k - b], hom_b, out=product)
-    if k < len(src_out):
+    if src_out:
         tk += src_out[k]
     return tk
 
@@ -369,24 +367,6 @@ def _sup_abs(values: np.ndarray) -> float:
     return abs(max(float(values.max()), -float(values.min())))
 
 
-def _orders(engine: _SpectralEngine, order: np.ndarray, forcing: np.ndarray,
-            rel_tolerance: float, out_idx: list[int]):
-    """Output-node slices of the orders of one series recursion, on demand.
-
-    Order 0 is the node stack ``order``; order k + 1 is the sweep of
-    ``forcing`` times order k.  Only the latest order is held at all nodes,
-    and the next one is swept into its stack only when it is asked for, so
-    ``order`` is overwritten and must be the recursion's own.  The recursion ends
-    after an order whose sup over all nodes is negligible next to order 0's.
-    """
-    negligible = rel_tolerance * 1e-3 * max(_sup_abs(order), 1e-300)
-    while True:
-        yield order[out_idx]
-        if _sup_abs(order) <= negligible:
-            return
-        order = engine.sweep(order, forcing, order)
-
-
 def solve_controlled_heat(
     G0: ScalarField,
     F: Forcing,
@@ -398,10 +378,10 @@ def solve_controlled_heat(
 
     ``source``, when given, is a Forcing-like object sampled at the time
     nodes and absorbed into the zeroth term.  Terms are appended until the
-    relative sup norm of the newest term drops below ``rel_tolerance`` or
-    ``depth_max`` is reached; the latter sets ``not_converged``.  Each order
-    is swept only when its term is reconstructed, so no order past the
-    emitted depth is computed.  A sum that overflows double precision
+    relative sup norm of the newest term drops below ``rel_tolerance``, the
+    newest term is exactly zero, or ``depth_max`` is reached; the last sets
+    ``not_converged``.  Each order is swept, in place over the one before
+    it, only when its term is due.  A sum that overflows double precision
     raises ``FloatingPointError``, and so does an exponential envelope that
     does (in the tail estimate here or in the ``*_check`` functions), with
     a message naming the stage, the time and the bound.
@@ -422,25 +402,26 @@ def solve_controlled_heat(
     cbar = 0.5 * (f_sup + f_inf)
 
     # homogeneous part, gauge centered; source part, direct recursion in the
-    # uncentered forcing, which then keeps F as it is
-    src = iter(())
+    # uncentered forcing, which then keeps F as it is.  Each recursion is its
+    # latest order at all nodes (overwritten by every sweep), its forcing
+    # stack and its orders at the output nodes.
+    hom_out: list[np.ndarray] = []
+    src_out: list[np.ndarray] = []
+    src = None
     if source is not None:
-        src_zero = source.sample(grid, nodes)
-        src = _orders(engine, engine.sweep(src_zero, out=src_zero), f_stack,
-                      opts.rel_tolerance, out_idx)
-        del src_zero
+        src = source.sample(grid, nodes)
+        engine.sweep(src)
         centered = f_stack - cbar
     else:
         centered = np.subtract(f_stack, cbar, out=f_stack)
-    hom = _orders(engine, engine.propagate_initial(G0.values), centered,
-                  opts.rel_tolerance, out_idx)
-    del f_stack, centered  # the recursions hold the stacks they use
+    recursions = [(engine.propagate_initial(G0.values), centered, hom_out)]
+    if src is not None:
+        recursions.append((src, f_stack, src_out))
+    del src, f_stack, centered  # the recursions hold the stacks they use
 
     # reconstruct the series of the original forcing at the output nodes
     out_times = [float(nodes[j]) for j in out_idx]
     pow_rows = _pow_rows(cbar, out_times, opts.depth_max, grid.ndim)
-    hom_out: list[np.ndarray] = []
-    src_out: list[np.ndarray] = []
     order_norms: list[float] = []
     total = None  # literal left-fold sum of the emitted terms
     stop_reason = "depth_max"
@@ -448,8 +429,10 @@ def solve_controlled_heat(
     # the finite check on the sum reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(opts.depth_max + 1):
-            for orders, kept in ((hom, hom_out), (src, src_out)):
-                kept.extend(itertools.islice(orders, 1))
+            for order, forcing, kept in recursions:
+                if k:
+                    engine.sweep(order, forcing)
+                kept.append(order[out_idx])
             tk = _term(k, pow_rows, hom_out, src_out)
             term_norm = _sup_abs(tk)
             if k >= 1 and term_norm == 0.0:
@@ -469,7 +452,7 @@ def solve_controlled_heat(
             if k >= 1 and term_norm < opts.rel_tolerance * g_scale:
                 stop_reason = "tolerance"
                 break
-    del hom, src  # frees F and the latest orders before the tail estimate
+    del recursions  # frees F and the latest orders before the tail estimate
     depth = len(order_norms) - 1
     snapshots = [ScalarField(grid, g) for g in total]
 

@@ -1,5 +1,6 @@
 """Config schema validation and the CLI surface."""
 
+import dataclasses
 import importlib
 import json
 import os
@@ -16,6 +17,7 @@ from duhamel import Forcing, Grid, ScalarField, suites
 from duhamel.cli import main
 from duhamel.config import ConfigError, load_config
 from duhamel.io import read_trajectory, write_field
+from duhamel.series import BoundReport, ceiling_check
 from duhamel.suites import DEFAULT_SEED, suite_bounds
 
 
@@ -418,6 +420,68 @@ class TestSolveCommand:
         assert rc == 3
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["not_converged"]
+
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    def test_not_converged_explains_itself(self, tmp_path, kind):
+        body = CONFIGS[kind]()
+        body["series"]["depth_max"] = 1
+        out = tmp_path / "out"
+        proc = run_cli("solve", write_config(tmp_path, body), "-o", str(out))
+        assert proc.returncode == 3
+        # the JSON error is all of stderr
+        (error,) = json.loads(proc.stderr)["errors"]
+        est = error.pop("estimated_truncation_error")
+        assert isinstance(est, float) and est > 0
+        assert error == {"path": body["kind"], "depth_max": 1,
+                         "message": "the series did not converge within depth_max = 1"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["not_converged"] and manifest["exit_status"] == 3
+        if kind == "heat":
+            assert est == manifest["estimated_truncation_error"]
+
+    def test_failed_report_explains_itself(self, tmp_path, capsys, monkeypatch):
+        def failing(sol, M):
+            records = list(ceiling_check(sol, M).records)
+            records[1] = dataclasses.replace(records[1], max_violation=0.5)
+            return BoundReport("ceiling", tuple(records))
+
+        monkeypatch.setattr("duhamel.cli.ceiling_check", failing)
+        out = tmp_path / "out"
+        assert main(["solve", write_config(tmp_path, controlled_heat_config()), "-o", str(out)]) == 3
+        # the JSON error is all of stderr
+        assert json.loads(capsys.readouterr().err)["errors"] == [{
+            "path": "controlled-heat", "message": "ceiling check failed at 1 of 2 records",
+            "check": "ceiling", "max_violation": 0.5, "time": 1.0, "label": ""}]
+        rows = [json.loads(line) for line in (out / "ceiling.jsonl").read_text().splitlines()]
+        assert rows[1]["max_violation"] == 0.5
+
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    @pytest.mark.parametrize("times, message", [
+        ([0.3], "output time 0.3 is not a node of the s-grid"),
+        ([2.0], "output time 2.0 is not a node of the s-grid"),
+        ([0.5, 0.5], "output times must be strictly increasing s-grid nodes"),
+    ], ids=["off-node", "beyond-horizon", "repeated"])
+    def test_bad_output_times_name_their_leaf(self, tmp_path, capsys, kind, times, message):
+        body = CONFIGS[kind]()
+        body["series"] = {"time_steps": 8, "output_times": times}
+        body[SECTIONS[kind]]["horizon"] = 1.0
+        out = tmp_path / "out"
+        assert main(["solve", write_config(tmp_path, body), "-o", str(out)]) == 2
+        # the JSON error is all of stderr, and no solve started
+        assert json.loads(capsys.readouterr().err)["errors"] == [
+            {"path": "series.output_times", "message": message}]
+        assert not out.exists()
+
+    def test_huge_horizon_prints_only_the_error(self, tmp_path):
+        # the quadrature weights see dt * |k|^2 near 1e300, whose square overflows
+        body = controlled_heat_config()
+        body["controlled_heat"]["horizon"] = 1e300
+        body["series"] = {"time_steps": 16}
+        proc = run_cli("solve", write_config(tmp_path, body), "-o", str(tmp_path / "out"))
+        assert proc.returncode == 3
+        (error,) = json.loads(proc.stderr)["errors"]
+        assert error["path"] == "controlled-heat"
+        assert error["message"].startswith("the series sum overflows")
 
     @pytest.mark.parametrize("kind, points, keys, value, stage", [
         ("heat", 16, ("controlled_heat", "forcing"), "750", "tail estimate: exp(M t)"),

@@ -67,6 +67,13 @@ def uniform_traj(grid, horizon, n_nodes, fn):
     return Trajectory(tuple(times), snaps)
 
 
+def swept(engine, stack, factor=None):
+    """A copy of ``stack`` that ``engine`` has swept in place."""
+    out = stack.copy()
+    engine.sweep(out, factor)
+    return out
+
+
 class TestSeriesOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -412,6 +419,10 @@ class TestQuadratureWeights:
                 assert abs(float(mpmath.mpf(float(f2)) / want_f2 - 1)) <= 1e-15, zi
                 assert abs(float(mpmath.mpf(float(p1)) / want_p1 - 1)) <= 1e-15, zi
 
+    def test_f2_limit_past_overflow(self):
+        # z * z overflows; the closed form's limit 0 comes without a warning
+        assert _f2(np.array([1e200]))[0] == 0.0
+
 
 class TestEngineMemory:
     @pytest.mark.parametrize("boundary", (None, FreeSpaceTruncated()))
@@ -421,7 +432,7 @@ class TestEngineMemory:
         grid = periodic_1d(64) if boundary is None else Grid((64,), (0.25,), (-8.0,), boundary)
         engine = _SpectralEngine(grid, 0.05, 8)
         g = np.cos(grid.coords(0))
-        stacks = (engine.propagate_initial(g), engine.sweep(np.stack([g] * 9)))
+        stacks = (engine.propagate_initial(g), swept(engine, np.stack([g] * 9)))
         for stack in stacks:
             assert stack.shape == (9, 64) and stack.dtype == np.float64
             owner = stack
@@ -492,17 +503,12 @@ class TestEngineStacking:
         results = {}
         for stacked in (True, False):
             engine.stacked = stacked
-            results[stacked] = (engine.propagate_initial(g0), engine.sweep(integrand),
-                                engine.sweep(integrand, factor))
-            # sweeping a stack into itself gives the allocating sweep's bytes
-            for f in (None, factor):
-                stack = integrand.copy()
-                assert engine.sweep(stack, f, out=stack) is stack
-                assert stack.tobytes() == engine.sweep(integrand, f).tobytes()
+            results[stacked] = (engine.propagate_initial(g0), swept(engine, integrand),
+                                swept(engine, integrand, factor))
         for a, b in zip(results[True], results[False]):
             assert a.tobytes() == b.tobytes()
         # the per-node path forms each node's product; it equals the whole product's sweep
-        assert results[False][2].tobytes() == engine.sweep(factor * integrand).tobytes()
+        assert results[False][2].tobytes() == swept(engine, factor * integrand).tobytes()
 
     @pytest.mark.parametrize("stacked", (True, False), ids=["stacked", "per-node"])
     def test_zero_first_node_is_not_transformed(self, monkeypatch, stacked):
@@ -512,7 +518,7 @@ class TestEngineStacking:
         engine = _SpectralEngine(grid, 0.05, 8)
         integrand = np.random.default_rng(10).normal(size=(9,) + grid.shape)
         integrand[0] = 0.0
-        want = engine.sweep(integrand)
+        want = swept(engine, integrand)
         shapes = []
         forward = type(engine.torus).forward
 
@@ -522,7 +528,7 @@ class TestEngineStacking:
 
         monkeypatch.setattr(type(engine.torus), "forward", counted)
         engine.stacked = stacked
-        got = engine.sweep(integrand)
+        got = swept(engine, integrand)
         assert shapes == ([(8,) + grid.shape] if stacked else [grid.shape] * 8)
         assert got.tobytes() == want.tobytes()
 
@@ -565,6 +571,20 @@ class TestStreaming:
         assert calls["sample"] == 2
         # the source's zeroth order, then at most one sweep per recursion and order
         assert calls["sweep"] <= 1 + 2 * sol.truncation_depth
+
+    def test_constant_forcing_sweeps_every_emitted_order(self, monkeypatch):
+        # the centred orders past the zeroth are exact zeros; they are swept
+        # like any other order, and the term test alone stops the series
+        calls = self._count_calls(monkeypatch)
+        g = periodic_1d(64)
+        c = 0.8
+        opts = SeriesOptions(depth_max=20, rel_tolerance=1e-14, time_steps=16, output_times=(0.25, 1.0))
+        sol = solve_controlled_heat(ScalarField.constant(g, 1.0), Forcing.constant(c), 1.0, opts)
+        assert sol.metadata["stop_reason"] == "tolerance"
+        assert calls == {"sample": 1, "sweep": sol.truncation_depth}
+        for m, t in enumerate(sol.trajectory.times):
+            for k, term in enumerate(sol.terms[m]):
+                assert np.max(np.abs(term.values - (c * t) ** k / math.factorial(k))) < 1e-13
 
     def test_order_norms_are_term_sups(self):
         g = periodic_1d()
