@@ -239,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a property/acceptance suite")
     p_verify.add_argument("suite", help="bounds | oracles | burgers | parabolic | manufactured | all")
-    p_verify.add_argument("--seed", type=int, help="default: the suites' fixed seed")
+    p_verify.add_argument("--seed", type=int, help="seeds the random data of bounds and oracles; "
+                          "the other suites ignore it (default: the suites' fixed seed)")
     p_verify.add_argument("--inject-m-underestimate", action="store_true",
                           help="self-test: run the ceiling check with an undersized bound")
     p_verify.set_defaults(fn=cmd_verify)

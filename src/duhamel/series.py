@@ -22,14 +22,13 @@ sweep runs the recurrence node by node on one accumulated spectrum; its
 transforms go node by node too, each node's integrand F * T_k formed right
 before its transform, except on 1-D grids, where one transform over the
 whole integrand stack is faster.  The series is streamed and has one
-stopping rule, the term test of ``solve_controlled_heat``.  Each recursion
-(the homogeneous one, and the source's if any) holds its latest order at all
-nodes, which the term loop sweeps in place right before the next term is
-due, so nothing past the emitted depth is computed; a sweep overwrites each
-node once that node's integrand is transformed.  A solve holds two node
-stacks, F and the latest order, plus one copy of every order at the output
-nodes, which is all the reconstruction reads; a source adds two stacks, the
-uncentered F and its own latest order, and its own output-node copies.  The
+stopping rule, the term test of ``solve_controlled_heat``.  Its one
+recursion holds its latest order at all nodes, which the term loop sweeps in
+place right before the next term is due, so nothing past the emitted depth
+is computed; a sweep overwrites each node once that node's integrand is
+transformed.  A solve holds two node stacks, F - cbar and the latest order
+(and the source while the zeroth order is formed), plus one copy of every
+order at the output nodes, which is all the reconstruction reads.  The
 solution keeps those copies and builds ``terms`` from them on first access.
 Memory is O(n_t N + depth n_out N) for N grid points and n_out output
 times, instead of O(depth n_t N).
@@ -37,11 +36,13 @@ times, instead of O(depth n_t N).
 Sup F and inf F are the envelope of the node samples of F, the values the
 quadrature actually used; they are stored on the solution as
 ``forcing_sup`` and ``forcing_inf``.  Independently of the quadrature, the
-forcing is gauge centered: with ``cbar = (sup F + inf F) / 2`` the solver
-runs on ``F - cbar`` and restores the series of the original equation
-through the exact identity
-``T_k = sum_{a+b=k} (cbar t)^a / a! * T~_b``.  For spatially constant
-forcing the computed terms are therefore exact to rounding.
+equation is gauge centered: with ``cbar = (sup F + inf F) / 2``,
+G = exp(cbar t) H and dH/dt = Lap(H) + (F - cbar) H + exp(-cbar t) S.  H's
+zeroth order is K(t) * G0 plus one sweep of the reweighted source, and the
+exact identity ``T_k = sum_{a+b=k} (cbar t)^a / a! * H_b`` restores the
+series of the original equation.  For spatially constant forcing the
+computed terms are therefore exact to rounding; with a source they sum to G,
+but the source integral is spread over all of them instead of T_0 alone.
 
 The solution also keeps K(t) * |G0| at the output times, which the tail
 estimate needs, from the solve's one ``heat_kernel.KernelApplication``.
@@ -113,10 +114,12 @@ class SeriesOptions:
         nodes = self.nodes(horizon)
         if self.output_times is None:
             return list(range(len(nodes)))
+        tol = 1e-9 * max(horizon, 1.0)
         indices = []
         for t in self.output_times:
-            j = int(round(t / horizon * self.time_steps))
-            if not 0 <= j <= self.time_steps or abs(nodes[j] - t) > 1e-9 * max(horizon, 1.0):
+            # a time off [0, horizon] is rejected before t / horizon can overflow
+            j = int(round(t / horizon * self.time_steps)) if -tol <= t <= horizon + tol else -1
+            if not 0 <= j <= self.time_steps or abs(nodes[j] - t) > tol:
                 raise ValueError(f"output time {t} is not a node of the s-grid")
             indices.append(j)
         if len(set(indices)) != len(indices) or any(
@@ -268,10 +271,10 @@ class _SpectralEngine:
 class SeriesSolution:
     """Series solution with its orders and truncation metadata.
 
-    ``orders`` holds the gauge-centered orders T~_0..T~_depth and
-    ``source_orders`` the orders of the source recursion (empty without a
-    source), each as an ``(n_out, *grid.shape)`` stack at the output nodes;
-    ``terms`` builds the series terms from them on first access.
+    ``orders`` holds the gauge-centered orders H_0..H_depth, the source's
+    part included in H_0, each as an ``(n_out, *grid.shape)`` stack at the
+    output nodes; ``terms`` builds the series terms from them on first
+    access.
     ``forcing_sup``/``forcing_inf`` are the envelope of F over the node
     samples the solver used, ``propagated_abs_g0`` holds K(t) * |G0| at the
     output times, and ``g0_positive`` records whether G0 > 0 everywhere.
@@ -284,7 +287,6 @@ class SeriesSolution:
 
     trajectory: Trajectory
     orders: tuple[np.ndarray, ...]
-    source_orders: tuple[np.ndarray, ...]
     truncation_depth: int
     estimated_truncation_error: float
     not_converged: bool
@@ -309,8 +311,7 @@ class SeriesSolution:
         values the solver summed."""
         times = self.trajectory.times
         pow_rows = _pow_rows(self.metadata["gauge_center"], times, self.truncation_depth, self.grid.ndim)
-        terms = [_term(k, pow_rows, self.orders, self.source_orders)
-                 for k in range(self.truncation_depth + 1)]
+        terms = [_term(k, pow_rows, self.orders) for k in range(self.truncation_depth + 1)]
         return tuple(tuple(ScalarField(self.grid, tk[m]) for tk in terms) for m in range(len(times)))
 
 
@@ -331,19 +332,14 @@ def _pow_rows(cbar: float, times, kmax: int, ndim: int) -> np.ndarray:
     return rows.reshape(rows.shape + (1,) * ndim)
 
 
-def _term(k: int, pow_rows: np.ndarray, hom_out, src_out) -> np.ndarray:
-    """Term k of the original forcing's series at the output nodes.
-
-    The left fold T_k = sum_{a+b=k} (cbar t)^a / a! * T~_b over the
-    gauge-centered orders ``hom_out``, plus source order k when there is a
-    source (``src_out`` is not empty).
-    """
-    tk = np.zeros_like(hom_out[0])
+def _term(k: int, pow_rows: np.ndarray, orders) -> np.ndarray:
+    """Term k of the original forcing's series at the output nodes: the left
+    fold T_k = sum_{a+b=k} (cbar t)^a / a! * H_b over the gauge-centered
+    orders ``orders``."""
+    tk = np.zeros_like(orders[0])
     product = np.empty_like(tk)
-    for b, hom_b in enumerate(hom_out[:k + 1]):
-        tk += np.multiply(pow_rows[:, k - b], hom_b, out=product)
-    if src_out:
-        tk += src_out[k]
+    for b, order_b in enumerate(orders[:k + 1]):
+        tk += np.multiply(pow_rows[:, k - b], order_b, out=product)
     return tk
 
 
@@ -376,8 +372,10 @@ def solve_controlled_heat(
 ) -> SeriesSolution:
     """Solve dG/dt = Lap(G) + F G (+ source) by the truncated series.
 
-    ``source``, when given, is a Forcing-like object sampled at the time
-    nodes and absorbed into the zeroth term.  Terms are appended until the
+    ``source``, when given, is a Forcing-like object S sampled at the time
+    nodes; exp(-cbar s) S is swept into the zeroth gauge-centered order, and
+    the tail estimate adds its largest sup over the nodes up to each output
+    time to sup K(t) * |G0|.  Terms are appended until the
     relative sup norm of the newest term drops below ``rel_tolerance``, the
     newest term is exactly zero, or ``depth_max`` is reached; the last sets
     ``not_converged``.  Each order is swept, in place over the one before
@@ -401,39 +399,32 @@ def solve_controlled_heat(
     f_inf = float(np.min(f_stack))
     cbar = 0.5 * (f_sup + f_inf)
 
-    # homogeneous part, gauge centered; source part, direct recursion in the
-    # uncentered forcing, which then keeps F as it is.  Each recursion is its
-    # latest order at all nodes (overwritten by every sweep), its forcing
-    # stack and its orders at the output nodes.
-    hom_out: list[np.ndarray] = []
-    src_out: list[np.ndarray] = []
-    src = None
-    if source is not None:
-        src = source.sample(grid, nodes)
-        engine.sweep(src)
-        centered = f_stack - cbar
-    else:
-        centered = np.subtract(f_stack, cbar, out=f_stack)
-    recursions = [(engine.propagate_initial(G0.values), centered, hom_out)]
-    if src is not None:
-        recursions.append((src, f_stack, src_out))
-    del src, f_stack, centered  # the recursions hold the stacks they use
-
+    # the one recursion, gauge centered: H_0 = K * G0 + the swept exp(-cbar s) S
+    f_stack -= cbar
+    order = engine.propagate_initial(G0.values)
+    src_sup = np.zeros(n + 1)  # largest sup |H_0^src| over the nodes up to each node
     # reconstruct the series of the original forcing at the output nodes
     out_times = [float(nodes[j]) for j in out_idx]
     pow_rows = _pow_rows(cbar, out_times, opts.depth_max, grid.ndim)
-    order_norms: list[float] = []
-    total = None  # literal left-fold sum of the emitted terms
-    stop_reason = "depth_max"
-    # an order past double range turns into inf and nan without warnings;
-    # the finite check on the sum reports it
+    # an order past double range, or a reweight exp(-cbar s) that is, turns
+    # into inf and nan without warnings; the finite check on the sum reports it
     with np.errstate(over="ignore", invalid="ignore"):
+        if source is not None:
+            src = source.sample(grid, nodes)
+            src *= np.exp(-cbar * nodes).reshape((-1,) + (1,) * grid.ndim)
+            engine.sweep(src)
+            src_sup = np.maximum.accumulate([_sup_abs(s) for s in src])
+            order += src
+            del src
+        orders: list[np.ndarray] = []
+        order_norms: list[float] = []
+        total = None  # literal left-fold sum of the emitted terms
+        stop_reason = "depth_max"
         for k in range(opts.depth_max + 1):
-            for order, forcing, kept in recursions:
-                if k:
-                    engine.sweep(order, forcing)
-                kept.append(order[out_idx])
-            tk = _term(k, pow_rows, hom_out, src_out)
+            if k:
+                engine.sweep(order, f_stack)
+            orders.append(order[out_idx])
+            tk = _term(k, pow_rows, orders)
             term_norm = _sup_abs(tk)
             if k >= 1 and term_norm == 0.0:
                 stop_reason = "zero_tail"  # the series has collapsed
@@ -452,7 +443,7 @@ def solve_controlled_heat(
             if k >= 1 and term_norm < opts.rel_tolerance * g_scale:
                 stop_reason = "tolerance"
                 break
-    del recursions  # frees F and the latest orders before the tail estimate
+    del order, f_stack  # frees the node stacks before the tail estimate
     depth = len(order_norms) - 1
     snapshots = [ScalarField(grid, g) for g in total]
 
@@ -464,10 +455,7 @@ def solve_controlled_heat(
     for m, t in enumerate(out_times):
         tail = _exp(m_abs * t) * float(_power_series_row(m_abs * t, depth + 1)[depth + 1])
         _representable(tail, "tail estimate", f"exp(M t) (M t)^{depth + 1}/{depth + 1}!", t, "M", m_abs)
-        scale = float(np.max(kg0[m]))
-        if src_out:
-            scale += float(np.max(np.abs(src_out[0][m])))
-        est = max(est, tail * scale)
+        est = max(est, tail * (float(np.max(kg0[m])) + float(src_sup[out_idx[m]])))
 
     # g_scale is still that of the full sum: every exit from the loop follows
     # its last update
@@ -478,8 +466,7 @@ def solve_controlled_heat(
 
     return SeriesSolution(
         trajectory=Trajectory(tuple(out_times), tuple(snapshots)),
-        orders=tuple(hom_out[:depth + 1]),
-        source_orders=tuple(src_out[:depth + 1]),
+        orders=tuple(orders[:depth + 1]),
         truncation_depth=depth,
         estimated_truncation_error=float(est),
         not_converged=not_converged,

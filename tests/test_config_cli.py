@@ -483,16 +483,29 @@ class TestSolveCommand:
         assert error["path"] == "controlled-heat"
         assert error["message"].startswith("the series sum overflows")
 
+    def test_overflowing_output_time_exits_2(self, tmp_path):
+        # 1e300 / 1e-10 is inf, which no node index can hold
+        body = controlled_heat_config()
+        body["controlled_heat"]["horizon"] = 1e-10
+        body["series"] = {"time_steps": 16, "output_times": [1e300]}
+        proc = run_cli("solve", write_config(tmp_path, body), "-o", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        # the JSON error is all of stderr: no traceback
+        assert json.loads(proc.stderr)["errors"] == [
+            {"path": "series.output_times", "message": "output time 1e+300 is not a node of the s-grid"}]
+
     @pytest.mark.parametrize("kind, points, keys, value, stage", [
         ("heat", 16, ("controlled_heat", "forcing"), "750", "tail estimate: exp(M t)"),
         ("heat", 16, ("controlled_heat", "forcing"), "800*cos(x)", "tail estimate: exp(M t)"),
         ("heat", 16, ("controlled_heat", "forcing"), "1e300*cos(x)", "the series sum overflows"),
         ("nse", 32, ("nse", "pressure_minus_force"), "1500", "tail estimate: exp(M t)"),
-    ], ids=["heat-750", "heat-800cos", "heat-1e300cos", "nse-1500"])
+        # the source's reweight exp(-cbar s) overflows past s = 0.89
+        ("parabolic", 64, ("parabolic", "c"), 800, "the series sum overflows"),
+    ], ids=["heat-750", "heat-800cos", "heat-1e300cos", "nse-1500", "parabolic-800"])
     def test_series_overflow_exits_3(self, tmp_path, kind, points, keys, value, stage):
         body = CONFIGS[kind]()
         body["grid"]["points"] = [points]
-        body["series"] = {"time_steps": 8, "depth_max": 64}
+        body["series"] = {"time_steps": 16 if kind == "parabolic" else 8, "depth_max": 64}
         body[keys[0]][keys[1]] = value
         body[keys[0]]["horizon"] = 1.0
         out = tmp_path / "out"

@@ -231,12 +231,10 @@ class TestSeriesInvariants:
 
     def test_bitwise_reconstruction(self):
         sol, _, _ = self._solve()
-        assert sol.source_orders == ()
         self._assert_terms_fold_to_snapshots(sol)
 
     def test_bitwise_reconstruction_with_source(self):
         sol, _, _ = self._solve(source=Forcing.from_expression("0.2*cos(x)*exp(-t)"))
-        assert len(sol.source_orders) == len(sol.orders)
         self._assert_terms_fold_to_snapshots(sol)
 
     def test_tail_estimate_honest_constant_case(self):
@@ -247,6 +245,19 @@ class TestSeriesInvariants:
         d = sol.truncation_depth
         true_tail = math.exp(M) - sum(M**k / math.factorial(k) for k in range(d + 1))
         assert sol.estimated_truncation_error >= true_tail > 0
+
+    @pytest.mark.parametrize("g0", (0.0, 1.0))
+    def test_tail_estimate_bounds_source_truncation(self, g0):
+        # dG/dt = F G + S with constant F and S: G = e^(F t) G0 + (S/F)(e^(F t) - 1)
+        g = periodic_1d(64)
+        F, S = 0.7, 0.4
+        opts = SeriesOptions(depth_max=3, time_steps=512)
+        sol = solve_controlled_heat(ScalarField.constant(g, g0), Forcing.constant(F), 1.0, opts,
+                                    source=Forcing.constant(S))
+        assert sol.metadata["stop_reason"] == "depth_max"
+        error = max(float(np.max(np.abs(snap.values - (math.exp(F * t) * g0 + S / F * math.expm1(F * t)))))
+                    for t, snap in sol.trajectory)
+        assert sol.estimated_truncation_error >= error > 0
 
     def test_integral_equation_residual(self):
         # G - [K*G0 + int K*(F G)] stays within truncation + quadrature budget
@@ -569,8 +580,8 @@ class TestStreaming:
         sol = solve_controlled_heat(ScalarField.constant(g, 1.0), Forcing.from_expression("0.5*sin(x)"),
                                     0.5, opts, source=source)
         assert calls["sample"] == 2
-        # the source's zeroth order, then at most one sweep per recursion and order
-        assert calls["sweep"] <= 1 + 2 * sol.truncation_depth
+        # the source's sweep into the zeroth order, then one sweep per later order
+        assert calls["sweep"] == 1 + sol.truncation_depth
 
     def test_constant_forcing_sweeps_every_emitted_order(self, monkeypatch):
         # the centred orders past the zeroth are exact zeros; they are swept
