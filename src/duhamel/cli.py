@@ -8,12 +8,12 @@ error list on stderr: a failed bound report names its check and its worst
 failing record (signed violation, time and label), and a series that did
 not converge gives ``depth_max`` and the estimated truncation error.  Solve
 runs write CSF1 trajectories, bound reports as JSON lines, and a manifest
-recording the config hash, the duhamel and numpy versions, seed, kernel
-engine and padded transform shape, the forcing envelope over the solver's
-node samples, the sup norm of each emitted series order and why the series
-stopped, timings, and the process's peak resident memory when the solve
-ends; with a fixed config and seed the field artifacts are byte
-identical across runs.
+recording the config hash, the duhamel and numpy versions, the config's
+seed (recorded only: no artifact depends on it), kernel engine and padded
+transform shape, the forcing envelope over the solver's node samples, the
+sup norm of each emitted series order and why the series stopped, timings,
+and the process's peak resident memory when the solve ends; with a fixed
+config the field artifacts are byte identical across runs.
 """
 
 from __future__ import annotations
@@ -78,14 +78,17 @@ def cmd_solve(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         try:
-            # each kind writes its trajectories and returns its series and
-            # its bound reports by artifact name
+            # each kind returns its series, its trajectories by stem and its
+            # bound reports by artifact name
             solve = {"controlled-heat": _solve_controlled_heat, "nse": _solve_nse,
                      "parabolic": _solve_parabolic}[cfg.kind]
-            series, reports = solve(cfg, out_dir, manifest)
+            series, trajectories, reports = solve(cfg, manifest)
+            for stem, trajectory in trajectories.items():
+                write_trajectory(trajectory, out_dir, stem)
             for name, report in reports.items():
                 (out_dir / f"{name}.jsonl").write_text(report.to_jsonl())
-                manifest["artifacts"].append(f"{name}.jsonl")
+            manifest["artifacts"] += [*trajectories, *(f"{name}.jsonl" for name in reports)]
+            _record_series(series, manifest)
             failures = _failures(cfg.kind, series, reports.values())
             status = _errors(EXIT_NUMERICAL, *failures) if failures else EXIT_OK
         except (PositivityError, ArithmeticError) as exc:
@@ -136,19 +139,17 @@ def _record_series(sol: SeriesSolution, manifest: dict):
     manifest["not_converged"] = sol.not_converged
 
 
-def _solve_controlled_heat(cfg: RunConfig, out_dir: Path, manifest: dict) -> tuple[SeriesSolution, dict]:
+def _solve_controlled_heat(cfg: RunConfig, manifest: dict) -> tuple[SeriesSolution, dict, dict]:
     g0 = cfg.initial_field()
     forcing = cfg.forcing("forcing") or Forcing.zero()
     sol = solve_controlled_heat(g0, forcing, cfg.payload["horizon"], cfg.series)
-    write_trajectory(sol.trajectory, out_dir, "G")
-    manifest["artifacts"].append("G")
-    _record_series(sol, manifest)
     manifest["estimated_truncation_error"] = sol.estimated_truncation_error
-    return sol, {"ceiling": ceiling_check(sol, sol.forcing_abs_bound),
-                 "termwise": termwise_factorial_check(sol, sol.forcing_abs_bound)}
+    reports = {"ceiling": ceiling_check(sol, sol.forcing_abs_bound),
+               "termwise": termwise_factorial_check(sol, sol.forcing_abs_bound)}
+    return sol, {"G": sol.trajectory}, reports
 
 
-def _solve_nse(cfg: RunConfig, out_dir: Path, manifest: dict) -> tuple[SeriesSolution, dict]:
+def _solve_nse(cfg: RunConfig, manifest: dict) -> tuple[SeriesSolution, dict, dict]:
     u0 = cfg.velocity_field()
     prob = NSEProblem(
         u0=u0,
@@ -159,18 +160,14 @@ def _solve_nse(cfg: RunConfig, out_dir: Path, manifest: dict) -> tuple[SeriesSol
         horizon=cfg.payload["horizon"],
     )
     sol = solve_nse(prob, cfg.series)
-    write_trajectory(sol.series.trajectory, out_dir, "G")
-    write_trajectory(sol.velocity, out_dir, "u")
-    manifest["artifacts"] += ["G", "u"]
+    trajectories = {"G": sol.series.trajectory, "u": sol.velocity}
     if sol.residual is not None:
-        write_trajectory(sol.residual, out_dir, "residual")
-        manifest["artifacts"].append("residual")
+        trajectories["residual"] = sol.residual
         manifest["max_residual"] = max(s.max_abs for _, s in sol.residual)
-    _record_series(sol.series, manifest)
-    return sol.series, {"floor": sol.floor_report, "ceiling": sol.ceiling_report}
+    return sol.series, trajectories, {"floor": sol.floor_report, "ceiling": sol.ceiling_report}
 
 
-def _solve_parabolic(cfg: RunConfig, out_dir: Path, manifest: dict) -> tuple[SeriesSolution, dict]:
+def _solve_parabolic(cfg: RunConfig, manifest: dict) -> tuple[SeriesSolution, dict, dict]:
     u0 = cfg.initial_field()
     # payload holds floats or compiled expressions; ParabolicProblem makes Forcings of both
     prob = ParabolicProblem(
@@ -182,12 +179,8 @@ def _solve_parabolic(cfg: RunConfig, out_dir: Path, manifest: dict) -> tuple[Ser
         horizon=cfg.payload["horizon"],
     )
     sol = solve_parabolic(prob, cfg.series)
-    write_trajectory(sol.v, out_dir, "v")
-    write_trajectory(sol.u, out_dir, "u")
-    manifest["artifacts"] += ["v", "u"]
-    _record_series(sol.series, manifest)
     manifest["edge_clamped"] = sol.edge_clamped
-    return sol.series, {}
+    return sol.series, {"v": sol.v, "u": sol.u}, {}
 
 
 def cmd_verify(args) -> int:

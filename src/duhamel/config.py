@@ -1,8 +1,14 @@
 """Run configuration schema: strict JSON with machine-readable errors.
 
 Unknown keys are rejected at every level, so stale or misspelled options
-never silently change a run.  ``load_config`` raises ``ConfigError`` whose
-``errors`` list ({"path", "message"} records) is what the CLI serializes.
+never silently change a run.  ``_SECTIONS`` declares the leaves of the
+``series`` section and of each run kind's section, in checking order, with
+whether each is required and the ``_Checker`` method that parses it; one
+walker, ``_Checker.leaves``, rejects a section's unknown keys, reports its
+missing ones and parses every present leaf under its dotted path.  The top
+level admits only the run kind's own section.  ``load_config`` raises
+``ConfigError`` whose ``errors`` list ({"path", "message"} records) is what
+the CLI serializes.
 """
 
 from __future__ import annotations
@@ -27,22 +33,21 @@ SCHEMA_VERSION = 1
 
 class ConfigError(ValueError):
     def __init__(self, errors):
-        self.errors = [
-            e if isinstance(e, dict) else {"path": "", "message": str(e)} for e in errors
-        ]
+        self.errors = list(errors)
         super().__init__("; ".join(f"{e['path']}: {e['message']}" for e in self.errors))
 
 
 class _Checker:
     def __init__(self):
         self.errors: list[dict] = []
-        # the variables an expression may use: all of them until the grid parses
-        self.variables = ("x", "y", "z", "t")
+        # the grid's axis count once it parses; until then an expression may
+        # use every axis, and a per-axis list may have any length
+        self.ndim: int | None = None
 
     def fail(self, path: str, message: str):
         self.errors.append({"path": path, "message": message})
 
-    def section(self, obj, path: str, allowed: set[str], required: set[str]):
+    def section(self, obj, path: str, allowed, required):
         if not isinstance(obj, dict):
             self.fail(path, "must be an object")
             return False
@@ -55,6 +60,15 @@ class _Checker:
                 self.fail(f"{path}.{key}" if path else key, "missing required key")
                 ok = False
         return ok
+
+    def leaves(self, obj, path: str, schema) -> dict | None:
+        """Section ``obj``'s present leaves parsed by ``schema``'s (key,
+        required, parse) rows, in order (``None`` where a leaf is wrong), or
+        ``None`` if ``obj`` is not an object or lacks a required leaf."""
+        if not self.section(obj, path, [key for key, _, _ in schema],
+                            [key for key, required, _ in schema if required]):
+            return None
+        return {key: parse(self, obj[key], f"{path}.{key}") for key, _, parse in schema if key in obj}
 
     def number(self, obj, path: str, positive=False, nonneg=False):
         if not isinstance(obj, (int, float)) or isinstance(obj, bool):
@@ -71,6 +85,9 @@ class _Checker:
             self.fail(path, "must be nonnegative")
             return None
         return v
+
+    def positive(self, obj, path: str):
+        return self.number(obj, path, positive=True)
 
     def integer(self, obj, path: str, minimum: int = 0):
         if not isinstance(obj, int) or isinstance(obj, bool):
@@ -90,6 +107,18 @@ class _Checker:
         values = [self.number(v, f"{path}[{i}]", **kw) for i, v in enumerate(obj)]
         return None if None in values else values
 
+    def point(self, obj, path: str):
+        """A tuple of one number per grid axis."""
+        values = self.numbers(obj, path, self.ndim)
+        return values and tuple(values)
+
+    def expressions(self, obj, path: str):
+        """A list of one expression per grid axis, each compiled."""
+        if not isinstance(obj, list) or (self.ndim is not None and len(obj) != self.ndim):
+            self.fail(path, "must be a list of one expression per axis")
+            return None
+        return [self.expression(v, f"{path}[{i}]") for i, v in enumerate(obj)]
+
     def expression(self, obj, path: str):
         if not isinstance(obj, str):
             self.fail(path, "must be an expression string")
@@ -99,7 +128,7 @@ class _Checker:
         except ExpressionError as exc:
             self.fail(path, str(exc))
             return None
-        missing = [v for v in expr.variables if v not in self.variables]
+        missing = [v for v in expr.variables if v not in ("x", "y", "z")[:self.ndim] + ("t",)]
         if missing:
             self.fail(path, f"uses {', '.join(missing)}, which the grid does not have")
             return None
@@ -145,14 +174,25 @@ class RunConfig:
         return None if spec is None else Forcing.make(spec).labelled(key)
 
 
-_TOP_KEYS = {"schema", "kind", "grid", "series", "seed", "output_dir",
-             "controlled_heat", "nse", "parabolic"}
+_KINDS = ("nse", "parabolic", "controlled-heat")
+_TOP_KEYS = ("schema", "kind", "grid", "series", "seed", "output_dir")
 _GRID_KEYS = {"points", "spacing", "extent", "origin", "boundary"}
-_SERIES_KEYS = {"depth_max", "rel_tolerance", "time_steps", "output_times"}
-_CH_KEYS = {"initial", "forcing", "horizon"}
-_NSE_KEYS = {"velocity", "anchor", "anchor_value", "pressure_minus_force",
-             "speed_bound", "horizon"}
-_PARA_KEYS = {"A", "a", "c", "f", "initial", "horizon"}
+_HORIZON = ("horizon", True, _Checker.positive)
+# section -> its leaves in checking order: (key, required, parse), where
+# parse(checker, value, path) returns the value parsed or None; a run kind's
+# section is named after it, with "_" for "-"
+_SECTIONS = {
+    "series": (("depth_max", False, _Checker.integer), ("rel_tolerance", False, _Checker.positive),
+               ("time_steps", False, lambda chk, v, path: chk.integer(v, path, minimum=1)),
+               ("output_times", False, lambda chk, v, path: chk.numbers(v, path, nonneg=True))),
+    "controlled_heat": (_HORIZON, ("initial", True, _Checker.expression),
+                        ("forcing", False, _Checker.number_or_expression)),
+    "nse": (_HORIZON, ("speed_bound", True, _Checker.positive), ("anchor_value", True, _Checker.number),
+            ("anchor", True, _Checker.point), ("velocity", True, _Checker.expressions),
+            ("pressure_minus_force", False, _Checker.number_or_expression)),
+    "parabolic": (_HORIZON, ("initial", True, _Checker.expression),
+                  *((name, True, _Checker.number_or_expression) for name in ("A", "a", "c", "f"))),
+}
 
 
 def _parse_grid(obj, chk: _Checker) -> Grid | None:
@@ -195,18 +235,8 @@ def _parse_grid(obj, chk: _Checker) -> Grid | None:
 
 
 def _parse_series(obj, chk: _Checker) -> SeriesOptions | None:
-    if obj is None:
-        return SeriesOptions()
-    if not chk.section(obj, "series", _SERIES_KEYS, set()):
-        return None
-    parsers = {
-        "depth_max": chk.integer,
-        "rel_tolerance": lambda v, path: chk.number(v, path, positive=True),
-        "time_steps": lambda v, path: chk.integer(v, path, minimum=1),
-        "output_times": lambda v, path: chk.numbers(v, path, nonneg=True),
-    }
-    kwargs = {key: parse(obj[key], f"series.{key}") for key, parse in parsers.items() if key in obj}
-    if None in kwargs.values():
+    kwargs = chk.leaves(obj, "series", _SECTIONS["series"])
+    if kwargs is None or None in kwargs.values():
         return None
     try:
         return SeriesOptions(**kwargs)
@@ -224,19 +254,23 @@ def load_config(path) -> RunConfig:
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError([{"path": str(path), "message": f"cannot read config: {exc}"}])
 
-    if not chk.section(raw, "", _TOP_KEYS, {"schema", "kind", "grid"}):
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    # the run kind's own section is required and another kind's is an unknown
+    # key; with an invalid kind, no kind section is reported
+    own = [kind.replace("-", "_")] if kind in _KINDS else []
+    sections = own or [k.replace("-", "_") for k in _KINDS]
+    if not chk.section(raw, "", [*_TOP_KEYS, *sections], ["schema", "kind", "grid", *own]):
         raise ConfigError(chk.errors)
-    if type(raw.get("schema")) is not int or raw["schema"] != SCHEMA_VERSION:
-        chk.fail("schema", f"unsupported schema version {raw.get('schema')!r} (expected {SCHEMA_VERSION})")
-    kind = raw.get("kind")
-    if kind not in ("nse", "parabolic", "controlled-heat"):
-        chk.fail("kind", "must be one of 'nse', 'parabolic', 'controlled-heat'")
+    if type(raw["schema"]) is not int or raw["schema"] != SCHEMA_VERSION:
+        chk.fail("schema", f"unsupported schema version {raw['schema']!r} (expected {SCHEMA_VERSION})")
+    if not own:
+        chk.fail("kind", f"must be one of {', '.join(map(repr, _KINDS))}")
         raise ConfigError(chk.errors)
 
-    grid = _parse_grid(raw.get("grid"), chk)
+    grid = _parse_grid(raw["grid"], chk)
     if grid is not None:
-        chk.variables = ("x", "y", "z")[:grid.ndim] + ("t",)
-    series = _parse_series(raw.get("series"), chk)
+        chk.ndim = grid.ndim
+    series = _parse_series(raw.get("series", {}), chk)
 
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
@@ -245,48 +279,10 @@ def load_config(path) -> RunConfig:
     if not isinstance(output_dir, str):
         chk.fail("output_dir", "must be a string")
 
-    payload: dict = {}
-    section_key = {"nse": "nse", "parabolic": "parabolic", "controlled-heat": "controlled_heat"}[kind]
-    body = raw.get(section_key)
-    if body is None:
-        chk.fail(section_key, f"kind '{kind}' requires a '{section_key}' section")
-        raise ConfigError(chk.errors)
-
-    if kind == "controlled-heat":
-        if chk.section(body, section_key, _CH_KEYS, {"initial", "horizon"}):
-            payload["horizon"] = chk.number(body["horizon"], f"{section_key}.horizon", positive=True)
-            payload["initial"] = chk.expression(body["initial"], f"{section_key}.initial")
-            if "forcing" in body:
-                payload["forcing"] = chk.number_or_expression(body["forcing"], f"{section_key}.forcing")
-    elif kind == "nse":
-        if chk.section(body, section_key, _NSE_KEYS,
-                       {"velocity", "anchor", "anchor_value", "speed_bound", "horizon"}):
-            payload["horizon"] = chk.number(body["horizon"], f"{section_key}.horizon", positive=True)
-            payload["speed_bound"] = chk.number(body["speed_bound"], f"{section_key}.speed_bound", positive=True)
-            payload["anchor_value"] = chk.number(body["anchor_value"], f"{section_key}.anchor_value")
-            ndim = grid.ndim if grid is not None else None
-            anchor = chk.numbers(body["anchor"], f"{section_key}.anchor", ndim)
-            if anchor is not None:
-                payload["anchor"] = tuple(anchor)
-            vel = body["velocity"]
-            if not isinstance(vel, list) or (ndim is not None and len(vel) != ndim):
-                chk.fail(f"{section_key}.velocity", "must be a list of one expression per axis")
-            else:
-                payload["velocity"] = [
-                    chk.expression(v, f"{section_key}.velocity[{i}]") for i, v in enumerate(vel)
-                ]
-            if "pressure_minus_force" in body:
-                payload["pressure_minus_force"] = chk.number_or_expression(
-                    body["pressure_minus_force"], f"{section_key}.pressure_minus_force"
-                )
-    else:  # parabolic
-        if chk.section(body, section_key, _PARA_KEYS, {"A", "a", "c", "f", "initial", "horizon"}):
-            payload["horizon"] = chk.number(body["horizon"], f"{section_key}.horizon", positive=True)
-            payload["initial"] = chk.expression(body["initial"], f"{section_key}.initial")
-            for name in ("A", "a", "c", "f"):
-                payload[name] = chk.number_or_expression(body[name], f"{section_key}.{name}")
-            if grid is not None and (grid.ndim != 1 or grid.is_periodic):
-                chk.fail("grid", "parabolic runs need a 1D free-space grid")
+    (section,) = own
+    payload = chk.leaves(raw[section], section, _SECTIONS[section]) or {}
+    if kind == "parabolic" and grid is not None and (grid.ndim != 1 or grid.is_periodic):
+        chk.fail("grid", "parabolic runs need a 1D free-space grid")
 
     horizon = payload.get("horizon")
     if series is not None and horizon is not None:
@@ -297,12 +293,4 @@ def load_config(path) -> RunConfig:
 
     if chk.errors:
         raise ConfigError(chk.errors)
-    return RunConfig(
-        kind=kind,
-        grid=grid,
-        series=series,
-        seed=seed,
-        output_dir=output_dir,
-        payload=payload,
-        raw=raw,
-    )
+    return RunConfig(kind, grid, series, seed, output_dir, payload, raw)

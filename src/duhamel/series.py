@@ -381,7 +381,7 @@ def solve_controlled_heat(
     ``not_converged``.  Each order is swept, in place over the one before
     it, only when its term is due.  A sum that overflows double precision
     raises ``FloatingPointError``, and so does an exponential envelope that
-    does (in the tail estimate here or in the ``*_check`` functions), with
+    does (the source reweight or the tail estimate here, or a ``*_check``), with
     a message naming the stage, the time and the bound.
     """
     if not horizon > 0:
@@ -406,10 +406,13 @@ def solve_controlled_heat(
     # reconstruct the series of the original forcing at the output nodes
     out_times = [float(nodes[j]) for j in out_idx]
     pow_rows = _pow_rows(cbar, out_times, opts.depth_max, grid.ndim)
-    # an order past double range, or a reweight exp(-cbar s) that is, turns
-    # into inf and nan without warnings; the finite check on the sum reports it
+    # an order past double range turns into inf and nan without warnings, and
+    # the finite check on the sum reports it; the reweight exp(-cbar s) is
+    # checked at the last output time, and an inf past it reaches no output
     with np.errstate(over="ignore", invalid="ignore"):
         if source is not None:
+            _representable(_exp(-cbar * out_times[-1]), "source reweight", "exp(-cbar s)",
+                           out_times[-1], "cbar", cbar)
             src = source.sample(grid, nodes)
             src *= np.exp(-cbar * nodes).reshape((-1,) + (1,) * grid.ndim)
             engine.sweep(src)

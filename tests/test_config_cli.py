@@ -77,8 +77,11 @@ def run_cli(*argv):
 WRONG_LEAVES = [
     ("heat", ("schema",), True, "schema"),
     ("heat", ("kind",), 3, "kind"),
+    ("heat", ("kind",), ["nse"], "kind"),  # unhashable kinds are rejected, not looked up
+    ("heat", ("kind",), {"a": 1}, "kind"),
     ("heat", ("seed",), "a", "seed"),
     ("heat", ("output_dir",), 3, "output_dir"),
+    ("heat", ("series",), None, "series"),  # a present section must parse; an absent one defaults
     ("heat", ("grid", "points"), ["a"], "grid.points"),
     ("heat", ("grid", "extent", 0), "a", "grid.extent[0]"),
     ("heat", ("grid", "points"), [0], "grid"),  # a zero count next to an extent
@@ -137,7 +140,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key, value", [
         ("threads", 2),
         ("bench", {"axis": "depth", "values": [2]}),
-    ], ids=["threads", "bench"])
+        # a heat run admits no section of another run kind
+        ("nse", {"bogus": 1}),
+        ("parabolic", 5),
+    ], ids=["threads", "bench", "nse-section", "parabolic-section"])
     def test_threads_is_an_unknown_key(self, tmp_path, capsys, key, value):
         rc = main(["solve", write_config(tmp_path, controlled_heat_config(**{key: value}))])
         assert rc == 2
@@ -500,7 +506,7 @@ class TestSolveCommand:
         ("heat", 16, ("controlled_heat", "forcing"), "1e300*cos(x)", "the series sum overflows"),
         ("nse", 32, ("nse", "pressure_minus_force"), "1500", "tail estimate: exp(M t)"),
         # the source's reweight exp(-cbar s) overflows past s = 0.89
-        ("parabolic", 64, ("parabolic", "c"), 800, "the series sum overflows"),
+        ("parabolic", 64, ("parabolic", "c"), 800, "source reweight: exp(-cbar s) overflows at t=1"),
     ], ids=["heat-750", "heat-800cos", "heat-1e300cos", "nse-1500", "parabolic-800"])
     def test_series_overflow_exits_3(self, tmp_path, kind, points, keys, value, stage):
         body = CONFIGS[kind]()
@@ -609,6 +615,27 @@ class TestSolveCommand:
         leaves = [v for value in body[SECTIONS[kind]].values()
                   for v in (value if isinstance(value, list) else [value]) if isinstance(v, str)]
         assert leaves and sorted(compiled) == sorted(leaves)
+
+
+def test_traced_solve_counts_bytes_written(tmp_path, monkeypatch):
+    # the benchmark's tracer reads (directory, stem) from write_trajectory's
+    # positional arguments; installed as perfbench/run.py installs it
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    sys.modules.pop("spans", None)
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for kind, config in sorted(CONFIGS.items()):
+            with tracer.span(spans.ROOT_SPAN):
+                rc = main(["solve", write_config(tmp_path, config()), "-o", str(tmp_path / kind)])
+            assert rc == 0
+    finally:
+        tracer.uninstall()
+        sys.modules.pop("spans", None)
+    solves = tracer.solves()
+    assert len(solves) == len(CONFIGS)
+    assert all(trace.counts["io.bytes_written"] > 0 for trace in solves)
 
 
 class TestDeterminism:
