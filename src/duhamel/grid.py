@@ -8,11 +8,11 @@ the base extent per axis, rounded up to a fast FFT length (the next
 5-smooth one).
 
 ``padded_torus(grid)`` is the grid's one real-FFT transform pair, on
-``numpy.fft``, shared by ``heat_kernel.KernelApplication``, the series
-sweeps and the periodic derivatives.  Both halves go one axis at a time: the
-forward transform pads each axis right before its pass, and the inverse
-crops each axis right after its pass.  A periodic grid is the case with no
-padding.
+``numpy.fft``, shared by ``heat_kernel.KernelApplication``, which applies
+and sweeps the heat kernel, and by the periodic derivatives.  Both halves go
+one axis at a time: the forward transform pads each axis right before its
+pass, and the inverse crops each axis right after its pass.  A periodic grid
+is the case with no padding.
 """
 
 from __future__ import annotations
@@ -180,7 +180,9 @@ class PaddedTorus:
             axis_shape = [1] * ndim
             axis_shape[d] = len(freq)
             k = 2.0 * np.pi * freq
-            k2 = k2 + (k**2).reshape(axis_shape)
+            # past double range |k|^2 is inf, the value whose kernel weight is 0
+            with np.errstate(over="ignore"):
+                k2 = k2 + (k**2).reshape(axis_shape)
             # the unpaired Nyquist mode sits at index m/2 of an even axis
             ik.append((1j * k * (np.arange(len(k)) != m / 2)).reshape(axis_shape))
         for symbol in (k2, *ik):
@@ -230,10 +232,6 @@ class PaddedTorus:
         """The grid's part of ``values`` along grid axis ``d`` (a view)."""
         low = self._lows[d]
         return values[_along(self._axes[d], slice(low, low + self.grid.points[d]))]
-
-    def damping(self, t: float) -> np.ndarray:
-        """exp(-t |k|^2): the kernel K(., t) on the half spectrum."""
-        return np.exp(-t * self.k2)
 
     def summary(self) -> dict:
         """Engine and padding, as recorded in a run's manifest."""

@@ -1,21 +1,31 @@
-"""The heat-kernel convolution K(., t) * field.
+"""The heat semigroup K(t) and its Duhamel integrals on a grid's torus.
 
 Every grid convolves on a torus through its real Fourier transform
-(``numpy.fft``): the half-spectrum coefficients are multiplied by
-exp(-|k|^2 t), the exact semigroup on the torus's discrete modes, and by the
-torus's ``scale``, which normalises its inverse transform.  A periodic grid
-is its own torus.  A truncated free-space grid is extended by edge replication to twice its
-extent per axis, rounded up to a fast transform length; the convolution runs
-on that padded torus and is cropped back to the grid.  That transform pair is
-``grid.padded_torus``; the series solver's order sweeps and the periodic
-derivatives of ``fields`` use it too.
-``KernelApplication`` is the one operator that applies the kernel to a
-field, for the series tail estimate and the 3-D worst-case suite.
+(``grid.padded_torus``, on ``numpy.fft``): the half-spectrum coefficients are
+multiplied by exp(-|k|^2 t), the exact semigroup on the torus's discrete
+modes, and by the torus's ``scale``, which normalises its inverse transform.
+A periodic grid is its own torus.  A truncated free-space grid is extended by
+edge replication to twice its extent per axis, rounded up to a fast transform
+length; the convolution runs on that padded torus and is cropped back to the
+grid.
+
+``KernelApplication(grid, times)`` is the one engine that knows how K acts:
+``apply`` gives K(t) * field at each time, and ``sweep`` gives the Duhamel
+integrals int_0^{s_j} K(s_j - s) * g(s) ds over uniform nodes s_j, an
+exponential (ETD) product rule with g linear between nodes (Cox & Matthews,
+J. Comput. Phys. 176, 2002), so the kernel stiffness never enters the
+quadrature error.  The series solver, its tail estimate and the 3-D
+worst-case suite use it.
 
 The kernel has unit diffusivity; a diffusivity D is the time unit tau = D t.
 """
 
 from __future__ import annotations
+
+import functools
+import math
+
+import numpy as np
 
 from .fields import ScalarField
 from .grid import Grid, padded_torus
@@ -23,12 +33,60 @@ from .grid import Grid, padded_torus
 __all__ = ["KernelApplication"]
 
 
+def _phi1(z: np.ndarray) -> np.ndarray:
+    """(1 - exp(-z)) / z, stable down to z = 0."""
+    out = np.ones_like(z)
+    nz = z > 0
+    out[nz] = -np.expm1(-z[nz]) / z[nz]
+    return out
+
+
+# Below the cutoff _f2 sums a positive series; 25 terms reach full double
+# precision at z = 2, and above it the closed form cancels by at most 1.7x.
+_F2_SERIES_CUTOFF = 2.0
+_F2_SERIES = tuple(1.0 / math.factorial(m + 2) for m in range(25))
+
+
+def _f2(z: np.ndarray) -> np.ndarray:
+    """(1 - exp(-z)(1 + z)) / z^2 without cancellation.
+
+    Small z use the equal form exp(-z) sum_m z^m / (m + 2)!, whose terms
+    are all positive.
+    """
+    out = np.empty_like(z)
+    small = z < _F2_SERIES_CUTOFF
+    big = ~small
+    # an infinite z (|k|^2 past double range) is clamped, so that z exp(-z)
+    # is 0 rather than inf * 0; zb * zb overflows past 1.3e154, where inf
+    # gives the limit value 0
+    zb = np.minimum(z[big], 1e300)
+    with np.errstate(over="ignore"):
+        out[big] = (-np.expm1(-zb) - zb * np.exp(-zb)) / (zb * zb)
+    zs = z[small]
+    acc = np.full_like(zs, _F2_SERIES[-1])
+    for c in reversed(_F2_SERIES[:-1]):
+        acc = acc * zs + c
+    out[small] = np.exp(-zs) * acc
+    return out
+
+
 class KernelApplication:
-    """Heat-kernel convolution on one grid at each of ``times``.
+    """The heat kernel on one grid at each of ``times``.
 
     ``apply(field)`` transforms the field once and returns the tuple of
     K(., t) * field for each time; ``t = 0`` is the identity and gives the
     field itself.
+
+    ``sweep(stack, factor)`` needs ``times`` to be uniform nodes s_j = j dt
+    from 0; it builds its quadrature weights on its first call, so an
+    instance that only applies never computes them.  On 1-D grids
+    (``stacked``) a sweep transforms its whole node stack at once: there a
+    single transform is small, call overhead dominates, and the stacked
+    transforms measured about 5x faster (512-point torus, 65 nodes).  On
+    2-D and 3-D grids the per-node transforms measured faster, and they hold
+    one spectrum at a time instead of n + 1; a sweep there forms each node's
+    integrand right before that node's transform, so no integrand stack is
+    allocated.
     """
 
     def __init__(self, grid: Grid, times):
@@ -36,14 +94,76 @@ class KernelApplication:
         self.times = tuple(float(t) for t in times)
         if not all(t >= 0 for t in self.times):
             raise ValueError(f"kernel times must be >= 0, got {self.times}")
+        self.torus = padded_torus(grid)
+        self.stacked = grid.ndim == 1
 
     def apply(self, field: ScalarField) -> tuple[ScalarField, ...]:
         if field.grid != self.grid:
             raise ValueError("field grid does not match the kernel grid")
-        torus = padded_torus(self.grid)
+        torus = self.torus
         spectrum = torus.forward(field.values)
-        return tuple(
-            field if t == 0.0
-            else ScalarField(self.grid, torus.inverse(spectrum * (torus.scale * torus.damping(t))))
-            for t in self.times
-        )
+        # t |k|^2 past double range is inf, whose kernel weight is exactly 0
+        with np.errstate(over="ignore"):
+            return tuple(
+                field if t == 0.0
+                else ScalarField(self.grid, torus.inverse(spectrum * (torus.scale * np.exp(-t * torus.k2))))
+                for t in self.times
+            )
+
+    @functools.cached_property
+    def _weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One-step decay and the ETD weights of the old and new node."""
+        s = np.asarray(self.times)
+        dt = s[1] if len(s) > 1 else 0.0
+        if not (dt > 0 and s[0] == 0.0
+                and np.max(np.abs(s - dt * np.arange(len(s)))) <= 1e-9 * s[-1]):
+            raise ValueError(f"a sweep needs uniform nodes j * dt from 0, got {self.times}")
+        with np.errstate(over="ignore"):
+            z = dt * self.torus.k2
+        f2 = _f2(z)
+        # complex copies of real weights: the products with spectra take the
+        # same values without casting the weights on every call.  The
+        # quadrature weights carry the torus's scale, so the accumulated
+        # spectra come out of its unnormalised inverse normalised.
+        decay = np.exp(-z).astype(complex)
+        w_old = (self.torus.scale * (dt * f2)).astype(complex)
+        w_new = (self.torus.scale * (dt * (_phi1(z) - f2))).astype(complex)
+        return decay, w_old, w_new
+
+    def sweep(self, stack: np.ndarray, factor: np.ndarray | None = None) -> None:
+        """Overwrite ``stack`` with int_0^{s_j} K(s_j - s) * g(s) ds for all j.
+
+        ``stack`` is the ``(n + 1, *grid.shape)`` stack of g at the nodes,
+        between which g is linear; with a ``factor`` stack of the same
+        shape, g is ``factor * stack``.  Each node is overwritten only after
+        it has been transformed.  A node 0 of zeros, which every order past
+        the zeroth has, is not transformed: its spectrum is zero.
+        """
+        decay, w_old, w_new = self._weights
+        torus = self.torus
+        start = 0 if stack[0].any() else 1
+        integrand = stack[start:]
+        if factor is not None:
+            factor = factor[start:]
+        if self.stacked:
+            nodes = iter(torus.forward(integrand if factor is None else factor * integrand))
+            spectra = np.empty((len(stack) - 1,) + decay.shape, dtype=complex)
+        else:
+            if factor is not None:
+                integrand = map(np.multiply, factor, integrand)
+            nodes = map(torus.forward, integrand)
+        prev = next(nodes) if start == 0 else None
+        acc = np.zeros(decay.shape, dtype=complex)
+        for j, cur in enumerate(nodes, 1):
+            acc *= decay
+            if prev is not None:
+                acc += w_old * prev
+            acc += w_new * cur
+            if self.stacked:
+                spectra[j - 1] = acc
+            else:
+                stack[j] = torus.inverse(acc)
+            prev = cur
+        if self.stacked:
+            stack[1:] = torus.inverse(spectra)
+        stack[0] = 0.0

@@ -9,29 +9,23 @@ and optional source S.  Its solution is the iterated Duhamel series
 computed order by order on a uniform time grid, which turns the d-fold
 nested integrals into O(d * n_t) kernel sweeps.
 
-Every order runs in Fourier space on the grid's torus (see ``heat_kernel``:
-periodic grids as they are, free-space grids edge-padded to twice their
-extent).  The solver integrates each mode against the exact kernel weight
-exp(-|k|^2 (t-s)) with the integrand interpolated linearly between nodes, an
-exponential (ETD) product rule that removes the kernel stiffness from the
-quadrature error entirely.
+All kernel work goes through one ``heat_kernel.KernelApplication`` over the
+nodes: its ``apply`` gives K(s_j) * G0 at every node, and its ``sweep``
+integrates each order against the exact kernel weight with the integrand
+linear between nodes (an ETD product rule), so this module calls no
+transform.
 
 The solver works on node stacks: F and each order are
-``(n_t + 1, *grid.shape)`` arrays, and F is sampled once per solve.  A
-sweep runs the recurrence node by node on one accumulated spectrum; its
-transforms go node by node too, each node's integrand F * T_k formed right
-before its transform, except on 1-D grids, where one transform over the
-whole integrand stack is faster.  The series is streamed and has one
-stopping rule, the term test of ``solve_controlled_heat``.  Its one
-recursion holds its latest order at all nodes, which the term loop sweeps in
-place right before the next term is due, so nothing past the emitted depth
-is computed; a sweep overwrites each node once that node's integrand is
-transformed.  A solve holds two node stacks, F - cbar and the latest order
-(and the source while the zeroth order is formed), plus one copy of every
-order at the output nodes, which is all the reconstruction reads.  The
-solution keeps those copies and builds ``terms`` from them on first access.
-Memory is O(n_t N + depth n_out N) for N grid points and n_out output
-times, instead of O(depth n_t N).
+``(n_t + 1, *grid.shape)`` arrays, and F is sampled once per solve.  The
+series is streamed and has one stopping rule, the term test of
+``solve_controlled_heat``.  Its one recursion holds its latest order at all
+nodes, which the term loop sweeps in place right before the next term is
+due, so nothing past the emitted depth is computed.  A solve holds two node
+stacks, F - cbar and the latest order (and the source while the zeroth order
+is formed), plus one copy of every order at the output nodes, which is all
+the reconstruction reads.  The solution keeps those copies and builds
+``terms`` from them on first access.  Memory is O(n_t N + depth n_out N) for
+N grid points and n_out output times, instead of O(depth n_t N).
 
 Sup F and inf F are the envelope of the node samples of F, the values the
 quadrature actually used; they are stored on the solution as
@@ -45,7 +39,7 @@ computed terms are therefore exact to rounding; with a source they sum to G,
 but the source integral is spread over all of them instead of T_0 alone.
 
 The solution also keeps K(t) * |G0| at the output times, which the tail
-estimate needs, from the solve's one ``heat_kernel.KernelApplication``.
+estimate needs, from a second ``KernelApplication`` over those times.
 The ``*_check`` functions read it, with the forcing envelope, to verify the
 pointwise ceiling, floor and termwise factorial envelopes of the series;
 they tolerate a 1e-9 relative slack for spectral ringing and quadrature
@@ -63,7 +57,7 @@ import numpy as np
 
 from .fields import ScalarField, Trajectory
 from .forcing import Forcing
-from .grid import Grid, padded_torus
+from .grid import Grid
 from .heat_kernel import KernelApplication
 
 __all__ = [
@@ -127,140 +121,6 @@ class SeriesOptions:
         ):
             raise ValueError("output times must be strictly increasing s-grid nodes")
         return indices
-
-
-# ---------------------------------------------------------------------------
-# quadrature engine
-
-
-def _phi1(z: np.ndarray) -> np.ndarray:
-    """(1 - exp(-z)) / z, stable down to z = 0."""
-    out = np.ones_like(z)
-    nz = z > 0
-    out[nz] = -np.expm1(-z[nz]) / z[nz]
-    return out
-
-
-# Below the cutoff _f2 sums a positive series; 25 terms reach full double
-# precision at z = 2, and above it the closed form cancels by at most 1.7x.
-_F2_SERIES_CUTOFF = 2.0
-_F2_SERIES = tuple(1.0 / math.factorial(m + 2) for m in range(25))
-
-
-def _f2(z: np.ndarray) -> np.ndarray:
-    """(1 - exp(-z)(1 + z)) / z^2 without cancellation.
-
-    Small z use the equal form exp(-z) sum_m z^m / (m + 2)!, whose terms
-    are all positive.
-    """
-    out = np.empty_like(z)
-    small = z < _F2_SERIES_CUTOFF
-    big = ~small
-    zb = z[big]
-    # zb * zb overflows past 1.3e154, where inf gives the limit value 0
-    with np.errstate(over="ignore"):
-        out[big] = (-np.expm1(-zb) - zb * np.exp(-zb)) / (zb * zb)
-    zs = z[small]
-    acc = np.full_like(zs, _F2_SERIES[-1])
-    for c in reversed(_F2_SERIES[:-1]):
-        acc = acc * zs + c
-    out[small] = np.exp(-zs) * acc
-    return out
-
-
-class _SpectralEngine:
-    """Order sweeps in Fourier space on the grid's torus, exact kernel weighting.
-
-    On 1-D grids each transform runs once over the whole node stack: there a
-    single transform is small, call overhead dominates, and the stacked
-    transforms measured about 5x faster (512-point torus, 65 nodes).  So a
-    1-D sweep forms its whole integrand stack (``factor * integrand``) and
-    transforms it at once.  On 2-D and 3-D grids the per-node transforms
-    measured faster, and they hold one spectrum at a time instead of n + 1;
-    a sweep there forms each node's integrand right before that node's
-    transform, so no integrand stack is allocated.
-    """
-
-    def __init__(self, grid: Grid, dt: float, n_steps: int):
-        self.grid = grid
-        self.n = n_steps
-        self.torus = padded_torus(grid)
-        self.stacked = grid.ndim == 1
-        z = dt * self.torus.k2
-        f2 = _f2(z)
-        # complex copies of real weights: the products with spectra take the
-        # same values without casting the weights on every call.  The
-        # quadrature weights carry the torus's scale, so the accumulated
-        # spectra come out of its unnormalised inverse normalised.
-        self.decay = np.exp(-z).astype(complex)
-        self.w_old = (self.torus.scale * (dt * f2)).astype(complex)
-        self.w_new = (self.torus.scale * (dt * (_phi1(z) - f2))).astype(complex)
-
-    def _nodes(self, first: np.ndarray | float, spectra, out: np.ndarray) -> np.ndarray:
-        """``out`` with ``first`` at node 0 and node j = inverse of spectrum j.
-
-        ``spectra`` yields the spectra of nodes 1..n; each one is consumed
-        before the next is produced.  Node j of the ``(n + 1, *grid.shape)``
-        stack ``out`` is written only after spectrum j is drawn, and node 0
-        last, so ``out`` may be the stack the spectra are drawn from.
-        """
-        if self.stacked:
-            stack = np.empty((self.n,) + self.decay.shape, dtype=complex)
-            for j, spec in enumerate(spectra):
-                stack[j] = spec
-            out[1:] = self.torus.inverse(stack)
-        else:
-            for j, spec in enumerate(spectra, 1):
-                out[j] = self.torus.inverse(spec)
-        out[0] = first
-        return out
-
-    def propagate_initial(self, g0_values: np.ndarray) -> np.ndarray:
-        """K(s_j) * G0 at every node, by repeated one-step decay.
-
-        Returns the ``(n + 1, *grid.shape)`` node stack.
-        """
-        def spectra():
-            spec = self.torus.forward(g0_values)
-            spec *= self.torus.scale
-            for _ in range(self.n):
-                spec *= self.decay
-                yield spec
-
-        return self._nodes(g0_values, spectra(), np.empty((self.n + 1,) + self.grid.shape))
-
-    def sweep(self, stack: np.ndarray, factor: np.ndarray | None = None) -> None:
-        """Overwrite ``stack`` with int_0^{s_j} K(s_j - s) * g(s) ds for all j.
-
-        ``stack`` is the ``(n + 1, *grid.shape)`` stack of g at the nodes,
-        between which g is linear; with a ``factor`` stack of the same
-        shape, g is ``factor * stack``.  Each node is overwritten only after
-        it has been transformed.  A node 0 of zeros, which every order past
-        the zeroth has, is not transformed: its spectrum is zero.
-        """
-        start = 0 if stack[0].any() else 1
-        integrand = stack[start:]
-        if factor is not None:
-            factor = factor[start:]
-        if self.stacked:
-            nodes = iter(self.torus.forward(integrand if factor is None else factor * integrand))
-        else:
-            if factor is not None:
-                integrand = map(np.multiply, factor, integrand)
-            nodes = map(self.torus.forward, integrand)
-
-        def spectra():
-            prev = next(nodes) if start == 0 else None
-            acc = np.zeros(self.decay.shape, dtype=complex)
-            for cur in nodes:
-                acc *= self.decay
-                if prev is not None:
-                    acc += self.w_old * prev
-                acc += self.w_new * cur
-                yield acc
-                prev = cur
-
-        self._nodes(0.0, spectra(), stack)
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +249,8 @@ def solve_controlled_heat(
     opts = opts or SeriesOptions()
     grid = G0.grid
     nodes = opts.nodes(horizon)
-    n = opts.time_steps
-    dt = float(nodes[1] - nodes[0])
     out_idx = opts.output_indices(horizon)
-    engine = _SpectralEngine(grid, dt, n)
+    kernel = KernelApplication(grid, nodes)
 
     f_stack = F.sample(grid, nodes)
     f_sup = float(np.max(f_stack))
@@ -401,8 +259,8 @@ def solve_controlled_heat(
 
     # the one recursion, gauge centered: H_0 = K * G0 + the swept exp(-cbar s) S
     f_stack -= cbar
-    order = engine.propagate_initial(G0.values)
-    src_sup = np.zeros(n + 1)  # largest sup |H_0^src| over the nodes up to each node
+    order = np.stack([g.values for g in kernel.apply(G0)])
+    src_sup = np.zeros(len(nodes))  # largest sup |H_0^src| over the nodes up to each node
     # reconstruct the series of the original forcing at the output nodes
     out_times = [float(nodes[j]) for j in out_idx]
     pow_rows = _pow_rows(cbar, out_times, opts.depth_max, grid.ndim)
@@ -415,7 +273,7 @@ def solve_controlled_heat(
                            out_times[-1], "cbar", cbar)
             src = source.sample(grid, nodes)
             src *= np.exp(-cbar * nodes).reshape((-1,) + (1,) * grid.ndim)
-            engine.sweep(src)
+            kernel.sweep(src)
             src_sup = np.maximum.accumulate([_sup_abs(s) for s in src])
             order += src
             del src
@@ -425,7 +283,7 @@ def solve_controlled_heat(
         stop_reason = "depth_max"
         for k in range(opts.depth_max + 1):
             if k:
-                engine.sweep(order, f_stack)
+                kernel.sweep(order, f_stack)
             orders.append(order[out_idx])
             tk = _term(k, pow_rows, orders)
             term_norm = _sup_abs(tk)
@@ -457,14 +315,15 @@ def solve_controlled_heat(
     est = 0.0
     for m, t in enumerate(out_times):
         tail = _exp(m_abs * t) * float(_power_series_row(m_abs * t, depth + 1)[depth + 1])
-        _representable(tail, "tail estimate", f"exp(M t) (M t)^{depth + 1}/{depth + 1}!", t, "M", m_abs)
-        est = max(est, tail * (float(np.max(kg0[m])) + float(src_sup[out_idx[m]])))
+        tail *= float(np.max(kg0[m])) + float(src_sup[out_idx[m]])
+        form = f"exp(M t) (M t)^{depth + 1}/{depth + 1}! times sup K*|G0| + source"
+        est = max(est, _representable(tail, "tail estimate", form, t, "M", m_abs))
 
     # g_scale is still that of the full sum: every exit from the loop follows
     # its last update
     not_converged = bool(stop_reason == "depth_max" and est > opts.rel_tolerance * g_scale)
 
-    metadata = {"gauge_center": cbar, "engine": engine.torus.summary(),
+    metadata = {"gauge_center": cbar, "engine": kernel.torus.summary(),
                 "order_norms": order_norms, "stop_reason": stop_reason}
 
     return SeriesSolution(

@@ -275,16 +275,20 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("kind", sorted(CONFIGS))
     def test_checks_reuse_the_solver_propagation(self, tmp_path, monkeypatch, kind):
-        # the kernel applies once per solve, for the tail estimate; the
-        # checks read that result
+        # the kernel applies twice per solve: to G0 over the nodes, for the
+        # zeroth order, and to |G0| over the output times, for the tail
+        # estimate; the checks read that result and apply nothing
         from duhamel.heat_kernel import KernelApplication
+        from duhamel.series import SeriesOptions
 
         calls = []
         original = KernelApplication.apply
         monkeypatch.setattr(KernelApplication, "apply",
                             lambda self, field: calls.append(self.times) or original(self, field))
-        assert main(["solve", write_config(tmp_path, CONFIGS[kind]()), "-o", str(tmp_path / "o")]) == 0
-        assert len(calls) == 1
+        body = CONFIGS[kind]()
+        assert main(["solve", write_config(tmp_path, body), "-o", str(tmp_path / "o")]) == 0
+        nodes = SeriesOptions(time_steps=body["series"]["time_steps"]).nodes(body[SECTIONS[kind]]["horizon"])
+        assert calls == [tuple(nodes), tuple(body["series"]["output_times"])]
 
     def test_zero_velocity_nse(self, tmp_path):
         body = {
@@ -522,6 +526,35 @@ class TestSolveCommand:
         assert [e["path"] for e in errors] == [body["kind"]]
         assert errors[0]["message"].startswith(stage)
         assert json.loads((out / "manifest.json").read_text())["exit_status"] == 3
+
+    def test_tail_estimate_overflow_is_named_in_strict_json(self, tmp_path):
+        # the tail factor at t = 0.5 is finite; its product with
+        # sup K*|G0| + source is not, and no Infinity token reaches stderr
+        body = parabolic_config()
+        body["series"] = {"time_steps": 16, "depth_max": 64, "output_times": [0.5]}
+        body["parabolic"].update(c=800, horizon=1.0)
+        proc = run_cli("solve", write_config(tmp_path, body), "-o", str(tmp_path / "out"))
+        assert proc.returncode == 3
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        errors = json.loads(proc.stderr, parse_constant=reject)["errors"]
+        assert [e["path"] for e in errors] == ["parabolic"]
+        assert errors[0]["message"].startswith("tail estimate: exp(M t)")
+
+    def test_spacing_whose_square_overflows(self, tmp_path):
+        # |k|^2 of the highest modes passes double range at spacings below
+        # about 2e-154; those modes are damped to 0 at once, without warnings
+        body = controlled_heat_config()
+        body["grid"]["extent"] = [1e-153]
+        out = tmp_path / "out"
+        proc = run_cli("solve", write_config(tmp_path, body), "-o", str(out))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        # G0 = 1 + 0.5 cos(x) is 1.5 on so short a period, and F = 0.5
+        (t, g1) = list(read_trajectory(out, "G"))[-1]
+        assert t == 1.0
+        np.testing.assert_allclose(g1.values, 1.5 * np.exp(0.5), rtol=1e-12)
 
     @pytest.mark.parametrize("kind, keys, value, path, message", [
         ("heat", ("grid",), {"points": [0], "extent": [1.0], "origin": [0.0]}, "grid",

@@ -217,8 +217,9 @@ class TestSolveNormalized:
         v0 = gaussian_u0(grid)
         norm = self._normalized(v0=v0, grid=grid)
         out = solve_normalized(norm, options(time_steps=16, output_times=(0.5,))).trajectory
-        (want,) = KernelApplication(grid, (0.5,)).apply(v0)
-        assert np.max(np.abs(out.snapshots[0].values - want.values)) < 1e-6
+        # the spreading Gaussian: variance 1 + 2t
+        want = np.exp(-grid.coords(0) ** 2 / 4.0) / math.sqrt(2.0)
+        assert np.max(np.abs(out.snapshots[0].values - want)) < 1e-13
 
     def test_constant_potential_decay(self):
         # Q = q, g = 0, v0 = 1: v = e^{-q t}

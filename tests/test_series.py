@@ -17,7 +17,7 @@ from duhamel import (
     solve_controlled_heat,
 )
 from duhamel.grid import padded_torus
-from duhamel.series import _f2, _phi1, _SpectralEngine
+from duhamel.heat_kernel import _f2, _phi1
 from duhamel.verify import fd_controlled_heat, make_manufactured
 
 
@@ -42,7 +42,7 @@ def duhamel_step(term_trajectory: Trajectory, F: Forcing) -> Trajectory:
         raise ValueError("term trajectory must live on a uniform s-grid")
     grid = term_trajectory.grid
     torus = padded_torus(grid)
-    decay = torus.damping(dt)
+    decay = np.exp(-dt * torus.k2)
     f_stack = F.sample(grid, times)
     nodes = (torus.forward(fv * snap.values) for fv, snap in zip(f_stack, term_trajectory.snapshots))
     first = next(nodes)
@@ -67,11 +67,16 @@ def uniform_traj(grid, horizon, n_nodes, fn):
     return Trajectory(tuple(times), snaps)
 
 
-def swept(engine, stack, factor=None):
-    """A copy of ``stack`` that ``engine`` has swept in place."""
+def swept(kernel, stack, factor=None):
+    """A copy of ``stack`` that ``kernel`` has swept in place."""
     out = stack.copy()
-    engine.sweep(out, factor)
+    kernel.sweep(out, factor)
     return out
+
+
+def sweep_kernel(grid):
+    """The kernel over the nodes the engine tests sweep: 8 steps of 0.05."""
+    return KernelApplication(grid, np.linspace(0.0, 0.4, 9))
 
 
 class TestSeriesOptions:
@@ -168,8 +173,8 @@ class TestSolveControlledHeat:
         # the first order is exactly zero, so the series stops without it
         assert sol.metadata["stop_reason"] == "zero_tail"
         assert sol.metadata["order_norms"] == [float(np.max(np.abs(sol.terms[0][0].values)))]
-        (exact,) = KernelApplication(g, (0.5,)).apply(G0)
-        assert np.max(np.abs(sol.trajectory.snapshots[0].values - exact.values)) < 1e-14
+        exact = 1.0 + 0.5 * math.exp(-0.5) * np.cos(x)
+        assert np.max(np.abs(sol.trajectory.snapshots[0].values - exact)) < 1e-14
 
     def test_constant_forcing_exponential_terms(self):
         g = periodic_1d()
@@ -270,10 +275,9 @@ class TestSeriesInvariants:
         sol = solve_controlled_heat(G0, F, 0.5, opts)
         dt = 0.5 / nt
         integral = duhamel_step(sol.trajectory, F)
-        propagated = KernelApplication(g, sol.trajectory.times).apply(G0)
         worst = 0.0
-        for (t, gsnap), (_, integ), kg0 in zip(sol.trajectory, integral, propagated):
-            recon = kg0.values + integ.values
+        for (t, gsnap), (_, integ) in zip(sol.trajectory, integral):
+            recon = 1.0 + 0.4 * math.exp(-t) * np.cos(x) + integ.values
             worst = max(worst, float(np.max(np.abs(gsnap.values - recon))))
         quad_budget = 10.0 * dt**2
         assert worst <= sol.estimated_truncation_error + quad_budget
@@ -431,8 +435,9 @@ class TestQuadratureWeights:
                 assert abs(float(mpmath.mpf(float(p1)) / want_p1 - 1)) <= 1e-15, zi
 
     def test_f2_limit_past_overflow(self):
-        # z * z overflows; the closed form's limit 0 comes without a warning
-        assert _f2(np.array([1e200]))[0] == 0.0
+        # z * z overflows; the closed form's limit 0 comes without a warning,
+        # also for the infinite z of a |k|^2 past double range
+        assert _f2(np.array([1e200, np.inf])).tolist() == [0.0, 0.0]
 
 
 class TestEngineMemory:
@@ -441,15 +446,17 @@ class TestEngineMemory:
         # each node stack must be a grid-sized real array, not a view of a
         # complex or padded buffer
         grid = periodic_1d(64) if boundary is None else Grid((64,), (0.25,), (-8.0,), boundary)
-        engine = _SpectralEngine(grid, 0.05, 8)
+        kernel = sweep_kernel(grid)
         g = np.cos(grid.coords(0))
-        stacks = (engine.propagate_initial(g), swept(engine, np.stack([g] * 9)))
-        for stack in stacks:
-            assert stack.shape == (9, 64) and stack.dtype == np.float64
-            owner = stack
+        stack = swept(kernel, np.stack([g] * 9))
+        assert stack.shape == (9, 64) and stack.dtype == np.float64
+        # the propagated fields past t = 0 are each one grid-sized array
+        fields = [f.values for f in kernel.apply(ScalarField(grid, g))[1:]]
+        for values, nodes in [(stack, 9)] + [(f, 1) for f in fields]:
+            owner = values
             while owner.base is not None:
                 owner = owner.base
-            assert owner.nbytes == 9 * g.nbytes
+            assert owner.nbytes == nodes * g.nbytes
 
     @staticmethod
     def _traced_solve(G0, F, depth, steps, out):
@@ -483,7 +490,7 @@ class TestEngineMemory:
         # F and the latest order at all nodes, one output-node copy of each
         # order, and the reconstruction's running sum, term and product
         # buffer (three output-node fields each); 10% covers the sweep's
-        # spectra and the engine's weights
+        # spectra and the kernel's weights
         n, steps, depth = 16, 16, 12
         g = Grid((n,) * 3, (2 * np.pi / n,) * 3, (0.0,) * 3)
         x, y, z = g.meshgrid()
@@ -506,48 +513,66 @@ class TestEngineStacking:
         Grid((8, 10, 9), (0.5, 0.4, 0.5), (-2.0, -2.0, -2.0), FreeSpaceTruncated()),
     ], ids=["periodic-1d", "free-1d", "free-2d", "free-3d"])
     def test_stacked_and_per_node_transforms_agree_bitwise(self, grid):
-        engine = _SpectralEngine(grid, 0.05, 8)
+        kernel = sweep_kernel(grid)
         rng = np.random.default_rng(9)
-        g0 = rng.normal(size=grid.shape)
         integrand = rng.normal(size=(9,) + grid.shape)
         factor = rng.normal(size=(9,) + grid.shape)
         results = {}
         for stacked in (True, False):
-            engine.stacked = stacked
-            results[stacked] = (engine.propagate_initial(g0), swept(engine, integrand),
-                                swept(engine, integrand, factor))
+            kernel.stacked = stacked
+            results[stacked] = (swept(kernel, integrand), swept(kernel, integrand, factor))
         for a, b in zip(results[True], results[False]):
             assert a.tobytes() == b.tobytes()
         # the per-node path forms each node's product; it equals the whole product's sweep
-        assert results[False][2].tobytes() == swept(engine, factor * integrand).tobytes()
+        assert results[False][1].tobytes() == swept(kernel, factor * integrand).tobytes()
 
     @pytest.mark.parametrize("stacked", (True, False), ids=["stacked", "per-node"])
     def test_zero_first_node_is_not_transformed(self, monkeypatch, stacked):
         # every order past the zeroth starts from zero at node 0; its
         # spectrum is zero, so the sweep transforms nodes 1..n only
         grid = Grid((15, 11), (0.4, 0.5), (-3.0, -3.0), FreeSpaceTruncated())
-        engine = _SpectralEngine(grid, 0.05, 8)
+        kernel = sweep_kernel(grid)
         integrand = np.random.default_rng(10).normal(size=(9,) + grid.shape)
         integrand[0] = 0.0
-        want = swept(engine, integrand)
+        want = swept(kernel, integrand)
         shapes = []
-        forward = type(engine.torus).forward
+        forward = type(kernel.torus).forward
 
         def counted(self, values):
             shapes.append(values.shape)
             return forward(self, values)
 
-        monkeypatch.setattr(type(engine.torus), "forward", counted)
-        engine.stacked = stacked
-        got = swept(engine, integrand)
+        monkeypatch.setattr(type(kernel.torus), "forward", counted)
+        kernel.stacked = stacked
+        got = swept(kernel, integrand)
         assert shapes == ([(8,) + grid.shape] if stacked else [grid.shape] * 8)
         assert got.tobytes() == want.tobytes()
+
+
+class TestSweepNodes:
+    @pytest.mark.parametrize("times", [
+        (0.0,), (0.1, 0.2, 0.3), (0.0, 0.1, 0.3), (0.0, 0.0, 0.0), np.linspace(0.0, 0.4, 9) ** 2,
+    ], ids=["one-node", "not-from-zero", "uneven", "no-step", "squared"])
+    def test_sweep_needs_uniform_nodes_from_zero(self, times):
+        grid = periodic_1d(16)
+        kernel = KernelApplication(grid, times)
+        kernel.apply(ScalarField.constant(grid, 1.0))  # any times apply
+        with pytest.raises(ValueError, match="uniform nodes"):
+            kernel.sweep(np.ones((len(times),) + grid.shape))
+
+    def test_apply_builds_no_sweep_weights(self):
+        grid = periodic_1d(16)
+        kernel = sweep_kernel(grid)
+        kernel.apply(ScalarField.constant(grid, 1.0))
+        assert "_weights" not in vars(kernel)
+        kernel.sweep(np.ones((9,) + grid.shape))
+        assert "_weights" in vars(kernel)
 
 
 class TestStreaming:
     def _count_calls(self, monkeypatch):
         calls = {"sample": 0, "sweep": 0}
-        sample, sweep = Forcing.sample, _SpectralEngine.sweep
+        sample, sweep = Forcing.sample, KernelApplication.sweep
 
         def counted_sample(self, grid, times):
             calls["sample"] += 1
@@ -558,7 +583,7 @@ class TestStreaming:
             return sweep(self, *args, **kwargs)
 
         monkeypatch.setattr(Forcing, "sample", counted_sample)
-        monkeypatch.setattr(_SpectralEngine, "sweep", counted_sweep)
+        monkeypatch.setattr(KernelApplication, "sweep", counted_sweep)
         return calls
 
     @pytest.mark.parametrize("depth_max", (4, 24))
