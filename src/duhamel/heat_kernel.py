@@ -11,11 +11,11 @@ grid.
 
 ``KernelApplication(grid, times)`` is the one engine that knows how K acts:
 ``apply`` gives K(t) * field at each time, and ``sweep`` gives the Duhamel
-integrals int_0^{s_j} K(s_j - s) * g(s) ds over uniform nodes s_j, an
-exponential (ETD) product rule with g linear between nodes (Cox & Matthews,
-J. Comput. Phys. 176, 2002), so the kernel stiffness never enters the
-quadrature error.  The series solver, its tail estimate and the 3-D
-worst-case suite use it.
+formula with an initial value, K(s_j) * initial + int_0^{s_j} K(s_j - s) *
+g(s) ds over uniform nodes s_j, by an exponential (ETD) product rule with g
+linear between nodes (Cox & Matthews, J. Comput. Phys. 176, 2002), so the
+kernel stiffness never enters the quadrature error.  The series solver, its
+tail estimate and the 3-D worst-case suite use it.
 
 The kernel has unit diffusivity; a diffusivity D is the time unit tau = D t.
 """
@@ -77,16 +77,12 @@ class KernelApplication:
     K(., t) * field for each time; ``t = 0`` is the identity and gives the
     field itself.
 
-    ``sweep(stack, factor)`` needs ``times`` to be uniform nodes s_j = j dt
-    from 0; it builds its quadrature weights on its first call, so an
-    instance that only applies never computes them.  On 1-D grids
-    (``stacked``) a sweep transforms its whole node stack at once: there a
-    single transform is small, call overhead dominates, and the stacked
-    transforms measured about 5x faster (512-point torus, 65 nodes).  On
-    2-D and 3-D grids the per-node transforms measured faster, and they hold
-    one spectrum at a time instead of n + 1; a sweep there forms each node's
-    integrand right before that node's transform, so no integrand stack is
-    allocated.
+    ``sweep`` needs ``times`` to be uniform nodes s_j = j dt from 0 and
+    builds its weights on its first call.  On 1-D grids (``stacked``) it
+    transforms the whole node stack at once, where call overhead dominates
+    (about 5x faster on a 512-point torus with 65 nodes); on 2-D and 3-D
+    grids it transforms one node at a time, which measured faster, forming
+    each node's integrand right before its transform.
     """
 
     def __init__(self, grid: Grid, times):
@@ -130,35 +126,38 @@ class KernelApplication:
         w_new = (self.torus.scale * (dt * (_phi1(z) - f2))).astype(complex)
         return decay, w_old, w_new
 
-    def sweep(self, stack: np.ndarray, factor: np.ndarray | None = None) -> None:
-        """Overwrite ``stack`` with int_0^{s_j} K(s_j - s) * g(s) ds for all j.
+    def sweep(self, stack: np.ndarray, factor: np.ndarray | None = None,
+              initial: np.ndarray | None = None) -> None:
+        """Overwrite ``stack`` with K(s_j) * initial + int_0^{s_j} K(s_j - s) * g(s) ds.
 
         ``stack`` is the ``(n + 1, *grid.shape)`` stack of g at the nodes,
         between which g is linear; with a ``factor`` stack of the same
-        shape, g is ``factor * stack``.  Each node is overwritten only after
-        it has been transformed.  A node 0 of zeros, which every order past
-        the zeroth has, is not transformed: its spectrum is zero.
+        shape, g is ``factor * stack``.  Node 0 becomes ``initial``, or
+        zeros.  Each node is overwritten after its transform, and a node
+        whose g is zero everywhere is not transformed, so every order past
+        the zeroth skips node 0 and a sweep of zeros is one forward
+        transform, of ``initial``.
         """
         decay, w_old, w_new = self._weights
         torus = self.torus
-        start = 0 if stack[0].any() else 1
-        integrand = stack[start:]
-        if factor is not None:
-            factor = factor[start:]
         if self.stacked:
-            nodes = iter(torus.forward(integrand if factor is None else factor * integrand))
+            g = stack if factor is None else factor * stack
+            live = g.reshape(len(g), -1).any(axis=1)
+            live_spectra = iter(torus.forward(g[live]) if live.any() else ())
+            nodes = (next(live_spectra) if alive else None for alive in live)
             spectra = np.empty((len(stack) - 1,) + decay.shape, dtype=complex)
         else:
-            if factor is not None:
-                integrand = map(np.multiply, factor, integrand)
-            nodes = map(torus.forward, integrand)
-        prev = next(nodes) if start == 0 else None
-        acc = np.zeros(decay.shape, dtype=complex)
+            g = stack if factor is None else map(np.multiply, factor, stack)
+            # map, unlike a generator, drops each product once it is transformed
+            nodes = map(lambda gj: torus.forward(gj) if gj.any() else None, g)
+        acc = np.zeros(decay.shape, complex) if initial is None else torus.scale * torus.forward(initial)
+        prev = next(nodes)
         for j, cur in enumerate(nodes, 1):
             acc *= decay
             if prev is not None:
                 acc += w_old * prev
-            acc += w_new * cur
+            if cur is not None:
+                acc += w_new * cur
             if self.stacked:
                 spectra[j - 1] = acc
             else:
@@ -166,4 +165,4 @@ class KernelApplication:
             prev = cur
         if self.stacked:
             stack[1:] = torus.inverse(spectra)
-        stack[0] = 0.0
+        stack[0] = 0.0 if initial is None else initial

@@ -176,11 +176,13 @@ def _splines(knots: np.ndarray, values: np.ndarray, points: np.ndarray, rate: fl
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def normalize(prob: ParabolicProblem, opts: SeriesOptions | None = None) -> NormalizedProblem:
     """Sample Q, g, rho and the maps on the (t, y) lattice.
 
     The t-nodes are those of the series solve, ``opts.nodes(prob.horizon)``,
-    so every output time of that solve is a lattice row.
+    so every output time of that solve is a lattice row.  A stack that
+    overflows raises ``FloatingPointError``, naming it and its first time.
     """
     x_grid = prob.grid
     x = x_grid.coords(0)
@@ -226,7 +228,12 @@ def normalize(prob: ParabolicProblem, opts: SeriesOptions | None = None) -> Norm
     g_stack = prob.f.sample_rows(t_nodes, x_of_y) * np.exp(rho_stack)
 
     u0_on_y = _splines(x, prob.u0.values[None, :, None], x_of_y[:1], h_x)[0, :, 0]
-    v0 = ScalarField(y_grid, np.exp(rho_stack[0]) * u0_on_y)
+    v0 = np.exp(rho_stack[0]) * u0_on_y
+    for name, stack in (("rho", rho_stack), ("Q", Q_stack), ("g = f exp(rho)", g_stack),
+                        ("v0 = u0 exp(rho)", v0[None])):
+        finite = np.isfinite(stack).all(axis=-1)
+        if not finite.all():
+            raise FloatingPointError(f"normalize: {name} overflows at t={t_nodes[np.argmin(finite)]:g}")
 
     return NormalizedProblem(
         y_grid=y_grid,
@@ -236,7 +243,7 @@ def normalize(prob: ParabolicProblem, opts: SeriesOptions | None = None) -> Norm
         rho_stack=rho_stack,
         psi_stack=psi_stack,
         x_of_y=x_of_y,
-        v0=v0,
+        v0=ScalarField(y_grid, v0),
         x_grid=x_grid,
         edge_clamped=edge_clamped,
     )

@@ -9,37 +9,32 @@ and optional source S.  Its solution is the iterated Duhamel series
 computed order by order on a uniform time grid, which turns the d-fold
 nested integrals into O(d * n_t) kernel sweeps.
 
-All kernel work goes through one ``heat_kernel.KernelApplication`` over the
-nodes: its ``apply`` gives K(s_j) * G0 at every node, and its ``sweep``
-integrates each order against the exact kernel weight with the integrand
-linear between nodes (an ETD product rule), so this module calls no
-transform.
-
-The solver works on node stacks: F and each order are
-``(n_t + 1, *grid.shape)`` arrays, and F is sampled once per solve.  The
-series is streamed and has one stopping rule, the term test of
-``solve_controlled_heat``.  Its one recursion holds its latest order at all
-nodes, which the term loop sweeps in place right before the next term is
-due, so nothing past the emitted depth is computed.  A solve holds two node
-stacks, F - cbar and the latest order (and the source while the zeroth order
-is formed), plus one copy of every order at the output nodes, which is all
-the reconstruction reads.  The solution keeps those copies and builds
-``terms`` from them on first access.  Memory is O(n_t N + depth n_out N) for
-N grid points and n_out output times, instead of O(depth n_t N).
+Every order, the zeroth included, is one ``sweep`` of a
+``heat_kernel.KernelApplication`` over the nodes, from G0 for the zeroth
+order and from zero after it, so this module calls no transform.  The
+solver works on ``(n_t + 1, *grid.shape)`` node stacks, samples F once per
+solve and streams the series with one stopping rule, the term test of
+``solve_controlled_heat``: each order is swept in place over the one before
+it right before its term is due, so nothing past the emitted depth is
+computed.  A solve holds two node stacks, F - cbar and the latest order,
+plus one copy of every order at the output nodes, which is all the
+reconstruction reads and from which the solution builds ``terms`` on first
+access.  Memory is O(n_t N + depth n_out N) for N grid points and n_out
+output times, instead of O(depth n_t N).
 
 Sup F and inf F are the envelope of the node samples of F, the values the
 quadrature actually used; they are stored on the solution as
 ``forcing_sup`` and ``forcing_inf``.  Independently of the quadrature, the
 equation is gauge centered: with ``cbar = (sup F + inf F) / 2``,
 G = exp(cbar t) H and dH/dt = Lap(H) + (F - cbar) H + exp(-cbar t) S.  H's
-zeroth order is K(t) * G0 plus one sweep of the reweighted source, and the
+zeroth order is the sweep of the reweighted source from G0, and the
 exact identity ``T_k = sum_{a+b=k} (cbar t)^a / a! * H_b`` restores the
 series of the original equation.  For spatially constant forcing the
 computed terms are therefore exact to rounding; with a source they sum to G,
 but the source integral is spread over all of them instead of T_0 alone.
 
 The solution also keeps K(t) * |G0| at the output times, which the tail
-estimate needs, from a second ``KernelApplication`` over those times.
+estimate needs, from the ``apply`` of a ``KernelApplication`` over those times.
 The ``*_check`` functions read it, with the forcing envelope, to verify the
 pointwise ceiling, floor and termwise factorial envelopes of the series;
 they tolerate a 1e-9 relative slack for spectral ringing and quadrature
@@ -234,14 +229,13 @@ def solve_controlled_heat(
 
     ``source``, when given, is a Forcing-like object S sampled at the time
     nodes; exp(-cbar s) S is swept into the zeroth gauge-centered order, and
-    the tail estimate adds its largest sup over the nodes up to each output
-    time to sup K(t) * |G0|.  Terms are appended until the
+    the tail estimate adds t times its largest sup over the nodes up to each
+    output time t to sup K(t) * |G0|.  Terms are appended until the
     relative sup norm of the newest term drops below ``rel_tolerance``, the
     newest term is exactly zero, or ``depth_max`` is reached; the last sets
-    ``not_converged``.  Each order is swept, in place over the one before
-    it, only when its term is due.  A sum that overflows double precision
-    raises ``FloatingPointError``, and so does an exponential envelope that
-    does (the source reweight or the tail estimate here, or a ``*_check``), with
+    ``not_converged``.  A sum that overflows double precision raises
+    ``FloatingPointError``, and so does an exponential envelope that does
+    (the source reweight or the tail estimate here, or a ``*_check``), with
     a message naming the stage, the time and the bound.
     """
     if not horizon > 0:
@@ -257,10 +251,9 @@ def solve_controlled_heat(
     f_inf = float(np.min(f_stack))
     cbar = 0.5 * (f_sup + f_inf)
 
-    # the one recursion, gauge centered: H_0 = K * G0 + the swept exp(-cbar s) S
+    # the one recursion, gauge centered: H_0 is the sweep of exp(-cbar s) S from
+    # G0, and H_k that of (F - cbar) H_{k-1} from zero
     f_stack -= cbar
-    order = np.stack([g.values for g in kernel.apply(G0)])
-    src_sup = np.zeros(len(nodes))  # largest sup |H_0^src| over the nodes up to each node
     # reconstruct the series of the original forcing at the output nodes
     out_times = [float(nodes[j]) for j in out_idx]
     pow_rows = _pow_rows(cbar, out_times, opts.depth_max, grid.ndim)
@@ -268,22 +261,23 @@ def solve_controlled_heat(
     # the finite check on the sum reports it; the reweight exp(-cbar s) is
     # checked at the last output time, and an inf past it reaches no output
     with np.errstate(over="ignore", invalid="ignore"):
-        if source is not None:
+        if source is None:
+            order = np.zeros(f_stack.shape)
+            src_sup = np.zeros(len(nodes))
+        else:
             _representable(_exp(-cbar * out_times[-1]), "source reweight", "exp(-cbar s)",
                            out_times[-1], "cbar", cbar)
-            src = source.sample(grid, nodes)
-            src *= np.exp(-cbar * nodes).reshape((-1,) + (1,) * grid.ndim)
-            kernel.sweep(src)
-            src_sup = np.maximum.accumulate([_sup_abs(s) for s in src])
-            order += src
-            del src
+            order = source.sample(grid, nodes)
+            order *= np.exp(-cbar * nodes).reshape((-1,) + (1,) * grid.ndim)
+            # sup |H_0 - K * G0| at s_j <= s_j max_{s <= s_j} sup |integrand|:
+            # the ETD weights are nonnegative kernel mixtures of total dt
+            src_sup = nodes * np.maximum.accumulate([_sup_abs(s) for s in order])
         orders: list[np.ndarray] = []
         order_norms: list[float] = []
         total = None  # literal left-fold sum of the emitted terms
         stop_reason = "depth_max"
         for k in range(opts.depth_max + 1):
-            if k:
-                kernel.sweep(order, f_stack)
+            kernel.sweep(order, f_stack if k else None, None if k else G0.values)
             orders.append(order[out_idx])
             tk = _term(k, pow_rows, orders)
             term_norm = _sup_abs(tk)

@@ -275,11 +275,10 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("kind", sorted(CONFIGS))
     def test_checks_reuse_the_solver_propagation(self, tmp_path, monkeypatch, kind):
-        # the kernel applies twice per solve: to G0 over the nodes, for the
-        # zeroth order, and to |G0| over the output times, for the tail
-        # estimate; the checks read that result and apply nothing
+        # the kernel applies once per solve, to |G0| over the output times,
+        # for the tail estimate (the zeroth order is a sweep); the checks read
+        # that result and apply nothing
         from duhamel.heat_kernel import KernelApplication
-        from duhamel.series import SeriesOptions
 
         calls = []
         original = KernelApplication.apply
@@ -287,8 +286,7 @@ class TestSolveCommand:
                             lambda self, field: calls.append(self.times) or original(self, field))
         body = CONFIGS[kind]()
         assert main(["solve", write_config(tmp_path, body), "-o", str(tmp_path / "o")]) == 0
-        nodes = SeriesOptions(time_steps=body["series"]["time_steps"]).nodes(body[SECTIONS[kind]]["horizon"])
-        assert calls == [tuple(nodes), tuple(body["series"]["output_times"])]
+        assert calls == [tuple(body["series"]["output_times"])]
 
     def test_zero_velocity_nse(self, tmp_path):
         body = {
@@ -525,6 +523,20 @@ class TestSolveCommand:
         errors = json.loads(proc.stderr)["errors"]
         assert [e["path"] for e in errors] == [body["kind"]]
         assert errors[0]["message"].startswith(stage)
+        assert json.loads((out / "manifest.json").read_text())["exit_status"] == 3
+
+    @pytest.mark.parametrize("drift, stage", [
+        (-750, "normalize: g = f exp(rho) overflows at t=0"),
+        ("exp(t*800)", "normalize: Q overflows at t=0.46875"),
+    ], ids=["g", "Q"])
+    def test_parabolic_reduction_overflow_exits_3(self, tmp_path, capsys, drift, stage):
+        # a RuntimeWarning is an error under this suite, so the exit 3 also
+        # shows that the reduction overflowed without one
+        body = parabolic_config()
+        body["parabolic"]["a"] = drift
+        out = tmp_path / "out"
+        assert main(["solve", write_config(tmp_path, body), "-o", str(out)]) == 3
+        assert json.loads(capsys.readouterr().err)["errors"] == [{"path": "parabolic", "message": stage}]
         assert json.loads((out / "manifest.json").read_text())["exit_status"] == 3
 
     def test_tail_estimate_overflow_is_named_in_strict_json(self, tmp_path):

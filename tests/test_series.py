@@ -67,10 +67,10 @@ def uniform_traj(grid, horizon, n_nodes, fn):
     return Trajectory(tuple(times), snaps)
 
 
-def swept(kernel, stack, factor=None):
+def swept(kernel, stack, factor=None, initial=None):
     """A copy of ``stack`` that ``kernel`` has swept in place."""
     out = stack.copy()
-    kernel.sweep(out, factor)
+    kernel.sweep(out, factor, initial)
     return out
 
 
@@ -459,13 +459,13 @@ class TestEngineMemory:
             assert owner.nbytes == nodes * g.nbytes
 
     @staticmethod
-    def _traced_solve(G0, F, depth, steps, out):
+    def _traced_solve(G0, F, depth, steps, out, source=None):
         """(traced peak bytes, solution) of one solve."""
         opts = SeriesOptions(depth_max=depth, rel_tolerance=1e-14, time_steps=steps,
                              output_times=out)
         tracemalloc.start()
         try:
-            sol = solve_controlled_heat(G0, F, 1.0, opts)
+            sol = solve_controlled_heat(G0, F, 1.0, opts, source)
             return tracemalloc.get_traced_memory()[1], sol
         finally:
             tracemalloc.stop()
@@ -490,19 +490,23 @@ class TestEngineMemory:
         # F and the latest order at all nodes, one output-node copy of each
         # order, and the reconstruction's running sum, term and product
         # buffer (three output-node fields each); 10% covers the sweep's
-        # spectra and the kernel's weights
-        n, steps, depth = 16, 16, 12
+        # spectra and the kernel's weights.  The shallow solves bound the
+        # zeroth order, which is formed in the order stack, with or without
+        # a source
+        n = 16
         g = Grid((n,) * 3, (2 * np.pi / n,) * 3, (0.0,) * 3)
         x, y, z = g.meshgrid()
         G0 = ScalarField(g, 1.0 + 0.3 * np.cos(x) * np.sin(y) * np.cos(z))
         F = Forcing.from_expression("4*sin(x)*cos(y) + 2*cos(z + t)")
-        out = (0.25, 0.5, 0.75, 1.0)
-        self._traced_solve(G0, F, 1, steps, out)  # caches the torus before the measured solve
-        peak, sol = self._traced_solve(G0, F, depth, steps, out)
-        assert sol.truncation_depth == depth
+        source = Forcing.from_expression("cos(x)*sin(y)*exp(-t)")
         field_bytes = 8 * n**3
-        node_stack = (steps + 1) * field_bytes
-        assert peak <= 1.1 * (2 * node_stack + (depth + 1 + 3) * len(out) * field_bytes)
+        self._traced_solve(G0, F, 1, 16, (1.0,))  # caches the torus before the measured solves
+        for steps, depth, out, src in [(16, 12, (0.25, 0.5, 0.75, 1.0), None),
+                                       (32, 2, (1.0,), None), (32, 2, (1.0,), source)]:
+            peak, sol = self._traced_solve(G0, F, depth, steps, out, src)
+            assert sol.truncation_depth == depth
+            node_stack = (steps + 1) * field_bytes
+            assert peak <= 1.1 * (2 * node_stack + (depth + 1 + 3) * len(out) * field_bytes)
 
 
 class TestEngineStacking:
@@ -517,24 +521,44 @@ class TestEngineStacking:
         rng = np.random.default_rng(9)
         integrand = rng.normal(size=(9,) + grid.shape)
         factor = rng.normal(size=(9,) + grid.shape)
+        initial = rng.normal(size=grid.shape)
+        zeros = np.zeros_like(integrand)
         results = {}
         for stacked in (True, False):
             kernel.stacked = stacked
-            results[stacked] = (swept(kernel, integrand), swept(kernel, integrand, factor))
+            results[stacked] = (swept(kernel, integrand), swept(kernel, integrand, factor),
+                                swept(kernel, integrand, factor, initial),
+                                swept(kernel, zeros, initial=initial))
         for a, b in zip(results[True], results[False]):
             assert a.tobytes() == b.tobytes()
         # the per-node path forms each node's product; it equals the whole product's sweep
         assert results[False][1].tobytes() == swept(kernel, factor * integrand).tobytes()
+        # a sweep of zeros from an initial value is the kernel applied to it
+        # at every node, and the initial value's part adds to the integral's
+        scale = np.max(np.abs(initial))
+        free = results[True][3]
+        applied = np.stack([f.values for f in kernel.apply(ScalarField(grid, initial))])
+        assert np.max(np.abs(free - applied)) <= 1e-13 * scale
+        assert np.max(np.abs(results[True][2] - results[True][1] - free)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("stacked", (True, False), ids=["stacked", "per-node"])
     def test_zero_first_node_is_not_transformed(self, monkeypatch, stacked):
-        # every order past the zeroth starts from zero at node 0; its
-        # spectrum is zero, so the sweep transforms nodes 1..n only
+        # a node whose integrand is zero has a zero spectrum and is not
+        # transformed: node 0 of every order past the zeroth, a zero node
+        # inside the stack, and every node of a sourceless zeroth order,
+        # which transforms its initial value only
         grid = Grid((15, 11), (0.4, 0.5), (-3.0, -3.0), FreeSpaceTruncated())
         kernel = sweep_kernel(grid)
-        integrand = np.random.default_rng(10).normal(size=(9,) + grid.shape)
+        rng = np.random.default_rng(10)
+        integrand = rng.normal(size=(9,) + grid.shape)
         integrand[0] = 0.0
-        want = swept(kernel, integrand)
+        middle = integrand.copy()
+        middle[4] = 0.0
+        factor = rng.normal(size=integrand.shape)
+        initial = rng.normal(size=grid.shape)
+        cases = [(integrand, None, None, 8), (middle, None, None, 7), (middle, factor, initial, 7),
+                 (np.zeros_like(integrand), None, initial, 0)]
+        wants = [swept(kernel, *case[:3]) for case in cases]
         shapes = []
         forward = type(kernel.torus).forward
 
@@ -544,9 +568,12 @@ class TestEngineStacking:
 
         monkeypatch.setattr(type(kernel.torus), "forward", counted)
         kernel.stacked = stacked
-        got = swept(kernel, integrand)
-        assert shapes == ([(8,) + grid.shape] if stacked else [grid.shape] * 8)
-        assert got.tobytes() == want.tobytes()
+        for (stack, fac, init, live), want in zip(cases, wants):
+            shapes.clear()
+            got = swept(kernel, stack, fac, init)
+            nodes = [(live,) + grid.shape] * bool(live) if stacked else [grid.shape] * live
+            assert sorted(shapes) == sorted(([grid.shape] if init is not None else []) + nodes)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSweepNodes:
@@ -595,7 +622,8 @@ class TestStreaming:
         opts = SeriesOptions(depth_max=depth_max, time_steps=32, output_times=(0.25, 0.5))
         sol = solve_controlled_heat(G0, F, 0.5, opts)
         assert sol.metadata["stop_reason"] == ("depth_max" if depth_max == 4 else "tolerance")
-        assert calls == {"sample": 1, "sweep": sol.truncation_depth}
+        # the zeroth order's sweep from G0, then one sweep per later order
+        assert calls == {"sample": 1, "sweep": 1 + sol.truncation_depth}
 
     def test_source_forcing_sampled_once(self, monkeypatch):
         calls = self._count_calls(monkeypatch)
@@ -605,7 +633,7 @@ class TestStreaming:
         sol = solve_controlled_heat(ScalarField.constant(g, 1.0), Forcing.from_expression("0.5*sin(x)"),
                                     0.5, opts, source=source)
         assert calls["sample"] == 2
-        # the source's sweep into the zeroth order, then one sweep per later order
+        # the zeroth order's one sweep, source and G0 together, then one per later order
         assert calls["sweep"] == 1 + sol.truncation_depth
 
     def test_constant_forcing_sweeps_every_emitted_order(self, monkeypatch):
@@ -617,7 +645,7 @@ class TestStreaming:
         opts = SeriesOptions(depth_max=20, rel_tolerance=1e-14, time_steps=16, output_times=(0.25, 1.0))
         sol = solve_controlled_heat(ScalarField.constant(g, 1.0), Forcing.constant(c), 1.0, opts)
         assert sol.metadata["stop_reason"] == "tolerance"
-        assert calls == {"sample": 1, "sweep": sol.truncation_depth}
+        assert calls == {"sample": 1, "sweep": 1 + sol.truncation_depth}
         for m, t in enumerate(sol.trajectory.times):
             for k, term in enumerate(sol.terms[m]):
                 assert np.max(np.abs(term.values - (c * t) ** k / math.factorial(k))) < 1e-13
