@@ -1,15 +1,16 @@
 """Scalar space-time functions F(t, x[, y, z]): forcings, coefficients, fields.
 
 A ``Forcing`` is a constant, a closed expression over (t, x, y, z), a
-callable ``fn(t, x[, y, z])``, or a stack of sampled fields with linear
-interpolation in time.  ``sample(grid, times)`` returns the
+callable ``fn(t, x[, y, z])``, or a node stack sampled on one grid with
+linear interpolation in time.  ``sample(grid, times)`` returns the
 ``(len(times), *grid.shape)`` stack on the grid it is given, and
 ``sample_rows(times, x)`` the ``(len(times), n)`` stack on 1-D nodes that may
 move with time.  Expressions are evaluated once with t an open column and
 sparse coordinates, so each subexpression costs only the size of the axes it
-uses; callables and sampled stacks are evaluated time by time.  Every path
-rejects non-finite values.  A forcing carries no bounds: the series solver
-takes sup F and inf F from the node samples it actually uses.
+uses, and a sampled stack is interpolated at every time in one step; only a
+callable is evaluated time by time.  Every path rejects non-finite values.  A
+forcing carries no bounds: the series solver takes sup F and inf F from the
+node samples it actually uses.
 """
 
 from __future__ import annotations
@@ -79,32 +80,30 @@ class Forcing:
         return cls(evaluate, "callable")
 
     @classmethod
-    def from_samples(cls, times, fields) -> "Forcing":
-        """Sampled stack with linear interpolation in t; constant beyond the ends."""
-        times = np.asarray([float(t) for t in times])
-        fields = list(fields)
-        if len(times) != len(fields) or len(fields) == 0:
-            raise ValueError("need one field per sample time")
+    def from_samples(cls, grid: Grid, times, stack) -> "Forcing":
+        """The ``(len(times), *grid.shape)`` node ``stack`` on ``grid``, linear
+        in t between the strictly increasing ``times`` and constant beyond them."""
+        times = np.asarray(times, dtype=float)
+        stack = np.array(stack, dtype=float)
+        if not np.isfinite(stack).all():
+            raise ValueError("sampled stack has non-finite values")
+        if times.ndim != 1 or not times.size or stack.shape != times.shape + grid.shape:
+            raise ValueError(f"need one {grid.shape} field per sample time, got a {stack.shape} "
+                             f"stack for {times.size} times")
         if np.any(np.diff(times) <= 0):
             raise ValueError("sample times must be strictly increasing")
-        grid = fields[0].grid
-        if any(f.grid != grid for f in fields):
-            raise ValueError("all sampled fields must share one grid")
-        stack = np.stack([f.values for f in fields])
-
-        def at(t: float) -> np.ndarray:
-            if t <= times[0]:
-                return stack[0]
-            if t >= times[-1]:
-                return stack[-1]
-            j = int(np.searchsorted(times, t) - 1)
-            w = (t - times[j]) / (times[j + 1] - times[j])
-            return (1.0 - w) * stack[j] + w * stack[j + 1]
+        stack.flags.writeable = False
+        axes = (1,) * grid.ndim
 
         def evaluate(query: np.ndarray, coords, on: Grid | None) -> np.ndarray:
             if on != grid:
                 raise ValueError("sampled forcing queried on a different grid")
-            return np.stack([at(float(t)) for t in query])
+            if len(times) == 1:
+                return stack
+            # the weights are clipped to [0, 1], so F is constant beyond the ends
+            j = np.clip(np.searchsorted(times, query) - 1, 0, len(times) - 2)
+            w = np.clip((query - times[j]) / (times[j + 1] - times[j]), 0.0, 1.0).reshape((-1,) + axes)
+            return (1.0 - w) * stack[j] + w * stack[j + 1]
 
         return cls(evaluate, "sampled")
 

@@ -60,7 +60,9 @@ class Grid:
         Node spacing per dimension, strictly positive and finite.
     origin : tuple of float
         Lower corner of the domain box, finite (nodes are offset half a cell
-        inward).
+        inward).  The box must lie in double range, and each spacing must
+        exceed twice the rounding step of the largest coordinate on its axis,
+        so that the node coordinates stay distinct.
     boundary : Periodic or FreeSpaceTruncated
     """
 
@@ -87,6 +89,12 @@ class Grid:
             raise ValueError(f"spacings must be positive and finite, got {spacing}")
         if not all(math.isfinite(o) for o in origin):
             raise ValueError(f"origins must be finite, got {origin}")
+        for d, (n, h, o) in enumerate(zip(points, spacing, origin)):
+            # the nodes are affine in their index, so the box ends bound every rounding step
+            reach = max(abs(o), abs(o + n * h))
+            if not h > 2.0 * math.ulp(reach):
+                raise ValueError(f"axis {d}: spacing {h:g} does not separate node coordinates "
+                                 f"of size {reach:g} in floating point")
         if not isinstance(self.boundary, (Periodic, FreeSpaceTruncated)):
             raise TypeError("boundary must be Periodic or FreeSpaceTruncated")
 

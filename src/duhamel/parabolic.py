@@ -35,6 +35,10 @@ inside and the fourth-order free-space stencil near the ends; central weights
 as in Fornberg, Math. Comp. 51, 1988), divided by the knots' exact rate: the
 spacing for the uniform x and y knots, psi_x h_x for the psi knots.  No system
 is solved.  A monotone interpolant would flatten the solution at its extrema.
+
+``normalize`` checks psi, then x(y) and P(y), then rho, Q, g and v0 for finite
+values as each is formed, naming the first that overflows; ``solve_normalized``
+hands -Q and -g to the series as node stacks (``Forcing.from_samples``).
 """
 
 
@@ -176,7 +180,16 @@ def _splines(knots: np.ndarray, values: np.ndarray, points: np.ndarray, rate: fl
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")
+def _require_finite(t_nodes: np.ndarray, *named: tuple[str, np.ndarray]) -> None:
+    """Raise ``FloatingPointError`` at the first named stack with a non-finite
+    row, naming the stack and the time of that row."""
+    for name, stack in named:
+        finite = np.isfinite(stack).all(axis=-1)
+        if not finite.all():
+            raise FloatingPointError(f"normalize: {name} overflows at t={t_nodes[np.argmin(finite)]:g}")
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def normalize(prob: ParabolicProblem, opts: SeriesOptions | None = None) -> NormalizedProblem:
     """Sample Q, g, rho and the maps on the (t, y) lattice.
 
@@ -202,6 +215,7 @@ def normalize(prob: ParabolicProblem, opts: SeriesOptions | None = None) -> Norm
     # psi_x = sqrt(-1/A) exactly; psi = int_{x_first}^{x} psi_x dz
     slope = np.sqrt(-1.0 / A)
     psi_stack = corrected_cumulative_trapezoid(slope, h_x)
+    _require_finite(t_nodes, ("psi", psi_stack))
     stalled = (np.diff(psi_stack, axis=-1) <= 0).any(axis=-1)
     if stalled.any():
         raise ValueError(f"psi(t={t_nodes[np.argmax(stalled)]}) is not strictly increasing")
@@ -220,6 +234,7 @@ def normalize(prob: ParabolicProblem, opts: SeriesOptions | None = None) -> Norm
     # dpsi/di = psi_x h_x exactly
     resampled = _splines(psi_stack, columns, np.broadcast_to(y, P_x.shape), slope * h_x)
     x_of_y, P_on_y = np.moveaxis(resampled, -1, 0)
+    _require_finite(t_nodes, ("x(y)", x_of_y), ("P(y)", P_on_y))
 
     rho_stack = -0.5 * corrected_cumulative_trapezoid(P_on_y, h_y)
     int_P_t = corrected_cumulative_trapezoid(_time_stack_derivative(P_on_y, dt), h_y)
@@ -229,11 +244,8 @@ def normalize(prob: ParabolicProblem, opts: SeriesOptions | None = None) -> Norm
 
     u0_on_y = _splines(x, prob.u0.values[None, :, None], x_of_y[:1], h_x)[0, :, 0]
     v0 = np.exp(rho_stack[0]) * u0_on_y
-    for name, stack in (("rho", rho_stack), ("Q", Q_stack), ("g = f exp(rho)", g_stack),
-                        ("v0 = u0 exp(rho)", v0[None])):
-        finite = np.isfinite(stack).all(axis=-1)
-        if not finite.all():
-            raise FloatingPointError(f"normalize: {name} overflows at t={t_nodes[np.argmin(finite)]:g}")
+    _require_finite(t_nodes, ("rho", rho_stack), ("Q", Q_stack), ("g = f exp(rho)", g_stack),
+                    ("v0 = u0 exp(rho)", v0[None]))
 
     return NormalizedProblem(
         y_grid=y_grid,
@@ -251,13 +263,8 @@ def normalize(prob: ParabolicProblem, opts: SeriesOptions | None = None) -> Norm
 
 def solve_normalized(np_: NormalizedProblem, opts: SeriesOptions | None = None) -> SeriesSolution:
     """Operator-iteration solve of v_t - v_yy + Q v + g = 0 on the y-grid."""
-    y_grid = np_.y_grid
-    times = np.asarray(np_.t_nodes)
-    q_fields = [ScalarField(y_grid, -np_.Q_stack[i]) for i in range(len(times))]
-    s_fields = [ScalarField(y_grid, -np_.g_stack[i]) for i in range(len(times))]
-    F = Forcing.from_samples(times, q_fields)
-    zero_source = bool(np.all(np_.g_stack == 0.0))
-    source = None if zero_source else Forcing.from_samples(times, s_fields)
+    F = Forcing.from_samples(np_.y_grid, np_.t_nodes, -np_.Q_stack)
+    source = Forcing.from_samples(np_.y_grid, np_.t_nodes, -np_.g_stack) if np_.g_stack.any() else None
     return solve_controlled_heat(np_.v0, F, np_.t_nodes[-1], opts, source=source)
 
 

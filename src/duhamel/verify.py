@@ -224,8 +224,8 @@ def random_bounded_forcing(grid: Grid, rng: np.random.Generator, horizon: float,
                            bound: float) -> Forcing:
     """Sampled-stack forcing with |F| <= bound."""
     times = np.linspace(0.0, horizon, KEY_TIMES)
-    fields = [band_limited_field(grid, rng, amplitude=bound) for _ in times]
-    return Forcing.from_samples(times, fields)
+    stack = np.stack([band_limited_field(grid, rng, amplitude=bound).values for _ in times])
+    return Forcing.from_samples(grid, times, stack)
 
 
 def random_lipschitz_potential(grid: Grid, rng: np.random.Generator, c: float, a: float):

@@ -525,19 +525,38 @@ class TestSolveCommand:
         assert errors[0]["message"].startswith(stage)
         assert json.loads((out / "manifest.json").read_text())["exit_status"] == 3
 
-    @pytest.mark.parametrize("drift, stage", [
-        (-750, "normalize: g = f exp(rho) overflows at t=0"),
-        ("exp(t*800)", "normalize: Q overflows at t=0.46875"),
-    ], ids=["g", "Q"])
-    def test_parabolic_reduction_overflow_exits_3(self, tmp_path, capsys, drift, stage):
+    @pytest.mark.parametrize("keys, value, stage", [
+        (("parabolic", "a"), -750, "normalize: g = f exp(rho) overflows at t=0"),
+        (("parabolic", "a"), "exp(t*800)", "normalize: Q overflows at t=0.46875"),
+        # psi_x = 1e-154: the knot spacing of psi squares to below double range
+        (("parabolic", "A"), -1e308, "normalize: x(y) overflows at t=0"),
+        # a valid grid, but the h^2/12 term of psi's quadrature overflows
+        (("grid", "extent"), [1e300], "normalize: psi overflows at t=0"),
+    ], ids=["g", "Q", "x(y)", "psi"])
+    def test_parabolic_reduction_overflow_exits_3(self, tmp_path, capsys, keys, value, stage):
         # a RuntimeWarning is an error under this suite, so the exit 3 also
         # shows that the reduction overflowed without one
         body = parabolic_config()
-        body["parabolic"]["a"] = drift
+        body[keys[0]][keys[1]] = value
         out = tmp_path / "out"
         assert main(["solve", write_config(tmp_path, body), "-o", str(out)]) == 3
         assert json.loads(capsys.readouterr().err)["errors"] == [{"path": "parabolic", "message": stage}]
         assert json.loads((out / "manifest.json").read_text())["exit_status"] == 3
+
+    @pytest.mark.parametrize("kind", ["heat", "parabolic"])
+    def test_collapsed_grid_exits_2(self, tmp_path, capsys, kind):
+        # 16 units of extent at -1e308: all 64 nodes round to one coordinate,
+        # which on a heat run used to solve to a G constant over the grid
+        body = CONFIGS[kind]()
+        body["grid"] = {"points": [64], "extent": [16.0], "origin": [-1e308], "boundary": {"free_space": {}}}
+        if kind == "heat":
+            body["series"] = {"time_steps": 16, "output_times": [0.5]}
+            body["controlled_heat"].update(forcing="0.3*cos(x)", horizon=0.5)
+        rc = main(["solve", write_config(tmp_path, body), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["errors"] == [{
+            "path": "grid",
+            "message": "axis 0: spacing 0.25 does not separate node coordinates of size 1e+308 in floating point"}]
 
     def test_tail_estimate_overflow_is_named_in_strict_json(self, tmp_path):
         # the tail factor at t = 0.5 is finite; its product with

@@ -70,9 +70,7 @@ class TestExpression:
 class TestSampledStack:
     def test_linear_interpolation(self):
         g = grid()
-        f0 = ScalarField.constant(g, 0.0)
-        f1 = ScalarField.constant(g, 2.0)
-        F = Forcing.from_samples((0.0, 1.0), (f0, f1))
+        F = Forcing.from_samples(g, (0.0, 1.0), np.stack([np.zeros(g.shape), np.full(g.shape, 2.0)]))
         vals = F.sample(g, [0.25, 1.0, 5.0])
         assert np.allclose(vals[0], 0.5)
         assert np.allclose(vals[1], 2.0)
@@ -84,24 +82,58 @@ class TestSampledStack:
         # the stack's: linear interpolation never leaves it
         g = grid()
         x = g.coords(0)
-        fields = [ScalarField(g, a * np.sin(x)) for a in (0.5, -1.5)]
-        sol = solve(Forcing.from_samples((0.0, 1.0), fields), g)
-        stack = np.stack([f.values for f in fields])
+        stack = np.stack([a * np.sin(x) for a in (0.5, -1.5)])
+        sol = solve(Forcing.from_samples(g, (0.0, 1.0), stack), g)
         assert sol.forcing_sup == float(stack.max())
         assert sol.forcing_inf == float(stack.min())
 
     def test_wrong_grid_rejected(self):
         g = grid()
         other = Grid((32,), (2 * np.pi / 32,), (0.0,))
-        F = Forcing.from_samples((0.0, 1.0), (ScalarField.constant(g, 0), ScalarField.constant(g, 1)))
+        F = Forcing.from_samples(g, (0.0, 1.0), np.stack([np.zeros(g.shape), np.ones(g.shape)]))
         with pytest.raises(ValueError, match="different grid"):
             F.sample(other, [0.5])
 
+    def test_same_shape_on_another_grid_rejected(self):
+        # the stack's shape fits, but the nodes are elsewhere
+        g = grid()
+        shifted = Grid(g.points, g.spacing, (1.0,))
+        F = Forcing.from_samples(g, (0.0, 1.0), np.zeros((2,) + g.shape))
+        with pytest.raises(ValueError, match="different grid"):
+            F.sample(shifted, [0.5])
+
     def test_times_must_increase(self):
         g = grid()
-        f = ScalarField.constant(g, 0.0)
-        with pytest.raises(ValueError):
-            Forcing.from_samples((0.0, 0.0), (f, f))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Forcing.from_samples(g, (0.0, 0.0), np.zeros((2,) + g.shape))
+
+    def test_one_time_stack_is_constant_in_t(self):
+        g = grid()
+        field = np.sin(g.coords(0))
+        vals = Forcing.from_samples(g, (0.5,), field[None]).sample(g, [-1.0, 0.5, 3.0])
+        assert vals.flags.writeable
+        assert np.array_equal(vals, np.stack([field] * 3))
+
+    def test_nonfinite_stack_rejected(self):
+        g = grid()
+        stack = np.zeros((2,) + g.shape)
+        stack[1, 7] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            Forcing.from_samples(g, (0.0, 1.0), stack)
+
+    @pytest.mark.parametrize("shape", [(2, 32), (2, 64, 1), (3, 64), (64,)],
+                             ids=["points", "ndim", "times", "no-time-axis"])
+    def test_stack_shape_must_be_the_grids(self, shape):
+        with pytest.raises(ValueError, match=r"need one \(64,\) field per sample time"):
+            Forcing.from_samples(grid(), (0.0, 1.0), np.zeros(shape))
+
+    def test_stack_is_copied(self):
+        # the caller's array stays writeable, and later writes to it do not reach F
+        g = grid()
+        stack = np.zeros((2,) + g.shape)
+        F = Forcing.from_samples(g, (0.0, 1.0), stack)
+        stack += 1.0
+        assert np.all(F.sample(g, [0.5]) == 0.0)
 
 
 class TestTransforms:
@@ -112,8 +144,7 @@ class TestTransforms:
 
     def test_halved_bounds_linear(self):
         g = grid()
-        fields = [ScalarField(g, np.full(g.shape, v)) for v in (3.0, -1.0)]
-        F = Forcing.from_samples((0.0, 1.0), fields)
+        F = Forcing.from_samples(g, (0.0, 1.0), np.stack([np.full(g.shape, v) for v in (3.0, -1.0)]))
         full, half = solve(F, g), solve(F.halved(), g)
         assert (half.forcing_sup, half.forcing_inf) == (1.5, -0.5)
         assert (full.forcing_sup, full.forcing_inf) == (3.0, -1.0)
@@ -159,7 +190,7 @@ def sampled_forcing():
         w = (t - KEY_TIMES[j]) / (KEY_TIMES[j + 1] - KEY_TIMES[j])
         return (1.0 - w) * KEY_FIELDS[j] + w * KEY_FIELDS[j + 1]
 
-    return Forcing.from_samples(KEY_TIMES, [ScalarField(GRID_2D, v) for v in KEY_FIELDS]), ref
+    return Forcing.from_samples(GRID_2D, KEY_TIMES, KEY_FIELDS), ref
 
 
 def callable_forcing():
@@ -167,24 +198,35 @@ def callable_forcing():
     return Forcing.from_callable(fn), lambda t: fn(t, *GRID_2D.meshgrid())
 
 
+EXPRESSIONS = ("0.7*sin(x)*cos(3*t) + 0.2*cos(5*t) - exp(-y)*t",  # every variable
+               "sin(x)*cos(y)",  # no t
+               "exp(-t)*sin(2*x) + 1/3",  # no y
+               "cos(t)",  # no space
+               "2.5")  # no variable
+HALVED = (EXPRESSIONS[0], "sampled")
+# the case names, fixed without building a forcing, so that a failing
+# constructor fails its cases instead of collecting the module
+STACK_CASES = tuple(sorted(("constant", *EXPRESSIONS, "callable", "sampled",
+                            *(f"halved {name}" for name in HALVED))))
+
+
 def stack_cases():
     cases = {"constant": (Forcing.constant(-0.75), lambda t: np.full(GRID_2D.shape, -0.75))}
-    for source in ("0.7*sin(x)*cos(3*t) + 0.2*cos(5*t) - exp(-y)*t",  # every variable
-                   "sin(x)*cos(y)",  # no t
-                   "exp(-t)*sin(2*x) + 1/3",  # no y
-                   "cos(t)",  # no space
-                   "2.5"):  # no variable
+    for source in EXPRESSIONS:
         cases[source] = (Forcing.from_expression(source), per_time_expression(source))
     cases["callable"] = callable_forcing()
     cases["sampled"] = sampled_forcing()
-    for name in ("0.7*sin(x)*cos(3*t) + 0.2*cos(5*t) - exp(-y)*t", "sampled"):
+    for name in HALVED:
         F, ref = cases[name]
         cases[f"halved {name}"] = (F.halved(), lambda t, ref=ref: 0.5 * ref(t))
     return cases
 
 
 class TestStackSampling:
-    @pytest.mark.parametrize("name", sorted(stack_cases()))
+    def test_case_names_are_the_cases(self):
+        assert STACK_CASES == tuple(sorted(stack_cases()))
+
+    @pytest.mark.parametrize("name", STACK_CASES)
     def test_stack_equals_per_time_evaluation(self, name):
         F, ref = stack_cases()[name]
         stack = F.sample(GRID_2D, TIMES)
@@ -222,7 +264,7 @@ class TestRows:
 
     def test_sampled_stack_has_no_rows(self):
         g = grid()
-        F = Forcing.from_samples((0.0, 1.0), (ScalarField.constant(g, 0), ScalarField.constant(g, 1)))
+        F = Forcing.from_samples(g, (0.0, 1.0), np.stack([np.zeros(g.shape), np.ones(g.shape)]))
         with pytest.raises(ValueError, match="different grid"):
             F.sample_rows([0.5], g.coords(0))
 

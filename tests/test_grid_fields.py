@@ -61,6 +61,21 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid((16, 16, 16, 16), (0.1,) * 4, (0.0,) * 4)
 
+    @pytest.mark.parametrize("points, spacing, origin", [
+        ((64,), (0.25,), (-1e308,)),  # every node rounds to the origin
+        ((16, 64), (0.1, 2.0**-52), (0.0, 1.0)),  # a step of one rounding step at 1
+        ((32,), (1e307,), (0.0,)),  # the box end overflows
+    ], ids=["collapsed", "one-ulp", "box-overflows"])
+    def test_rejects_nodes_that_are_not_distinct(self, points, spacing, origin):
+        with pytest.raises(ValueError, match=f"axis {len(points) - 1}: spacing .* does not separate"):
+            Grid(points, spacing, origin)
+
+    @pytest.mark.parametrize("spacing, origin", [((1e-155,), (0.0,)), ((2.0**-50,), (1.0,)),
+                                                 ((1e300 / 64,), (-8.0,))])
+    def test_accepts_distinct_extreme_nodes(self, spacing, origin):
+        x = Grid((64,), spacing, origin).coords(0)
+        assert np.all(np.diff(x) > 0)
+
     def test_nearest_node(self):
         g = periodic_1d(8)
         h = 2 * np.pi / 8

@@ -370,9 +370,7 @@ class TestFreeSpaceConvergence:
             return 0.5 * np.exp(-t) * np.exp(-r2 / 2)
 
         times = np.linspace(0.0, 0.5, 65)
-        F = Forcing.from_samples(
-            times, [ScalarField(grid, (grid.ndim - 1 - r2) * a(t) - r2 * a(t) ** 2) for t in times]
-        )
+        F = Forcing.from_samples(grid, times, [(grid.ndim - 1 - r2) * a(t) - r2 * a(t) ** 2 for t in times])
         G0 = ScalarField(grid, np.exp(a(0.0)))
         errs = []
         for nt in (16, 32, 64):
@@ -411,7 +409,7 @@ class TestFreeSpaceConvergence:
                 return a * (exp1(r2 / (4 * (a + t))) - exp1(r2 / (4 * a)))
 
         r2_all = sum(m * m for m in grid.meshgrid())
-        source = Forcing.from_samples((0.0, horizon), [ScalarField(grid, np.exp(-r2_all / (4 * a)))] * 2)
+        source = Forcing.from_samples(grid, (0.0, horizon), [np.exp(-r2_all / (4 * a))] * 2)
         for nt in (16, 32, 64):
             opts = SeriesOptions(time_steps=nt, output_times=(0.25, 0.5))
             sol = solve_controlled_heat(ScalarField.constant(grid, 0.0), Forcing.zero(), horizon, opts,
