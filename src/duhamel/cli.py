@@ -11,9 +11,10 @@ runs write CSF1 trajectories, bound reports as JSON lines, and a manifest
 recording the config hash, the duhamel and numpy versions, the config's
 seed (recorded only: no artifact depends on it), kernel engine and padded
 transform shape, the forcing envelope over the solver's node samples, the
-sup norm of each emitted series order and why the series stopped, timings,
-and the process's peak resident memory when the solve ends; with a fixed
-config the field artifacts are byte identical across runs.
+sup norm of each emitted series order, why the series stopped and its
+estimated truncation error, timings, and the process's peak resident memory
+when the solve ends; with a fixed config the field artifacts are byte
+identical across runs.
 """
 
 from __future__ import annotations
@@ -137,13 +138,13 @@ def _record_series(sol: SeriesSolution, manifest: dict):
     manifest["order_norms"] = sol.metadata["order_norms"]
     manifest["stop_reason"] = sol.metadata["stop_reason"]
     manifest["not_converged"] = sol.not_converged
+    manifest["estimated_truncation_error"] = sol.estimated_truncation_error
 
 
 def _solve_controlled_heat(cfg: RunConfig, manifest: dict) -> tuple[SeriesSolution, dict, dict]:
     g0 = cfg.initial_field()
     forcing = cfg.forcing("forcing") or Forcing.zero()
     sol = solve_controlled_heat(g0, forcing, cfg.payload["horizon"], cfg.series)
-    manifest["estimated_truncation_error"] = sol.estimated_truncation_error
     reports = {"ceiling": ceiling_check(sol, sol.forcing_abs_bound),
                "termwise": termwise_factorial_check(sol, sol.forcing_abs_bound)}
     return sol, {"G": sol.trajectory}, reports

@@ -102,8 +102,10 @@ def _checked_curl(u0: VectorField) -> tuple[float, float]:
     return residual, tolerance
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _staircase(u0: VectorField, anchor: tuple[int, ...], axis_order) -> np.ndarray:
-    """Line integral of u0 along the axis-aligned staircase path."""
+    """Line integral of u0 along the axis-aligned staircase path; one that
+    overflows (a spacing whose square does) raises ``ValueError``."""
     grid = u0.grid
     phi = np.zeros(grid.shape)
     for pos, d in enumerate(axis_order):
@@ -113,6 +115,8 @@ def _staircase(u0: VectorField, anchor: tuple[int, ...], axis_order) -> np.ndarr
             sel[e] = slice(anchor[e], anchor[e] + 1)
         # one 4th-order integral over the whole line, measured from the anchor
         total = corrected_cumulative_trapezoid(u0.components[d][tuple(sel)], grid.spacing[d], d)
+        if not np.isfinite(total).all():
+            raise ValueError(f"potential: the line integral along axis {d} overflows")
         phi = phi + (total - np.take(total, [anchor[d]], d))  # broadcasts over the pinned axes
     return phi
 

@@ -1,12 +1,14 @@
 """Run configuration schema: strict JSON with machine-readable errors.
 
 Unknown keys are rejected at every level, so stale or misspelled options
-never silently change a run.  ``_SECTIONS`` declares the leaves of the
-``series`` section and of each run kind's section, in checking order, with
+never silently change a run.  ``_SECTIONS`` declares the leaves of every
+section (``grid``, ``series`` and each run kind's), in checking order, with
 whether each is required and the ``_Checker`` method that parses it; one
 walker, ``_Checker.leaves``, rejects a section's unknown keys, reports its
-missing ones and parses every present leaf under its dotted path.  The top
-level admits only the run kind's own section.  ``load_config`` raises
+missing ones and parses every present leaf under its dotted path.  A section
+that builds an object (the ``Grid``, the ``SeriesOptions``) passes its
+constructor, whose ``ValueError`` is reported at the section.  The top level
+admits only the run kind's own section.  ``load_config`` raises
 ``ConfigError`` whose ``errors`` list ({"path", "message"} records) is what
 the CLI serializes.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +43,8 @@ class ConfigError(ValueError):
 class _Checker:
     def __init__(self):
         self.errors: list[dict] = []
-        # the grid's axis count once it parses; until then an expression may
-        # use every axis, and a per-axis list may have any length
+        # the grid's axis count once grid.points parses; until then an
+        # expression may use every axis, and a per-axis list may have any length
         self.ndim: int | None = None
 
     def fail(self, path: str, message: str):
@@ -61,20 +64,34 @@ class _Checker:
                 ok = False
         return ok
 
-    def leaves(self, obj, path: str, schema) -> dict | None:
+    def leaves(self, obj, path: str, schema, build=None):
         """Section ``obj``'s present leaves parsed by ``schema``'s (key,
         required, parse) rows, in order (``None`` where a leaf is wrong), or
-        ``None`` if ``obj`` is not an object or lacks a required leaf."""
+        ``None`` if ``obj`` is not an object or lacks a required leaf.  With
+        ``build``, ``build(**leaves)`` instead, or ``None`` if a leaf is wrong
+        or ``build`` raises, whose message is then reported at ``path``."""
         if not self.section(obj, path, [key for key, _, _ in schema],
                             [key for key, required, _ in schema if required]):
             return None
-        return {key: parse(self, obj[key], f"{path}.{key}") for key, _, parse in schema if key in obj}
+        parsed = {key: parse(self, obj[key], f"{path}.{key}") for key, _, parse in schema if key in obj}
+        if build is None:
+            return parsed
+        if None in parsed.values():
+            return None
+        try:
+            return build(**parsed)
+        except (ValueError, OverflowError) as exc:  # OverflowError: a count beyond double range
+            self.fail(path, str(exc))
+            return None
 
     def number(self, obj, path: str, positive=False, nonneg=False):
         if not isinstance(obj, (int, float)) or isinstance(obj, bool):
             self.fail(path, "must be a number")
             return None
-        v = float(obj)
+        try:
+            v = float(obj)
+        except OverflowError:  # an integer literal beyond double range
+            v = math.inf
         if not math.isfinite(v):
             self.fail(path, "must be finite")
             return None
@@ -107,6 +124,18 @@ class _Checker:
         values = [self.number(v, f"{path}[{i}]", **kw) for i, v in enumerate(obj)]
         return None if None in values else values
 
+    def points(self, obj, path: str):
+        """The grid's node counts, a non-empty list of integers; sets ``ndim``."""
+        if not isinstance(obj, list) or not obj or any(type(n) is not int for n in obj):
+            self.fail(path, "must be a list of integers")
+            return None
+        self.ndim = len(obj)
+        return obj
+
+    def lengths(self, obj, path: str):
+        """One positive number per grid axis."""
+        return self.numbers(obj, path, self.ndim, positive=True)
+
     def point(self, obj, path: str):
         """A tuple of one number per grid axis."""
         values = self.numbers(obj, path, self.ndim)
@@ -133,6 +162,15 @@ class _Checker:
             self.fail(path, f"uses {', '.join(missing)}, which the grid does not have")
             return None
         return expr
+
+    def boundary(self, obj, path: str):
+        if obj == "periodic":
+            return Periodic()
+        if isinstance(obj, dict) and set(obj) == {"free_space"}:
+            ok = self.section(obj["free_space"], f"{path}.free_space", (), ())
+            return FreeSpaceTruncated() if ok else None
+        self.fail(path, "must be 'periodic' or {'free_space': {}}")
+        return None
 
     def number_or_expression(self, obj, path: str):
         """A float, or a valid expression string compiled."""
@@ -176,15 +214,18 @@ class RunConfig:
 
 _KINDS = ("nse", "parabolic", "controlled-heat")
 _TOP_KEYS = ("schema", "kind", "grid", "series", "seed", "output_dir")
-_GRID_KEYS = {"points", "spacing", "extent", "origin", "boundary"}
 _HORIZON = ("horizon", True, _Checker.positive)
 # section -> its leaves in checking order: (key, required, parse), where
-# parse(checker, value, path) returns the value parsed or None; a run kind's
-# section is named after it, with "_" for "-"
+# parse(checker, value, path) is a _Checker method, or one with its keywords
+# bound, that returns the value parsed or None; a run kind's section is named
+# after it, with "_" for "-"
 _SECTIONS = {
+    "grid": (("points", True, _Checker.points), ("spacing", False, _Checker.lengths),
+             ("extent", False, _Checker.lengths), ("origin", True, _Checker.point),
+             ("boundary", False, _Checker.boundary)),
     "series": (("depth_max", False, _Checker.integer), ("rel_tolerance", False, _Checker.positive),
-               ("time_steps", False, lambda chk, v, path: chk.integer(v, path, minimum=1)),
-               ("output_times", False, lambda chk, v, path: chk.numbers(v, path, nonneg=True))),
+               ("time_steps", False, partial(_Checker.integer, minimum=1)),
+               ("output_times", False, partial(_Checker.numbers, nonneg=True))),
     "controlled_heat": (_HORIZON, ("initial", True, _Checker.expression),
                         ("forcing", False, _Checker.number_or_expression)),
     "nse": (_HORIZON, ("speed_bound", True, _Checker.positive), ("anchor_value", True, _Checker.number),
@@ -195,54 +236,13 @@ _SECTIONS = {
 }
 
 
-def _parse_grid(obj, chk: _Checker) -> Grid | None:
-    if not chk.section(obj, "grid", _GRID_KEYS, {"points", "origin"}):
-        return None
-    points = obj.get("points")
-    if not isinstance(points, list) or not points or not all(
-        isinstance(p, int) and not isinstance(p, bool) for p in points
-    ):
-        chk.fail("grid.points", "must be a list of integers")
-        return None
-    ndim = len(points)
-    if ("spacing" in obj) == ("extent" in obj):
-        chk.fail("grid", "give exactly one of spacing or extent")
-        return None
-    if "spacing" in obj:
-        spacing = chk.numbers(obj["spacing"], "grid.spacing", ndim, positive=True)
-    else:
-        extent = chk.numbers(obj["extent"], "grid.extent", ndim, positive=True)
+def _grid(points, origin, spacing=None, extent=None, boundary=Periodic()) -> Grid:
+    if (spacing is None) == (extent is None):
+        raise ValueError("give exactly one of spacing or extent")
+    if extent is not None:
         # a zero count gets an infinite spacing here; Grid rejects the count first
-        spacing = extent and [e / p if p else math.inf for e, p in zip(extent, points)]
-    origin = chk.numbers(obj["origin"], "grid.origin", ndim)
-    if spacing is None or origin is None:
-        return None
-    boundary_spec = obj.get("boundary", "periodic")
-    if boundary_spec == "periodic":
-        boundary = Periodic()
-    elif isinstance(boundary_spec, dict) and set(boundary_spec) == {"free_space"}:
-        if not chk.section(boundary_spec["free_space"], "grid.boundary.free_space", set(), set()):
-            return None
-        boundary = FreeSpaceTruncated()
-    else:
-        chk.fail("grid.boundary", "must be 'periodic' or {'free_space': {}}")
-        return None
-    try:
-        return Grid(tuple(points), tuple(spacing), tuple(origin), boundary)
-    except (TypeError, ValueError) as exc:
-        chk.fail("grid", str(exc))
-        return None
-
-
-def _parse_series(obj, chk: _Checker) -> SeriesOptions | None:
-    kwargs = chk.leaves(obj, "series", _SECTIONS["series"])
-    if kwargs is None or None in kwargs.values():
-        return None
-    try:
-        return SeriesOptions(**kwargs)
-    except ValueError as exc:
-        chk.fail("series", str(exc))
-        return None
+        spacing = [e / n if n else math.inf for e, n in zip(extent, points)]
+    return Grid(tuple(points), tuple(spacing), origin, boundary)
 
 
 def load_config(path) -> RunConfig:
@@ -267,10 +267,8 @@ def load_config(path) -> RunConfig:
         chk.fail("kind", f"must be one of {', '.join(map(repr, _KINDS))}")
         raise ConfigError(chk.errors)
 
-    grid = _parse_grid(raw["grid"], chk)
-    if grid is not None:
-        chk.ndim = grid.ndim
-    series = _parse_series(raw.get("series", {}), chk)
+    grid = chk.leaves(raw["grid"], "grid", _SECTIONS["grid"], _grid)
+    series = chk.leaves(raw.get("series", {}), "series", _SECTIONS["series"], SeriesOptions)
 
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):

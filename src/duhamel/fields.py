@@ -11,6 +11,8 @@ a new field, so shared inputs are safe under concurrency.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +77,12 @@ class VectorField:
     @property
     def max_norm(self) -> float:
         """Max over nodes of the Euclidean component norm."""
-        sq = sum(c * c for c in self.components)
-        return float(np.sqrt(np.max(sq)))
+        with np.errstate(over="ignore"):
+            sq = float(np.max(sum(c * c for c in self.components)))
+        if sq < math.inf:
+            return math.sqrt(sq)
+        # a component past 1.34e154 squares past double range; hypot, slower, squares nothing
+        return float(np.max(functools.reduce(np.hypot, self.components, 0.0)))
 
     def component(self, axis: int) -> ScalarField:
         return ScalarField(self.grid, self.components[axis])

@@ -180,13 +180,13 @@ def _splines(knots: np.ndarray, values: np.ndarray, points: np.ndarray, rate: fl
     return out
 
 
-def _require_finite(t_nodes: np.ndarray, *named: tuple[str, np.ndarray]) -> None:
+def _require_finite(stage: str, times, *named: tuple[str, np.ndarray]) -> None:
     """Raise ``FloatingPointError`` at the first named stack with a non-finite
-    row, naming the stack and the time of that row."""
+    row, naming the stage, the stack and the time of that row."""
     for name, stack in named:
         finite = np.isfinite(stack).all(axis=-1)
         if not finite.all():
-            raise FloatingPointError(f"normalize: {name} overflows at t={t_nodes[np.argmin(finite)]:g}")
+            raise FloatingPointError(f"{stage}: {name} overflows at t={times[np.argmin(finite)]:g}")
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
@@ -215,7 +215,7 @@ def normalize(prob: ParabolicProblem, opts: SeriesOptions | None = None) -> Norm
     # psi_x = sqrt(-1/A) exactly; psi = int_{x_first}^{x} psi_x dz
     slope = np.sqrt(-1.0 / A)
     psi_stack = corrected_cumulative_trapezoid(slope, h_x)
-    _require_finite(t_nodes, ("psi", psi_stack))
+    _require_finite("normalize", t_nodes, ("psi", psi_stack))
     stalled = (np.diff(psi_stack, axis=-1) <= 0).any(axis=-1)
     if stalled.any():
         raise ValueError(f"psi(t={t_nodes[np.argmax(stalled)]}) is not strictly increasing")
@@ -234,7 +234,7 @@ def normalize(prob: ParabolicProblem, opts: SeriesOptions | None = None) -> Norm
     # dpsi/di = psi_x h_x exactly
     resampled = _splines(psi_stack, columns, np.broadcast_to(y, P_x.shape), slope * h_x)
     x_of_y, P_on_y = np.moveaxis(resampled, -1, 0)
-    _require_finite(t_nodes, ("x(y)", x_of_y), ("P(y)", P_on_y))
+    _require_finite("normalize", t_nodes, ("x(y)", x_of_y), ("P(y)", P_on_y))
 
     rho_stack = -0.5 * corrected_cumulative_trapezoid(P_on_y, h_y)
     int_P_t = corrected_cumulative_trapezoid(_time_stack_derivative(P_on_y, dt), h_y)
@@ -244,7 +244,7 @@ def normalize(prob: ParabolicProblem, opts: SeriesOptions | None = None) -> Norm
 
     u0_on_y = _splines(x, prob.u0.values[None, :, None], x_of_y[:1], h_x)[0, :, 0]
     v0 = np.exp(rho_stack[0]) * u0_on_y
-    _require_finite(t_nodes, ("rho", rho_stack), ("Q", Q_stack), ("g = f exp(rho)", g_stack),
+    _require_finite("normalize", t_nodes, ("rho", rho_stack), ("Q", Q_stack), ("g = f exp(rho)", g_stack),
                     ("v0 = u0 exp(rho)", v0[None]))
 
     return NormalizedProblem(
@@ -268,6 +268,7 @@ def solve_normalized(np_: NormalizedProblem, opts: SeriesOptions | None = None) 
     return solve_controlled_heat(np_.v0, F, np_.t_nodes[-1], opts, source=source)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def back_transform(v: Trajectory, np_: NormalizedProblem) -> tuple[Trajectory, bool]:
     """u(t, x) = exp(-rho) v pulled back to the x-grid, and the edge flag.
 
@@ -275,7 +276,8 @@ def back_transform(v: Trajectory, np_: NormalizedProblem) -> tuple[Trajectory, b
     from that node's row.  v and rho are interpolated at y = psi(t, x_node)
     by cubic Hermite pieces in y, all output times in one ``_splines`` call;
     nodes mapping outside the computed y-range take the edge values.  The
-    flag is set when that happened here or in ``normalize``.
+    flag is set when that happened here or in ``normalize``.  A u that
+    overflows raises ``FloatingPointError`` naming its first time.
     """
     y = np_.y_grid.coords(0)
     off = [t for t in v.times if t not in np_.t_nodes]
@@ -287,6 +289,7 @@ def back_transform(v: Trajectory, np_: NormalizedProblem) -> tuple[Trajectory, b
     v_at, rho_at = np.moveaxis(_splines(y, columns, psi, np_.y_grid.spacing[0]), -1, 0)
     clamped = bool(np.any(psi[:, 0] < y[0] - 1e-12) or np.any(psi[:, -1] > y[-1] + 1e-12))
     u = np.exp(-rho_at) * v_at
+    _require_finite("back_transform", v.times, ("u = exp(-rho) v", u))
     out = tuple(ScalarField(np_.x_grid, row) for row in u)
     return Trajectory(v.times, out), clamped or np_.edge_clamped
 

@@ -96,7 +96,10 @@ class SeriesOptions:
                 raise ValueError(f"output_times must be finite, got {bad}")
 
     def nodes(self, horizon: float) -> np.ndarray:
-        return np.linspace(0.0, float(horizon), self.time_steps + 1)
+        # linspace sets the last node to the horizon; only the n * (horizon/n)
+        # it overwrites can round past double range
+        with np.errstate(over="ignore"):
+            return np.linspace(0.0, float(horizon), self.time_steps + 1)
 
     def output_indices(self, horizon: float) -> list[int]:
         """Indices of the requested output times on the uniform node grid."""

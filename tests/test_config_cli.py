@@ -203,6 +203,35 @@ class TestConfigValidation:
             load_config(write_config(tmp_path, body))
         assert any("spacing or extent" in e["message"] for e in err.value.errors)
 
+    @pytest.mark.parametrize("grid, error", [
+        ({"points": [64], "spacing": [0.1], "extent": [6.4], "origin": [0.0]},
+         {"path": "grid", "message": "give exactly one of spacing or extent"}),
+        ({"points": [64], "origin": [0.0]},
+         {"path": "grid", "message": "give exactly one of spacing or extent"}),
+        ({"points": [True], "extent": [6.4], "origin": [0.0]},
+         {"path": "grid.points", "message": "must be a list of integers"}),
+        ({"points": [64], "extent": [6.4], "origin": [0.0], "boundary": {"free_space": {}, "periodic": 1}},
+         {"path": "grid.boundary", "message": "must be 'periodic' or {'free_space': {}}"}),
+    ], ids=["spacing-and-extent", "neither", "boolean-points", "two-boundaries"])
+    def test_grid_rules_exit_2(self, tmp_path, capsys, grid, error):
+        rc = main(["solve", write_config(tmp_path, controlled_heat_config(grid=grid)),
+                   "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["errors"] == [error]
+
+    @pytest.mark.parametrize("keys, value, error", [
+        (("grid", "origin"), [10**400], {"path": "grid.origin[0]", "message": "must be finite"}),
+        (("controlled_heat", "horizon"), 10**400,
+         {"path": "controlled_heat.horizon", "message": "must be finite"}),
+        (("grid", "points"), [10**400], {"path": "grid", "message": "int too large to convert to float"}),
+    ], ids=["origin", "horizon", "points"])
+    def test_integer_beyond_double_range_exits_2(self, tmp_path, capsys, keys, value, error):
+        # JSON integers have no size limit; float() of this one overflows
+        body = controlled_heat_config()
+        body[keys[0]][keys[1]] = value
+        assert main(["solve", write_config(tmp_path, body), "-o", str(tmp_path / "out")]) == 2
+        assert json.loads(capsys.readouterr().err)["errors"] == [error]
+
     @pytest.mark.parametrize("padding", ["big", [2], 0.5, True, 2.0, 9.0, float("inf")])
     def test_bad_padding_factor_exits_2(self, tmp_path, capsys, padding):
         # the free-space pad is fixed, so any padding_factor is an unknown key
@@ -444,8 +473,7 @@ class TestSolveCommand:
                          "message": "the series did not converge within depth_max = 1"}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["not_converged"] and manifest["exit_status"] == 3
-        if kind == "heat":
-            assert est == manifest["estimated_truncation_error"]
+        assert est == manifest["estimated_truncation_error"]
 
     def test_failed_report_explains_itself(self, tmp_path, capsys, monkeypatch):
         def failing(sol, M):
@@ -532,7 +560,9 @@ class TestSolveCommand:
         (("parabolic", "A"), -1e308, "normalize: x(y) overflows at t=0"),
         # a valid grid, but the h^2/12 term of psi's quadrature overflows
         (("grid", "extent"), [1e300], "normalize: psi overflows at t=0"),
-    ], ids=["g", "Q", "x(y)", "psi"])
+        # the y-knots of psi are 2e-155 apart, so the pullback's h^2 underflows
+        (("parabolic", "A"), -1.7976931348623157e308, "back_transform: u = exp(-rho) v overflows at t=0.25"),
+    ], ids=["g", "Q", "x(y)", "psi", "u"])
     def test_parabolic_reduction_overflow_exits_3(self, tmp_path, capsys, keys, value, stage):
         # a RuntimeWarning is an error under this suite, so the exit 3 also
         # shows that the reduction overflowed without one
@@ -542,6 +572,35 @@ class TestSolveCommand:
         assert main(["solve", write_config(tmp_path, body), "-o", str(out)]) == 3
         assert json.loads(capsys.readouterr().err)["errors"] == [{"path": "parabolic", "message": stage}]
         assert json.loads((out / "manifest.json").read_text())["exit_status"] == 3
+
+    @pytest.mark.parametrize("velocity, speed_bound, message", [
+        ("1e200*sin(x)", 1e300, "potential reaches -6.642e+183 < -1400.0; exp(-phi/2) would overflow"),
+        ("exp(700)*sin(x)", 750, "initial speed 1.01301e+304 exceeds the declared bound 750"),
+    ], ids=["1e200", "exp(700)"])
+    def test_speed_whose_square_overflows(self, tmp_path, capsys, velocity, speed_bound, message):
+        # the speed is finite although its square is not; a RuntimeWarning
+        # is an error under this suite, so stderr holds only the JSON list
+        body = nse_config()
+        body["nse"].update(velocity=[velocity], speed_bound=speed_bound)
+        assert main(["solve", write_config(tmp_path, body), "-o", str(tmp_path / "out")]) == 2
+        assert json.loads(capsys.readouterr().err)["errors"] == [{"path": "nse", "message": message}]
+
+    @pytest.mark.parametrize("kind, leaves, error", [
+        # the spacing squared in the potential's endpoint correction overflows
+        ("nse", {("grid", "spacing"): [1e300], ("nse", "velocity"): ["1e-300*sin(x)"]},
+         {"path": "nse", "message": "potential: the line integral along axis 0 overflows"}),
+        # 0.5 and 1.0 are not nodes, and no node overflows on the way to telling
+        ("heat", {("controlled_heat", "horizon"): 1.7976931348623157e308, ("series", "time_steps"): 3},
+         {"path": "series.output_times", "message": "output times must be strictly increasing s-grid nodes"}),
+    ], ids=["potential", "horizon"])
+    def test_extreme_valid_leaves_exit_2_without_warning(self, tmp_path, capsys, kind, leaves, error):
+        body = CONFIGS[kind]()
+        for (section, key), value in leaves.items():
+            body[section][key] = value
+        if "spacing" in body["grid"]:
+            del body["grid"]["extent"]
+        assert main(["solve", write_config(tmp_path, body), "-o", str(tmp_path / "out")]) == 2
+        assert json.loads(capsys.readouterr().err)["errors"] == [error]
 
     @pytest.mark.parametrize("kind", ["heat", "parabolic"])
     def test_collapsed_grid_exits_2(self, tmp_path, capsys, kind):

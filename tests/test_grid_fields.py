@@ -107,6 +107,15 @@ class TestFields:
         with pytest.raises(ValueError):
             VectorField(g, (np.zeros((16, 16)),))
 
+    def test_max_norm_of_components_whose_squares_overflow(self):
+        # 1e200 squared is past double range; the norm itself is not
+        g = Grid((8, 8, 8), (0.1,) * 3, (0.0,) * 3)
+        comps = [np.zeros(g.shape) for _ in range(3)]
+        comps[0][1, 2, 3], comps[1][1, 2, 3], comps[2][4, 4, 4] = 1e200, -1e200, 1.2e200
+        u = VectorField(g, tuple(comps))
+        assert u.max_norm == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+        assert VectorField(periodic_1d(16), (np.full(16, -1e200),)).max_norm == 1e200
+
     def test_trajectory_validation(self):
         g = periodic_1d(16)
         f = ScalarField(g, np.zeros(16))

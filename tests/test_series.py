@@ -102,6 +102,13 @@ class TestSeriesOptions:
         opts_ok = SeriesOptions(time_steps=10, output_times=(0.3, 1.0))
         assert opts_ok.output_indices(1.0) == [3, 10]
 
+    def test_nodes_up_to_the_largest_double(self):
+        # 3 * (horizon / 3) rounds past double range; the last node is the horizon itself
+        horizon = np.finfo(float).max
+        nodes = SeriesOptions(time_steps=3).nodes(horizon)
+        assert np.isfinite(nodes).all() and nodes[-1] == horizon
+        np.testing.assert_array_equal(nodes[:3], np.arange(3) * (horizon / 3))
+
 
 class TestDuhamelStep:
     def test_zero_forcing_gives_zero(self):
