@@ -80,7 +80,7 @@ class _Checker:
             return None
         try:
             return build(**parsed)
-        except (ValueError, OverflowError) as exc:  # OverflowError: a count beyond double range
+        except ValueError as exc:
             self.fail(path, str(exc))
             return None
 
@@ -130,6 +130,9 @@ class _Checker:
             self.fail(path, "must be a list of integers")
             return None
         self.ndim = len(obj)
+        # the spacing and the box ends take each count as a float
+        if None in [self.number(n, f"{path}[{i}]") for i, n in enumerate(obj)]:
+            return None
         return obj
 
     def lengths(self, obj, path: str):
