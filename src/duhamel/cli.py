@@ -164,7 +164,7 @@ def _solve_nse(cfg: RunConfig, manifest: dict) -> tuple[SeriesSolution, dict, di
     trajectories = {"G": sol.series.trajectory, "u": sol.velocity}
     if sol.residual is not None:
         trajectories["residual"] = sol.residual
-        manifest["max_residual"] = max(s.max_abs for _, s in sol.residual)
+        manifest["max_residual"] = float(np.max(sol.residual.values))
     return sol.series, trajectories, {"floor": sol.floor_report, "ceiling": sol.ceiling_report}
 
 

@@ -21,10 +21,10 @@ from .fields import (
     ScalarField,
     Trajectory,
     VectorField,
+    _gradient,
     _gradient_and_laplacian,
     _stencil_curl_error,
     curl_residual,
-    gradient,
 )
 from .forcing import Forcing
 from .grid import Grid
@@ -72,13 +72,14 @@ class PositivityError(RuntimeError):
     """The Cole-Hopf field lost positivity, so u = -2 grad(G)/G is undefined."""
 
 
-def default_curl_tolerance(u0: VectorField) -> float:
-    """1e-6 times the velocity scale times the grid scale."""
-    return 1e-6 * max(u0.max_norm, 1e-12) * u0.grid.max_extent
+def default_curl_tolerance(grid: Grid, speed: float) -> float:
+    """1e-6 times the velocity scale ``speed`` times the grid scale."""
+    return 1e-6 * max(speed, 1e-12) * grid.max_extent
 
 
-def _checked_curl(u0: VectorField) -> tuple[float, float]:
-    """(curl residual, tolerance) of ``u0``; ``CurlError`` when it is rotational.
+def _checked_curl(u0: VectorField, speed: float) -> tuple[float, float]:
+    """(curl residual, tolerance) of ``u0``, whose speed is ``speed``;
+    ``CurlError`` when it is rotational.
 
     The tolerance is ``default_curl_tolerance``.  On a free-space grid the
     stencil curl of a sampled gradient is the stencil's truncation error,
@@ -86,7 +87,7 @@ def _checked_curl(u0: VectorField) -> tuple[float, float]:
     twice that error as estimated from the samples themselves (Richardson
     extrapolation between the grid and its every-other-node subgrid).
     """
-    tolerance = default_curl_tolerance(u0)
+    tolerance = default_curl_tolerance(u0.grid, speed)
     if u0.grid.is_periodic:
         residual = curl_residual(u0)
     else:
@@ -132,13 +133,14 @@ def _anchor_node(grid: Grid, x0) -> tuple[int, ...]:
     return grid.nearest_node(point)
 
 
-def _check_no_mean_flow(u0: VectorField) -> None:
+def _check_no_mean_flow(u0: VectorField, speed: float) -> None:
     """On a periodic grid, a velocity component whose mean exceeds 1e-6 of
-    the speed raises ``ValueError``: the potential U.x of a mean flow U is not
-    periodic, so G0 = exp(-phi/2) would jump across the boundary."""
+    the speed (``u0.max_norm``) raises ``ValueError``: the potential U.x of a
+    mean flow U is not periodic, so G0 = exp(-phi/2) would jump across the
+    boundary."""
     if not u0.grid.is_periodic:
         return
-    limit = 1e-6 * max(u0.max_norm, 1e-12)
+    limit = 1e-6 * max(speed, 1e-12)
     for d, component in enumerate(u0.components):
         mean = float(np.mean(component))
         if abs(mean) > limit:
@@ -153,7 +155,7 @@ def potential_from_velocity(u0: VectorField, x0, a: float) -> ScalarField:
 
     An anchor outside the grid box, or a mean flow on a periodic grid, raises
     ``ValueError``.  Rejects measurably rotational data first: a curl
-    residual above ``default_curl_tolerance(u0)`` raises ``CurlError``, except
+    residual above ``default_curl_tolerance`` raises ``CurlError``, except
     that on a free-space grid a residual within twice the curl stencil's own
     estimated truncation error passes.
     Then integrates along the axis-aligned staircase path from the grid node
@@ -168,8 +170,9 @@ def potential_from_velocity(u0: VectorField, x0, a: float) -> ScalarField:
         raise ValueError("anchor value a must be finite")
     grid = u0.grid
     anchor = _anchor_node(grid, x0)
-    _check_no_mean_flow(u0)
-    residual, tolerance = _checked_curl(u0)
+    speed = u0.max_norm
+    _check_no_mean_flow(u0, speed)
+    residual, tolerance = _checked_curl(u0, speed)
     forward = _staircase(u0, anchor, range(grid.ndim))
     if grid.ndim == 1:
         phi = forward
@@ -178,7 +181,7 @@ def potential_from_velocity(u0: VectorField, x0, a: float) -> ScalarField:
         gap = float(np.max(np.abs(forward - backward)))
         path_tol = max(
             10.0 * tolerance * grid.max_extent,
-            1e-8 * max(u0.max_norm, 1e-12) * grid.max_extent,
+            1e-8 * max(speed, 1e-12) * grid.max_extent,
         )
         if gap > path_tol:
             raise CurlError(
@@ -210,11 +213,12 @@ def velocity_from_field(
     G_traj: Trajectory,
     floor_report: BoundReport | None = None,
 ) -> Trajectory:
-    """u(., t) = -2 grad(G)/G per snapshot; fails hard on a positivity breach."""
-    snaps = []
-    for t, g in G_traj:
-        gmin = float(np.min(g.values))
-        gmax = float(np.max(np.abs(g.values)))
+    """u(., t) = -2 grad(G)/G at each time; fails hard on a positivity breach."""
+    grid = G_traj.grid
+    u = np.empty((len(G_traj), grid.ndim, *grid.shape))
+    for (t, g), row in zip(G_traj, u):
+        gmin = float(np.min(g))
+        gmax = float(np.max(np.abs(g)))
         floor = max(_ABS_POSITIVITY_FLOOR, _REL_POSITIVITY_FLOOR * gmax)
         if gmin <= floor:
             detail = ""
@@ -223,10 +227,9 @@ def velocity_from_field(
             raise PositivityError(
                 f"min G = {gmin:.4g} at t={t} is below the positivity floor {floor:.3g}" + detail
             )
-        grad = gradient(g)
-        comps = tuple(-2.0 * c / g.values for c in grad.components)
-        snaps.append(VectorField(g.grid, comps))
-    return Trajectory(G_traj.times, tuple(snaps))
+        for c, out in zip(_gradient(grid, g), row):
+            np.divide(-2.0 * c, g, out=out)
+    return Trajectory(grid, G_traj.times, u)
 
 
 @dataclass(frozen=True)
@@ -262,7 +265,7 @@ class NSEProblem:
             raise ValueError(
                 f"initial speed {speed:.6g} exceeds the declared bound {self.speed_bound:.6g}"
             )
-        _check_no_mean_flow(self.u0)
+        _check_no_mean_flow(self.u0, speed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,37 +306,28 @@ def nse_residual(u: Trajectory, p_minus_f: Forcing | None) -> Trajectory:
         raise ValueError("nse_residual needs at least 3 output times for centered differencing")
     grid = u.grid
     times = u.times
-    snaps = u.snapshots
-    dudt = [np.gradient(np.stack([s.components[i] for s in snaps]), np.asarray(times), axis=0)
-            for i in range(grid.ndim)]
-    out_times, out_fields = [], []
+    dudt = np.gradient(u.values, np.asarray(times), axis=0)
     if p_minus_f is not None:
         p_stack = p_minus_f.sample(grid, times[1:-1])
+    out = np.zeros((len(times) - 2, *grid.shape))
+    # free-space rows keep zeros outside the interior nodes
+    core = tuple(slice(None) if grid.is_periodic else slice(2, n - 2) for n in grid.shape)
     for j in range(1, len(times) - 1):
-        t = times[j]
-        uj = snaps[j]
-        force = None
-        if p_minus_f is not None:
-            # grad(f - p) = -grad(p - f)
-            force = gradient(ScalarField(grid, p_stack[j - 1]))
+        uj = u.values[j]
+        # grad(f - p) = -grad(p - f)
+        force = None if p_minus_f is None else _gradient(grid, p_stack[j - 1])
         worst = np.zeros(grid.shape)
         for i in range(grid.ndim):
-            res = dudt[i][j]
-            grad_ui, lap_ui = _gradient_and_laplacian(uj.component(i))
+            res = dudt[j, i]
+            grad_ui, lap_ui = _gradient_and_laplacian(grid, uj[i])
             for l in range(grid.ndim):
-                res = res + uj.components[l] * grad_ui[l]
+                res = res + uj[l] * grad_ui[l]
             res = res - lap_ui
             if force is not None:
-                res = res + force.components[i]
+                res = res + force[i]
             worst = np.maximum(worst, np.abs(res))
-        if not grid.is_periodic:
-            mask = np.zeros(grid.shape, dtype=bool)
-            core = tuple(slice(2, n - 2) for n in grid.shape)
-            mask[core] = True
-            worst = np.where(mask, worst, 0.0)
-        out_times.append(t)
-        out_fields.append(ScalarField(grid, worst))
-    return Trajectory(tuple(out_times), tuple(out_fields))
+        out[j - 1][core] = worst[core]
+    return Trajectory(grid, times[1:-1], out)
 
 
 def worst_case_upper_bound(r: float, t: float, c: float, a: float) -> float:

@@ -1,12 +1,17 @@
-"""Scalar/vector fields on grids and the shared differential operators.
+"""Scalar/vector fields and trajectories on grids, and the shared
+differential operators.
 
-Periodic derivatives multiply the half spectrum of the heat kernel's own
-transform pair (``grid.padded_torus``, on ``numpy.fft``) by i k_d or -|k|^2,
-each symbol scaled by the torus's ``scale`` to normalise its inverse.
-Otherwise they are finite differences: the first derivative is 4th order at
-every node, the second is 4th order inside with 2nd-order boundary closures.
-All field objects are immutable after construction; every operation returns
-a new field, so shared inputs are safe under concurrency.
+A ``Trajectory`` is one node stack, row m holding the field at its m-th
+time, like the series solver's own stacks.  Periodic derivatives multiply
+the half spectrum of the heat kernel's own transform pair
+(``grid.padded_torus``, on ``numpy.fft``) by i k_d or -|k|^2, each symbol
+scaled by the torus's ``scale`` to normalise its inverse.  Otherwise they
+are finite differences: the first derivative is 4th order at every node,
+the second is 4th order inside with 2nd-order boundary closures.  The
+private operators act on the trailing grid axes, so one path serves a field
+and a stack of fields.  All field objects are immutable after construction;
+every operation returns a new field, so shared inputs are safe under
+concurrency.
 """
 
 from __future__ import annotations
@@ -79,50 +84,47 @@ class VectorField:
         # hypot squares nothing, so a component past 1.34e154 does not overflow
         return float(np.max(functools.reduce(np.hypot, self.components, 0.0)))
 
-    def component(self, axis: int) -> ScalarField:
-        return ScalarField(self.grid, self.components[axis])
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-indexed stack of fields on one common grid."""
+    """Fields at strictly increasing times >= 0, as one read-only node stack.
 
+    ``values`` is ``(n, *grid.shape)`` for a scalar trajectory and
+    ``(n, grid.ndim, *grid.shape)`` for a vector one; row m is the field at
+    ``times[m]``.
+    """
+
+    grid: Grid
     times: tuple[float, ...]
-    snapshots: tuple
+    values: np.ndarray
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
         object.__setattr__(self, "times", times)
-        snaps = tuple(self.snapshots)
-        object.__setattr__(self, "snapshots", snaps)
-        if len(times) != len(snaps):
-            raise ValueError("times and snapshots must have equal length")
-        if not snaps:
-            raise ValueError("trajectory needs at least one snapshot")
+        if not times:
+            raise ValueError("trajectory needs at least one time")
         if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise ValueError("times must be strictly increasing")
         if times[0] < 0.0:
             raise ValueError("times must lie in [0, T]")
-        grid = snaps[0].grid
-        if any(s.grid != grid for s in snaps):
-            raise ValueError("all snapshots must share one grid")
-
-    @property
-    def grid(self) -> Grid:
-        return self.snapshots[0].grid
+        shape = np.shape(self.values)
+        grid = self.grid
+        if shape not in ((len(times), *grid.shape), (len(times), grid.ndim, *grid.shape)):
+            raise ValueError(f"values of shape {shape} do not fit {len(times)} times on a {grid.shape} grid")
+        object.__setattr__(self, "values", _freeze(self.values, shape))
 
     def __len__(self) -> int:
         return len(self.times)
 
     def __iter__(self):
-        return iter(zip(self.times, self.snapshots))
+        return iter(zip(self.times, self.values))
 
-    def at_time(self, t: float):
-        """Snapshot whose time matches ``t`` (within a relative tolerance)."""
+    def at_time(self, t: float) -> np.ndarray:
+        """The row whose time matches ``t`` (within a relative tolerance)."""
         scale = max(abs(t), self.times[-1], 1e-300)
-        for ti, snap in zip(self.times, self.snapshots):
+        for ti, row in self:
             if abs(ti - t) <= _TIME_RTOL * scale:
-                return snap
+                return row
         raise KeyError(f"no snapshot at t={t}")
 
 
@@ -173,39 +175,45 @@ def _fd_second(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
-def _spectral(field: ScalarField, symbols) -> list[np.ndarray]:
-    """Grid values of the field's half spectrum times each symbol, from one
-    forward transform (periodic grids)."""
-    torus = padded_torus(field.grid)
-    spectrum = torus.forward(field.values)
+def _spectral(grid: Grid, values: np.ndarray, symbols) -> list[np.ndarray]:
+    """Grid values of the half spectrum of ``values`` times each symbol, from
+    one forward transform (periodic grids)."""
+    torus = padded_torus(grid)
+    spectrum = torus.forward(values)
     return [torus.inverse((torus.scale * symbol) * spectrum) for symbol in symbols]
+
+
+def _gradient(grid: Grid, values: np.ndarray) -> list[np.ndarray]:
+    """Gradient components of ``values``."""
+    if grid.is_periodic:
+        return _spectral(grid, values, padded_torus(grid).ik)
+    return [_fd_first(values, h, d - grid.ndim) for d, h in enumerate(grid.spacing)]
+
+
+def _laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
+    if grid.is_periodic:
+        return _spectral(grid, values, (-padded_torus(grid).k2,))[0]
+    return sum(_fd_second(values, h, d - grid.ndim) for d, h in enumerate(grid.spacing))
+
+
+def _gradient_and_laplacian(grid: Grid, values: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Gradient components and Laplacian of ``values``; on a periodic grid
+    from one forward transform."""
+    if grid.is_periodic:
+        torus = padded_torus(grid)
+        *comps, lap = _spectral(grid, values, (*torus.ik, -torus.k2))
+        return comps, lap
+    return _gradient(grid, values), _laplacian(grid, values)
 
 
 def gradient(field: ScalarField) -> VectorField:
     """Componentwise spatial gradient."""
-    grid = field.grid
-    if grid.is_periodic:
-        return VectorField(grid, _spectral(field, padded_torus(grid).ik))
-    return VectorField(grid, [_fd_first(field.values, h, d) for d, h in enumerate(grid.spacing)])
+    return VectorField(field.grid, _gradient(field.grid, field.values))
 
 
 def laplacian(field: ScalarField) -> ScalarField:
     """Sum of unmixed second derivatives."""
-    grid = field.grid
-    if grid.is_periodic:
-        return ScalarField(grid, _spectral(field, (-padded_torus(grid).k2,))[0])
-    return ScalarField(grid, sum(_fd_second(field.values, h, d) for d, h in enumerate(grid.spacing)))
-
-
-def _gradient_and_laplacian(field: ScalarField) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Gradient components and Laplacian values of one field; a periodic
-    field is transformed once for both."""
-    grid = field.grid
-    if grid.is_periodic:
-        torus = padded_torus(grid)
-        *comps, lap = _spectral(field, (*torus.ik, -torus.k2))
-        return tuple(comps), lap
-    return gradient(field).components, laplacian(field).values
+    return ScalarField(field.grid, _laplacian(field.grid, field.values))
 
 
 def _stencil_curls(components, spacing) -> list[np.ndarray]:

@@ -10,12 +10,12 @@ length; the convolution runs on that padded torus and is cropped back to the
 grid.
 
 ``KernelApplication(grid, times)`` is the one engine that knows how K acts:
-``apply`` gives K(t) * field at each time, and ``sweep`` gives the Duhamel
-formula with an initial value, K(s_j) * initial + int_0^{s_j} K(s_j - s) *
-g(s) ds over uniform nodes s_j, by an exponential (ETD) product rule with g
-linear between nodes (Cox & Matthews, J. Comput. Phys. 176, 2002), so the
-kernel stiffness never enters the quadrature error.  The series solver, its
-tail estimate and the 3-D worst-case suite use it.
+``apply`` gives the node stack of K(t) * field at the times, and ``sweep``
+gives the Duhamel formula with an initial value, K(s_j) * initial +
+int_0^{s_j} K(s_j - s) * g(s) ds over uniform nodes s_j, by an exponential
+(ETD) product rule with g linear between nodes (Cox & Matthews, J. Comput.
+Phys. 176, 2002), so the kernel stiffness never enters the quadrature error.
+The series solver, its tail estimate and the 3-D worst-case suite use it.
 
 The kernel has unit diffusivity; a diffusivity D is the time unit tau = D t.
 """
@@ -73,9 +73,9 @@ def _f2(z: np.ndarray) -> np.ndarray:
 class KernelApplication:
     """The heat kernel on one grid at each of ``times``.
 
-    ``apply(field)`` transforms the field once and returns the tuple of
-    K(., t) * field for each time; ``t = 0`` is the identity and gives the
-    field itself.
+    ``apply(field)`` transforms the field once and returns the
+    ``(len(times), *grid.shape)`` stack of K(., t) * field at the times;
+    ``t = 0`` is the identity and gives the field's own values.
 
     ``sweep`` needs ``times`` to be uniform nodes s_j = j dt from 0 and
     builds its weights on its first call.  On 1-D grids (``stacked``) it
@@ -93,26 +93,27 @@ class KernelApplication:
         self.torus = padded_torus(grid)
         self.stacked = grid.ndim == 1
 
-    def apply(self, field: ScalarField) -> tuple[ScalarField, ...]:
+    def apply(self, field: ScalarField) -> np.ndarray:
         if field.grid != self.grid:
             raise ValueError("field grid does not match the kernel grid")
         torus = self.torus
         spectrum = torus.forward(field.values)
+        out = np.empty((len(self.times), *self.grid.shape))
         # t |k|^2 past double range is inf, whose kernel weight is exactly 0
         with np.errstate(over="ignore"):
-            return tuple(
-                field if t == 0.0
-                else ScalarField(self.grid, torus.inverse(spectrum * (torus.scale * np.exp(-t * torus.k2))))
-                for t in self.times
-            )
+            for row, t in zip(out, self.times):
+                row[...] = field.values if t == 0.0 else torus.inverse(
+                    spectrum * (torus.scale * np.exp(-t * torus.k2)))
+        return out
 
     @functools.cached_property
     def _weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One-step decay and the ETD weights of the old and new node."""
         s = np.asarray(self.times)
         dt = s[1] if len(s) > 1 else 0.0
+        # s_j / dt against j: dt * j can round past double range
         if not (dt > 0 and s[0] == 0.0
-                and np.max(np.abs(s - dt * np.arange(len(s)))) <= 1e-9 * s[-1]):
+                and np.max(np.abs(s / dt - np.arange(len(s)))) <= 1e-9 * (len(s) - 1)):
             raise ValueError(f"a sweep needs uniform nodes j * dt from 0, got {self.times}")
         with np.errstate(over="ignore"):
             z = dt * self.torus.k2

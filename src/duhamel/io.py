@@ -4,6 +4,10 @@ CSF1 layout (little endian): magic ``CSF1``, u32 ndim, u32 dims[ndim],
 f64 spacing[ndim], f64 origin[ndim], u8 boundary flag, f64 values row-major.
 Flag 0 is periodic, 1 is truncated free space, so a header fixes its grid
 exactly.
+
+A trajectory is one CSF1 file per row of its node stack (per component for
+a vector one) plus a JSON index, whose ``"snapshots"`` entries give each
+row's time, kind and files.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import ScalarField, Trajectory, VectorField
+from .fields import ScalarField, Trajectory
 from .grid import FreeSpaceTruncated, Grid, Periodic
 
 __all__ = [
@@ -29,17 +33,15 @@ __all__ = [
 _MAGIC = b"CSF1"
 
 
-def write_field(field: ScalarField, path) -> None:
-    grid = field.grid
+def _header(grid: Grid) -> bytes:
+    """The magic and header of a CSF1 file on ``grid``."""
+    n = grid.ndim
     flag = 0 if grid.is_periodic else 1
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", grid.ndim))
-        fh.write(struct.pack(f"<{grid.ndim}I", *grid.points))
-        fh.write(struct.pack(f"<{grid.ndim}d", *grid.spacing))
-        fh.write(struct.pack(f"<{grid.ndim}d", *grid.origin))
-        fh.write(struct.pack("<B", flag))
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+    return _MAGIC + struct.pack(f"<I{n}I{n}d{n}dB", n, *grid.points, *grid.spacing, *grid.origin, flag)
+
+
+def write_field(field: ScalarField, path) -> None:
+    Path(path).write_bytes(_header(field.grid) + np.asarray(field.values, "<f8").tobytes())
 
 
 def read_field(path) -> ScalarField:
@@ -73,25 +75,23 @@ def read_field(path) -> ScalarField:
 
 
 def write_trajectory(traj: Trajectory, directory, stem: str) -> None:
-    """One CSF1 file per snapshot plus a JSON manifest listing the times.
+    """One CSF1 file per row of the trajectory's stack plus a JSON index
+    listing the times.
 
-    Vector snapshots are written one file per component.
+    A vector row is written one file per component.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    grid = traj.grid
+    vector = traj.values.ndim == grid.ndim + 2
+    header = _header(grid)  # every file of a trajectory has the same header
     entries = []
-    for i, (t, snap) in enumerate(traj):
-        if isinstance(snap, ScalarField):
-            name = f"{stem}_{i:04d}.csf"
-            write_field(snap, directory / name)
-            entries.append({"time": t, "kind": "scalar", "files": [name]})
-        else:
-            names = []
-            for d in range(snap.grid.ndim):
-                name = f"{stem}_{i:04d}_c{d}.csf"
-                write_field(snap.component(d), directory / name)
-                names.append(name)
-            entries.append({"time": t, "kind": "vector", "files": names})
+    for i, (t, row) in enumerate(traj):
+        files = ({f"{stem}_{i:04d}_c{d}.csf": c for d, c in enumerate(row)} if vector
+                 else {f"{stem}_{i:04d}.csf": row})
+        for name, values in files.items():
+            (directory / name).write_bytes(header + np.asarray(values, "<f8").tobytes())
+        entries.append({"time": t, "kind": "vector" if vector else "scalar", "files": list(files)})
     manifest = {"stem": stem, "snapshots": entries}
     with open(directory / f"{stem}.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -99,15 +99,18 @@ def write_trajectory(traj: Trajectory, directory, stem: str) -> None:
 
 
 def read_trajectory(directory, stem: str) -> Trajectory:
+    """The trajectory ``write_trajectory`` wrote; files on differing grids
+    raise ``ValueError``."""
     directory = Path(directory)
     with open(directory / f"{stem}.json") as fh:
         manifest = json.load(fh)
-    times, snaps = [], []
+    times, rows, grids = [], [], set()
     for entry in manifest["snapshots"]:
         fields = [read_field(directory / name) for name in entry["files"]]
         times.append(entry["time"])
-        if entry.get("kind", "scalar") == "vector":
-            snaps.append(VectorField(fields[0].grid, tuple(f.values for f in fields)))
-        else:
-            snaps.append(fields[0])
-    return Trajectory(tuple(times), tuple(snaps))
+        grids.update(f.grid for f in fields)
+        values = [f.values for f in fields]
+        rows.append(values if entry.get("kind", "scalar") == "vector" else values[0])
+    if len(grids) != 1:
+        raise ValueError(f"{directory / stem}: a trajectory needs files on one grid, got {len(grids)}")
+    return Trajectory(grids.pop(), times, np.array(rows))

@@ -285,13 +285,12 @@ def back_transform(v: Trajectory, np_: NormalizedProblem) -> tuple[Trajectory, b
         raise ValueError(f"output time {off[0]} is not a node of the normalized problem")
     rows = [np_.t_nodes.index(t) for t in v.times]
     psi, rho = np_.psi_stack[rows], np_.rho_stack[rows]
-    columns = np.stack([np.stack([snap.values for _, snap in v]), rho], axis=-1)
+    columns = np.stack([v.values, rho], axis=-1)
     v_at, rho_at = np.moveaxis(_splines(y, columns, psi, np_.y_grid.spacing[0]), -1, 0)
     clamped = bool(np.any(psi[:, 0] < y[0] - 1e-12) or np.any(psi[:, -1] > y[-1] + 1e-12))
     u = np.exp(-rho_at) * v_at
     _require_finite("back_transform", v.times, ("u = exp(-rho) v", u))
-    out = tuple(ScalarField(np_.x_grid, row) for row in u)
-    return Trajectory(v.times, out), clamped or np_.edge_clamped
+    return Trajectory(np_.x_grid, v.times, u), clamped or np_.edge_clamped
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,8 +19,10 @@ it right before its term is due, so nothing past the emitted depth is
 computed.  A solve holds two node stacks, F - cbar and the latest order,
 plus one copy of every order at the output nodes, which is all the
 reconstruction reads and from which the solution builds ``terms`` on first
-access.  Memory is O(n_t N + depth n_out N) for N grid points and n_out
-output times, instead of O(depth n_t N).
+access.  The sum of the terms is the solution's ``Trajectory``, one
+``(n_out, *grid.shape)`` stack like every term.  Memory is
+O(n_t N + depth n_out N) for N grid points and n_out output times, instead
+of O(depth n_t N).
 
 Sup F and inf F are the envelope of the node samples of F, the values the
 quadrature actually used; they are stored on the solution as
@@ -33,8 +35,9 @@ series of the original equation.  For spatially constant forcing the
 computed terms are therefore exact to rounding; with a source they sum to G,
 but the source integral is spread over all of them instead of T_0 alone.
 
-The solution also keeps K(t) * |G0| at the output times, which the tail
-estimate needs, from the ``apply`` of a ``KernelApplication`` over those times.
+The solution also keeps the stack of K(t) * |G0| at the output times, which
+the tail estimate needs, from the ``apply`` of a ``KernelApplication`` over
+those times.
 The ``*_check`` functions read it, with the forcing envelope, to verify the
 pointwise ceiling, floor and termwise factorial envelopes of the series;
 they tolerate a 1e-9 relative slack for spectral ringing and quadrature
@@ -67,6 +70,9 @@ __all__ = [
 ]
 
 _DEPTH_LIMIT = 64
+# a solve holds two node stacks of time_steps + 1 rows: a million steps take
+# 16 MB per grid point
+_STEPS_LIMIT = 10**6
 _RTOL_FLOOR = 1e-14
 BOUND_SLACK = 1e-9
 
@@ -85,8 +91,8 @@ class SeriesOptions:
             raise ValueError(f"depth_max must be in [0, {_DEPTH_LIMIT}]")
         if not self.rel_tolerance >= _RTOL_FLOOR:
             raise ValueError(f"rel_tolerance must be >= {_RTOL_FLOOR}")
-        if self.time_steps < 1:
-            raise ValueError("time_steps must be >= 1")
+        if not 1 <= self.time_steps <= _STEPS_LIMIT:
+            raise ValueError(f"time_steps must be in [1, {_STEPS_LIMIT}]")
         if self.output_times is not None:
             object.__setattr__(self, "output_times", tuple(float(t) for t in self.output_times))
             if not self.output_times:
@@ -135,7 +141,8 @@ class SeriesSolution:
     access.
     ``forcing_sup``/``forcing_inf`` are the envelope of F over the node
     samples the solver used, ``propagated_abs_g0`` holds K(t) * |G0| at the
-    output times, and ``g0_positive`` records whether G0 > 0 everywhere.
+    output times as an ``(n_out, *grid.shape)`` stack, and ``g0_positive``
+    records whether G0 > 0 everywhere.
     ``metadata`` holds the gauge centre, the engine summary, the sup norm of
     each emitted term over the output nodes (``order_norms``) and why the
     series stopped (``stop_reason``): ``tolerance`` (the newest term fell
@@ -151,7 +158,7 @@ class SeriesSolution:
     options: SeriesOptions
     forcing_sup: float
     forcing_inf: float
-    propagated_abs_g0: tuple[np.ndarray, ...]
+    propagated_abs_g0: np.ndarray
     g0_positive: bool
     metadata: dict = field(default_factory=dict)
 
@@ -164,13 +171,12 @@ class SeriesSolution:
         return max(abs(self.forcing_sup), abs(self.forcing_inf))
 
     @functools.cached_property
-    def terms(self) -> tuple[tuple[ScalarField, ...], ...]:
-        """``terms[m][k]``: term k of the series at output time m, the same
-        values the solver summed."""
-        times = self.trajectory.times
-        pow_rows = _pow_rows(self.metadata["gauge_center"], times, self.truncation_depth, self.grid.ndim)
-        terms = [_term(k, pow_rows, self.orders) for k in range(self.truncation_depth + 1)]
-        return tuple(tuple(ScalarField(self.grid, tk[m]) for tk in terms) for m in range(len(times)))
+    def terms(self) -> tuple[np.ndarray, ...]:
+        """``terms[k]``: term k of the series at the output nodes, an
+        ``(n_out, *grid.shape)`` stack of the values the solver summed."""
+        pow_rows = _pow_rows(self.metadata["gauge_center"], self.trajectory.times,
+                             self.truncation_depth, self.grid.ndim)
+        return tuple(_term(k, pow_rows, self.orders) for k in range(self.truncation_depth + 1))
 
 
 def _power_series_row(x: float, kmax: int) -> np.ndarray:
@@ -303,12 +309,10 @@ def solve_controlled_heat(
                 break
     del order, f_stack  # frees the node stacks before the tail estimate
     depth = len(order_norms) - 1
-    snapshots = [ScalarField(grid, g) for g in total]
 
     # factorial tail estimate at the emitted depth
     m_abs = max(abs(f_sup), abs(f_inf))
-    kg0 = tuple(f.values for f in
-                KernelApplication(grid, out_times).apply(ScalarField(grid, np.abs(G0.values))))
+    kg0 = KernelApplication(grid, out_times).apply(ScalarField(grid, np.abs(G0.values)))
     est = 0.0
     for m, t in enumerate(out_times):
         tail = _exp(m_abs * t) * float(_power_series_row(m_abs * t, depth + 1)[depth + 1])
@@ -324,7 +328,7 @@ def solve_controlled_heat(
                 "order_norms": order_norms, "stop_reason": stop_reason}
 
     return SeriesSolution(
-        trajectory=Trajectory(tuple(out_times), tuple(snapshots)),
+        trajectory=Trajectory(grid, out_times, total),
         orders=tuple(orders[:depth + 1]),
         truncation_depth=depth,
         estimated_truncation_error=float(est),
@@ -401,22 +405,22 @@ def _compare(lhs: np.ndarray, rhs: np.ndarray, time: float, slack: float, label:
 def ceiling_check(sol: SeriesSolution, M: float) -> BoundReport:
     """Verify |G(x,t)| <= exp(M t) K(t) * |G0| pointwise at output times."""
     records = []
-    for (t, snap), kg in zip(sol.trajectory, sol.propagated_abs_g0):
+    for (t, g), kg in zip(sol.trajectory, sol.propagated_abs_g0):
         rhs = _representable(_exp(M * t), "ceiling check", "exp(M t)", t, "M", M) * kg
-        records.append(_compare(np.abs(snap.values).ravel(), rhs.ravel(), t, BOUND_SLACK))
+        records.append(_compare(np.abs(g).ravel(), rhs.ravel(), t, BOUND_SLACK))
     return BoundReport("ceiling", tuple(records))
 
 
 def termwise_factorial_check(sol: SeriesSolution, M: float) -> BoundReport:
     """Verify |T_k(x,t)| <= (M t)^k / k! K(t) * |G0| for every emitted term."""
     records = []
-    for m, (t, _) in enumerate(sol.trajectory):
+    for m, (t, kg) in enumerate(zip(sol.trajectory.times, sol.propagated_abs_g0)):
         env = _representable(_power_series_row(M * t, sol.truncation_depth),
                              "termwise factorial check", "(M t)^k/k!", t, "M", M)
-        for k, term in enumerate(sol.terms[m]):
-            rhs = env[k] * sol.propagated_abs_g0[m]
+        for k, term in enumerate(sol.terms):
+            rhs = env[k] * kg
             records.append(
-                _compare(np.abs(term.values).ravel(), rhs.ravel(), t, BOUND_SLACK, label=f"k={k}")
+                _compare(np.abs(term[m]).ravel(), rhs.ravel(), t, BOUND_SLACK, label=f"k={k}")
             )
     return BoundReport("termwise_factorial", tuple(records))
 
@@ -432,12 +436,12 @@ def floor_check(sol: SeriesSolution) -> BoundReport:
     if not sol.g0_positive:
         raise ValueError("the floor check needs a strictly positive G0")
     records = []
-    for (t, snap), kg in zip(sol.trajectory, sol.propagated_abs_g0):
+    for (t, g), kg in zip(sol.trajectory, sol.propagated_abs_g0):
         floor = _representable(_exp(sol.forcing_inf * t), "floor check", "exp(inf F t)", t,
                                "inf F", sol.forcing_inf) * kg
         upper = _representable(_exp(sol.forcing_sup * t), "floor check", "exp(sup F t)", t,
                                "sup F", sol.forcing_sup) * kg
-        g = snap.values.ravel()
+        g = g.ravel()
         records.append(_compare(floor.ravel(), g, t, BOUND_SLACK, label="floor"))
         records.append(_compare(g, upper.ravel(), t, BOUND_SLACK, label="upper"))
     return BoundReport("floor_and_upper", tuple(records))

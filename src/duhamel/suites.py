@@ -86,10 +86,10 @@ def constant_forcing_case() -> tuple[SuiteCheck, ...]:
     opts = SeriesOptions(depth_max=16, rel_tolerance=1e-14, time_steps=64, output_times=(1.0,))
     sol = solve_controlled_heat(ScalarField.constant(grid, 1.0), Forcing.constant(0.5), 1.0, opts)
     elapsed = time.perf_counter() - start
-    g_err = float(np.max(np.abs(sol.trajectory.snapshots[0].values - math.exp(0.5))))
+    g_err = float(np.max(np.abs(sol.trajectory.values[0] - math.exp(0.5))))
     term_err = max(
-        float(np.max(np.abs(term.values - 0.5**k / math.factorial(k))))
-        for k, term in enumerate(sol.terms[0])
+        float(np.max(np.abs(term[0] - 0.5**k / math.factorial(k))))
+        for k, term in enumerate(sol.terms)
     )
     # forward tail sum: exp(0.5) - partial cancels catastrophically in floats
     true_tail, term = 0.0, 0.5 ** (sol.truncation_depth + 1) / math.factorial(sol.truncation_depth + 1)
@@ -124,9 +124,9 @@ def suite_oracles(seed: int = DEFAULT_SEED) -> SuiteResult:
         for n_series, n_cn in ((256, 128), (512, 256)):
             opts = SeriesOptions(depth_max=24, rel_tolerance=1e-12,
                                  time_steps=n_series, output_times=(horizon,))
-            s = solve_controlled_heat(G0, F, horizon, opts).trajectory.snapshots[0].values
+            s = solve_controlled_heat(G0, F, horizon, opts).trajectory.values[0]
             cn = fd_controlled_heat(G0, F, horizon, horizon / n_cn,
-                                    output_times=(horizon,)).snapshots[0].values
+                                    output_times=(horizon,)).values[0]
             gaps.append(float(np.max(np.abs(s - cn)) / max(np.max(np.abs(s)), 1e-300)))
         worst_gap = max(worst_gap, gaps[0])
         orders.append(math.log2(gaps[0] / gaps[1]))
@@ -158,7 +158,7 @@ def suite_burgers(seed: int = DEFAULT_SEED) -> SuiteResult:
     def closed_form(t):
         return np.exp(-t) * np.sin(x) / (1.0 + 0.5 * np.exp(-t) * np.cos(x))
 
-    u_err = float(np.max(np.abs(sol.velocity.at_time(0.5).components[0] - closed_form(0.5))))
+    u_err = float(np.max(np.abs(sol.velocity.at_time(0.5)[0] - closed_form(0.5))))
     checks.append(SuiteCheck("burgers solver vs closed form", u_err <= 1e-4,
                              f"L_inf error {u_err:.2e} at t=0.5 (<= 1e-4)"))
     checks.append(SuiteCheck("burgers runtime", solve_seconds < 5.0,
@@ -168,17 +168,16 @@ def suite_burgers(seed: int = DEFAULT_SEED) -> SuiteResult:
     steps = int(np.ceil(horizon / (0.9 * h * h / 2.0)))
     dt = horizon / steps
     fd = fd_burgers(ScalarField(grid, u0.components[0]), horizon, dt, output_times=(horizon,))
-    fd_err = float(np.max(np.abs(fd.snapshots[0].values - closed_form(horizon))))
+    fd_err = float(np.max(np.abs(fd.values[0] - closed_form(horizon))))
     budget = 10.0 * (dt + h * h)
     checks.append(SuiteCheck("burgers FD oracle vs closed form", fd_err <= budget,
                              f"L_inf error {fd_err:.2e} (<= 10*(dt+h^2) = {budget:.2e})"))
 
     # momentum-equation residual: solver output within 10x of the sampled
     # exact solution's residual, and decreasing under refinement
-    exact_traj = Trajectory(out_times, tuple(
-        VectorField(grid, (closed_form(t),)) for t in out_times))
-    res_solver = max(s.max_abs for _, s in sol.residual)
-    res_exact = max(s.max_abs for _, s in nse_residual(exact_traj, None))
+    exact_traj = Trajectory(grid, out_times, np.array([[closed_form(t)] for t in out_times]))
+    res_solver = float(np.max(sol.residual.values))
+    res_exact = float(np.max(nse_residual(exact_traj, None).values))
     checks.append(SuiteCheck("nse residual vs sampled exact", res_solver <= 10.0 * res_exact,
                              f"solver {res_solver:.2e} vs exact-sampled {res_exact:.2e} (<= 10x)"))
 
@@ -186,7 +185,7 @@ def suite_burgers(seed: int = DEFAULT_SEED) -> SuiteResult:
     opts_fine = SeriesOptions(depth_max=16, rel_tolerance=1e-12, time_steps=48,
                               output_times=fine_times)
     sol_fine = solve_nse(prob, opts_fine)
-    res_fine = max(s.max_abs for _, s in sol_fine.residual)
+    res_fine = float(np.max(sol_fine.residual.values))
     checks.append(SuiteCheck("nse residual refinement", res_fine < res_solver,
                              f"refined residual {res_fine:.2e} < {res_solver:.2e}"))
     return _timed("burgers", checks, start)
@@ -244,7 +243,7 @@ def suite_bounds(seed: int = DEFAULT_SEED, trials: int = 100, potentials: int = 
             for idx in ((24, 24, 24), (31, 24, 24), (36, 30, 26), (40, 40, 40), (6, 24, 24)):
                 r = math.sqrt(sum(mesh[d][idx] ** 2 for d in range(3)))
                 bound = worst_case_upper_bound(r, t, c, a)
-                val = float(conv.values[idx])
+                val = float(conv[idx])
                 min_ratio = min(min_ratio, bound / val)
                 if val > bound:
                     bad += 1
@@ -273,10 +272,7 @@ def suite_parabolic(seed: int = DEFAULT_SEED) -> SuiteResult:
     pipe = solve_parabolic(prob, opts)
     direct = solve_controlled_heat(u0, Forcing.constant(-c_val), 0.5, opts,
                                    source=Forcing.constant(-f_val))
-    gap = max(
-        float(np.max(np.abs(us.values - ds.values)))
-        for (_, us), (_, ds) in zip(pipe.u, direct.trajectory)
-    )
+    gap = float(np.max(np.abs(pipe.u.values - direct.trajectory.values)))
     checks.append(SuiteCheck("identity reduction", gap <= 1e-10,
                              f"pipeline vs direct series gap {gap:.2e} (<= 1e-10)"))
 
@@ -302,8 +298,8 @@ def suite_parabolic(seed: int = DEFAULT_SEED) -> SuiteResult:
     # equation vs its closed form exp(-x^2/(2(1+2t)))/sqrt(1+2t)
     pure = solve_parabolic(ParabolicProblem(A=-1.0, a=0.0, c=0.0, f=0.0, u0=u0, horizon=0.5), opts)
     spread = [1.0 + 2.0 * t for t in pure.u.times]
-    rt_err = max(float(np.max(np.abs(snap.values - np.exp(-x**2 / (2.0 * s)) / math.sqrt(s))))
-                 for s, (_, snap) in zip(spread, pure.u))
+    rt_err = max(float(np.max(np.abs(u - np.exp(-x**2 / (2.0 * s)) / math.sqrt(s))))
+                 for s, u in zip(spread, pure.u.values))
     checks.append(SuiteCheck("pure-heat round trip", rt_err <= 1e-12,
                              f"vs closed form {rt_err:.2e} (<= 1e-12)"))
     return _timed("parabolic", checks, start)
@@ -320,7 +316,7 @@ def suite_manufactured(seed: int = DEFAULT_SEED) -> SuiteResult:
     case = make_manufactured("exp(0.4*sin(x)*exp(-t))", grid, horizon)
     opts = SeriesOptions(depth_max=30, rel_tolerance=1e-12, time_steps=96, output_times=(horizon,))
     sol = solve_controlled_heat(case.G0, case.F, horizon, opts)
-    err = float(np.max(np.abs(sol.trajectory.snapshots[0].values - case.exact_G(horizon).values)))
+    err = float(np.max(np.abs(sol.trajectory.values[0] - case.exact_G(horizon).values)))
     checks.append(SuiteCheck("manufactured controlled heat", err <= 5e-4,
                              f"L_inf error {err:.2e} (<= 5e-4)"))
 
@@ -332,7 +328,7 @@ def suite_manufactured(seed: int = DEFAULT_SEED) -> SuiteResult:
                              f"derived F for the heat-mode fixture: max |F| = {np.max(np.abs(f_vals)):.2e}"))
 
     sol2 = solve_controlled_heat(case2.G0, case2.F, horizon, opts)
-    err2 = float(np.max(np.abs(sol2.trajectory.snapshots[0].values - case2.exact_G(horizon).values)))
+    err2 = float(np.max(np.abs(sol2.trajectory.values[0] - case2.exact_G(horizon).values)))
     checks.append(SuiteCheck("manufactured heat mode", err2 <= 1e-8,
                              f"L_inf error {err2:.2e} (<= 1e-8)"))
 
@@ -345,8 +341,7 @@ def suite_manufactured(seed: int = DEFAULT_SEED) -> SuiteResult:
     u_err = 0.0
     for t in (0.15, 0.3):
         got = sol3.trajectory.at_time(t)
-        exact = case3.exact_G(t)
-        u_err = max(u_err, float(np.max(np.abs(got.values - exact.values))))
+        u_err = max(u_err, float(np.max(np.abs(got - case3.exact_G(t).values))))
     checks.append(SuiteCheck("manufactured 2d case", u_err <= 5e-4,
                              f"G error {u_err:.2e} (<= 5e-4)"))
     return _timed("manufactured", checks, start)

@@ -83,23 +83,16 @@ def fd_controlled_heat(
     diagonal = np.flatnonzero(lhs.indices == columns)
     base = lhs.data[diagonal].copy()
 
-    times = [0.0]
-    snaps = [G0]
-    u = G0.values.copy()
-    f_stack = F.sample(grid, [step * dt for step in range(n_steps + 1)])
+    times = [step * dt for step in range(n_steps + 1)]
+    f_stack = F.sample(grid, times)
+    out = np.empty((n_steps + 1, n))
+    out[0] = u = G0.values
     for step in range(n_steps):
-        t_new = (step + 1) * dt
         f_old, f_new = f_stack[step], f_stack[step + 1]
         rhs = u + 0.5 * dt * (lap @ u + f_old * u)
         lhs.data[diagonal] = base - 0.5 * dt * f_new
-        u = splu(lhs).solve(rhs)
-        times.append(t_new)
-        snaps.append(ScalarField(grid, u))
-    traj = Trajectory(tuple(times), tuple(snaps))
-    if output_times is None:
-        return traj
-    keep = [traj.at_time(t) for t in output_times]
-    return Trajectory(tuple(float(t) for t in output_times), tuple(keep))
+        out[step + 1] = u = splu(lhs).solve(rhs)
+    return _at_times(Trajectory(grid, times, out), output_times)
 
 
 def fd_burgers(u0: ScalarField, horizon: float, dt: float, output_times=None) -> Trajectory:
@@ -120,21 +113,21 @@ def fd_burgers(u0: ScalarField, horizon: float, dt: float, output_times=None) ->
     if abs(n_steps * dt - horizon) > 1e-9 * horizon:
         raise ValueError("horizon must be an integer number of steps")
 
-    u = u0.values.copy()
-    times = [0.0]
-    snaps = [u0]
+    out = np.empty((n_steps + 1, *grid.shape))
+    out[0] = u = u0.values
     for step in range(n_steps):
         flux = 0.5 * u * u
         dflux = (np.roll(flux, -1) - np.roll(flux, 1)) / (2.0 * h)
         lap = (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / (h * h)
-        u = u - dt * dflux + dt * lap
-        times.append((step + 1) * dt)
-        snaps.append(ScalarField(grid, u))
-    traj = Trajectory(tuple(times), tuple(snaps))
+        out[step + 1] = u = u - dt * dflux + dt * lap
+    return _at_times(Trajectory(grid, [step * dt for step in range(n_steps + 1)], out), output_times)
+
+
+def _at_times(traj: Trajectory, output_times) -> Trajectory:
+    """``traj``, or its rows at ``output_times`` when they are given."""
     if output_times is None:
         return traj
-    keep = [traj.at_time(t) for t in output_times]
-    return Trajectory(tuple(float(t) for t in output_times), tuple(keep))
+    return Trajectory(traj.grid, output_times, np.array([traj.at_time(t) for t in output_times]))
 
 
 # ---------------------------------------------------------------------------

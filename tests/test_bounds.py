@@ -153,7 +153,7 @@ class TestSolutionEnvelope:
         want = KernelApplication(g, sol.trajectory.times).apply(ScalarField(g, np.abs(G0.values)))
         assert len(sol.propagated_abs_g0) == len(want)
         for got, ref in zip(sol.propagated_abs_g0, want):
-            assert np.array_equal(got, ref.values)
+            assert np.array_equal(got, ref)
 
 
 class TestReportFormat:

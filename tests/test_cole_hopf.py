@@ -15,6 +15,7 @@ from duhamel import (
     VectorField,
     curl_residual,
     gradient,
+    laplacian,
     solve_controlled_heat,
 )
 from duhamel import cole_hopf
@@ -161,7 +162,7 @@ class TestFreeSpaceCurlCheck:
     def test_sampled_gradient_passes(self, n):
         g = free_2d(n)
         u0 = heat_velocity(g)
-        assert curl_residual(u0) > 4.0 * cole_hopf.default_curl_tolerance(u0)
+        assert curl_residual(u0) > 4.0 * cole_hopf.default_curl_tolerance(u0.grid, u0.max_norm)
         phi = potential_from_velocity(u0, (0.0, 0.0), 0.0)
         x, y = g.meshgrid()
         a = heat_exponent(x, y)
@@ -180,7 +181,7 @@ class TestFreeSpaceCurlCheck:
         x, y, z = g.meshgrid()
         bump = 0.8 * np.exp(-(x**2 + y**2 + z**2))
         u0 = VectorField(g, (4.0 * x * bump, 4.0 * y * bump, 4.0 * z * bump))
-        assert curl_residual(u0) > 4.0 * cole_hopf.default_curl_tolerance(u0)
+        assert curl_residual(u0) > 4.0 * cole_hopf.default_curl_tolerance(u0.grid, u0.max_norm)
         phi = potential_from_velocity(u0, (0.0, 0.0, 0.0), 0.0)
         exact = -2.0 * (bump - bump[g.nearest_node((0.0, 0.0, 0.0))])
         assert np.max(np.abs(phi.values - exact)) < 1e-2
@@ -191,7 +192,7 @@ class TestFreeSpaceCurlCheck:
         # the two staircase orders still reject a rotational part of 0.1
         u0 = heat_velocity(free_2d(128), eps=0.1)
         estimate = _stencil_curl_error(u0)[1]
-        assert 2.0 * estimate > 4.0 * cole_hopf.default_curl_tolerance(u0)
+        assert 2.0 * estimate > 4.0 * cole_hopf.default_curl_tolerance(u0.grid, u0.max_norm)
         monkeypatch.setattr(cole_hopf, "_stencil_curl_error", lambda u: (0.0, estimate))
         with pytest.raises(CurlError, match="staircase path orders disagree"):
             potential_from_velocity(u0, (0.0, 0.0), 0.0)
@@ -264,9 +265,9 @@ class TestForcingFromPressure:
 class TestVelocityFromField:
     def test_constant_field_zero_velocity(self):
         g = periodic_1d(64)
-        traj = Trajectory((0.0, 0.5), (ScalarField.constant(g, 2.0),) * 2)
+        traj = Trajectory(g, (0.0, 0.5), np.full((2, 64), 2.0))
         u = velocity_from_field(traj)
-        assert max(s.max_norm for _, s in u) < 1e-13
+        assert max(VectorField(g, row).max_norm for _, row in u) < 1e-13
 
     def test_gaussian_log_derivative(self):
         # G = e^{-x^2/(4(a+t))}  =>  u = -2 grad(log G) = x/(a+t)
@@ -275,31 +276,31 @@ class TestVelocityFromField:
         x = g.coords(0)
         a = 2.0
         times = (0.0, 0.5)
-        snaps = tuple(ScalarField(g, np.exp(-(x**2) / (4 * (a + t)))) for t in times)
-        u = velocity_from_field(Trajectory(times, snaps))
+        snaps = np.array([np.exp(-(x**2) / (4 * (a + t))) for t in times])
+        u = velocity_from_field(Trajectory(g, times, snaps))
         for t, snap in u:
             # FD error on the log-derivative grows with the Gaussian decay
             # rate, so compare where G is well resolved
             core = np.abs(x) <= 6.0
             want = x[core] / (a + t)
-            assert np.max(np.abs(snap.components[0][core] - want)) < 1e-5
+            assert np.max(np.abs(snap[0][core] - want)) < 1e-5
 
     def test_burgers_fixture_field(self):
         g = periodic_1d()
         x = g.coords(0)
         times = (0.0, 0.25, 0.5)
-        snaps = tuple(ScalarField(g, 1 + 0.5 * np.exp(-t) * np.cos(x)) for t in times)
-        u = velocity_from_field(Trajectory(times, snaps))
+        snaps = np.array([1 + 0.5 * np.exp(-t) * np.cos(x) for t in times])
+        u = velocity_from_field(Trajectory(g, times, snaps))
         for t, snap in u:
             want = np.exp(-t) * np.sin(x) / (1 + 0.5 * np.exp(-t) * np.cos(x))
-            assert np.max(np.abs(snap.components[0] - want)) < 1e-11
+            assert np.max(np.abs(snap[0] - want)) < 1e-11
 
     def test_positivity_breach_is_hard_error(self):
         g = periodic_1d(64)
         x = g.coords(0)
-        bad = ScalarField(g, np.cos(x))  # crosses zero
+        bad = np.cos(x)  # crosses zero
         with pytest.raises(PositivityError):
-            velocity_from_field(Trajectory((0.0,), (bad,)))
+            velocity_from_field(Trajectory(g, (0.0,), bad[None]))
 
 
 class TestSolveNSE:
@@ -309,7 +310,7 @@ class TestSolveNSE:
         prob = NSEProblem(u0, (0.0,), 0.3, None, speed_bound=1.0, horizon=0.5)
         opts = SeriesOptions(time_steps=8, output_times=(0.25, 0.5))
         sol = solve_nse(prob, opts)
-        assert max(s.max_norm for _, s in sol.velocity) < 1e-12
+        assert max(VectorField(g, row).max_norm for _, row in sol.velocity) < 1e-12
         assert sol.floor_report.passed and sol.ceiling_report.passed
 
     def test_burgers_fixture(self):
@@ -321,7 +322,7 @@ class TestSolveNSE:
                              output_times=(0.25, 0.5))
         sol = solve_nse(prob, opts)
         want = np.exp(-0.5) * np.sin(x) / (1 + 0.5 * np.exp(-0.5) * np.cos(x))
-        got = sol.velocity.at_time(0.5).components[0]
+        got = sol.velocity.at_time(0.5)[0]
         assert np.max(np.abs(got - want)) < 1e-4
 
     def test_gauge_invariance(self):
@@ -333,11 +334,11 @@ class TestSolveNSE:
             solve_nse(NSEProblem(u0, (0.0,), a, None, speed_bound=2.0, horizon=0.5), opts)
             for a in (0.0, 4.0)
         ]
-        gap = np.max(np.abs(sols[0].velocity.at_time(0.5).components[0]
-                            - sols[1].velocity.at_time(0.5).components[0]))
+        gap = np.max(np.abs(sols[0].velocity.at_time(0.5)[0]
+                            - sols[1].velocity.at_time(0.5)[0]))
         assert gap < 1e-12
         # G itself scales by e^{-k/2}
-        ratio = sols[1].series.trajectory.at_time(0.5).values / sols[0].series.trajectory.at_time(0.5).values
+        ratio = sols[1].series.trajectory.at_time(0.5) / sols[0].series.trajectory.at_time(0.5)
         assert np.max(np.abs(ratio - math.exp(-2.0))) < 1e-12
 
     def test_speed_bound_enforced(self):
@@ -365,7 +366,7 @@ class TestSolveNSE:
         prob = NSEProblem(u0, (0.0,), 0.0, raw, speed_bound=1.0, horizon=0.5)
         opts = SeriesOptions(depth_max=24, time_steps=32, output_times=(0.25, 0.5))
         sol = solve_nse(prob, opts)
-        assert min(float(np.min(s.values)) for _, s in sol.series.trajectory) > 0.0
+        assert min(float(np.min(s)) for _, s in sol.series.trajectory) > 0.0
 
 
     def _curl_free_2d(self):
@@ -388,6 +389,18 @@ class TestSolveNSE:
         assert sol.floor_report.passed
         assert len(calls) == 1
 
+    def test_speed_read_once_per_entry_point(self, monkeypatch):
+        # the problem's checks read the speed once, and so does the
+        # potential reconstruction of a solve
+        reads = []
+        speed = VectorField.max_norm
+        monkeypatch.setattr(VectorField, "max_norm", property(lambda u: reads.append(1) or speed.fget(u)))
+        prob = NSEProblem(self._curl_free_2d(), (0.0, 0.0), 0.0, None, speed_bound=1.0,
+                          horizon=0.25)
+        assert len(reads) == 1
+        solve_nse(prob, SeriesOptions(time_steps=4, output_times=(0.125, 0.25)))
+        assert len(reads) == 2
+
     def test_rotational_data_rejected_by_solve(self):
         g = periodic_2d(32)
         x, y = g.meshgrid()
@@ -402,13 +415,13 @@ class TestNSEResidual:
     def test_zero_everything(self):
         g = periodic_1d(64)
         times = (0.0, 0.25, 0.5)
-        u = Trajectory(times, tuple(VectorField(g, (np.zeros(64),)) for _ in times))
+        u = Trajectory(g, times, np.zeros((3, 1, 64)))
         res = nse_residual(u, None)
-        assert max(s.max_abs for _, s in res) == 0.0
+        assert max(float(np.max(np.abs(s))) for _, s in res) == 0.0
 
     def test_needs_three_times(self):
         g = periodic_1d(64)
-        u = Trajectory((0.0, 0.5), (VectorField(g, (np.zeros(64),)),) * 2)
+        u = Trajectory(g, (0.0, 0.5), np.zeros((2, 1, 64)))
         with pytest.raises(ValueError, match="3 output times"):
             nse_residual(u, None)
 
@@ -425,8 +438,8 @@ class TestNSEResidual:
             for m in (8, 16):
                 s = np.linspace(0.0, 1.0, m + 1)
                 times = tuple(0.5 * (s + grading * s * (1 - s)))
-                traj = Trajectory(times, tuple(VectorField(g, (exact(t),)) for t in times))
-                residuals.append(max(r.max_abs for _, r in nse_residual(traj, None)))
+                traj = Trajectory(g, times, np.array([[exact(t)] for t in times]))
+                residuals.append(max(float(np.max(np.abs(r))) for _, r in nse_residual(traj, None)))
             # centered time differencing: one refinement shrinks it ~4x
             assert 2.5 < residuals[0] / residuals[1] < 6.0
 
@@ -436,12 +449,12 @@ class TestNSEResidual:
         g = periodic_1d(64)
         x = g.coords(0)
         times = (0.0, 0.25, 0.5)
-        u = Trajectory(times, tuple(VectorField(g, (np.zeros(64),)) for _ in times))
+        u = Trajectory(g, times, np.zeros((3, 1, 64)))
         raw = Forcing.from_expression("2*sin(x)")
         res = nse_residual(u, raw)
         want = np.abs(2.0 * np.cos(x))
         for _, snap in res:
-            assert np.max(np.abs(snap.values - want)) < 1e-10
+            assert np.max(np.abs(snap - want)) < 1e-10
 
     def test_one_forward_transform_per_component(self, monkeypatch):
         # per interior time on a 3-D torus: the forcing gradient (1 forward,
@@ -451,8 +464,7 @@ class TestNSEResidual:
         g = Grid((n,) * 3, (2 * np.pi / n,) * 3, (0.0,) * 3)
         x, y, z = g.meshgrid()
         times = (0.0, 0.25, 0.5, 0.75)
-        u = Trajectory(times, tuple(
-            VectorField(g, (np.sin(y + t), np.sin(z), np.cos(x - t))) for t in times))
+        u = Trajectory(g, times, np.array([(np.sin(y + t), np.sin(z), np.cos(x - t)) for t in times]))
         calls = []
         for name in ("forward", "inverse"):
             def counted(self, *args, _method=getattr(PaddedTorus, name), _name=name, **kwargs):
@@ -463,6 +475,67 @@ class TestNSEResidual:
         nse_residual(u, Forcing.from_expression("cos(x)*sin(t)"))
         assert calls.count("forward") == 2 * (1 + 3)
         assert calls.count("inverse") == 2 * (3 + 3 * 4)
+
+
+def stack_grids():
+    """A periodic 3-D grid and a free-space 2-D grid, with their meshes."""
+    n = 16
+    periodic = Grid((n,) * 3, (2 * np.pi / n,) * 3, (0.0,) * 3)
+    free = Grid((24, 20), (0.4, 0.5), (-4.8, -5.0), FreeSpaceTruncated())
+    return [pytest.param(periodic, id="periodic-3d"), pytest.param(free, id="free-2d")]
+
+
+class TestStackPaths:
+    """The trajectory operators act on whole stacks, row by row, and give
+    the single-field operators' values bit for bit."""
+
+    @staticmethod
+    def _fields(grid, times):
+        mesh = grid.meshgrid()
+        G = np.array([1.5 + np.exp(-t) * np.cos(mesh[0]) * np.sin(mesh[-1] + t) for t in times])
+        u = np.array([[np.sin(m + (d + 1) * t) * np.cos(mesh[0]) for d, m in enumerate(mesh)]
+                      for t in times])
+        return G, u
+
+    @pytest.mark.parametrize("grid", stack_grids())
+    def test_velocity_rows_match_the_single_field_gradient(self, grid):
+        times = (0.0, 0.2, 0.5)
+        G, _ = self._fields(grid, times)
+        u = velocity_from_field(Trajectory(grid, times, G))
+        assert u.values.shape == (3, grid.ndim, *grid.shape)
+        for m, (t, row) in enumerate(u):
+            want = [-2.0 * c / G[m] for c in gradient(ScalarField(grid, G[m])).components]
+            assert row.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("grid", stack_grids())
+    @pytest.mark.parametrize("forced", (False, True), ids=["unforced", "forced"])
+    def test_residual_matches_a_per_row_reference(self, grid, forced):
+        times = (0.0, 0.1, 0.25, 0.45)
+        _, values = self._fields(grid, times)
+        p_minus_f = Forcing.from_expression("cos(x)*sin(t) + 0.5") if forced else None
+        got = nse_residual(Trajectory(grid, times, values), p_minus_f)
+
+        dudt = [np.gradient(np.stack([v[i] for v in values]), np.asarray(times), axis=0)
+                for i in range(grid.ndim)]
+        core = tuple(slice(None) if grid.is_periodic else slice(2, n - 2) for n in grid.shape)
+        for j in range(1, len(times) - 1):
+            u = [ScalarField(grid, c) for c in values[j]]
+            if forced:
+                force = gradient(ScalarField(grid, p_minus_f.sample(grid, [times[j]])[0])).components
+            worst = np.zeros(grid.shape)
+            for i in range(grid.ndim):
+                grad_ui = gradient(u[i]).components
+                res = dudt[i][j]
+                for l in range(grid.ndim):
+                    res = res + u[l].values * grad_ui[l]
+                res = res - laplacian(u[i]).values
+                if forced:
+                    res = res + force[i]
+                worst = np.maximum(worst, np.abs(res))
+            want = np.zeros(grid.shape)
+            want[core] = worst[core]
+            assert got.times[j - 1] == times[j]
+            assert got.values[j - 1].tobytes() == want.tobytes()
 
 
 class TestWorstCaseBound:
@@ -505,4 +578,4 @@ class TestWorstCaseBound:
             for t, conv in zip((0.1, 0.4), KernelApplication(g, (0.1, 0.4)).apply(field)):
                 for idx in ((24, 24, 24), (34, 28, 24), (40, 40, 40)):
                     r = math.sqrt(sum(mesh[d][idx] ** 2 for d in range(3)))
-                    assert conv.values[idx] <= worst_case_upper_bound(r, t, c, a)
+                    assert conv[idx] <= worst_case_upper_bound(r, t, c, a)

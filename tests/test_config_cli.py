@@ -330,7 +330,7 @@ class TestSolveCommand:
         rc = main(["solve", path, "-o", str(tmp_path / "out")])
         assert rc == 0
         u = read_trajectory(tmp_path / "out", "u")
-        assert max(np.max(np.abs(s.components[0])) for _, s in u) < 1e-12
+        assert max(np.max(np.abs(s[0])) for _, s in u) < 1e-12
 
     def test_invalid_config_exits_2_with_payload(self, tmp_path, capsys):
         path = write_config(tmp_path, controlled_heat_config(bogus=True))
@@ -605,6 +605,33 @@ class TestSolveCommand:
         assert [e["path"] for e in errors] == [path]
         assert message is None or errors[0]["message"] == message
 
+    def test_time_steps_past_the_bound_exit_2_at_series(self, tmp_path):
+        # a valid JSON integer far past any allocatable node grid
+        body = controlled_heat_config()
+        body["series"]["time_steps"] = 10**400
+        proc = run_cli("solve", write_config(tmp_path, body), "-o", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["errors"] == [
+            {"path": "series", "message": "time_steps must be in [1, 1000000]"}]
+
+    @pytest.mark.parametrize("forcing, code, errors", [
+        (0.5, 3, [{"path": "controlled-heat",
+                   "message": "the series sum overflows at order 2 (sup |F| = 0.5)"}]),
+        (None, 0, None),
+    ], ids=["forced", "unforced"])
+    def test_nodes_up_to_the_largest_double_sweep(self, tmp_path, forcing, code, errors):
+        # 3 * dt rounds past double range, and the sweep still sees uniform nodes
+        horizon = 1.7976931348623157e308
+        body = controlled_heat_config()
+        body["series"] = {"time_steps": 3, "output_times": [horizon]}
+        body["controlled_heat"]["horizon"] = horizon
+        if forcing is None:
+            del body["controlled_heat"]["forcing"]
+        proc = run_cli("solve", write_config(tmp_path, body), "-o", str(tmp_path / "out"))
+        assert "Warning" not in proc.stderr
+        assert proc.returncode == code
+        assert (json.loads(proc.stderr)["errors"] if errors else proc.stderr) == (errors or "")
+
     @pytest.mark.parametrize("kind", ["heat", "parabolic"])
     def test_collapsed_grid_exits_2(self, tmp_path, capsys, kind):
         # 16 units of extent at -1e308: all 64 nodes round to one coordinate,
@@ -647,7 +674,7 @@ class TestSolveCommand:
         # G0 = 1 + 0.5 cos(x) is 1.5 on so short a period, and F = 0.5
         (t, g1) = list(read_trajectory(out, "G"))[-1]
         assert t == 1.0
-        np.testing.assert_allclose(g1.values, 1.5 * np.exp(0.5), rtol=1e-12)
+        np.testing.assert_allclose(g1, 1.5 * np.exp(0.5), rtol=1e-12)
 
     @pytest.mark.parametrize("kind, keys, value, path, message", [
         ("heat", ("grid",), {"points": [0], "extent": [1.0], "origin": [0.0]}, "grid",
@@ -974,6 +1001,6 @@ class TestBurgersFixtureEndToEnd:
         u = read_trajectory(tmp_path / "out", "u")
         x = u.grid.coords(0)
         for t in (0.25, 0.5):
-            got = u.at_time(t).components[0]
+            got = u.at_time(t)[0]
             want = np.exp(-t) * np.sin(x) / (1 + 0.5 * np.exp(-t) * np.cos(x))
             assert np.max(np.abs(got - want)) <= 1e-4

@@ -118,13 +118,64 @@ class TestFields:
 
     def test_trajectory_validation(self):
         g = periodic_1d(16)
-        f = ScalarField(g, np.zeros(16))
         with pytest.raises(ValueError):
-            Trajectory((0.0, 0.0), (f, f))
-        traj = Trajectory((0.0, 0.5, 1.0), (f, f, f))
-        assert traj.at_time(0.5) is traj.snapshots[1]
+            Trajectory(g, (0.0, 0.0), np.zeros((2, 16)))
+        traj = Trajectory(g, (0.0, 0.5, 1.0), np.arange(3.0)[:, None] * np.ones(16))
+        assert np.array_equal(traj.at_time(0.5), traj.values[1])
         with pytest.raises(KeyError):
             traj.at_time(0.7)
+
+
+class TestTrajectory:
+    """One read-only node stack: (n, *grid.shape) or (n, ndim, *grid.shape)."""
+
+    @pytest.mark.parametrize("times, shape", [
+        ((0.0, 0.5), (2, 15)),  # wrong grid shape
+        ((0.0, 0.5), (3, 16)),  # one row too many
+        ((0.0, 0.5), (2, 2, 16)),  # a vector axis of the wrong length on a 1-D grid
+        ((0.0, 0.5), (2, 1, 1, 16)),
+    ], ids=["grid", "rows", "vector-axis", "extra-axis"])
+    def test_rejects_a_wrong_shape(self, times, shape):
+        with pytest.raises(ValueError, match="do not fit"):
+            Trajectory(periodic_1d(16), times, np.zeros(shape))
+
+    def test_rejects_a_vector_axis_of_the_wrong_length_in_2d(self):
+        g = Grid((8, 8), (0.1, 0.1), (0.0, 0.0))
+        Trajectory(g, (0.0,), np.zeros((1, 2, 8, 8)))
+        with pytest.raises(ValueError, match="do not fit"):
+            Trajectory(g, (0.0,), np.zeros((1, 3, 8, 8)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        values = np.zeros((2, 16))
+        values[1, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(periodic_1d(16), (0.0, 0.5), values)
+
+    @pytest.mark.parametrize("times, message", [
+        ((), "at least one time"),
+        ((0.0, 0.5, 0.5), "strictly increasing"),
+        ((0.5, 0.25), "strictly increasing"),
+        ((-0.1, 0.5), r"\[0, T\]"),
+    ], ids=["empty", "repeated", "decreasing", "negative"])
+    def test_rejects_bad_times(self, times, message):
+        with pytest.raises(ValueError, match=message):
+            Trajectory(periodic_1d(16), times, np.zeros((len(times), 16)))
+
+    def test_rows_are_read_only(self):
+        traj = Trajectory(Grid((8, 8), (0.1, 0.1), (0.0, 0.0)), (0.0, 0.5), np.ones((2, 2, 8, 8)))
+        for t, row in traj:
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0, 0, 0] = 2.0
+        with pytest.raises(ValueError):
+            traj.at_time(0.5)[...] = 2.0
+
+    def test_iterates_times_and_rows(self):
+        values = np.arange(3.0)[:, None] * np.ones(16)
+        traj = Trajectory(periodic_1d(16), [0, 0.5, 1], values)
+        assert traj.times == (0.0, 0.5, 1.0) and len(traj) == 3
+        assert [(t, row.tolist()) for t, row in traj] == [(t, v.tolist()) for t, v in zip(traj.times, values)]
 
 
 class TestGradient:
@@ -249,7 +300,7 @@ class TestSharedTransform:
         field = ScalarField(g, np.random.default_rng(8).normal(size=g.shape))
         grad, lap = gradient(field), laplacian(field)
         calls = counted_transforms(monkeypatch)
-        comps, lap_values = _gradient_and_laplacian(field)
+        comps, lap_values = _gradient_and_laplacian(g, field.values)
         assert calls == ["forward"] + ["inverse"] * 3
         assert all(a.tobytes() == b.tobytes() for a, b in zip(comps, grad.components))
         assert lap_values.tobytes() == lap.values.tobytes()

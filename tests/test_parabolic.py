@@ -219,7 +219,7 @@ class TestSolveNormalized:
         out = solve_normalized(norm, options(time_steps=16, output_times=(0.5,))).trajectory
         # the spreading Gaussian: variance 1 + 2t
         want = np.exp(-grid.coords(0) ** 2 / 4.0) / math.sqrt(2.0)
-        assert np.max(np.abs(out.snapshots[0].values - want)) < 1e-13
+        assert np.max(np.abs(out.values[0] - want)) < 1e-13
 
     def test_constant_potential_decay(self):
         # Q = q, g = 0, v0 = 1: v = e^{-q t}
@@ -227,7 +227,7 @@ class TestSolveNormalized:
         norm = self._normalized(Q=q)
         out = solve_normalized(norm, options(time_steps=16, output_times=(0.5, 1.0))).trajectory
         for t, snap in out:
-            assert np.max(np.abs(snap.values - math.exp(-q * t))) < 1e-12
+            assert np.max(np.abs(snap - math.exp(-q * t))) < 1e-12
 
     def test_pure_source_gives_minus_t(self):
         # Q = 0, g = 1, v0 = 0: v = -t (the leading minus sign of the source)
@@ -235,7 +235,7 @@ class TestSolveNormalized:
         norm = self._normalized(g=1.0, v0=ScalarField.constant(grid, 0.0), grid=grid)
         out = solve_normalized(norm, options(time_steps=16, output_times=(0.5, 1.0))).trajectory
         for t, snap in out:
-            assert np.max(np.abs(snap.values + t)) < 1e-12
+            assert np.max(np.abs(snap + t)) < 1e-12
 
 
 class TestBackTransform:
@@ -245,9 +245,9 @@ class TestBackTransform:
         v0 = gaussian_u0(grid)
         from duhamel.fields import Trajectory
 
-        traj = Trajectory((0.5,), (v0,))
+        traj = Trajectory(grid, (0.5,), v0.values[None])
         out, _ = back_transform(traj, norm)
-        assert np.max(np.abs(out.snapshots[0].values - v0.values)) < 1e-12
+        assert np.max(np.abs(out.values[0] - v0.values)) < 1e-12
 
     @pytest.mark.parametrize("t", [0.3, 0.25 + 1e-12])
     def test_time_off_the_nodes_is_rejected(self, t):
@@ -256,7 +256,7 @@ class TestBackTransform:
         from duhamel.fields import Trajectory
 
         with pytest.raises(ValueError, match=rf"^output time {t!r} is not a node of the normalized problem$"):
-            back_transform(Trajectory((0.25, t), (gaussian_u0(grid),) * 2), norm)
+            back_transform(Trajectory(grid, (0.25, t), [gaussian_u0(grid).values] * 2), norm)
 
     def test_constant_coefficient_inverse_gauge(self):
         # from the constant-coefficient reduction, u = e^{k y / 2} v
@@ -268,10 +268,10 @@ class TestBackTransform:
         from duhamel.fields import Trajectory
 
         v = ScalarField(norm.y_grid, np.exp(-0.2 * y))
-        out, _ = back_transform(Trajectory((0.25,), (v,)), norm)
+        out, _ = back_transform(Trajectory(norm.y_grid, (0.25,), v.values[None]), norm)
         x = prob.grid.coords(0)
         want = np.exp(k * (x - x[0]) / 2) * np.exp(-0.2 * (x - x[0]))
-        assert np.max(np.abs(out.snapshots[0].values - want)) < 1e-7
+        assert np.max(np.abs(out.values[0] - want)) < 1e-7
 
 
 class TestEndToEnd:
@@ -284,7 +284,7 @@ class TestEndToEnd:
         direct = solve_controlled_heat(u0, Forcing.constant(-c_val), 0.5, opts,
                                        source=Forcing.constant(-f_val))
         gap = max(
-            float(np.max(np.abs(a.values - b.values)))
+            float(np.max(np.abs(a - b)))
             for (_, a), (_, b) in zip(pipe.u, direct.trajectory)
         )
         assert gap <= 1e-10
@@ -296,7 +296,7 @@ class TestEndToEnd:
         sol = solve_parabolic(prob, options())
         periodic = Grid((n,), (extent / n,), (-extent / 2,))
         (ref,) = KernelApplication(periodic, (0.5,)).apply(ScalarField(periodic, u0.values))
-        assert np.max(np.abs(sol.u.at_time(0.5).values - ref.values)) < 1e-6
+        assert np.max(np.abs(sol.u.at_time(0.5) - ref)) < 1e-6
 
     def test_manufactured_variable_coefficients(self):
         # pick u_exact, derive f symbolically, solve, compare
@@ -326,7 +326,7 @@ class TestEndToEnd:
         )
         sol = solve_parabolic(prob, options(time_steps=48, output_times=(0.2, 0.4)))
         for t, snap in sol.u:
-            err = np.max(np.abs(snap.values - u_fn(t, x)))
+            err = np.max(np.abs(snap - u_fn(t, x)))
             assert err < 5e-4, f"t={t}: {err}"
 
     def test_window_shift_invariance(self):
@@ -344,10 +344,10 @@ class TestEndToEnd:
         for g in (g1, g2):
             prob = ParabolicProblem(A=-1.0, a="0.1*sin(x)", c=0.2, f=0.0,
                                     u0=ScalarField(g, u_fn(g.coords(0))), horizon=0.5)
-            outs.append(solve_parabolic(prob, opts).u.snapshots[0])
+            outs.append(solve_parabolic(prob, opts).u.values[0])
         # overlap: g1 nodes 0..n-9 coincide with g2 nodes 8..n-1
-        a = outs[0].values[: n - 8]
-        b = outs[1].values[8:]
+        a = outs[0][: n - 8]
+        b = outs[1][8:]
         assert np.max(np.abs(a - b)) < 1e-8
 
 
@@ -397,7 +397,7 @@ class TestManufacturedAccuracy:
         # cubic leaves a 6.6e-4 error floor here.
         prob, exact = manufactured_problem()
         sol = solve_parabolic(prob, SeriesOptions(depth_max=24, rel_tolerance=1e-10, time_steps=64))
-        error = max(float(np.max(np.abs(snap.values - exact(t)))) for t, snap in sol.u)
+        error = max(float(np.max(np.abs(snap - exact(t)))) for t, snap in sol.u)
         assert error < 1e-5
 
 

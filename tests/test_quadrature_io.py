@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from duhamel import FreeSpaceTruncated, Grid, ScalarField, Trajectory, VectorField
+from duhamel import FreeSpaceTruncated, Grid, ScalarField, Trajectory
 from duhamel.io import read_field, read_trajectory, write_field, write_trajectory
 from duhamel.quadrature import corrected_cumulative_trapezoid
 
@@ -95,22 +95,27 @@ class TestTrajectoryIO:
         g = Grid((16,), (0.1,), (0.0,))
         rng = np.random.default_rng(5)
         times = (0.0, 0.5, 1.0)
-        snaps = tuple(ScalarField(g, rng.normal(size=16)) for _ in times)
-        traj = Trajectory(times, snaps)
+        traj = Trajectory(g, times, rng.normal(size=(3, 16)))
         write_trajectory(traj, tmp_path, "G")
         back = read_trajectory(tmp_path, "G")
         assert back.times == times
-        for a, b in zip(traj.snapshots, back.snapshots):
-            assert np.array_equal(a.values, b.values)
+        for (_, a), (_, b) in zip(traj, back):
+            assert np.array_equal(a, b)
 
     def test_vector_trajectory_roundtrip(self, tmp_path):
         g = Grid((8, 8), (0.1, 0.1), (0.0, 0.0))
         rng = np.random.default_rng(6)
         times = (0.25, 0.5)
-        snaps = tuple(
-            VectorField(g, (rng.normal(size=(8, 8)), rng.normal(size=(8, 8)))) for _ in times
-        )
-        write_trajectory(Trajectory(times, snaps), tmp_path, "u")
+        snaps = rng.normal(size=(2, 2, 8, 8))
+        write_trajectory(Trajectory(g, times, snaps), tmp_path, "u")
         back = read_trajectory(tmp_path, "u")
-        assert isinstance(back.snapshots[0], VectorField)
-        assert np.array_equal(back.snapshots[1].components[1], snaps[1].components[1])
+        assert back.values.shape == (2, 2, 8, 8)
+        assert np.array_equal(back.values[1][1], snaps[1][1])
+
+    def test_files_on_two_grids_are_rejected(self, tmp_path):
+        g = Grid((16,), (0.1,), (0.0,))
+        write_trajectory(Trajectory(g, (0.0, 0.5), np.zeros((2, 16))), tmp_path, "G")
+        other = Grid((16,), (0.2,), (0.0,))
+        write_field(ScalarField(other, np.zeros(16)), tmp_path / "G_0001.csf")
+        with pytest.raises(ValueError, match="one grid, got 2"):
+            read_trajectory(tmp_path, "G")

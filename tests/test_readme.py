@@ -50,4 +50,4 @@ def test_burgers_config_solves(tmp_path):
     x = u.grid.coords(0)
     e = np.exp(-0.5)
     exact = e * np.sin(x) / (1 + 0.5 * e * np.cos(x))
-    assert np.max(np.abs(u.snapshots[-1].components[0] - exact)) < 1e-4
+    assert np.max(np.abs(u.values[-1][0] - exact)) < 1e-4

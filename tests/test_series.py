@@ -44,7 +44,7 @@ def duhamel_step(term_trajectory: Trajectory, F: Forcing) -> Trajectory:
     torus = padded_torus(grid)
     decay = np.exp(-dt * torus.k2)
     f_stack = F.sample(grid, times)
-    nodes = (torus.forward(fv * snap.values) for fv, snap in zip(f_stack, term_trajectory.snapshots))
+    nodes = (torus.forward(fv * snap) for fv, snap in zip(f_stack, term_trajectory.values))
     first = next(nodes)
     run = first.copy()  # sum_i decay^(j-i) ghat_i, full weights
     symbol_j = np.ones_like(decay)
@@ -54,7 +54,7 @@ def duhamel_step(term_trajectory: Trajectory, F: Forcing) -> Trajectory:
         symbol_j = symbol_j * decay
         weighted = run - 0.5 * symbol_j * first - 0.5 * ghat
         out.append(torus.inverse((torus.scale * dt) * weighted))
-    return Trajectory(tuple(times), tuple(ScalarField(grid, v) for v in out))
+    return Trajectory(grid, times, np.array(out))
 
 
 def periodic_1d(n=128):
@@ -63,8 +63,7 @@ def periodic_1d(n=128):
 
 def uniform_traj(grid, horizon, n_nodes, fn):
     times = np.linspace(0.0, horizon, n_nodes)
-    snaps = tuple(ScalarField(grid, fn(t)) for t in times)
-    return Trajectory(tuple(times), snaps)
+    return Trajectory(grid, times, np.array([fn(t) for t in times]))
 
 
 def swept(kernel, stack, factor=None, initial=None):
@@ -115,14 +114,14 @@ class TestDuhamelStep:
         g = periodic_1d()
         traj = uniform_traj(g, 1.0, 9, lambda t: np.sin(g.coords(0)) * np.exp(-t))
         out = duhamel_step(traj, Forcing.zero())
-        assert max(s.max_abs for _, s in out) == 0.0
+        assert max(float(np.max(np.abs(s))) for _, s in out) == 0.0
 
     def test_constant_integrand_exact(self):
         # F = c with T == 1: constants pass through K, so T_next(t) = c t
         g = periodic_1d()
         traj = uniform_traj(g, 1.0, 17, lambda t: np.ones(128))
         out = duhamel_step(traj, Forcing.constant(0.7))
-        worst = max(np.max(np.abs(s.values - 0.7 * t)) for t, s in out)
+        worst = max(np.max(np.abs(s - 0.7 * t)) for t, s in out)
         assert worst < 1e-13
 
     def test_single_mode_analytic(self):
@@ -133,7 +132,7 @@ class TestDuhamelStep:
         x = g.coords(0)
         traj = uniform_traj(g, 1.0, 65, lambda t: np.exp(-t) * np.sin(x))
         out = duhamel_step(traj, Forcing.constant(1.0))
-        worst = max(np.max(np.abs(s.values - t * np.exp(-t) * np.sin(x))) for t, s in out)
+        worst = max(np.max(np.abs(s - t * np.exp(-t) * np.sin(x))) for t, s in out)
         assert worst < 1e-6
 
     def test_free_space_path_matches_periodic(self):
@@ -152,19 +151,19 @@ class TestDuhamelStep:
         F = Forcing.constant(1.0)
         op = duhamel_step(tp, F)
         of = duhamel_step(tf, F)
-        gap = max(np.max(np.abs(a.values - b.values)) for (_, a), (_, b) in zip(op, of))
+        gap = max(np.max(np.abs(a - b)) for (_, a), (_, b) in zip(op, of))
         assert gap < 1e-7
 
     def test_requires_uniform_grid_from_zero(self):
         g = periodic_1d()
-        f = ScalarField.constant(g, 1.0)
-        bad = Trajectory((0.1, 0.2), (f, f))
+        f = np.ones(g.shape)
+        bad = Trajectory(g, (0.1, 0.2), [f, f])
         with pytest.raises(ValueError, match="t = 0"):
             duhamel_step(bad, Forcing.zero())
-        nonuniform = Trajectory((0.0, 0.1, 0.5), (f, f, f))
+        nonuniform = Trajectory(g, (0.0, 0.1, 0.5), [f, f, f])
         with pytest.raises(ValueError, match="uniform"):
             duhamel_step(nonuniform, Forcing.zero())
-        uniform = Trajectory((0.0, 0.5, 1.0), (f, f, f))
+        uniform = Trajectory(g, (0.0, 0.5, 1.0), [f, f, f])
         assert len(duhamel_step(uniform, Forcing.zero())) == 3
 
 
@@ -179,9 +178,9 @@ class TestSolveControlledHeat:
         assert not sol.not_converged
         # the first order is exactly zero, so the series stops without it
         assert sol.metadata["stop_reason"] == "zero_tail"
-        assert sol.metadata["order_norms"] == [float(np.max(np.abs(sol.terms[0][0].values)))]
+        assert sol.metadata["order_norms"] == [float(np.max(np.abs(sol.terms[0][0])))]
         exact = 1.0 + 0.5 * math.exp(-0.5) * np.cos(x)
-        assert np.max(np.abs(sol.trajectory.snapshots[0].values - exact)) < 1e-14
+        assert np.max(np.abs(sol.trajectory.values[0] - exact)) < 1e-14
 
     def test_constant_forcing_exponential_terms(self):
         g = periodic_1d()
@@ -191,16 +190,16 @@ class TestSolveControlledHeat:
         assert sol.metadata["stop_reason"] == "tolerance"
         assert sol.truncation_depth < 20
         for m, t in enumerate(sol.trajectory.times):
-            assert np.max(np.abs(sol.trajectory.snapshots[m].values - math.exp(c * t))) < 1e-12
-            for k, term in enumerate(sol.terms[m]):
-                assert np.max(np.abs(term.values - (c * t) ** k / math.factorial(k))) < 1e-13
+            assert np.max(np.abs(sol.trajectory.values[m] - math.exp(c * t))) < 1e-12
+            for k, term in enumerate(sol.terms):
+                assert np.max(np.abs(term[m] - (c * t) ** k / math.factorial(k))) < 1e-13
 
     def test_manufactured_solution(self):
         g = periodic_1d()
         case = make_manufactured("exp(0.4*sin(x)*exp(-t))", g, 0.5)
         opts = SeriesOptions(depth_max=30, rel_tolerance=1e-12, time_steps=96, output_times=(0.5,))
         sol = solve_controlled_heat(case.G0, case.F, 0.5, opts)
-        err = np.max(np.abs(sol.trajectory.snapshots[0].values - case.exact_G(0.5).values))
+        err = np.max(np.abs(sol.trajectory.values[0] - case.exact_G(0.5).values))
         assert err < 5e-4
 
     def test_not_converged_flag(self):
@@ -230,24 +229,24 @@ class TestSeriesInvariants:
         return solve_controlled_heat(G0, F, 0.5, opts, source=source), G0, F
 
     @staticmethod
-    def _assert_terms_fold_to_snapshots(sol):
+    def _assert_terms_fold_to_trajectory(sol):
         # the terms, built from the stored orders on first access, left-fold
-        # to the snapshots byte for byte
+        # to the trajectory byte for byte
         assert sol.truncation_depth >= 3
         assert sol.terms is sol.terms
         for m in range(len(sol.trajectory.times)):
-            acc = sol.terms[m][0].values
-            for term in sol.terms[m][1:]:
-                acc = acc + term.values
-            assert acc.tobytes() == sol.trajectory.snapshots[m].values.tobytes()
+            acc = sol.terms[0][m]
+            for term in sol.terms[1:]:
+                acc = acc + term[m]
+            assert acc.tobytes() == sol.trajectory.values[m].tobytes()
 
     def test_bitwise_reconstruction(self):
         sol, _, _ = self._solve()
-        self._assert_terms_fold_to_snapshots(sol)
+        self._assert_terms_fold_to_trajectory(sol)
 
     def test_bitwise_reconstruction_with_source(self):
         sol, _, _ = self._solve(source=Forcing.from_expression("0.2*cos(x)*exp(-t)"))
-        self._assert_terms_fold_to_snapshots(sol)
+        self._assert_terms_fold_to_trajectory(sol)
 
     def test_tail_estimate_honest_constant_case(self):
         g = periodic_1d(64)
@@ -267,7 +266,7 @@ class TestSeriesInvariants:
         sol = solve_controlled_heat(ScalarField.constant(g, g0), Forcing.constant(F), 1.0, opts,
                                     source=Forcing.constant(S))
         assert sol.metadata["stop_reason"] == "depth_max"
-        error = max(float(np.max(np.abs(snap.values - (math.exp(F * t) * g0 + S / F * math.expm1(F * t)))))
+        error = max(float(np.max(np.abs(snap - (math.exp(F * t) * g0 + S / F * math.expm1(F * t)))))
                     for t, snap in sol.trajectory)
         assert sol.estimated_truncation_error >= error > 0
 
@@ -284,8 +283,8 @@ class TestSeriesInvariants:
         integral = duhamel_step(sol.trajectory, F)
         worst = 0.0
         for (t, gsnap), (_, integ) in zip(sol.trajectory, integral):
-            recon = 1.0 + 0.4 * math.exp(-t) * np.cos(x) + integ.values
-            worst = max(worst, float(np.max(np.abs(gsnap.values - recon))))
+            recon = 1.0 + 0.4 * math.exp(-t) * np.cos(x) + integ
+            worst = max(worst, float(np.max(np.abs(gsnap - recon))))
         quad_budget = 10.0 * dt**2
         assert worst <= sol.estimated_truncation_error + quad_budget
 
@@ -294,7 +293,7 @@ class TestSeriesInvariants:
         for nt in (16, 32, 64):
             sol, _, F = self._solve(time_steps=nt, out=None)
             times = np.asarray(sol.trajectory.times)
-            vals = np.stack([s.values for s in sol.trajectory.snapshots])
+            vals = sol.trajectory.values
             k2 = (2 * np.pi * np.fft.fftfreq(sol.grid.points[0], sol.grid.spacing[0])) ** 2
             worst = 0.0
             for j in range(1, len(times) - 1):
@@ -315,21 +314,21 @@ class TestSeriesInvariants:
         ref = solve_controlled_heat(
             G0, F, 0.5,
             SeriesOptions(depth_max=40, rel_tolerance=1e-14, time_steps=256, output_times=(0.5,)),
-        ).trajectory.snapshots[0].values
+        ).trajectory.values[0]
         errs = []
         for depth in (2, 4, 8, 16):
             opts = SeriesOptions(depth_max=depth, rel_tolerance=1e-14, time_steps=256,
                                  output_times=(0.5,))
             sol = solve_controlled_heat(G0, F, 0.5, opts)
-            errs.append(float(np.max(np.abs(sol.trajectory.snapshots[0].values - ref))))
+            errs.append(float(np.max(np.abs(sol.trajectory.values[0] - ref))))
         floor = 1e-11
         assert all(b <= a + floor for a, b in zip(errs, errs[1:]))
 
     def test_matches_cn_oracle(self):
         sol, G0, F = self._solve(time_steps=128, out=(0.5,))
         cn = fd_controlled_heat(G0, F, 0.5, 0.5 / 512, output_times=(0.5,))
-        gap = np.max(np.abs(sol.trajectory.snapshots[0].values - cn.snapshots[0].values))
-        assert gap / np.max(np.abs(cn.snapshots[0].values)) < 5e-3
+        gap = np.max(np.abs(sol.trajectory.values[0] - cn.values[0]))
+        assert gap / np.max(np.abs(cn.values[0])) < 5e-3
 
 
 class TestSourceTerm:
@@ -341,7 +340,7 @@ class TestSourceTerm:
             ScalarField.constant(g, 0.0), Forcing.zero(), 1.0, opts, source=Forcing.constant(1.0)
         )
         for t, snap in sol.trajectory:
-            assert np.max(np.abs(snap.values - t)) < 1e-12
+            assert np.max(np.abs(snap - t)) < 1e-12
 
     def test_source_with_constant_forcing(self):
         # dG/dt = F G + S (flat in space): exact ODE solution via expm1
@@ -353,7 +352,7 @@ class TestSourceTerm:
         )
         exact = math.exp(c) + s / c * math.expm1(c)
         # the source stack is integrated at quadrature order, not gauge-exactly
-        assert np.max(np.abs(sol.trajectory.snapshots[0].values - exact)) < 1e-4
+        assert np.max(np.abs(sol.trajectory.values[0] - exact)) < 1e-4
 
 
 class TestFreeSpaceConvergence:
@@ -384,7 +383,7 @@ class TestFreeSpaceConvergence:
             opts = SeriesOptions(depth_max=24, rel_tolerance=1e-12, time_steps=nt,
                                  output_times=(0.25, 0.5))
             sol = solve_controlled_heat(G0, F, 0.5, opts)
-            errs.append(max(float(np.max(np.abs(snap.values - np.exp(a(t)))))
+            errs.append(max(float(np.max(np.abs(snap - np.exp(a(t)))))
                             for t, snap in sol.trajectory))
         assert all(e <= b for e, b in zip(errs, earlier))
         orders = [math.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
@@ -421,7 +420,7 @@ class TestFreeSpaceConvergence:
             opts = SeriesOptions(time_steps=nt, output_times=(0.25, 0.5))
             sol = solve_controlled_heat(ScalarField.constant(grid, 0.0), Forcing.zero(), horizon, opts,
                                         source=source)
-            err = max(float(np.max(np.abs(snap.values - exact(t)))) for t, snap in sol.trajectory)
+            err = max(float(np.max(np.abs(snap - exact(t)))) for t, snap in sol.trajectory)
             assert err < 1e-6
 
 
@@ -455,9 +454,9 @@ class TestEngineMemory:
         g = np.cos(grid.coords(0))
         stack = swept(kernel, np.stack([g] * 9))
         assert stack.shape == (9, 64) and stack.dtype == np.float64
-        # the propagated fields past t = 0 are each one grid-sized array
-        fields = [f.values for f in kernel.apply(ScalarField(grid, g))[1:]]
-        for values, nodes in [(stack, 9)] + [(f, 1) for f in fields]:
+        # the propagated fields are one grid-sized array per node
+        applied = kernel.apply(ScalarField(grid, g))
+        for values, nodes in [(stack, 9), (applied, 9)]:
             owner = values
             while owner.base is not None:
                 owner = owner.base
@@ -542,7 +541,7 @@ class TestEngineStacking:
         # at every node, and the initial value's part adds to the integral's
         scale = np.max(np.abs(initial))
         free = results[True][3]
-        applied = np.stack([f.values for f in kernel.apply(ScalarField(grid, initial))])
+        applied = kernel.apply(ScalarField(grid, initial))
         assert np.max(np.abs(free - applied)) <= 1e-13 * scale
         assert np.max(np.abs(results[True][2] - results[True][1] - free)) <= 1e-13 * scale
 
@@ -652,8 +651,8 @@ class TestStreaming:
         assert sol.metadata["stop_reason"] == "tolerance"
         assert calls == {"sample": 1, "sweep": 1 + sol.truncation_depth}
         for m, t in enumerate(sol.trajectory.times):
-            for k, term in enumerate(sol.terms[m]):
-                assert np.max(np.abs(term.values - (c * t) ** k / math.factorial(k))) < 1e-13
+            for k, term in enumerate(sol.terms):
+                assert np.max(np.abs(term[m] - (c * t) ** k / math.factorial(k))) < 1e-13
 
     def test_order_norms_are_term_sups(self):
         g = periodic_1d()
@@ -661,6 +660,6 @@ class TestStreaming:
         F = Forcing.from_expression("0.6*sin(x) + 0.3*cos(2*x)*exp(-t)")
         opts = SeriesOptions(time_steps=32, output_times=(0.25, 0.5))
         sol = solve_controlled_heat(G0, F, 0.5, opts)
-        want = [max(float(np.max(np.abs(terms[k].values))) for terms in sol.terms)
-                for k in range(sol.truncation_depth + 1)]
+        want = [max(float(np.max(np.abs(term[m]))) for m in range(len(term)))
+                for term in sol.terms]
         assert sol.metadata["order_norms"] == want

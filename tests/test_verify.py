@@ -25,14 +25,14 @@ class TestCrankNicolson:
         x = g.coords(0)
         out = fd_controlled_heat(ScalarField(g, np.sin(x)), Forcing.zero(), 0.5, 0.5 / 256,
                                  output_times=(0.5,))
-        err = np.max(np.abs(out.snapshots[0].values - math.exp(-0.5) * np.sin(x)))
+        err = np.max(np.abs(out.values[0] - math.exp(-0.5) * np.sin(x)))
         assert err < 5e-6
 
     def test_constant_forcing_exponential(self):
         g = periodic_1d(64)
         out = fd_controlled_heat(ScalarField.constant(g, 1.0), Forcing.constant(0.7), 0.5,
                                  0.5 / 128, output_times=(0.5,))
-        assert np.max(np.abs(out.snapshots[0].values - math.exp(0.35))) < 1e-5
+        assert np.max(np.abs(out.values[0] - math.exp(0.35))) < 1e-5
 
     def test_self_convergence_second_order(self):
         g = periodic_1d()
@@ -42,7 +42,7 @@ class TestCrankNicolson:
         errs = []
         for n in (64, 128, 256):
             out = fd_controlled_heat(G0, Forcing.zero(), 0.5, 0.5 / n, output_times=(0.5,))
-            errs.append(np.max(np.abs(out.snapshots[0].values - exact)))
+            errs.append(np.max(np.abs(out.values[0] - exact)))
         for a, b in zip(errs, errs[1:]):
             assert 4.0 * 0.7 <= a / b <= 4.0 * 1.3
 
@@ -59,7 +59,7 @@ class TestBurgersOracle:
     def test_zero_stays_zero(self):
         g = periodic_1d(64)
         out = fd_burgers(ScalarField.constant(g, 0.0), 0.1, 0.001)
-        assert max(s.max_abs for _, s in out) == 0.0
+        assert max(float(np.max(np.abs(s))) for _, s in out) == 0.0
 
     def test_fixture_within_order_budget(self):
         g = periodic_1d()
@@ -70,7 +70,7 @@ class TestBurgersOracle:
         dt = 0.5 / steps
         out = fd_burgers(u0, 0.5, dt, output_times=(0.5,))
         want = np.exp(-0.5) * np.sin(x) / (1 + 0.5 * np.exp(-0.5) * np.cos(x))
-        err = np.max(np.abs(out.snapshots[0].values - want))
+        err = np.max(np.abs(out.values[0] - want))
         assert err < 10 * (dt + h * h)
 
     def test_momentum_conserved(self):
@@ -80,8 +80,8 @@ class TestBurgersOracle:
         u0 = ScalarField(g, np.sin(x) / (1 + 0.5 * np.cos(x)))
         dt = 0.9 * h * h / 2
         out = fd_burgers(u0, 500 * dt, dt)
-        m0 = float(np.sum(out.snapshots[0].values)) * h
-        m1 = float(np.sum(out.snapshots[-1].values)) * h
+        m0 = float(np.sum(out.values[0])) * h
+        m1 = float(np.sum(out.values[-1])) * h
         assert abs(m1 - m0) < 1e-8
 
     def test_cfl_rejection(self):
@@ -112,7 +112,7 @@ class TestManufactured:
         opts = SeriesOptions(depth_max=30, rel_tolerance=1e-12, time_steps=128,
                              output_times=(0.5,))
         sol = solve_controlled_heat(case.G0, case.F, 0.5, opts)
-        err = np.max(np.abs(sol.trajectory.snapshots[0].values - case.exact_G(0.5).values))
+        err = np.max(np.abs(sol.trajectory.values[0] - case.exact_G(0.5).values))
         assert err < 5e-4
 
     def test_positivity_rejected_with_witness(self):
@@ -156,7 +156,7 @@ class TestEndToEndOrders:
             dt = 0.25 / steps
             out = fd_burgers(u0, 0.25, dt, output_times=(0.25,))
             want = np.exp(-0.25) * np.sin(x) / (1 + 0.5 * np.exp(-0.25) * np.cos(x))
-            errs.append(float(np.max(np.abs(out.snapshots[0].values - want))))
+            errs.append(float(np.max(np.abs(out.values[0] - want))))
         orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert all(o >= 1.0 for o in orders)
 
@@ -172,7 +172,7 @@ class TestEndToEndOrders:
                                  output_times=(0.5,))
             sol = solve_controlled_heat(case.G0, case.F, 0.5, opts)
             err = float(np.max(np.abs(
-                sol.trajectory.snapshots[0].values - case.exact_G(0.5).values)))
+                sol.trajectory.values[0] - case.exact_G(0.5).values)))
             errs.append(err)
             dt = 0.5 / nt
             budgets.append(sol.estimated_truncation_error + 10.0 * dt**2)
