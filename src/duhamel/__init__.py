@@ -8,7 +8,7 @@ pointwise bound-verification suites.
 """
 
 from .expressions import Expression, ExpressionError, compile_expression
-from .fields import ScalarField, Trajectory, VectorField, curl_residual, gradient, laplacian
+from .fields import ScalarField, Trajectory, VectorField, curl_residual
 from .forcing import Forcing
 from .grid import FreeSpaceTruncated, Grid, Periodic
 from .heat_kernel import KernelApplication
@@ -31,8 +31,6 @@ __all__ = [
     "ScalarField",
     "VectorField",
     "Trajectory",
-    "gradient",
-    "laplacian",
     "curl_residual",
     "Forcing",
     "Grid",

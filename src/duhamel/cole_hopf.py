@@ -1,10 +1,13 @@
 """Cole-Hopf mapping between potential-flow NSE and the controlled heat equation.
 
-Pipeline: reconstruct the velocity potential phi by line integration
-(u0 = grad phi), form the initial field G0 = exp(-phi/2), halve the raw
-pressure-minus-force data into the forcing F = (p - f)/2, run the series
-solver, and recover u = -2 grad(G)/G.  Pressure is input data throughout:
-only the combination p - f ever enters, and no Poisson solve is performed.
+Pipeline: check that u0 is curl free and reconstruct the velocity
+potential phi by line integration (u0 = grad phi), form the initial field
+G0 = exp(-phi/2), halve the raw pressure-minus-force data into the forcing
+F = (p - f)/2, run the series solver, and recover u = -2 grad(G)/G.
+Pressure is input data throughout: only the combination p - f ever enters,
+and no Poisson solve is performed.  The grid operators (the curl residual
+with its error estimate, the corrected trapezoid of the line integrals, and
+the gradient and Laplacian) all come from ``fields``.
 
 The positivity floor exp(inf F t) K(t) * G0 guarantees the division by G is
 well defined; a numerical violation is a hard error, never a warning.
@@ -23,12 +26,11 @@ from .fields import (
     VectorField,
     _gradient,
     _gradient_and_laplacian,
-    _stencil_curl_error,
+    corrected_cumulative_trapezoid,
     curl_residual,
 )
 from .forcing import Forcing
 from .grid import Grid
-from .quadrature import corrected_cumulative_trapezoid
 from .series import (
     BoundReport,
     SeriesOptions,
@@ -83,17 +85,15 @@ def _checked_curl(u0: VectorField, speed: float) -> tuple[float, float]:
 
     The tolerance is ``default_curl_tolerance``.  On a free-space grid the
     stencil curl of a sampled gradient is the stencil's truncation error,
-    which does not shrink with the tolerance, so there the tolerance rises to
-    twice that error as estimated from the samples themselves (Richardson
-    extrapolation between the grid and its every-other-node subgrid).
+    which does not shrink with the tolerance, so where ``curl_residual``
+    estimates that error from the samples themselves (Richardson
+    extrapolation between the grid and its every-other-node subgrid) the
+    tolerance rises to twice the estimate.
     """
     tolerance = default_curl_tolerance(u0.grid, speed)
-    if u0.grid.is_periodic:
-        residual = curl_residual(u0)
-    else:
-        residual, estimate = _stencil_curl_error(u0)
-        if estimate is not None:
-            tolerance = max(tolerance, _CURL_ERROR_RATIO * estimate)
+    residual, estimate = curl_residual(u0)
+    if estimate is not None:
+        tolerance = max(tolerance, _CURL_ERROR_RATIO * estimate)
     if residual > tolerance:
         raise CurlError(
             f"curl residual {residual:.3e} exceeds tolerance {tolerance:.3e}; "

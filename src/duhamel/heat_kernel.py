@@ -71,7 +71,7 @@ def _f2(z: np.ndarray) -> np.ndarray:
 
 
 class KernelApplication:
-    """The heat kernel on one grid at each of ``times``.
+    """The heat kernel on one grid at each of ``times`` (finite, >= 0).
 
     ``apply(field)`` transforms the field once and returns the
     ``(len(times), *grid.shape)`` stack of K(., t) * field at the times;
@@ -88,8 +88,9 @@ class KernelApplication:
     def __init__(self, grid: Grid, times):
         self.grid = grid
         self.times = tuple(float(t) for t in times)
-        if not all(t >= 0 for t in self.times):
-            raise ValueError(f"kernel times must be >= 0, got {self.times}")
+        # an infinite time would weigh the k = 0 mode by exp(-inf * 0)
+        if not all(math.isfinite(t) and t >= 0 for t in self.times):
+            raise ValueError(f"kernel times must be finite and >= 0, got {self.times}")
         self.torus = padded_torus(grid)
         self.stacked = grid.ndim == 1
 

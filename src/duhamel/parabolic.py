@@ -22,7 +22,8 @@ whole ``(n_t+1, n)`` lattice stacks over the series' own time nodes
 (``SeriesOptions.nodes``): each coefficient is sampled once over all of them
 with ``Forcing.sample_rows`` (c and f on the moving nodes x(t, y)), and psi,
 P, rho, Q and g are computed as stacks (x-derivatives by the free-space
-stencil and integrals by the corrected trapezoid, both along the last axis;
+stencil and integrals by the corrected trapezoid, which takes its endpoint
+slopes from that stencil, both from ``fields`` and along the last axis;
 t-derivatives by ``np.gradient`` along the first).  The reduced problem lives
 on a uniform y-grid with the same point count as the x-grid.  The resampling
 between the x- and y-grids is piecewise cubic Hermite interpolation
@@ -49,10 +50,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import Expression, compile_expression
-from .fields import ScalarField, Trajectory, _fd_first
+from .fields import ScalarField, Trajectory, _fd_first, corrected_cumulative_trapezoid
 from .forcing import Forcing
 from .grid import Grid
-from .quadrature import corrected_cumulative_trapezoid
 from .series import SeriesOptions, SeriesSolution, solve_controlled_heat
 
 __all__ = [

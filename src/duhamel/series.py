@@ -120,10 +120,13 @@ class SeriesOptions:
             if not 0 <= j <= self.time_steps or abs(nodes[j] - t) > tol:
                 raise ValueError(f"output time {t} is not a node of the s-grid")
             indices.append(j)
-        if len(set(indices)) != len(indices) or any(
-            b <= a for a, b in zip(indices, indices[1:])
-        ):
-            raise ValueError("output times must be strictly increasing s-grid nodes")
+        for m in range(1, len(indices)):
+            if indices[m] <= indices[m - 1]:
+                s, t = self.output_times[m - 1 : m + 1]
+                # increasing times can still round to one node within tol
+                if s < t:
+                    raise ValueError(f"output times {s} and {t} both fall on s-grid node {indices[m]}")
+                raise ValueError("output times must be strictly increasing s-grid nodes")
         return indices
 
 

@@ -590,9 +590,9 @@ class TestSolveCommand:
         ("nse", {("grid", "spacing"): [1e300], ("nse", "velocity"): ["1e-300*sin(x)"]},
          "nse", "potential: the line integral along axis 0 overflows"),
         # no node overflows on the way to rejecting 0.5 and 1.0; both lie within
-        # the horizon-relative tolerance of node 0, so no message is pinned
+        # the horizon-relative tolerance of node 0
         ("heat", {("controlled_heat", "horizon"): 1.7976931348623157e308, ("series", "time_steps"): 3},
-         "series.output_times", None),
+         "series.output_times", "output times 0.5 and 1.0 both fall on s-grid node 0"),
     ], ids=["potential", "horizon"])
     def test_extreme_valid_leaves_exit_2_without_warning(self, tmp_path, capsys, kind, leaves, path, message):
         body = CONFIGS[kind]()

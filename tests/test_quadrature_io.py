@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from duhamel import FreeSpaceTruncated, Grid, ScalarField, Trajectory
+from duhamel.fields import corrected_cumulative_trapezoid
 from duhamel.io import read_field, read_trajectory, write_field, write_trajectory
-from duhamel.quadrature import corrected_cumulative_trapezoid
 
 
 class TestCumulativeTrapezoid:

@@ -101,6 +101,17 @@ class TestSeriesOptions:
         opts_ok = SeriesOptions(time_steps=10, output_times=(0.3, 1.0))
         assert opts_ok.output_indices(1.0) == [3, 10]
 
+    @pytest.mark.parametrize("times, message", [
+        # 1e-9 * horizon tolerance: both times match node 0
+        ((0.5, 1.0), "output times 0.5 and 1.0 both fall on s-grid node 0"),
+        ((0.5, 0.5), "output times must be strictly increasing s-grid nodes"),
+        ((1.0, 0.5), "output times must be strictly increasing s-grid nodes"),
+    ], ids=["one-node", "repeated", "decreasing"])
+    def test_output_times_on_one_node_are_named(self, times, message):
+        opts = SeriesOptions(time_steps=3, output_times=times)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            opts.output_indices(1.7976931348623157e308)
+
     def test_nodes_up_to_the_largest_double(self):
         # 3 * (horizon / 3) rounds past double range; the last node is the horizon itself
         horizon = np.finfo(float).max
@@ -590,6 +601,12 @@ class TestSweepNodes:
         kernel.apply(ScalarField.constant(grid, 1.0))  # any times apply
         with pytest.raises(ValueError, match="uniform nodes"):
             kernel.sweep(np.ones((len(times),) + grid.shape))
+
+    @pytest.mark.parametrize("times", [(math.inf,), (0.0, 0.5, math.inf), (math.nan,), (-0.5, 0.0)],
+                             ids=["inf", "inf-last", "nan", "negative"])
+    def test_times_must_be_finite_and_nonnegative(self, times):
+        with pytest.raises(ValueError, match=r"^kernel times must be finite and >= 0, got \("):
+            KernelApplication(periodic_1d(16), times)
 
     def test_apply_builds_no_sweep_weights(self):
         grid = periodic_1d(16)
