@@ -32,6 +32,9 @@ from .grid import Grid, padded_torus
 
 __all__ = ["KernelApplication"]
 
+# the spectra one transform call holds at most, unless one spectrum is larger
+_CHUNK_BYTES = 64 * 1024
+
 
 def _phi1(z: np.ndarray) -> np.ndarray:
     """(1 - exp(-z)) / z, stable down to z = 0."""
@@ -73,16 +76,15 @@ def _f2(z: np.ndarray) -> np.ndarray:
 class KernelApplication:
     """The heat kernel on one grid at each of ``times`` (finite, >= 0).
 
-    ``apply(field)`` transforms the field once and returns the
-    ``(len(times), *grid.shape)`` stack of K(., t) * field at the times;
-    ``t = 0`` is the identity and gives the field's own values.
+    ``apply(field)`` transforms the field once and returns the ``(len(times),
+    *grid.shape)`` stack of K(., t) * field at the times; ``t = 0`` is the
+    identity and gives the field's own values.  ``sweep`` needs ``times`` to
+    be uniform nodes s_j = j dt from 0 and builds its weights on its first call.
 
-    ``sweep`` needs ``times`` to be uniform nodes s_j = j dt from 0 and
-    builds its weights on its first call.  On 1-D grids (``stacked``) it
-    transforms the whole node stack at once, where call overhead dominates
-    (about 5x faster on a 512-point torus with 65 nodes); on 2-D and 3-D
-    grids it transforms one node at a time, which measured faster, forming
-    each node's integrand right before its transform.
+    Both transform chunks of as many rows (times or nodes) as have spectra
+    within ``_CHUNK_BYTES``, at least one: 15 on a 512-point torus, where
+    call overhead dominates, and one on 64^2 and larger tori.  Batched rows
+    transform bit for bit as single ones, so the chunk changes no result.
     """
 
     def __init__(self, grid: Grid, times):
@@ -92,19 +94,22 @@ class KernelApplication:
         if not all(math.isfinite(t) and t >= 0 for t in self.times):
             raise ValueError(f"kernel times must be finite and >= 0, got {self.times}")
         self.torus = padded_torus(grid)
-        self.stacked = grid.ndim == 1
+        self._chunk = max(1, _CHUNK_BYTES // (self.torus.k2.size * np.dtype(complex).itemsize))
 
     def apply(self, field: ScalarField) -> np.ndarray:
         if field.grid != self.grid:
             raise ValueError("field grid does not match the kernel grid")
-        torus = self.torus
+        torus, chunk = self.torus, self._chunk
         spectrum = torus.forward(field.values)
-        out = np.empty((len(self.times), *self.grid.shape))
-        # t |k|^2 past double range is inf, whose kernel weight is exactly 0
-        with np.errstate(over="ignore"):
-            for row, t in zip(out, self.times):
-                row[...] = field.values if t == 0.0 else torus.inverse(
-                    spectrum * (torus.scale * np.exp(-t * torus.k2)))
+        times = np.reshape(self.times, (-1,) + (1,) * self.grid.ndim)
+        out = np.empty((len(times), *self.grid.shape))
+        # t |k|^2 past double range is inf, whose kernel weight is exactly 0;
+        # at t = 0 it is nan, and those rows are replaced by the field
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, len(times), chunk):
+                out[lo:lo + chunk] = torus.inverse(
+                    spectrum * (torus.scale * np.exp(-times[lo:lo + chunk] * torus.k2)))
+        out[times.ravel() == 0.0] = field.values
         return out
 
     @functools.cached_property
@@ -135,36 +140,31 @@ class KernelApplication:
         ``stack`` is the ``(n + 1, *grid.shape)`` stack of g at the nodes,
         between which g is linear; with a ``factor`` stack of the same
         shape, g is ``factor * stack``.  Node 0 becomes ``initial``, or
-        zeros.  Each node is overwritten after its transform, and a node
-        whose g is zero everywhere is not transformed, so every order past
-        the zeroth skips node 0 and a sweep of zeros is one forward
-        transform, of ``initial``.
+        zeros.  Each chunk is overwritten after its transform; a node whose
+        g is zero everywhere is not transformed, so every order past the
+        zeroth skips node 0 and a sweep of zeros is one forward transform,
+        of ``initial``.  The first m rows of a stack sweep to the first m
+        rows of the whole stack's sweep.
         """
         decay, w_old, w_new = self._weights
-        torus = self.torus
-        if self.stacked:
-            g = stack if factor is None else factor * stack
-            live = g.reshape(len(g), -1).any(axis=1)
-            live_spectra = iter(torus.forward(g[live]) if live.any() else ())
-            nodes = (next(live_spectra) if alive else None for alive in live)
-            spectra = np.empty((len(stack) - 1,) + decay.shape, dtype=complex)
-        else:
-            g = stack if factor is None else map(np.multiply, factor, stack)
-            # map, unlike a generator, drops each product once it is transformed
-            nodes = map(lambda gj: torus.forward(gj) if gj.any() else None, g)
-        acc = np.zeros(decay.shape, complex) if initial is None else torus.scale * torus.forward(initial)
-        prev = next(nodes)
-        for j, cur in enumerate(nodes, 1):
-            acc *= decay
-            if prev is not None:
-                acc += w_old * prev
-            if cur is not None:
-                acc += w_new * cur
-            if self.stacked:
-                spectra[j - 1] = acc
-            else:
-                stack[j] = torus.inverse(acc)
-            prev = cur
-        if self.stacked:
-            stack[1:] = torus.inverse(spectra)
+        torus, chunk = self.torus, self._chunk
+        # node 0's accumulator is the last row, which each chunk overwrites last
+        accs = np.zeros((chunk, *decay.shape), complex)
+        acc = accs[-1] if initial is None else np.multiply(torus.scale, torus.forward(initial), out=accs[-1])
+        g = stack[0] if factor is None else factor[0] * stack[0]
+        prev = torus.forward(g) if g.any() else None
+        for lo in range(1, len(stack), chunk):
+            g = stack[lo:lo + chunk] if factor is None else factor[lo:lo + chunk] * stack[lo:lo + chunk]
+            live = g.reshape(len(g), -1).any(axis=1).tolist()
+            spectra = iter(torus.forward(g if all(live) else g[live]) if any(live) else ())
+            del g  # the chunk's product is not held through its recurrence
+            for i, alive in enumerate(live):
+                cur = next(spectra) if alive else None
+                acc = np.multiply(acc, decay, out=accs[i])
+                if prev is not None:
+                    acc += w_old * prev
+                if cur is not None:
+                    acc += w_new * cur
+                prev = cur
+            stack[lo:lo + chunk] = torus.inverse(accs[:len(live)])
         stack[0] = 0.0 if initial is None else initial

@@ -16,6 +16,7 @@ from duhamel import (
     Trajectory,
     solve_controlled_heat,
 )
+from duhamel import heat_kernel
 from duhamel.grid import padded_torus
 from duhamel.heat_kernel import _f2, _phi1
 from duhamel.verify import fd_controlled_heat, make_manufactured
@@ -505,90 +506,163 @@ class TestEngineMemory:
         # F and the latest order at all nodes, one output-node copy of each
         # order, and the reconstruction's running sum, term and product
         # buffer (three output-node fields each); 10% covers the sweep's
-        # spectra and the kernel's weights.  The shallow solves bound the
-        # zeroth order, which is formed in the order stack, with or without
-        # a source
+        # chunk buffers and the kernel's weights, on the 1-D grids, whose
+        # chunks hold many nodes, as on the 3-D grid, whose chunks hold one.
+        # The shallow solves bound the zeroth order, which is formed in the
+        # order stack, with or without a source
         n = 16
-        g = Grid((n,) * 3, (2 * np.pi / n,) * 3, (0.0,) * 3)
-        x, y, z = g.meshgrid()
-        G0 = ScalarField(g, 1.0 + 0.3 * np.cos(x) * np.sin(y) * np.cos(z))
-        F = Forcing.from_expression("4*sin(x)*cos(y) + 2*cos(z + t)")
-        source = Forcing.from_expression("cos(x)*sin(y)*exp(-t)")
-        field_bytes = 8 * n**3
-        self._traced_solve(G0, F, 1, 16, (1.0,))  # caches the torus before the measured solves
-        for steps, depth, out, src in [(16, 12, (0.25, 0.5, 0.75, 1.0), None),
-                                       (32, 2, (1.0,), None), (32, 2, (1.0,), source)]:
-            peak, sol = self._traced_solve(G0, F, depth, steps, out, src)
-            assert sol.truncation_depth == depth
-            node_stack = (steps + 1) * field_bytes
-            assert peak <= 1.1 * (2 * node_stack + (depth + 1 + 3) * len(out) * field_bytes)
+        cube = Grid((n,) * 3, (2 * np.pi / n,) * 3, (0.0,) * 3)
+        x, y, z = cube.meshgrid()
+        cases = [(ScalarField(cube, 1.0 + 0.3 * np.cos(x) * np.sin(y) * np.cos(z)),
+                  "4*sin(x)*cos(y) + 2*cos(z + t)", "cos(x)*sin(y)*exp(-t)", (16, 32))]
+        for g in (periodic_1d(1024), Grid((1024,), (16.0 / 1024,), (-8.0,), FreeSpaceTruncated())):
+            cases.append((ScalarField(g, 1.0 + 0.3 * np.cos(g.coords(0))),
+                          "4*sin(x) + 2*cos(x + t)", "cos(x)*exp(-t)", (256, 256)))
+        for G0, forcing, source_expr, (deep_steps, shallow_steps) in cases:
+            F = Forcing.from_expression(forcing)
+            source = Forcing.from_expression(source_expr)
+            field_bytes = G0.values.nbytes
+            self._traced_solve(G0, F, 1, 16, (1.0,))  # caches the torus before the measured solves
+            for steps, depth, out, src in [(deep_steps, 12, (0.25, 0.5, 0.75, 1.0), None),
+                                           (shallow_steps, 2, (1.0,), None),
+                                           (shallow_steps, 2, (1.0,), source)]:
+                peak, sol = self._traced_solve(G0, F, depth, steps, out, src)
+                assert sol.truncation_depth == depth
+                node_stack = (steps + 1) * field_bytes
+                assert peak <= 1.1 * (2 * node_stack + (depth + 1 + 3) * len(out) * field_bytes)
+
+
+def chunk_rows(monkeypatch, grid, rows):
+    """Set the chunk budget to ``rows`` spectra of ``grid``'s torus; kernels
+    built after it transform ``rows`` nodes or times per call."""
+    spectrum_bytes = padded_torus(grid).k2.size * np.dtype(complex).itemsize
+    monkeypatch.setattr(heat_kernel, "_CHUNK_BYTES", rows * spectrum_bytes)
+
+
+STACKING_GRIDS = pytest.mark.parametrize("grid", [
+    periodic_1d(64),
+    Grid((64,), (0.25,), (-8.0,), FreeSpaceTruncated()),
+    Grid((15, 11), (0.4, 0.5), (-3.0, -3.0), FreeSpaceTruncated()),
+    Grid((8, 10, 9), (0.5, 0.4, 0.5), (-2.0, -2.0, -2.0), FreeSpaceTruncated()),
+], ids=["periodic-1d", "free-1d", "free-2d", "free-3d"])
 
 
 class TestEngineStacking:
-    @pytest.mark.parametrize("grid", [
-        periodic_1d(64),
-        Grid((64,), (0.25,), (-8.0,), FreeSpaceTruncated()),
-        Grid((15, 11), (0.4, 0.5), (-3.0, -3.0), FreeSpaceTruncated()),
-        Grid((8, 10, 9), (0.5, 0.4, 0.5), (-2.0, -2.0, -2.0), FreeSpaceTruncated()),
-    ], ids=["periodic-1d", "free-1d", "free-2d", "free-3d"])
-    def test_stacked_and_per_node_transforms_agree_bitwise(self, grid):
-        kernel = sweep_kernel(grid)
+    # the sweep kernel's 9 nodes: node 0, then chunks from node 1 of 1, 2 or
+    # 3 nodes, or all 8 remaining nodes in one transform call
+    CHUNKS = (1, 2, 3, 8)
+
+    @STACKING_GRIDS
+    def test_stacked_and_per_node_transforms_agree_bitwise(self, monkeypatch, grid):
         rng = np.random.default_rng(9)
         integrand = rng.normal(size=(9,) + grid.shape)
         factor = rng.normal(size=(9,) + grid.shape)
         initial = rng.normal(size=grid.shape)
         zeros = np.zeros_like(integrand)
+        # zero nodes at the first row of a chunk ([1, 2] and [1, 2, 3]), at
+        # the last row of one ([3, 4]), and across whole chunks ([5, 6] and
+        # [4, 5, 6])
+        holes = integrand.copy()
+        holes[[1, 4, 5, 6]] = 0.0
         results = {}
-        for stacked in (True, False):
-            kernel.stacked = stacked
-            results[stacked] = (swept(kernel, integrand), swept(kernel, integrand, factor),
-                                swept(kernel, integrand, factor, initial),
-                                swept(kernel, zeros, initial=initial))
-        for a, b in zip(results[True], results[False]):
-            assert a.tobytes() == b.tobytes()
-        # the per-node path forms each node's product; it equals the whole product's sweep
-        assert results[False][1].tobytes() == swept(kernel, factor * integrand).tobytes()
+        for rows in self.CHUNKS:
+            chunk_rows(monkeypatch, grid, rows)
+            kernel = sweep_kernel(grid)
+            assert kernel._chunk == rows
+            results[rows] = (swept(kernel, integrand), swept(kernel, integrand, factor),
+                             swept(kernel, integrand, factor, initial),
+                             swept(kernel, zeros, initial=initial), swept(kernel, holes),
+                             swept(kernel, holes, factor, initial))
+        for rows in self.CHUNKS[1:]:
+            for a, b in zip(results[1], results[rows]):
+                assert a.tobytes() == b.tobytes()
+        # each chunk forms its own product; it equals the whole product's sweep
+        assert results[2][1].tobytes() == swept(kernel, factor * integrand).tobytes()
         # a sweep of zeros from an initial value is the kernel applied to it
         # at every node, and the initial value's part adds to the integral's
         scale = np.max(np.abs(initial))
-        free = results[True][3]
+        free = results[1][3]
         applied = kernel.apply(ScalarField(grid, initial))
         assert np.max(np.abs(free - applied)) <= 1e-13 * scale
-        assert np.max(np.abs(results[True][2] - results[True][1] - free)) <= 1e-13 * scale
+        assert np.max(np.abs(results[1][2] - results[1][1] - free)) <= 1e-13 * scale
 
-    @pytest.mark.parametrize("stacked", (True, False), ids=["stacked", "per-node"])
-    def test_zero_first_node_is_not_transformed(self, monkeypatch, stacked):
+    @pytest.mark.parametrize("rows", (8, 1, 2, 3), ids=["stacked", "per-node", "two-node", "three-node"])
+    def test_zero_first_node_is_not_transformed(self, monkeypatch, rows):
         # a node whose integrand is zero has a zero spectrum and is not
-        # transformed: node 0 of every order past the zeroth, a zero node
+        # transformed: node 0 of every order past the zeroth, zero nodes
         # inside the stack, and every node of a sourceless zeroth order,
-        # which transforms its initial value only
+        # which transforms its initial value only.  The rows forwarded are
+        # the initial value, then exactly the live nodes in order
         grid = Grid((15, 11), (0.4, 0.5), (-3.0, -3.0), FreeSpaceTruncated())
-        kernel = sweep_kernel(grid)
         rng = np.random.default_rng(10)
         integrand = rng.normal(size=(9,) + grid.shape)
         integrand[0] = 0.0
         middle = integrand.copy()
-        middle[4] = 0.0
+        middle[[4, 6, 7]] = 0.0
         factor = rng.normal(size=integrand.shape)
         initial = rng.normal(size=grid.shape)
-        cases = [(integrand, None, None, 8), (middle, None, None, 7), (middle, factor, initial, 7),
-                 (np.zeros_like(integrand), None, initial, 0)]
-        wants = [swept(kernel, *case[:3]) for case in cases]
-        shapes = []
+        cases = [(integrand, None, None), (middle, None, None), (middle, factor, initial),
+                 (np.zeros_like(integrand), None, initial)]
+        wants = [swept(sweep_kernel(grid), *case) for case in cases]
+        chunk_rows(monkeypatch, grid, rows)
+        kernel = sweep_kernel(grid)
+        forwarded = []
         forward = type(kernel.torus).forward
 
-        def counted(self, values):
-            shapes.append(values.shape)
+        def recorded(self, values):
+            forwarded.extend(values.reshape((-1,) + grid.shape).copy())
             return forward(self, values)
 
-        monkeypatch.setattr(type(kernel.torus), "forward", counted)
-        kernel.stacked = stacked
-        for (stack, fac, init, live), want in zip(cases, wants):
-            shapes.clear()
+        monkeypatch.setattr(type(kernel.torus), "forward", recorded)
+        for (stack, fac, init), want in zip(cases, wants):
+            forwarded.clear()
+            live = [node for node in (stack if fac is None else fac * stack) if node.any()]
             got = swept(kernel, stack, fac, init)
-            nodes = [(live,) + grid.shape] * bool(live) if stacked else [grid.shape] * live
-            assert sorted(shapes) == sorted(([grid.shape] if init is not None else []) + nodes)
+            want_rows = ([] if init is None else [init]) + live
+            assert [row.tobytes() for row in forwarded] == [row.tobytes() for row in want_rows]
             assert got.tobytes() == want.tobytes()
+
+    @STACKING_GRIDS
+    def test_apply_inverts_in_chunks(self, monkeypatch, grid):
+        # one forward transform and one inverse call per chunk of times; the
+        # bytes do not depend on the chunk, and t = 0 rows are the field's own
+        times = (0.0, 0.1, 0.0, 0.2, 0.3, 0.0, 0.5)
+        field = ScalarField(grid, np.random.default_rng(11).normal(size=grid.shape))
+        torus_type = type(padded_torus(grid))
+        calls = []
+
+        def counted(name):
+            method = getattr(torus_type, name)
+            return lambda self, values: calls.append(name) or method(self, values)
+
+        for name in ("forward", "inverse"):
+            monkeypatch.setattr(torus_type, name, counted(name))
+        results = []
+        for rows in (1, 2, 3, len(times)):
+            chunk_rows(monkeypatch, grid, rows)
+            calls.clear()
+            results.append(KernelApplication(grid, times).apply(field))
+            assert calls == ["forward"] + ["inverse"] * math.ceil(len(times) / rows)
+        for out in results:
+            assert out.tobytes() == results[0].tobytes()
+            for t, row in zip(times, out):
+                assert (row.tobytes() == field.values.tobytes()) == (t == 0.0)
+
+    @pytest.mark.parametrize("rows", (1, 2, 8), ids=["per-node", "two-node", "stacked"])
+    def test_leading_rows_sweep_to_leading_rows(self, monkeypatch, rows):
+        # a window that sweeps the first m rows of a stack from an initial
+        # value gets the first m rows of the whole stack's sweep, byte for byte
+        grid = Grid((15, 11), (0.4, 0.5), (-3.0, -3.0), FreeSpaceTruncated())
+        rng = np.random.default_rng(12)
+        integrand = rng.normal(size=(9,) + grid.shape)
+        factor = rng.normal(size=integrand.shape)
+        initial = rng.normal(size=grid.shape)
+        chunk_rows(monkeypatch, grid, rows)
+        kernel = sweep_kernel(grid)
+        whole = swept(kernel, integrand, factor, initial)
+        for m in range(1, 10):
+            part = swept(kernel, integrand[:m], factor[:m], initial)
+            assert part.tobytes() == whole[:m].tobytes()
 
 
 class TestSweepNodes:
