@@ -181,7 +181,7 @@ def _solve_parabolic(cfg: RunConfig, manifest: dict) -> tuple[SeriesSolution, di
     )
     sol = solve_parabolic(prob, cfg.series)
     manifest["edge_clamped"] = sol.edge_clamped
-    return sol.series, {"v": sol.v, "u": sol.u}, {}
+    return sol.series, {"v": sol.series.trajectory, "u": sol.u}, {}
 
 
 def cmd_verify(args) -> int:

@@ -79,6 +79,14 @@ def default_curl_tolerance(grid: Grid, speed: float) -> float:
     return 1e-6 * max(speed, 1e-12) * grid.max_extent
 
 
+def _unit_scale(speed: float) -> float:
+    """2^-e with e = frexp(speed)[1], or 1 below speed 1: scaled by it, any
+    velocity in double range has speed below 1, so the node sums and
+    transforms of the curl and mean-flow checks cannot overflow, and the
+    scaling is exact."""
+    return math.ldexp(1.0, -max(math.frexp(speed)[1], 0))
+
+
 def _checked_curl(u0: VectorField, speed: float) -> tuple[float, float]:
     """(curl residual, tolerance) of ``u0``, whose speed is ``speed``;
     ``CurlError`` when it is rotational.
@@ -88,12 +96,15 @@ def _checked_curl(u0: VectorField, speed: float) -> tuple[float, float]:
     which does not shrink with the tolerance, so where ``curl_residual``
     estimates that error from the samples themselves (Richardson
     extrapolation between the grid and its every-other-node subgrid) the
-    tolerance rises to twice the estimate.
+    tolerance rises to twice the estimate.  Both are measured on ``u0``
+    times ``_unit_scale(speed)``.
     """
     tolerance = default_curl_tolerance(u0.grid, speed)
-    residual, estimate = curl_residual(u0)
+    scale = _unit_scale(speed)
+    residual, estimate = curl_residual(VectorField(u0.grid, [c * scale for c in u0.components]))
+    residual /= scale
     if estimate is not None:
-        tolerance = max(tolerance, _CURL_ERROR_RATIO * estimate)
+        tolerance = max(tolerance, _CURL_ERROR_RATIO * (estimate / scale))
     if residual > tolerance:
         raise CurlError(
             f"curl residual {residual:.3e} exceeds tolerance {tolerance:.3e}; "
@@ -137,12 +148,14 @@ def _check_no_mean_flow(u0: VectorField, speed: float) -> None:
     """On a periodic grid, a velocity component whose mean exceeds 1e-6 of
     the speed (``u0.max_norm``) raises ``ValueError``: the potential U.x of a
     mean flow U is not periodic, so G0 = exp(-phi/2) would jump across the
-    boundary."""
+    boundary.  The means are taken of the components times
+    ``_unit_scale(speed)``."""
     if not u0.grid.is_periodic:
         return
     limit = 1e-6 * max(speed, 1e-12)
+    scale = _unit_scale(speed)
     for d, component in enumerate(u0.components):
-        mean = float(np.mean(component))
+        mean = float(np.mean(component * scale)) / scale
         if abs(mean) > limit:
             raise ValueError(
                 f"velocity component {d} has mean {mean:.6g} on a periodic grid; "
@@ -164,7 +177,9 @@ def potential_from_velocity(u0: VectorField, x0, a: float) -> ScalarField:
     the anchor node, so phi there is exactly ``a``.  Path independence is
     asserted by recomputing with the reversed axis order, to within 10 times
     the curl tolerance (the raised one on a free-space grid) times the
-    largest grid extent; the two results are averaged.
+    largest grid extent, and never less than 1e-8 times the speed times that
+    extent; the two results are averaged.  A 1D field takes the same check,
+    whose two orders are one staircase.
     """
     if not np.isfinite(a):
         raise ValueError("anchor value a must be finite")
@@ -174,21 +189,18 @@ def potential_from_velocity(u0: VectorField, x0, a: float) -> ScalarField:
     _check_no_mean_flow(u0, speed)
     residual, tolerance = _checked_curl(u0, speed)
     forward = _staircase(u0, anchor, range(grid.ndim))
-    if grid.ndim == 1:
-        phi = forward
-    else:
-        backward = _staircase(u0, anchor, range(grid.ndim - 1, -1, -1))
-        gap = float(np.max(np.abs(forward - backward)))
-        path_tol = max(
-            10.0 * tolerance * grid.max_extent,
-            1e-8 * max(speed, 1e-12) * grid.max_extent,
+    backward = _staircase(u0, anchor, range(grid.ndim - 1, -1, -1))
+    gap = float(np.max(np.abs(forward - backward)))
+    path_tol = max(
+        10.0 * tolerance * grid.max_extent,
+        1e-8 * max(speed, 1e-12) * grid.max_extent,
+    )
+    if gap > path_tol:
+        raise CurlError(
+            f"staircase path orders disagree by {gap:.3e} (tolerance {path_tol:.3e})",
+            residual,
         )
-        if gap > path_tol:
-            raise CurlError(
-                f"staircase path orders disagree by {gap:.3e} (tolerance {path_tol:.3e})",
-                residual,
-            )
-        phi = 0.5 * (forward + backward)
+    phi = 0.5 * forward + 0.5 * backward  # cannot overflow where forward + backward would
     return ScalarField(grid, phi + float(a))
 
 

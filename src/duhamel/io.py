@@ -24,7 +24,6 @@ from .fields import ScalarField, Trajectory
 from .grid import FreeSpaceTruncated, Grid, Periodic
 
 __all__ = [
-    "write_field",
     "read_field",
     "write_trajectory",
     "read_trajectory",
@@ -38,10 +37,6 @@ def _header(grid: Grid) -> bytes:
     n = grid.ndim
     flag = 0 if grid.is_periodic else 1
     return _MAGIC + struct.pack(f"<I{n}I{n}d{n}dB", n, *grid.points, *grid.spacing, *grid.origin, flag)
-
-
-def write_field(field: ScalarField, path) -> None:
-    Path(path).write_bytes(_header(field.grid) + np.asarray(field.values, "<f8").tobytes())
 
 
 def read_field(path) -> ScalarField:

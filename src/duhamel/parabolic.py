@@ -296,7 +296,6 @@ def back_transform(v: Trajectory, np_: NormalizedProblem) -> tuple[Trajectory, b
 @dataclass(frozen=True, eq=False)
 class ParabolicSolution:
     u: Trajectory
-    v: Trajectory
     series: SeriesSolution
     edge_clamped: bool
 
@@ -306,6 +305,5 @@ def solve_parabolic(prob: ParabolicProblem, opts: SeriesOptions | None = None) -
     opts = opts or SeriesOptions()
     np_ = normalize(prob, opts)
     sol = solve_normalized(np_, opts)
-    v = sol.trajectory
-    u, edge_clamped = back_transform(v, np_)
-    return ParabolicSolution(u=u, v=v, series=sol, edge_clamped=edge_clamped)
+    u, edge_clamped = back_transform(sol.trajectory, np_)
+    return ParabolicSolution(u=u, series=sol, edge_clamped=edge_clamped)

@@ -43,6 +43,9 @@ __all__ = ["SuiteCheck", "SuiteResult", "SUITES", "run_suite",
 DEFAULT_SEED = 20260810
 # seeded forcing/initial-state pairs in the oracle-equivalence suite
 ORACLE_CASES = 20
+# seeded 1D series solves and 3D Lipschitz potentials in the bounds suite
+BOUND_TRIALS = 100
+BOUND_POTENTIALS = 50
 
 
 @dataclass(frozen=True)
@@ -191,8 +194,7 @@ def suite_burgers(seed: int = DEFAULT_SEED) -> SuiteResult:
     return _timed("burgers", checks, start)
 
 
-def suite_bounds(seed: int = DEFAULT_SEED, trials: int = 100, potentials: int = 50,
-                 inject_m_underestimate: bool = False) -> SuiteResult:
+def suite_bounds(seed: int = DEFAULT_SEED, inject_m_underestimate: bool = False) -> SuiteResult:
     """Ceiling/termwise/floor envelopes plus the 3D worst-case bound."""
     start = time.perf_counter()
     checks = []
@@ -201,7 +203,7 @@ def suite_bounds(seed: int = DEFAULT_SEED, trials: int = 100, potentials: int = 
     rng = np.random.default_rng(seed)
     violations = {"ceiling": 0, "termwise": 0, "floor/upper": 0}
     worst = {name: -np.inf for name in violations}
-    for _ in range(trials):
+    for _ in range(BOUND_TRIALS):
         bound = rng.uniform(0.2, 2.0)
         # zero-mean stacks with |F| <= bound, so sup F > 0 > inf F; the floor
         # check's upper estimate exp(sup F t) K(t)*G0 holds for either sign
@@ -222,7 +224,7 @@ def suite_bounds(seed: int = DEFAULT_SEED, trials: int = 100, potentials: int = 
                 violations[name] += 1
             worst[name] = max(worst[name], rep.worst)
     for name, count in violations.items():
-        checks.append(SuiteCheck(f"{name} bound ({trials} seeded trials)", count == 0,
+        checks.append(SuiteCheck(f"{name} bound ({BOUND_TRIALS} seeded trials)", count == 0,
                                  f"{count} violating trials (worst signed excess {worst[name]:.2e})"))
 
     # 3D closed-form envelope on random Lipschitz potentials
@@ -233,7 +235,7 @@ def suite_bounds(seed: int = DEFAULT_SEED, trials: int = 100, potentials: int = 
     mesh = grid3.meshgrid()
     bad = 0
     min_ratio = np.inf
-    for _ in range(potentials):
+    for _ in range(BOUND_POTENTIALS):
         c = rng.uniform(0.3, 1.5)
         a = rng.uniform(-1.0, 1.0)
         phi_fn = random_lipschitz_potential(grid3, rng, c, a)
@@ -248,7 +250,7 @@ def suite_bounds(seed: int = DEFAULT_SEED, trials: int = 100, potentials: int = 
                 if val > bound:
                     bad += 1
     elapsed3 = time.perf_counter() - t0
-    checks.append(SuiteCheck(f"3d worst-case bound ({potentials} seeded potentials)", bad == 0,
+    checks.append(SuiteCheck(f"3d worst-case bound ({BOUND_POTENTIALS} seeded potentials)", bad == 0,
                              f"{bad} exceedances, min bound/value ratio {min_ratio:.2f}"))
     checks.append(SuiteCheck("3d worst-case runtime", elapsed3 < 60.0, f"{elapsed3:.1f}s (< 60s)"))
     return _timed("bounds", checks, start)
@@ -351,7 +353,7 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, inject_m_underestimate: bool 
     if name == "all":
         start = time.perf_counter()
         checks = []
-        for sub in ("bounds", "oracles", "burgers", "parabolic", "manufactured"):
+        for sub in SUITES:
             checks.extend(run_suite(sub, seed=seed,
                                     inject_m_underestimate=inject_m_underestimate).checks)
         return _timed("all", checks, start)

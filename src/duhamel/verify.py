@@ -39,18 +39,17 @@ TIME_SAMPLES = 33  # time slices of a manufactured case's positivity scan
 def _periodic_laplacian_4th(n: int, h: float) -> csc_matrix:
     """4th-order central second-derivative matrix with wrap-around."""
     coeff = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
-    offsets = [-2, -1, 0, 1, 2]
-    mat = diags(
-        [np.full(n, c) for c in coeff], offsets, shape=(n, n), format="lil"
-    )
-    # wrap the stencil corners
-    mat[0, n - 1] = coeff[1]
-    mat[0, n - 2] = coeff[0]
-    mat[1, n - 1] = coeff[0]
-    mat[n - 1, 0] = coeff[3]
-    mat[n - 1, 1] = coeff[4]
-    mat[n - 2, 0] = coeff[4]
-    return mat.tocsc()
+    # the band, then its wrap-around corners as the diagonals at n-1, n-2, 1-n, 2-n
+    return diags([*coeff, coeff[1], coeff[0], coeff[3], coeff[4]],
+                 [-2, -1, 0, 1, 2, n - 1, n - 2, 1 - n, 2 - n], shape=(n, n), format="csc")
+
+
+def _steps(horizon: float, dt: float) -> int:
+    """The number of steps of size ``dt`` in ``horizon``, which must be whole."""
+    n_steps = int(round(horizon / dt))
+    if abs(n_steps * dt - horizon) > 1e-9 * horizon:
+        raise ValueError("horizon must be an integer number of steps")
+    return n_steps
 
 
 def fd_controlled_heat(
@@ -72,9 +71,7 @@ def fd_controlled_heat(
         raise ValueError("need 0 < dt <= horizon")
     n = grid.points[0]
     lap = _periodic_laplacian_4th(n, grid.spacing[0])
-    n_steps = int(round(horizon / dt))
-    if abs(n_steps * dt - horizon) > 1e-9 * horizon:
-        raise ValueError("horizon must be an integer number of steps")
+    n_steps = _steps(horizon, dt)
 
     # lhs = I - dt/2 (lap + diag(f_new)): only its diagonal changes per step,
     # so the CSC matrix is built once and its diagonal entries are rewritten
@@ -109,9 +106,7 @@ def fd_burgers(u0: ScalarField, horizon: float, dt: float, output_times=None) ->
     dt_limit = min(0.9 * h * h / 2.0, 0.5 * h / umax)
     if dt > dt_limit:
         raise ValueError(f"dt = {dt:g} violates the CFL budget {dt_limit:g}")
-    n_steps = int(round(horizon / dt))
-    if abs(n_steps * dt - horizon) > 1e-9 * horizon:
-        raise ValueError("horizon must be an integer number of steps")
+    n_steps = _steps(horizon, dt)
 
     out = np.empty((n_steps + 1, *grid.shape))
     out[0] = u = u0.values

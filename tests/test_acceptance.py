@@ -29,7 +29,7 @@ def report(number, title, checks):
 
 @pytest.fixture(scope="module")
 def bounds_result():
-    return suite_bounds(seed=DEFAULT_SEED, trials=100, potentials=50)
+    return suite_bounds(seed=DEFAULT_SEED)
 
 
 @pytest.fixture(scope="module")

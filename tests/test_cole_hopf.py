@@ -31,6 +31,7 @@ from duhamel.cole_hopf import (
 )
 from duhamel.fields import _gradient, _gradient_and_laplacian
 from duhamel.grid import PaddedTorus
+from duhamel.series import BoundRecord, BoundReport
 
 
 def periodic_1d(n=256):
@@ -299,6 +300,22 @@ class TestVelocityFromField:
         bad = np.cos(x)  # crosses zero
         with pytest.raises(PositivityError):
             velocity_from_field(Trajectory(g, (0.0,), bad[None]))
+
+    def test_positivity_error_names_the_first_failing_time(self):
+        g = periodic_1d(64)
+        # rows 1 and 2 both fall below their floors; row 1 is the one named
+        stack = np.stack([np.full(64, 1.0), np.full(64, 0.5), np.full(64, 2.0)])
+        stack[1, 10] = -0.25
+        stack[2, 20] = -1.0
+        traj = Trajectory(g, (0.0, 0.25, 0.5), stack)
+        first = "min G = -0.25 at t=0.25 is below the positivity floor 5e-13"
+        with pytest.raises(PositivityError) as exc:
+            velocity_from_field(traj)
+        assert str(exc.value) == first
+        report = BoundReport("floor", (BoundRecord(0.25, 0.035, 0), BoundRecord(0.5, 0.0125, 3)))
+        with pytest.raises(PositivityError) as exc:
+            velocity_from_field(traj, report)
+        assert str(exc.value) == first + " (floor check worst violation 3.500e-02)"
 
 
 class TestSolveNSE:

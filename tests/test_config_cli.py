@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 import duhamel
-from duhamel import Forcing, Grid, ScalarField, suites
-from duhamel.cli import main
+from duhamel import Forcing, Grid, Trajectory, suites
+from duhamel.cli import build_parser, main
 from duhamel.config import ConfigError, load_config
-from duhamel.io import read_trajectory, write_field
+from duhamel.io import read_trajectory, write_trajectory
 from duhamel.series import BoundReport, ceiling_check
 from duhamel.suites import DEFAULT_SEED, suite_bounds
 
@@ -381,6 +381,30 @@ class TestSolveCommand:
         if code:
             assert json.loads(captured.err)["errors"][0]["curl_residual"] > 3e-2
 
+    def test_free_space_nse_writes_its_residual(self, tmp_path):
+        bump = "exp(-(x*x + y*y))"
+        body = {
+            "schema": 1,
+            "kind": "nse",
+            "grid": {"points": [64, 64], "extent": [12.0, 12.0], "origin": [-6.0, -6.0],
+                     "boundary": {"free_space": {}}},
+            "series": {"time_steps": 4, "output_times": [0.0625, 0.125, 0.25]},
+            "nse": {"velocity": [f"3.2*x*{bump}", f"3.2*y*{bump}"],
+                    "anchor": [0.0, 0.0], "anchor_value": 0.0, "speed_bound": 2.0,
+                    "horizon": 0.25},
+        }
+        out = tmp_path / "out"
+        assert main(["solve", write_config(tmp_path, body), "-o", str(out)]) == 0
+        residual = read_trajectory(out, "residual")
+        assert residual.times == (0.125,)
+        # on a free-space grid the residual is reported at interior nodes only
+        ring = np.ones((64, 64), dtype=bool)
+        ring[2:-2, 2:-2] = False
+        assert not residual.values[0][ring].any()
+        peak = float(np.max(residual.values))
+        assert peak > 0.0
+        assert json.loads((out / "manifest.json").read_text())["max_residual"] == peak
+
     def test_periodic_mean_flow_exits_2(self, tmp_path, capsys):
         body = nse_config()
         body["grid"]["points"] = [128]
@@ -584,6 +608,26 @@ class TestSolveCommand:
         body["nse"].update(velocity=[velocity], speed_bound=speed_bound)
         assert main(["solve", write_config(tmp_path, body), "-o", str(tmp_path / "out")]) == 2
         assert json.loads(capsys.readouterr().err)["errors"] == [{"path": "nse", "message": message}]
+
+    @pytest.mark.parametrize("velocity, message", [
+        (["1e308*sin(x)"], "potential: the line integral along axis 0 overflows"),
+        (["1e306*sin(x)", "1e306*sin(y)"],
+         "potential reaches -1.924e+304 < -1400.0; exp(-phi/2) would overflow"),
+        (["5e307*sin(x)", "5e307*sin(y)"], "potential: the line integral along axis 0 overflows"),
+    ], ids=["1d-1e308", "2d-1e306", "2d-5e307"])
+    def test_velocity_whose_node_sums_overflow(self, tmp_path, velocity, message):
+        # every node is in double range but the node sums of the mean-flow
+        # and curl checks are not; stderr holds the JSON list and nothing else
+        ndim = len(velocity)
+        body = nse_config()
+        body["grid"] = {"points": [64] * ndim, "extent": [6.283185307179586] * ndim,
+                        "origin": [0.0] * ndim}
+        body["series"] = {"time_steps": 4}
+        body["nse"] = {"velocity": velocity, "anchor": [0.1] * ndim, "anchor_value": 0.0,
+                       "speed_bound": 1.7e308, "horizon": 0.5}
+        proc = run_cli("solve", write_config(tmp_path, body), "-o", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr) == {"errors": [{"path": "nse", "message": message}]}
 
     @pytest.mark.parametrize("kind, leaves, path, message", [
         # the spacing squared in the potential's endpoint correction overflows
@@ -836,8 +880,16 @@ class TestVerifyCommand:
         assert main(["verify", "bounds", *argv]) == 0
         assert seen == [seed]
 
-    def test_injected_m_underestimate_fails(self):
-        result = suite_bounds(trials=4, potentials=0, inject_m_underestimate=True)
+    def test_help_names_every_suite(self):
+        # cli cannot import suites (that loads sympy), so its help keeps its own list
+        (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+        (suite,) = [a for a in subparsers.choices["verify"]._actions if a.dest == "suite"]
+        assert suite.help.split(" | ") == [*suites.SUITES, "all"]
+
+    def test_injected_m_underestimate_fails(self, monkeypatch):
+        monkeypatch.setattr(suites, "BOUND_TRIALS", 4)
+        monkeypatch.setattr(suites, "BOUND_POTENTIALS", 0)
+        result = suite_bounds(inject_m_underestimate=True)
         assert not result.passed
         ceiling = [c for c in result.checks if c.label.startswith("ceiling")]
         assert ceiling and not ceiling[0].passed
@@ -935,8 +987,8 @@ class TestInspectCommand:
         assert main(["inspect", str(tmp_path / "missing.csf")]) == 2
 
     def _valid_file(self, tmp_path):
-        path = tmp_path / "f.csf"
-        write_field(ScalarField(Grid((8,), (0.5,), (0.0,)), np.arange(8.0)), path)
+        write_trajectory(Trajectory(Grid((8,), (0.5,), (0.0,)), (0.0,), np.arange(8.0)[None]), tmp_path, "f")
+        path = tmp_path / "f_0000.csf"
         assert main(["inspect", str(path)]) == 0
         return path, bytearray(path.read_bytes())
 

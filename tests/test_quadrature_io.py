@@ -5,7 +5,7 @@ import pytest
 
 from duhamel import FreeSpaceTruncated, Grid, ScalarField, Trajectory
 from duhamel.fields import corrected_cumulative_trapezoid
-from duhamel.io import read_field, read_trajectory, write_field, write_trajectory
+from duhamel.io import _header, read_field, read_trajectory, write_trajectory
 
 
 class TestCumulativeTrapezoid:
@@ -45,8 +45,8 @@ class TestCSF1:
     def _roundtrip(self, grid, tmp_path):
         rng = np.random.default_rng(11)
         field = ScalarField(grid, rng.normal(size=grid.shape))
-        path = tmp_path / "f.csf"
-        write_field(field, path)
+        write_trajectory(Trajectory(grid, (0.0,), field.values[None]), tmp_path, "f")
+        path = tmp_path / "f_0000.csf"
         back = read_field(path)
         assert back.grid == grid
         assert np.array_equal(back.values, field.values)
@@ -116,6 +116,6 @@ class TestTrajectoryIO:
         g = Grid((16,), (0.1,), (0.0,))
         write_trajectory(Trajectory(g, (0.0, 0.5), np.zeros((2, 16))), tmp_path, "G")
         other = Grid((16,), (0.2,), (0.0,))
-        write_field(ScalarField(other, np.zeros(16)), tmp_path / "G_0001.csf")
+        (tmp_path / "G_0001.csf").write_bytes(_header(other) + np.zeros(16, "<f8").tobytes())
         with pytest.raises(ValueError, match="one grid, got 2"):
             read_trajectory(tmp_path, "G")
