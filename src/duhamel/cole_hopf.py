@@ -1,13 +1,12 @@
 """Cole-Hopf mapping between potential-flow NSE and the controlled heat equation.
 
-Pipeline: check that u0 is curl free and reconstruct the velocity
-potential phi by line integration (u0 = grad phi), form the initial field
-G0 = exp(-phi/2), halve the raw pressure-minus-force data into the forcing
-F = (p - f)/2, run the series solver, and recover u = -2 grad(G)/G.
-Pressure is input data throughout: only the combination p - f ever enters,
-and no Poisson solve is performed.  The grid operators (the curl residual
-with its error estimate, the corrected trapezoid of the line integrals, and
-the gradient and Laplacian) all come from ``fields``.
+Pipeline: check that u0 is curl free, reconstruct the potential phi with
+u0 = grad phi (from the torus on a periodic grid, by line integration on a
+free-space one), form G0 = exp(-phi/2), halve the raw pressure-minus-force
+data into F = (p - f)/2, run the series solver and recover u = -2 grad(G)/G.
+Pressure is input data: only p - f enters, and no Poisson solve is made.
+The grid operators (curl residual and its error estimate, inverse gradient,
+corrected trapezoid, gradient, Laplacian) all come from ``fields``.
 
 The positivity floor exp(inf F t) K(t) * G0 guarantees the division by G is
 well defined; a numerical violation is a hard error, never a warning.
@@ -26,11 +25,12 @@ from .fields import (
     VectorField,
     _gradient,
     _gradient_and_laplacian,
+    _inverse_gradient,
     corrected_cumulative_trapezoid,
     curl_residual,
 )
 from .forcing import Forcing
-from .grid import Grid
+from .grid import Grid, padded_torus
 from .series import (
     BoundReport,
     SeriesOptions,
@@ -82,8 +82,8 @@ def default_curl_tolerance(grid: Grid, speed: float) -> float:
 def _unit_scale(speed: float) -> float:
     """2^-e with e = frexp(speed)[1], or 1 below speed 1: scaled by it, any
     velocity in double range has speed below 1, so the node sums and
-    transforms of the curl and mean-flow checks cannot overflow, and the
-    scaling is exact."""
+    transforms of the curl check and the torus potential cannot overflow,
+    and the scaling is exact."""
     return math.ldexp(1.0, -max(math.frexp(speed)[1], 0))
 
 
@@ -144,49 +144,44 @@ def _anchor_node(grid: Grid, x0) -> tuple[int, ...]:
     return grid.nearest_node(point)
 
 
-def _check_no_mean_flow(u0: VectorField, speed: float) -> None:
-    """On a periodic grid, a velocity component whose mean exceeds 1e-6 of
-    the speed (``u0.max_norm``) raises ``ValueError``: the potential U.x of a
-    mean flow U is not periodic, so G0 = exp(-phi/2) would jump across the
-    boundary.  The means are taken of the components times
-    ``_unit_scale(speed)``."""
-    if not u0.grid.is_periodic:
-        return
-    limit = 1e-6 * max(speed, 1e-12)
-    scale = _unit_scale(speed)
-    for d, component in enumerate(u0.components):
-        mean = float(np.mean(component * scale)) / scale
-        if abs(mean) > limit:
-            raise ValueError(
-                f"velocity component {d} has mean {mean:.6g} on a periodic grid; "
-                "a mean flow has no periodic potential"
-            )
-
-
 def potential_from_velocity(u0: VectorField, x0, a: float) -> ScalarField:
     """Velocity potential phi with grad(phi) = u0 and phi(x0) = a.
 
-    An anchor outside the grid box, or a mean flow on a periodic grid, raises
-    ``ValueError``.  Rejects measurably rotational data first: a curl
-    residual above ``default_curl_tolerance`` raises ``CurlError``, except
-    that on a free-space grid a residual within twice the curl stencil's own
-    estimated truncation error passes.
-    Then integrates along the axis-aligned staircase path from the grid node
-    nearest ``x0`` (legs ordered x, then y, then z).  Each leg is one
-    endpoint-corrected trapezoid over its whole grid line, less its value at
-    the anchor node, so phi there is exactly ``a``.  Path independence is
-    asserted by recomputing with the reversed axis order, to within 10 times
-    the curl tolerance (the raised one on a free-space grid) times the
-    largest grid extent, and never less than 1e-8 times the speed times that
-    extent; the two results are averaged.  A 1D field takes the same check,
-    whose two orders are one staircase.
+    Checks, in this order: a non-finite ``a``, an anchor outside the grid box
+    or, on a periodic grid, a velocity component whose mean exceeds 1e-6 of
+    the speed raises ``ValueError`` (the potential U.x of a mean flow U is not
+    periodic); then ``_checked_curl`` rejects rotational data.  On a periodic
+    grid phi is the torus's inverse gradient of u0 times ``_unit_scale(speed)``
+    (whose k = 0 coefficients gave the means) less its value at the node
+    nearest ``x0``, unscaled; one that overflows raises ``ValueError``.  On a
+    free-space grid phi averages the line integrals from that node along the
+    axis-aligned staircases with legs ordered x, y, z and reversed, each leg
+    one corrected trapezoid over its grid line less its anchor value.  They
+    must agree to within 10 L times the (raised) curl tolerance and never less
+    than 1e-8 L times the speed, L the largest grid extent; a 1D field's two
+    orders are one staircase.  Either way phi at the anchor node is exactly ``a``.
     """
     if not np.isfinite(a):
         raise ValueError("anchor value a must be finite")
     grid = u0.grid
     anchor = _anchor_node(grid, x0)
     speed = u0.max_norm
-    _check_no_mean_flow(u0, speed)
+    if grid.is_periodic:
+        scale = _unit_scale(speed)
+        torus = padded_torus(grid)
+        spectra = [torus.forward(c * scale) for c in u0.components]
+        for d, spectrum in enumerate(spectra):
+            mean = float(spectrum[(0,) * grid.ndim].real) * torus.scale / scale
+            if abs(mean) > 1e-6 * max(speed, 1e-12):
+                raise ValueError(f"velocity component {d} has mean {mean:.6g} on a periodic grid; "
+                                 "a mean flow has no periodic potential")
+        _checked_curl(u0, speed)
+        phi = _inverse_gradient(grid, spectra)
+        with np.errstate(over="ignore"):
+            phi = (phi - phi[anchor]) / scale
+        if not np.isfinite(phi).all():
+            raise ValueError("potential: the torus potential overflows")
+        return ScalarField(grid, phi + float(a))
     residual, tolerance = _checked_curl(u0, speed)
     forward = _staircase(u0, anchor, range(grid.ndim))
     backward = _staircase(u0, anchor, range(grid.ndim - 1, -1, -1))
@@ -248,13 +243,9 @@ def velocity_from_field(
 class NSEProblem:
     """Potential-flow NSE data: initial velocity, anchor, forcing, bounds.
 
-    Invariants checked at construction: the speed of the velocity never
-    exceeds ``speed_bound``, the anchor ``x0`` lies in the grid box, the
-    anchor value is finite, and on a periodic grid no velocity component has
-    a mean beyond 1e-6 of the speed (the potential U.x of a mean flow U is not
-    periodic, so G0 = exp(-phi/2) would jump across the boundary).  That the
-    velocity is curl free is checked once per solve, by
-    ``potential_from_velocity``, which raises ``CurlError``.
+    Construction checks only the declared bounds: both are positive, and the
+    speed never exceeds ``speed_bound``.  ``potential_from_velocity`` checks
+    the anchor, its value, the mean flow and the curl, once per solve.
     """
 
     u0: VectorField
@@ -269,15 +260,11 @@ class NSEProblem:
             raise ValueError("speed_bound must be positive")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
-        if not np.isfinite(self.a):
-            raise ValueError("anchor value a must be finite")
-        _anchor_node(self.u0.grid, self.x0)
         speed = self.u0.max_norm
         if speed > self.speed_bound * (1.0 + 1e-12):
             raise ValueError(
                 f"initial speed {speed:.6g} exceeds the declared bound {self.speed_bound:.6g}"
             )
-        _check_no_mean_flow(self.u0, speed)
 
 
 @dataclass(frozen=True, eq=False)

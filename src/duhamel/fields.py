@@ -1,6 +1,6 @@
 """Scalar/vector fields and trajectories on grids, and every operator on
-grid samples: the gradient and Laplacian, the curl check and the corrected
-cumulative trapezoid.
+grid samples: the gradient, its periodic inverse and the Laplacian, the curl
+check and the corrected cumulative trapezoid.
 
 A ``Trajectory`` is one node stack, row m holding the field at its m-th
 time, like the series solver's own stacks.  Periodic derivatives multiply
@@ -211,6 +211,19 @@ def _gradient(grid: Grid, values: np.ndarray) -> list[np.ndarray]:
     if grid.is_periodic:
         return _spectral(grid, values, padded_torus(grid).ik)
     return [_fd_first(values, h, d - grid.ndim) for d, h in enumerate(grid.spacing)]
+
+
+def _inverse_gradient(grid: Grid, spectra) -> np.ndarray:
+    """Zero-mean phi whose gradient has the half spectra ``spectra`` (periodic
+    grids): phi^ = -(sum_d i k_d u^_d)/|k|^2 off k = 0, and 0 at k = 0.  A
+    non-zero mode whose |k|^2 underflows to 0 raises ``ValueError``."""
+    torus = padded_torus(grid)
+    nonzero = torus.k2 != 0
+    if np.count_nonzero(nonzero) < nonzero.size - 1:
+        raise ValueError("potential: the torus potential overflows, as |k|^2 underflows to 0")
+    divergence = sum(ik * spectrum for ik, spectrum in zip(torus.ik, spectra))
+    phi = np.divide(divergence, torus.k2, out=np.zeros_like(divergence), where=nonzero)
+    return torus.inverse(-torus.scale * phi)
 
 
 def _gradient_and_laplacian(grid: Grid, values: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:

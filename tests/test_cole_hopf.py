@@ -71,6 +71,21 @@ class TestPotential:
         anchored = phi_exact.values - phi_exact.values[i0]
         assert np.max(np.abs(phi.values - anchored)) < 1e-6
 
+    @pytest.mark.parametrize("points", [(32, 32), (31, 33), (16, 16, 16), (15, 17, 16)],
+                             ids=["32x32", "31x33", "16x16x16", "15x17x16"])
+    def test_torus_potential_is_exact(self, points):
+        # a band-limited potential comes back to rounding from its spectral
+        # gradient, on even lengths (zeroed Nyquist of i k) and odd ones
+        g = Grid(points, tuple(2 * np.pi / n for n in points), (0.0,) * len(points))
+        x, y, *rest = g.meshgrid()
+        z = rest[0] if rest else y
+        exact = np.sin(x + 2 * z) + 0.5 * np.cos(3 * y) + 0.2 * np.sin(x) * np.cos(z)
+        u0 = VectorField(g, _gradient(g, exact))
+        node = g.nearest_node((1.0,) * g.ndim)
+        phi = potential_from_velocity(u0, (1.0,) * g.ndim, 0.7).values
+        assert phi[node] == 0.7
+        assert np.max(np.abs(phi - (exact - exact[node] + 0.7))) < 1e-12 * np.max(np.abs(exact))
+
     @pytest.mark.parametrize("where", ["first", "interior", "last"])
     def test_1d_anchor_node(self, where):
         # phi = sin(1.3x) + 0.2x^2 on [-4, 4]; each line is integrated once
@@ -366,8 +381,9 @@ class TestSolveNSE:
         # phi = 0.5 x + (periodic part) is not periodic, so no torus G0 exists
         g = periodic_1d(128)
         u0 = VectorField(g, (0.5 + 0.3 * np.sin(g.coords(0)),))
+        prob = NSEProblem(u0, (0.0,), 0.0, None, speed_bound=1.0, horizon=0.5)
         with pytest.raises(ValueError, match="mean 0.5"):
-            NSEProblem(u0, (0.0,), 0.0, None, speed_bound=1.0, horizon=0.5)
+            solve_nse(prob)
         # a free-space grid has no wrap-around, so the same data stands
         free = Grid((128,), g.spacing, (0.0,), FreeSpaceTruncated())
         NSEProblem(VectorField(free, u0.components), (0.0,), 0.0, None, speed_bound=1.0, horizon=0.5)

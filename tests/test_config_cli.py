@@ -417,6 +417,40 @@ class TestSolveCommand:
         assert error["path"] == "nse"
         assert "mean" in error["message"]
 
+    def test_mean_flow_is_reported_before_the_curl(self, tmp_path, capsys):
+        # the velocity has both a mean flow and a curl; the mean is checked first
+        body = nse_config()
+        body["grid"] = {"points": [32, 32], "extent": [6.283185307179586] * 2, "origin": [0.0, 0.0]}
+        body["nse"].update(velocity=["0.5 - sin(y)", "sin(x)"], anchor=[0.0, 0.0],
+                           pressure_minus_force=0.0, speed_bound=2.0)
+        assert main(["solve", write_config(tmp_path, body), "-o", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert "Warning" not in captured.err
+        assert json.loads(captured.err)["errors"] == [{
+            "path": "nse",
+            "message": "velocity component 0 has mean 0.5 on a periodic grid; "
+                       "a mean flow has no periodic potential"}]
+
+    @pytest.mark.parametrize("velocity, points", [
+        (["cos(x + 2*y) + 0.2*cos(x)*cos(y)", "2*cos(x + 2*y) - 0.2*sin(x)*sin(y)"], n)
+        for n in ([8, 8], [12, 12], [16, 16])
+    ] + [
+        (["cos(x + 2*z) + 0.2*cos(x)*cos(z)", "-1.5*sin(3*y)",
+          "2*cos(x + 2*z) - 0.2*sin(x)*sin(z)"], [16, 16, 16]),
+    ], ids=["2d-8", "2d-12", "2d-16", "3d-16"])
+    def test_band_limited_gradient_on_a_coarse_torus_solves(self, tmp_path, velocity, points):
+        # the curl residual is at rounding level; no line integral is compared
+        ndim = len(points)
+        body = nse_config()
+        body["grid"] = {"points": points, "extent": [6.283185307179586] * ndim, "origin": [0.0] * ndim}
+        body["series"] = {"time_steps": 8, "output_times": [0.05, 0.1]}
+        body["nse"] = {"velocity": velocity, "anchor": [0.3] * ndim, "anchor_value": 0.0,
+                       "speed_bound": 5.0, "horizon": 0.1}
+        out = tmp_path / "out"
+        assert main(["solve", write_config(tmp_path, body), "-o", str(out)]) == 0
+        assert read_trajectory(out, "G").times == (0.05, 0.1)
+        assert read_trajectory(out, "u").values.shape == (2, ndim, *points)
+
     @pytest.mark.parametrize("reason", ["tolerance", "zero_tail", "depth_max"])
     def test_manifest_records_order_norms_and_stop_reason(self, tmp_path, reason):
         body = controlled_heat_config()
@@ -598,7 +632,7 @@ class TestSolveCommand:
         assert json.loads((out / "manifest.json").read_text())["exit_status"] == 3
 
     @pytest.mark.parametrize("velocity, speed_bound, message", [
-        ("1e200*sin(x)", 1e300, "potential reaches -6.642e+183 < -1400.0; exp(-phi/2) would overflow"),
+        ("1e200*sin(x)", 1e300, "potential reaches 1.998e+200 > 1400.0; exp(-phi/2) would underflow to zero"),
         ("exp(700)*sin(x)", 750, "initial speed 1.01301e+304 exceeds the declared bound 750"),
     ], ids=["1e200", "exp(700)"])
     def test_speed_whose_square_overflows(self, tmp_path, capsys, velocity, speed_bound, message):
@@ -610,14 +644,14 @@ class TestSolveCommand:
         assert json.loads(capsys.readouterr().err)["errors"] == [{"path": "nse", "message": message}]
 
     @pytest.mark.parametrize("velocity, message", [
-        (["1e308*sin(x)"], "potential: the line integral along axis 0 overflows"),
+        (["1e308*sin(x)"], "potential: the torus potential overflows"),
         (["1e306*sin(x)", "1e306*sin(y)"],
          "potential reaches -1.924e+304 < -1400.0; exp(-phi/2) would overflow"),
-        (["5e307*sin(x)", "5e307*sin(y)"], "potential: the line integral along axis 0 overflows"),
+        (["5e307*sin(x)", "5e307*sin(y)"], "potential: the torus potential overflows"),
     ], ids=["1d-1e308", "2d-1e306", "2d-5e307"])
     def test_velocity_whose_node_sums_overflow(self, tmp_path, velocity, message):
-        # every node is in double range but the node sums of the mean-flow
-        # and curl checks are not; stderr holds the JSON list and nothing else
+        # every node is in double range but the node sums of the unscaled
+        # velocity are not; stderr holds the JSON list and nothing else
         ndim = len(velocity)
         body = nse_config()
         body["grid"] = {"points": [64] * ndim, "extent": [6.283185307179586] * ndim,
@@ -630,9 +664,9 @@ class TestSolveCommand:
         assert json.loads(proc.stderr) == {"errors": [{"path": "nse", "message": message}]}
 
     @pytest.mark.parametrize("kind, leaves, path, message", [
-        # the spacing squared in the potential's endpoint correction overflows
+        # |k|^2 of the torus potential's lowest mode underflows to 0
         ("nse", {("grid", "spacing"): [1e300], ("nse", "velocity"): ["1e-300*sin(x)"]},
-         "nse", "potential: the line integral along axis 0 overflows"),
+         "nse", "potential: the torus potential overflows, as |k|^2 underflows to 0"),
         # no node overflows on the way to rejecting 0.5 and 1.0; both lie within
         # the horizon-relative tolerance of node 0
         ("heat", {("controlled_heat", "horizon"): 1.7976931348623157e308, ("series", "time_steps"): 3},

@@ -1,10 +1,13 @@
 """The oracle layer itself: FD steppers, manufactured cases, random test data."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import duhamel
 from duhamel import Forcing, FreeSpaceTruncated, Grid, ScalarField
 from duhamel.verify import (
     band_limited_field,
@@ -13,6 +16,21 @@ from duhamel.verify import (
     make_manufactured,
     random_lipschitz_potential,
 )
+
+
+SOLVER_MODULES = {"heat_kernel", "series", "cole_hopf", "parabolic"}
+
+
+def test_oracles_import_no_solver_module():
+    # the oracles share no code with the solver paths they check
+    tree = ast.parse((Path(duhamel.__file__).parent / "verify.py").read_text())
+    imported = set()  # dotted names imported from this package
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.split(".")[0] == "duhamel")
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "duhamel"):
+            imported.update(f"{node.module or ''}.{a.name}" for a in node.names)
+    assert not [name for name in imported if SOLVER_MODULES & set(name.split("."))]
 
 
 def periodic_1d(n=256):
