@@ -137,6 +137,7 @@ def _record_series(sol: SeriesSolution, manifest: dict):
     manifest["truncation_depth"] = sol.truncation_depth
     manifest["order_norms"] = sol.metadata["order_norms"]
     manifest["stop_reason"] = sol.metadata["stop_reason"]
+    manifest["windows"] = sol.metadata["windows"]
     manifest["not_converged"] = sol.not_converged
     manifest["estimated_truncation_error"] = sol.estimated_truncation_error
 

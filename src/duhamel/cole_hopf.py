@@ -26,6 +26,7 @@ from .fields import (
     _gradient,
     _gradient_and_laplacian,
     _inverse_gradient,
+    _periodic_curl,
     corrected_cumulative_trapezoid,
     curl_residual,
 )
@@ -87,8 +88,10 @@ def _unit_scale(speed: float) -> float:
     return math.ldexp(1.0, -max(math.frexp(speed)[1], 0))
 
 
-def _checked_curl(u0: VectorField, speed: float) -> tuple[float, float]:
-    """(curl residual, tolerance) of ``u0``, whose speed is ``speed``;
+def _checked_curl(grid: Grid, speed: float, residual: float, estimate: float | None) -> tuple[float, float]:
+    """(curl residual, tolerance) of a velocity on ``grid`` whose speed is
+    ``speed``, from the residual and error estimate of ``curl_residual`` (or
+    ``_periodic_curl``) measured on the velocity times ``_unit_scale(speed)``;
     ``CurlError`` when it is rotational.
 
     The tolerance is ``default_curl_tolerance``.  On a free-space grid the
@@ -96,12 +99,10 @@ def _checked_curl(u0: VectorField, speed: float) -> tuple[float, float]:
     which does not shrink with the tolerance, so where ``curl_residual``
     estimates that error from the samples themselves (Richardson
     extrapolation between the grid and its every-other-node subgrid) the
-    tolerance rises to twice the estimate.  Both are measured on ``u0``
-    times ``_unit_scale(speed)``.
+    tolerance rises to twice the estimate.
     """
-    tolerance = default_curl_tolerance(u0.grid, speed)
+    tolerance = default_curl_tolerance(grid, speed)
     scale = _unit_scale(speed)
-    residual, estimate = curl_residual(VectorField(u0.grid, [c * scale for c in u0.components]))
     residual /= scale
     if estimate is not None:
         tolerance = max(tolerance, _CURL_ERROR_RATIO * (estimate / scale))
@@ -175,14 +176,16 @@ def potential_from_velocity(u0: VectorField, x0, a: float) -> ScalarField:
             if abs(mean) > 1e-6 * max(speed, 1e-12):
                 raise ValueError(f"velocity component {d} has mean {mean:.6g} on a periodic grid; "
                                  "a mean flow has no periodic potential")
-        _checked_curl(u0, speed)
+        _checked_curl(grid, speed, _periodic_curl(grid, spectra), None)
         phi = _inverse_gradient(grid, spectra)
         with np.errstate(over="ignore"):
             phi = (phi - phi[anchor]) / scale
         if not np.isfinite(phi).all():
             raise ValueError("potential: the torus potential overflows")
         return ScalarField(grid, phi + float(a))
-    residual, tolerance = _checked_curl(u0, speed)
+    scale = _unit_scale(speed)
+    residual, tolerance = _checked_curl(
+        grid, speed, *curl_residual(VectorField(grid, [c * scale for c in u0.components])))
     forward = _staircase(u0, anchor, range(grid.ndim))
     backward = _staircase(u0, anchor, range(grid.ndim - 1, -1, -1))
     gap = float(np.max(np.abs(forward - backward)))

@@ -244,6 +244,17 @@ def _stencil_curls(components, spacing) -> list[np.ndarray]:
             for i in range(ndim) for j in range(i + 1, ndim)]
 
 
+def _periodic_curl(grid: Grid, spectra) -> float:
+    """Max over nodes and index pairs of |d_i u_j - d_j u_i| from the half
+    spectra of the components (periodic grids): one inverse transform of
+    i k_i u^_j - i k_j u^_i per pair, and 0 for one component."""
+    torus = padded_torus(grid)
+    iks = [torus.scale * ik for ik in torus.ik]
+    curls = [torus.inverse(iks[i] * spectra[j] - iks[j] * spectra[i])
+             for i in range(grid.ndim) for j in range(i + 1, grid.ndim)]
+    return max((float(np.max(np.abs(c))) for c in curls), default=0.0)
+
+
 def curl_residual(u: VectorField) -> tuple[float, float | None]:
     """Max over nodes and index pairs of |d_i u_j - d_j u_i|, and an
     estimate of its discretization error.
@@ -263,11 +274,7 @@ def curl_residual(u: VectorField) -> tuple[float, float | None]:
         return 0.0, None
     if grid.is_periodic:
         torus = padded_torus(grid)
-        spectra = [torus.forward(c) for c in u.components]
-        iks = [torus.scale * ik for ik in torus.ik]
-        curls = [torus.inverse(iks[i] * spectra[j] - iks[j] * spectra[i])
-                 for i in range(grid.ndim) for j in range(i + 1, grid.ndim)]
-        return max(float(np.max(np.abs(c))) for c in curls), None
+        return _periodic_curl(grid, [torus.forward(c) for c in u.components]), None
     fine = _stencil_curls(u.components, grid.spacing)
     residual = max(float(np.max(np.abs(c))) for c in fine)
     if min((n + 1) // 2 for n in grid.points) < _RICHARDSON_MIN_POINTS:

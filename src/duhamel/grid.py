@@ -187,12 +187,13 @@ class PaddedTorus:
             freq = np.fft.rfftfreq(m, d=h) if d == last else np.fft.fftfreq(m, d=h)
             axis_shape = [1] * ndim
             axis_shape[d] = len(freq)
-            k = 2.0 * np.pi * freq
-            # past double range |k|^2 is inf, the value whose kernel weight is 0
-            with np.errstate(over="ignore"):
+            # past double range k or |k|^2 is inf, the value whose kernel
+            # weight is 0; an inf k times the zeroed Nyquist flag is nan
+            with np.errstate(over="ignore", invalid="ignore"):
+                k = 2.0 * np.pi * freq
                 k2 = k2 + (k**2).reshape(axis_shape)
-            # the unpaired Nyquist mode sits at index m/2 of an even axis
-            ik.append((1j * k * (np.arange(len(k)) != m / 2)).reshape(axis_shape))
+                # the unpaired Nyquist mode sits at index m/2 of an even axis
+                ik.append((1j * k * (np.arange(len(k)) != m / 2)).reshape(axis_shape))
         for symbol in (k2, *ik):
             symbol.setflags(write=False)
         self.k2, self.ik = k2, tuple(ik)

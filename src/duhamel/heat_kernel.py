@@ -15,7 +15,13 @@ gives the Duhamel formula with an initial value, K(s_j) * initial +
 int_0^{s_j} K(s_j - s) * g(s) ds over uniform nodes s_j, by an exponential
 (ETD) product rule with g linear between nodes (Cox & Matthews, J. Comput.
 Phys. 176, 2002), so the kernel stiffness never enters the quadrature error.
-The series solver, its tail estimate and the 3-D worst-case suite use it.
+A sweep runs on the torus state, the normalised half spectrum of the swept
+field, and hands back that of its last node; another sweep can start from
+it, which is how the series restarts on its windows without padding a
+cropped field again.  Every window has the same step, so one
+``KernelApplication`` over all nodes sweeps each window's slice of them.
+The series solver, its tail estimate, its termwise check and the 3-D
+worst-case suite use it.
 
 The kernel has unit diffusivity; a diffusivity D is the time unit tau = D t.
 """
@@ -134,7 +140,7 @@ class KernelApplication:
         return decay, w_old, w_new
 
     def sweep(self, stack: np.ndarray, factor: np.ndarray | None = None,
-              initial: np.ndarray | None = None) -> None:
+              initial: np.ndarray | None = None, state: np.ndarray | None = None) -> np.ndarray:
         """Overwrite ``stack`` with K(s_j) * initial + int_0^{s_j} K(s_j - s) * g(s) ds.
 
         ``stack`` is the ``(n + 1, *grid.shape)`` stack of g at the nodes,
@@ -145,12 +151,20 @@ class KernelApplication:
         zeroth skips node 0 and a sweep of zeros is one forward transform,
         of ``initial``.  The first m rows of a stack sweep to the first m
         rows of the whole stack's sweep.
+
+        The sweep runs on the torus state, the normalised half spectrum whose
+        inverse is the swept field, and returns that of the last node as a
+        new array.  ``state`` starts it in place of ``initial``'s transform:
+        on a padded torus it carries the field beyond the grid, which the
+        cropped ``initial`` has lost.
         """
         decay, w_old, w_new = self._weights
         torus, chunk = self.torus, self._chunk
         # node 0's accumulator is the last row, which each chunk overwrites last
         accs = np.zeros((chunk, *decay.shape), complex)
-        acc = accs[-1] if initial is None else np.multiply(torus.scale, torus.forward(initial), out=accs[-1])
+        acc = state
+        if acc is None:
+            acc = accs[-1] if initial is None else np.multiply(torus.scale, torus.forward(initial), out=accs[-1])
         g = stack[0] if factor is None else factor[0] * stack[0]
         prev = torus.forward(g) if g.any() else None
         for lo in range(1, len(stack), chunk):
@@ -168,3 +182,42 @@ class KernelApplication:
                 prev = cur
             stack[lo:lo + chunk] = torus.inverse(accs[:len(live)])
         stack[0] = 0.0 if initial is None else initial
+        return acc.copy()
+
+    def majorants(self, offsets, depth: int, rate: float, initial: np.ndarray | None = None,
+                  state: np.ndarray | None = None) -> np.ndarray:
+        """The ``(len(offsets), depth + 1, *grid.shape)`` stack of e_0..e_depth
+        at the nodes s_j, j in the increasing ``offsets``: e_0 = K(s) * |v|
+        and e_b the sweep of ``rate`` e_(b-1) from zero.  v is ``initial``,
+        padded as ``sweep`` pads it, or the torus field of ``state``, taken
+        whole.
+
+        Every ETD weight is a nonnegative mixture of heat kernels, so a sweep
+        keeps |sweep(g)| <= sweep(|g|) up to the torus's truncation at
+        Nyquist, and edge padding keeps |g| <= e on the grid true on the
+        torus.  Order b swept from v, over a factor of modulus at most
+        ``rate``, is then at most e_b; since each order is padded from its
+        grid values, as the series pads it, e_b is swept and not recurred
+        per mode.  An e_b past double range is inf or nan, without a warning.
+        """
+        torus = self.torus
+        if state is None:
+            # edge padding commutes with the modulus
+            initial = np.abs(initial)
+        else:
+            axes = tuple(range(-self.grid.ndim, 0))
+            field = np.abs(np.fft.irfftn(state, s=torus.shape, axes=axes, norm="forward"))
+            state = torus.scale * np.fft.rfftn(field, axes=axes)
+            del field
+            initial = torus.inverse(state)
+        stack = np.zeros((offsets[-1] + 1, *self.grid.shape))
+        out = np.empty((len(offsets), depth + 1, *self.grid.shape))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b in range(depth + 1):
+                if b:
+                    stack *= rate
+                    self.sweep(stack)
+                else:
+                    self.sweep(stack, initial=initial, state=state)
+                out[:, b] = stack[offsets]
+        return out

@@ -8,6 +8,7 @@ import pytest
 
 from duhamel import (
     Forcing,
+    FreeSpaceTruncated,
     Grid,
     ScalarField,
     SeriesOptions,
@@ -82,6 +83,30 @@ class TestTermwise:
         report = termwise_factorial_check(sol, M)
         assert report.passed
         assert abs(report.worst) < 1e-13  # terms saturate the envelope exactly
+
+    def test_windowed_constant_case_zero_slack(self):
+        # with F = c the windows' majorant rows are the computed terms,
+        # (c tau)^k / k! K(tau) * G(t_w), to rounding, also on a padded torus
+        grid = Grid((48, 48), (0.25, 0.25), (-6.0, -6.0), FreeSpaceTruncated())
+        x, y = grid.meshgrid()
+        G0 = ScalarField(grid, 0.5 + np.exp(-((x - 1.0) ** 2 + y * y) / 2))
+        opts = SeriesOptions(rel_tolerance=1e-12, time_steps=32, output_times=(0.125, 0.3125, 0.5))
+        sol = solve_controlled_heat(G0, Forcing.constant(1.5), 0.5, opts)
+        assert len(sol.metadata["windows"]) > 1
+        report = termwise_factorial_check(sol, 1.5)
+        assert report.passed
+        assert max(abs(r.max_violation) for r in report.records) < 1e-13
+
+    def test_scaled_term_fails_its_row(self):
+        # the majorant is tight for F = c, so a term off by 1e-6 fails its own row
+        grid = Grid((64, 64), (2 * np.pi / 64,) * 2, (0.0, 0.0))
+        x, y = grid.meshgrid()
+        G0 = ScalarField(grid, 1.0 + 0.5 * np.cos(x) * np.sin(y))
+        opts = SeriesOptions(rel_tolerance=1e-12, time_steps=32, output_times=(0.25, 1.0))
+        sol = solve_controlled_heat(G0, Forcing.constant(-0.8), 1.0, opts)
+        sol.terms[2][1] *= 1 + 1e-6
+        failed = [(r.time, r.label) for r in termwise_factorial_check(sol, 0.8).records if not r.ok]
+        assert failed == [(1.0, "k=2")]
 
     def test_random_trials(self):
         g = periodic_1d()

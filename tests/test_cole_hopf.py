@@ -407,21 +407,45 @@ class TestSolveNSE:
 
     @pytest.mark.parametrize("free", (False, True), ids=["periodic-2d", "free-space-2d"])
     def test_curl_checked_once_per_solve(self, monkeypatch, free):
-        # a free-space field takes the same curl_residual call as a periodic one
+        # a free-space field takes one curl_residual call; a periodic one
+        # takes one periodic curl, of the spectra the potential transforms
         u0 = heat_velocity(free_2d(64)) if free else self._curl_free_2d()
         calls = []
-        residual = cole_hopf.curl_residual
+        name = "curl_residual" if free else "_periodic_curl"
+        residual = getattr(cole_hopf, name)
 
-        def counted(u):
-            calls.append(u)
-            return residual(u)
+        def counted(*args):
+            calls.append(args)
+            return residual(*args)
 
-        monkeypatch.setattr(cole_hopf, "curl_residual", counted)
+        monkeypatch.setattr(cole_hopf, name, counted)
         prob = NSEProblem(u0, (0.0, 0.0), 0.0, None, speed_bound=max(1.0, u0.max_norm),
                           horizon=0.25)
         sol = solve_nse(prob, SeriesOptions(time_steps=4, output_times=(0.125, 0.25)))
         assert sol.floor_report.passed
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("ndim", (2, 3))
+    def test_periodic_potential_transforms_the_velocity_once(self, monkeypatch, ndim):
+        # the mean-flow check, the curl check and phi read one forward
+        # transform per component, and the curl equals curl_residual's
+        g = Grid((16,) * ndim, (2 * np.pi / 16,) * ndim, (0.0,) * ndim)
+        coords = g.meshgrid()
+        # u = grad of 0.3 sin(x) cos(y) (times cos(z) in 3-D)
+        phi = 0.3 * np.sin(coords[0]) * np.cos(coords[1]) * (np.cos(coords[2]) if ndim == 3 else 1.0)
+        u0 = VectorField(g, _gradient(g, phi))
+        forward = PaddedTorus.forward
+        forwarded, curls = [], []
+        monkeypatch.setattr(PaddedTorus, "forward",
+                            lambda self, values: forwarded.append(values.shape) or forward(self, values))
+        periodic_curl = cole_hopf._periodic_curl
+        monkeypatch.setattr(cole_hopf, "_periodic_curl",
+                            lambda grid, spectra: curls.append(periodic_curl(grid, spectra)) or curls[-1])
+        potential_from_velocity(u0, (0.1,) * ndim, 0.0)
+        assert forwarded == [g.shape] * ndim
+        monkeypatch.undo()
+        assert curls == [curl_residual(VectorField(g, [c * cole_hopf._unit_scale(u0.max_norm)
+                                                       for c in u0.components]))[0]]
 
     def test_speed_read_once_per_entry_point(self, monkeypatch):
         # the problem's checks read the speed once, and so does the

@@ -66,11 +66,11 @@ CONFIGS = {"heat": controlled_heat_config, "nse": nse_config, "parabolic": parab
 SECTIONS = {"heat": "controlled_heat", "nse": "nse", "parabolic": "parabolic"}
 
 
-def run_cli(*argv):
+def run_cli(*argv, python_flags=()):
     """``python -m duhamel.cli`` in a fresh interpreter, output captured as text."""
     src = str(Path(duhamel.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-m", "duhamel.cli", *argv], env=env,
+    return subprocess.run([sys.executable, *python_flags, "-m", "duhamel.cli", *argv], env=env,
                           capture_output=True, text=True)
 
 # (config, keys to the replaced value, wrongly typed or out-of-range value, error path)
@@ -466,6 +466,47 @@ class TestSolveCommand:
         assert len(norms) == manifest["truncation_depth"] + 1
         assert all(isinstance(v, float) and v > 0 for v in norms)
 
+    def test_manifest_records_the_windows(self, tmp_path):
+        # a 2-D periodic run, swept one node per transform call, restarts its
+        # series on windows; the manifest alone records them
+        body = controlled_heat_config()
+        body["grid"] = {"points": [64, 64], "extent": [6.283185307179586] * 2, "origin": [0.0, 0.0]}
+        body["series"] = {"time_steps": 32, "rel_tolerance": 1e-10, "output_times": [0.25, 1.0]}
+        body["controlled_heat"].update(initial="1 + 0.5*cos(x)*sin(y)", forcing="1.5*sin(x)*cos(y)")
+        out = tmp_path / "out"
+        status = main(["solve", write_config(tmp_path, body), "-o", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert status == manifest["exit_status"] == 0
+        windows = manifest["windows"]
+        assert len(windows) > 1
+        assert [w["start"] for w in windows[1:]] == [w["end"] for w in windows[:-1]]
+        assert windows[0]["start"] == 0.0 and windows[-1]["end"] == 1.0
+        for w in windows:
+            assert set(w) == {"start", "end", "depth", "order_norms", "stop_reason"}
+            assert len(w["order_norms"]) == w["depth"] + 1
+            assert w["stop_reason"] == "tolerance"
+        assert manifest["truncation_depth"] == max(w["depth"] for w in windows)
+        assert manifest["order_norms"] == [max(w["order_norms"][k] for w in windows if k <= w["depth"])
+                                           for k in range(manifest["truncation_depth"] + 1)]
+        # the trajectory index holds each snapshot's time and files, and nothing of the windows
+        index = json.loads((out / "G.json").read_text())
+        assert set(index) == {"snapshots", "stem"}
+        assert [set(snap) for snap in index["snapshots"]] == [{"files", "kind", "time"}] * 2
+
+    def test_windowed_termwise_rows_pass_at_every_node(self, tmp_path):
+        # on windows of 2-4 nodes the quadrature's high orders exceed the
+        # continuous (M tau)^k/k! envelope (at the two outputs of the test
+        # above, k=8 at t=0.25 by 9.4e-12); the termwise check compares them
+        # with the bound they obey, so this run exits 0 with every node an output
+        body = controlled_heat_config()
+        body["grid"] = {"points": [64, 64], "extent": [6.283185307179586] * 2, "origin": [0.0, 0.0]}
+        body["series"] = {"time_steps": 32, "rel_tolerance": 1e-10}
+        body["controlled_heat"].update(initial="1 + 0.5*cos(x)*sin(y)", forcing="1.5*sin(x)*cos(y)")
+        out = tmp_path / "out"
+        assert main(["solve", write_config(tmp_path, body), "-o", str(out)]) == 0
+        labels = {json.loads(line)["label"] for line in (out / "termwise.jsonl").read_text().splitlines()}
+        assert "k=8" in labels
+
     @pytest.mark.parametrize("kind, keys, value", [
         ("heat", ("controlled_heat", "initial"), "1 + 1/(t - 0)"),
         ("nse", ("nse", "velocity", 0), "0.3*sin(x) + 1/t"),
@@ -753,6 +794,23 @@ class TestSolveCommand:
         (t, g1) = list(read_trajectory(out, "G"))[-1]
         assert t == 1.0
         np.testing.assert_allclose(g1, 1.5 * np.exp(0.5), rtol=1e-12)
+
+    @pytest.mark.parametrize("flags", [(), ("-W", "error")], ids=["default", "warnings-are-errors"])
+    @pytest.mark.parametrize("kind, code", [("heat", 0), ("nse", 2)])
+    def test_spacing_whose_wavenumber_overflows(self, tmp_path, kind, code, flags):
+        # at spacing 1e-308 the highest wavenumbers 2 pi m / (n h) themselves
+        # pass double range, and the zeroed Nyquist flag times that inf is nan
+        body = CONFIGS[kind]()
+        body["grid"] = {"points": [64], "spacing": [1e-308], "origin": [0.0]}
+        proc = run_cli("solve", write_config(tmp_path, body), "-o", str(tmp_path / "out"),
+                       python_flags=flags)
+        assert proc.returncode == code
+        if code == 0:
+            assert proc.stderr == ""
+        else:
+            # the JSON error is all of stderr: no warning, no traceback
+            assert json.loads(proc.stderr) == {"errors": [
+                {"path": "nse", "message": "potential: the torus potential overflows"}]}
 
     @pytest.mark.parametrize("kind, keys, value, path, message", [
         ("heat", ("grid",), {"points": [0], "extent": [1.0], "origin": [0.0]}, "grid",

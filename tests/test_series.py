@@ -16,7 +16,7 @@ from duhamel import (
     Trajectory,
     solve_controlled_heat,
 )
-from duhamel import heat_kernel
+from duhamel import heat_kernel, series
 from duhamel.grid import padded_torus
 from duhamel.heat_kernel import _f2, _phi1
 from duhamel.verify import fd_controlled_heat, make_manufactured
@@ -532,6 +532,82 @@ class TestEngineMemory:
                 assert peak <= 1.1 * (2 * node_stack + (depth + 1 + 3) * len(out) * field_bytes)
 
 
+class TestWindows:
+    """The series restarts on windows of the nodes, from the torus state."""
+
+    @staticmethod
+    def _pair(monkeypatch, G0, F, horizon, opts):
+        """(windowed, one-window) solutions of one problem."""
+        windowed = solve_controlled_heat(G0, F, horizon, opts)
+        monkeypatch.setattr(series, "_windows", lambda steps, *rule: [0, steps])
+        one = solve_controlled_heat(G0, F, horizon, opts)
+        monkeypatch.undo()
+        return windowed, one
+
+    @pytest.mark.parametrize("free", (False, True), ids=["periodic-2d", "free-space-2d"])
+    def test_windows_agree_with_one_window(self, monkeypatch, free):
+        # on the free-space grid the restart must carry the padded torus
+        # state: re-padding the cropped values of G(t_w) moves G by far more
+        if free:
+            grid = Grid((48, 48), (0.25, 0.25), (-6.0, -6.0), FreeSpaceTruncated())
+            x, y = grid.meshgrid()
+            G0 = ScalarField(grid, 0.5 + np.exp(-((x - 1.0) ** 2 + y * y) / 2))
+            F = Forcing.from_expression("1.2*cos(x)*exp(-y*y/8) + 0.4*sin(3*t)")
+        else:
+            grid = Grid((64, 64), (2 * np.pi / 64,) * 2, (0.0, 0.0))
+            x, y = grid.meshgrid()
+            G0 = ScalarField(grid, 1.0 + 0.3 * np.cos(x) * np.sin(y))
+            F = Forcing.from_expression("1.5*sin(x)*cos(y) + 0.5*cos(x + 2*t)")
+        opts = SeriesOptions(rel_tolerance=1e-10, time_steps=32, output_times=(0.125, 0.3125, 0.5))
+        windowed, one = self._pair(monkeypatch, G0, F, 0.5, opts)
+        windows = windowed.metadata["windows"]
+        assert len(windows) > 1 and len(one.metadata["windows"]) == 1
+        assert windows[0]["start"] == 0.0 and windows[-1]["end"] == 0.5
+        assert all(a["end"] == b["start"] for a, b in zip(windows, windows[1:]))
+        assert windowed.truncation_depth == max(w["depth"] for w in windows) < one.truncation_depth
+        scale = float(np.max(np.abs(one.trajectory.values)))
+        gap = float(np.max(np.abs(windowed.trajectory.values - one.trajectory.values)))
+        assert gap <= opts.rel_tolerance * scale
+
+    def test_constant_forcing_terms_restart_from_the_window_start(self):
+        # with F = c the centred orders past the zeroth vanish, so window w's
+        # term k is (c tau)^k / k! G(t_w), tau = t - t_w, and zero past its depth
+        grid = Grid((64, 64), (2 * np.pi / 64,) * 2, (0.0, 0.0))
+        c = 1.5
+        opts = SeriesOptions(rel_tolerance=1e-14, time_steps=32)
+        sol = solve_controlled_heat(ScalarField.constant(grid, 1.0), Forcing.constant(c), 1.0, opts)
+        windows = sol.metadata["windows"]
+        assert len(windows) > 1
+        for m, t in enumerate(sol.trajectory.times):
+            w = next(w for w in windows if t <= w["end"])
+            g_start = sol.trajectory.at_time(w["start"])
+            tau = t - w["start"]
+            for k, term in enumerate(sol.terms):
+                if k > w["depth"]:
+                    assert not term[m].any()
+                else:
+                    want = (c * tau) ** k / math.factorial(k) * g_start
+                    assert np.max(np.abs(term[m] - want)) <= 1e-14 * math.exp(c * t)
+            assert abs(float(np.max(sol.trajectory.values[m])) - math.exp(c * t)) <= 1e-13 * math.exp(c * t)
+
+    def test_rule_takes_one_window_where_depth_max_binds(self):
+        # 32 steps of 1/64 at sup |F| = 2, swept one node per transform call
+        assert len(series._windows(32, 1, 2.0, 1 / 64, 1e-10, 24)) - 1 > 1
+        assert series._windows(32, 1, 2.0, 1 / 64, 1e-10, 2) == [0, 32]
+        grid = Grid((64, 64), (2 * np.pi / 64,) * 2, (0.0, 0.0))
+        x, y = grid.meshgrid()
+        opts = SeriesOptions(depth_max=2, time_steps=32, output_times=(0.5,))
+        sol = solve_controlled_heat(ScalarField(grid, 1.0 + 0.3 * np.cos(x) * np.sin(y)),
+                                    Forcing.from_expression("2*sin(x)*cos(y)"), 0.5, opts)
+        assert [w["stop_reason"] for w in sol.metadata["windows"]] == ["depth_max"]
+
+    def test_rule_windows_differ_by_at_most_one_step(self):
+        # a million steps split into windows of whole, near-equal node counts
+        bounds = series._windows(10**6, 1, 1.0, 1e-6, 1e-12, 64)
+        assert bounds[0] == 0 and bounds[-1] == 10**6
+        assert set(np.diff(bounds)) <= {10**6 // (len(bounds) - 1), 10**6 // (len(bounds) - 1) + 1}
+
+
 def chunk_rows(monkeypatch, grid, rows):
     """Set the chunk budget to ``rows`` spectra of ``grid``'s torus; kernels
     built after it transform ``rows`` nodes or times per call."""
@@ -663,6 +739,44 @@ class TestEngineStacking:
         for m in range(1, 10):
             part = swept(kernel, integrand[:m], factor[:m], initial)
             assert part.tobytes() == whole[:m].tobytes()
+
+
+    @STACKING_GRIDS
+    @pytest.mark.parametrize("rows", (1, 3), ids=["per-node", "three-node"])
+    def test_sweep_continues_from_its_returned_state(self, monkeypatch, grid, rows):
+        # the torus state a sweep returns for its last node starts the sweep
+        # of the remaining nodes, which then match the whole sweep byte for
+        # byte; the returned state of the whole sweep is that of the last part
+        rng = np.random.default_rng(13)
+        integrand = rng.normal(size=(9,) + grid.shape)
+        factor = rng.normal(size=integrand.shape)
+        initial = rng.normal(size=grid.shape)
+        chunk_rows(monkeypatch, grid, rows)
+        kernel = sweep_kernel(grid)
+        whole = integrand.copy()
+        end_state = kernel.sweep(whole, factor, initial)
+        for m in (1, 4, 7):
+            state = kernel.sweep(integrand[:m + 1].copy(), factor[:m + 1], initial)
+            rest = integrand[m:].copy()
+            assert kernel.sweep(rest, factor[m:], whole[m], state).tobytes() == end_state.tobytes()
+            assert rest.tobytes() == whole[m:].tobytes()
+
+    @STACKING_GRIDS
+    def test_majorants_are_sweeps_of_the_absolute_field(self, grid):
+        # e_0 is the sweep of zeros from |v| and e_b that of rate e_(b-1), at
+        # the given nodes; v's grid values and its torus state give the same
+        rng = np.random.default_rng(17)
+        v = rng.normal(size=grid.shape)
+        kernel = sweep_kernel(grid)
+        rate, depth, offsets = 1.7, 3, [0, 2, 3, 8]
+        e = [swept(kernel, np.zeros((9,) + grid.shape), initial=np.abs(v))]
+        for _ in range(depth):
+            e.append(swept(kernel, rate * e[-1]))
+        want = np.stack(e, axis=1)[offsets]
+        state = kernel.sweep(np.zeros((1,) + grid.shape), initial=v)
+        for start in ({"initial": v}, {"state": state}):
+            got = kernel.majorants(offsets, depth, rate, **start)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 
 
 class TestSweepNodes:
