@@ -299,28 +299,36 @@ def solve_nse(prob: NSEProblem, opts: SeriesOptions | None = None) -> NSESolutio
 def nse_residual(u: Trajectory, p_minus_f: Forcing | None) -> Trajectory:
     """Momentum-equation residual du/dt + (u.grad)u - Lap(u) - grad(f - p).
 
-    du/dt is the three-point difference of ``np.gradient`` centred on each
-    interior output time, uniform or not (so at least three are required);
-    the per-node value is the max residual magnitude over components.  For
-    free-space grids only interior nodes are reported.
+    du/dt is the three-point difference that ``np.gradient`` centres on each
+    interior output time, uniform or not (so at least three are required),
+    formed one row at a time with its arithmetic; the per-node value is the
+    max residual magnitude over components.  For free-space grids only
+    interior nodes are reported.
     """
     if len(u.times) < 3:
         raise ValueError("nse_residual needs at least 3 output times for centered differencing")
     grid = u.grid
     times = u.times
-    dudt = np.gradient(u.values, np.asarray(times), axis=0)
+    steps = np.diff(times)
+    uniform = bool((steps == steps[0]).all())
     if p_minus_f is not None:
         p_stack = p_minus_f.sample(grid, times[1:-1])
     out = np.zeros((len(times) - 2, *grid.shape))
     # free-space rows keep zeros outside the interior nodes
     core = tuple(slice(None) if grid.is_periodic else slice(2, n - 2) for n in grid.shape)
     for j in range(1, len(times) - 1):
-        uj = u.values[j]
+        before, uj, after = u.values[j - 1:j + 2]
+        if uniform:
+            dudt = (after - before) / (2.0 * steps[0])
+        else:
+            h1, h2 = steps[j - 1:j + 1]
+            dudt = (-h2 / (h1 * (h1 + h2)) * before + (h2 - h1) / (h1 * h2) * uj
+                    + h1 / (h2 * (h1 + h2)) * after)
         # grad(f - p) = -grad(p - f)
         force = None if p_minus_f is None else _gradient(grid, p_stack[j - 1])
         worst = np.zeros(grid.shape)
         for i in range(grid.ndim):
-            res = dudt[j, i]
+            res = dudt[i]
             grad_ui, lap_ui = _gradient_and_laplacian(grid, uj[i])
             for l in range(grid.ndim):
                 res = res + uj[l] * grad_ui[l]

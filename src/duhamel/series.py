@@ -17,9 +17,11 @@ depth its window's length asks for (the windowed Picard iteration of
 waveform relaxation; Lelarasmee, Ruehli & Sangiovanni-Vincentelli, IEEE
 TCAD 1, 1982).  ``_windows`` picks the window count W, a power of two up
 to n_t, with no setting of its own: it minimises the sweep work
-sum_w (n_w + B)(d_w + 1) over windows of n_w steps, where B is the
-kernel's rows per transform call and d_w the depth the tail estimate's
-form predicts at x = M n_w dt, capped at ``depth_max``.  It reads nothing
+sum_w (2 n_w + B)(d_w + 1) over windows of n_w steps: each order
+transforms each live node forward (F H) and back (the accumulator), and
+its calls of B rows, the kernel's chunk, add about one chunk of call
+overhead; d_w is the depth the tail estimate's form predicts at
+x = M n_w dt, capped at ``depth_max``.  It reads nothing
 but B, ``rel_tolerance``, ``depth_max``, M and dt, and where the cap binds
 it takes one window.  The windows past the last output time are not swept.
 
@@ -291,12 +293,13 @@ def _windows(steps: int, chunk: int, m_abs: float, dt: float, rel_tolerance: flo
     series' windows.
 
     W is the power of two up to ``steps`` whose W windows of n_w = steps // W
-    or one more steps minimise the sweep work sum_w (n_w + chunk) (d_w + 1):
-    each order sweeps its window's n_w nodes in transform calls of ``chunk``
-    rows, and d_w is the depth the tail estimate predicts, the least d with
-    exp(x) x^(d+1)/(d+1)! <= ``rel_tolerance`` at x = ``m_abs`` n_w ``dt``,
-    capped at ``depth_max``.  Where the cap binds at every W, more windows
-    only add calls, so the rule picks one.
+    or one more steps minimise the sweep work sum_w (2 n_w + chunk) (d_w + 1):
+    each order transforms each of its window's n_w live nodes forward and
+    back, and its transform calls of ``chunk`` rows add about one chunk of
+    call overhead; d_w is the depth the tail estimate predicts, the least d
+    with exp(x) x^(d+1)/(d+1)! <= ``rel_tolerance`` at x = ``m_abs`` n_w
+    ``dt``, capped at ``depth_max``.  Where the cap binds at every W, more
+    windows only add calls, so the rule picks one.
     """
     def depth(n_w):
         x = m_abs * (n_w * dt)
@@ -309,8 +312,8 @@ def _windows(steps: int, chunk: int, m_abs: float, dt: float, rel_tolerance: flo
 
     def work(count):
         short, longer = divmod(steps, count)
-        return ((count - longer) * (short + chunk) * (depth(short) + 1)
-                + longer * (short + 1 + chunk) * (depth(short + 1) + 1))
+        return ((count - longer) * (2 * short + chunk) * (depth(short) + 1)
+                + longer * (2 * (short + 1) + chunk) * (depth(short + 1) + 1))
 
     count = min((2**e for e in range(steps.bit_length())), key=work)
     return [w * steps // count for w in range(count + 1)]

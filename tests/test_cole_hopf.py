@@ -568,7 +568,22 @@ class TestStackPaths:
     @pytest.mark.parametrize("grid", stack_grids())
     @pytest.mark.parametrize("forced", (False, True), ids=["unforced", "forced"])
     def test_residual_matches_a_per_row_reference(self, grid, forced):
-        times = (0.0, 0.1, 0.25, 0.45)
+        self._check_residual(grid, (0.0, 0.1, 0.25, 0.45), forced)
+
+    @pytest.mark.parametrize("grid", stack_grids())
+    @pytest.mark.parametrize("times", [(0.0, 0.375, 0.75, 1.125, 1.5), (0.0, 0.1, 0.2, 0.3)],
+                             ids=["uniform", "rounded"])
+    def test_residual_matches_the_reference_on_near_equal_steps(self, grid, times):
+        # np.gradient takes its uniform branch for steps equal as floats and
+        # its three-weight branch for steps that differ only by rounding
+        # (0.1 - 0.0 != 0.2 - 0.1)
+        steps = np.diff(times)
+        assert (steps == steps[0]).all() == (times[1] == 0.375)
+        self._check_residual(grid, times, True)
+
+    def _check_residual(self, grid, times, forced):
+        """nse_residual's rows against np.gradient's du/dt over the whole
+        stack and the single-field operators, bit for bit."""
         _, values = self._fields(grid, times)
         p_minus_f = Forcing.from_expression("cos(x)*sin(t) + 0.5") if forced else None
         got = nse_residual(Trajectory(grid, times, values), p_minus_f)

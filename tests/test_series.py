@@ -502,14 +502,16 @@ class TestEngineMemory:
         allowed = 1 * (12 - 3) * len(out) * field_bytes + (steps + 1) * field_bytes
         assert deep - shallow <= allowed
 
-    def test_peak_is_two_node_stacks_and_one_copy_per_order(self):
+    def test_peak_is_two_node_stacks_and_one_copy_per_order(self, monkeypatch):
         # F and the latest order at all nodes, one output-node copy of each
         # order, and the reconstruction's running sum, term and product
         # buffer (three output-node fields each); 10% covers the sweep's
         # chunk buffers and the kernel's weights, on the 1-D grids, whose
         # chunks hold many nodes, as on the 3-D grid, whose chunks hold one.
         # The shallow solves bound the zeroth order, which is formed in the
-        # order stack, with or without a source
+        # order stack, with or without a source.  One window, so that the
+        # deep solves reach depth 12
+        monkeypatch.setattr(series, "_windows", lambda steps, *rule: [0, steps])
         n = 16
         cube = Grid((n,) * 3, (2 * np.pi / n,) * 3, (0.0,) * 3)
         x, y, z = cube.meshgrid()
@@ -600,6 +602,76 @@ class TestWindows:
         sol = solve_controlled_heat(ScalarField(grid, 1.0 + 0.3 * np.cos(x) * np.sin(y)),
                                     Forcing.from_expression("2*sin(x)*cos(y)"), 0.5, opts)
         assert [w["stop_reason"] for w in sol.metadata["windows"]] == ["depth_max"]
+
+    @staticmethod
+    def _work(bounds, chunk, m_abs, dt, rel_tolerance, depth_max):
+        """The rule's sweep work of the windows between ``bounds``:
+        sum_w (2 n_w + chunk)(d_w + 1), d_w the least d with exp(x)
+        x^(d+1)/(d+1)! <= rel_tolerance at x = m_abs n_w dt, at most depth_max."""
+        work = 0
+        for n_w in np.diff(bounds).tolist():
+            x = m_abs * n_w * dt
+            d = next((d for d in range(depth_max)
+                      if math.exp(x) * x ** (d + 1) / math.factorial(d + 1) <= rel_tolerance), depth_max)
+            work += (2 * n_w + chunk) * (d + 1)
+        return work
+
+    @pytest.mark.parametrize("rule", [
+        (32, 1, 2.2134, 1 / 64, 1e-10, 24),  # heat-freespace-2d
+        (32, 1, 3.845, 1 / 64, 1e-10, 24),  # nse-periodic-3d
+        (64, 15, 0.2555, 1 / 128, 1e-10, 24),  # parabolic-1d
+        (32, 1, 1.5, 1 / 32, 1e-12, 24),
+        (100, 3, 0.7, 0.01, 1e-8, 10),
+        (7, 1, 5.0, 0.1, 1e-12, 24),
+        (32, 1, 2.0, 1 / 64, 1e-10, 2),
+    ], ids=["heat", "nse", "parabolic", "periodic-2d", "uneven", "odd", "capped"])
+    def test_rule_picks_the_least_work_over_powers_of_two(self, rule):
+        steps = rule[0]
+        candidates = [[w * steps // count for w in range(count + 1)]
+                      for count in (2**e for e in range(steps.bit_length()))]
+        works = [self._work(b, *rule[1:]) for b in candidates]
+        assert series._windows(*rule) == candidates[works.index(min(works))]
+
+    def test_rule_picks_16_windows_on_the_benchmark_parameters(self):
+        # 32 steps of 1/64, one node per transform call, at sup |F| of the
+        # heat and the NSE workloads
+        for m_abs in (2.2134, 3.845):
+            assert len(series._windows(32, 1, m_abs, 1 / 64, 1e-10, 24)) - 1 == 16
+
+    def test_transforms_per_window_are_the_rules_premise(self, monkeypatch):
+        # each order transforms its window's live nodes forward and back:
+        # n_w inverse rows per order, and n_w forward rows per order but the
+        # first, which also forwards node 0 (G(t_w) times F); the first
+        # window's zeroth order forwards G0, the later ones restart from the
+        # torus state.  The tail's apply adds 1 forward and n_out inverse rows
+        grid = Grid((64, 64), (2 * np.pi / 64,) * 2, (0.0, 0.0))
+        x, y = grid.meshgrid()
+        G0 = ScalarField(grid, 1.0 + 0.3 * np.cos(x) * np.sin(y))
+        F = Forcing.from_expression("1.5*sin(x)*cos(y) + 0.5*cos(x + 2*t)")
+        opts = SeriesOptions(rel_tolerance=1e-10, time_steps=32, output_times=(0.25, 0.5))
+        torus = padded_torus(grid)
+        rows = {"forward": 0, "inverse": 0}
+
+        def counted(name, row_size):
+            method = getattr(type(torus), name)
+
+            def call(self, values):
+                rows[name] += values.size // row_size
+                return method(self, values)
+            return call
+
+        monkeypatch.setattr(type(torus), "forward", counted("forward", G0.values.size))
+        monkeypatch.setattr(type(torus), "inverse", counted("inverse", torus.k2.size))
+        sol = solve_controlled_heat(G0, F, 0.5, opts)
+        windows = sol.metadata["windows"]
+        assert len(windows) > 1
+        assert all(w["stop_reason"] == "tolerance" for w in windows)
+        n_w = [round((w["end"] - w["start"]) / sol.time_step) for w in windows]
+        depths = [w["depth"] for w in windows]
+        assert min(depths) >= 1
+        n_out = len(opts.output_times)
+        assert rows["forward"] == 1 + sum(1 + d * n for n, d in zip(n_w, depths)) + 1
+        assert rows["inverse"] == sum((d + 1) * n for n, d in zip(n_w, depths)) + n_out
 
     def test_rule_windows_differ_by_at_most_one_step(self):
         # a million steps split into windows of whole, near-equal node counts
